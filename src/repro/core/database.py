@@ -798,18 +798,19 @@ class EncipheredDatabase:
         """Ingest ``(key, record)`` pairs via the bottom-up tree build.
 
         Orders of magnitude fewer cipher operations and disk writes than
-        per-key insertion (each node is enciphered and written once);
-        requires an empty database.  On failure the stored records are
-        freed again and the empty database stays usable.
+        per-key insertion: each node is enciphered and written once, and
+        so is each record block (:meth:`RecordStore.put_many`).  Requires
+        an empty database.  On failure the stored records are freed
+        again and the empty database stays usable.
         """
         obs = self.obs
         span = obs.trace("db.bulk_load")
         with span:
             with self.lock.write_locked():
-                pairs: list[tuple[int, int]] = []
+                items = list(items)
+                record_ids = self.records.put_many(record for _, record in items)
+                pairs = [(key, rid) for (key, _), rid in zip(items, record_ids)]
                 try:
-                    for key, record in items:
-                        pairs.append((key, self.records.put(record)))
                     self.tree.bulk_load(pairs)
                 except Exception:
                     for _, record_id in pairs:

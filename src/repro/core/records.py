@@ -10,16 +10,27 @@ node-block machinery.  Compromise of the node blocks yields only the
 Records are stored in fixed-size slots (several per block); the *data
 pointer* ``a`` stored in node triplets is the slot's global index.
 
-Plaintext block cache
----------------------
+Slot-window reads
+-----------------
 
 Benchmark C8 measured per-match record-block DES decryption at ~70-80%
 of range-query time: every :meth:`RecordStore.get` deciphered a whole
-block to extract one slot, so a range query touching ``m`` records in
-the same block paid ``m`` full-block decryptions.  ``cache_blocks > 0``
-puts an :class:`~repro.storage.cache.LRUCache` of *deciphered slot
-tuples* above the disk, so each block is deciphered once per residency
-instead of once per matching record (benchmark C9).
+block to extract one slot.  CBC decryption is random-access (plaintext
+block *i* is ``D(C_i) xor C_(i-1)``), so an uncached ``get`` now asks
+the device for just its slot's byte window and the record cipher
+deciphers only the DES blocks under it, plus the final block for the
+padding check (see :func:`repro.crypto.modes.cbc_decrypt_window`).  It
+still counts as one record-block decipher; platter bytes and every
+check are unchanged.  Writes, metadata scans and cache fills decipher
+whole blocks.
+
+Plaintext block cache
+---------------------
+
+``cache_blocks > 0`` puts an :class:`~repro.storage.cache.LRUCache` of
+*deciphered slot tuples* above the disk, so each block is deciphered
+whole once per residency instead of once per matching record
+(benchmark C9).
 
 The cache is write-through on the plaintext side: every slot write
 re-enciphers and writes the block as before (ciphertext traffic is
@@ -34,7 +45,7 @@ from __future__ import annotations
 
 from repro.crypto.base import CryptoOpCounts
 from repro.crypto.des import DES
-from repro.crypto.modes import CBCCipher
+from repro.crypto.modes import CBCCipher, cbc_decrypt_window
 from repro.exceptions import BlockBoundsError, StorageError
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
@@ -46,9 +57,10 @@ from repro.storage.journal import ChangeJournal, DiskDelta, RecordStoreDelta
 class _RecordBlockTransform:
     """DES-CBC at the data-block boundary, IV derived from the block id.
 
-    ``counts`` meters whole-block cipher operations (one per block
-    enciphered or deciphered); it is thread-safe because concurrent
-    readers decipher outside every lock.
+    ``counts`` meters block cipher operations: one per block enciphered
+    or deciphered, whether a read deciphers the whole block or only a
+    slot's window of it.  It is thread-safe because concurrent readers
+    decipher outside every lock.
     """
 
     def __init__(self, key: bytes) -> None:
@@ -59,19 +71,32 @@ class _RecordBlockTransform:
         #: shared disabled tracer (see :meth:`RecordStore.attach_tracer`).
         self.tracer = NULL_TRACER
 
-    def _cipher(self, block_id: int) -> CBCCipher:
-        iv = self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
-        return CBCCipher(self._des, iv)
+    def _iv(self, block_id: int) -> bytes:
+        return self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
 
     def on_write(self, block_id: int, data: bytes) -> bytes:
         with self.tracer.trace("cipher.record_encrypt"):
             self.counts.bump("encryptions")
-            return self._cipher(block_id).encrypt(data)
+            return CBCCipher(self._des, self._iv(block_id)).encrypt(data)
 
-    def on_read(self, block_id: int, data: bytes) -> bytes:
+    def on_read(
+        self, block_id: int, data: bytes, window: tuple[int, int] | None = None
+    ) -> bytes:
+        """Decipher a block, or only the plain bytes ``window=(lo, hi)``.
+
+        A window deciphers the final DES block (padding check, plain
+        length), the DES blocks covering ``[lo, hi)`` and -- only when
+        those start at block 0 -- the IV; either way it is one block
+        decipher in :attr:`counts`.
+        """
         with self.tracer.trace("cipher.record_decrypt"):
             self.counts.bump("decryptions")
-            return self._cipher(block_id).decrypt(data)
+            if window is None:
+                return CBCCipher(self._des, self._iv(block_id)).decrypt(data)
+            lo, hi = window
+            return cbc_decrypt_window(
+                self._des, data, lo, hi, lambda: self._iv(block_id)
+            )
 
 
 class RecordStore:
@@ -120,6 +145,8 @@ class RecordStore:
             )
         self.record_size = record_size
         self.slot_size = slot
+        #: A freed slot's bytes: the ``0xFFFF`` length prefix marks it free.
+        self._free_slot = b"\xff\xff" + bytes(record_size)
         self._transform = _RecordBlockTransform(data_key)
         if backend is not None:
             self.disk = backend.open_device(
@@ -548,13 +575,106 @@ class RecordStore:
         self.journal.note(record_id)
         return record_id
 
+    def put_many(self, records) -> list[int]:
+        """Store a batch of records, enciphering each touched block once.
+
+        Returns the data pointers in order.  Ids and final platter bytes
+        are exactly those of calling :meth:`put` per record -- free slots
+        are reused first (last freed first), then the open block and
+        fresh blocks fill in order -- but where ``put`` re-enciphers and
+        rewrites the open block for every record, this writes each
+        touched block once.  Every record is size-checked before any is
+        stored.  If the device fails part-way, the records already
+        written are freed again and the rest are never stored.
+        """
+        encoded = [self._encode_slot(record) for record in records]
+        spb = self.slots_per_block
+        reuse = min(len(encoded), len(self._free))
+        # (record id, slot, its block's slot list, the slot's bytes before
+        # -- ``None`` for a slot appended to the open block)
+        placed: list[tuple[int, int, list[bytes], bytes | None]] = []
+        touched: dict[int, list[bytes]] = {}
+        written: set[int] = set()
+
+        def store(block_index: int) -> None:
+            self._store_block(block_index, touched.pop(block_index))
+            written.add(block_index)
+
+        try:
+            for raw in encoded[:reuse]:
+                record_id = self._free[-1]
+                block_index, slot = self._locate(record_id)
+                slots = touched.get(block_index)
+                if slots is None:
+                    slots = touched[block_index] = (
+                        self._open_slots
+                        if block_index == self._open_block
+                        else self._read_slots(block_index)
+                    )
+                self._free.pop()
+                placed.append((record_id, slot, slots, slots[slot]))
+                slots[slot] = raw
+            for raw in encoded[reuse:]:
+                if self._open_block is None or len(self._open_slots) == spb:
+                    if self._open_block in touched:
+                        store(self._open_block)
+                    self._open_block = self.disk.allocate()
+                    self._open_slots = []
+                    self._meta_blocks = max(self._meta_blocks, self._open_block + 1)
+                touched[self._open_block] = self._open_slots
+                slot = len(self._open_slots)
+                record_id = self._open_block * spb + slot
+                placed.append((record_id, slot, self._open_slots, None))
+                self._open_slots.append(raw)
+            for block_index in list(touched):
+                store(block_index)
+        except Exception:
+            self._unplace(placed, written)
+            raise
+        self.count += len(placed)
+        for record_id, _, _, _ in placed:
+            self.journal.note(record_id)
+        return [record_id for record_id, _, _, _ in placed]
+
+    def _unplace(self, placed, written: set[int]) -> None:
+        """Undo a failed :meth:`put_many`, newest placement first.
+
+        A record whose block reached the device is freed as
+        :meth:`delete` frees it, each such block rewritten once; one that
+        never left memory is taken back out of its slot list.
+        """
+        freed: dict[int, list[bytes]] = {}
+        for record_id, slot, slots, previous in reversed(placed):
+            block_index = record_id // self.slots_per_block
+            if block_index in written:
+                slots[slot] = self._free_slot
+                freed[block_index] = slots
+                self.journal.note(record_id)
+            elif previous is None:
+                slots.pop()  # appended, and newer appends are already gone
+                continue
+            else:
+                slots[slot] = previous
+            self._free.append(record_id)
+        for block_index, slots in freed.items():
+            self._store_block(block_index, slots)
+
     def get(self, record_id: int) -> bytes:
-        """Fetch and decipher the record at ``record_id``."""
+        """Fetch and decipher the record at ``record_id``.
+
+        With the plaintext cache off, only the slot's window of the block
+        is deciphered (see :class:`_RecordBlockTransform`); a cached
+        store deciphers whole blocks, since the cache keeps every slot.
+        """
         block_index, slot = self._locate(record_id)
-        slots = self._load_slots(block_index)
-        if slot >= len(slots):
+        if self.cache.enabled:
+            slots = self._load_slots(block_index)
+            raw = slots[slot] if slot < len(slots) else b""
+        else:
+            lo = slot * self.slot_size
+            raw = self.disk.read_block(block_index, window=(lo, lo + self.slot_size))
+        if not raw:
             raise StorageError(f"record id {record_id} names an empty slot")
-        raw = slots[slot]
         length = int.from_bytes(raw[:2], "big")
         if length > self.record_size:
             raise StorageError(f"record id {record_id} slot is free or corrupt")
@@ -572,7 +692,7 @@ class RecordStore:
         slots = self._read_slots(block_index)
         if slot >= len(slots):
             raise StorageError(f"record id {record_id} names an empty slot")
-        slots[slot] = b"\xff\xff" + b"\x00" * self.record_size
+        slots[slot] = self._free_slot
         self._store_block(block_index, slots)
         if block_index == self._open_block:
             self._open_slots[slot] = slots[slot]

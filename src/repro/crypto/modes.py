@@ -12,9 +12,16 @@ kernel's bulk path intact (and, under the numpy ``"vector"`` kernel, runs
 all 16 DES rounds as array operations over the entire page at once).
 Only CBC *encryption* walks block by block, because each block's input
 chains on the previous block's output.
+
+CBC decryption is also random-access -- plaintext block *i* is
+``D(C_i) xor C_(i-1)`` -- so :func:`cbc_decrypt_window` recovers a byte
+range of a page by deciphering only the cipher blocks that cover it, plus
+the final block whose PKCS#7 padding fixes the plaintext length.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.crypto.base import BlockCipher
 from repro.exceptions import CryptoError
@@ -31,16 +38,44 @@ def pad_pkcs7(data: bytes, block_size: int) -> bytes:
     return data + bytes([pad_len]) * pad_len
 
 
+def _pad_length(last_block: bytes, block_size: int) -> int:
+    """Validate the PKCS#7 padding ending ``last_block``; return its length."""
+    pad_len = last_block[-1]
+    if not 1 <= pad_len <= block_size:
+        raise CryptoError("invalid PKCS#7 padding length")
+    if last_block[-pad_len:] != bytes([pad_len]) * pad_len:
+        raise CryptoError("corrupt PKCS#7 padding")
+    return pad_len
+
+
 def unpad_pkcs7(data: bytes, block_size: int) -> bytes:
     """Strip PKCS#7 padding, validating every padding byte."""
     if not data or len(data) % block_size != 0:
         raise CryptoError("padded data length is not a block multiple")
-    pad_len = data[-1]
-    if not 1 <= pad_len <= block_size:
-        raise CryptoError("invalid PKCS#7 padding length")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise CryptoError("corrupt PKCS#7 padding")
-    return data[:-pad_len]
+    return data[: len(data) - _pad_length(data[-block_size:], block_size)]
+
+
+def decrypt_run(
+    cipher: BlockCipher, ciphertext: bytes, previous: bytes | None = None
+) -> bytes:
+    """Decipher a run of whole cipher blocks in one bulk call (no unpadding).
+
+    The cipher applications are chain-free in both modes: ``previous=None``
+    is ECB, otherwise each output block is XORed with the ciphertext block
+    before it -- ``previous`` for the first block of the run (the IV when
+    the run starts the page, else ciphertext block ``first - 1``).
+    """
+    size = cipher.block_size
+    if len(ciphertext) % size != 0:
+        raise CryptoError("ciphertext length is not a block multiple")
+    decrypted = cipher.decrypt_blocks(ciphertext)
+    if previous is None or not decrypted:
+        return decrypted
+    # one big-integer XOR over the shifted stream chains every block
+    chain = previous + ciphertext[:-size]
+    return (
+        int.from_bytes(decrypted, "big") ^ int.from_bytes(chain, "big")
+    ).to_bytes(len(decrypted), "big")
 
 
 class ECBCipher:
@@ -58,9 +93,7 @@ class ECBCipher:
         return self.cipher.encrypt_blocks(pad_pkcs7(plaintext, self.block_size))
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) % self.block_size != 0:
-            raise CryptoError("ciphertext length is not a block multiple")
-        return unpad_pkcs7(self.cipher.decrypt_blocks(ciphertext), self.block_size)
+        return unpad_pkcs7(decrypt_run(self.cipher, ciphertext), self.block_size)
 
 
 class CBCCipher:
@@ -100,13 +133,42 @@ class CBCCipher:
         return bytes(out)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
-        if len(ciphertext) % self.block_size != 0:
-            raise CryptoError("ciphertext length is not a block multiple")
-        decrypted = self.cipher.decrypt_blocks(ciphertext)
-        # Block i XORs with ciphertext block i-1 (the IV for block 0):
-        # one big-integer XOR over the shifted stream does every block.
-        chain = self.iv + ciphertext[: -self.block_size]
-        plain = (
-            int.from_bytes(decrypted, "big") ^ int.from_bytes(chain, "big")
-        ).to_bytes(len(decrypted), "big") if decrypted else b""
-        return unpad_pkcs7(plain, self.block_size)
+        return unpad_pkcs7(
+            decrypt_run(self.cipher, ciphertext, self.iv), self.block_size
+        )
+
+
+def cbc_decrypt_window(
+    cipher: BlockCipher,
+    ciphertext: bytes,
+    lo: int,
+    hi: int,
+    iv: Callable[[], bytes],
+) -> bytes:
+    """Plaintext bytes ``[lo, hi)`` of a padded CBC cryptogram.
+
+    Equal to ``CBCCipher(cipher, iv()).decrypt(ciphertext)[lo:hi]`` --
+    same length and padding checks, same :class:`CryptoError` -- but it
+    deciphers only the final block (its padding fixes the plaintext
+    length) and the blocks covering the window clamped to that length.
+    ``iv`` is called only when a deciphered run starts at block 0, so a
+    page-id-derived IV costs nothing for windows further in.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"invalid plaintext window [{lo}, {hi})")
+    size = cipher.block_size
+    if len(ciphertext) % size != 0:
+        raise CryptoError("ciphertext length is not a block multiple")
+    if not ciphertext:
+        return unpad_pkcs7(ciphertext, size)  # raises, as the whole path does
+
+    def run(first: int, end: int) -> bytes:
+        previous = ciphertext[(first - 1) * size : first * size] if first else iv()
+        return decrypt_run(cipher, ciphertext[first * size : end * size], previous)
+
+    blocks = len(ciphertext) // size
+    hi = min(hi, len(ciphertext) - _pad_length(run(blocks - 1, blocks), size))
+    if lo >= hi:
+        return b""
+    first = lo // size
+    return run(first, -(-hi // size))[lo - first * size : hi - first * size]

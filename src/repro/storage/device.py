@@ -66,7 +66,11 @@ class BlockTransform(Protocol):
         ...
 
     def on_read(self, block_id: int, data: bytes) -> bytes:
-        """Invert :meth:`on_write`."""
+        """Invert :meth:`on_write`.
+
+        A transform that can invert part of a block also takes a
+        ``window=(lo, hi)`` argument (see :meth:`BlockDevice.read_block`).
+        """
         ...
 
 
@@ -332,8 +336,19 @@ class BlockDevice(ABC):
                 block_id=block_id, stored=stored,
             )
 
-    def read_block(self, block_id: int) -> bytes:
-        """Read a block; the transform is inverted after the platter."""
+    def read_block(
+        self, block_id: int, window: tuple[int, int] | None = None
+    ) -> bytes:
+        """Read a block; the transform is inverted after the platter.
+
+        ``window=(lo, hi)`` asks for plain bytes ``[lo, hi)`` only,
+        clamped to the block's plain length.  It is handed to the
+        transform's ``on_read``, which may then invert just the part of
+        the block the window covers (the record cipher deciphers only the
+        CBC blocks under one slot); only transforms that accept a window
+        may be read with one.  The fetch, fault injection, retries and
+        statistics are exactly those of a whole-block read.
+        """
         self._check_id(block_id)
         if self.faults is None and self.retry_policy is None:
             stored = self._fetch(block_id)
@@ -341,7 +356,11 @@ class BlockDevice(ABC):
             stored = self._guarded(
                 "read", lambda: self._fetch(block_id), block_id=block_id
             )
-        return self.transform.on_read(block_id, stored) if self.transform else stored
+        if self.transform is None:
+            return stored if window is None else stored[window[0] : window[1]]
+        if window is None:
+            return self.transform.on_read(block_id, stored)
+        return self.transform.on_read(block_id, stored, window)
 
     def read_many(self, block_ids) -> list[bytes]:
         """Read several blocks in one device round trip.

@@ -276,6 +276,18 @@ class TestBulkLoad:
         assert db.search(2) == b"b"
 
 
+class TestBulkLoadRecordWrites:
+    def test_each_record_block_enciphered_once(self, db):
+        db.records.cipher_counts.reset()
+        n = 50
+        db.bulk_load((k, f"record {k}".encode()) for k in range(n))
+        blocks = db.records.disk.num_blocks
+        assert blocks == -(-n // db.records.slots_per_block)
+        assert db.stats()["record_cipher"]["encryptions"] == blocks
+        assert db.records.disk.stats.writes == blocks
+        assert all(db.search(k) == f"record {k}".encode() for k in range(n))
+
+
 class TestBugfixRegressions:
     def test_counting_cipher_reused_not_double_wrapped(self, cipher):
         counting = CountingCipher(cipher)

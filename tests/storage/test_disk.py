@@ -64,6 +64,15 @@ class TestStats:
         assert disk.stats.bytes_written == 8
         assert disk.stats.bytes_read == 16
 
+    def test_window_read_counts_as_a_whole_block_read(self):
+        disk = SimulatedDisk(block_size=64)
+        b = disk.allocate()
+        disk.write_block(b, b"12345678")
+        assert disk.read_block(b, window=(2, 5)) == b"345"
+        assert disk.read_block(b, window=(6, 20)) == b"78"
+        assert disk.stats.reads == 2
+        assert disk.stats.bytes_read == 16
+
     def test_reset(self):
         disk = SimulatedDisk(block_size=64)
         b = disk.allocate()
