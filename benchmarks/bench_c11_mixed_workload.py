@@ -13,8 +13,8 @@ sync plus write-batched cluster mutations -- in three parts:
    results.
 2. **Mixed workloads end to end.**  One deterministic operation stream
    per scenario -- read-heavy (90% reads), mixed (60%), write-heavy
-   (30%) -- replayed through the ``serial``, ``threads`` and
-   ``processes`` executors plus the full-ship baseline, reporting
+   (30%) -- replayed through the ``serial`` and ``processes``
+   executors plus the full-ship baseline, reporting
    throughput, re-sync counts and bytes shipped.  Results and cipher
    totals must be identical across all arms.
 3. **Write batching.**  k single-key inserts (one re-sync each) vs one
@@ -47,7 +47,7 @@ NUM_WRITES = int(os.environ.get("C11_WRITES", "10"))
 BATCH_SIZE = int(os.environ.get("C11_BATCH", "32"))
 NUM_SHARDS = 4
 SCENARIOS = {"read_heavy": 0.9, "mixed": 0.6, "write_heavy": 0.3}
-ARMS = ("serial", "threads", "processes", "processes-full")
+ARMS = ("serial", "processes", "processes-full")
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:

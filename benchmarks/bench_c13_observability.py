@@ -18,7 +18,7 @@ experiment:
    *identical* between the disabled and enabled arms -- the security
    cost model is the repo's ground truth and must not move.
 4. **One coherent picture.**  The same enabled workload through the
-   ``serial``, ``threads`` and ``processes`` executors must report
+   ``serial`` and ``processes`` executors must report
    identical merged instrument counts and heat totals through
    ``stats()["observability"]`` -- every operation counted exactly
    once, wherever it ran.
@@ -50,7 +50,7 @@ REPEATS = int(os.environ.get("C13_REPEATS", "3"))
 MAX_OVERHEAD = float(os.environ.get("C13_MAX_OVERHEAD", "0.05"))
 NUM_SHARDS = 4
 READ_FRACTION = 0.6
-EXECUTORS = ("serial", "threads", "processes")
+EXECUTORS = ("serial", "processes")
 
 CIPHER_FAMILIES = ("pointer_cipher", "substitution", "record_cipher")
 

@@ -100,7 +100,7 @@ def main() -> None:
     print("\n=== 3. permanent shard failure, graceful degradation ===")
     cluster = ShardedEncipheredDatabase.create(
         sub_factory, cipher_factory, num_shards=3, router="hash",
-        block_size=512, min_degree=2, executor="threads", degraded_reads=True,
+        block_size=512, min_degree=2, degraded_reads=True,
     )
     items = {k: f"rec-{k}".encode()
              for k in random.Random(2).sample(range(DESIGN.v), 40)}

@@ -115,7 +115,6 @@ def main() -> None:
         cipher_factory,
         num_shards=3,
         router="hash",
-        executor="threads",
         observability=ObsConfig(enabled=True),
     )
     cluster.bulk_load([(k, f"rec{k}".encode()) for k in keys])
@@ -123,7 +122,7 @@ def main() -> None:
     for k in hot:
         cluster.search(k)
     cstats = cluster.stats()
-    print("== cluster rollup (3 shards, threads executor) ==")
+    print("== cluster rollup (3 shards, serial executor) ==")
     print(f"  merged db.get count: {cstats.latency['db.get']['count']}")
     print(f"  merged heat: {cstats.heat['ops']} ops over "
           f"{cstats.heat['keys']} keys")

@@ -9,7 +9,7 @@ data keys, so:
 * an opponent who compromises one shard's smartcard reads one shard;
 * block-frequency analysis across platters finds nothing to correlate --
   the same plaintext key is disguised differently on every shard;
-* range queries fan out over a thread pool (range routing additionally
+* range queries fan out to every shard (range routing additionally
   prunes to the overlapping shards).
 
 This example ingests a personnel directory, queries it through both

@@ -440,8 +440,7 @@ class ProcessShardExecutor:
         # parent shard's HeatMap.
         self._heat_base: list[dict[int, int]] = [{} for _ in range(num_shards)]
         # One request/reply may be in flight per pipe; concurrent cluster
-        # calls (the thread backend's bread and butter) must not
-        # interleave frames, so parent-side dispatch is serialised.
+        # calls from several client threads must not interleave frames, so parent-side dispatch is serialised.
         # Reentrant: map() nests sync() nests harvest().
         self._dispatch_lock = threading.RLock()
 

@@ -10,23 +10,22 @@ different keys on every shard.
 
 Routing happens on plaintext keys inside the trusted boundary (see
 :mod:`repro.cluster.router`).  Cross-shard operations -- ``range_search``
-fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads -- run on a
-pluggable executor backend (``executor=``):
+fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads -- run on
+one of two executor backends (``executor=``):
 
-* ``"threads"`` (default) -- a shard-count-bounded thread pool;
-  per-shard reader--writer locks let parallel readers proceed while
-  each shard serialises its writers.  Overlaps I/O, but pure-Python
-  cryptography serialises on the GIL (benchmark C8).
+* ``"serial"`` (default) -- a plain loop on the calling thread.  Every
+  slice runs even after one raises, and the first error is re-raised
+  after the loop.  Pure-Python cryptography serialises on the GIL, so a
+  thread pool measured slower than this loop (benchmarks C10, C14).
 * ``"processes"`` -- one worker process per shard (see
   :mod:`repro.cluster.executor`): each worker rebuilds its shard from a
   picklable spec and runs the fan-out's cryptography on its own
   interpreter, which is what turns the shorter critical path into
   wall-clock speedup on multi-core hardware (benchmark C10).  Requires
-  module-level (picklable) factories.  Single-key operations and
-  transactions stay on the calling process; worker replicas are
-  re-synced automatically after any cluster-level mutation.
-* ``"serial"`` -- a plain loop on the calling thread, the baseline the
-  benchmarks compare against.
+  module-level (picklable) factories.  Single-key operations,
+  single-shard batches and transactions stay on the calling process;
+  worker replicas are re-synced automatically after any cluster-level
+  mutation.
 
 Key derivation
 --------------
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -124,17 +122,15 @@ class ShardedEncipheredDatabase:
     strictly harder than against one database.
     """
 
-    _EXECUTORS = ("serial", "threads", "processes")
+    _EXECUTORS = ("serial", "processes")
 
     def __init__(
         self,
         shards: Sequence[EncipheredDatabase],
         router: ShardRouter,
-        max_workers: int | None = None,
-        executor: str = "threads",
+        executor: str = "serial",
         shard_factories: tuple | None = None,
         delta_sync: bool = True,
-        offload_single_shard: bool = False,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
     ) -> None:
@@ -157,9 +153,7 @@ class ShardedEncipheredDatabase:
         self.router = router
         self.executor = executor
         self._shard_factories = shard_factories
-        self._max_workers = max_workers or len(self.shards)
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
+        self._procs_lock = threading.Lock()
         self._txn_thread: int | None = None
         # Process-backend replica consistency: each cluster-level
         # mutation bumps the touched shards' epochs (sealing the shard's
@@ -171,13 +165,6 @@ class ShardedEncipheredDatabase:
         # new epoch" atomic against sibling writers (see _note_writes)
         self._epoch_locks = [threading.Lock() for _ in self.shards]
         self._delta_sync = delta_sync
-        #: With the process executor, ship single-shard batches to a
-        #: worker too (default off: the historical gate required >1
-        #: shard).  Worth enabling when the parent thread's own work --
-        #: routing, serving reads -- is the bottleneck and a batch's
-        #: cipher/tree cost dwarfs the delta shipping cost; benchmark
-        #: C15 records the measured parent-thread relief either way.
-        self.offload_single_shard = offload_single_shard
         self._procs: ProcessShardExecutor | None = None
         #: Fault-tolerance plane (PR 10): one health state machine per
         #: shard, fed by operation outcomes.  Quarantined shards make
@@ -210,13 +197,11 @@ class ShardedEncipheredDatabase:
         cache_blocks: int = 16,
         write_back: bool = False,
         autocommit: bool = True,
-        max_workers: int | None = None,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
         decoded_node_cache_bytes: int = 0,
-        executor: str = "threads",
+        executor: str = "serial",
         delta_sync: bool = True,
-        offload_single_shard: bool = False,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         backend: StorageBackend | None = None,
@@ -231,8 +216,8 @@ class ShardedEncipheredDatabase:
         warms and hits only the shard it is scanning, with no
         cross-shard invalidation traffic and no shared-cache lock.
 
-        ``executor`` selects the fan-out backend (``"serial"``,
-        ``"threads"``, ``"processes"``); the process backend requires
+        ``executor`` selects the fan-out backend (``"serial"`` or
+        ``"processes"``); the process backend requires
         both factories to be picklable module-level functions.
         ``delta_sync`` (default on) lets stale worker replicas catch up
         incrementally -- only journal-proven changed blocks ship;
@@ -288,11 +273,9 @@ class ShardedEncipheredDatabase:
         return cls(
             shards,
             resolved,
-            max_workers=max_workers,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
             delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -309,14 +292,12 @@ class ShardedEncipheredDatabase:
         cache_blocks: int = 16,
         write_back: bool = False,
         autocommit: bool = True,
-        max_workers: int | None = None,
         record_cache_blocks: int | None = None,
         decoded_node_cache_blocks: int = 0,
         decoded_node_cache_bytes: int = 0,
         validate_routing: bool = True,
-        executor: str = "threads",
+        executor: str = "serial",
         delta_sync: bool = True,
-        offload_single_shard: bool = False,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
@@ -367,11 +348,9 @@ class ShardedEncipheredDatabase:
         return cls(
             shards,
             resolved,
-            max_workers=max_workers,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
             delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -388,14 +367,12 @@ class ShardedEncipheredDatabase:
         cache_blocks: int = 16,
         write_back: bool = False,
         autocommit: bool = True,
-        max_workers: int | None = None,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
         decoded_node_cache_bytes: int = 0,
         validate_routing: bool = True,
-        executor: str = "threads",
+        executor: str = "serial",
         delta_sync: bool = True,
-        offload_single_shard: bool = False,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
@@ -446,11 +423,9 @@ class ShardedEncipheredDatabase:
         return cls(
             shards,
             router,
-            max_workers=max_workers,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
             delta_sync=delta_sync,
-            offload_single_shard=offload_single_shard,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -494,19 +469,10 @@ class ShardedEncipheredDatabase:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    # -- the thread pool -------------------------------------------------
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._executor
+    # -- the process pool ------------------------------------------------
 
     def _process_pool(self) -> ProcessShardExecutor:
-        with self._executor_lock:
+        with self._procs_lock:
             if self._procs is None:
                 substitution_factory, pointer_cipher_factory = self._shard_factories
                 self._procs = ProcessShardExecutor(
@@ -526,9 +492,8 @@ class ShardedEncipheredDatabase:
     def _use_processes(self, shard_ids: Sequence[int]) -> bool:
         """Worker processes pay off only for a true multi-shard fan-out.
 
-        Single-shard work stays on this thread unless
-        ``offload_single_shard`` opts it in; in-transaction work always
-        stays, and so does any fan-out while a shard holds *uncommitted*
+        Single-shard work stays on this thread; in-transaction work
+        always stays, and so does any fan-out while a shard holds *uncommitted*
         state (dirty write-back pages or an open shard transaction):
         shipping a spec must never force a commit, and the in-process
         backends already serve uncommitted reads with the right
@@ -536,7 +501,7 @@ class ShardedEncipheredDatabase:
         """
         return (
             self.executor == "processes"
-            and (len(shard_ids) > 1 or self.offload_single_shard)
+            and len(shard_ids) > 1
             and threading.get_ident() != self._txn_thread
             and not any(
                 shard.has_uncommitted_changes
@@ -658,7 +623,7 @@ class ShardedEncipheredDatabase:
         self.health.record_worker_loss(shard_id, str(exc))
 
     def close(self) -> None:
-        """Commit every shard, release devices and worker threads/processes.
+        """Commit every shard, release devices and worker processes.
 
         On durable backends this closes every shard's platter files
         (after their final sync); on in-memory devices the close is a
@@ -692,10 +657,6 @@ class ShardedEncipheredDatabase:
             except BaseException as exc:
                 if first_error is None and not self.health.is_quarantined(i):
                     first_error = exc
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
         if self._procs is not None:
             # keep the object: its harvested counters still feed stats()
             self._procs.close()
@@ -709,39 +670,24 @@ class ShardedEncipheredDatabase:
         self.close()
 
     def _fan_out(self, fn: Callable[[int], object], shard_ids: Sequence[int]) -> list:
-        """Run ``fn(shard_id)`` for every id, in parallel when it pays.
+        """Run ``fn(shard_id)`` for every id on the calling thread.
 
-        Inside this cluster's :meth:`transaction` the calling thread owns
-        every shard's *write* lock, which pool workers (different
-        threads) could never acquire the read side of -- so the fan-out
-        degrades to a serial loop on the calling thread instead of
-        deadlocking the pool.
-
-        Every task is awaited even when one errors (the first error is
-        re-raised after the drain).  Callers' cleanup relies on this: a
-        mutating fan-out (``put_many``, ``bulk_load``) seals the touched
-        shards' change journals in a ``finally``, and sealing while a
-        sibling shard's transaction is still running on a pool thread
-        would split that shard's commit across an epoch boundary --
-        stranding the post-seal bytes in the journal's open set, where
-        no delta sync would ever ship them.
+        Every slice runs even when one raises an :class:`Exception`
+        (the first is re-raised after the loop), the same drain contract
+        the process offload honours.  Callers rely on it: a failing
+        shard in a mutating fan-out (``put_many``, ``delete_many``,
+        ``bulk_load``) rolls back only its own slice while every sibling
+        shard's slice still commits, whichever executor is configured.
+        An interrupt or exit propagates at once.
         """
-        if (
-            self.executor == "serial"
-            or len(shard_ids) <= 1
-            or threading.get_ident() == self._txn_thread
-        ):
-            return [fn(i) for i in shard_ids]
-        futures = [self._pool().submit(fn, i) for i in shard_ids]
         results: list[object] = []
-        first_error: BaseException | None = None
-        for future in futures:
+        first_error: Exception | None = None
+        for i in shard_ids:
             try:
-                results.append(future.result())
-            except BaseException as exc:
+                results.append(fn(i))
+            except Exception as exc:
                 if first_error is None:
                     first_error = exc
-                results.append(None)
         if first_error is not None:
             raise first_error
         return results
@@ -781,8 +727,9 @@ class ShardedEncipheredDatabase:
         """All ``(key, record)`` pairs with ``lo <= key <= hi``, ascending.
 
         The router prunes the shard set (a :class:`RangeRouter` touches
-        only overlapping sub-ranges); the surviving shards are queried in
-        parallel and their sorted partial results merged.
+        only overlapping sub-ranges); the surviving shards are queried (in
+        worker processes with ``executor="processes"``) and their sorted
+        partial results merged.
 
         Quarantined shards make the read fail fast with
         :class:`~repro.exceptions.ShardUnavailableError` -- unless the
@@ -881,7 +828,7 @@ class ShardedEncipheredDatabase:
         return finish(out)
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:
-        """Partition ``(key, record)`` pairs by shard and load in parallel.
+        """Partition ``(key, record)`` pairs by shard and load each slice.
 
         Requires an empty cluster; duplicate keys are rejected before any
         shard is touched (each shard's own loader re-validates its
@@ -990,8 +937,8 @@ class ShardedEncipheredDatabase:
         acquisition, one commit and one epoch bump
         (:meth:`EncipheredDatabase.put_many`), so a burst of k writes
         triggers one replica delta ship per touched shard instead of k
-        re-syncs.  Shards are loaded in parallel on the thread fan-out;
-        with the process executor, each shard's slice is *offloaded* to
+        re-syncs.  With the process executor, each shard's slice is
+        *offloaded* to
         its owning worker -- the mutation executes in the worker (where
         its cipher plane runs on a separate interpreter) and the
         resulting :class:`~repro.storage.journal.ShardDelta` ships back
@@ -999,9 +946,10 @@ class ShardedEncipheredDatabase:
         shards like reads do.
 
         Atomicity is *per shard*: a failing slice (duplicate key,
-        oversized record) rolls its own shard back, but sibling shards
-        that already committed stay committed -- the same contract as
-        :meth:`bulk_load`.  Returns the number of pairs inserted.
+        oversized record) rolls its own shard back, while every sibling
+        shard's slice still runs and commits -- on either executor, the
+        same contract as :meth:`bulk_load`.  Returns the number of pairs
+        inserted.
         """
         pairs = list(items)
         if not pairs:
@@ -1279,8 +1227,8 @@ class ShardedEncipheredDatabase:
         two concurrent cluster transactions cannot deadlock on each
         other's write locks) and unwound together: a clean exit commits
         every shard, an exception rolls every shard back.  Fan-out
-        operations called inside the scope run serially on this thread
-        (see :meth:`_fan_out`).
+        operations called inside the scope stay on this thread (see
+        :meth:`_use_processes`).
         """
         committing = False
         try:
@@ -1362,8 +1310,8 @@ class ShardedEncipheredDatabase:
         replicas are merged into their shard's rollup (leaf-wise, like
         every other counter), so the cost model reports every cipher
         operation the cluster performed regardless of which process ran
-        it -- serial, threaded and process runs of the same workload
-        report identical cipher totals.
+        it -- serial and process runs of the same workload report
+        identical cipher totals.
         """
         per_shard = []
         for i, shard in enumerate(self.shards):

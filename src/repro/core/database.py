@@ -90,7 +90,7 @@ from repro.core.packing import PointerPacking
 from repro.core.records import RecordStore
 from repro.counters import ThreadSafeCounters
 from repro.crypto.base import CountingCipher, IntegerCipher
-from repro.crypto.des import DES, kernel_decisions_snapshot
+from repro.crypto.des import DES
 from repro.crypto.modes import CBCCipher
 from repro.exceptions import CryptoError, IntegrityError, KeyNotFoundError, StorageError
 from repro.obs import ObsConfig, Observability
@@ -1318,7 +1318,6 @@ class EncipheredDatabase:
                     "joins": self._commit_group.joins,
                     "async_flushes": self._async_flushes,
                 },
-                "cipher_kernel": kernel_decisions_snapshot(),
                 "durability": {
                     "node": self.disk.durability_snapshot(),
                     "records": self.records.disk.durability_snapshot(),

@@ -8,12 +8,13 @@ full 16-round cipher -- initial/final permutations, key schedule (PC-1,
 PC-2, rotation schedule), expansion, the eight S-boxes and permutation P --
 directly from the standard.
 
-Three interchangeable kernels compute the cipher (benchmark C10 compares
-them; they are byte-identical on every input):
+Three kernels compute the cipher (benchmark C10 compares them; they are
+byte-identical on every input):
 
-* ``"reference"`` -- the clarity-first reading of FIPS 46: every
-  permutation is applied bit by bit straight from the printed tables.
-  Kept as the executable specification the known-answer tests pin down.
+* :class:`ReferenceDESKernel` -- the clarity-first reading of FIPS 46:
+  every permutation is applied bit by bit straight from the printed
+  tables.  Kept as the executable specification the known-answer tests
+  pin down; the tests and C10 call it directly, it is not selectable.
 * ``"fast"`` (the default) -- the same 16 rounds around precomputed
   lookup tables: byte-wide LUTs for IP/FP/E, the eight S-boxes fused
   with permutation P into eight 64-entry -> 32-bit SP tables, the key
@@ -24,15 +25,15 @@ them; they are byte-identical on every input):
 * ``"vector"`` (requires numpy; see :mod:`repro.crypto.vector`) -- the
   fast kernel's tables applied as ndarray gathers over a ``uint64``
   vector of *all* blocks in the buffer, so the 16-round loop runs once
-  per bulk call instead of once per block.  Small buffers delegate to
-  ``"fast"`` below a crossover the dispatcher calibrates per process
-  (``REPRO_VECTOR_MIN_BLOCKS`` pins it); every dispatch is tallied
-  (:func:`kernel_decisions_snapshot`).  Falls back to ``"fast"``
-  entirely when numpy is absent.
+  per bulk call instead of once per block.  Buffers shorter than the
+  measured crossover :data:`repro.crypto.vector.MIN_VECTOR_BLOCKS`
+  delegate to ``"fast"``.  Falls back to ``"fast"`` entirely when numpy
+  is absent.
 
-The kernel is chosen per :class:`DES` instance (``kernel=``), falling
-back to the process-wide default -- :func:`set_default_kernel` or the
-``REPRO_DES_KERNEL`` environment variable ("fast" unless overridden).
+The kernel (``"fast"`` or ``"vector"``) is chosen per :class:`DES`
+instance (``kernel=``), falling back to the process-wide default --
+:func:`set_default_kernel` or the ``REPRO_DES_KERNEL`` environment
+variable ("fast" unless overridden).
 """
 
 from __future__ import annotations
@@ -236,19 +237,18 @@ def _rotate28(value: int, amount: int) -> int:
 #: regression tests assert this grows once per key object -- never per
 #: block -- so a chaining mode streaming ten thousand blocks through one
 #: key costs exactly one derivation.  Lock-guarded: ``+= 1`` on a global
-#: is not atomic, and shards construct DES objects from pool threads.
+#: is not atomic, and concurrent client threads construct DES objects.
 _SCHEDULE_DERIVATIONS = 0
 _schedule_lock = threading.Lock()
 
 
 def _reset_schedule_lock_after_fork() -> None:
-    # A forked child (the cluster's process executor) inherits these locks
-    # in whatever state some *other* parent thread held them; its first
-    # DES construction (or bulk call) would then deadlock.  The child is
-    # single-threaded at birth, so fresh locks are always the correct state.
-    global _schedule_lock, _decision_lock
+    # A forked child (the cluster's process executor) inherits this lock
+    # in whatever state some *other* parent thread held it; its first
+    # DES construction would then deadlock.  The child is single-threaded
+    # at birth, so a fresh lock is always the correct state.
+    global _schedule_lock
     _schedule_lock = threading.Lock()
-    _decision_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # POSIX only, like fork itself
@@ -259,35 +259,6 @@ def schedule_derivations() -> int:
     """How many key schedules have been derived process-wide."""
     with _schedule_lock:
         return _SCHEDULE_DERIVATIONS
-
-
-#: Bulk-call kernel choices made by the vector kernel's adaptive
-#: dispatcher (see :mod:`repro.crypto.vector`): how many ``crypt_blocks``
-#: calls ran vectorised versus delegated to the scalar fast kernel.
-#: Process-wide, like :func:`schedule_derivations` -- the dispatcher is a
-#: module-level decision, not a per-database one.
-_KERNEL_DECISIONS = {"vector_calls": 0, "fast_calls": 0}
-_decision_lock = threading.Lock()
-
-
-def note_kernel_decision(vector_used: bool) -> None:
-    """Record one bulk-call dispatch (called by the vector kernel)."""
-    field = "vector_calls" if vector_used else "fast_calls"
-    with _decision_lock:
-        _KERNEL_DECISIONS[field] += 1
-
-
-def kernel_decisions_snapshot() -> dict[str, int]:
-    """Both dispatch counters, as additive numeric leaves for ``stats()``."""
-    with _decision_lock:
-        return dict(_KERNEL_DECISIONS)
-
-
-def reset_kernel_decisions() -> None:
-    """Zero the dispatch counters (test support)."""
-    with _decision_lock:
-        for field in _KERNEL_DECISIONS:
-            _KERNEL_DECISIONS[field] = 0
 
 
 def _key_schedule(key64: int) -> tuple[int, ...]:
@@ -318,10 +289,10 @@ class ReferenceDESKernel:
     the FIPS 46 tables via :func:`_permute`, paying ``len(table)`` bit
     operations per permutation.  The fast kernel must match it byte for
     byte on every input (asserted by the kernel-parity tests and by
-    benchmark C10).
+    benchmark C10).  Not selectable through :class:`DES`: callers that
+    want the oracle call :meth:`crypt_block` / :meth:`crypt_blocks` with
+    a schedule from :func:`_key_schedule`.
     """
-
-    name = "reference"
 
     @staticmethod
     def _feistel(right32: int, subkey48: int) -> int:
@@ -467,10 +438,7 @@ class FastDESKernel:
         return bytes(out)
 
 
-_KERNELS = {
-    ReferenceDESKernel.name: ReferenceDESKernel,
-    FastDESKernel.name: FastDESKernel,
-}
+_KERNELS = {FastDESKernel.name: FastDESKernel}
 
 try:  # the vector kernel needs numpy; "fast" stays the ceiling without it
     from repro.crypto.vector import VectorDESKernel
@@ -543,9 +511,9 @@ class DES(BlockCipher):
         (most software implementations ignore them); pass
         ``enforce_parity=True`` to require odd parity per byte.
     kernel:
-        ``"fast"``, ``"reference"`` or ``"vector"``; ``None`` (default)
+        ``"fast"`` or ``"vector"``; ``None`` (default)
         uses the process-wide default (see :func:`set_default_kernel`).
-        All kernels produce byte-identical ciphertext; ``"vector"``
+        Both produce byte-identical ciphertext; ``"vector"``
         requires numpy and degrades to ``"fast"`` without it.
     """
 

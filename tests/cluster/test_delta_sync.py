@@ -1,7 +1,7 @@
 """Incremental replica sync: delta ships, fallbacks, epoch hygiene.
 
 The contract extends PR 4's executor parity: for identical workloads
-every backend -- serial, threads, processes with delta sync, processes
+every backend -- serial, processes with delta sync, processes
 forced to full ships -- must return byte-identical results and report
 identical cipher totals, while the delta path ships strictly fewer
 bytes per parent-side write.  Failure modes (worker crash mid-protocol,
@@ -50,7 +50,6 @@ def make_cluster(executor: str, **kwargs) -> ShardedEncipheredDatabase:
 
 ARMS = {
     "serial": lambda: make_cluster("serial"),
-    "threads": lambda: make_cluster("threads"),
     "processes": lambda: make_cluster("processes"),
     "processes-full": lambda: make_cluster("processes", delta_sync=False),
 }
@@ -526,7 +525,7 @@ class TestClusterWarming:
     def test_warm_fans_out_and_counts(self):
         records = seed_keys(60)
         cluster = make_cluster(
-            "threads", decoded_node_cache_blocks=64
+            "serial", decoded_node_cache_blocks=64
         )
         try:
             cluster.bulk_load(records.items())

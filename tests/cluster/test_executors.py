@@ -1,4 +1,4 @@
-"""The pluggable fan-out backends: serial, threads, processes.
+"""The two fan-out backends: serial and processes.
 
 The contract is strict parity: for identical workloads every backend
 must return byte-identical results, leave byte-identical platters, and
@@ -29,7 +29,7 @@ from repro.substitution.oval import OvalSubstitution
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
 NUM_SHARDS = 4
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def sub_factory(i: int) -> OvalSubstitution:
@@ -67,12 +67,10 @@ class TestBackendParity:
                 cluster.bulk_load(records.items())
             expected = clusters["serial"].range_search(0, DESIGN.v)
             assert len(expected) == len(sample)
-            for name in ("threads", "processes"):
-                assert clusters[name].range_search(0, DESIGN.v) == expected, name
+            assert clusters["processes"].range_search(0, DESIGN.v) == expected
             probes = sample[:25] + [k + 1 for k in sample[:5]]
             expected_many = clusters["serial"].get_many(probes, default=b"?")
-            for name in ("threads", "processes"):
-                assert clusters[name].get_many(probes, default=b"?") == expected_many
+            assert clusters["processes"].get_many(probes, default=b"?") == expected_many
         finally:
             for cluster in clusters.values():
                 cluster.close()
@@ -111,7 +109,6 @@ class TestBackendParity:
                 totals[name] = (agg["pointer_cipher"], agg["record_cipher"], agg["size"])
             finally:
                 cluster.close()
-        assert totals["serial"] == totals["threads"]
         assert totals["serial"] == totals["processes"]
 
     def test_stats_counts_work_done_in_workers(self):
@@ -229,7 +226,7 @@ class TestValidationAndErrors:
             with pytest.raises(StorageError, match="picklable"):
                 cluster.range_search(0, DESIGN.v)
         finally:
-            # thread/serial paths still work for the same cluster
+            # in-process paths still work for the same cluster
             assert cluster.get(3) == b"x"
             cluster.close()
 
@@ -307,7 +304,7 @@ class TestValidationAndErrors:
         sample = random.Random(0xEE).sample(range(DESIGN.v), 40)
         records = records_for(sample)
         states = {}
-        for name in ("threads", "processes"):
+        for name in BACKENDS:
             cluster = ShardedEncipheredDatabase.create(
                 sub_factory, cipher_factory, num_shards=NUM_SHARDS,
                 block_size=512, min_degree=2, executor=name,
@@ -322,7 +319,7 @@ class TestValidationAndErrors:
                 assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
             finally:
                 cluster.close()  # commits, like any orderly shutdown
-        assert states["threads"] == states["processes"], (
+        assert states["serial"] == states["processes"], (
             "the process backend changed what an uncommitted load leaves "
             "on the platters"
         )

@@ -36,13 +36,17 @@ def cipher_factory(i: int) -> RSA:
 
 
 def make_cluster(executor: str, **kwargs) -> ShardedEncipheredDatabase:
+    return default_cluster(executor=executor, **kwargs)
+
+
+def default_cluster(**kwargs) -> ShardedEncipheredDatabase:
+    """A cluster on the default executor unless ``executor=`` overrides."""
     return ShardedEncipheredDatabase.create(
         sub_factory,
         cipher_factory,
         num_shards=NUM_SHARDS,
         block_size=512,
         min_degree=2,
-        executor=executor,
         **kwargs,
     )
 
@@ -203,14 +207,11 @@ class TestOffloadFailureSemantics:
             cluster.close()
 
     def test_failed_shard_recovers_for_the_next_offload(self):
-        # control arm is "threads", not "serial": on a partial failure
-        # the serial loop stops at the failing shard (later slices never
-        # run), while threads and the offload path both drain every
-        # slice and roll back only the failing shard -- the same
-        # documented per-shard contract, different committed siblings
+        # on a partial failure the default executor and the offload path
+        # both drain every slice and roll back only the failing shard
         records = seed_keys(30)
         cluster = make_cluster("processes")
-        control = make_cluster("threads")
+        control = default_cluster()
         try:
             present = sorted(records)
             absent = [k for k in range(DESIGN.v) if k not in records]
@@ -241,6 +242,62 @@ class TestOffloadFailureSemantics:
             control.close()
 
 
+class TestDefaultExecutorFailureSemantics:
+    """The in-process fan-out honours the same per-shard contract.
+
+    The bad key sits on shard 0, the first slice the fan-out runs, so
+    every sibling slice runs after the failure: each must still commit
+    while shard 0 rolls back its whole slice.
+    """
+
+    def _setup(self):
+        records = seed_keys(60)
+        cluster = default_cluster()
+        assert cluster.executor == "serial"
+        cluster.bulk_load(records.items())
+        absent = [k for k in range(DESIGN.v) if k not in records]
+        bad = next(k for k in sorted(records) if cluster.router.shard_for(k) == 0)
+        return records, cluster, absent, bad
+
+    def test_put_many_commits_every_other_shard(self):
+        records, cluster, absent, dup = self._setup()
+        try:
+            batch = [(k, b"n") for k in absent[:24]] + [(dup, b"dup")]
+            touched = {cluster.router.shard_for(k) for k, _ in batch}
+            assert touched == set(range(NUM_SHARDS))
+            with pytest.raises(DuplicateKeyError):
+                cluster.put_many(batch)
+            data = dict(cluster.items())
+            assert data[dup] == records[dup]
+            for k, _ in batch[:-1]:
+                if cluster.router.shard_for(k) == 0:
+                    assert k not in data  # rolled back with its slice
+                else:
+                    assert data[k] == b"n"  # sibling slices committed
+            cluster.check_invariants()
+        finally:
+            cluster.close()
+
+    def test_delete_many_commits_every_other_shard(self):
+        records, cluster, absent, _ = self._setup()
+        try:
+            missing = next(k for k in absent if cluster.router.shard_for(k) == 0)
+            doomed = sorted(records)[:24]
+            touched = {cluster.router.shard_for(k) for k in doomed}
+            assert touched == set(range(NUM_SHARDS))
+            with pytest.raises(KeyNotFoundError):
+                cluster.delete_many([missing] + doomed)
+            data = dict(cluster.items())
+            for k in doomed:
+                if cluster.router.shard_for(k) == 0:
+                    assert data[k] == records[k]  # rolled back with its slice
+                else:
+                    assert k not in data  # sibling slices committed
+            cluster.check_invariants()
+        finally:
+            cluster.close()
+
+
 class TestOffloadGating:
     def test_transactions_never_offload(self):
         records = seed_keys(30)
@@ -262,10 +319,30 @@ class TestOffloadGating:
         finally:
             cluster.close()
 
-    def test_thread_executor_never_offloads(self):
+    def test_single_shard_batches_stay_on_parent(self):
         records = seed_keys(30)
         absent = [k for k in range(DESIGN.v) if k not in records]
-        cluster = make_cluster("threads")
+        cluster = make_cluster("processes")
+        try:
+            assert cluster._use_processes([0, 1]) is True
+            assert cluster._use_processes([0]) is False
+            cluster.bulk_load(records.items())
+            cluster.range_search(0, DESIGN.v)
+            base = cluster.sync_stats()["offloaded_batches"]
+            batch = [(k, b"one") for k in absent if cluster.router.shard_for(k) == 0]
+            cluster.put_many(batch[:8])
+            assert cluster.sync_stats()["offloaded_batches"] == base
+            data = dict(cluster.range_search(0, DESIGN.v))
+            for k, _ in batch[:8]:
+                assert data[k] == b"one"
+            cluster.check_invariants()
+        finally:
+            cluster.close()
+
+    def test_default_executor_never_offloads(self):
+        records = seed_keys(30)
+        absent = [k for k in range(DESIGN.v) if k not in records]
+        cluster = default_cluster()
         try:
             cluster.bulk_load(records.items())
             cluster.put_many([(k, b"t") for k in absent[:12]])

@@ -75,7 +75,6 @@ class TestDefaults:
         assert s["commit_group"]["rounds"] >= 1
         assert s["commit_group"]["joins"] >= 0
         assert s["commit_group"]["async_flushes"] == 0
-        assert set(s["cipher_kernel"]) == {"vector_calls", "fast_calls"}
         db.close()
 
 

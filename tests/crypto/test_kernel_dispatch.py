@@ -1,11 +1,11 @@
-"""Adaptive fast/vector dispatch: calibration, pinning, accounting.
+"""Fixed fast/vector dispatch: parity on both sides of the crossover.
 
-The vector kernel no longer uses a hard-coded 16-block crossover: the
-first bulk call calibrates the fast/vector break-even for this process
-(or ``REPRO_VECTOR_MIN_BLOCKS`` pins it), and every dispatch decision
-is tallied so ``stats()`` can show the split.  These tests pin the
-pinning, the calibration's sanity, the byte-parity of both sides of
-the threshold, and the counter plumbing.
+The vector kernel hands buffers shorter than
+:data:`~repro.crypto.vector.MIN_VECTOR_BLOCKS` to the fast kernel and
+runs longer ones as ndarray gathers.  Whichever side a buffer lands on,
+the bytes must equal both the fast kernel's and the FIPS reference
+kernel's, encrypting and decrypting.  The ndarray path must also be
+right below the crossover, so the constant is a pure speed choice.
 """
 
 from __future__ import annotations
@@ -18,109 +18,70 @@ from repro.crypto import vector
 from repro.crypto.des import (
     DES,
     FastDESKernel,
-    kernel_decisions_snapshot,
-    reset_kernel_decisions,
+    ReferenceDESKernel,
+    schedule_derivations,
 )
-from repro.crypto.vector import VectorDESKernel, vector_threshold
-from repro.exceptions import KeyError_
+from repro.crypto.vector import MIN_VECTOR_BLOCKS, VectorDESKernel
 
 KEY = bytes.fromhex("133457799BBCDFF1")
-
-
-@pytest.fixture(autouse=True)
-def pristine_dispatch(monkeypatch):
-    """Each test sees an uncalibrated dispatcher and zeroed counters."""
-    monkeypatch.delenv("REPRO_VECTOR_MIN_BLOCKS", raising=False)
-    vector._threshold = None
-    reset_kernel_decisions()
-    yield
-    vector._threshold = None
-    reset_kernel_decisions()
+AROUND = (MIN_VECTOR_BLOCKS - 1, MIN_VECTOR_BLOCKS, MIN_VECTOR_BLOCKS + 1)
 
 
 def payload(nblocks):
     return bytes((i * 37 + 11) & 0xFF for i in range(8 * nblocks))
 
 
-class TestPinnedThreshold:
-    def test_env_pins_the_crossover(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "4")
-        des = DES(KEY, kernel="vector")
-        des.encrypt_blocks(payload(3))  # below: fast
-        des.encrypt_blocks(payload(4))  # at: vector
-        des.encrypt_blocks(payload(64))  # above: vector
-        assert vector_threshold() == 4
-        assert kernel_decisions_snapshot() == {"vector_calls": 2, "fast_calls": 1}
-
-    def test_env_floor_is_one_block(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "0")
-        des = DES(KEY, kernel="vector")
-        des.encrypt_blocks(payload(1))
-        assert vector_threshold() == 1
-        assert kernel_decisions_snapshot()["vector_calls"] == 1
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "many")
-        des = DES(KEY, kernel="vector")
-        with pytest.raises(KeyError_, match="REPRO_VECTOR_MIN_BLOCKS"):
-            des.encrypt_blocks(payload(8))
-
-    def test_parity_on_both_sides_of_the_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "2")
-        fast = DES(KEY, kernel="fast")
-        vec = DES(KEY, kernel="vector")
-        for nblocks in (0, 1, 2, 3, 17):
-            data = payload(nblocks)
-            ct = vec.encrypt_blocks(data)
-            assert ct == fast.encrypt_blocks(data)
-            assert vec.decrypt_blocks(ct) == data
+@pytest.mark.parametrize("nblocks", AROUND)
+def test_vector_matches_fast_and_reference_around_the_crossover(nblocks):
+    data = payload(nblocks)
+    des = DES(KEY, kernel="fast")
+    for subkeys in (des._subkeys, des._subkeys_dec):
+        out = VectorDESKernel.crypt_blocks(data, subkeys)
+        assert out == FastDESKernel.crypt_blocks(data, subkeys)
+        assert out == ReferenceDESKernel.crypt_blocks(data, subkeys)
 
 
-class TestCalibration:
-    def test_first_bulk_call_calibrates(self):
-        assert vector_threshold() is None
-        des = DES(KEY, kernel="vector")
-        des.encrypt_blocks(payload(8))
-        measured = vector_threshold()
-        assert isinstance(measured, int)
-        assert measured >= 1
-
-    def test_calibration_runs_once(self):
-        des = DES(KEY, kernel="vector")
-        des.encrypt_blocks(payload(8))
-        first = vector_threshold()
-        des.encrypt_blocks(payload(200))
-        assert vector_threshold() == first
-
-    def test_calibration_derives_no_extra_schedules(self):
-        from repro.crypto.des import schedule_derivations
-
-        des = DES(KEY, kernel="vector")  # the schedule is derived here
-        before = schedule_derivations()
-        des.encrypt_blocks(payload(64))  # triggers calibration
-        assert schedule_derivations() == before, (
-            "calibration must reuse the caller's subkeys, not derive its own"
-        )
+@pytest.mark.parametrize("nblocks", AROUND)
+def test_des_round_trips_around_the_crossover(nblocks):
+    """The same buffers through the public ``DES(kernel="vector")`` API."""
+    data = payload(nblocks)
+    vec, fast = DES(KEY, kernel="vector"), DES(KEY, kernel="fast")
+    ct = vec.encrypt_blocks(data)
+    assert ct == fast.encrypt_blocks(data)
+    assert vec.decrypt_blocks(ct) == data
 
 
-class TestDecisionCounters:
-    def test_snapshot_is_a_copy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "4")
-        des = DES(KEY, kernel="vector")
-        des.encrypt_blocks(payload(8))
-        snap = kernel_decisions_snapshot()
-        snap["vector_calls"] = 999
-        assert kernel_decisions_snapshot()["vector_calls"] == 1
+@pytest.mark.parametrize(
+    "nblocks", (0, 1) + AROUND + (2 * MIN_VECTOR_BLOCKS,)
+)
+def test_crossover_picks_the_side(monkeypatch, nblocks):
+    calls = []
 
-    def test_reset_zeroes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "4")
-        DES(KEY, kernel="vector").encrypt_blocks(payload(8))
-        reset_kernel_decisions()
-        assert kernel_decisions_snapshot() == {"vector_calls": 0, "fast_calls": 0}
+    def spy(data, subkeys):
+        calls.append(len(data) // 8)
+        return b"\x00" * len(data)
 
-    def test_direct_kernel_calls_count_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_MIN_BLOCKS", "4")
-        subkeys = DES(KEY, kernel="fast")._subkeys
-        VectorDESKernel.crypt_blocks(payload(2), subkeys)
-        VectorDESKernel.crypt_blocks(payload(4), subkeys)
-        assert kernel_decisions_snapshot() == {"vector_calls": 1, "fast_calls": 1}
+    monkeypatch.setattr(vector, "_crypt_vector", spy)
+    out = VectorDESKernel.crypt_blocks(payload(nblocks), DES(KEY)._subkeys)
+    if nblocks < MIN_VECTOR_BLOCKS:
+        assert calls == []
+        assert out == FastDESKernel.crypt_blocks(payload(nblocks), DES(KEY)._subkeys)
+    else:
+        assert calls == [nblocks]
+
+
+@pytest.mark.parametrize("nblocks", (0, 1, 7))
+def test_ndarray_path_is_exact_below_the_crossover(nblocks):
+    data = payload(nblocks)
+    subkeys = DES(KEY)._subkeys
+    assert vector._crypt_vector(data, subkeys) == FastDESKernel.crypt_blocks(
+        data, subkeys
+    )
+
+
+def test_dispatch_derives_no_schedules():
+    des = DES(KEY, kernel="vector")  # the schedule is derived here
+    before = schedule_derivations()
+    for nblocks in AROUND:
+        des.decrypt_blocks(des.encrypt_blocks(payload(nblocks)))
+    assert schedule_derivations() == before

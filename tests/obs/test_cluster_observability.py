@@ -1,7 +1,7 @@
 """Cross-executor observability parity.
 
-The acceptance bar: the same workload run under ``serial``, ``threads``
-and ``processes`` executors must report identical merged instrument
+The acceptance bar: the same workload run under the ``serial`` and
+``processes`` executors must report identical merged instrument
 *counts*, key-range heat and record-block heat through
 ``stats()["observability"]`` -- every operation counted exactly once, no
 matter which thread or process ran it.  Timing totals (``total_ns``,
@@ -23,7 +23,7 @@ from repro.obs import INSTRUMENTS, RANGE_FIELDS, ObsConfig
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 
 def sub_factory(i: int):
@@ -92,7 +92,7 @@ class TestExecutorParity:
         run_workload(cluster)
         return observed_counts(cluster)
 
-    @pytest.mark.parametrize("executor", ("threads", "processes"))
+    @pytest.mark.parametrize("executor", BACKENDS[1:])
     def test_counts_heat_and_blocks_match_serial_control(self, executor, control):
         cluster = make_cluster(executor)
         run_workload(cluster)
