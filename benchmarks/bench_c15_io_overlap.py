@@ -1,6 +1,6 @@
-"""C15 -- overlapped I/O: readahead range scans and group-commit WAL rounds.
+"""C15 -- overlapped I/O: readahead range scans and shared WAL rounds.
 
-PR 9's two latency plays, measured against their blocking controls:
+Two latency plays, measured against their blocking controls:
 
 1. **Readahead overlap.**  A range scan over a latency-armed in-memory
    device (every physical block read sleeps ``C15_LATENCY_S``) with the
@@ -11,13 +11,17 @@ PR 9's two latency plays, measured against their blocking controls:
    ``C15_OVERLAP_FLOOR``x scan throughput over the blocking pager, with
    identical results and identical cipher-operation totals (readahead
    moves fetches earlier; it must not change the paper's cost model).
-2. **Group commit.**  8 concurrent committers on a ``FileBackend`` with
-   a modeled per-fsync cost (``C15_FSYNC_LATENCY_S``): under group
-   commit the staged commits share WAL rounds -- one frame, one data
-   fsync, one header flip per round -- instead of paying the full fsync
-   set each.  Acceptance: >= ``C15_COMMIT_FLOOR``x commits/s over the
-   per-commit-fsync control, every committed key durable after reopen,
-   and a single-threaded grouped run byte-identical to serial.
+2. **Concurrent commits.**  8 committers on a ``FileBackend`` with a
+   modeled per-fsync cost (``C15_FSYNC_LATENCY_S``): a commit stages
+   under the write lock and syncs under the read lock, so concurrent
+   commits share WAL rounds -- one frame, one data fsync, one header
+   flip per round -- instead of paying the full fsync set each.  The
+   control is the same 8 committers on the same code, serialised by a
+   benchmark-side mutex around each insert+commit pair.  Acceptance:
+   >= ``C15_COMMIT_FLOOR``x commits/s over the serialised control,
+   fewer fsyncs, and every committed key durable after reopen.  (A
+   tier-1 test in ``tests/core/`` pins the single-threaded platter
+   bytes.)
 
 ``C15_N``, ``C15_SCANS``, ``C15_COMMITTERS``, ``C15_COMMITS`` shrink
 the workload for CI smoke runs.
@@ -25,6 +29,7 @@ the workload for CI smoke runs.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import threading
@@ -94,36 +99,29 @@ def _scan_arm(readahead_workers: int):
         db.close()
 
 
-# -- 2. group commit ------------------------------------------------------
+# -- 2. concurrent commits -----------------------------------------------
 
 
-def _commit_backend(tmp_path, name, group_commit):
-    return FileBackend(
-        tmp_path / name,
-        fsync=True,
-        group_commit=group_commit,
-        fsync_latency_s=FSYNC_LATENCY_S,
-    )
+def _commit_backend(tmp_path, name):
+    return FileBackend(tmp_path / name, fsync=True, fsync_latency_s=FSYNC_LATENCY_S)
 
 
-def _new_commit_db(backend, group_commit):
-    return EncipheredDatabase.create(
+def _commit_arm(tmp_path, name, serialise):
+    """COMMITTERS threads, COMMITS_EACH insert+commit pairs each.
+
+    ``serialise`` wraps every insert+commit pair in one benchmark-side
+    mutex, so each commit pays its own WAL round: the control.
+    """
+    db = EncipheredDatabase.create(
         OvalSubstitution(DESIGN, t=5),
         RSA(KEYPAIR),
-        backend=backend,
+        backend=_commit_backend(tmp_path, name),
         block_size=512,
         autocommit=False,
-        # both layers coalesce: committers stage under the db write lock
-        # and a leader flushes, and the platters share WAL rounds
-        group_commit=group_commit,
     )
-
-
-def _commit_arm(tmp_path, name, group_commit):
-    """COMMITTERS threads, COMMITS_EACH insert+commit pairs each."""
-    db = _new_commit_db(_commit_backend(tmp_path, name, group_commit), group_commit)
     keys = _keys()
     barrier = threading.Barrier(COMMITTERS)
+    mutex = threading.Lock() if serialise else contextlib.nullcontext()
     errors = []
 
     def committer(tid):
@@ -131,8 +129,9 @@ def _commit_arm(tmp_path, name, group_commit):
             barrier.wait()
             for i in range(COMMITS_EACH):
                 k = keys[tid * COMMITS_EACH + i]
-                db.insert(k, f"c{tid}-{i}".encode())
-                db.commit()
+                with mutex:
+                    db.insert(k, f"c{tid}-{i}".encode())
+                    db.commit()
         except BaseException as exc:  # pragma: no cover - diagnostic
             errors.append(exc)
 
@@ -148,40 +147,20 @@ def _commit_arm(tmp_path, name, group_commit):
     assert not errors, errors
     snap = db.stats()["durability"]
     fsyncs = db.disk.stats.fsyncs + db.records.disk.stats.fsyncs
-    rounds = snap["node"]["group_rounds"] + snap["records"]["group_rounds"]
+    frames = snap["node"]["wal_frames"] + snap["records"]["wal_frames"]
     db.close()
 
     survivor = EncipheredDatabase.reopen_from_backend(
         OvalSubstitution(DESIGN, t=5),
         RSA(KEYPAIR),
-        _commit_backend(tmp_path, name, group_commit),
+        _commit_backend(tmp_path, name),
     )
     committed = COMMITTERS * COMMITS_EACH
     assert survivor.tree.size == committed, (
         f"{name}: {survivor.tree.size} of {committed} commits survived reopen"
     )
     survivor.close()
-    return wall, fsyncs, rounds
-
-
-def _serial_parity(tmp_path):
-    """Single-threaded grouped vs serial: byte-identical platters."""
-    bytes_at_rest = {}
-    for name, group in (("parity-serial", False), ("parity-grouped", True)):
-        db = _new_commit_db(_commit_backend(tmp_path, name, group), group)
-        for k in sorted(_keys())[:60]:
-            db.insert(k, f"p-{k}".encode())
-            if k % 5 == 0:
-                db.commit()
-        db.commit()
-        bytes_at_rest[name] = (
-            db.disk.raw_blocks(),
-            db.records.disk.raw_blocks(),
-        )
-        db.close()
-    assert bytes_at_rest["parity-grouped"] == bytes_at_rest["parity-serial"], (
-        "group commit changed the recovered platter bytes"
-    )
+    return wall, fsyncs, frames
 
 
 def test_c15_io_overlap(benchmark, reporter, tmp_path):
@@ -189,8 +168,8 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
         lambda: {
             "blocking": _scan_arm(0),
             "overlapped": _scan_arm(4),
-            "per-commit fsync": _commit_arm(tmp_path, "serial", False),
-            "group commit": _commit_arm(tmp_path, "grouped", True),
+            "serialised": _commit_arm(tmp_path, "serialised", True),
+            "concurrent": _commit_arm(tmp_path, "concurrent", False),
         },
         rounds=1, iterations=1,
     )
@@ -209,17 +188,16 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
         f"(floor {OVERLAP_FLOOR}x at {LATENCY_S * 1e3:.1f} ms/read)"
     )
 
-    # -- group commit -----------------------------------------------------
-    serial_wall, serial_fsyncs, _ = run["per-commit fsync"]
-    group_wall, group_fsyncs, group_rounds = run["group commit"]
+    # -- concurrent commits -----------------------------------------------
+    serial_wall, serial_fsyncs, serial_frames = run["serialised"]
+    conc_wall, conc_fsyncs, conc_frames = run["concurrent"]
     commits = COMMITTERS * COMMITS_EACH
-    commit_speedup = (commits / group_wall) / (commits / serial_wall)
+    commit_speedup = (commits / conc_wall) / (commits / serial_wall)
     assert commit_speedup >= COMMIT_FLOOR, (
-        f"group commit reached only {commit_speedup:.2f}x commits/s with "
-        f"{COMMITTERS} committers (floor {COMMIT_FLOOR}x)"
+        f"concurrent commits reached only {commit_speedup:.2f}x commits/s "
+        f"with {COMMITTERS} committers (floor {COMMIT_FLOOR}x)"
     )
-    assert group_fsyncs < serial_fsyncs, "coalescing saved no fsyncs"
-    _serial_parity(tmp_path)
+    assert conc_fsyncs < serial_fsyncs, "coalescing saved no fsyncs"
 
     reporter.table(
         f"range scans over {NUM_KEYS} keys, {LATENCY_S * 1e3:.1f} ms/device "
@@ -235,14 +213,13 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
     reporter.table(
         f"{COMMITTERS} committers x {COMMITS_EACH} commits, "
         f"{FSYNC_LATENCY_S * 1e3:.1f} ms/fsync modeled; all commits durable "
-        "after reopen in both arms; single-threaded grouped run "
-        "byte-identical to serial",
-        ["arm", "wall-clock", "fsyncs", "commits/s vs per-commit"],
+        "after reopen in both arms",
+        ["arm", "wall-clock", "fsyncs", "WAL frames", "commits/s vs serialised"],
         [
-            ["per-commit fsync", f"{serial_wall * 1e3:,.1f} ms",
-             serial_fsyncs, "1.00x"],
-            ["group commit", f"{group_wall * 1e3:,.1f} ms",
-             group_fsyncs, f"{commit_speedup:,.2f}x"],
+            ["serialised (mutex)", f"{serial_wall * 1e3:,.1f} ms",
+             serial_fsyncs, serial_frames, "1.00x"],
+            ["concurrent", f"{conc_wall * 1e3:,.1f} ms",
+             conc_fsyncs, conc_frames, f"{commit_speedup:,.2f}x"],
         ],
     )
 
@@ -256,13 +233,12 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
         "committers": COMMITTERS,
         "commits_each": COMMITS_EACH,
         "fsync_latency_s": FSYNC_LATENCY_S,
-        "commit_wall_s": {"serial": serial_wall, "grouped": group_wall},
-        "commit_fsyncs": {"serial": serial_fsyncs, "grouped": group_fsyncs},
-        "group_rounds": group_rounds,
+        "commit_wall_s": {"serialised": serial_wall, "concurrent": conc_wall},
+        "commit_fsyncs": {"serialised": serial_fsyncs, "concurrent": conc_fsyncs},
+        "wal_frames": {"serialised": serial_frames, "concurrent": conc_frames},
         "commit_speedup": commit_speedup,
         "parity": {
             "scan_results_identical": True,
             "scan_ciphers_identical": True,
-            "grouped_platters_byte_identical": True,
         },
     })

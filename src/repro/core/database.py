@@ -66,8 +66,9 @@ Concurrency
 Every public operation runs under a per-database
 :class:`~repro.storage.rwlock.ReadWriteLock` (exposed as ``db.lock``):
 queries (``search``/``get``/``range_search``/``items``/``len``) share the
-read side, mutations and commits hold the write side exclusively, and a
-:meth:`transaction` scope holds the write side end to end.  Combined with
+read side, mutations hold the write side exclusively, a :meth:`commit`
+stages under the write side and syncs the devices under the read side,
+and a :meth:`transaction` scope holds the write side end to end.  Combined with
 the internally locked pager, caches and disks, interleaved reader threads
 can never observe a torn superblock or a half-flushed node.  Operation
 *counters* (tree comparisons, substitution tallies, cipher operations)
@@ -79,7 +80,6 @@ report exact totals without a lock on any hot-path increment.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -135,94 +135,6 @@ def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
     return CountingCipher(pointer_cipher)
 
 
-class _CommitGroup:
-    """Leader/follower durability coalescing for concurrent commits.
-
-    With group commit enabled, :meth:`EncipheredDatabase.commit` splits
-    into two halves: *staging* (deferred deletes, superblock rewrite,
-    pager flush -- under the write lock, cheap) and the *durability
-    point* (both device syncs -- up to six fsyncs on a durable backend,
-    expensive).  Each committer takes a ticket after staging; the first
-    thread to need durability becomes the leader and syncs once on
-    behalf of every ticket staged so far, while the rest wait on the
-    condition and return when the leader's round covers them.  Eight
-    concurrent committers therefore pay one or two sync rounds, not
-    eight.
-
-    The leader syncs under the database *read* lock: staging always
-    happens under the write lock, so the read side excludes every
-    mid-stage committer -- the platter can never seal a WAL frame
-    containing half of someone's pager flush.  Lock order is strictly
-    ``db.lock`` before ``_cond`` (``ticket`` runs under the write lock;
-    the election section takes ``_cond`` alone), so the two can never
-    deadlock.  A failed round clears leadership without advancing
-    ``_durable``; the next waiter retries as leader and the error
-    reaches every caller that needs it.
-    """
-
-    def __init__(self, db: "EncipheredDatabase") -> None:
-        self._db = db
-        self._cond = threading.Condition()
-        self._staged = 0
-        self._durable = 0
-        self._leading = False
-        #: Sync rounds a leader ran, and flushes satisfied by waiting
-        #: out another thread's round (additive; reported in ``stats``).
-        self.rounds = 0
-        self.joins = 0
-
-    def ticket(self) -> int:
-        """Stamp the staging just performed (caller holds the write lock)."""
-        with self._cond:
-            self._staged += 1
-            return self._staged
-
-    def staged(self) -> int:
-        """The newest ticket issued so far."""
-        with self._cond:
-            return self._staged
-
-    def flush(self, target: int) -> None:
-        """Block until ticket ``target`` is durable, syncing if needed.
-
-        Must not be called by a thread holding a side of the database
-        lock: the leader takes the read side itself.
-        """
-        waited = False
-        with self._cond:
-            while True:
-                if self._durable >= target:
-                    if waited:
-                        self.joins += 1
-                    return
-                if not self._leading:
-                    self._leading = True
-                    break
-                self._cond.wait()
-                waited = True
-        ok = False
-        snap = target
-        db = self._db
-        try:
-            with db.lock.read_locked():
-                # everything staged before we got the read side is fully
-                # on the device (staging holds the write side), so this
-                # round can safely cover it all
-                with self._cond:
-                    snap = max(snap, self._staged)
-                with db.obs.trace("wal.group_commit"):
-                    db.records.disk.sync()
-                    db.disk.sync()
-            ok = True
-        finally:
-            with self._cond:
-                self._leading = False
-                if ok:
-                    self._durable = max(self._durable, snap)
-                    self.rounds += 1
-                self._cond.notify_all()
-
-
 class EncipheredDatabase:
     """Durable facade: everything needed to reopen lives on the disks."""
 
@@ -236,8 +148,6 @@ class EncipheredDatabase:
         tree: BTree,
         autocommit: bool = True,
         observability: ObsConfig | Observability | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
     ) -> None:
         self.substitution = substitution
         self.pointer_cipher = _counting(pointer_cipher)
@@ -288,21 +198,6 @@ class EncipheredDatabase:
         self.warming = WarmingCounters()
         #: Latest ``warm(background=True)`` daemon thread, for joining.
         self._warm_thread: threading.Thread | None = None
-        #: Group commit: ``None`` defers to the ``REPRO_GROUP_COMMIT``
-        #: environment switch (so CI can run whole suites with it on),
-        #: mirroring how ``REPRO_OBS_TRACE`` governs observability.
-        if group_commit is None:
-            flag = os.environ.get("REPRO_GROUP_COMMIT", "")
-            group_commit = flag not in ("", "0")
-        self._group_commit = bool(group_commit)
-        self._async_flush = bool(async_flush)
-        self._commit_group = _CommitGroup(self)
-        self._flush_lock = threading.Lock()
-        self._flush_wakeup = threading.Event()
-        self._flusher_thread: threading.Thread | None = None
-        self._flusher_stop = False
-        self._flush_error: BaseException | None = None
-        self._async_flushes = 0
         # close() is idempotent: the flag flips before any teardown, so
         # a second close (context-manager exit after an explicit close,
         # cluster close after a per-shard close) is a clean no-op
@@ -361,8 +256,6 @@ class EncipheredDatabase:
         decoded_node_cache_bytes: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
         readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Initialise a fresh database (block 0 reserved for the superblock).
@@ -382,14 +275,13 @@ class EncipheredDatabase:
         devices -- records first, node last, so the node device's
         superblock (the authority a reopen trusts) is the commit point:
         a crash between the two syncs merely leaks record slots that no
-        committed index entry references.
+        committed index entry references.  The syncs run under the read
+        lock, so concurrent explicit commits share WAL frames (see
+        :meth:`commit`).
 
-        ``group_commit`` (default: the ``REPRO_GROUP_COMMIT`` switch)
-        coalesces concurrent explicit commits into shared sync rounds;
-        ``async_flush`` additionally defers the sync to a background
-        flusher.  ``readahead_workers`` sizes the pager's asynchronous
-        prefetch pool (``0`` -- off -- keeps the blocking read path and
-        the paper's I/O accounting untouched).
+        ``readahead_workers`` sizes the pager's asynchronous prefetch
+        pool (``0`` -- off -- keeps the blocking read path and the
+        paper's I/O accounting untouched).
         """
         if backend is None:
             disk: BlockDevice = SimulatedDisk(block_size=block_size)
@@ -411,8 +303,7 @@ class EncipheredDatabase:
                               backend=backend,
                               create=True if backend is not None else None)
         db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability,
-                 group_commit=group_commit, async_flush=async_flush)
+                 autocommit=autocommit, observability=observability)
         db._backend = backend
         db.commit()  # superblock + the fresh root reach the platter
         return db
@@ -433,8 +324,6 @@ class EncipheredDatabase:
         decoded_node_cache_blocks: int = 0,
         decoded_node_cache_bytes: int = 0,
         observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
         readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Rebuild a handle from the platter and the secrets alone.
@@ -462,8 +351,7 @@ class EncipheredDatabase:
                 f"superblock records {size} keys, tree holds {tree.size}"
             )
         db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability,
-                 group_commit=group_commit, async_flush=async_flush)
+                 autocommit=autocommit, observability=observability)
         db._make_cold()  # attach's verification walk must not pre-warm
         return db
 
@@ -485,8 +373,6 @@ class EncipheredDatabase:
         decoded_node_cache_blocks: int = 0,
         decoded_node_cache_bytes: int = 0,
         observability: ObsConfig | None = None,
-        group_commit: bool | None = None,
-        async_flush: bool = False,
         readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Reopen a database from its backend and the secrets alone.
@@ -520,8 +406,6 @@ class EncipheredDatabase:
             decoded_node_cache_blocks=decoded_node_cache_blocks,
             decoded_node_cache_bytes=decoded_node_cache_bytes,
             observability=observability,
-            group_commit=group_commit,
-            async_flush=async_flush,
             readahead_workers=readahead_workers,
         )
         db._backend = backend
@@ -539,30 +423,29 @@ class EncipheredDatabase:
     def commit(self) -> None:
         """Make every pending change durable.
 
-        Applies deferred record-slot frees, re-enciphers the superblock,
-        flushes dirty node pages, and -- on a durable backend -- syncs
-        both devices, records first: the node sync carries the
+        Two steps.  *Staging*, under the write lock: apply deferred
+        record-slot frees, re-encipher the superblock and flush dirty
+        node pages.  *Sync*, under the read lock: on a durable backend
+        both devices sync, records first -- the node sync carries the
         authoritative superblock, so it is the commit point, and a crash
         between the syncs leaves only unreferenced (leaked) record
         slots, never a superblock pointing at missing data.  Inside a
         :meth:`transaction` this establishes a new rollback point.
 
-        With ``group_commit`` enabled (and outside a transaction), the
-        expensive half -- the device syncs -- runs through the
-        :class:`_CommitGroup`: concurrent committers stage under the
-        write lock, then one leader syncs for the whole batch.  With
-        ``async_flush`` the sync is handed to a background flusher and
-        ``commit`` returns as soon as staging is done; call
-        :meth:`wait_durable` for a hard durability point.  A thread that
-        already holds the lock (autocommit inside a mutation, an open
-        transaction scope) keeps the serial sync-under-write-lock path:
-        it could never wait for a leader that needs the lock it holds.
+        A caller that already holds the write lock (autocommit inside a
+        mutation, a transaction scope) simply re-enters for the sync, so
+        its commit stays one exclusive step.  Concurrent explicit
+        committers coalesce for free: each device holds its own lock for
+        the whole WAL protocol and clears its pending set only at the
+        end, so one sync packs everything staged so far and a committer
+        whose writes it covered finds nothing left to flush.  The tree
+        cannot change under the read lock; if a write-through mutation
+        under ``autocommit=False`` slipped in between the two steps, the
+        superblock is re-staged first, so no WAL frame ever seals node
+        blocks without the superblock that describes them.  A failed
+        sync leaves ``has_uncommitted_changes`` set, so :meth:`close`
+        retries it.
         """
-        use_group = (
-            self._group_commit
-            and not self._in_txn
-            and not self.lock.held_by_current_thread()
-        )
         with self.obs.trace("db.commit"):
             with self.lock.write_locked():
                 for record_id in self._txn_record_deletes:
@@ -571,75 +454,21 @@ class EncipheredDatabase:
                 self._txn_record_puts = []
                 self._write_superblock()
                 self.tree.pager.flush()
-                if not use_group:
-                    self.records.disk.sync()
-                    self.disk.sync()
-                ticket = self._commit_group.ticket() if use_group else 0
-                # staging is the commit point for in-memory consistency;
-                # group mode defers only *durability* past this line
                 self.has_uncommitted_changes = False
                 if self._in_txn:
                     self._txn_snapshot = self.tree.snapshot_state()
-            if use_group:
-                if self._async_flush:
-                    self._schedule_flush()
-                else:
-                    self._commit_group.flush(ticket)
-                    self._raise_flush_error()
-
-    def wait_durable(self) -> None:
-        """Block until every staged commit is on the platter.
-
-        The hard durability point for ``async_flush`` mode (and a no-op
-        beyond error reporting otherwise): flushes everything staged so
-        far -- becoming the leader if no round is running -- and
-        re-raises any error a background flush stashed.  Must not be
-        called while holding the database lock.
-        """
-        if self._group_commit:
-            self._commit_group.flush(self._commit_group.staged())
-        self._raise_flush_error()
-
-    def _schedule_flush(self) -> None:
-        """Hand the staged work to the background flusher (lazily started)."""
-        if self._flusher_thread is None:
-            with self._flush_lock:
-                if self._flusher_thread is None:
-                    thread = threading.Thread(
-                        target=self._flusher_loop,
-                        name="repro-commit-flusher",
-                        daemon=True,
-                    )
-                    self._flusher_thread = thread
-                    thread.start()
-        with self._flush_lock:
-            self._async_flushes += 1
-        self._flush_wakeup.set()
-
-    def _flusher_loop(self) -> None:
-        while True:
-            self._flush_wakeup.wait()
-            self._flush_wakeup.clear()
-            if self._flusher_stop:
-                return
-            try:
-                self._commit_group.flush(self._commit_group.staged())
-            except BaseException as exc:  # stash for wait_durable/close
-                with self._flush_lock:
-                    self._flush_error = exc
-
-    def _raise_flush_error(self) -> None:
-        with self._flush_lock:
-            exc, self._flush_error = self._flush_error, None
-        if exc is not None:
-            raise exc
-
-    def _stop_flusher(self) -> None:
-        self._flusher_stop = True
-        self._flush_wakeup.set()
-        thread = self._flusher_thread
-        if thread is not None:
-            thread.join(timeout=10.0)
+            with self.lock.read_locked():
+                if self.has_uncommitted_changes:
+                    self._write_superblock()
+                    self.tree.pager.flush()
+                    self.has_uncommitted_changes = False
+                try:
+                    self.records.disk.sync()
+                    self.disk.sync()
+                except BaseException:
+                    # not durable: close() and the next commit must retry
+                    self.has_uncommitted_changes = True
+                    raise
 
     def rollback(self) -> None:
         """Discard every change since the last commit point.
@@ -1069,10 +898,9 @@ class EncipheredDatabase:
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (a crashed worker, an injected device fault):
-        every resource -- flusher thread, readahead workers, file
-        handles -- is released even when the final commit or the async
-        flusher drain errors, and only then does the first such error
-        propagate.  Close never wedges holding half the resources.
+        every resource -- readahead workers, file handles -- is released
+        even when the final commit errors, and only then does the first
+        such error propagate.  Close never wedges holding half the resources.
         """
         if self._db_closed:
             return
@@ -1085,13 +913,8 @@ class EncipheredDatabase:
         try:
             if self.has_uncommitted_changes:
                 self.commit()
-            if self._group_commit:
-                # drain staged-but-unflushed durability work (async mode)
-                # and surface any error a background flush stashed
-                self.wait_durable()
         except BaseException as exc:
             first_error = exc
-        self._stop_flusher()
         try:
             self.tree.pager.close()  # readahead workers must not outlive devices
         except BaseException as exc:
@@ -1312,11 +1135,6 @@ class EncipheredDatabase:
                     "readaheads": pager.readaheads,
                     "readahead_loads": pager.readahead_loads,
                     "readahead_drops": pager.readahead_drops,
-                },
-                "commit_group": {
-                    "rounds": self._commit_group.rounds,
-                    "joins": self._commit_group.joins,
-                    "async_flushes": self._async_flushes,
                 },
                 "durability": {
                     "node": self.disk.durability_snapshot(),

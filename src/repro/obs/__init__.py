@@ -79,7 +79,6 @@ INSTRUMENTS = (
     "platter.wal_append",
     "platter.fsync",
     "platter.header_flip",
-    "wal.group_commit",
     "executor.full_ship",
     "executor.delta_ship",
     "executor.respawn",

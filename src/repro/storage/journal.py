@@ -52,10 +52,10 @@ class ChangeJournal:
     block device learns that an epoch closed and must reach its
     write-ahead log -- the journal stays the single source of "what
     changed, under which epoch" for both replica sync and persistence.
-    Callbacks must tolerate their work being coalesced: under group
-    commit several sealed epochs can reach durability in one shared WAL
-    round, so an individual ``on_seal`` invocation may find a leader has
-    already flushed everything it would have synced.
+    Callbacks must tolerate their work being coalesced: several sealed
+    epochs can reach durability in one shared WAL round, so an
+    individual ``on_seal`` invocation may find another sync has already
+    flushed everything it would have synced.
     """
 
     def __init__(

@@ -54,14 +54,13 @@ whose CRC fails on read is repaired from the newest WAL frame that
 wrote it; with the WAL checkpointed, corruption is unrepairable and
 surfaces as :class:`~repro.exceptions.PlatterFormatError`.
 
-With ``group_commit=True`` concurrent :meth:`sync` callers coalesce:
-one leader runs the three-step protocol over *everything* staged at
-that moment -- several committers' writes travel in one frame, behind
-one WAL fsync, one apply fsync and one header flip -- while followers
-block on the leader's result.  The generation counter still advances by
-exactly one per frame, so recovery replays a grouped history exactly
-like a serial one; ``group_rounds``/``group_joins`` in
-:meth:`durability_snapshot` report how often batching paid off.
+Concurrent :meth:`sync` callers coalesce without any extra machinery:
+``_lock`` is held for the whole protocol and ``_pending`` is cleared
+only at its end, so a caller that waited behind another's round finds
+its writes already in that frame (or packs everything staged since into
+the next one) -- several committers' writes travel behind one WAL
+fsync, one apply fsync and one header flip, and a sync with nothing
+left pending returns without I/O.
 
 The platter subscribes to its own change journal's ``on_seal`` hook:
 when the cluster seals an epoch that still has unsynced writes (a
@@ -190,30 +189,12 @@ class FilePlatter(BlockDevice):
         create: bool | None = None,
         fsync: bool = True,
         wal_limit_bytes: int = 16 * 1024 * 1024,
-        group_commit: bool = False,
         fsync_latency_s: float = 0.0,
-        background_checkpoint: bool = False,
     ) -> None:
         self.path = os.fspath(path)
         self.wal_path = self.path + ".wal"
         self.fsync = fsync
         self.wal_limit_bytes = wal_limit_bytes
-        #: When True, the ``wal_limit_bytes`` auto-checkpoint runs on a
-        #: daemon thread instead of inline at the end of :meth:`sync`,
-        #: so a WAL-bound commit never stalls behind compaction.
-        #: :meth:`checkpoint_now` remains the synchronous escape hatch.
-        self.background_checkpoint = background_checkpoint
-        self._ckpt_thread: threading.Thread | None = None
-        self._ckpt_wake = threading.Event()
-        self._ckpt_stop = False
-        self._ckpt_error: Exception | None = None
-        #: Group commit: concurrent :meth:`sync` callers coalesce -- one
-        #: leader packs *everything* staged so far into a single WAL
-        #: frame (one WAL fsync, one apply fsync, one header flip) while
-        #: followers block on the leader's result instead of paying
-        #: their own round.  The crash contract is unchanged: a grouped
-        #: frame is still one atomic generation.
-        self.group_commit = group_commit
         #: Modeled seconds charged per fsync (sleeps alongside the real
         #: call), the durable-device analogue of ``SimulatedDisk
         #: (latency_s=...)``: benchmarks arm it so commit batching shows
@@ -223,17 +204,6 @@ class FilePlatter(BlockDevice):
         self.fsync_latency_s = fsync_latency_s
         #: Crash-injection seam; see the module docstring.
         self.fault_hook = None
-
-        # Group-commit state.  ``_stage_seq`` (guarded by ``_lock``)
-        # counts staging events -- anything that makes the next sync
-        # non-trivial; ``_durable_seq`` (guarded by ``_group``) is the
-        # highest staging count some leader has made durable.  A sync
-        # whose target is already durable joins that round for free.
-        # Lock order: ``_group`` before ``_lock``, never the reverse.
-        self._group = threading.Condition()
-        self._stage_seq = 0
-        self._durable_seq = 0
-        self._group_leader = False
 
         exists = os.path.exists(self.path)
         if create is True and exists:
@@ -529,7 +499,6 @@ class FilePlatter(BlockDevice):
         with self._lock:
             block_id = self._count
             self._count += 1
-            self._stage_seq += 1
             return block_id
 
     @property
@@ -556,7 +525,6 @@ class FilePlatter(BlockDevice):
             if current != stored:
                 self.journal.note(block_id)
                 self._pending[block_id] = stored
-                self._stage_seq += 1
             self.stats.writes += 1
             self.stats.bytes_written += len(stored)
 
@@ -609,13 +577,9 @@ class FilePlatter(BlockDevice):
         nothing pending and no allocation/epoch movement is free -- no
         frame, no flip.
 
-        With ``group_commit`` enabled, concurrent callers coalesce: the
-        first to arrive leads and flushes *everything* staged at that
-        moment as one frame; callers whose staged writes are covered by
-        an in-flight or completed round return without paying their own
-        WAL append + fsyncs + header flip (they block until the round
-        that covers them finishes).  A follower returns 0 -- its blocks
-        were made durable, but by the leader's round.
+        Concurrent callers serialise on ``_lock``; one that waited
+        behind another's round usually finds its writes already flushed
+        and returns 0 without I/O.
 
         Injected "sync" faults fire here, at the entry point, *before*
         any WAL work starts -- the one place a failed sync is trivially
@@ -627,43 +591,11 @@ class FilePlatter(BlockDevice):
         return self._sync_entry()
 
     def _sync_entry(self) -> int:
-        if not self.group_commit:
-            with self._lock:
-                return self._sync_locked()
-
         with self._lock:
-            target = self._stage_seq
-        waited = False
-        with self._group:
-            while True:
-                if self._durable_seq >= target:
-                    if waited:
-                        with self._lock:
-                            self._durability["group_joins"] += 1
-                    return 0
-                if not self._group_leader:
-                    self._group_leader = True
-                    break
-                self._group.wait()
-                waited = True
-        ok = False
-        try:
-            with self._lock:
-                snap = self._stage_seq
-                with self.tracer.trace("wal.group_commit"):
-                    flushed = self._sync_locked()
-                self._durability["group_rounds"] += 1
-            ok = True
-        finally:
-            with self._group:
-                self._group_leader = False
-                if ok:
-                    self._durable_seq = max(self._durable_seq, snap)
-                self._group.notify_all()
-        return flushed
+            return self._sync_locked()
 
     def _sync_locked(self) -> int:
-        """The serial flush protocol; caller holds ``_lock``."""
+        """The flush protocol; caller holds ``_lock``."""
         if (
             not self._pending
             and self._count == self._durable_count
@@ -728,10 +660,7 @@ class FilePlatter(BlockDevice):
 
         self._wal.seek(0, os.SEEK_END)
         if self._wal.tell() > self.wal_limit_bytes:
-            if self.background_checkpoint:
-                self._request_background_checkpoint()
-            else:
-                self._checkpoint_locked()
+            self._checkpoint_locked()
         self.stats.write_time_s += perf_counter() - sync_start
         return len(entries)
 
@@ -740,15 +669,13 @@ class FilePlatter(BlockDevice):
         forces the sync, so the WAL frame carrying ``epoch`` exists
         before any consumer can be told the epoch is complete.
 
-        The sync runs *outside* ``_lock``: under group commit it takes
-        the group condition first (fixed lock order), and a concurrent
-        leader that flushes between our bookkeeping and our sync just
-        turns the sync into a free join.
+        The sync runs *outside* ``_lock``, so a concurrent committer
+        that flushes between our bookkeeping and our sync just turns the
+        sync into a no-op.
         """
         with self._lock:
             if epoch > self._last_sealed_epoch:
                 self._last_sealed_epoch = epoch
-                self._stage_seq += 1
             pending = bool(self._pending)
         if pending:
             self.sync()
@@ -765,69 +692,11 @@ class FilePlatter(BlockDevice):
         with self._lock:
             self._checkpoint_locked()
 
-    def checkpoint_now(self) -> None:
-        """Synchronous checkpoint, whatever mode the platter runs in.
-
-        The escape hatch for ``background_checkpoint=True``: callers who
-        need the WAL bounded *now* (before a backup, before measuring a
-        cold open) pay the compaction inline instead of waiting for the
-        daemon to get around to it.
-        """
-        self.checkpoint()
-
     def _checkpoint_locked(self) -> None:
         self._wal.truncate(_WAL_DATA_OFFSET)
         self._fsync_wal()
         self._repair.clear()
         self._durability["checkpoints"] += 1
-
-    # -- background checkpointing ----------------------------------------
-
-    def _request_background_checkpoint(self) -> None:
-        """Wake (starting if needed) the daemon checkpointer.
-
-        Called at the tail of ``_sync_locked`` with ``_lock`` held:
-        starting a thread and setting an event are both lock-free with
-        respect to the platter, so the commit returns immediately and
-        the compaction happens behind it.
-        """
-        if self._ckpt_thread is None or not self._ckpt_thread.is_alive():
-            self._ckpt_stop = False
-            self._ckpt_thread = threading.Thread(
-                target=self._checkpoint_loop,
-                name=f"platter-checkpoint-{os.path.basename(self.path)}",
-                daemon=True,
-            )
-            self._ckpt_thread.start()
-        self._ckpt_wake.set()
-
-    def _checkpoint_loop(self) -> None:
-        while True:
-            self._ckpt_wake.wait()
-            self._ckpt_wake.clear()
-            if self._ckpt_stop or self._closed:
-                return
-            try:
-                self.checkpoint()
-                with self._lock:
-                    self._durability["background_checkpoints"] += 1
-            except Exception as exc:  # surfaced via checkpoint_error
-                self._ckpt_error = exc
-
-    @property
-    def checkpoint_error(self) -> Exception | None:
-        """The last error the background checkpointer hit, if any."""
-        return self._ckpt_error
-
-    def _stop_checkpointer(self) -> None:
-        """Stop the daemon checkpointer; must be called without ``_lock``."""
-        thread = self._ckpt_thread
-        if thread is None:
-            return
-        self._ckpt_stop = True
-        self._ckpt_wake.set()
-        thread.join(timeout=5.0)
-        self._ckpt_thread = None
 
     def poll(self) -> set[int] | None:
         """Catch up with commits another handle made to the same file.
@@ -884,10 +753,9 @@ class FilePlatter(BlockDevice):
         with self._lock:
             if self._closed:
                 return
-        self._stop_checkpointer()
         try:
-            # outside _lock: the group-commit sync takes the group condition
-            # first; a second close racing in simply finds nothing pending
+            # outside _lock: a second close racing in simply finds nothing
+            # pending
             self.sync()
         finally:
             with self._lock:
@@ -904,7 +772,6 @@ class FilePlatter(BlockDevice):
             self._closed = True
             self._fh.close()
             self._wal.close()
-        self._stop_checkpointer()
 
     def durability_snapshot(self) -> dict[str, int]:
         with self._lock:
@@ -928,7 +795,6 @@ class FilePlatter(BlockDevice):
         with self._lock:
             self._pending = dict(enumerate(blocks))
             self._count = len(blocks)
-            self._stage_seq += 1
         self.journal.taint()
 
     def snapshot_blocks(self, block_ids) -> dict[int, bytes | None]:
@@ -962,7 +828,6 @@ class FilePlatter(BlockDevice):
             if num_blocks > self._count:
                 self._count = num_blocks
             self._pending.update(block_writes)
-            self._stage_seq += 1
         self.journal.note_many(block_writes)
 
     # -- the attacker's view ---------------------------------------------

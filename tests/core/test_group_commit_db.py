@@ -1,25 +1,29 @@
-"""Group commit and async flush at the database layer.
+"""Concurrent commits at the database layer.
 
-The platter-level suite (tests/storage/test_group_commit.py) proves
-the WAL-round coalescing; this one proves the database plumbing above
-it: the env-flag default, parity with serial commits, concurrent
-committers all reaching durability, the async flusher's deferred
-durability point, error surfacing, and the rollback-during-async-flush
-regression from the PR 9 bugfix sweep.
+A commit stages under the write lock and syncs under the read lock, so
+concurrent explicit committers share WAL frames with no extra
+machinery.  This suite pins the single-threaded platter bytes and
+durability counters, proves concurrent committers all reach durability,
+keeps a transaction's commit inline, and covers the stale-superblock
+regression: an uncommitted write-through mutation that lands between
+one committer's staging and its sync must never be sealed without the
+superblock that describes it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import KeyNotFoundError
-from repro.storage.backend import FileBackend, MemoryBackend
+from repro.storage.backend import FileBackend
+from repro.storage.platter import FilePlatter
 
 DESIGN = planar_difference_set(13)
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0x9C))
@@ -41,73 +45,85 @@ def reopen_db(backend, **kwargs):
     return EncipheredDatabase.reopen_from_backend(sub, rsa, backend, **kwargs)
 
 
-def backend_at(tmp_path, group_commit=True):
-    return FileBackend(tmp_path / "db", fsync=False, group_commit=group_commit)
+def backend_at(tmp_path):
+    return FileBackend(tmp_path / "db", fsync=False)
 
 
-class Kill(Exception):
-    pass
+def platter_digest(device):
+    """A short hash over every at-rest block of one device."""
+    h = hashlib.sha256()
+    for block_id, data in device.raw_blocks():
+        h.update(block_id.to_bytes(8, "little"))
+        h.update(len(data).to_bytes(4, "little") + data)
+    return h.hexdigest()[:16]
+
+
+def pinned_outcome(tmp_path, autocommit):
+    """Per device (at-rest digest, syncs, WAL frames, header flips, WAL
+    bytes) after a fixed insert/delete workload with two commits."""
+    db = make_db(backend_at(tmp_path), autocommit=autocommit)
+    for k in range(0, 90, 3):
+        db.insert(k, f"rec-{k}".encode())
+    db.commit()
+    for k in range(0, 90, 9):
+        db.delete(k)
+    db.commit()
+    outcome = {}
+    for name, device in (("node", db.disk), ("records", db.records.disk)):
+        snap = device.durability_snapshot()
+        outcome[name] = (
+            platter_digest(device),
+            snap["syncs"],
+            snap["wal_frames"],
+            snap["header_flips"],
+            snap["wal_bytes"],
+        )
+    db.close()
+    return outcome
 
 
 class TestDefaults:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GROUP_COMMIT", raising=False)
-        db = make_db(MemoryBackend())
-        assert db._group_commit is False
-
-    def test_env_flag_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert make_db(MemoryBackend())._group_commit is True
-
-    def test_env_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "0")
-        assert make_db(MemoryBackend())._group_commit is False
-
-    def test_explicit_kwarg_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert make_db(MemoryBackend(), group_commit=False)._group_commit is False
-
     def test_stats_surface(self, tmp_path):
-        db = make_db(backend_at(tmp_path), group_commit=True, autocommit=False)
+        db = make_db(backend_at(tmp_path), autocommit=False)
         db.insert(1, b"x")
         db.commit()
-        s = db.stats()
-        assert s["commit_group"]["rounds"] >= 1
-        assert s["commit_group"]["joins"] >= 0
-        assert s["commit_group"]["async_flushes"] == 0
+        durability = db.stats()["durability"]
+        assert durability["node"]["wal_frames"] >= 1
+        assert durability["node"]["header_flips"] == durability["node"]["wal_frames"]
+        assert durability["records"]["wal_frames"] >= 1
         db.close()
 
 
-class TestParityWithSerial:
-    def workload(self, db):
-        for k in range(0, 90, 3):
-            db.insert(k, f"rec-{k}".encode())
-        db.commit()
-        for k in range(0, 90, 9):
-            db.delete(k)
-        db.commit()
+class TestPinnedPlatter:
+    """Single-threaded commits write exactly the bytes, frames and flips
+    of the serial protocol: per device, (at-rest digest, syncs, WAL
+    frames, header flips, WAL bytes)."""
 
-    def test_single_threaded_bytes_and_counters_match(self, tmp_path):
-        outcomes = {}
-        for name, group in (("serial", False), ("grouped", True)):
-            backend = FileBackend(tmp_path / name, fsync=False)
-            db = make_db(backend, autocommit=False, group_commit=group)
-            self.workload(db)
-            snap = db.stats()["durability"]
-            outcomes[name] = {
-                "node_bytes": db.disk.raw_blocks(),
-                "record_bytes": db.records.disk.raw_blocks(),
-                "node_syncs": snap["node"]["syncs"],
-                "node_frames": snap["node"]["wal_frames"],
-                "record_syncs": snap["records"]["syncs"],
-            }
-            db.close()
-        assert outcomes["grouped"] == outcomes["serial"]
+    EXPECTED = {
+        True: {
+            "node": ("58f43f4619276f19", 41, 41, 41, 8797),
+            "records": ("29546da74762bb8b", 40, 40, 40, 15936),
+        },
+        False: {
+            "node": ("58f43f4619276f19", 3, 3, 3, 1323),
+            "records": ("29546da74762bb8b", 2, 2, 2, 7444),
+        },
+    }
+
+    @pytest.mark.parametrize("autocommit", [True, False])
+    def test_bytes_and_counters_pinned(self, tmp_path, autocommit):
+        assert pinned_outcome(tmp_path, autocommit) == self.EXPECTED[autocommit]
+
+    def test_group_commit_env_flag_is_inert(self, tmp_path, monkeypatch):
+        # the old opt-in switch must not select any other protocol
+        monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
+        assert pinned_outcome(tmp_path, False) == self.EXPECTED[False]
 
 
 class TestConcurrentCommitters:
     def test_all_committers_durable_after_reopen(self, tmp_path):
-        db = make_db(backend_at(tmp_path), autocommit=False, group_commit=True)
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        before = db.stats()["durability"]["node"]
         barrier = threading.Barrier(8)
         errors = []
 
@@ -125,8 +141,10 @@ class TestConcurrentCommitters:
         for t in threads:
             t.join()
         assert not errors
-        rounds = db.stats()["commit_group"]["rounds"]
-        assert 1 <= rounds <= 8
+        after = db.stats()["durability"]["node"]
+        frames = after["wal_frames"] - before["wal_frames"]
+        assert 1 <= frames <= 8
+        assert after["header_flips"] - before["header_flips"] == frames
         db.close()
         db2 = reopen_db(backend_at(tmp_path))
         for i in range(8):
@@ -134,110 +152,307 @@ class TestConcurrentCommitters:
         db2.close()
 
 
-class TestAsyncFlush:
-    def test_commit_returns_wait_durable_lands_it(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        db.insert(7, b"seven")
-        db.commit()  # staged; durability deferred to the flusher
-        assert db.stats()["commit_group"]["async_flushes"] >= 1  # create commits too
-        db.wait_durable()
-        assert db.stats()["commit_group"]["rounds"] >= 1
-        db.close()
-        db2 = reopen_db(backend_at(tmp_path))
-        assert db2.search(7) == b"seven"
-        db2.close()
+    def test_follower_sync_finds_nothing_pending(self, tmp_path):
+        # B stages after A and syncs only once A's sync is done: A's one
+        # frame per device carries both commits, and B's sync is free
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        db.insert(1, b"a")
+        committer = threading.current_thread()
+        real_read_locked = db.lock.read_locked
+        b_staged = threading.Event()
+        a_synced = threading.Event()
+        intercepted = set()
 
-    def test_close_drains_staged_work(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        for k in range(5):
-            db.insert(k, f"v{k}".encode())
+        def commit_b():
+            db.insert(2, b"b")
             db.commit()
-        db.close()  # no explicit wait_durable: close must drain
-        db2 = reopen_db(backend_at(tmp_path))
-        for k in range(5):
-            assert db2.search(k) == f"v{k}".encode()
-        db2.close()
 
-    def test_flush_error_surfaces_once_then_clears(self, tmp_path):
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        db.insert(1, b"x")
+        @contextmanager
+        def read_locked():
+            me = threading.current_thread()
+            first = me not in intercepted
+            intercepted.add(me)
+            if first and me is committer:
+                b = threading.Thread(target=commit_b)
+                b.start()
+                assert b_staged.wait(5)
+                with real_read_locked():
+                    yield
+                a_synced.set()
+                b.join(5)
+                assert not b.is_alive()
+                return
+            if first:
+                b_staged.set()
+                assert a_synced.wait(5)
+            with real_read_locked():
+                yield
+
+        before = {
+            name: dev.durability_snapshot()["wal_frames"]
+            for name, dev in (("node", db.disk), ("records", db.records.disk))
+        }
+        db.lock.read_locked = read_locked
         db.commit()
-        db.wait_durable()  # baseline durable
-
-        def bomb(point):
-            if point == "sync:start":
-                raise Kill
-
-        db.disk.fault_hook = bomb
-        db.insert(2, b"y")
-        db.commit()  # returns; background flush will fail
-        with pytest.raises(Kill):
-            db.wait_durable()
-        db.disk.fault_hook = None
-        db.wait_durable()  # retried round succeeds, error is spent
-        db.close()
+        assert a_synced.is_set()
+        for name, dev in (("node", db.disk), ("records", db.records.disk)):
+            assert dev.durability_snapshot()["wal_frames"] == before[name] + 1
+        db.disk.abandon()
+        db.records.disk.abandon()
         db2 = reopen_db(backend_at(tmp_path))
-        assert db2.search(2) == b"y"
+        assert db2.search(1) == b"a"
+        assert db2.search(2) == b"b"
         db2.close()
 
-    def test_rollback_during_async_flush_regression(self, tmp_path):
-        # the PR 9 bugfix sweep's scenario: a commit is staged for async
-        # durability when a transaction opens, writes, and rolls back.
-        # The rollback must discard only the transaction's pages -- the
-        # staged commit's blocks are already flushed to the platter (the
-        # pager flush happens at staging), so the in-flight durability
-        # round must land exactly the committed bytes.
-        db = make_db(
-            backend_at(tmp_path),
-            autocommit=False,
-            group_commit=True,
-            async_flush=True,
-        )
-        db.insert(1, b"committed")
-        db.commit()  # async: durability may still be in flight
-        with pytest.raises(Kill):
-            with db.transaction():
-                db.insert(2, b"doomed")
-                raise Kill
-        db.wait_durable()
-        assert db.search(1) == b"committed"
-        with pytest.raises(KeyNotFoundError):
-            db.search(2)
+
+class TestReadersDuringSync:
+    def test_reader_runs_while_commit_syncs(self, tmp_path):
+        # the sync holds only the read side, so a query started while
+        # the node device is mid-sync completes and sees the staged tree
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        for k in range(20):
+            db.insert(k, b"r%d" % k)
+        db.commit()
+        db.insert(100, b"late")
+        seen = {}
+
+        def hook(point):
+            if point != "sync:start":
+                return
+            db.disk.fault_hook = None
+            reader = threading.Thread(target=lambda: seen.update(
+                record=db.search(5), size=len(db), late=100 in db))
+            reader.start()
+            reader.join(5)
+            seen["blocked"] = reader.is_alive()
+
+        db.disk.fault_hook = hook
+        db.commit()
+        assert seen == {"record": b"r5", "size": 21, "late": True,
+                        "blocked": False}
         db.close()
-        db2 = reopen_db(backend_at(tmp_path))
-        assert db2.search(1) == b"committed"
-        with pytest.raises(KeyNotFoundError):
-            db2.search(2)
-        db2.close()
 
 
 class TestTransactionsStaySerial:
     def test_commit_inside_transaction_syncs_inline(self, tmp_path):
-        # a thread holding the write lock can never wait on a leader
-        # that needs it: the in-transaction commit path must not stage
-        db = make_db(backend_at(tmp_path), autocommit=False, group_commit=True)
-        before = db.stats()["commit_group"]["rounds"]
+        # the transaction owner holds the write lock, so its commit
+        # re-enters the read side and syncs before the scope goes on
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        before = db.stats()["durability"]["node"]["syncs"]
         with db.transaction():
             db.insert(3, b"t")
             db.commit()  # explicit mid-transaction commit point
-        assert db.stats()["commit_group"]["rounds"] == before
-        assert db.stats()["durability"]["node"]["syncs"] >= 1
+            assert db.stats()["durability"]["node"]["syncs"] == before + 1
         db.close()
         db2 = reopen_db(backend_at(tmp_path))
         assert db2.search(3) == b"t"
         db2.close()
+
+
+class TestStaleSuperblock:
+    def test_uncommitted_write_between_stage_and_sync(self, tmp_path):
+        # thread B's autocommit=False insert lands after A's staging and
+        # before A's sync; A's sync must not seal B's node blocks without
+        # a superblock that counts B's key, or reopen fails with
+        # "superblock records 1 keys, tree holds 2"
+        backend = backend_at(tmp_path)
+        db = make_db(backend, autocommit=False)
+        db.insert(1, b"committed")
+        committer = threading.current_thread()
+        real_read_locked = db.lock.read_locked
+        fired = []
+
+        @contextmanager
+        def read_locked():
+            if not fired and threading.current_thread() is committer:
+                fired.append(True)
+                b = threading.Thread(target=db.insert, args=(2, b"uncommitted"))
+                b.start()
+                b.join()
+            with real_read_locked():
+                yield
+
+        db.lock.read_locked = read_locked
+        db.commit()
+        assert fired
+        db.disk.abandon()
+        db.records.disk.abandon()
+
+        db2 = reopen_db(backend_at(tmp_path))
+        assert len(db2) == 2
+        assert db2.search(1) == b"committed"
+        assert db2.search(2) == b"uncommitted"
+        db2.close()
+
+    @pytest.mark.parametrize("mutation", ["insert", "delete", "insert_and_delete"])
+    def test_intervening_mutation_sealed_with_its_superblock(
+        self, tmp_path, mutation
+    ):
+        # whatever write-through change slips in between the two steps,
+        # the frame that seals it carries a superblock describing it
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        for k in (1, 2, 3):
+            db.insert(k, b"base-%d" % k)
+        db.commit()
+        db.insert(10, b"staged")
+
+        def intervene():
+            if mutation in ("insert", "insert_and_delete"):
+                db.insert(11, b"intervening")
+            if mutation in ("delete", "insert_and_delete"):
+                db.delete(2)
+
+        committer = threading.current_thread()
+        real_read_locked = db.lock.read_locked
+        fired = []
+
+        @contextmanager
+        def read_locked():
+            if not fired and threading.current_thread() is committer:
+                fired.append(True)
+                b = threading.Thread(target=intervene)
+                b.start()
+                b.join()
+            with real_read_locked():
+                yield
+
+        db.lock.read_locked = read_locked
+        db.commit()
+        assert fired
+        assert not db.has_uncommitted_changes
+        expected = dict(db.items())
+        db.disk.abandon()
+        db.records.disk.abandon()
+
+        db2 = reopen_db(backend_at(tmp_path))
+        assert dict(db2.items()) == expected
+        assert (11 in expected) == (mutation != "delete")
+        assert (2 in expected) == (mutation == "insert")
+        db2.tree.check_invariants()
+        db2.close()
+
+
+class Kill(Exception):
+    pass
+
+
+CRASH_POINTS = ["sync:start", "wal:appended", "apply:block", "apply:done",
+                "header:flipped"]
+
+
+class TestCrashDuringSharedSync:
+    """Four threads stage inserts, then one commit's sync is killed at
+    each protocol point of each device.  The node device's WAL frame is
+    the commit point: once it is sealed every staged key survives,
+    before it none does, and reopen always finds a superblock that
+    agrees with the tree."""
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    @pytest.mark.parametrize("device", ["records", "node"])
+    def test_kill_recovers_all_or_none(self, tmp_path, device, point):
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        for k in range(0, 60, 3):
+            db.insert(k, b"base-%d" % k)
+        db.commit()
+        stagers = [
+            threading.Thread(target=db.insert, args=(k, b"late-%d" % k))
+            for k in (1, 4, 7, 10)
+        ]
+        for t in stagers:
+            t.start()
+        for t in stagers:
+            t.join()
+
+        def bomb(p):
+            if p == point:
+                raise Kill
+
+        target = db.disk if device == "node" else db.records.disk
+        target.fault_hook = bomb
+        with pytest.raises(Kill):
+            db.commit()
+        db.disk.abandon()
+        db.records.disk.abandon()
+
+        db2 = reopen_db(backend_at(tmp_path))
+        sealed = device == "node" and point != "sync:start"
+        for k in range(0, 60, 3):
+            assert db2.search(k) == b"base-%d" % k
+        for k in (1, 4, 7, 10):
+            assert db2.get(k) == (b"late-%d" % k if sealed else None)
+        assert len(db2) == 20 + (4 if sealed else 0)
+        db2.tree.check_invariants()
+        db2.close()
+
+
+class TestSyncFailure:
+    def arm_once(self, device):
+        def bomb(point):
+            if point == "sync:start":
+                device.fault_hook = None
+                raise Kill
+
+        device.fault_hook = bomb
+
+    def test_failed_sync_keeps_changes_uncommitted(self, tmp_path):
+        # a commit whose sync fails is not durable: the flag stays set,
+        # so close() retries the commit
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        db.insert(1, b"x")
+        self.arm_once(db.disk)
+        with pytest.raises(Kill):
+            db.commit()
+        assert db.has_uncommitted_changes
+        db.close()
+        db2 = reopen_db(backend_at(tmp_path))
+        assert db2.search(1) == b"x"
+        db2.close()
+
+    def test_failed_sync_releases_the_lock(self, tmp_path):
+        db = make_db(backend_at(tmp_path), autocommit=False)
+        db.insert(1, b"x")
+        self.arm_once(db.records.disk)
+        with pytest.raises(Kill):
+            db.commit()
+        writer = threading.Thread(target=db.insert, args=(2, b"y"))
+        writer.start()
+        writer.join(5)
+        assert not writer.is_alive()
+        db.commit()
+        db.disk.abandon()
+        db.records.disk.abandon()
+        db2 = reopen_db(backend_at(tmp_path))
+        assert db2.search(1) == b"x"
+        assert db2.search(2) == b"y"
+        db2.close()
+
+
+class TestRemovedOptions:
+    """The deleted commit knobs fail loudly instead of being ignored."""
+
+    @pytest.mark.parametrize("option", ["group_commit", "background_checkpoint"])
+    def test_platter_rejects(self, tmp_path, option):
+        with pytest.raises(TypeError):
+            FilePlatter(tmp_path / "p.platter", block_size=64, fsync=False,
+                        **{option: True})
+
+    @pytest.mark.parametrize("option", ["group_commit", "background_checkpoint"])
+    def test_backend_rejects(self, tmp_path, option):
+        with pytest.raises(TypeError):
+            FileBackend(tmp_path / "db", fsync=False, **{option: True})
+
+    @pytest.mark.parametrize("option", ["group_commit", "async_flush"])
+    def test_database_constructors_reject(self, tmp_path, option):
+        with pytest.raises(TypeError):
+            make_db(backend_at(tmp_path), **{option: True})
+        make_db(backend_at(tmp_path)).close()
+        with pytest.raises(TypeError):
+            reopen_db(backend_at(tmp_path), **{option: True})
+
+    def test_durability_methods_gone(self, tmp_path):
+        db = make_db(backend_at(tmp_path))
+        assert not hasattr(db, "wait_durable")
+        assert not hasattr(db.disk, "checkpoint_now")
+        assert "commit_group" not in db.stats()
+        assert "group_rounds" not in db.disk.durability_snapshot()
+        db.close()
