@@ -726,9 +726,10 @@ class EncipheredDatabase:
                     self.records.warm_blocks(
                         sorted({record_id // spb for _, record_id in matches})
                     )
-                result = [
-                    (key, self.records.get(record_id)) for key, record_id in matches
-                ]
+                # every match's slot window in one device batch and one
+                # bulk decipher; counts equal a get per match
+                records = self.records.get_many(rid for _, rid in matches)
+                result = [(key, record) for (key, _), record in zip(matches, records)]
         if obs.enabled:
             obs.heat.note_op([key for key, _ in matches], span.duration_ns)
             spb = self.records.slots_per_block

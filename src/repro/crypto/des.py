@@ -15,7 +15,7 @@ byte-identical on every input):
   every permutation is applied bit by bit straight from the printed
   tables.  Kept as the executable specification the known-answer tests
   pin down; the tests and C10 call it directly, it is not selectable.
-* ``"fast"`` (the default) -- the same 16 rounds around precomputed
+* ``"fast"`` -- the same 16 rounds around precomputed
   lookup tables: byte-wide LUTs for IP/FP/E, the eight S-boxes fused
   with permutation P into eight 64-entry -> 32-bit SP tables, the key
   schedule (forward *and* reversed) derived once per key object, and
@@ -27,13 +27,17 @@ byte-identical on every input):
   vector of *all* blocks in the buffer, so the 16-round loop runs once
   per bulk call instead of once per block.  Buffers shorter than the
   measured crossover :data:`repro.crypto.vector.MIN_VECTOR_BLOCKS`
-  delegate to ``"fast"``.  Falls back to ``"fast"`` entirely when numpy
-  is absent.
+  delegate to ``"fast"``, so single blocks, short windows and CBC
+  encryption (which chains block by block) run the fast kernel's code;
+  a batch such as every slot window of a range search
+  (:func:`repro.crypto.modes.cbc_decrypt_windows`) crosses it.  Falls
+  back to ``"fast"`` entirely when numpy is absent.
 
 The kernel (``"fast"`` or ``"vector"``) is chosen per :class:`DES`
 instance (``kernel=``), falling back to the process-wide default --
 :func:`set_default_kernel` or the ``REPRO_DES_KERNEL`` environment
-variable ("fast" unless overridden).
+variable.  Unless overridden, the default is the best available kernel:
+``"vector"`` when numpy is importable, else ``"fast"``.
 """
 
 from __future__ import annotations
@@ -473,7 +477,9 @@ def _resolve_kernel(name: str) -> str:
     return name
 
 
-_default_kernel = os.environ.get("REPRO_DES_KERNEL", FastDESKernel.name)
+_default_kernel = os.environ.get(
+    "REPRO_DES_KERNEL", _VECTOR_NAME if vector_available() else FastDESKernel.name
+)
 if _default_kernel not in _KERNELS:  # fail at import, not first encryption
     if _default_kernel == _VECTOR_NAME:
         _default_kernel = FastDESKernel.name

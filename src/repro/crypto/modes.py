@@ -16,15 +16,21 @@ chains on the previous block's output.
 CBC decryption is also random-access -- plaintext block *i* is
 ``D(C_i) xor C_(i-1)`` -- so :func:`cbc_decrypt_window` recovers a byte
 range of a page by deciphering only the cipher blocks that cover it, plus
-the final block whose PKCS#7 padding fixes the plaintext length.
+the final block whose PKCS#7 padding fixes the plaintext length.  The
+same property lets :func:`cbc_decrypt_windows` gather the windows of many
+pages -- one per match of a range search -- into a single bulk call, so
+a range reaches the vector kernel as one buffer instead of many short
+ones below its crossover.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 from repro.crypto.base import BlockCipher
 from repro.exceptions import CryptoError
+
+_Tag = TypeVar("_Tag")
 
 
 def pad_pkcs7(data: bytes, block_size: int) -> bytes:
@@ -152,23 +158,86 @@ def cbc_decrypt_window(
     deciphers only the final block (its padding fixes the plaintext
     length) and the blocks covering the window clamped to that length.
     ``iv`` is called only when a deciphered run starts at block 0, so a
-    page-id-derived IV costs nothing for windows further in.
+    page-id-derived IV costs nothing for windows further in.  The
+    one-item case of :func:`cbc_decrypt_windows`.
     """
-    if not 0 <= lo <= hi:
-        raise ValueError(f"invalid plaintext window [{lo}, {hi})")
+    return cbc_decrypt_windows(
+        cipher, [(ciphertext, lo, hi, None)], lambda _tag: iv()
+    )[0]
+
+
+def cbc_decrypt_windows(
+    cipher: BlockCipher,
+    items: Iterable[tuple[bytes, int, int, _Tag]],
+    iv: Callable[[_Tag], bytes],
+) -> list[bytes]:
+    """Plaintext windows of many padded CBC cryptograms in one bulk call.
+
+    Each item is ``(ciphertext, lo, hi, tag)``; the result lists the
+    items' :func:`cbc_decrypt_window` values in order.  Every item's
+    final block and the blocks under its window (clamped to the
+    cryptogram) are gathered into one buffer for a single
+    ``decrypt_blocks`` call, chained with one XOR, then each window is
+    clamped to its plaintext length and sliced out.  ``iv(tag)`` is
+    called at most once per item, only when one of its runs starts at
+    block 0.
+
+    Errors are those of calling :func:`cbc_decrypt_window` per item: the
+    first item in order that fails raises its :class:`ValueError` or
+    :class:`CryptoError`.
+    """
     size = cipher.block_size
-    if len(ciphertext) % size != 0:
-        raise CryptoError("ciphertext length is not a block multiple")
-    if not ciphertext:
-        return unpad_pkcs7(ciphertext, size)  # raises, as the whole path does
+    # per item: (lo, hi, cryptogram length, gathered-buffer offset of
+    # the item's plaintext byte 0, offset of its final block)
+    plans: list[tuple[int, int, int, int, int]] = []
+    runs: list[bytes] = []
+    chains: list[bytes] = []
+    gathered = 0
+    failure: Exception | None = None
 
-    def run(first: int, end: int) -> bytes:
-        previous = ciphertext[(first - 1) * size : first * size] if first else iv()
-        return decrypt_run(cipher, ciphertext[first * size : end * size], previous)
+    for ciphertext, lo, hi, tag in items:
+        if not 0 <= lo <= hi:
+            failure = ValueError(f"invalid plaintext window [{lo}, {hi})")
+            break
+        if len(ciphertext) % size != 0:
+            failure = CryptoError("ciphertext length is not a block multiple")
+            break
+        if not ciphertext:  # the whole-block path's unpad message
+            failure = CryptoError("padded data length is not a block multiple")
+            break
+        blocks = len(ciphertext) // size
+        first = lo // size
+        # the plain length is at least len - size, so a window clamped
+        # to the cryptogram already covers every block the plaintext
+        # clamp can keep; one that ends next to the final block absorbs it
+        end = -(-min(hi, len(ciphertext)) // size) if lo < hi else first
+        item_runs = []
+        if end > first:
+            item_runs.append((first, blocks if end >= blocks - 1 else end))
+        if not item_runs or item_runs[0][1] < blocks:
+            item_runs.append((blocks - 1, blocks))
+        base = gathered - first * size
+        for start, stop in item_runs:
+            previous = (
+                ciphertext[(start - 1) * size : start * size] if start else iv(tag)
+            )
+            runs.append(ciphertext[start * size : stop * size])
+            chains.append(previous)
+            chains.append(ciphertext[start * size : (stop - 1) * size])
+            gathered += (stop - start) * size
+        plans.append((lo, hi, len(ciphertext), base, gathered - size))
 
-    blocks = len(ciphertext) // size
-    hi = min(hi, len(ciphertext) - _pad_length(run(blocks - 1, blocks), size))
-    if lo >= hi:
-        return b""
-    first = lo // size
-    return run(first, -(-hi // size))[lo - first * size : hi - first * size]
+    plain = b""
+    if runs:
+        # one bulk decipher; one big-integer XOR chains every block
+        plain = (
+            int.from_bytes(cipher.decrypt_blocks(b"".join(runs)), "big")
+            ^ int.from_bytes(b"".join(chains), "big")
+        ).to_bytes(gathered, "big")
+    out: list[bytes] = []
+    for lo, hi, length, base, final_at in plans:
+        hi = min(hi, length - _pad_length(plain[final_at : final_at + size], size))
+        out.append(plain[base + lo : base + hi] if lo < hi else b"")
+    if failure is not None:
+        raise failure
+    return out

@@ -69,7 +69,9 @@ class BlockTransform(Protocol):
         """Invert :meth:`on_write`.
 
         A transform that can invert part of a block also takes a
-        ``window=(lo, hi)`` argument (see :meth:`BlockDevice.read_block`).
+        ``window=(lo, hi)`` argument (see :meth:`BlockDevice.read_block`),
+        and may add ``on_read_many(block_ids, data, windows)`` to invert
+        a whole windowed batch at once (see :meth:`BlockDevice.read_many`).
         """
         ...
 
@@ -354,7 +356,7 @@ class BlockDevice(ABC):
             return self.transform.on_read(block_id, stored)
         return self.transform.on_read(block_id, stored, window)
 
-    def read_many(self, block_ids) -> list[bytes]:
+    def read_many(self, block_ids, windows=None) -> list[bytes]:
         """Read several blocks in one device round trip.
 
         The bulk entry point behind readahead and batched cache warming:
@@ -367,8 +369,21 @@ class BlockDevice(ABC):
         foreground I/O.  Semantics are exactly ``[read_block(b) for b in
         block_ids]`` -- same bounds checks, same per-block statistics,
         same exceptions.
+
+        ``windows``, one ``(lo, hi)`` per id, asks for each block's plain
+        bytes ``[lo, hi)`` as :meth:`read_block`'s ``window=`` does.  A
+        transform with ``on_read_many(block_ids, data, windows)`` inverts
+        the whole windowed batch in one call (the record cipher deciphers
+        every window of a range search in one bulk DES call); others get
+        one windowed ``on_read`` per item.  Ids may repeat: each
+        occurrence is a requester with its own window, result and
+        statistics.
         """
         ids = list(block_ids)
+        if windows is not None:
+            windows = list(windows)
+            if len(windows) != len(ids):
+                raise ValueError(f"{len(windows)} windows for {len(ids)} block ids")
         for block_id in ids:
             self._check_id(block_id)
         if self.faults is None and self.retry_policy is None:
@@ -383,9 +398,16 @@ class BlockDevice(ABC):
                 return self._fetch_many(ids)
 
             stored = self._guarded_batch(attempt_batch)
-        if self.transform is None:
-            return stored
-        return [self.transform.on_read(b, s) for b, s in zip(ids, stored)]
+        transform = self.transform
+        if windows is None:
+            if transform is None:
+                return stored
+            return [transform.on_read(b, s) for b, s in zip(ids, stored)]
+        if transform is None:
+            return [s[lo:hi] for s, (lo, hi) in zip(stored, windows)]
+        if hasattr(transform, "on_read_many"):
+            return transform.on_read_many(ids, stored, windows)
+        return [transform.on_read(*item) for item in zip(ids, stored, windows)]
 
     def write_many(self, items) -> None:
         """Write several ``(block_id, data)`` pairs in one round trip.

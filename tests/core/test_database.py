@@ -370,3 +370,94 @@ class TestBugfixRegressions:
         assert db.records.count == before
         db.bulk_load([(1, b"a"), (2, b"b")])
         assert db.search(2) == b"b"
+
+
+class TestRangeRecordBatch:
+    """A range deciphers every match's slot window in one bulk DES call.
+
+    The counts stay those of one ``get`` per match: one record-block
+    decipher and one record-device read each, duplicate blocks included.
+    """
+
+    KEYS = random.Random(15).sample(range(DESIGN.v), 60)
+
+    @pytest.fixture
+    def pair(self, cipher):
+        def make():
+            db = EncipheredDatabase.create(OvalSubstitution(DESIGN, t=5), cipher)
+            for key in self.KEYS:
+                db.insert(key, f"record {key} ".encode() * (key % 9 + 1))
+            return db
+
+        return make(), make()
+
+    @staticmethod
+    def _spy_bulk_calls(db, monkeypatch) -> list[int]:
+        """Block counts of the record cipher's ``decrypt_blocks`` calls."""
+        des = db.records._transform._des
+        decrypt_blocks = des.decrypt_blocks
+        calls: list[int] = []
+
+        def spy(blocks):
+            calls.append(len(blocks) // 8)
+            return decrypt_blocks(blocks)
+
+        monkeypatch.setattr(des, "decrypt_blocks", spy)
+        return calls
+
+    @staticmethod
+    def _counts(db) -> dict[str, int]:
+        disk = db.stats()["record_disk"]
+        counts = {f"record_disk.{f}": v for f, v in disk.items() if "time" not in f}
+        counts["record_decryptions"] = db.records.cipher_counts.decryptions
+        counts["pointer_decrypts"] = db.pointer_cipher.counts.decryptions
+        return counts
+
+    def _delta(self, db, before) -> dict[str, int]:
+        return {name: v - before[name] for name, v in self._counts(db).items()}
+
+    @staticmethod
+    def _platter(db) -> list:
+        return [db.disk.raw_blocks(), db.records.disk.raw_blocks()]
+
+    @pytest.mark.parametrize("span", [(0, DESIGN.v), (40, 90), (100, 130)])
+    def test_counts_and_bytes_equal_looped_get(self, pair, monkeypatch, span):
+        db, control = pair
+        assert self._platter(db) == self._platter(control)
+        before, control_before = self._counts(db), self._counts(control)
+        calls = self._spy_bulk_calls(db, monkeypatch)
+
+        got = db.range_search(*span)
+        matches = control.tree.range_search(*span)
+        want = [(key, control.records.get(rid)) for key, rid in matches]
+        assert got == want
+        k = len(matches)
+        spb = db.records.slots_per_block
+        assert len({rid // spb for _, rid in matches}) < k  # repeated blocks
+
+        delta = self._delta(db, before)
+        assert delta == self._delta(control, control_before)
+        assert delta["record_decryptions"] == delta["record_disk.reads"] == k
+        assert self._platter(db) == self._platter(control)
+        # one bulk call for the whole range, not one per match
+        assert len(calls) == 1
+
+    def test_single_get_counts_one_window(self, pair, monkeypatch):
+        db, _ = pair
+        before = self._counts(db)
+        calls = self._spy_bulk_calls(db, monkeypatch)
+        key = self.KEYS[7]
+        assert db.search(key) == f"record {key} ".encode() * (key % 9 + 1)
+        delta = self._delta(db, before)
+        assert delta["record_decryptions"] == delta["record_disk.reads"] == 1
+        assert len(calls) == 1
+        assert calls[0] < len(db.records.disk.raw_block(0)) // 8
+
+    def test_empty_range_deciphers_nothing(self, pair, monkeypatch):
+        db, _ = pair
+        calls = self._spy_bulk_calls(db, monkeypatch)
+        before = self._counts(db)["record_decryptions"]
+        gap = next(k for k in range(DESIGN.v) if k not in self.KEYS)
+        assert db.range_search(gap, gap) == []
+        assert calls == []
+        assert self._counts(db)["record_decryptions"] == before

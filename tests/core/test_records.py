@@ -223,3 +223,73 @@ class TestPutMany:
         more = store.put_many([f"m{i}".encode() for i in range(12)])
         assert [store.get(rid) for rid in more] == [f"m{i}".encode() for i in range(12)]
         assert store.count == 16
+
+
+class TestGetMany:
+    """``get_many`` is ``[get(r) for r in ids]``: bytes, counts, errors."""
+
+    @staticmethod
+    def _filled(**kwargs):
+        store = RecordStore(KEY, record_size=32, block_size=256, **kwargs)
+        rids = store.put_many([f"rec-{i}".encode() for i in range(18)])
+        store.delete(rids[4])  # 7 slots a block: block 2 is open, 4 slots full
+        return store, rids
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            return ("ok", read())
+        except StorageError as exc:
+            return ("error", type(exc), str(exc))
+
+    def _loop(self, store, ids):
+        def read():
+            return [store.get(rid) for rid in ids]
+
+        return self._outcome(read)
+
+    @pytest.mark.parametrize("cache_blocks", [0, 4])
+    def test_equals_looped_get_with_identical_counts(self, cache_blocks):
+        batched, rids = self._filled(cache_blocks=cache_blocks)
+        looped, _ = self._filled(cache_blocks=cache_blocks)
+        ids = [rids[9], rids[0], rids[9], rids[17], rids[1], rids[2]]  # a repeat
+        for store in (batched, looped):
+            store.clear_cache()
+            store.cipher_counts.reset()
+            store.disk.stats.reset()
+        assert batched.get_many(ids) == [looped.get(rid) for rid in ids]
+        assert batched.cipher_counts.snapshot() == looped.cipher_counts.snapshot()
+        assert batched.disk.stats == looped.disk.stats
+        if not cache_blocks:
+            assert batched.cipher_counts.decryptions == batched.disk.stats.reads == 6
+
+    def test_empty_batch_reads_nothing(self, store):
+        store.put(b"x")
+        store.disk.stats.reset()
+        assert store.get_many([]) == []
+        assert store.disk.stats.reads == 0
+        assert store.cipher_counts.decryptions == 0
+
+    @pytest.mark.parametrize(
+        "bad", ["freed", "empty", "beyond"], ids=["freed", "empty", "beyond"]
+    )
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_bad_id_mid_batch_raises_the_loops_error(self, bad, position):
+        store, rids = self._filled()
+        bad_id = {"freed": rids[4], "empty": 20, "beyond": 9999}[bad]
+        ids = [rids[0], rids[8], rids[15], rids[3]]
+        ids.insert(position, bad_id)
+        expected = self._loop(store, ids)
+        assert expected[0] == "error"
+        assert self._outcome(lambda: store.get_many(ids)) == expected
+
+    @pytest.mark.parametrize(
+        "bad_ids",
+        [(20, 9999), (9999, 20), (4, 20), (9999, 4), (4, 4)],
+    )
+    def test_first_offending_id_wins(self, bad_ids):
+        store, rids = self._filled()
+        ids = [rids[0], bad_ids[0], rids[1], bad_ids[1], rids[2]]
+        expected = self._loop(store, ids)
+        assert str(bad_ids[0]) in expected[2]
+        assert self._outcome(lambda: store.get_many(ids)) == expected

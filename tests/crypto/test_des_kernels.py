@@ -15,6 +15,8 @@ fall back to ``fast``, which is tested too).
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -184,13 +186,48 @@ class TestScheduleDerivation:
 
 class TestKernelSelection:
     def test_default_kernel_follows_environment(self):
-        # CI runs the suite under each kernel via REPRO_DES_KERNEL; asking
-        # for the vector kernel on a host without numpy falls back to fast
-        expected = os.environ.get("REPRO_DES_KERNEL", "fast")
+        # unset, the default is the best available kernel; CI also forces
+        # one via REPRO_DES_KERNEL, and asking for the vector kernel on a
+        # host without numpy falls back to fast
+        best = "vector" if vector_available() else "fast"
+        expected = os.environ.get("REPRO_DES_KERNEL", best)
         if expected == "vector" and not vector_available():
             expected = "fast"
         assert default_kernel() == expected
         assert DES(b"k" * 8).kernel == expected
+
+    @pytest.mark.parametrize(
+        "numpy_present, requested, expected",
+        [
+            (False, None, "fast"),
+            (False, "vector", "fast"),
+            (False, "fast", "fast"),
+            (True, None, "vector"),
+            (True, "fast", "fast"),
+        ],
+    )
+    def test_import_time_default(self, numpy_present, requested, expected):
+        # a fresh interpreter, so the import-time rule runs for real;
+        # a None entry in sys.modules makes ``import numpy`` fail
+        if numpy_present and not vector_available():
+            pytest.skip("numpy is not installed")
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_DES_KERNEL"}
+        if requested is not None:
+            env["REPRO_DES_KERNEL"] = requested
+        src = os.path.join(os.path.dirname(des_module.__file__), "..", "..")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
+        )
+        block = "" if numpy_present else "sys.modules['numpy'] = None; "
+        script = (
+            f"import sys; {block}from repro.crypto import des; "
+            "print(des.default_kernel(), des.vector_available())"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert out == [expected, str(numpy_present)]
 
     def test_set_default_kernel_round_trip(self):
         initial = default_kernel()

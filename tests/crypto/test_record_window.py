@@ -7,6 +7,11 @@ is random-access, so this must be *exactly* the slice the whole-block
 decipher returns: for every block size the benchmarks use, every fill
 level, every slot, under each available DES kernel -- and a damaged
 cryptogram must fail the same way on both paths.
+
+A range search gathers many such windows into one bulk call
+(:func:`cbc_decrypt_windows`); that must equal the per-item windows,
+raise the first damaged item's error, and derive an IV only where a
+per-item read would.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ from hypothesis import strategies as st
 
 from repro.core.records import RecordStore
 from repro.crypto.des import DES, ReferenceDESKernel, vector_available
-from repro.crypto.modes import CBCCipher, cbc_decrypt_window
+from repro.crypto.modes import CBCCipher, cbc_decrypt_window, cbc_decrypt_windows
 from repro.exceptions import CryptoError, StorageError
 
-KERNELS = ("reference", "fast") + (("vector",) if vector_available() else ())
+BULK_KERNELS = ("fast",) + (("vector",) if vector_available() else ())
+KERNELS = ("reference",) + BULK_KERNELS
 BLOCK_SIZES = (512, 4096)
 RECORD_SIZE = 120
 
@@ -207,3 +213,160 @@ class TestDamagedCryptogram:
             cbc_decrypt_window(des, b"", 0, 8, lambda: bytes(8))
         assert str(window.value) == str(whole.value)
 
+
+
+# -- many windows in one bulk call ------------------------------------------
+
+#: How a batch item is damaged: a cut tail, or a final block forged to
+#: decipher to an impossible pad length or to inconsistent pad bytes.
+DAMAGE = {
+    "truncated": None,
+    "pad_length": b"\x01" * 7 + b"\x00",
+    "pad_bytes": b"\x00" * 5 + b"\x04\x03\x03",
+}
+
+
+@st.composite
+def _window(draw, length: int) -> tuple[int, int]:
+    """A plaintext window: in block 0, past the plain length, empty, or any."""
+    kind = draw(st.sampled_from(("block0", "past", "empty", "any")))
+    if kind == "block0":
+        lo = draw(st.integers(0, 7))
+    elif kind == "past":
+        lo = draw(st.integers(length, length + 24))
+    else:
+        lo = draw(st.integers(0, length + 16))
+    hi = lo if kind == "empty" else lo + draw(st.integers(0, 160))
+    return lo, hi
+
+
+@st.composite
+def _batch(draw):
+    """``(key, [(plain, iv, lo, hi)])`` with 1-24 items of 0-600 bytes."""
+    key = draw(st.binary(min_size=8, max_size=8))
+    items = []
+    for _ in range(draw(st.integers(1, 24))):
+        plain = draw(st.binary(max_size=600))
+        iv = draw(st.binary(min_size=8, max_size=8))
+        items.append((plain, iv, *draw(_window(len(plain)))))
+    return key, items
+
+
+class _IVLog:
+    """``iv(tag)`` for a batch, remembering which tags were asked for."""
+
+    def __init__(self, ivs: list[bytes]) -> None:
+        self.ivs = ivs
+        self.calls: list[int] = []
+
+    def __call__(self, tag: int) -> bytes:
+        self.calls.append(tag)
+        return self.ivs[tag]
+
+
+def _damage(des: DES, ciphertext: bytes, iv: bytes, how: str) -> bytes:
+    if how == "truncated":
+        return ciphertext[:-3]
+    previous = ciphertext[-16:-8] if len(ciphertext) > 8 else iv
+    forged = des.encrypt_block(
+        (int.from_bytes(DAMAGE[how], "big") ^ int.from_bytes(previous, "big"))
+        .to_bytes(8, "big")
+    )
+    return ciphertext[:-8] + forged
+
+
+def _single_outcomes(des, cryptograms, items):
+    """Per-item :func:`cbc_decrypt_window`, and which tags derived an IV."""
+    log = _IVLog([iv for _, iv, _, _ in items])
+
+    def read():
+        return [
+            cbc_decrypt_window(des, ct, lo, hi, lambda tag=tag: log(tag))
+            for tag, (ct, (_, _, lo, hi)) in enumerate(zip(cryptograms, items))
+        ]
+
+    return _outcome(read), log.calls
+
+
+def _batch_outcome(des, cryptograms, items):
+    log = _IVLog([iv for _, iv, _, _ in items])
+    batch = [
+        (ct, lo, hi, tag)
+        for tag, (ct, (_, _, lo, hi)) in enumerate(zip(cryptograms, items))
+    ]
+    return _outcome(lambda: cbc_decrypt_windows(des, batch, log)), log.calls
+
+
+@pytest.mark.parametrize("kernel", BULK_KERNELS)
+@settings(max_examples=60, deadline=None)
+@given(batch=_batch())
+def test_batch_equals_per_item_windows(kernel, batch):
+    key, items = batch
+    des = DES(key, kernel=kernel)
+    cryptograms = [CBCCipher(des, iv).encrypt(plain) for plain, iv, _, _ in items]
+    got, batch_ivs = _batch_outcome(des, cryptograms, items)
+    want, single_ivs = _single_outcomes(des, cryptograms, items)
+    assert got == want == ("ok", [plain[lo:hi] for plain, _, lo, hi in items])
+    # an IV only for runs starting at block 0, each derived at most once
+    assert sorted(batch_ivs) == sorted(set(single_ivs))
+    for tag in batch_ivs:
+        plain, _, lo, hi = items[tag]
+        starts_at_block_0 = lo < 8 and lo < min(hi, len(plain))
+        assert starts_at_block_0 or len(plain) < 8
+
+
+@pytest.mark.parametrize("kernel", BULK_KERNELS)
+@settings(max_examples=40, deadline=None)
+@given(
+    batch=_batch().filter(lambda b: len(b[1]) >= 3),
+    how=st.sampled_from(sorted(DAMAGE)),
+    later=st.sampled_from(sorted(DAMAGE)),
+    data=st.data(),
+)
+def test_damaged_item_mid_batch_raises_the_same_error(kernel, batch, how, later, data):
+    key, items = batch
+    des = DES(key, kernel=kernel)
+    cryptograms = [CBCCipher(des, iv).encrypt(plain) for plain, iv, _, _ in items]
+    bad = data.draw(st.integers(1, len(items) - 2), label="bad")
+    cryptograms[bad] = _damage(des, cryptograms[bad], items[bad][1], how)
+    # a second, later damaged item must not win over the first
+    cryptograms[-1] = _damage(des, cryptograms[-1], items[-1][1], later)
+    got, _ = _batch_outcome(des, cryptograms, items)
+    want, _ = _single_outcomes(des, cryptograms, items)
+    assert got == want
+    messages = {
+        "truncated": "ciphertext length is not a block multiple",
+        "pad_length": "invalid PKCS#7 padding length",
+        "pad_bytes": "corrupt PKCS#7 padding",
+    }
+    assert got == ("error", CryptoError, messages[how])
+
+
+def test_empty_batch_deciphers_nothing():
+    des = DES(bytes(8))
+    calls = []
+    des.decrypt_blocks = lambda blocks: calls.append(blocks)
+    assert cbc_decrypt_windows(des, [], lambda tag: bytes(8)) == []
+    assert calls == []
+
+
+def test_batch_is_one_bulk_call():
+    des = DES(bytes(range(8)))
+    decrypt_blocks = des.decrypt_blocks
+    calls = []
+
+    def spy(blocks):
+        calls.append(len(blocks))
+        return decrypt_blocks(blocks)
+
+    des.decrypt_blocks = spy
+    ivs = [bytes([i]) * 8 for i in range(5)]
+    plains = [bytes(range(i, i + 200)) for i in range(5)]
+    batch = [
+        (CBCCipher(des, iv).encrypt(plain), 40 * i, 40 * i + 30, i)
+        for i, (plain, iv) in enumerate(zip(plains, ivs))
+    ]
+    calls.clear()
+    got = cbc_decrypt_windows(des, batch, ivs.__getitem__)
+    assert got == [plain[40 * i : 40 * i + 30] for i, plain in enumerate(plains)]
+    assert len(calls) == 1

@@ -8,12 +8,21 @@ cipher counts and at-rest bytes exactly equal to a fault-free control.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.database import EncipheredDatabase
+from repro.crypto.rsa import RSA, generate_rsa_keypair
+from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import PermanentIOError, PlatterFormatError, TransientIOError
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.storage.backend import FileBackend
 from repro.storage.disk import SimulatedDisk
 from repro.storage.platter import FilePlatter
+from repro.substitution.oval import OvalSubstitution
+
+DESIGN = planar_difference_set(13)
 
 FAST_RETRY = RetryPolicy(base_delay_s=0.0, max_delay_s=0.0)
 
@@ -134,6 +143,44 @@ class TestTransientHealing:
         arm(chaos, "read.transient@3")
         assert chaos.read_many(ids) == control.read_many(ids_c)
         assert chaos.fault_snapshot()["retries"] == 1
+
+    def test_range_record_batch_heals_byte_identically(self, tmp_path, backend):
+        # a range reads every match's record block in one batched read;
+        # a transient fault inside it retries the batch, deciphered once
+        def make(name):
+            db = EncipheredDatabase.create(
+                OvalSubstitution(DESIGN, t=5),
+                RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xDB))),
+                backend=None if backend == "memory"
+                else FileBackend(tmp_path / name, fsync=False),
+            )
+            for key in range(0, DESIGN.v, 3):
+                db.insert(key, f"r{key}".encode() * 4)
+            db.records.disk.attach_faults(None)  # disarm any REPRO_FAULTS plan
+            return db
+
+        control, chaos = make("control"), make("chaos")
+        injector = arm(chaos.records.disk, "read.transient@3")
+        got = chaos.range_search(20, 80)
+        assert got == control.range_search(20, 80)
+        assert len(got) > 3
+        assert injector.snapshot()["injected_transient"] == 1
+        assert chaos.records.disk.fault_snapshot()["retries"] == 1
+        untimed = ("read_time_s", "write_time_s")
+        for db in (control, chaos):
+            for field in untimed:
+                setattr(db.records.disk.stats, field, 0.0)
+        assert chaos.records.disk.stats == control.records.disk.stats
+        assert (
+            chaos.records.cipher_counts.snapshot()
+            == control.records.cipher_counts.snapshot()
+        )
+        assert (
+            chaos.pointer_cipher.counts.snapshot()
+            == control.pointer_cipher.counts.snapshot()
+        )
+        for db in (control, chaos):
+            db.close()
 
     def test_batch_writes_retry_as_a_unit(self, tmp_path, backend):
         control = make_devices(tmp_path, "control")[backend]

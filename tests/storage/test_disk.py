@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.records import _RecordBlockTransform
 from repro.crypto.pagekey import PageKeyScheme
 from repro.storage.disk import SimulatedDisk, transform_from_page_key_scheme
+from repro.storage.platter import FilePlatter
 from repro.exceptions import BlockBoundsError, StorageError
 
 
@@ -121,3 +123,69 @@ class TestTransform:
         b = disk.allocate()
         with pytest.raises(BlockBoundsError):
             disk.write_block(b, b"x" * 16)  # pads to 24 > 16
+
+
+class _SlicingTransform:
+    """A windowed transform with no ``on_read_many``: XOR, then slice."""
+
+    def on_write(self, block_id, data):
+        return bytes(b ^ 0x5A for b in data)
+
+    def on_read(self, block_id, data, window=None):
+        plain = bytes(b ^ 0x5A for b in data)
+        return plain if window is None else plain[window[0] : window[1]]
+
+
+class TestWindowedReadMany:
+    """``read_many(ids, windows=)`` equals windowed ``read_block`` per item."""
+
+    IDS = [2, 0, 2, 1, 2]  # block 2 has three requesters
+    WINDOWS = [(0, 8), (3, 40), (8, 16), (0, 0), (30, 90)]
+
+    @staticmethod
+    def _device(kind, transform, tmp_path, name):
+        if kind == "memory":
+            return SimulatedDisk(block_size=128, transform=transform)
+        return FilePlatter(
+            tmp_path / f"{name}.platter", block_size=128, transform=transform,
+            fsync=False,
+        )
+
+    @staticmethod
+    def _transform(kind):
+        if kind == "record":
+            return _RecordBlockTransform(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1")
+        return _SlicingTransform() if kind == "sliced" else None
+
+    @pytest.mark.parametrize("transform", ["record", "sliced", "none"])
+    @pytest.mark.parametrize("kind", ["memory", "file"])
+    def test_duplicates_get_per_requester_results_and_stats(
+        self, kind, transform, tmp_path
+    ):
+        devices = [
+            self._device(kind, self._transform(transform), tmp_path, name)
+            for name in ("batched", "looped")
+        ]
+        for device in devices:
+            for i in range(3):
+                device.write_block(device.allocate(), bytes(range(i, i + 40 + 9 * i)))
+            device.stats.reset()
+        batched, looped = devices
+        got = batched.read_many(self.IDS, windows=self.WINDOWS)
+        want = [looped.read_block(b, window=w) for b, w in zip(self.IDS, self.WINDOWS)]
+        assert got == want
+        whole = [looped.read_block(b) for b in self.IDS]
+        assert got == [w[lo:hi] for w, (lo, hi) in zip(whole, self.WINDOWS)]
+        assert batched.stats.reads == len(self.IDS)
+        assert batched.stats.bytes_read == looped.stats.bytes_read // 2
+        counts = getattr(batched.transform, "counts", None)
+        if counts is not None:
+            assert counts.decryptions == len(self.IDS)
+        for device in devices:
+            device.close()
+
+    def test_window_count_must_match_ids(self):
+        disk = SimulatedDisk(block_size=64)
+        disk.write_block(disk.allocate(), b"abc")
+        with pytest.raises(ValueError):
+            disk.read_many([0, 0], windows=[(0, 1)])
