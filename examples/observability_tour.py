@@ -4,16 +4,14 @@
 The enciphered database already counted *what* it does (cipher calls,
 disk blocks, cache hits); the ``repro.obs`` subsystem adds *how long*
 and *where*: latency histograms behind a near-zero-cost span tracer, a
-slow-operation log, per-key-range and per-record-block heat tracking,
-and heat persistence so a reopened store can pre-warm its hottest
-blocks.  This example walks through all of it on one small store:
+slow-operation log and per-key-range heat tracking.  This example
+walks through all of it on one small store:
 
 1. enable tracing (``ObsConfig(enabled=True)`` or ``REPRO_OBS_TRACE=1``)
    and run some traffic;
 2. read ``stats()["observability"]`` and the human ``dump()`` table;
 3. catch a deliberately slow operation in the slow-op log;
-4. persist the heat map, reopen, and warm the hottest record blocks;
-5. show the same merged picture from a sharded cluster.
+4. show the same merged picture from a sharded cluster.
 
 Run:  PYTHONPATH=src python examples/observability_tour.py
 """
@@ -29,7 +27,6 @@ from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
 from repro.obs import ObsConfig
-from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(23)  # v = 553
@@ -50,11 +47,9 @@ def cipher_factory(i: int) -> RSA:
 
 def main() -> None:
     # -- 1. a traced single database -----------------------------------
-    backend = MemoryBackend()
     db = EncipheredDatabase.create(
         OvalSubstitution(DESIGN, t=5),
         new_cipher(42),
-        backend=backend,
         observability=ObsConfig(enabled=True),
         record_cache_blocks=16,
     )
@@ -88,28 +83,9 @@ def main() -> None:
     name, _, duration_ns, _ = db.obs.tracer.slow_ops()[-1]
     print(f"slow-op log caught: {name} ({duration_ns / 1e6:.1f} ms)")
     print()
+    db.close()
 
-    # -- 4. heat persists; warm() pre-decodes the hottest blocks --------
-    hottest = db.obs.heat.hot_blocks(3)
-    print(f"hottest record blocks this run: {hottest}")
-    db.close()  # enabled + backend => heat map auto-saved (enciphered)
-
-    reopened = EncipheredDatabase.reopen_from_backend(
-        OvalSubstitution(DESIGN, t=5),
-        new_cipher(42),
-        backend,
-        observability=ObsConfig(enabled=True),
-        record_cache_blocks=16,
-    )
-    warmed = reopened.warm(levels=2, hot_record_blocks=3)
-    stats = reopened.stats()["cache_warming"]
-    print(f"after reopen: warmed {stats['nodes_warmed']} tree nodes and "
-          f"{stats['record_blocks_warmed']} hot record blocks "
-          f"({warmed} total) before serving any query")
-    reopened.close()
-    print()
-
-    # -- 5. the same picture, merged across a sharded cluster ----------
+    # -- 4. the same picture, merged across a sharded cluster ----------
     cluster = ShardedEncipheredDatabase.create(
         sub_factory,
         cipher_factory,

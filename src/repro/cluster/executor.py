@@ -113,7 +113,6 @@ class ShardSpec:
     record_state: dict[str, object]
     cache_blocks: int
     decoded_node_cache_blocks: int
-    decoded_node_cache_bytes: int
     #: The parent shard's observability switch, so the worker's replica
     #: instruments identically -- its histogram/heat deltas then merge
     #: into one coherent cross-process picture.
@@ -141,7 +140,6 @@ class ShardSpec:
             super_key=self.super_key,
             cache_blocks=self.cache_blocks,
             decoded_node_cache_blocks=self.decoded_node_cache_blocks,
-            decoded_node_cache_bytes=self.decoded_node_cache_bytes,
             observability=self.obs_config,
         )
 
@@ -193,7 +191,6 @@ def spec_from_shard(
             record_state=shard.records.export_state(),
             cache_blocks=shard.tree.pager.capacity,
             decoded_node_cache_blocks=shard.tree.pager.decoded.capacity,
-            decoded_node_cache_bytes=shard.tree.pager.decoded.max_bytes,
             obs_config=shard.obs.config,
         )
 
@@ -315,10 +312,6 @@ def _shard_worker(conn) -> None:
                     ))
             elif op == "stats":
                 conn.send(("ok", db.stats()))
-            elif op == "heat":
-                # the variable-shape block-heat map travels on its own
-                # channel; the parent delta-folds it like the counters
-                conn.send(("ok", db.obs.heat.block_counts()))
             elif op == "clear_caches":
                 db.clear_caches()
                 conn.send(("ok", None))
@@ -339,18 +332,9 @@ def _shard_worker(conn) -> None:
 
 
 def _zero_nonadditive(delta: dict[str, object]) -> dict[str, object]:
-    """Zero the leaves that are not summable counters.
-
-    A worker's ``size`` mirrors the parent's (summing would double it),
-    and ``bytes_cached`` is a *gauge* of the worker replica's own cache
-    footprint -- a delta of it is meaningless at the cluster level and
-    could even push the parent's gauge negative.
-    """
-    delta = {**delta, "size": 0}
-    decoded = delta.get("node_decoded_cache")
-    if isinstance(decoded, dict) and "bytes_cached" in decoded:
-        delta["node_decoded_cache"] = {**decoded, "bytes_cached": 0}
-    return delta
+    """Zero ``size``: a worker's mirrors the parent's, so summing would
+    double it."""
+    return {**delta, "size": 0}
 
 
 class ProcessShardExecutor:
@@ -435,10 +419,6 @@ class ProcessShardExecutor:
         # from replicas that were since replaced or shut down.
         self._base: list[dict[str, object] | None] = [None] * num_shards
         self._harvested: list[list[dict[str, object]]] = [[] for _ in range(num_shards)]
-        # Block-heat accounting, mirroring the counter baseline: what of
-        # worker i's block-touch map has already been folded into the
-        # parent shard's HeatMap.
-        self._heat_base: list[dict[int, int]] = [{} for _ in range(num_shards)]
         # One request/reply may be in flight per pipe; concurrent cluster
         # calls from several client threads must not interleave frames, so parent-side dispatch is serialised.
         # Reentrant: map() nests sync() nests harvest().
@@ -474,7 +454,6 @@ class ProcessShardExecutor:
                 pass
             self._conns[index] = None
         self._base[index] = None
-        self._heat_base[index] = {}
         self.epochs_sent[index] = -1
         self.sync_stats["worker_deaths"] += 1
         if timed_out:
@@ -545,7 +524,6 @@ class ProcessShardExecutor:
         self._spawned[index] = True
         self.epochs_sent[index] = -1
         self._base[index] = None
-        self._heat_base[index] = {}
         return respawn
 
     # -- supervision -----------------------------------------------------
@@ -618,8 +596,8 @@ class ProcessShardExecutor:
                     pass
             if self.epochs_sent[index] == epoch:
                 return
-            # the stale replica's work must keep counting (heat included)
-            self.harvest(index, shard)
+            # the stale replica's work must keep counting
+            self.harvest(index)
             delta = None
             if self.delta_sync and self.epochs_sent[index] >= 0:
                 delta = shard.collect_delta(self.epochs_sent[index], epoch)
@@ -647,9 +625,6 @@ class ProcessShardExecutor:
                             "executor='processes' requires picklable substitution and "
                             f"pointer-cipher factories (module-level functions): {exc}"
                         ) from exc
-                # "open" replaced the replica wholesale: its block-touch
-                # map restarted from zero alongside its counters
-                self._heat_base[index] = {}
                 self.sync_stats["full_ships"] += 1
                 self.sync_stats["full_bytes"] += spec.payload_bytes
             self.epochs_sent[index] = epoch
@@ -773,14 +748,8 @@ class ProcessShardExecutor:
 
     # -- counter rollup --------------------------------------------------
 
-    def harvest(self, index: int, shard: EncipheredDatabase | None = None) -> None:
-        """Fold worker ``index``'s counter delta into the kept totals.
-
-        Given the parent ``shard``, the worker's record-block heat delta
-        is folded into the shard's :class:`~repro.obs.heat.HeatMap` in
-        the same pass (the variable-shape map cannot ride in the counter
-        dicts).
-        """
+    def harvest(self, index: int) -> None:
+        """Fold worker ``index``'s counter delta into the kept totals."""
         with self._dispatch_lock:
             if self._base[index] is None or self._conns[index] is None:
                 return
@@ -791,23 +760,6 @@ class ProcessShardExecutor:
             delta = subtract_counter_dicts(current, self._base[index])
             self._harvested[index].append(_zero_nonadditive(delta))
             self._base[index] = current
-            if shard is not None and shard.obs.enabled:
-                try:
-                    shard.obs.heat.add_blocks(self._heat_delta(index))
-                except StorageError:
-                    pass  # worker died between requests; heat lost with it
-
-    def _heat_delta(self, index: int) -> dict[int, int]:
-        """Worker ``index``'s block touches not yet folded into the parent."""
-        current: dict[int, int] = self._request(index, "heat", None)
-        base = self._heat_base[index]
-        delta = {
-            block_id: n - base.get(block_id, 0)
-            for block_id, n in current.items()
-            if n - base.get(block_id, 0)
-        }
-        self._heat_base[index] = current
-        return delta
 
     def rebase(self, index: int, stats_after: dict[str, object]) -> None:
         """Absorb a state-shipping op's counters after installing its state.
@@ -824,22 +776,13 @@ class ProcessShardExecutor:
             self._harvested[index].append(_zero_nonadditive(delta))
             self._base[index] = stats_after
 
-    def extra_counters(
-        self, index: int, shard: EncipheredDatabase | None = None
-    ) -> list[dict[str, object]]:
-        """Counter dicts to merge into shard ``index``'s parent stats.
-
-        ``shard`` additionally folds the worker's live block-heat delta
-        into the parent's heat map (see :meth:`harvest`), so a
-        ``stats()`` call observes up-to-date heat as well.
-        """
+    def extra_counters(self, index: int) -> list[dict[str, object]]:
+        """Counter dicts to merge into shard ``index``'s parent stats."""
         with self._dispatch_lock:
             extras = list(self._harvested[index])
             if self._base[index] is not None and self._conns[index] is not None:
                 try:
                     current = self._request(index, "stats", None)
-                    if shard is not None and shard.obs.enabled:
-                        shard.obs.heat.add_blocks(self._heat_delta(index))
                 except StorageError:
                     return extras
                 extras.append(

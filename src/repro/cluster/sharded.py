@@ -199,7 +199,6 @@ class ShardedEncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         executor: str = "serial",
         delta_sync: bool = True,
         degraded_reads: bool = False,
@@ -209,8 +208,7 @@ class ShardedEncipheredDatabase:
     ) -> "ShardedEncipheredDatabase":
         """Initialise ``num_shards`` fresh shards with derived secrets.
 
-        ``record_cache_blocks``/``decoded_node_cache_blocks`` (and the
-        byte-budget variant ``decoded_node_cache_bytes``) size each
+        ``record_cache_blocks``/``decoded_node_cache_blocks`` size each
         shard's *private* plaintext read caches (defaults off).  Private
         caches give the fan-out per-shard cache locality: each worker
         warms and hits only the shard it is scanning, with no
@@ -250,7 +248,6 @@ class ShardedEncipheredDatabase:
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
                 decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
                 backend=backend.scoped(scopes[i]) if backend is not None else None,
                 observability=observability,
             )
@@ -294,7 +291,6 @@ class ShardedEncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int | None = None,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         validate_routing: bool = True,
         executor: str = "serial",
         delta_sync: bool = True,
@@ -335,7 +331,6 @@ class ShardedEncipheredDatabase:
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
                 decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
                 observability=observability,
             )
             for i, (disk, records) in enumerate(parts)
@@ -369,7 +364,6 @@ class ShardedEncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         validate_routing: bool = True,
         executor: str = "serial",
         delta_sync: bool = True,
@@ -410,7 +404,6 @@ class ShardedEncipheredDatabase:
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
                 decoded_node_cache_blocks=decoded_node_cache_blocks,
-                decoded_node_cache_bytes=decoded_node_cache_bytes,
                 observability=observability,
             )
             for i in range(manifest.num_shards)
@@ -628,9 +621,9 @@ class ShardedEncipheredDatabase:
         On durable backends this closes every shard's platter files
         (after their final sync); on in-memory devices the close is a
         no-op and the cluster object remains usable, which existing
-        callers rely on.  Worker replicas' record-block heat is
-        harvested into the parent shards first, so the heat each shard
-        persists on close covers every process that touched it.
+        callers rely on.  Worker replicas' counters are harvested as
+        the workers stop, so ``stats()`` after close still counts every
+        operation they ran.
 
         Idempotent, and hardened against a degraded cluster: a second
         call is a no-op, quarantined shards are skipped (their device
@@ -648,9 +641,6 @@ class ShardedEncipheredDatabase:
             self.commit()
         except BaseException as exc:
             first_error = exc
-        if self._procs is not None:
-            for i, shard in enumerate(self.shards):
-                self._procs.harvest(i, shard)
         for i, shard in enumerate(self.shards):
             try:
                 shard.close()
@@ -1151,39 +1141,17 @@ class ShardedEncipheredDatabase:
 
     # -- cache warming ----------------------------------------------------
 
-    def warm(
-        self,
-        levels: int = 2,
-        hot_record_blocks: int = 0,
-        background: bool = False,
-    ) -> int:
+    def warm(self, levels: int = 2) -> int:
         """Pre-decode every shard's top tree levels into its node caches.
 
-        Fans out per shard like any read.  ``hot_record_blocks`` asks
-        each shard to additionally pre-decode up to that many of its
-        hottest record blocks (live heat plus any persisted heat adopted
-        at reopen -- see :meth:`load_heat`).  With the process backend,
+        Fans out per shard like any read.  With the process backend,
         live worker replicas are warmed too (after the usual epoch
         sync), because that is where process-backend queries actually
         run; their warming work rolls up into ``stats()`` like every
         other worker-side counter.  Returns the total nodes touched.
-
-        ``background=True`` starts each parent shard's warm on its own
-        daemon thread and returns 0 immediately (see
-        :meth:`EncipheredDatabase.warm`); worker replicas are skipped --
-        they warm themselves on their next synced fan-out.
         """
         shard_ids, _ = self.health.partition(range(len(self.shards)))
-        if background:
-            for i in shard_ids:
-                self.shards[i].warm(levels, hot_record_blocks, background=True)
-            return 0
-        warmed = sum(
-            self._fan_out(
-                lambda i: self.shards[i].warm(levels, hot_record_blocks),
-                shard_ids,
-            )
-        )
+        warmed = sum(self._fan_out(lambda i: self.shards[i].warm(levels), shard_ids))
         if self._use_processes(shard_ids):
             try:
                 warmed += sum(
@@ -1194,28 +1162,6 @@ class ShardedEncipheredDatabase:
             except (WorkerCrashError, ShardUnavailableError) as exc:
                 self._note_worker_trouble(exc, shard_ids)
         return warmed
-
-    def save_heat(self) -> int:
-        """Persist every shard's record-block heat map to its backend.
-
-        Worker replicas' heat is harvested into the parent shards first,
-        so the persisted maps cover every process that served traffic.
-        Returns the number of shards that saved a map (shards without a
-        backend are skipped).
-        """
-        if self._procs is not None:
-            for i, shard in enumerate(self.shards):
-                self._procs.harvest(i, shard)
-        return sum(1 for shard in self.shards if shard.save_heat())
-
-    def load_heat(self) -> int:
-        """Adopt each shard's persisted heat map as its warming seed.
-
-        Returns the number of shards that found a map.  (The manifest
-        reopen path does this automatically; this is for clusters built
-        via :meth:`reopen` whose caller holds a backend per shard.)
-        """
-        return sum(1 for shard in self.shards if shard.load_heat() is not None)
 
     # -- transactions and durability -------------------------------------
 
@@ -1315,13 +1261,7 @@ class ShardedEncipheredDatabase:
         """
         per_shard = []
         for i, shard in enumerate(self.shards):
-            extras = (
-                self._procs.extra_counters(i, shard)
-                if self._procs is not None
-                else []
-            )
-            # extras first: extra_counters folds worker block heat into
-            # the shard, which the shard's own snapshot then reflects
+            extras = self._procs.extra_counters(i) if self._procs is not None else []
             base = shard.stats()
             per_shard.append(merge_counter_dicts([base, *extras]) if extras else base)
             # gauges are export-only readings (outside the mergeable

@@ -79,8 +79,6 @@ report exact totals without a lock on any hot-path increment.
 
 from __future__ import annotations
 
-import json
-import threading
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
@@ -106,22 +104,9 @@ _MAGIC = b"HSBT1990"
 
 
 class WarmingCounters(ThreadSafeCounters):
-    """Cache-warming work, counted separately from organic traffic.
+    """Cache-warming work, counted separately from organic traffic."""
 
-    ``background_warms``/``background_completed``/``background_failed``
-    track :meth:`EncipheredDatabase.warm` daemon-thread runs: started,
-    finished cleanly, and died (e.g. the database closed underneath a
-    still-running warm -- advisory work, so the error is recorded
-    rather than raised on a thread nobody joins).
-    """
-
-    _FIELDS = (
-        "nodes_warmed",
-        "record_blocks_warmed",
-        "background_warms",
-        "background_completed",
-        "background_failed",
-    )
+    _FIELDS = ("nodes_warmed",)
 
 
 def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
@@ -172,9 +157,6 @@ class EncipheredDatabase:
         tree.pager.tracer = tracer
         disk.tracer = tracer
         records.attach_tracer(tracer)
-        #: The backend this database was created/reopened from, when
-        #: known -- the home of the persisted heat blob.
-        self._backend: StorageBackend | None = None
         #: When ``True`` (default) every mutation ends with a
         #: :meth:`commit`; when ``False`` the caller owns the commit
         #: points.  :meth:`transaction` toggles this per scope.
@@ -196,8 +178,6 @@ class EncipheredDatabase:
         self._txn_snapshot: tuple[int, int, list[int]] | None = None
         #: Nodes pre-decoded by :meth:`warm` (reported in :meth:`stats`).
         self.warming = WarmingCounters()
-        #: Latest ``warm(background=True)`` daemon thread, for joining.
-        self._warm_thread: threading.Thread | None = None
         # close() is idempotent: the flag flips before any teardown, so
         # a second close (context-manager exit after an explicit close,
         # cluster close after a per-shard close) is a clean no-op
@@ -253,7 +233,6 @@ class EncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
         readahead_workers: int = 0,
@@ -264,9 +243,6 @@ class EncipheredDatabase:
         the two plaintext read caches (record slot blocks and decoded
         node views); both default to ``0`` -- off -- which keeps every
         cipher-operation count on the paper's cost model.
-        ``decoded_node_cache_bytes`` additionally (or instead) bounds the
-        decoded-node cache by the byte size of the blocks its views were
-        decoded from, making its memory footprint plannable.
 
         ``backend`` selects where the two block devices live (``None``
         keeps the historical private in-memory disks): devices are
@@ -294,7 +270,6 @@ class EncipheredDatabase:
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
                       decoded_cache_blocks=decoded_node_cache_blocks,
-                      decoded_cache_bytes=decoded_node_cache_bytes,
                       readahead_workers=readahead_workers)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
@@ -304,7 +279,6 @@ class EncipheredDatabase:
                               create=True if backend is not None else None)
         db = cls(substitution, counting, disk, records, super_key, tree,
                  autocommit=autocommit, observability=observability)
-        db._backend = backend
         db.commit()  # superblock + the fresh root reach the platter
         return db
 
@@ -322,7 +296,6 @@ class EncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int | None = None,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         observability: ObsConfig | None = None,
         readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
@@ -341,7 +314,6 @@ class EncipheredDatabase:
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
                       decoded_cache_blocks=decoded_node_cache_blocks,
-                      decoded_cache_bytes=decoded_node_cache_bytes,
                       readahead_workers=readahead_workers)
         if record_cache_blocks is not None:
             records.cache.resize(record_cache_blocks)
@@ -371,7 +343,6 @@ class EncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
-        decoded_node_cache_bytes: int = 0,
         observability: ObsConfig | None = None,
         readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
@@ -393,7 +364,7 @@ class EncipheredDatabase:
             block_size=block_size,
             cache_blocks=record_cache_blocks,
         )
-        db = cls.reopen(
+        return cls.reopen(
             substitution,
             pointer_cipher,
             disk,
@@ -404,19 +375,9 @@ class EncipheredDatabase:
             autocommit=autocommit,
             record_cache_blocks=None,
             decoded_node_cache_blocks=decoded_node_cache_blocks,
-            decoded_node_cache_bytes=decoded_node_cache_bytes,
             observability=observability,
             readahead_workers=readahead_workers,
         )
-        db._backend = backend
-        try:
-            # adopt any persisted heat so warm() can pre-decode hot
-            # record blocks; a missing or corrupt blob is advisory data
-            # lost, never a failed reopen
-            db.load_heat()
-        except IntegrityError:
-            pass
-        return db
 
     # -- commit machinery ------------------------------------------------
 
@@ -499,10 +460,11 @@ class EncipheredDatabase:
         """Scope whose mutations commit together -- or not at all.
 
         On entry the node pager switches to write-back with dirty pages
-        pinned (they may exceed the cache bound until the scope ends), so
-        nothing the scope writes reaches the platter early.  A clean exit
-        commits: one superblock rewrite, one flush of each distinct dirty
-        node.  An exception rolls everything back and re-raises.
+        protected from eviction (they may exceed the cache bound until
+        the scope ends), so nothing the scope writes reaches the platter
+        early.  A clean exit commits: one superblock rewrite, one flush
+        of each distinct dirty node.  An exception rolls everything back
+        and re-raises.
 
         Blocks allocated by the scope and then rolled back are leaked on
         the simulated disk (never referenced again) -- space, not
@@ -573,14 +535,12 @@ class EncipheredDatabase:
                 result = self.records.get(record_id)
         if obs.enabled:
             obs.heat.note_op((key,), span.duration_ns)
-            obs.heat.note_blocks((record_id // self.records.slots_per_block,))
         return result
 
     def get(self, key: int, default: bytes | None = None) -> bytes | None:
         """Like :meth:`search`, but returns ``default`` for absent keys."""
         obs = self.obs
         span = obs.trace("db.get")
-        record_id = None
         with span:
             with self.lock.read_locked():
                 try:
@@ -591,8 +551,6 @@ class EncipheredDatabase:
                     result = self.records.get(record_id)
         if obs.enabled:
             obs.heat.note_op((key,), span.duration_ns)
-            if record_id is not None:
-                obs.heat.note_blocks((record_id // self.records.slots_per_block,))
         return result
 
     def __contains__(self, key: int) -> bool:
@@ -732,8 +690,6 @@ class EncipheredDatabase:
                 result = [(key, record) for (key, _), record in zip(matches, records)]
         if obs.enabled:
             obs.heat.note_op([key for key, _ in matches], span.duration_ns)
-            spb = self.records.slots_per_block
-            obs.heat.note_blocks({record_id // spb for _, record_id in matches})
         return result
 
     def items(self) -> Iterator[tuple[int, bytes]]:
@@ -892,10 +848,7 @@ class EncipheredDatabase:
         """Commit pending work and release both devices' OS resources.
 
         A no-op beyond the commit for in-memory backends.  Do not call
-        inside a :meth:`transaction` scope.  With observability enabled
-        and a known backend the accumulated record-block heat is
-        persisted on the way out, so the *next* open can warm the blocks
-        this run proved hot.
+        inside a :meth:`transaction` scope.
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (a crashed worker, an injected device fault):
@@ -906,10 +859,6 @@ class EncipheredDatabase:
         if self._db_closed:
             return
         self._db_closed = True
-        if self._warm_thread is not None:
-            # a background warm may still hold the read lock; wait it
-            # out (bounded -- it is advisory) before tearing devices down
-            self._warm_thread.join(timeout=10.0)
         first_error: BaseException | None = None
         try:
             if self.has_uncommitted_changes:
@@ -921,11 +870,6 @@ class EncipheredDatabase:
         except BaseException as exc:
             if first_error is None:
                 first_error = exc
-        if self._backend is not None and self.obs.enabled and first_error is None:
-            try:
-                self.save_heat()
-            except StorageError:
-                pass  # heat is advisory; closing must not fail over it
         for device in (self.records.disk, self.disk):
             try:
                 device.close()
@@ -935,63 +879,9 @@ class EncipheredDatabase:
         if first_error is not None:
             raise first_error
 
-    # -- persisted heat ---------------------------------------------------
-
-    def _heat_cipher(self) -> CBCCipher:
-        des = DES(self._super_key)
-        return CBCCipher(des, des.encrypt_block(b"HEATMAP0"))
-
-    def save_heat(self) -> bool:
-        """Persist the record-block heat map beside the devices.
-
-        Enciphered under the super key like the superblock -- the heat
-        map is an access-pattern oracle, exactly what the enciphered
-        database exists to deny an opponent.  Returns ``False`` when no
-        backend is known, ``True`` after a save.
-        """
-        if self._backend is None:
-            return False
-        blocks = self.obs.heat.combined_blocks()
-        payload = json.dumps(
-            {
-                "version": 1,
-                "blocks": {str(k): v for k, v in sorted(blocks.items())},
-            },
-            separators=(",", ":"),
-        ).encode("utf-8")
-        self._backend.save_blob("heat", self._heat_cipher().encrypt(payload))
-        return True
-
-    def load_heat(self) -> dict[int, int] | None:
-        """Adopt a persisted heat map as this handle's warming seed.
-
-        Returns the seeded ``{block_id: count}`` map, ``None`` when no
-        backend or no blob exists; raises :class:`IntegrityError` for a
-        blob that does not decipher or parse (wrong key or corruption).
-        """
-        if self._backend is None:
-            return None
-        blob = self._backend.load_blob("heat")
-        if blob is None:
-            return None
-        try:
-            doc = json.loads(self._heat_cipher().decrypt(blob).decode("utf-8"))
-            if doc["version"] != 1:
-                raise ValueError(f"unknown heat version {doc['version']!r}")
-            blocks = {int(k): int(v) for k, v in doc["blocks"].items()}
-        except (CryptoError, ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise IntegrityError(f"heat blob does not decipher: {exc}") from exc
-        self.obs.heat.seed_blocks(blocks)
-        return blocks
-
     # -- caches ----------------------------------------------------------
 
-    def warm(
-        self,
-        levels: int = 2,
-        hot_record_blocks: int = 0,
-        background: bool = False,
-    ) -> int:
+    def warm(self, levels: int = 2) -> int:
         """Pre-decode the root's top ``levels`` into the node caches.
 
         Closes part of the cold-reopen gap without waiting for organic
@@ -999,64 +889,18 @@ class EncipheredDatabase:
         cold).  The work is honest traversal work -- counted like any
         read -- and is additionally tallied under ``stats()``'s
         ``cache_warming`` so operators can see prefetch cost apart from
-        serving cost.
-
-        ``hot_record_blocks > 0`` additionally pre-decodes up to that
-        many of the hottest record blocks known to the heat map
-        (live traffic plus any persisted heat adopted at reopen) into
-        the record cache.  Returns the total number of nodes and record
-        blocks touched.
-
-        ``background=True`` runs the same warm on a daemon thread and
-        returns 0 immediately: a reopen can start serving at once while
-        the prefetch fills caches behind it.  The thread takes the
-        ordinary read lock, so it interleaves with readers and yields to
-        writers like any traversal; progress is visible in
-        ``stats()["cache_warming"]`` (``background_warms`` started,
-        ``background_completed`` finished, plus the usual warmed
-        counts).  The latest thread is kept on ``_warm_thread`` so tests
-        and shutdown paths can ``join`` it.
+        serving cost.  Returns the number of nodes touched.
         """
-        if background:
-            self.warming.bump("background_warms")
-
-            def _run() -> None:
-                try:
-                    self._warm_locked(levels, hot_record_blocks)
-                except BaseException:
-                    # advisory work on an unjoined thread: a database
-                    # closed mid-warm must not spew to stderr
-                    self.warming.bump("background_failed")
-                else:
-                    self.warming.bump("background_completed")
-
-            thread = threading.Thread(
-                target=_run, name="repro-cache-warm", daemon=True
-            )
-            self._warm_thread = thread
-            thread.start()
-            return 0
-        return self._warm_locked(levels, hot_record_blocks)
-
-    def _warm_locked(self, levels: int, hot_record_blocks: int) -> int:
         with self.lock.read_locked():
             warmed = self.tree.warm(levels)
-            warmed_blocks = 0
-            if hot_record_blocks > 0:
-                warmed_blocks = self.records.warm_blocks(
-                    self.obs.heat.hot_blocks(hot_record_blocks)
-                )
         self.warming.bump("nodes_warmed", warmed)
-        if warmed_blocks:
-            self.warming.bump("record_blocks_warmed", warmed_blocks)
-        return warmed + warmed_blocks
+        return warmed
 
     def cache_config(self) -> dict[str, int]:
         """Capacity (in blocks) of each read-path cache level."""
         return {
             "node_raw_blocks": self.tree.pager.capacity,
             "node_decoded_blocks": self.tree.pager.decoded.capacity,
-            "node_decoded_max_bytes": self.tree.pager.decoded.max_bytes,
             "record_plaintext_blocks": self.records.cache.capacity,
         }
 
@@ -1068,7 +912,7 @@ class EncipheredDatabase:
         :meth:`transaction` scope flushing would push uncommitted pages
         past the rollback point, so only *clean* raw pages and the
         derived plaintext levels (decoded views, record slots) are
-        dropped; uncommitted dirt stays pinned and discardable.  Either
+        dropped; uncommitted dirt stays cached and discardable.  Either
         way the call is safe mid-workload.
         """
         with self.lock.write_locked():
@@ -1151,12 +995,7 @@ class EncipheredDatabase:
                 "record_cipher": self.records.cipher_counts.snapshot(),
                 "record_cache": self.records.cache.stats.snapshot(),
                 "cache_warming": self.warming.snapshot(),
-                # bytes_cached is a gauge (current footprint under the
-                # byte budget), reported beside the cache's counters
-                "node_decoded_cache": {
-                    **self.tree.pager.decoded.stats.snapshot(),
-                    "bytes_cached": self.tree.pager.decoded.total_bytes,
-                },
+                "node_decoded_cache": self.tree.pager.decoded.stats.snapshot(),
                 "pointer_cipher": {
                     "encryptions": self.pointer_cipher.counts.encryptions,
                     "decryptions": self.pointer_cipher.counts.decryptions,

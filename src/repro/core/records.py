@@ -534,14 +534,15 @@ class RecordStore:
     def warm_blocks(self, block_ids) -> int:
         """Pre-decipher the listed blocks into the plaintext cache.
 
-        The record-side analogue of tree warming: fed from a persisted
-        heat map (see :meth:`repro.core.database.EncipheredDatabase.
-        warm`), it pays each block's decipher up front so the first real
-        reads hit plaintext.  Returns the number of blocks actually
-        warmed; ids beyond the store, never-written blocks, and ids the
-        (disabled or too-small) cache will not retain are skipped, not
-        errors -- a heat map from a previous session may describe blocks
-        that no longer exist.
+        The readahead range prewarm of
+        :meth:`repro.core.database.EncipheredDatabase.range_search` calls
+        this with every block its matches live in, so each uncached
+        block is fetched in one device batch and deciphered once before
+        the per-record reads hit plaintext.  Returns the number of blocks
+        actually warmed; ids beyond the store, never-written blocks, and
+        ids the (disabled or too-small) cache will not retain are
+        skipped, not errors -- a prewarm is advisory, and a failed read
+        resurfaces in the real read that follows.
         """
         if not self.cache.enabled:
             return 0
@@ -721,9 +722,11 @@ class RecordStore:
         in one device batch and deciphered in one bulk DES call (see
         :meth:`_RecordBlockTransform.on_read_many`); cipher and
         :class:`~repro.storage.device.DiskStats` counts are those of the
-        loop, a repeated block counting once per record.  An
-        out-of-range, empty or free slot raises the loop's
-        :class:`StorageError` for the first such id in order.  With the
+        loop, a repeated block counting once per record.  Errors are the
+        loop's too: the first failing id in order raises what its
+        :meth:`get` would.  A batch read that raises (a damaged block
+        anywhere in the batch) is therefore replayed through :meth:`get`,
+        so a free slot before the damaged block still wins.  With the
         cache on this is the loop itself.
         """
         ids = list(record_ids)
@@ -741,7 +744,10 @@ class RecordStore:
             blocks.append(block_index)
             lo = slot * self.slot_size
             windows.append((lo, lo + self.slot_size))
-        raws = self.disk.read_many(blocks, windows) if blocks else []
+        try:
+            raws = self.disk.read_many(blocks, windows) if blocks else []
+        except Exception:
+            return [self.get(record_id) for record_id in ids]
         out = [self._decode_slot(record_id, raw) for record_id, raw in zip(ids, raws)]
         if failure is not None:
             raise failure

@@ -8,8 +8,7 @@ EncipheredDatabase` bundles the three instruments built in this package:
   so every shard and worker snapshot has the same shape);
 * a :class:`~repro.obs.tracing.Tracer` whose spans feed those
   histograms, a recent-span ring and a slow-op log;
-* a :class:`~repro.obs.heat.HeatMap` of per-key-range and per-record-
-  block heat.
+* a :class:`~repro.obs.heat.HeatMap` of per-key-range heat.
 
 The whole plane is governed by one switch.  Disabled (the default, and
 the paper-faithful cost model) every instrument is a no-op fast path;
@@ -192,7 +191,6 @@ class Observability:
             )
         # gauges are export-only readings; refresh the built-ins first
         self.registry.gauge("tracer.ring_spans").set(len(self.tracer.recent_spans()))
-        self.registry.gauge("heat.blocks_tracked").set(len(self.heat.block_counts()))
         gauges = self.registry.gauge_values()
         lines.append(
             "gauges: "

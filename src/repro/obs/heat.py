@@ -1,29 +1,19 @@
-"""Per-key-range and per-record-block heat tracking.
+"""Per-key-range heat tracking.
 
-Two complementary maps, with deliberately different shapes:
+The key universe is divided into :data:`NUM_RANGES` equal bands and
+every database operation bumps the bands its keys fall in, plus an
+``ops`` count and a ``busy_ns`` total.  The shape is *fixed*, so the
+counts ride inside ``stats()`` like any other counter family: they merge
+leaf-wise across shards, subtract cleanly in the worker-harvest
+protocol, and roll up in :class:`~repro.cluster.stats.ClusterStats` --
+the per-shard/per-range signal a hot-shard splitter needs (benchmark C13
+asserts it across executors).
 
-* **Key-range heat** -- the key universe is divided into
-  :data:`NUM_RANGES` equal bands and every database operation bumps the
-  bands its keys fall in, plus an ``ops`` count and a ``busy_ns`` total.
-  The shape is *fixed*, so the counts ride inside ``stats()`` like any
-  other counter family: they merge leaf-wise across shards, subtract
-  cleanly in the worker-harvest protocol, and roll up in
-  :class:`~repro.cluster.stats.ClusterStats` -- which is exactly the
-  per-shard/per-range signal the hot-shard-splitting roadmap item needs.
-* **Record-block heat** -- an open-ended ``block_id -> touch count``
-  dict.  Variable shape means it must **not** enter the mergeable stats
-  snapshot (the leaf-wise subtract requires identical keys), so it
-  travels through its own dedicated channel: a ``"heat"`` op on the
-  worker pipe protocol (delta-folded by the parent, mirroring the
-  counter harvest) and a :meth:`HeatMap.seed_blocks` /
-  ``save_heat()``/``load_heat()`` persistence path through the storage
-  backend, so ``warm()`` can pre-decipher the hottest record blocks on
-  the *next* open -- the carried-over "persisted heat map" item.
+Nothing here is persisted: heat lives in memory for the life of a
+handle, so turning observability on never changes what is at rest.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro.counters import ThreadSafeCounters
 
@@ -41,7 +31,7 @@ class _RangeCounters(ThreadSafeCounters):
 
 
 class HeatMap:
-    """Key-range heat counters plus a record-block touch map.
+    """Key-range heat counters.
 
     Parameters
     ----------
@@ -61,11 +51,6 @@ class HeatMap:
         else:
             self._lo, self._span = universe.start, len(universe)
         self._ranges = _RangeCounters()
-        self._block_lock = threading.Lock()
-        self._blocks: dict[int, int] = {}
-        self._seeded: dict[int, int] = {}
-
-    # -- key-range heat (fixed shape, rides in stats) ---------------------
 
     def bucket_for(self, key: int) -> int:
         """The band index a key falls in (clamped at the universe edges)."""
@@ -100,58 +85,3 @@ class HeatMap:
     def snapshot(self) -> dict[str, int]:
         """The fixed-shape, additive key-range counters."""
         return self._ranges.snapshot()
-
-    # -- record-block heat (variable shape, dedicated channel) ------------
-
-    def note_blocks(self, block_ids) -> None:
-        """Record one touch of each listed record block."""
-        if not self.enabled:
-            return
-        with self._block_lock:
-            blocks = self._blocks
-            for block_id in block_ids:
-                blocks[block_id] = blocks.get(block_id, 0) + 1
-
-    def add_blocks(self, counts: dict[int, int]) -> None:
-        """Fold a harvested block-heat delta (e.g. from a worker) in."""
-        if not counts:
-            return
-        with self._block_lock:
-            blocks = self._blocks
-            for block_id, n in counts.items():
-                if n:
-                    blocks[block_id] = blocks.get(block_id, 0) + n
-
-    def block_counts(self) -> dict[int, int]:
-        """This session's live block touches (excluding seeded history)."""
-        with self._block_lock:
-            return dict(self._blocks)
-
-    def seed_blocks(self, counts: dict[int, int]) -> None:
-        """Install persisted block heat from a previous session."""
-        with self._block_lock:
-            self._seeded = {int(k): int(v) for k, v in counts.items()}
-
-    def seeded_blocks(self) -> dict[int, int]:
-        with self._block_lock:
-            return dict(self._seeded)
-
-    def combined_blocks(self) -> dict[int, int]:
-        """Live + seeded touches per block -- what persistence saves."""
-        with self._block_lock:
-            combined = dict(self._seeded)
-            for block_id, n in self._blocks.items():
-                combined[block_id] = combined.get(block_id, 0) + n
-            return combined
-
-    def hot_blocks(self, n: int) -> list[int]:
-        """The ``n`` hottest record blocks, hottest first.
-
-        Ties break on block id so the warming order is deterministic
-        (reproducibility is a benchmark requirement).
-        """
-        if n <= 0:
-            return []
-        combined = self.combined_blocks()
-        ranked = sorted(combined.items(), key=lambda item: (-item[1], item[0]))
-        return [block_id for block_id, _ in ranked[:n]]

@@ -16,9 +16,9 @@ physical disk.  This package simulates that boundary:
   used for block repair) on open;
 * :mod:`repro.storage.backend` -- factories binding a database's
   devices and manifest to memory or to a directory of platter files;
-* :mod:`repro.storage.cache` -- the generic thread-safe LRU (pinning,
-  eviction callback, mergeable hit/miss/eviction stats) every read-path
-  layer builds its caching on;
+* :mod:`repro.storage.cache` -- the generic thread-safe LRU (eviction
+  predicate and callback, mergeable hit/miss/eviction stats) every
+  read-path layer builds its caching on;
 * :mod:`repro.storage.pager` -- block allocation plus a two-level cache:
   *raw* (still-enciphered) blocks, so cryptographic costs stay faithful
   while disk traffic is still realistic, and an opt-in decoded-page

@@ -88,20 +88,6 @@ class StorageBackend(ABC):
     def load_manifest(self) -> bytes:
         """The stored manifest blob; :class:`StorageError` if none."""
 
-    # -- auxiliary blobs (advisory data riding beside the devices) -------
-
-    def save_blob(self, name: str, payload: bytes) -> None:
-        """Store a named auxiliary blob (e.g. the persisted heat map).
-
-        Blobs are *advisory* -- losing one never loses data -- so the
-        base class declines rather than forcing every backend to care.
-        """
-        raise StorageError(f"{type(self).__name__} does not store auxiliary blobs")
-
-    def load_blob(self, name: str) -> bytes | None:
-        """The named blob, or ``None`` when absent (or unsupported)."""
-        return None
-
 
 class MemoryBackend(StorageBackend):
     """In-memory devices with a registry, so reopen-by-name works.
@@ -119,7 +105,6 @@ class MemoryBackend(StorageBackend):
         self._devices: dict[str, SimulatedDisk] = {}
         self._scopes: dict[str, MemoryBackend] = {}
         self._manifest: bytes | None = None
-        self._blobs: dict[str, bytes] = {}
 
     def open_device(
         self,
@@ -167,12 +152,6 @@ class MemoryBackend(StorageBackend):
         if self._manifest is None:
             raise StorageError("no manifest stored in this backend")
         return self._manifest
-
-    def save_blob(self, name: str, payload: bytes) -> None:
-        self._blobs[_check_name(name)] = bytes(payload)
-
-    def load_blob(self, name: str) -> bytes | None:
-        return self._blobs.get(_check_name(name))
 
 
 class FileBackend(StorageBackend):
@@ -262,29 +241,3 @@ class FileBackend(StorageBackend):
                 return fh.read()
         except FileNotFoundError:
             raise StorageError(f"no manifest at {self.manifest_path}") from None
-
-    def blob_path(self, name: str) -> str:
-        return os.path.join(self.root, _check_name(name) + ".blob")
-
-    def save_blob(self, name: str, payload: bytes) -> None:
-        """Atomic replace, same discipline as :meth:`save_manifest`."""
-        path = self.blob_path(name)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{name}.blob.")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-                fh.flush()
-                if self.fsync:
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-
-    def load_blob(self, name: str) -> bytes | None:
-        try:
-            with open(self.blob_path(name), "rb") as fh:
-                return fh.read()
-        except FileNotFoundError:
-            return None

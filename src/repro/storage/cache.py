@@ -9,12 +9,11 @@ them: one eviction policy, one stats shape (so the cluster layer can sum
 cache counters leaf-wise like every other counter dict), and two hooks
 the storage layers need:
 
-* **eviction protection** -- per-key pins (a pinned entry is never
-  chosen for eviction; the cache may temporarily exceed its capacity)
-  and a ``may_evict`` predicate consulted at eviction time.  The
-  write-back pager uses the predicate to exempt dirty pages while
-  ``retain_dirty`` is raised, so a transaction's uncommitted pages stay
-  discardable for rollback.
+* **eviction protection** -- a ``may_evict`` predicate consulted at
+  eviction time (a protected entry is never chosen; the cache may
+  temporarily exceed its capacity).  The write-back pager uses it to
+  exempt dirty pages while ``retain_dirty`` is raised, so a
+  transaction's uncommitted pages stay discardable for rollback.
 * **eviction callback** -- invoked for entries *evicted by capacity
   pressure* (not for explicit :meth:`invalidate`/:meth:`clear`), which
   is where the pager's evict-writes-dirty policy lives.
@@ -79,14 +78,14 @@ _ABSENT = object()
 
 
 class LRUCache:
-    """Thread-safe LRU mapping with pinning and an eviction callback.
+    """Thread-safe LRU mapping with an eviction predicate and callback.
 
     Parameters
     ----------
     capacity:
         Budget in entries (for the storage layers: blocks).  ``0``
         disables the cache: every :meth:`get` misses, and a :meth:`put`
-        of an unpinned entry stores it only to evict it immediately
+        of an evictable entry stores it only to evict it immediately
         (firing ``on_evict``) -- which is exactly how a write-back pager
         with no cache degenerates to write-through.  Read paths should
         guard their fill with :attr:`enabled` to skip that churn.
@@ -97,25 +96,13 @@ class LRUCache:
         :meth:`clear` -- explicit removal means the caller already knows.
     may_evict:
         Optional predicate consulted *at eviction time*: entries for
-        which it returns ``False`` are skipped like pinned ones.  Unlike
-        a pin -- set once, on one key -- the predicate sees the caller's
+        which it returns ``False`` are skipped.  It sees the caller's
         *current* state, so a policy toggle (the pager's
         ``retain_dirty``) protects entries that were inserted before the
         toggle.  Callers whose predicate can flip back to permissive
         should :meth:`enforce_capacity` afterwards.
     name:
         Label for diagnostics and ``repr``.
-    weigher:
-        Optional ``weigher(key, value) -> int`` giving an entry's weight
-        in bytes; consulted at :meth:`put` time unless the caller passes
-        an explicit ``weight``.  Without either, entries weigh 0.
-    max_bytes:
-        Byte budget over the summed entry weights; ``0`` (default) means
-        unweighted -- only the entry-count bound applies.  When
-        ``max_bytes > 0`` the cache is enabled even with ``capacity=0``
-        (byte-bounded only): capacity planning by memory footprint
-        instead of entry count, which is what the decoded-node cache
-        needs -- node views vary widely in size.
     """
 
     def __init__(
@@ -124,24 +111,15 @@ class LRUCache:
         on_evict: Callable[[Hashable, object], None] | None = None,
         may_evict: Callable[[Hashable], bool] | None = None,
         name: str = "lru",
-        weigher: Callable[[Hashable, object], int] | None = None,
-        max_bytes: int = 0,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
-        if max_bytes < 0:
-            raise ValueError(f"cache byte budget must be >= 0, got {max_bytes}")
         self.name = name
         self.stats = CacheStats()
         self._capacity = capacity
-        self._max_bytes = max_bytes
-        self._weigher = weigher
         self._on_evict = on_evict
         self._may_evict = may_evict
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._weights: dict[Hashable, int] = {}
-        self._total_bytes = 0
-        self._pinned: set[Hashable] = set()
         # Reentrant: an on_evict callback may invalidate() other keys.
         self._lock = threading.RLock()
 
@@ -152,19 +130,8 @@ class LRUCache:
         return self._capacity
 
     @property
-    def max_bytes(self) -> int:
-        """Byte budget over entry weights (0 = unweighted)."""
-        return self._max_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        """Summed weight of the cached entries (a gauge, not a counter)."""
-        with self._lock:
-            return self._total_bytes
-
-    @property
     def enabled(self) -> bool:
-        return self._capacity > 0 or self._max_bytes > 0
+        return self._capacity > 0
 
     def resize(self, capacity: int) -> None:
         """Change the entry budget; shrinking evicts LRU-first."""
@@ -172,14 +139,6 @@ class LRUCache:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         with self._lock:
             self._capacity = capacity
-            self._evict_over_capacity()
-
-    def resize_bytes(self, max_bytes: int) -> None:
-        """Change the byte budget; shrinking evicts LRU-first."""
-        if max_bytes < 0:
-            raise ValueError(f"cache byte budget must be >= 0, got {max_bytes}")
-        with self._lock:
-            self._max_bytes = max_bytes
             self._evict_over_capacity()
 
     # -- lookup / insertion ----------------------------------------------
@@ -201,45 +160,12 @@ class LRUCache:
             value = self._entries.get(key, _ABSENT)
             return default if value is _ABSENT else value
 
-    def put(self, key: Hashable, value: object, weight: int | None = None) -> None:
-        """Insert or refresh an entry, then re-apply both capacity bounds.
-
-        ``weight`` is the entry's size in bytes; when omitted, the
-        constructor's ``weigher`` is consulted (0 without one).  Callers
-        that already know the byte size (the pager knows its block
-        length) pass it explicitly and skip the weigher.
-        """
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert or refresh an entry, then re-apply the capacity bound."""
         with self._lock:
-            if weight is None:
-                weight = self._weigher(key, value) if self._weigher else 0
-            self._total_bytes += weight - self._weights.get(key, 0)
-            self._weights[key] = weight
             self._entries[key] = value
             self._entries.move_to_end(key)
             self.stats.insertions += 1
-            self._evict_over_capacity()
-
-    # -- pinning ---------------------------------------------------------
-
-    def pin(self, key: Hashable) -> None:
-        """Exempt ``key`` from eviction until :meth:`unpin`.
-
-        Pinning is advisory on absent keys: the pin applies if and when
-        the key is cached.
-        """
-        with self._lock:
-            self._pinned.add(key)
-
-    def unpin(self, key: Hashable) -> None:
-        """Make ``key`` ordinarily evictable again."""
-        with self._lock:
-            self._pinned.discard(key)
-            self._evict_over_capacity()
-
-    def unpin_all(self) -> None:
-        """Drop every pin and re-apply the capacity bound."""
-        with self._lock:
-            self._pinned.clear()
             self._evict_over_capacity()
 
     def enforce_capacity(self) -> None:
@@ -247,36 +173,26 @@ class LRUCache:
         with self._lock:
             self._evict_over_capacity()
 
-    @property
-    def pinned_count(self) -> int:
-        with self._lock:
-            return len(self._pinned)
-
     # -- removal ---------------------------------------------------------
 
     def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` (pinned or not); returns whether it was cached.
+        """Drop ``key`` (protected or not); returns whether it was cached.
 
         The eviction callback is *not* invoked -- invalidation is the
         caller declaring the entry dead, not the cache shedding load.
         """
         with self._lock:
-            self._pinned.discard(key)
             if self._entries.pop(key, _ABSENT) is _ABSENT:
                 return False
-            self._total_bytes -= self._weights.pop(key, 0)
             self.stats.invalidations += 1
             return True
 
     def clear(self) -> int:
-        """Drop everything (pins included); returns the number dropped."""
+        """Drop everything (protected entries too); returns the number dropped."""
         with self._lock:
             dropped = len(self._entries)
             self.stats.invalidations += dropped
             self._entries.clear()
-            self._weights.clear()
-            self._total_bytes = 0
-            self._pinned.clear()
             return dropped
 
     # -- introspection ---------------------------------------------------
@@ -302,34 +218,17 @@ class LRUCache:
 
     # -- internals -------------------------------------------------------
 
-    def _over_budget(self) -> bool:
-        # The entry-count bound applies unless the cache is byte-bounded
-        # only (capacity 0 with a byte budget); the byte bound applies
-        # whenever one is set.  With neither (capacity 0, max_bytes 0)
-        # the cache is disabled and every entry is over budget -- the
-        # degenerate behaviour write-back pagers rely on.
-        if self._max_bytes and self._total_bytes > self._max_bytes:
-            return True
-        if self._capacity or not self._max_bytes:
-            return len(self._entries) > self._capacity
-        return False
-
     def _evict_over_capacity(self) -> None:
-        # callers hold self._lock
-        while self._over_budget():
+        # callers hold self._lock; with capacity 0 every entry is over
+        # budget -- the degenerate behaviour write-back pagers rely on
+        while len(self._entries) > self._capacity:
             victim = next(
-                (
-                    k
-                    for k in self._entries
-                    if k not in self._pinned
-                    and (self._may_evict is None or self._may_evict(k))
-                ),
+                (k for k in self._entries if self._may_evict is None or self._may_evict(k)),
                 _ABSENT,
             )
             if victim is _ABSENT:
                 return  # everything is protected; bound restored later
             value = self._entries.pop(victim)
-            self._total_bytes -= self._weights.pop(victim, 0)
             self.stats.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(victim, value)

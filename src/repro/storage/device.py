@@ -254,8 +254,7 @@ class BlockDevice(ABC):
         counts identical whether or not faults fire.
         """
         faults = self.faults
-        policy = self.retry_policy
-        if faults is None and policy is None:
+        if faults is None and self.retry_policy is None:
             return fn()
 
         def attempt():
@@ -263,23 +262,10 @@ class BlockDevice(ABC):
                 self._inject(op, block_id, stored)
             return fn()
 
-        if policy is None:
-            return attempt()
-
-        def on_retry(_attempt_no, _exc):
-            self.retry_counters["retries"] += 1
-            with self.tracer.trace("device.fault_retry"):
-                pass  # count the retry in the span stream, duration ~0
-
-        try:
-            return policy.call(attempt, rng=self._fault_rng, on_retry=on_retry)
-        except Exception as exc:
-            if RetryPolicy.is_transient(exc):
-                self.retry_counters["retries_exhausted"] += 1
-            raise
+        return self._guarded_batch(attempt)
 
     def _guarded_batch(self, attempt):
-        """Retry an already-prepared batch attempt (injection included)."""
+        """Retry an already-prepared attempt (injection included)."""
         policy = self.retry_policy
         if policy is None:
             return attempt()

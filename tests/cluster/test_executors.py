@@ -366,25 +366,6 @@ class TestValidationAndErrors:
             control.close()
             cluster.close()
 
-    def test_gauge_not_double_counted_through_workers(self):
-        sample = random.Random(0xED).sample(range(DESIGN.v), 40)
-        cluster = ShardedEncipheredDatabase.create(
-            sub_factory, cipher_factory, num_shards=NUM_SHARDS,
-            block_size=512, min_degree=2, executor="processes",
-            decoded_node_cache_bytes=4096,
-        )
-        try:
-            cluster.bulk_load(records_for(sample).items())
-            cluster.range_search(0, DESIGN.v)
-            reported = cluster.stats().aggregate["node_decoded_cache"]["bytes_cached"]
-            parent_only = sum(
-                s.tree.pager.decoded.total_bytes for s in cluster.shards
-            )
-            assert reported == parent_only
-            assert 0 <= reported <= NUM_SHARDS * 4096
-        finally:
-            cluster.close()
-
     def test_worker_errors_propagate_and_worker_survives(self):
         sample = random.Random(0xEA).sample(range(DESIGN.v), 20)
         cluster = make_cluster("processes")

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.records import RecordStore
-from repro.exceptions import StorageError
+from repro.exceptions import CryptoError, StorageError
 from repro.storage.backend import FileBackend
 
 KEY = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"
@@ -281,6 +281,19 @@ class TestGetMany:
         ids.insert(position, bad_id)
         expected = self._loop(store, ids)
         assert expected[0] == "error"
+        assert self._outcome(lambda: store.get_many(ids)) == expected
+
+    def test_free_slot_before_a_damaged_block_wins(self):
+        """The batch read fails on the damaged block, yet the earlier
+        free slot's error is the one the loop -- and get_many -- raise."""
+        store, rids = self._filled()
+        raw = store.disk.raw_block(2)
+        store.disk.patch_state(store.disk.num_blocks, {2: raw[:-3]})
+        ids = [rids[4], rids[15]]
+        with pytest.raises(CryptoError):
+            store.get(rids[15])
+        expected = self._loop(store, ids)
+        assert expected == ("error", StorageError, f"record id {rids[4]} slot is free or corrupt")
         assert self._outcome(lambda: store.get_many(ids)) == expected
 
     @pytest.mark.parametrize(

@@ -1,0 +1,139 @@
+"""Deleted cache and heat options fail loudly instead of being ignored.
+
+Record-block heat (and its persistence), heat-guided and background
+warming, the decoded-node byte budget and LRU pinning were removed: no
+measured workload gained from them.  A caller still passing one of their
+keywords gets a ``TypeError``; their methods are gone.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.cluster.sharded import ShardedEncipheredDatabase
+from repro.core.database import EncipheredDatabase
+from repro.crypto.rsa import RSA, generate_rsa_keypair
+from repro.designs.difference_sets import planar_difference_set
+from repro.obs import HeatMap
+from repro.storage.backend import FileBackend, MemoryBackend
+from repro.storage.cache import LRUCache
+from repro.storage.disk import SimulatedDisk
+from repro.storage.pager import Pager
+from repro.substitution.oval import OvalSubstitution
+
+DESIGN = planar_difference_set(13)  # v = 183
+
+
+def sub(i: int = 0) -> OvalSubstitution:
+    return OvalSubstitution(DESIGN, t=5)
+
+
+def cipher(i: int = 0) -> RSA:
+    return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xD0 + i)))
+
+
+BUDGET = {"decoded_node_cache_bytes": 1024}
+
+
+def _reopen_db(tmp_path):
+    backend = FileBackend(tmp_path / "db", fsync=False)
+    db = EncipheredDatabase.create(sub(), cipher(), backend=backend)
+    db.close()
+    return EncipheredDatabase.reopen(sub(), cipher(), db.disk, db.records, **BUDGET)
+
+
+def _reopen_db_from_backend(tmp_path):
+    backend = FileBackend(tmp_path / "db", fsync=False)
+    EncipheredDatabase.create(sub(), cipher(), backend=backend).close()
+    return EncipheredDatabase.reopen_from_backend(sub(), cipher(), backend, **BUDGET)
+
+
+def _reopen_cluster(tmp_path):
+    cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
+    return ShardedEncipheredDatabase.reopen(sub, cipher, cluster.shard_parts(), **BUDGET)
+
+
+def _reopen_cluster_from_manifest(tmp_path):
+    backend = MemoryBackend()
+    ShardedEncipheredDatabase.create(sub, cipher, num_shards=2, backend=backend).close()
+    return ShardedEncipheredDatabase.reopen_from_manifest(sub, cipher, backend, **BUDGET)
+
+
+#: Every surface that took a removed keyword, called with it.
+REJECTING_CALLS = {
+    "db.create": lambda tmp_path: EncipheredDatabase.create(sub(), cipher(), **BUDGET),
+    "db.reopen": _reopen_db,
+    "db.reopen_from_backend": _reopen_db_from_backend,
+    "cluster.create": lambda tmp_path: ShardedEncipheredDatabase.create(
+        sub, cipher, num_shards=2, **BUDGET
+    ),
+    "cluster.reopen": _reopen_cluster,
+    "cluster.reopen_from_manifest": _reopen_cluster_from_manifest,
+    "Pager(decoded_cache_bytes)": lambda tmp_path: Pager(
+        SimulatedDisk(block_size=64), decoded_cache_bytes=1024
+    ),
+    "LRUCache(max_bytes)": lambda tmp_path: LRUCache(4, max_bytes=1024),
+    "LRUCache(weigher)": lambda tmp_path: LRUCache(4, weigher=lambda key, value: 1),
+    "LRUCache.put(weight)": lambda tmp_path: LRUCache(4).put("k", "v", weight=1),
+    "db.warm(hot_record_blocks)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher()
+    ).warm(1, hot_record_blocks=2),
+    "db.warm(background)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher()
+    ).warm(1, background=True),
+    "cluster.warm(hot_record_blocks)": lambda tmp_path: ShardedEncipheredDatabase.create(
+        sub, cipher, num_shards=2
+    ).warm(1, hot_record_blocks=2),
+    "cluster.warm(background)": lambda tmp_path: ShardedEncipheredDatabase.create(
+        sub, cipher, num_shards=2
+    ).warm(1, background=True),
+}
+
+#: Every owner of a removed method or attribute, with what it lost.
+GONE = {
+    "database": (
+        lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
+        ("save_heat", "load_heat", "_backend", "_warm_thread"),
+    ),
+    "cluster": (
+        lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2),
+        ("save_heat", "load_heat"),
+    ),
+    "MemoryBackend": (lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob")),
+    "FileBackend": (
+        lambda tmp_path: FileBackend(tmp_path / "f", fsync=False),
+        ("save_blob", "load_blob", "blob_path"),
+    ),
+    "LRUCache": (
+        lambda tmp_path: LRUCache(4),
+        ("pin", "unpin", "unpin_all", "pinned_count", "resize_bytes", "total_bytes",
+         "max_bytes"),
+    ),
+    "HeatMap": (
+        lambda tmp_path: HeatMap(),
+        ("note_blocks", "add_blocks", "block_counts", "seed_blocks", "seeded_blocks",
+         "combined_blocks", "hot_blocks"),
+    ),
+}
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("surface", sorted(REJECTING_CALLS))
+    def test_removed_keyword_raises_type_error(self, tmp_path, surface):
+        with pytest.raises(TypeError):
+            REJECTING_CALLS[surface](tmp_path)
+
+    @pytest.mark.parametrize("owner", sorted(GONE))
+    def test_removed_methods_are_gone(self, tmp_path, owner):
+        build, names = GONE[owner]
+        instance = build(tmp_path)
+        for name in names:
+            assert not hasattr(instance, name), name
+
+    def test_cache_config_drops_byte_budget(self):
+        db = EncipheredDatabase.create(sub(), cipher())
+        assert sorted(db.cache_config()) == [
+            "node_decoded_blocks", "node_raw_blocks", "record_plaintext_blocks",
+        ]

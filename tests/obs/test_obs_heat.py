@@ -1,31 +1,23 @@
-"""Heat tracking and its persistence: bands, hot blocks, save/load, warm."""
+"""Key-range heat tracking: bands, merging, and nothing left at rest."""
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
+from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.cluster.stats import merge_counter_dicts
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import IntegrityError
 from repro.obs import NUM_RANGES, RANGE_FIELDS, HeatMap, ObsConfig
-from repro.storage.backend import FileBackend, MemoryBackend
+from repro.storage.backend import FileBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
 
 
-def make_db(backend=None, enabled=True):
-    return EncipheredDatabase.create(
-        OvalSubstitution(DESIGN, t=5),
-        RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7))),
-        backend=backend,
-        observability=ObsConfig(enabled=enabled),
-        record_cache_blocks=8,
-    )
+def cipher(i: int = 0) -> RSA:
+    return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7 + i)))
 
 
 class TestKeyRangeHeat:
@@ -58,9 +50,7 @@ class TestKeyRangeHeat:
     def test_disabled_heat_is_a_noop(self):
         heat = HeatMap(range(0, 183), enabled=False)
         heat.note_op((5,), 100)
-        heat.note_blocks((1,))
         assert heat.snapshot()["ops"] == 0
-        assert heat.block_counts() == {}
 
     def test_snapshots_merge_leafwise(self):
         a = HeatMap(range(0, 183), enabled=True)
@@ -74,124 +64,55 @@ class TestKeyRangeHeat:
         assert merged[RANGE_FIELDS[-1]] == 1
 
 
-class TestBlockHeat:
-    def test_hot_blocks_ranked_with_deterministic_ties(self):
-        heat = HeatMap(enabled=True)
-        heat.note_blocks((3, 3, 3, 7, 7, 9, 2, 2))
-        assert heat.hot_blocks(3) == [3, 2, 7]  # count desc, id asc on ties
-        assert heat.hot_blocks(0) == []
-
-    def test_seeded_history_combines_with_live(self):
-        heat = HeatMap(enabled=True)
-        heat.seed_blocks({1: 10})
-        heat.note_blocks((2, 2))
-        assert heat.block_counts() == {2: 2}  # live only
-        assert heat.combined_blocks() == {1: 10, 2: 2}
-        assert heat.hot_blocks(2) == [1, 2]
-
-    def test_add_blocks_folds_deltas(self):
-        heat = HeatMap(enabled=True)
-        heat.add_blocks({4: 2})
-        heat.add_blocks({4: 1, 5: 3, 6: 0})
-        assert heat.block_counts() == {4: 3, 5: 3}
 
 
-class TestPersistence:
-    def _traffic(self, db):
+def _listing(root) -> list[str]:
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+class TestNothingAtRest:
+    """Observability records what the engine does; it never changes
+    what is at rest -- no extra file, no changed byte."""
+
+    @staticmethod
+    def _traffic(store):
         keys = random.Random(11).sample(range(DESIGN.v), 30)
         for key in keys:
-            db.insert(key, f"rec-{key}".encode())
-        for key in keys:
-            db.search(key)
-        return keys
+            store.insert(key, f"rec-{key}".encode())
+        for key in keys[::3]:
+            store.search(key)
+        store.range_search(0, DESIGN.v // 2)
+        store.delete(keys[0])
 
-    def test_roundtrip_memory_backend(self):
-        db = make_db(MemoryBackend())
-        self._traffic(db)
-        saved = db.obs.heat.combined_blocks()
-        assert saved and db.save_heat()
-        db.obs.heat.seed_blocks({})
-        assert db.load_heat() == saved
+    def _assert_same_footprint(self, tmp_path, create):
+        footprints = []
+        for enabled in (False, True):
+            root = tmp_path / f"obs-{enabled}"
+            store = create(FileBackend(root, fsync=False), ObsConfig(enabled=enabled))
+            self._traffic(store)
+            store.close()
+            footprints.append({
+                name: (root / name).read_bytes() if (root / name).is_file() else None
+                for name in _listing(root)
+            })
+        off, on = footprints
+        assert sorted(on) == sorted(off)
+        assert on == off
 
-    def test_roundtrip_file_backend(self, tmp_path):
-        backend = FileBackend(tmp_path / "db", fsync=False)
-        db = make_db(backend)
-        self._traffic(db)
-        db.close()  # enabled + backend => auto-save on close
-        reopened = EncipheredDatabase.reopen_from_backend(
-            OvalSubstitution(DESIGN, t=5),
-            RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7))),
-            backend,
-            observability=ObsConfig(enabled=True),
+    def test_single_database(self, tmp_path):
+        self._assert_same_footprint(
+            tmp_path,
+            lambda backend, obs: EncipheredDatabase.create(
+                OvalSubstitution(DESIGN, t=5), cipher(), backend=backend,
+                observability=obs, record_cache_blocks=8,
+            ),
         )
-        # reopen adopted the persisted heat automatically
-        assert reopened.obs.heat.seeded_blocks()
-        assert reopened.obs.heat.hot_blocks(4)
 
-    def test_no_backend_returns_falsy(self):
-        db = make_db(backend=None)
-        assert db.save_heat() is False
-        assert db.load_heat() is None
-
-    def test_missing_blob_returns_none(self):
-        db = make_db(MemoryBackend())
-        assert db.load_heat() is None
-
-    def test_tampered_blob_raises_but_reopen_survives(self, tmp_path):
-        backend = FileBackend(tmp_path / "db", fsync=False)
-        db = make_db(backend)
-        self._traffic(db)
-        db.close()
-        blob_path = backend.blob_path("heat")
-        raw = bytearray(open(blob_path, "rb").read())
-        raw[0] ^= 0xFF
-        open(blob_path, "wb").write(bytes(raw))
-        # the explicit API surfaces the corruption...
-        fresh = EncipheredDatabase.reopen_from_backend(
-            OvalSubstitution(DESIGN, t=5),
-            RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7))),
-            backend,
-            observability=ObsConfig(enabled=True),
+    def test_manifest_cluster(self, tmp_path):
+        self._assert_same_footprint(
+            tmp_path,
+            lambda backend, obs: ShardedEncipheredDatabase.create(
+                lambda i: OvalSubstitution(DESIGN, t=5), cipher, num_shards=2,
+                backend=backend, observability=obs,
+            ),
         )
-        # ...but the reopen itself already succeeded (heat is advisory)
-        assert fresh.obs.heat.seeded_blocks() == {}
-        with pytest.raises(IntegrityError):
-            fresh.load_heat()
-
-    def test_disabled_close_saves_nothing(self):
-        backend = MemoryBackend()
-        db = make_db(backend, enabled=False)
-        self._traffic(db)
-        db.close()
-        assert backend.load_blob("heat") is None
-
-
-class TestWarmHotBlocks:
-    def test_warm_decodes_hottest_record_blocks(self):
-        db = make_db(MemoryBackend())
-        keys = sorted(random.Random(5).sample(range(DESIGN.v), 40))
-        for key in keys:
-            db.insert(key, f"rec-{key}".encode())
-        for key in keys:
-            db.search(key)
-        hot = db.obs.heat.hot_blocks(3)
-        assert hot
-        db.clear_caches()
-        touched = db.warm(levels=1, hot_record_blocks=3)
-        stats = db.stats()["cache_warming"]
-        assert stats["record_blocks_warmed"] == len(hot)
-        assert touched == stats["nodes_warmed"] + stats["record_blocks_warmed"]
-        # the warmed blocks now serve from plaintext cache
-        hits_before = db.stats()["record_cache"]["hits"]
-        spb = db.records.slots_per_block
-        warmed_key = next(
-            key for key in keys
-            if db.tree.search(key) // spb == hot[0]
-        )
-        db.search(warmed_key)
-        assert db.stats()["record_cache"]["hits"] > hits_before
-
-    def test_default_warm_signature_unchanged(self):
-        db = make_db(MemoryBackend())
-        db.insert(5, b"x")
-        assert db.warm(levels=1) == 1  # just the root; no record blocks

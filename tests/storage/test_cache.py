@@ -77,40 +77,31 @@ class TestBasics:
         assert cache.keys() == ["b", "c", "a"]
 
 
-class TestPinning:
-    def test_pinned_entries_survive_pressure(self):
-        cache = LRUCache(1)
-        cache.put("pinned", 1)
-        cache.pin("pinned")
-        cache.put("x", 2)  # over capacity; pinned is skipped, x evicted
-        assert cache.get("pinned") == 1
+class TestEvictionProtection:
+    """``may_evict`` is consulted at eviction time, per candidate."""
+
+    def test_protected_entries_survive_pressure(self):
+        cache = LRUCache(1, may_evict=lambda k: k != "kept")
+        cache.put("kept", 1)
+        cache.put("x", 2)  # over capacity; kept is skipped, x evicted
+        assert cache.get("kept") == 1
         assert "x" not in cache
 
-    def test_unpin_restores_bound(self):
-        cache = LRUCache(1)
-        cache.put("a", 1)
-        cache.pin("a")
-        cache.put("b", 2)
-        cache.unpin("a")  # bound re-applied: LRU (a) goes
-        assert len(cache) == 1
-
-    def test_unpin_all(self):
-        cache = LRUCache(1)
+    def test_enforce_capacity_after_predicate_flips(self):
+        protect = {"on": True}
+        cache = LRUCache(1, may_evict=lambda k: not protect["on"])
         for k in "abc":
-            cache.pin(k)  # pins are advisory on absent keys
             cache.put(k, k)
-        assert len(cache) == 3
-        cache.unpin_all()
-        assert len(cache) == 1
-        assert cache.pinned_count == 0
+        assert len(cache) == 3  # everything protected: bound waits
+        protect["on"] = False
+        cache.enforce_capacity()
+        assert cache.keys() == ["c"]
 
-    def test_invalidate_drops_pinned(self):
-        cache = LRUCache(2)
+    def test_invalidate_drops_protected(self):
+        cache = LRUCache(2, may_evict=lambda k: False)
         cache.put("a", 1)
-        cache.pin("a")
         assert cache.invalidate("a") is True
         assert "a" not in cache
-        assert cache.pinned_count == 0
 
 
 class TestRemoval:
@@ -204,81 +195,3 @@ class TestThreadSafety:
         assert not errors
         assert len(cache) <= 32
         assert cache.stats.accesses > 0
-
-
-class TestByteBudget:
-    """The optional byte-accounted budget (weigher/max_bytes)."""
-
-    def test_explicit_weights_drive_eviction(self):
-        cache = LRUCache(10, max_bytes=100)
-        cache.put("a", "x", weight=40)
-        cache.put("b", "y", weight=40)
-        cache.put("c", "z", weight=40)  # 120 bytes > 100: evict LRU ("a")
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert cache.total_bytes == 80
-        assert cache.stats.evictions == 1
-
-    def test_weigher_consulted_when_no_explicit_weight(self):
-        cache = LRUCache(10, max_bytes=10, weigher=lambda k, v: len(v))
-        cache.put("a", b"12345678")
-        cache.put("b", b"1234")  # 12 bytes > 10: "a" goes
-        assert "a" not in cache
-        assert cache.total_bytes == 4
-
-    def test_byte_bound_only_ignores_entry_count(self):
-        cache = LRUCache(0, max_bytes=1000)
-        assert cache.enabled
-        for i in range(50):
-            cache.put(i, i, weight=1)
-        assert len(cache) == 50  # no entry bound in byte-only mode
-        assert cache.total_bytes == 50
-
-    def test_both_bounds_apply(self):
-        cache = LRUCache(2, max_bytes=100)
-        cache.put("a", 1, weight=1)
-        cache.put("b", 2, weight=1)
-        cache.put("c", 3, weight=1)  # entry bound trips first
-        assert len(cache) == 2
-
-    def test_refresh_replaces_weight(self):
-        cache = LRUCache(4, max_bytes=100)
-        cache.put("a", 1, weight=60)
-        cache.put("a", 2, weight=10)
-        assert cache.total_bytes == 10
-
-    def test_invalidate_and_clear_restore_bytes(self):
-        cache = LRUCache(4, max_bytes=100)
-        cache.put("a", 1, weight=30)
-        cache.put("b", 2, weight=30)
-        cache.invalidate("a")
-        assert cache.total_bytes == 30
-        cache.clear()
-        assert cache.total_bytes == 0
-
-    def test_resize_bytes_shrinks_lru_first(self):
-        cache = LRUCache(10, max_bytes=100)
-        for name, weight in (("a", 30), ("b", 30), ("c", 30)):
-            cache.put(name, name, weight=weight)
-        cache.resize_bytes(60)
-        assert "a" not in cache and "b" in cache and "c" in cache
-        assert cache.max_bytes == 60
-
-    def test_oversized_entry_cannot_stay(self):
-        cache = LRUCache(4, max_bytes=10)
-        cache.put("big", 1, weight=50)
-        assert "big" not in cache
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(4, max_bytes=-1)
-        with pytest.raises(ValueError):
-            LRUCache(4).resize_bytes(-1)
-
-    def test_unweighted_cache_unaffected(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.total_bytes == 0
-        assert cache.max_bytes == 0
-        assert not LRUCache(0).enabled
