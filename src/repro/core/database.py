@@ -792,58 +792,6 @@ class EncipheredDatabase:
             self.tree.restore_state(delta.tree_state)
             self.has_uncommitted_changes = False
 
-    # -- cross-process catch-up (durable-backend support) ----------------
-
-    def reattach(self) -> dict[str, object]:
-        """Catch this handle up with commits another process made.
-
-        The journal-driven alternative to a wholesale cold reopen: both
-        devices are polled for the block ids whose at-rest bytes moved,
-        and only those ids are dropped from the read caches (raw pages,
-        decoded node views, plaintext record blocks); the record store's
-        slot metadata is repaired by deciphering just the changed
-        blocks, and the superblock is re-read to adopt the new root and
-        size.  When a device cannot prove completeness (its WAL was
-        checkpointed past this handle), that side falls back to a
-        wholesale invalidation -- correctness never depends on the
-        delta.
-
-        Reader-role semantics (single-writer discipline): this handle
-        must have no uncommitted work of its own, and its tree free-list
-        is reset -- reattached handles serve reads; the writing process
-        owns allocation.  Returns ``{"node_blocks", "record_blocks",
-        "wholesale"}`` describing what was invalidated.
-        """
-        with self.lock.write_locked():
-            if self.has_uncommitted_changes or self._in_txn:
-                raise StorageError(
-                    "reattach on a handle with uncommitted work of its own"
-                )
-            pager = self.tree.pager
-            node_changed = self.disk.poll()
-            if node_changed is None:
-                pager.clear_cache()
-            else:
-                for block_id in node_changed:
-                    pager.invalidate(block_id)
-            record_changed = self.records.reattach()
-            root_id, min_degree, size = self._read_superblock(
-                self.disk, self._super_key
-            )
-            if min_degree != self.tree.min_degree:
-                raise IntegrityError(
-                    f"superblock records min_degree {min_degree}, "
-                    f"handle was built for {self.tree.min_degree}"
-                )
-            self.tree.restore_state((root_id, size, []))
-            return {
-                "node_blocks": len(node_changed) if node_changed is not None else None,
-                "record_blocks": (
-                    len(record_changed) if record_changed is not None else None
-                ),
-                "wholesale": node_changed is None or record_changed is None,
-            }
-
     def close(self) -> None:
         """Commit pending work and release both devices' OS resources.
 

@@ -197,10 +197,6 @@ class RecordStore:
         self._open_slots: list[bytes] = []
         self._free: list[int] = []
         self.count = 0
-        #: Number of platter blocks the slot metadata above reflects;
-        #: :meth:`reattach` uses it to tell "block changed under me"
-        #: from "block is new to me".
-        self._meta_blocks = self.disk.num_blocks
 
     @classmethod
     def reopen(
@@ -303,7 +299,6 @@ class RecordStore:
         self.count = state["count"]
         self._open_block = state["open_block"]
         self._open_slots = list(state["open_slots"])
-        self._meta_blocks = self.disk.num_blocks
         self.journal.taint()  # slot history described the replaced store
         self.cache.clear()
 
@@ -359,68 +354,7 @@ class RecordStore:
         self.count = count
         self._open_block = open_block
         self._open_slots = open_slots
-        self._meta_blocks = self.disk.num_blocks
         self.cache.clear()
-
-    def reattach(self) -> set[int] | None:
-        """Catch up with commits another handle made to the same device.
-
-        Polls the device for the block ids whose at-rest bytes moved,
-        invalidates exactly those plaintext cache entries, and repairs
-        the slot metadata incrementally -- deciphering only the changed
-        blocks, not the whole store.  Falls back to a full
-        :meth:`recover_metadata` (and a cache clear) when the device
-        cannot prove completeness (``poll()`` returned ``None``).
-        Returns what ``poll`` returned.
-        """
-        changed = self.disk.poll()
-        if changed is None:
-            self.recover_metadata()
-            return None
-        if changed:
-            for block_id in changed:
-                self.cache.invalidate(block_id)
-            self._reindex_blocks(changed)
-        return changed
-
-    def _reindex_blocks(self, changed) -> None:
-        """Fold a set of changed blocks into the slot metadata.
-
-        For each block the previous contribution (slots known, free
-        among them) is subtracted -- derivable from the old free list
-        and open-block record -- and the freshly scanned contribution is
-        added, so ``count``/``free`` stay exact without touching
-        unchanged blocks.
-        """
-        spb = self.slots_per_block
-        free_set = set(self._free)
-        for block_id in sorted(changed):
-            if block_id < self._meta_blocks:
-                old_slots = (
-                    len(self._open_slots) if block_id == self._open_block else spb
-                )
-                old_free = sum(
-                    1 for s in range(old_slots) if block_id * spb + s in free_set
-                )
-                old_live = old_slots - old_free
-            else:
-                old_live = 0
-            free_set.difference_update(block_id * spb + s for s in range(spb))
-            scanned = self._scan_block(block_id)
-            if scanned is None:
-                if block_id >= self._meta_blocks:
-                    self._open_block, self._open_slots = block_id, []
-                new_live = 0
-            else:
-                slots, free_ids, new_live = scanned
-                free_set.update(free_ids)
-                if len(slots) < spb:
-                    self._open_block, self._open_slots = block_id, slots
-                elif block_id == self._open_block:
-                    self._open_slots = slots  # the open block filled up
-            self.count += new_live - old_live
-        self._free = sorted(free_set)
-        self._meta_blocks = max(self._meta_blocks, self.disk.num_blocks)
 
     # -- incremental replica sync ----------------------------------------
 
@@ -475,7 +409,6 @@ class RecordStore:
         self.count = delta.count
         self._open_block = delta.open_block
         self._open_slots = list(delta.open_slots)
-        self._meta_blocks = self.disk.num_blocks
         for block_id in delta.disk.block_writes:
             self.cache.invalidate(block_id)
 
@@ -598,7 +531,6 @@ class RecordStore:
         if self._open_block is None or len(self._open_slots) == self.slots_per_block:
             self._open_block = self.disk.allocate()
             self._open_slots = []
-            self._meta_blocks = max(self._meta_blocks, self._open_block + 1)
         self._open_slots.append(self._encode_slot(record))
         self._flush_open()
         self.count += 1
@@ -651,7 +583,6 @@ class RecordStore:
                         store(self._open_block)
                     self._open_block = self.disk.allocate()
                     self._open_slots = []
-                    self._meta_blocks = max(self._meta_blocks, self._open_block + 1)
                 touched[self._open_block] = self._open_slots
                 slot = len(self._open_slots)
                 record_id = self._open_block * spb + slot

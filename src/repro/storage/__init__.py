@@ -5,9 +5,11 @@ of the B-Tree node blocks and data blocks"*; the authors assume an
 on-the-fly (hardware) encipherment module between main memory and the
 physical disk.  This package simulates that boundary:
 
-* :mod:`repro.storage.device` -- the :class:`BlockDevice` interface:
-  read/write accounting plus an optional encipherment transform applied
-  exactly at the read/write boundary (the hardware module's position);
+* :mod:`repro.storage.device` -- :class:`BlockDevice`, the at-rest
+  contract written once (allocation, bounds, read/write accounting,
+  state transfer, the raw view) plus an optional encipherment transform
+  applied exactly at the read/write boundary (the hardware module's
+  position); each backend below supplies only its at-rest primitives;
 * :mod:`repro.storage.disk` -- the in-memory device (instant, the
   paper-faithful cost model, optional simulated latency);
 * :mod:`repro.storage.platter` -- the durable device: one

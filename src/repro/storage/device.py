@@ -1,45 +1,55 @@
-"""The block-device interface every storage bottom implements.
+"""The block device: the one place the at-rest contract is written.
 
-Until PR 6 the storage bottom *was* :class:`~repro.storage.disk.
-SimulatedDisk` -- an instant, in-memory dict -- and every layer above it
-(pager, record store, database, cluster, replica sync) was written
-against that one concrete class.  This module extracts the contract
-those layers actually rely on into :class:`BlockDevice`, so the bottom
-becomes pluggable:
+The paper puts encipherment at exactly one place, the device boundary
+(Bayer and Metzger's on-the-fly hardware module, here a
+:class:`BlockTransform`).  :class:`BlockDevice` is that boundary, and it
+implements every shared device semantic once:
 
-* :class:`~repro.storage.disk.SimulatedDisk` -- the in-memory backend,
-  now with an optional per-operation latency so executor and cache
-  benchmarks can model I/O wait without a real file;
+* allocation, ``num_blocks`` and bounds checks;
+* single and batched reads and writes with their :class:`DiskStats`
+  bookkeeping -- a batch reads each distinct id once, in id order, and
+  counts every requester -- and the change journal's no-op dedup (a
+  write whose at-rest bytes equal what is already there is not
+  journaled);
+* the state-transfer surface the process executor and replica sync ship
+  at-rest bytes through (``export_state``/``import_state``/
+  ``snapshot_blocks``/``patch_state``);
+* the attacker's view (``raw_block``/``raw_blocks``);
+* fault injection and retries around the at-rest part.
+
+A backend supplies only its at-rest primitives: :meth:`BlockDevice.
+_at_rest` (one id's bytes, or ``None`` if never written),
+:meth:`BlockDevice._stage` (set one id's bytes), :meth:`BlockDevice._grow`
+(make room for more ids) and the service-time hook
+:meth:`BlockDevice._wait`.  There are two:
+
+* :class:`~repro.storage.disk.SimulatedDisk` -- a list in memory, with an
+  optional modelled per-operation latency;
 * :class:`~repro.storage.platter.FilePlatter` -- a single real file with
   a checksummed self-describing header, CRC-tagged block records and a
   write-ahead log, giving the enciphered-database-at-rest story an
   actual at-rest form and a crash-recovery path.
 
-The template methods here pin down the one architectural invariant both
-backends share: the optional :class:`BlockTransform` -- the paper's
-on-the-fly hardware encipherment module -- runs exactly at the
-read/write boundary, *outside* any device lock (cryptography is the
-expensive part and enciphers streams independently of platter
-arbitration).  Backends implement the at-rest primitives
-(:meth:`BlockDevice._store` / :meth:`BlockDevice._fetch`) plus the
-state-transfer surface the replica-sync protocol ships bytes through.
+The transform runs at the read/write boundary, *outside* the device lock
+(cryptography is the expensive part and enciphers streams independently
+of platter arbitration).
 
 Durability is part of the interface but optional in the implementation:
 :meth:`BlockDevice.sync` is the commit-time barrier ("pending writes
 are now at rest"), a no-op for the in-memory device and a WAL-append +
-apply + header-flip for the file platter; :meth:`BlockDevice.poll` is
-the cross-process catch-up probe behind journal-driven cache
-invalidation (see :meth:`repro.core.database.EncipheredDatabase.
-reattach`); :meth:`BlockDevice.durability_snapshot` reports the same
-counter shape for every backend so cluster statistics merge leaf-wise.
+apply + header-flip for the file platter;
+:meth:`BlockDevice.durability_snapshot` reports the same counter shape
+for every backend so cluster statistics merge leaf-wise.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Protocol
 
 from repro.exceptions import (
@@ -151,14 +161,16 @@ DURABILITY_FIELDS = (
 class BlockDevice(ABC):
     """A growable array of fixed-size blocks with I/O accounting.
 
-    Subclasses supply the at-rest storage (:meth:`_store`/:meth:`_fetch`
-    plus the allocation and state-transfer surface); this base class
-    owns the transform boundary, the shared statistics object and the
-    change journal that the incremental replica-sync protocol reads.
+    Subclasses supply the at-rest primitives (:meth:`_at_rest`,
+    :meth:`_stage`, :meth:`_grow`, :meth:`_wait`); this base class owns
+    everything else: allocation, bounds, the transform boundary, the
+    statistics, the change journal the incremental replica-sync protocol
+    reads, the state-transfer surface and the attacker's view.
 
-    The transform runs outside whatever lock the backend takes for its
-    at-rest bookkeeping, so concurrent readers admitted by the
-    database's reader--writer lock decipher in parallel.
+    The primitives run under ``_lock``, which guards the block count,
+    the at-rest bytes and the statistics; the transform runs outside it,
+    so concurrent readers admitted by the database's reader--writer lock
+    decipher in parallel.
     """
 
     def __init__(self, block_size: int, transform: BlockTransform | None) -> None:
@@ -167,6 +179,8 @@ class BlockDevice(ABC):
         self.block_size = block_size
         self.transform = transform
         self.stats = DiskStats()
+        self._lock = threading.RLock()
+        self._count = 0
         #: Span tracer for durable-path instrumentation (WAL append,
         #: fsync, header flip).  Defaults to the shared disabled tracer;
         #: the owning database replaces it with its own.
@@ -282,20 +296,81 @@ class BlockDevice(ABC):
                 self.retry_counters["retries_exhausted"] += 1
             raise
 
+    # -- the backend's at-rest primitives --------------------------------
+
+    @abstractmethod
+    def _at_rest(self, block_id: int) -> bytes | None:
+        """At-rest bytes of an in-range id, or ``None`` if never written.
+
+        Called under ``_lock``, like :meth:`_stage` and :meth:`_grow`.
+        """
+
+    @abstractmethod
+    def _stage(self, block_id: int, stored: bytes | None) -> None:
+        """Set an id's at-rest bytes (``None``: never written).
+
+        No statistics, no journal: the callers here account for both.
+        """
+
+    def _grow(self, num_blocks: int) -> None:
+        """Make room for ids below ``num_blocks`` (default: nothing to do)."""
+
+    def _wait(self) -> float | None:
+        """The service-time hook, run once per access or batch, unlocked.
+
+        Returns the modelled seconds to charge, or ``None`` (the default)
+        to charge a read its measured time.  An unmodelled write charges
+        nothing here: a durable backend's physical write is its ``sync``.
+        """
+        return None
+
+    def _overwritten(self, block_id: int):
+        """The at-rest bytes a write is about to replace (the dedup compare).
+
+        A backend whose stored bytes can be unreadable overrides this to
+        return a value unequal to any bytes, so the write lands and heals.
+        """
+        return self._at_rest(block_id)
+
     # -- allocation ------------------------------------------------------
 
-    @abstractmethod
     def allocate(self) -> int:
         """Reserve a fresh block and return its id."""
+        with self._lock:
+            block_id = self._count
+            self._grow(block_id + 1)
+            self._count = block_id + 1
+            return block_id
 
     @property
-    @abstractmethod
     def num_blocks(self) -> int:
         """Number of allocated blocks (including never-written ones)."""
+        return self._count
 
-    @abstractmethod
     def _check_id(self, block_id: int) -> None:
-        """Raise :class:`BlockBoundsError` for an out-of-range id."""
+        if not 0 <= block_id < self._count:
+            raise BlockBoundsError(
+                f"block {block_id} outside device of {self._count} blocks",
+                block_id=block_id,
+            )
+
+    def _check_fits(
+        self, block_id: int, data: bytes | None, what: str = "payload"
+    ) -> None:
+        if data is not None and len(data) > self.block_size:
+            raise BlockBoundsError(
+                f"{what} of {len(data)} bytes overflows {self.block_size}-byte block",
+                block_id=block_id,
+            )
+
+    def _written(self, block_id: int) -> bytes:
+        """At-rest bytes of a block that must have been written (locked)."""
+        stored = self._at_rest(block_id)
+        if stored is None:
+            raise BlockBoundsError(
+                f"block {block_id} was never written", block_id=block_id
+            )
+        return stored
 
     # -- I/O (template: transform at the boundary, at-rest below) --------
 
@@ -303,11 +378,7 @@ class BlockDevice(ABC):
         """Write plain bytes; the transform runs before the platter."""
         self._check_id(block_id)
         stored = self.transform.on_write(block_id, data) if self.transform else data
-        if len(stored) > self.block_size:
-            raise BlockBoundsError(
-                f"payload of {len(stored)} bytes overflows {self.block_size}-byte block",
-                block_id=block_id,
-            )
+        self._check_fits(block_id, stored)
         if self.faults is None and self.retry_policy is None:
             self._store(block_id, stored)
         else:
@@ -352,9 +423,9 @@ class BlockDevice(ABC):
         FilePlatter` does a single seek-ordered pass), while the
         transform still runs per block *outside* any device lock, so a
         readahead worker deciphers an entire batch without stalling
-        foreground I/O.  Semantics are exactly ``[read_block(b) for b in
-        block_ids]`` -- same bounds checks, same per-block statistics,
-        same exceptions.
+        foreground I/O.  Semantics are those of ``[read_block(b) for b
+        in block_ids]`` -- same bounds checks, same per-block statistics,
+        same exception types.
 
         ``windows``, one ``(lo, hi)`` per id, asks for each block's plain
         bytes ``[lo, hi)`` as :meth:`read_block`'s ``window=`` does.  A
@@ -399,19 +470,14 @@ class BlockDevice(ABC):
         """Write several ``(block_id, data)`` pairs in one round trip.
 
         The mirror of :meth:`read_many`: transforms run per block before
-        the batch lands, and the backend's :meth:`_store_many` charges
-        fixed costs once.  Equivalent to ``write_block`` in a loop.
+        the batch lands, and :meth:`_store_many` charges the backend's
+        service time once.  Equivalent to ``write_block`` in a loop.
         """
         pairs = []
         for block_id, data in items:
             self._check_id(block_id)
             stored = self.transform.on_write(block_id, data) if self.transform else data
-            if len(stored) > self.block_size:
-                raise BlockBoundsError(
-                    f"payload of {len(stored)} bytes overflows "
-                    f"{self.block_size}-byte block",
-                    block_id=block_id,
-                )
+            self._check_fits(block_id, stored)
             pairs.append((block_id, stored))
         if self.faults is None and self.retry_policy is None:
             self._store_many(pairs)
@@ -425,65 +491,160 @@ class BlockDevice(ABC):
 
         self._guarded_batch(attempt_batch)
 
-    @abstractmethod
     def _store(self, block_id: int, stored: bytes) -> None:
-        """Land at-rest bytes: statistics, journal dedup, persistence."""
-
-    @abstractmethod
-    def _fetch(self, block_id: int) -> bytes:
-        """Return at-rest bytes (raising for a never-written block)."""
-
-    def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
-        """Batch at-rest fetch seam; the default simply loops.
-
-        Backends override to amortise fixed per-operation costs over the
-        batch.  Overrides must keep per-block statistics identical to
-        the looped form (only the *time* accounting may differ).
-        """
-        return [self._fetch(block_id) for block_id in block_ids]
+        """Land at-rest bytes: statistics, journal dedup, staging."""
+        self._store_many([(block_id, stored)])
 
     def _store_many(self, pairs: list[tuple[int, bytes]]) -> None:
-        """Batch at-rest store seam; the default simply loops."""
-        for block_id, stored in pairs:
-            self._store(block_id, stored)
+        """Land a batch; the modelled service time is charged once."""
+        if not pairs:
+            return
+        share = (self._wait() or 0.0) / len(pairs)
+        stats = self.stats
+        with self._lock:
+            for block_id, stored in pairs:
+                current = self._overwritten(block_id)
+                if current is not None:
+                    stats.overwrites += 1
+                if current != stored:
+                    self.journal.note(block_id)
+                    self._stage(block_id, stored)
+                stats.writes += 1
+                stats.bytes_written += len(stored)
+                stats.write_time_s += share
+
+    def _fetch(self, block_id: int) -> bytes:
+        """At-rest bytes of one block, with its read statistics."""
+        waited = self._wait()
+        start = perf_counter()
+        with self._lock:
+            stored = self._written(block_id)
+            stats = self.stats
+            stats.reads += 1
+            stats.bytes_read += len(stored)
+            stats.read_time_s += perf_counter() - start if waited is None else waited
+        return stored
+
+    def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
+        """Batch fetch: one service-time charge, one id-ordered pass.
+
+        The payoff of readahead: a spindle (or an NVMe queue) serves a
+        batched request in roughly one seek + transfer, and the file
+        platter reads the batch in one forward sweep.  Duplicates are
+        read once and served to every requester; per-block statistics
+        equal the looped form's, and the charged time is spread evenly.
+        """
+        if not block_ids:
+            return []
+        waited = self._wait()
+        start = perf_counter()
+        with self._lock:
+            fetched = {
+                block_id: self._written(block_id)
+                for block_id in sorted(set(block_ids))
+            }
+            if waited is None:
+                waited = perf_counter() - start
+            share = waited / len(block_ids)
+            stats = self.stats
+            for block_id in block_ids:
+                stats.reads += 1
+                stats.bytes_read += len(fetched[block_id])
+                stats.read_time_s += share
+        return [fetched[block_id] for block_id in block_ids]
 
     # -- whole-platter state (process-executor support) ------------------
+    #
+    # State transfers, not I/O: neither the statistics nor the transform
+    # are touched (the bytes are already at rest), and oversized blocks
+    # are rejected exactly as a physical write would reject them.
 
-    @abstractmethod
     def export_state(self) -> list[bytes | None]:
         """Every block slot -- written or not -- in platter order.
 
-        A state *transfer*, not I/O: neither the statistics nor the
-        transform are touched (the bytes are already at rest).
+        Feed the result to :meth:`import_state` on a device with the
+        same block size and transform to clone the platter, e.g. into a
+        process-pool worker's private copy of a shard.
         """
+        with self._lock:
+            return [self._at_rest(block_id) for block_id in range(self._count)]
 
-    @abstractmethod
     def import_state(self, blocks: list[bytes | None]) -> None:
         """Replace the entire platter with :meth:`export_state` output.
 
-        A state transfer: statistics untouched, oversized blocks
-        rejected exactly as a physical write would reject them, and the
-        change journal *tainted* -- its history described the replaced
-        platter.
+        Ids at or above the imported length read as never written, even
+        after the device grows again.  The change journal is *tainted*:
+        its history described the replaced platter, so any consumer
+        tracking this device needs a fresh full snapshot.
         """
+        blocks = list(blocks)
+        for block_id, data in enumerate(blocks):
+            self._check_fits(block_id, data, "imported payload")
+        with self._lock:
+            self._grow(len(blocks))
+            for block_id in range(len(blocks), self._count):
+                self._stage(block_id, None)
+            for block_id, data in enumerate(blocks):
+                self._stage(block_id, data)
+            self._count = len(blocks)
+        self.journal.taint()
 
-    @abstractmethod
     def snapshot_blocks(self, block_ids) -> dict[int, bytes | None]:
-        """At-rest bytes of the listed blocks (a targeted export)."""
+        """At-rest bytes of the listed blocks (a targeted export).
 
-    @abstractmethod
+        Allocated-but-never-written blocks yield ``None``.
+        """
+        with self._lock:
+            out: dict[int, bytes | None] = {}
+            for block_id in block_ids:
+                self._check_id(block_id)
+                out[block_id] = self._at_rest(block_id)
+            return out
+
     def patch_state(self, num_blocks: int, block_writes: dict[int, bytes | None]) -> None:
-        """Apply a targeted delta: grow to ``num_blocks``, set the ids."""
+        """Apply a targeted delta: grow to ``num_blocks``, set the listed ids.
+
+        The replica-side half of :meth:`snapshot_blocks`.  The device
+        never shrinks here.  The patched ids are journaled -- they are
+        genuine state changes should anything ever track *this* device.
+        """
+        for block_id, data in block_writes.items():
+            self._check_fits(block_id, data, "patched payload")
+            if block_id >= num_blocks:
+                raise BlockBoundsError(
+                    f"patch writes block {block_id} beyond device of "
+                    f"{num_blocks} blocks",
+                    block_id=block_id,
+                )
+        with self._lock:
+            if num_blocks > self._count:
+                self._grow(num_blocks)
+                self._count = num_blocks
+            for block_id, data in block_writes.items():
+                self._stage(block_id, data)
+        self.journal.note_many(block_writes)
 
     # -- the attacker's view ---------------------------------------------
 
-    @abstractmethod
     def raw_block(self, block_id: int) -> bytes:
-        """Bytes at rest, as an opponent reading the platter sees them."""
+        """Bytes at rest, as an opponent reading the platter sees them.
 
-    @abstractmethod
+        Bypasses the transform and the statistics: the attacker does not
+        announce their reads.
+        """
+        self._check_id(block_id)
+        with self._lock:
+            return self._written(block_id)
+
     def raw_blocks(self) -> list[tuple[int, bytes]]:
         """Every written block, in platter order -- the full dump."""
+        with self._lock:
+            return [
+                (block_id, data)
+                for block_id in range(self._count)
+                for data in (self._at_rest(block_id),)
+                if data is not None
+            ]
 
     # -- durability (optional; defaults describe the instant device) -----
 
@@ -494,17 +655,6 @@ class BlockDevice(ABC):
         "durable" (it dies with the process), so the default is a no-op.
         """
         return 0
-
-    def poll(self) -> set[int] | None:
-        """Block ids another handle of this device committed since our last look.
-
-        Supports journal-driven cache invalidation across processes:
-        ``set()`` means nothing changed (always true for a private
-        in-memory device), a non-empty set lists exactly the blocks
-        whose at-rest bytes moved, and ``None`` means the device cannot
-        prove completeness -- the caller must invalidate wholesale.
-        """
-        return set()
 
     def close(self) -> None:
         """Release any operating-system resources (default: none held)."""

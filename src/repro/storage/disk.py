@@ -7,33 +7,24 @@ an optional :class:`~repro.storage.device.BlockTransform` is applied to
 every block on write and inverted on every read, and the device keeps
 complete I/O statistics so experiments can report exact counts.
 
-Since PR 6 the device is one implementation of the
-:class:`~repro.storage.device.BlockDevice` interface (the durable
-:class:`~repro.storage.platter.FilePlatter` is the other); it stays the
-default backend because the paper's experiments count operations, not
-seconds.  For experiments that *do* want seconds to mean something, the
-optional ``latency_s`` parameter charges a fixed sleep per physical block
-read/write -- outside the device mutex, like the transform, so concurrent
-readers overlap their waits exactly as real spindles overlap seeks.
-
-The device also exposes :meth:`raw_block`, the attacker's view: the bytes
-actually resting on the platter, *without* the transform -- this feeds the
-shape-reconstruction analysis (experiment C5).
-
-Fault-injection parity (PR 10) comes from the base class, not from this
-module: :meth:`BlockDevice.attach_faults` (or a ``REPRO_FAULTS``
-environment plan) arms the same injection/retry seam here as on the
-durable platter, with the injection firing *before* the backend
-primitive -- so a retried transient fault leaves :class:`DiskStats` and
-cipher counts byte-for-byte identical to a fault-free run.
+This module supplies only the at-rest primitives of the
+:class:`~repro.storage.device.BlockDevice` contract: a Python list of
+at-rest bytes (``None`` for a never-written block), read and set by id
+and extended on allocation, plus the optional modelled service time
+``latency_s``.  Everything else -- allocation, bounds, statistics, the
+change journal, the state-transfer surface, the attacker's view
+(:meth:`~repro.storage.device.BlockDevice.raw_block`, which feeds the
+shape-reconstruction analysis of experiment C5) and fault injection --
+is the base class's, shared with the durable
+:class:`~repro.storage.platter.FilePlatter`.  It stays the default
+backend because the paper's experiments count operations, not seconds.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 
-from repro.exceptions import BlockBoundsError, StorageError
+from repro.exceptions import StorageError
 from repro.storage.device import (
     BlockDevice,
     BlockTransform,
@@ -63,18 +54,16 @@ class SimulatedDisk(BlockDevice):
         transform expands data (padding), the *expanded* form must fit the
         block, exactly as it would on hardware.
     latency_s:
-        Simulated seconds charged per physical block read or write
-        (default ``0.0`` -- instant, the paper-faithful cost model).
-        The sleep runs outside the device mutex, so concurrent readers
-        overlap their waits; it models device service time, letting the
-        executor and cache benchmarks show I/O-overlap effects without a
-        real file.  Mutable at runtime (benchmarks flip it per arm).
+        Simulated seconds charged per physical block read or write, once
+        per batch for ``read_many``/``write_many`` (default ``0.0`` --
+        instant, the paper-faithful cost model).  The sleep runs outside
+        the device lock, so concurrent readers overlap their waits as
+        real spindles overlap seeks; it lets the executor and cache
+        benchmarks show I/O-overlap effects without a real file.  Mutable
+        at runtime (benchmarks flip it per arm).
 
-    The device is thread-safe: the block array and the statistics are
-    guarded by an internal mutex, so concurrent readers admitted by the
-    database's reader--writer lock cannot tear either.  The transform runs
-    *outside* the mutex -- cryptography is the expensive part, and a
-    hardware module enciphers streams independently of platter arbitration.
+    ``close()`` is a no-op: a :class:`~repro.storage.backend.
+    MemoryBackend` hands the same device back when it is reopened by name.
     """
 
     def __init__(
@@ -88,216 +77,22 @@ class SimulatedDisk(BlockDevice):
             raise StorageError(f"negative device latency: {latency_s}")
         self.latency_s = latency_s
         self._blocks: list[bytes | None] = []
-        self._lock = threading.Lock()
 
-    # -- allocation ----------------------------------------------------------
+    def _at_rest(self, block_id: int) -> bytes | None:
+        return self._blocks[block_id]
 
-    def allocate(self) -> int:
-        """Reserve a fresh block and return its id."""
-        with self._lock:
-            self._blocks.append(None)
-            return len(self._blocks) - 1
+    def _stage(self, block_id: int, stored: bytes | None) -> None:
+        self._blocks[block_id] = stored
 
-    @property
-    def num_blocks(self) -> int:
-        """Number of allocated blocks (including never-written ones)."""
-        return len(self._blocks)
-
-    def _check_id(self, block_id: int) -> None:
-        if not 0 <= block_id < len(self._blocks):
-            raise BlockBoundsError(
-                f"block {block_id} outside device of {len(self._blocks)} blocks",
-                block_id=block_id,
-            )
-
-    # -- I/O -----------------------------------------------------------------
+    def _grow(self, num_blocks: int) -> None:
+        self._blocks.extend([None] * (num_blocks - len(self._blocks)))
 
     def _wait(self) -> float:
-        """Charge the configured service time (outside the mutex).
+        """Sleep the modelled service time and charge exactly that.
 
-        Returns the seconds charged, so callers can account time-in-I/O
-        exactly as modeled (the sleep's wall-clock jitter is noise, not
-        service time).
+        The sleep's wall-clock jitter is noise, not service time.
         """
-        if self.latency_s > 0.0:
-            time.sleep(self.latency_s)
-            return self.latency_s
-        return 0.0
-
-    def _store(self, block_id: int, stored: bytes) -> None:
-        waited = self._wait()
-        with self._lock:
-            if self._blocks[block_id] is not None:
-                self.stats.overwrites += 1
-            if self._blocks[block_id] != stored:
-                self.journal.note(block_id)
-            self._blocks[block_id] = stored
-            self.stats.writes += 1
-            self.stats.bytes_written += len(stored)
-            self.stats.write_time_s += waited
-
-    def _fetch(self, block_id: int) -> bytes:
-        waited = self._wait()
-        with self._lock:
-            stored = self._blocks[block_id]
-            if stored is None:
-                raise BlockBoundsError(
-                    f"block {block_id} was never written", block_id=block_id
-                )
-            self.stats.reads += 1
-            self.stats.bytes_read += len(stored)
-            self.stats.read_time_s += waited
-        return stored
-
-    # -- batched I/O (the readahead path) --------------------------------
-
-    def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
-        """One service-time charge for the whole batch.
-
-        This is the modeled payoff of readahead: a spindle (or an NVMe
-        queue) serves a batched request in roughly one seek + transfer,
-        not one seek per block.  Per-block counters stay identical to
-        the looped form; only the time accounting shrinks -- the single
-        wait is spread evenly over the batch.
-        """
-        if not block_ids:
-            return []
-        waited = self._wait()
-        with self._lock:
-            fetched: list[bytes] = []
-            for block_id in block_ids:
-                stored = self._blocks[block_id]
-                if stored is None:
-                    raise BlockBoundsError(
-                        f"block {block_id} was never written", block_id=block_id
-                    )
-                fetched.append(stored)
-            share = waited / len(block_ids)
-            for stored in fetched:
-                self.stats.reads += 1
-                self.stats.bytes_read += len(stored)
-                self.stats.read_time_s += share
-        return fetched
-
-    def _store_many(self, pairs: list[tuple[int, bytes]]) -> None:
-        """One service-time charge for the whole batch (see _fetch_many)."""
-        if not pairs:
-            return
-        waited = self._wait()
-        with self._lock:
-            share = waited / len(pairs)
-            for block_id, stored in pairs:
-                if self._blocks[block_id] is not None:
-                    self.stats.overwrites += 1
-                if self._blocks[block_id] != stored:
-                    self.journal.note(block_id)
-                self._blocks[block_id] = stored
-                self.stats.writes += 1
-                self.stats.bytes_written += len(stored)
-                self.stats.write_time_s += share
-
-    # -- whole-platter state (process-executor support) ------------------
-
-    def export_state(self) -> list[bytes | None]:
-        """Every block slot -- written or not -- in platter order.
-
-        A state *transfer*, not I/O: neither the statistics nor the
-        transform are touched (the bytes are already at rest).  Feed the
-        result to :meth:`import_state` on a device with the same block
-        size and transform to clone the platter, e.g. into a process-pool
-        worker's private copy of a shard.
-        """
-        with self._lock:
-            return list(self._blocks)
-
-    def import_state(self, blocks: list[bytes | None]) -> None:
-        """Replace the entire platter with :meth:`export_state` output.
-
-        Like :meth:`export_state` this is a state transfer: statistics
-        are untouched, and oversized blocks are rejected exactly as a
-        physical write would reject them.  The change journal is
-        *tainted* -- its history described the replaced platter, so any
-        consumer tracking this device needs a fresh full snapshot.
-        """
-        for block_id, data in enumerate(blocks):
-            if data is not None and len(data) > self.block_size:
-                raise BlockBoundsError(
-                    f"imported payload of {len(data)} bytes overflows "
-                    f"{self.block_size}-byte block",
-                    block_id=block_id,
-                )
-        with self._lock:
-            self._blocks = list(blocks)
-        self.journal.taint()
-
-    def snapshot_blocks(self, block_ids) -> dict[int, bytes | None]:
-        """At-rest bytes of the listed blocks (a targeted export).
-
-        Like :meth:`export_state`, a state transfer: no statistics, no
-        transform -- the bytes are already enciphered on the platter.
-        Allocated-but-never-written blocks yield ``None``.
-        """
-        with self._lock:
-            out: dict[int, bytes | None] = {}
-            for block_id in block_ids:
-                if not 0 <= block_id < len(self._blocks):
-                    raise BlockBoundsError(
-                        f"block {block_id} outside device of "
-                        f"{len(self._blocks)} blocks",
-                        block_id=block_id,
-                    )
-                out[block_id] = self._blocks[block_id]
-            return out
-
-    def patch_state(self, num_blocks: int, block_writes: dict[int, bytes | None]) -> None:
-        """Apply a targeted delta: grow to ``num_blocks``, set the listed ids.
-
-        The replica-side half of :meth:`snapshot_blocks`.  A state
-        transfer (no statistics, no transform); the device never
-        shrinks, and oversized payloads are rejected like any write.
-        The patched ids are journaled -- they are genuine state changes
-        should anything ever track *this* device.
-        """
-        for block_id, data in block_writes.items():
-            if data is not None and len(data) > self.block_size:
-                raise BlockBoundsError(
-                    f"patched payload of {len(data)} bytes overflows "
-                    f"{self.block_size}-byte block",
-                    block_id=block_id,
-                )
-            if block_id >= num_blocks:
-                raise BlockBoundsError(
-                    f"patch writes block {block_id} beyond device of "
-                    f"{num_blocks} blocks",
-                    block_id=block_id,
-                )
-        with self._lock:
-            if num_blocks > len(self._blocks):
-                self._blocks.extend([None] * (num_blocks - len(self._blocks)))
-            for block_id, data in block_writes.items():
-                self._blocks[block_id] = data
-        self.journal.note_many(block_writes)
-
-    # -- the attacker's view ---------------------------------------------
-
-    def raw_block(self, block_id: int) -> bytes:
-        """Bytes at rest, as an opponent reading the platter sees them.
-
-        Bypasses the transform and the statistics: the attacker does not
-        announce their reads.
-        """
-        self._check_id(block_id)
-        with self._lock:
-            stored = self._blocks[block_id]
-        if stored is None:
-            raise BlockBoundsError(f"block {block_id} was never written", block_id=block_id)
-        return stored
-
-    def raw_blocks(self) -> list[tuple[int, bytes]]:
-        """Every written block, in platter order -- the full dump."""
-        with self._lock:
-            return [
-                (block_id, data)
-                for block_id, data in enumerate(self._blocks)
-                if data is not None
-            ]
+        latency = self.latency_s
+        if latency > 0.0:
+            time.sleep(latency)
+        return latency

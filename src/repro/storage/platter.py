@@ -8,6 +8,18 @@ length-prefixed values), holding exactly the bytes
 the :class:`~repro.storage.device.BlockTransform` still runs at the
 read/write boundary, so what rests in the file is ciphertext.
 
+Of the :class:`~repro.storage.device.BlockDevice` contract this module
+supplies only the at-rest primitives: reading one id's bytes (the
+pending overlay of unsynced writes, then the file, then WAL repair of a
+record whose CRC fails) and staging one id's bytes in that overlay.  It
+keeps the base's default service time: a read is charged its measured
+time, a write the measured time of the :meth:`~FilePlatter.sync` that
+lands it.  Allocation, bounds, statistics, the change journal's no-op dedup, the
+state-transfer surface and the attacker's view are the base class's,
+shared with :class:`~repro.storage.disk.SimulatedDisk`.  What this
+module owns is the file format and the durability protocol below.  I/O
+on a closed platter raises :class:`~repro.exceptions.StorageError`.
+
 On-disk layout (all integers little-endian)::
 
     main file (``<name>.platter``)
@@ -80,12 +92,11 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import time
 import zlib
 from time import perf_counter
 
-from repro.exceptions import BlockBoundsError, PlatterFormatError, StorageError
+from repro.exceptions import PlatterFormatError, StorageError
 from repro.storage.device import DURABILITY_FIELDS, BlockDevice, BlockTransform
 
 __all__ = ["FilePlatter", "MAGIC", "WAL_MAGIC", "FORMAT_VERSION"]
@@ -128,7 +139,7 @@ def _block_crc(block_id: int, payload: bytes) -> int:
 
 
 class _Frame:
-    """One parsed WAL frame (transient: scan/replay/poll bookkeeping)."""
+    """One parsed WAL frame (transient: scan/replay bookkeeping)."""
 
     __slots__ = ("counter", "epoch", "block_count", "entries")
 
@@ -166,9 +177,8 @@ class FilePlatter(BlockDevice):
     wal_limit_bytes:
         Auto-checkpoint threshold: after a sync that leaves the WAL
         larger than this, the WAL is truncated (the main file is
-        already fully applied and header-flipped, so nothing is lost --
-        only cross-handle :meth:`poll` continuity, which degrades to
-        "resync wholesale").
+        already fully applied and header-flipped, so nothing is lost
+        but the repair history).
 
     Write path: at-rest bytes stage in ``_pending`` (read-modify-write
     against the file for the journal's no-op dedup) and reach the file
@@ -211,7 +221,6 @@ class FilePlatter(BlockDevice):
         if create is False and not exists:
             raise StorageError(f"platter not found: {self.path}")
 
-        self._lock = threading.RLock()
         self._closed = False
         self._pending: dict[int, bytes | None] = {}
         #: block id -> (absolute WAL payload offset, payload length):
@@ -241,7 +250,6 @@ class FilePlatter(BlockDevice):
             self._durable_counter = 0
             self._durable_epoch = 0
             self._durable_count = 0
-            self._count = 0
             self._write_header_slot(0, 0, 0)
             self._fsync_main()
             self._open_wal(create=True)
@@ -459,14 +467,31 @@ class FilePlatter(BlockDevice):
         self._durability["blocks_repaired"] += 1
         return payload
 
+    # -- the at-rest primitives (see BlockDevice) ------------------------
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise StorageError(f"{self.path}: I/O on a closed platter")
+
     def _at_rest(self, block_id: int) -> bytes | None:
         """Current at-rest bytes: pending overlay first, then the file."""
+        self._check_open()
         if block_id in self._pending:
             return self._pending[block_id]
         try:
             return self._read_record(block_id)
         except PlatterFormatError:
             return self._repair_record(block_id)
+
+    def _overwritten(self, block_id: int):
+        try:
+            return self._at_rest(block_id)
+        except PlatterFormatError:
+            return _TORN  # unrepairable; this write heals it
+
+    def _stage(self, block_id: int, stored: bytes | None) -> None:
+        self._check_open()
+        self._pending[block_id] = stored
 
     def _fsync_main(self) -> None:
         if self.fsync:
@@ -492,81 +517,6 @@ class FilePlatter(BlockDevice):
         hook = self.fault_hook
         if hook is not None:
             hook(point)
-
-    # -- allocation ------------------------------------------------------
-
-    def allocate(self) -> int:
-        with self._lock:
-            block_id = self._count
-            self._count += 1
-            return block_id
-
-    @property
-    def num_blocks(self) -> int:
-        return self._count
-
-    def _check_id(self, block_id: int) -> None:
-        if not 0 <= block_id < self._count:
-            raise BlockBoundsError(
-                f"block {block_id} outside device of {self._count} blocks",
-                block_id=block_id,
-            )
-
-    # -- I/O -------------------------------------------------------------
-
-    def _store(self, block_id: int, stored: bytes) -> None:
-        with self._lock:
-            try:
-                current = self._at_rest(block_id)
-            except PlatterFormatError:
-                current = _TORN  # unrepairable; this write heals it
-            if current is not None:
-                self.stats.overwrites += 1
-            if current != stored:
-                self.journal.note(block_id)
-                self._pending[block_id] = stored
-            self.stats.writes += 1
-            self.stats.bytes_written += len(stored)
-
-    def _fetch(self, block_id: int) -> bytes:
-        start = perf_counter()
-        with self._lock:
-            stored = self._at_rest(block_id)
-            if stored is None:
-                raise BlockBoundsError(
-                    f"block {block_id} was never written", block_id=block_id
-                )
-            self.stats.reads += 1
-            self.stats.bytes_read += len(stored)
-            self.stats.read_time_s += perf_counter() - start
-        return stored
-
-    def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
-        """Batch fetch in one seek-ordered pass under one lock hold.
-
-        Reading the batch in ascending record offset turns the scatter
-        of a readahead hint into a single forward sweep over the file;
-        duplicates are read once and served to every requester.
-        """
-        if not block_ids:
-            return []
-        start = perf_counter()
-        with self._lock:
-            fetched: dict[int, bytes] = {}
-            for block_id in sorted(set(block_ids)):
-                stored = self._at_rest(block_id)
-                if stored is None:
-                    raise BlockBoundsError(
-                        f"block {block_id} was never written", block_id=block_id
-                    )
-                fetched[block_id] = stored
-            elapsed = perf_counter() - start
-            share = elapsed / len(block_ids)
-            for block_id in block_ids:
-                self.stats.reads += 1
-                self.stats.bytes_read += len(fetched[block_id])
-                self.stats.read_time_s += share
-        return [fetched[block_id] for block_id in block_ids]
 
     # -- durability ------------------------------------------------------
 
@@ -602,6 +552,7 @@ class FilePlatter(BlockDevice):
             and self._last_sealed_epoch == self._durable_epoch
         ):
             return 0
+        self._check_open()
         counter = self._durable_counter + 1
         epoch = self._last_sealed_epoch
         entries = sorted(self._pending.items())
@@ -683,10 +634,8 @@ class FilePlatter(BlockDevice):
     def checkpoint(self) -> None:
         """Sync, then truncate the WAL (the main file subsumes it).
 
-        Repair history is dropped with it, and other handles'
-        :meth:`poll` continuity breaks (they fall back to a wholesale
-        resync) -- the trade the ``wal_limit_bytes`` auto-checkpoint
-        makes to bound the sidecar.
+        Repair history is dropped with it -- the trade the
+        ``wal_limit_bytes`` auto-checkpoint makes to bound the sidecar.
         """
         self.sync()
         with self._lock:
@@ -697,50 +646,6 @@ class FilePlatter(BlockDevice):
         self._fsync_wal()
         self._repair.clear()
         self._durability["checkpoints"] += 1
-
-    def poll(self) -> set[int] | None:
-        """Catch up with commits another handle made to the same file.
-
-        Re-reads the header; if its counter moved past ours, scans the
-        WAL for the intervening frames and returns the union of their
-        block ids -- exactly what a cache above must invalidate.
-        Returns ``None`` when the intervening generations are no longer
-        in the WAL (the writer checkpointed past us): completeness is
-        unprovable, invalidate wholesale.  Only meaningful on a handle
-        with no writes of its own (single-writer discipline).
-        """
-        with self._lock:
-            if self._pending:
-                raise StorageError(
-                    "poll() on a handle with pending writes: polling is for "
-                    "reader handles; the writer already knows what changed"
-                )
-            counter, epoch, count, _bs = self._read_header()
-            if counter == self._durable_counter:
-                return set()
-            if counter < self._durable_counter:
-                raise PlatterFormatError(
-                    f"{self.path}: header counter moved backwards "
-                    f"({self._durable_counter} to {counter})"
-                )
-            frames, _good_end = self._scan_wal()
-            wanted = {
-                c: None for c in range(self._durable_counter + 1, counter + 1)
-            }
-            changed: set[int] = set()
-            for frame in frames:
-                if frame.counter in wanted:
-                    wanted[frame.counter] = frame
-                    changed.update(e[0] for e in frame.entries)
-            self._index_frames(frames)
-            self._durable_counter = counter
-            self._durable_epoch = epoch
-            self._durable_count = count
-            self._count = max(self._count, count)
-            self._last_sealed_epoch = max(self._last_sealed_epoch, epoch)
-            if any(f is None for f in wanted.values()):
-                return None  # checkpointed past us; cannot prove completeness
-            return changed
 
     def close(self) -> None:
         """Sync pending writes, then release the file handles.
@@ -776,77 +681,3 @@ class FilePlatter(BlockDevice):
     def durability_snapshot(self) -> dict[str, int]:
         with self._lock:
             return dict(self._durability)
-
-    # -- whole-platter state (process-executor support) ------------------
-
-    def export_state(self) -> list[bytes | None]:
-        """Every block slot in platter order (see :class:`BlockDevice`)."""
-        with self._lock:
-            return [self._at_rest(block_id) for block_id in range(self._count)]
-
-    def import_state(self, blocks: list[bytes | None]) -> None:
-        for block_id, data in enumerate(blocks):
-            if data is not None and len(data) > self.block_size:
-                raise BlockBoundsError(
-                    f"imported payload of {len(data)} bytes overflows "
-                    f"{self.block_size}-byte block",
-                    block_id=block_id,
-                )
-        with self._lock:
-            self._pending = dict(enumerate(blocks))
-            self._count = len(blocks)
-        self.journal.taint()
-
-    def snapshot_blocks(self, block_ids) -> dict[int, bytes | None]:
-        with self._lock:
-            out: dict[int, bytes | None] = {}
-            for block_id in block_ids:
-                if not 0 <= block_id < self._count:
-                    raise BlockBoundsError(
-                        f"block {block_id} outside device of "
-                        f"{self._count} blocks",
-                        block_id=block_id,
-                    )
-                out[block_id] = self._at_rest(block_id)
-            return out
-
-    def patch_state(self, num_blocks: int, block_writes: dict[int, bytes | None]) -> None:
-        for block_id, data in block_writes.items():
-            if data is not None and len(data) > self.block_size:
-                raise BlockBoundsError(
-                    f"patched payload of {len(data)} bytes overflows "
-                    f"{self.block_size}-byte block",
-                    block_id=block_id,
-                )
-            if block_id >= num_blocks:
-                raise BlockBoundsError(
-                    f"patch writes block {block_id} beyond device of "
-                    f"{num_blocks} blocks",
-                    block_id=block_id,
-                )
-        with self._lock:
-            if num_blocks > self._count:
-                self._count = num_blocks
-            self._pending.update(block_writes)
-        self.journal.note_many(block_writes)
-
-    # -- the attacker's view ---------------------------------------------
-
-    def raw_block(self, block_id: int) -> bytes:
-        self._check_id(block_id)
-        with self._lock:
-            stored = self._at_rest(block_id)
-        if stored is None:
-            raise BlockBoundsError(
-                f"block {block_id} was never written", block_id=block_id
-            )
-        return stored
-
-    def raw_blocks(self) -> list[tuple[int, bytes]]:
-        with self._lock:
-            return [
-                (block_id, data)
-                for block_id in range(self._count)
-                for data in (self._at_rest(block_id),)
-                if data is not None
-            ]

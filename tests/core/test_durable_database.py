@@ -1,12 +1,12 @@
-"""The database on a durable backend: reopen, crash recovery, reattach.
+"""The database on a durable backend: reopen, crash recovery, reader reopen.
 
 The suite asserts the PR 6 contract at the database layer: a database
 created on :class:`FileBackend` and killed mid-commit (after the WAL
 seal, before the block apply) reopens from the directory and the
 secrets alone to exactly the committed state; a second same-process
-handle catches up with a writer via journal-driven *targeted* cache
-invalidation; and the cipher-operation counts -- the paper's cost
-model -- are identical across the in-memory and durable devices.
+handle catches up with a writer's commits by reopening; and the
+cipher-operation counts -- the paper's cost model -- are identical
+across the in-memory and durable devices.
 """
 
 from __future__ import annotations
@@ -217,8 +217,9 @@ class TestCipherParity:
         assert observations[0] == observations[1]
 
 
-class TestReattach:
-    def test_reader_catches_up_with_targeted_invalidation(self, tmp_path):
+class TestReaderReopen:
+    def test_reopen_sees_another_handles_commit(self, tmp_path):
+        """A reader catches up with a writer by reopening: cold caches."""
         writer = make_db(backend_at(tmp_path))
         for k in range(0, 60, 2):
             writer.insert(k, f"v{k}".encode())
@@ -234,41 +235,18 @@ class TestReattach:
         writer.insert(10, b"v10-new")
         writer.commit()
 
-        report = reader.reattach()
-        assert report["wholesale"] is False
-        assert report["node_blocks"] > 0
-        assert report["record_blocks"] > 0
+        reader = reopen_db(backend_at(tmp_path),
+                           record_cache_blocks=16,
+                           decoded_node_cache_blocks=16)
         assert reader.search(61) == b"fresh"
-        assert reader.search(10) == b"v10-new"  # stale cache entry dropped
+        assert reader.search(10) == b"v10-new"
         assert reader.tree.size == writer.tree.size
 
-    def test_reattach_with_no_writer_activity_is_empty(self, tmp_path):
-        writer = make_db(backend_at(tmp_path))
-        writer.insert(1, b"x")
-        writer.commit()
-        reader = reopen_db(backend_at(tmp_path))
-        report = reader.reattach()
-        assert report == {"node_blocks": 0, "record_blocks": 0,
-                          "wholesale": False}
 
-    def test_reattach_falls_back_wholesale_after_checkpoint(self, tmp_path):
-        writer = make_db(backend_at(tmp_path))
-        writer.insert(1, b"x")
-        writer.commit()
-        reader = reopen_db(backend_at(tmp_path))
-        writer.insert(2, b"y")
-        writer.commit()
-        writer.disk.checkpoint()  # reader's poll window is gone
-        writer.records.disk.checkpoint()
-        report = reader.reattach()
-        assert report["wholesale"] is True
-        assert reader.search(2) == b"y"
-
-    def test_reattach_refuses_uncommitted_work(self, tmp_path):
-        writer = make_db(backend_at(tmp_path))
-        writer.insert(1, b"x")
-        writer.commit()
-        reader = reopen_db(backend_at(tmp_path), autocommit=False)
-        reader.insert(99, b"dirty")
-        with pytest.raises(StorageError, match="uncommitted"):
-            reader.reattach()
+class TestClosedHandle:
+    def test_get_after_close_raises_storage_error(self, tmp_path):
+        db = make_db(backend_at(tmp_path))
+        db.insert(7, b"seven")
+        db.close()
+        with pytest.raises(StorageError, match="closed platter"):
+            db.get(7)

@@ -3,7 +3,9 @@
 Record-block heat (and its persistence), heat-guided and background
 warming, the decoded-node byte budget and LRU pinning were removed: no
 measured workload gained from them.  A caller still passing one of their
-keywords gets a ``TypeError``; their methods are gone.
+keywords gets a ``TypeError``; their methods are gone.  So is the
+``poll``/``reattach`` reader catch-up: a reader that needs another
+handle's commits reopens with ``reopen_from_backend``.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ import pytest
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
+from repro.core.records import RecordStore
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.obs import HeatMap
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.cache import LRUCache
+from repro.storage.device import BlockDevice
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pager import Pager
+from repro.storage.platter import FilePlatter
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
@@ -95,7 +100,17 @@ REJECTING_CALLS = {
 GONE = {
     "database": (
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
-        ("save_heat", "load_heat", "_backend", "_warm_thread"),
+        ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach"),
+    ),
+    "RecordStore": (
+        lambda tmp_path: RecordStore(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"),
+        ("reattach", "_reindex_blocks", "_meta_blocks"),
+    ),
+    "BlockDevice": (lambda tmp_path: BlockDevice, ("poll",)),
+    "SimulatedDisk": (lambda tmp_path: SimulatedDisk(block_size=64), ("poll",)),
+    "FilePlatter": (
+        lambda tmp_path: FilePlatter(tmp_path / "p.platter", fsync=False),
+        ("poll",),
     ),
     "cluster": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2),

@@ -1,6 +1,17 @@
-"""The simulated block device and its encipherment hook."""
+"""The block-device contract, run on both backends.
+
+Every class here takes the ``device`` factory fixture, which builds a
+:class:`SimulatedDisk` or a :class:`FilePlatter` (``fsync=False``): the
+at-rest contract is written once, in :class:`BlockDevice`, and both
+backends must honour it alike.  :class:`TestDifferential` runs one
+operation sequence on both and compares everything observable.
+"""
 
 from __future__ import annotations
+
+import dataclasses
+import sys
+import threading
 
 import pytest
 
@@ -10,53 +21,95 @@ from repro.storage.disk import SimulatedDisk, transform_from_page_key_scheme
 from repro.storage.platter import FilePlatter
 from repro.exceptions import BlockBoundsError, StorageError
 
+BACKENDS = ["memory", "file"]
+
+
+def build(kind, tmp_path, name, block_size=4096, transform=None):
+    if kind == "memory":
+        return SimulatedDisk(block_size=block_size, transform=transform)
+    return FilePlatter(
+        tmp_path / f"{name}.platter", block_size=block_size, transform=transform,
+        fsync=False,
+    )
+
+
+@pytest.fixture(params=BACKENDS)
+def device(request, tmp_path):
+    """``device(block_size=..., transform=...)`` on the parametrised backend."""
+    made = []
+
+    def make(block_size=4096, transform=None):
+        made.append(build(request.param, tmp_path, f"d{len(made)}", block_size,
+                          transform))
+        return made[-1]
+
+    yield make
+    for built in made:
+        built.close()
+
 
 class TestBasicIO:
-    def test_write_read_roundtrip(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_write_read_roundtrip(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"hello block")
         assert disk.read_block(b) == b"hello block"
 
-    def test_allocation_is_sequential(self):
-        disk = SimulatedDisk()
+    def test_allocation_is_sequential(self, device):
+        disk = device()
         assert [disk.allocate() for _ in range(4)] == [0, 1, 2, 3]
         assert disk.num_blocks == 4
 
-    def test_overwrite(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_overwrite(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"first")
         disk.write_block(b, b"second")
         assert disk.read_block(b) == b"second"
 
-    def test_unwritten_block_rejected(self):
-        disk = SimulatedDisk()
+    def test_unwritten_block_rejected(self, device):
+        disk = device()
         b = disk.allocate()
         with pytest.raises(BlockBoundsError):
             disk.read_block(b)
 
-    def test_out_of_bounds_rejected(self):
-        disk = SimulatedDisk()
+    def test_out_of_bounds_rejected(self, device):
+        disk = device()
         with pytest.raises(BlockBoundsError):
             disk.read_block(0)
         with pytest.raises(BlockBoundsError):
             disk.write_block(5, b"x")
 
-    def test_overflow_rejected(self):
-        disk = SimulatedDisk(block_size=16)
+    def test_overflow_rejected(self, device):
+        disk = device(block_size=16)
         b = disk.allocate()
         with pytest.raises(BlockBoundsError):
             disk.write_block(b, b"x" * 17)
 
-    def test_tiny_block_size_rejected(self):
+    def test_tiny_block_size_rejected(self, device):
         with pytest.raises(StorageError):
-            SimulatedDisk(block_size=4)
+            device(block_size=4)
+
+    def test_shrinking_import_forgets_dropped_blocks(self, device):
+        """Ids at or above an imported length read as never written,
+        also once the device grows over them again."""
+        disk = device(block_size=64)
+        disk.import_state([b"old0", b"old1", b"old2"])
+        disk.sync()
+        disk.import_state([b"new0"])
+        disk.sync()
+        assert disk.allocate() == 1
+        disk.patch_state(3, {})
+        for b in (1, 2):
+            with pytest.raises(BlockBoundsError, match="never written"):
+                disk.read_block(b)
+        assert disk.export_state() == [b"new0", None, None]
+        assert disk.raw_blocks() == [(0, b"new0")]
 
 
 class TestStats:
-    def test_counters(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_counters(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"12345678")
         disk.read_block(b)
@@ -66,8 +119,8 @@ class TestStats:
         assert disk.stats.bytes_written == 8
         assert disk.stats.bytes_read == 16
 
-    def test_window_read_counts_as_a_whole_block_read(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_window_read_counts_as_a_whole_block_read(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"12345678")
         assert disk.read_block(b, window=(2, 5)) == b"345"
@@ -75,8 +128,8 @@ class TestStats:
         assert disk.stats.reads == 2
         assert disk.stats.bytes_read == 16
 
-    def test_reset(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_reset(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"x")
         disk.stats.reset()
@@ -84,42 +137,42 @@ class TestStats:
 
 
 class TestTransform:
-    def test_page_key_transform_roundtrip(self):
+    def test_page_key_transform_roundtrip(self, device):
         scheme = PageKeyScheme(b"\x01" * 8)
-        disk = SimulatedDisk(block_size=64, transform=transform_from_page_key_scheme(scheme))
+        disk = device(block_size=64, transform=transform_from_page_key_scheme(scheme))
         b = disk.allocate()
         disk.write_block(b, b"plain contents")
         assert disk.read_block(b) == b"plain contents"
 
-    def test_at_rest_bytes_are_ciphertext(self):
+    def test_at_rest_bytes_are_ciphertext(self, device):
         scheme = PageKeyScheme(b"\x01" * 8)
-        disk = SimulatedDisk(block_size=64, transform=transform_from_page_key_scheme(scheme))
+        disk = device(block_size=64, transform=transform_from_page_key_scheme(scheme))
         b = disk.allocate()
         disk.write_block(b, b"plain contents!!")
         raw = disk.raw_block(b)
         assert raw != b"plain contents!!"
         assert b"plain" not in raw
 
-    def test_raw_reads_bypass_stats(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_raw_reads_bypass_stats(self, device):
+        disk = device(block_size=64)
         b = disk.allocate()
         disk.write_block(b, b"data")
         disk.stats.reset()
         disk.raw_block(b)
         assert disk.stats.reads == 0
 
-    def test_raw_blocks_enumerates_written_only(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_raw_blocks_enumerates_written_only(self, device):
+        disk = device(block_size=64)
         b1 = disk.allocate()
         disk.allocate()  # never written
         disk.write_block(b1, b"one")
         assert disk.raw_blocks() == [(b1, b"one")]
 
-    def test_transform_expansion_must_fit(self):
+    def test_transform_expansion_must_fit(self, device):
         """CBC padding expands to the next block multiple; the expanded
         form must fit the device block."""
         scheme = PageKeyScheme(b"\x01" * 8, mode="cbc")
-        disk = SimulatedDisk(block_size=16, transform=transform_from_page_key_scheme(scheme))
+        disk = device(block_size=16, transform=transform_from_page_key_scheme(scheme))
         b = disk.allocate()
         with pytest.raises(BlockBoundsError):
             disk.write_block(b, b"x" * 16)  # pads to 24 > 16
@@ -143,33 +196,21 @@ class TestWindowedReadMany:
     WINDOWS = [(0, 8), (3, 40), (8, 16), (0, 0), (30, 90)]
 
     @staticmethod
-    def _device(kind, transform, tmp_path, name):
-        if kind == "memory":
-            return SimulatedDisk(block_size=128, transform=transform)
-        return FilePlatter(
-            tmp_path / f"{name}.platter", block_size=128, transform=transform,
-            fsync=False,
-        )
-
-    @staticmethod
     def _transform(kind):
         if kind == "record":
             return _RecordBlockTransform(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1")
         return _SlicingTransform() if kind == "sliced" else None
 
     @pytest.mark.parametrize("transform", ["record", "sliced", "none"])
-    @pytest.mark.parametrize("kind", ["memory", "file"])
-    def test_duplicates_get_per_requester_results_and_stats(
-        self, kind, transform, tmp_path
-    ):
+    def test_duplicates_get_per_requester_results_and_stats(self, device, transform):
         devices = [
-            self._device(kind, self._transform(transform), tmp_path, name)
-            for name in ("batched", "looped")
+            device(block_size=128, transform=self._transform(transform))
+            for _ in ("batched", "looped")
         ]
-        for device in devices:
+        for disk in devices:
             for i in range(3):
-                device.write_block(device.allocate(), bytes(range(i, i + 40 + 9 * i)))
-            device.stats.reset()
+                disk.write_block(disk.allocate(), bytes(range(i, i + 40 + 9 * i)))
+            disk.stats.reset()
         batched, looped = devices
         got = batched.read_many(self.IDS, windows=self.WINDOWS)
         want = [looped.read_block(b, window=w) for b, w in zip(self.IDS, self.WINDOWS)]
@@ -181,11 +222,124 @@ class TestWindowedReadMany:
         counts = getattr(batched.transform, "counts", None)
         if counts is not None:
             assert counts.decryptions == len(self.IDS)
-        for device in devices:
-            device.close()
 
-    def test_window_count_must_match_ids(self):
-        disk = SimulatedDisk(block_size=64)
+    def test_window_count_must_match_ids(self, device):
+        disk = device(block_size=64)
         disk.write_block(disk.allocate(), b"abc")
         with pytest.raises(ValueError):
             disk.read_many([0, 0], windows=[(0, 1)])
+
+
+#: The DiskStats fields the shared contract owns; the time and barrier
+#: fields (modelled vs measured time, fsyncs, header flips) are each
+#: backend's own.
+CONTRACT_STATS = ("reads", "writes", "overwrites", "bytes_read", "bytes_written")
+
+
+def _contract_script(disk) -> list[tuple]:
+    """One operation sequence; every result or exception, in order."""
+    out: list[tuple] = []
+
+    def step(fn, *args, **kwargs):
+        try:
+            out.append(("ok", fn(*args, **kwargs)))
+        except Exception as exc:  # noqa: BLE001 -- the exception is the result
+            out.append(("raises", type(exc).__name__, str(exc)))
+        stats = dataclasses.asdict(disk.stats)
+        out.append(("stats", {f: stats[f] for f in CONTRACT_STATS}))
+        out.append(("journal", disk.journal.snapshot()))
+
+    step(disk.journal.truncate, 0)  # a consumer holds epoch 0
+    a, b, c = (disk.allocate() for _ in range(3))
+    step(disk.write_block, a, b"alpha")
+    step(disk.write_block, a, b"alpha")  # identical bytes: not journaled
+    step(disk.write_block, b, b"beta")
+    step(disk.write_block, a, b"x" * 65)  # overflows the block
+    step(disk.write_block, -1, b"x")
+    step(disk.read_block, c)  # never written
+    step(disk.read_block, 3)  # out of range
+    step(disk.read_many, [b, a, b])  # duplicate ids, one requester each
+    step(disk.read_many, [a, c])
+    step(disk.raw_block, c)
+    step(disk.raw_blocks)
+    step(disk.snapshot_blocks, [c, a])
+    step(disk.snapshot_blocks, [a, 9])
+    step(disk.journal.seal, 1)
+    step(disk.journal.collect_since, 0)
+    step(disk.patch_state, 5, {c: b"gamma", 4: b"epsilon"})
+    step(disk.patch_state, 4, {4: b"x"})  # id beyond the patched length
+    step(disk.patch_state, 5, {0: b"y" * 65})
+    step(disk.export_state)
+    step(disk.write_many, [(a, b"uno"), (b, b"beta"), (4, b"cinco")])
+    step(disk.journal.seal, 2)
+    step(disk.journal.collect_since, 1)
+    step(disk.import_state, [b"one", None])  # a shrink
+    step(disk.journal.collect_since, 1)  # tainted
+    step(disk.journal.seal, 3)
+    step(disk.allocate)  # grows over a dropped id
+    step(disk.patch_state, 5, {})
+    step(disk.read_block, 2)
+    step(disk.export_state)
+    step(disk.raw_blocks)
+    step(disk.read_many, [0, 0])
+    step(lambda: disk.num_blocks)
+    return out
+
+
+class TestDifferential:
+    def test_same_sequence_same_observations(self, tmp_path):
+        runs = []
+        for kind in BACKENDS:
+            disk = build(kind, tmp_path, "differential", block_size=64)
+            runs.append(_contract_script(disk))
+            disk.close()
+        memory, file = runs
+        assert len(memory) == len(file)
+        for step, (want, got) in enumerate(zip(memory, file)):
+            assert got == want, f"observation {step}"
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("backend", [SimulatedDisk, FilePlatter])
+    def test_backends_leave_the_contract_to_the_base(self, backend):
+        shared = (
+            "allocate", "num_blocks", "_check_id", "_store", "_fetch",
+            "_fetch_many", "_store_many", "export_state", "import_state",
+            "snapshot_blocks", "patch_state", "raw_block", "raw_blocks",
+        )
+        assert [name for name in shared if name in vars(backend)] == []
+
+
+class TestConcurrency:
+    def test_threads_never_lose_an_allocation_or_a_count(self, device):
+        """More threads than cores, a tiny switch interval: every
+        allocation is distinct and every read and write is counted."""
+        disk = device(block_size=64)
+        threads, rounds = 8, 2000
+        got: list[list[int]] = [[] for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def work(slot):
+            start.wait(timeout=30)
+            for i in range(rounds):
+                b = disk.allocate()
+                got[slot].append(b)
+                if i % 10 == 0:
+                    disk.write_block(b, bytes([slot, i % 256]))
+                    assert disk.read_block(b) == bytes([slot, i % 256])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        ids = sorted(b for ids in got for b in ids)
+        assert ids == list(range(threads * rounds))
+        assert disk.num_blocks == threads * rounds
+        assert disk.stats.writes == disk.stats.reads == threads * rounds // 10

@@ -95,14 +95,6 @@ class TestFormat:
         bare = make(tmp_path, name="disk", create=False)
         assert bare.read_block(b) == bytes(c ^ 0x5A for c in b"secret")
 
-    def test_unwritten_and_out_of_bounds(self, tmp_path):
-        p = make(tmp_path)
-        b = p.allocate()
-        with pytest.raises(BlockBoundsError):
-            p.read_block(b)
-        with pytest.raises(BlockBoundsError):
-            p.read_block(b + 1)
-
     def test_header_slots_alternate(self, tmp_path):
         p = make(tmp_path)
         (b,) = fill(p, [b"one"])
@@ -346,48 +338,6 @@ class TestCrashMatrix:
             make(tmp_path, create=False)
 
 
-class TestPoll:
-    def test_poll_sees_other_handles_commits(self, tmp_path):
-        writer = make(tmp_path)
-        fill(writer, [b"v1", b"w1"])
-        writer.sync()
-        reader = make(tmp_path, create=False)
-        assert reader.poll() == set()
-        writer.write_block(1, b"w2")
-        writer.sync()
-        assert reader.poll() == {1}
-        assert reader.read_block(1) == b"w2"
-        assert reader.poll() == set()
-
-    def test_poll_after_checkpoint_degrades_to_wholesale(self, tmp_path):
-        writer = make(tmp_path)
-        fill(writer, [b"v1"])
-        writer.sync()
-        reader = make(tmp_path, create=False)
-        writer.write_block(0, b"v2")
-        writer.checkpoint()  # truncates the frames the reader needs
-        assert reader.poll() is None
-        assert reader.read_block(0) == b"v2"
-
-    def test_poll_on_dirty_handle_refuses(self, tmp_path):
-        p = make(tmp_path)
-        fill(p, [b"x"])
-        with pytest.raises(StorageError, match="pending writes"):
-            p.poll()
-
-    def test_poll_sees_new_blocks(self, tmp_path):
-        writer = make(tmp_path)
-        fill(writer, [b"a"])
-        writer.sync()
-        reader = make(tmp_path, create=False)
-        b = writer.allocate()
-        writer.write_block(b, b"new")
-        writer.sync()
-        assert reader.poll() == {b}
-        assert reader.num_blocks == 2
-        assert reader.read_block(b) == b"new"
-
-
 class TestStateTransfer:
     """The process-executor surface works over the durable device too."""
 
@@ -404,12 +354,17 @@ class TestStateTransfer:
         q.close()
         assert make(tmp_path, name="copy", create=False).read_block(1) == b"b"
 
-    def test_patch_and_snapshot(self, tmp_path):
+    def test_shrinking_import_survives_reopen(self, tmp_path):
         p = make(tmp_path)
-        fill(p, [b"a", b"b"])
-        p.patch_state(3, {1: b"B", 2: b"C"})
-        assert p.snapshot_blocks([0, 1, 2]) == {0: b"a", 1: b"B", 2: b"C"}
-        assert p.raw_blocks() == [(0, b"a"), (1, b"B"), (2, b"C")]
+        p.import_state([b"old0", b"old1", b"old2"])
+        p.sync()
+        p.import_state([b"new0"])
+        p.close()
+        q = make(tmp_path, create=False)
+        assert q.num_blocks == 1
+        assert q.allocate() == 1
+        with pytest.raises(BlockBoundsError, match="never written"):
+            q.read_block(1)
 
 
 # -- property-based open-after-kill round-trips --------------------------
