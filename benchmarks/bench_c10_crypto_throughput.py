@@ -14,7 +14,11 @@ serialised it on the GIL.  This experiment measures the two remedies:
    numpy is importable the ``vector`` kernel joins the comparison: all
    16 rounds as ndarray gathers over the whole buffer at once, asserted
    byte-identical and >= 3x the fast kernel's bulk rate
-   (``C10_VECTOR_FLOOR`` tunes the bar for slow CI hosts).
+   (``C10_VECTOR_FLOOR`` tunes the bar for slow CI hosts).  The bulk
+   rates run on the key's round tables (each kernel's key first makes
+   the ``TABLE_BUILD_CALLS`` short bulk calls that earn them); a second
+   table reports the table build's cost and each bulk kernel's us/block
+   with and without the tables.
 2. **Executor backends.**  The same range-query workload through the
    cluster's ``serial`` and ``processes`` executors, with byte-identical
    results and identical cipher-operation deltas asserted across both.
@@ -41,7 +45,15 @@ from unittest.mock import patch
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.cluster.stats import subtract_counter_dicts
 from repro.crypto import des as des_module
-from repro.crypto.des import DES, ReferenceDESKernel, default_kernel, vector_available
+from repro.crypto.des import (
+    DES,
+    MIN_VECTOR_BLOCKS,
+    TABLE_BUILD_CALLS,
+    ReferenceDESKernel,
+    RoundTables,
+    default_kernel,
+    vector_available,
+)
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
@@ -109,10 +121,16 @@ def _reference_kernel_as_default():
 
 
 def _des(key: bytes, kernel: str) -> DES:
-    if kernel != "reference":
-        return DES(key, kernel=kernel)
-    with _reference_kernel_as_default():
-        return DES(key)
+    """A key on ``kernel`` that has already earned its round tables, as
+    a long-lived record or node key has (the reference kernel reads none)."""
+    if kernel == "reference":
+        with _reference_kernel_as_default():
+            return DES(key)
+    des = DES(key, kernel=kernel)
+    for _ in range(TABLE_BUILD_CALLS + 1):
+        des.encrypt_blocks(bytes(8 * MIN_VECTOR_BLOCKS))
+    assert des._tables is not None
+    return des
 
 
 def _throughput(fn, blocks: int) -> float:
@@ -152,6 +170,37 @@ def _kernel_rates(payload: bytes) -> dict[str, dict[str, float]]:
     des = DES(key)
     assert des.decrypt_blocks(outputs["fast"]) == payload
     return rates
+
+
+def _best_us(fn, repeats: int = 5) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6
+
+
+def _round_table_costs(payload: bytes) -> dict[str, float]:
+    """Table build us (each available builder) and bulk us/block per
+    kernel on bare subkeys vs the key's round tables."""
+    subkeys = DES(bytes.fromhex("133457799BBCDFF1"))._subkeys
+    tables = RoundTables.build(subkeys)
+    costs = {
+        "build_us": _best_us(lambda: RoundTables.build(subkeys), 20),
+        "build_pure_python_us": _best_us(
+            lambda: des_module._build_round_tables_py(subkeys), 5
+        ),
+    }
+    nblocks = len(payload) // 8
+    for kernel in KERNELS[1:]:
+        crypt = des_module._KERNELS[kernel].crypt_blocks
+        assert crypt(payload, tables) == crypt(payload, subkeys)
+        costs[f"{kernel}_bare_us_per_block"] = _best_us(
+            lambda: crypt(payload, subkeys)) / nblocks
+        costs[f"{kernel}_tables_us_per_block"] = _best_us(
+            lambda: crypt(payload, tables)) / nblocks
+    return costs
 
 
 # -- part 2: executor backends ---------------------------------------------
@@ -266,6 +315,13 @@ def test_c10_crypto_throughput(benchmark, reporter):
             for path, rate in rates[kernel].items()
         ],
     )
+    table_costs = _round_table_costs(payload)
+    reporter.table(
+        f"round tables: build cost and bulk encrypt cost per block, "
+        f"{NUM_BLOCKS} blocks (identical output asserted)",
+        ["measure", "us"],
+        [[name, f"{value:,.2f}"] for name, value in table_costs.items()],
+    )
     assert speedup_bulk >= 2.0, (
         f"fast kernel only {speedup_bulk:.1f}x the reference (bulk encrypt)"
     )
@@ -337,6 +393,7 @@ def test_c10_crypto_throughput(benchmark, reporter):
             "speedup_fast_vs_reference_decrypt_bulk": speedup_decrypt,
             "vector_available": vector_available(),
             "speedup_vector_vs_fast": vector_speedups,
+            "round_tables": table_costs,
         },
         "cluster_range_queries": {
             "wall_clock_s": wall,

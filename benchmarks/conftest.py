@@ -14,16 +14,23 @@ plotting the JSON files.
 Run with::
 
     pytest benchmarks/ --benchmark-only
+
+Set ``REPRO_RESULTS_DIR`` to write the result files somewhere else --
+smoke runs at shrunk sizes do, so the tracked default-size results
+stay untouched.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(
+    os.environ.get("REPRO_RESULTS_DIR") or Path(__file__).parent / "results"
+)
 
 
 def format_table(headers: list[str], rows: list[list[object]]) -> str:
@@ -64,7 +71,7 @@ class Reporter:
         self._metrics.update(mapping)
 
     def flush(self) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         text = f"# Experiment {self.experiment_id}\n\n" + "\n".join(self._chunks)
         (RESULTS_DIR / f"{self.experiment_id}.txt").write_text(text)
         if self._metrics:

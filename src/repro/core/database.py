@@ -139,6 +139,9 @@ class EncipheredDatabase:
         self.disk = disk
         self.records = records
         self._super_key = super_key
+        #: The superblock's cipher, derived once per handle: every commit
+        #: rewrites the superblock under the write lock.
+        self._super = self._super_cipher(super_key)
         self.tree = tree
         #: The observability plane: latency histograms, span tracing and
         #: heat tracking behind one switch (see :mod:`repro.obs`).  The
@@ -198,7 +201,7 @@ class EncipheredDatabase:
             + self.tree.min_degree.to_bytes(2, "big")
             + self.tree.size.to_bytes(4, "big")
         )
-        self.disk.write_block(0, self._super_cipher(self._super_key).encrypt(payload))
+        self.disk.write_block(0, self._super.encrypt(payload))
 
     @classmethod
     def _read_superblock(cls, disk: BlockDevice, super_key: bytes) -> tuple[int, int, int]:
@@ -793,10 +796,11 @@ class EncipheredDatabase:
             self.has_uncommitted_changes = False
 
     def close(self) -> None:
-        """Commit pending work and release both devices' OS resources.
+        """Commit pending work; release both devices' OS resources and the
+        record cipher's round tables.
 
-        A no-op beyond the commit for in-memory backends.  Do not call
-        inside a :meth:`transaction` scope.
+        For in-memory backends only the commit and the tables remain.  Do
+        not call inside a :meth:`transaction` scope.
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (a crashed worker, an injected device fault):
@@ -824,6 +828,9 @@ class EncipheredDatabase:
             except BaseException as exc:
                 if first_error is None:
                     first_error = exc
+        # a closed handle enciphers nothing more: its 256 KiB of record
+        # cipher round tables go now, not whenever the handle is collected
+        self.records.release_cipher_tables()
         if first_error is not None:
             raise first_error
 

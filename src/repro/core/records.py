@@ -245,6 +245,10 @@ class RecordStore:
         """The data-block cipher key (secret; in-memory material only)."""
         return self._transform.key
 
+    def release_cipher_tables(self) -> None:
+        """Drop the record cipher's round tables (see ``DES.release_tables``)."""
+        self._transform._des.release_tables()
+
     # -- whole-store state (process-executor support) --------------------
 
     def export_state(self) -> dict[str, object]:

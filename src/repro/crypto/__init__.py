@@ -14,7 +14,6 @@ real data.
 """
 
 from repro.crypto.numbers import (
-    crt_pair,
     discrete_log,
     egcd,
     is_prime,
@@ -47,7 +46,6 @@ __all__ = [
     "ProgressiveCipher",
     "RSA",
     "RSAKeyPair",
-    "crt_pair",
     "discrete_log",
     "egcd",
     "generate_rsa_keypair",

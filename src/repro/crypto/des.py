@@ -15,23 +15,38 @@ byte-identical on every input):
   every permutation is applied bit by bit straight from the printed
   tables.  Kept as the executable specification the known-answer tests
   pin down; the tests and C10 call it directly, it is not selectable.
-* ``"fast"`` -- the same 16 rounds around precomputed
-  lookup tables: byte-wide LUTs for IP/FP/E, the eight S-boxes fused
-  with permutation P into eight 64-entry -> 32-bit SP tables, the key
-  schedule (forward *and* reversed) derived once per key object, and
-  bulk-block entry points (:meth:`DES.encrypt_blocks` /
-  :meth:`DES.decrypt_blocks`) that amortise Python call overhead over a
-  whole node or record block.
+* ``"fast"`` -- the same 16 rounds around precomputed lookup tables:
+  byte-wide LUTs for IP/FP/E, the eight S-boxes fused with permutation P
+  into eight 64-entry -> 32-bit SP tables, the key schedule (forward
+  *and* reversed) derived once per key object, and bulk entry points
+  (:meth:`DES.encrypt_blocks`, :meth:`DES.decrypt_blocks` and the CBC
+  chain :meth:`DES.cbc_encrypt_blocks`) that run a whole node or record
+  block in one Python call.
 * ``"vector"`` (requires numpy; see :mod:`repro.crypto.vector`) -- the
-  fast kernel's tables applied as ndarray gathers over a ``uint64``
-  vector of *all* blocks in the buffer, so the 16-round loop runs once
-  per bulk call instead of once per block.  Buffers shorter than the
-  measured crossover :data:`repro.crypto.vector.MIN_VECTOR_BLOCKS`
-  delegate to ``"fast"``, so single blocks, short windows and CBC
-  encryption (which chains block by block) run the fast kernel's code;
-  a batch such as every slot window of a range search
-  (:func:`repro.crypto.modes.cbc_decrypt_windows`) crosses it.  Falls
-  back to ``"fast"`` entirely when numpy is absent.
+  rounds applied as ndarray gathers over a vector of *all* blocks in the
+  buffer, so the 16-round loop runs once per bulk call instead of once
+  per block.  Buffers shorter than the measured crossover
+  :data:`MIN_VECTOR_BLOCKS`, single blocks and CBC
+  encryption (which chains block by block) run the fast kernel's code.
+  Falls back to ``"fast"`` entirely when numpy is absent.
+
+**Round tables.**  A key that does enough bulk work gets key-specific
+round tables (:class:`RoundTables`): for each round and each pair of
+S-boxes, one 1024-entry table that folds the expansion E, the subkey
+XOR and both fused S-box/P lookups into a single lookup on the 10 bits
+of ``R`` the pair reads.  A round then costs 4 lookups instead of 4 E
+lookups, the subkey XOR and 8 SP lookups.  Both bulk kernels run the
+same round loop on the same buffer (16 x 4 x 1024 uint32, 256 KiB per
+key); decryption walks it in reverse round order.  A :class:`DES`
+object builds its tables on the first bulk call of at least
+:data:`MIN_VECTOR_BLOCKS` blocks that follows :data:`TABLE_BUILD_CALLS`
+such calls; until then, for shorter calls and for single blocks, the
+kernels run the key-independent rounds.  So a key's first call never
+builds: one-off keys (a page key enciphering or deciphering one whole
+page, key derivation, IVs) and keys that only make short calls (a
+commit's 3-block superblock) never pay for a build.  Tables live on their
+:class:`DES` object and die with it, or earlier through
+:meth:`DES.release_tables`.
 
 The kernel (``"fast"`` or ``"vector"``) is chosen per :class:`DES`
 instance (``kernel=``), falling back to the process-wide default --
@@ -43,7 +58,10 @@ variable.  Unless overridden, the default is the best available kernel:
 from __future__ import annotations
 
 import os
+import sys
 import threading
+from array import array
+from itertools import cycle
 
 from repro.crypto.base import BlockCipher
 from repro.exceptions import KeyError_, MessageRangeError
@@ -231,6 +249,82 @@ _FP_LUT = _build_byte_luts(_FP, 64)
 _E_LUT = _build_byte_luts(_E, 32)
 _SP = _build_sp_boxes()
 
+_LITTLE_ENDIAN = sys.byteorder == "little"
+_MASK64 = (1 << 64) - 1
+
+
+# --------------------------------------------------------------------------
+# Key-specific round tables.
+#
+# S-boxes 2j and 2j+1 read 12 bits of E(R), which are 10 distinct bits of
+# R: window j.  With x = R * 0x1_0000_0001 (R written twice, so the
+# windows that wrap around R's ends are contiguous), window j is
+# (x >> WINDOW_SHIFTS[j]) & 0x3FF.  Its top 6 bits feed S-box 2j and its
+# low 6 bits S-box 2j+1, so for a round subkey whose 6-bit chunks for
+# that pair are ka and kb, table entry w is
+#     SP[2j][(w >> 4) ^ ka] | SP[2j+1][(w & 0x3F) ^ kb].
+# --------------------------------------------------------------------------
+
+WINDOW_SHIFTS = (23, 15, 7, 31)
+
+
+def _build_round_tables_py(subkeys: tuple[int, ...]) -> array:
+    """The 16 x 4 x 1024 round tables as a flat ``array('I')``.
+
+    The pure-Python build (about 4.5 ms); the numpy build in
+    :mod:`repro.crypto.vector` returns the same entries.
+    """
+    out = array("I")
+    for subkey in subkeys:
+        for j in range(4):
+            ka = (subkey >> (42 - 12 * j)) & 0x3F  # S-box 2j's subkey chunk
+            kb = (subkey >> (36 - 12 * j)) & 0x3F  # S-box 2j+1's
+            spa, spb = _SP[2 * j], _SP[2 * j + 1]
+            low = [spb[i ^ kb] for i in range(64)]
+            # w = (hi << 4) | lo: S-box 2j reads hi, S-box 2j+1 reads
+            # w & 0x3F = ((hi & 3) << 4) | lo, i.e. quarter hi & 3 of low
+            quarters = [low[q : q + 16] for q in (0, 16, 32, 48)]
+            high = [spa[i ^ ka] for i in range(64)]
+            out.extend([x | y for x, q in zip(high, cycle(quarters)) for y in q])
+    return out
+
+
+class RoundTables:
+    """A key's round subkeys, in application order, with its round tables.
+
+    ``buffer`` holds round r's four tables at row r: a ``(16, 4096)``
+    uint32 ndarray with numpy, else a flat ``array('I')``.  ``order``
+    lists the rows in application order, so :meth:`reversed` -- the
+    decryption schedule -- shares the encryption buffer.  ``rounds``
+    views the same tables as four memoryview slices per round, in
+    application order, for the fast kernel's scalar loop.
+    """
+
+    __slots__ = ("subkeys", "buffer", "order", "rounds")
+
+    def __init__(self, subkeys, buffer, order: range, rounds: list) -> None:
+        self.subkeys = subkeys
+        self.buffer = buffer
+        self.order = order
+        self.rounds = rounds
+
+    @classmethod
+    def build(cls, subkeys: tuple[int, ...]) -> "RoundTables":
+        """Build the encryption tables of an encryption schedule."""
+        buffer = _build_round_tables(subkeys)
+        flat = memoryview(buffer).cast("B").cast("I")
+        rounds = [
+            tuple(flat[(4 * r + j) << 10 : (4 * r + j + 1) << 10] for j in range(4))
+            for r in range(16)
+        ]
+        return cls(subkeys, buffer, range(16), rounds)
+
+    def reversed(self) -> "RoundTables":
+        """The same tables in reverse round order (the other direction)."""
+        return RoundTables(
+            self.subkeys[::-1], self.buffer, self.order[::-1], self.rounds[::-1]
+        )
+
 
 def _rotate28(value: int, amount: int) -> int:
     """Left-rotate a 28-bit quantity."""
@@ -298,6 +392,10 @@ class ReferenceDESKernel:
     a schedule from :func:`_key_schedule`.
     """
 
+    #: Runs the FIPS steps on bare subkeys; :class:`DES` never hands it
+    #: round tables.
+    uses_tables = False
+
     @staticmethod
     def _feistel(right32: int, subkey48: int) -> int:
         """The f-function exactly as printed: E, key mix, S-boxes, P."""
@@ -328,17 +426,31 @@ class ReferenceDESKernel:
             out[off : off + 8] = value.to_bytes(8, "big")
         return bytes(out)
 
+    @classmethod
+    def cbc_encrypt(cls, data: bytes, subkeys: tuple[int, ...], iv: bytes) -> bytes:
+        """CBC as printed: block i enciphers plaintext i XOR output i-1."""
+        out = bytearray(len(data))
+        previous = int.from_bytes(iv, "big")
+        for off in range(0, len(data), 8):
+            block = int.from_bytes(data[off : off + 8], "big") ^ previous
+            previous = cls.crypt_block(block, subkeys)
+            out[off : off + 8] = previous.to_bytes(8, "big")
+        return bytes(out)
+
 
 class FastDESKernel:
     """LUT kernel: byte-wide IP/FP/E tables and fused SP boxes.
 
-    :meth:`crypt_blocks` is the throughput path -- one Python call per
-    *buffer* rather than per block, with every table bound to a local
-    and the round function inlined into the block loop.  Benchmark C10
-    measures the resulting blocks/sec against the reference kernel.
+    :meth:`crypt_blocks` and :meth:`cbc_encrypt` are the throughput
+    paths -- one Python call per *buffer* rather than per block, with
+    every table bound to a local and the round function inlined into the
+    block loop.  Given a :class:`RoundTables` schedule they run the
+    table round; given bare subkeys, the key-independent E/SP round.
+    Benchmark C10 measures the resulting blocks/sec.
     """
 
     name = "fast"
+    uses_tables = True
 
     @staticmethod
     def crypt_block(block64: int, subkeys: tuple[int, ...]) -> int:
@@ -389,47 +501,76 @@ class FastDESKernel:
         )
 
     @staticmethod
-    def crypt_blocks(data: bytes, subkeys: tuple[int, ...]) -> bytes:
+    def crypt_blocks(data: bytes, keys) -> bytes:
+        return FastDESKernel._bulk(data, keys, None)
+
+    @staticmethod
+    def cbc_encrypt(data: bytes, keys, iv: bytes) -> bytes:
+        return FastDESKernel._bulk(data, keys, iv)
+
+    @staticmethod
+    def _bulk(data: bytes, keys, iv: bytes | None) -> bytes:
+        """ECB over ``data``, or CBC encryption chained from ``iv``.
+
+        CBC needs no second loop.  IP is a bit permutation, so
+        ``IP(P_i ^ C_(i-1)) = IP(P_i) ^ IP(C_(i-1))``, and since FP is
+        IP's inverse, ``IP(C_(i-1))`` is block i-1's state just before
+        FP.  So each block's permuted input is XORed with the previous
+        block's pre-FP state (``IP(iv)`` for the first); ECB masks that
+        state to zero.
+        """
         ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_LUT
         fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_LUT
         e0, e1, e2, e3 = _E_LUT
         sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
-        from_bytes = int.from_bytes
-        out = bytearray(len(data))
-        for off in range(0, len(data), 8):
-            v = from_bytes(data[off : off + 8], "big")
+        rounds = keys.rounds if isinstance(keys, RoundTables) else None
+        state = keep = 0
+        if iv is not None:
+            keep = _MASK64
+            for lut, byte in zip(_IP_LUT, iv):
+                state |= lut[byte]
+        out = array("Q")
+        append = out.append
+        it = iter(data)
+        for b0, b1, b2, b3, b4, b5, b6, b7 in zip(it, it, it, it, it, it, it, it):
             v = (
-                ip0[(v >> 56) & 0xFF]
-                | ip1[(v >> 48) & 0xFF]
-                | ip2[(v >> 40) & 0xFF]
-                | ip3[(v >> 32) & 0xFF]
-                | ip4[(v >> 24) & 0xFF]
-                | ip5[(v >> 16) & 0xFF]
-                | ip6[(v >> 8) & 0xFF]
-                | ip7[v & 0xFF]
-            )
+                ip0[b0] | ip1[b1] | ip2[b2] | ip3[b3]
+                | ip4[b4] | ip5[b5] | ip6[b6] | ip7[b7]
+            ) ^ state
             left = v >> 32
             right = v & 0xFFFFFFFF
-            for subkey in subkeys:
-                x = (
-                    e0[(right >> 24) & 0xFF]
-                    | e1[(right >> 16) & 0xFF]
-                    | e2[(right >> 8) & 0xFF]
-                    | e3[right & 0xFF]
-                ) ^ subkey
-                left, right = right, left ^ (
-                    sp0[(x >> 42) & 0x3F]
-                    | sp1[(x >> 36) & 0x3F]
-                    | sp2[(x >> 30) & 0x3F]
-                    | sp3[(x >> 24) & 0x3F]
-                    | sp4[(x >> 18) & 0x3F]
-                    | sp5[(x >> 12) & 0x3F]
-                    | sp6[(x >> 6) & 0x3F]
-                    | sp7[x & 0x3F]
-                )
+            if rounds is not None:
+                for t0, t1, t2, t3 in rounds:
+                    x = right * 0x1_0000_0001
+                    left, right = right, left ^ (
+                        t0[(x >> 23) & 0x3FF]
+                        | t1[(x >> 15) & 0x3FF]
+                        | t2[(x >> 7) & 0x3FF]
+                        | t3[(x >> 31) & 0x3FF]
+                    )
+            else:
+                for subkey in keys:
+                    x = (
+                        e0[(right >> 24) & 0xFF]
+                        | e1[(right >> 16) & 0xFF]
+                        | e2[(right >> 8) & 0xFF]
+                        | e3[right & 0xFF]
+                    ) ^ subkey
+                    left, right = right, left ^ (
+                        sp0[(x >> 42) & 0x3F]
+                        | sp1[(x >> 36) & 0x3F]
+                        | sp2[(x >> 30) & 0x3F]
+                        | sp3[(x >> 24) & 0x3F]
+                        | sp4[(x >> 18) & 0x3F]
+                        | sp5[(x >> 12) & 0x3F]
+                        | sp6[(x >> 6) & 0x3F]
+                        | sp7[x & 0x3F]
+                    )
+            # Final swap: the last round's halves are exchanged before FP.
             v = (right << 32) | left
-            v = (
-                fp0[(v >> 56) & 0xFF]
+            state = v & keep
+            append(
+                fp0[v >> 56]
                 | fp1[(v >> 48) & 0xFF]
                 | fp2[(v >> 40) & 0xFF]
                 | fp3[(v >> 32) & 0xFF]
@@ -438,18 +579,56 @@ class FastDESKernel:
                 | fp6[(v >> 8) & 0xFF]
                 | fp7[v & 0xFF]
             )
-            out[off : off + 8] = v.to_bytes(8, "big")
-        return bytes(out)
+        if _LITTLE_ENDIAN:
+            out.byteswap()
+        return out.tobytes()
 
+
+#: Buffers shorter than this many 8-byte blocks go to the fast kernel
+#: under ``"vector"``: below it the vector path's fixed ndarray cost
+#: exceeds the fast kernel's per-block cost.  Measured on a 2-vCPU x86-64
+#: Xeon with CPython 3.11 and numpy 2.4 (best of 200 runs per size): on
+#: round tables, fast costs ~9.2 us per block and vector ~92 us nearly
+#: flat up to 32 blocks, tying at 10 blocks; on bare subkeys (fast ~13.1
+#: us per block, vector ~99 us) the tie is at 8 blocks.  A constant keeps
+#: the kernel choice deterministic; both paths are byte-identical either
+#: way.  It is also the smallest bulk call that counts towards
+#: :data:`TABLE_BUILD_CALLS`.  Defined here, not in
+#: :mod:`repro.crypto.vector`, so the policy holds without numpy.
+MIN_VECTOR_BLOCKS = 10
 
 _KERNELS = {FastDESKernel.name: FastDESKernel}
 
 try:  # the vector kernel needs numpy; "fast" stays the ceiling without it
-    from repro.crypto.vector import VectorDESKernel
+    from repro.crypto.vector import VectorDESKernel, build_round_tables
 
     _KERNELS[VectorDESKernel.name] = VectorDESKernel
+    _build_round_tables = build_round_tables
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     VectorDESKernel = None  # type: ignore[assignment,misc]
+    _build_round_tables = _build_round_tables_py
+
+#: Bulk calls of at least :data:`MIN_VECTOR_BLOCKS` blocks a :class:`DES`
+#: object makes on bare subkeys; the next such call builds its
+#: :class:`RoundTables`.  Shorter calls and single blocks never count.
+#: The count is the build's cost over the smallest saving the tables
+#: give one counted call on the kernel that runs it.  Measured on a
+#: 2-vCPU x86-64 Xeon with CPython 3.11 and numpy 2.4 (best of 200-1500
+#: interleaved runs): with numpy the build costs ~0.25 ms and ECB calls of
+#: 10+ blocks run on the vector kernel, whose tables save only ~8-17 us
+#: per call up to 64 blocks (36 us at 370, 47 us at 512), so 25 calls;
+#: without numpy every call runs the fast kernel, whose tables save ~4.7
+#: us per block (~47 us at 10 blocks) against a ~4.5 ms pure-Python
+#: build, so 100 calls.  CBC encryption runs the fast kernel even under
+#: ``"vector"``, so for it the count is conservative.  Counting calls
+#: rather than blocks keeps a key that makes one big call -- a page key
+#: enciphering one whole 512-block page -- from building tables it would
+#: use once.  Counted on the canonical workloads and on benchmarks A1-A3,
+#: C1 and C3, only record-store keys cross it (4 of 9 DES objects on
+#: ``get_zipf``, 16 of 80 on ``cluster_mixed``, 2-20 of 1,417-19,188 in
+#: the benchmarks); the 209-3,698 page keys per benchmark that make one
+#: counted call never build.
+TABLE_BUILD_CALLS = 25 if VectorDESKernel is not None else 100
 
 #: The name the vector kernel registers under, spelled once.  When numpy
 #: is absent, requests for it (env var, ``set_default_kernel``,
@@ -545,6 +724,12 @@ class DES(BlockCipher):
         # per-block overhead benchmark C10 eliminates.
         self._subkeys = _key_schedule(int.from_bytes(key, "big"))
         self._subkeys_dec = self._subkeys[::-1]
+        #: Counted bulk calls made on bare subkeys (see
+        #: :data:`TABLE_BUILD_CALLS`).
+        self._bulk_calls = 0
+        #: ``(encrypt, decrypt)`` :class:`RoundTables` sharing one buffer,
+        #: built on the counted call after :data:`TABLE_BUILD_CALLS`.
+        self._tables: tuple[RoundTables, RoundTables] | None = None
 
     # -- key schedule ------------------------------------------------------
 
@@ -584,17 +769,53 @@ class DES(BlockCipher):
 
     # -- bulk API ----------------------------------------------------------
 
+    def _bulk_keys(self, nblocks: int, decrypt: bool):
+        """The schedule for a bulk call: round tables once they are earned.
+
+        Only kernels that read tables get them: the reference kernel,
+        swapped in by a test or benchmark, always gets bare subkeys, and a
+        stand-in that declares nothing is taken to wrap a real kernel and
+        pass the schedule through.  Concurrent callers may race on the
+        count or build twice; either way every schedule handed out is
+        correct, and one build wins.
+        """
+        if not getattr(self._kernel, "uses_tables", True):
+            return self._subkeys_dec if decrypt else self._subkeys
+        tables = self._tables
+        if tables is None and nblocks >= MIN_VECTOR_BLOCKS:
+            if self._bulk_calls < TABLE_BUILD_CALLS:
+                self._bulk_calls += 1
+            else:
+                encrypt = RoundTables.build(self._subkeys)
+                tables = self._tables = (encrypt, encrypt.reversed())
+        if tables is None:
+            return self._subkeys_dec if decrypt else self._subkeys
+        return tables[decrypt]
+
+    def release_tables(self) -> None:
+        """Drop the round tables; the object earns them again from zero."""
+        self._tables = None
+        self._bulk_calls = 0
+
     def encrypt_blocks(self, blocks) -> bytes:
         """Encrypt a whole buffer (or sequence) of 8-byte blocks in ECB.
 
         One Python call for the entire buffer: the kernel's block loop
         runs with its tables and schedule in locals, which is where the
         bulk path's throughput advantage over per-block calls comes
-        from.  Chaining (CBC/OFB) is layered above in
-        :mod:`repro.crypto.modes` / :mod:`repro.crypto.stream`.
+        from.
         """
-        return self._kernel.crypt_blocks(self._as_buffer(blocks), self._subkeys)
+        data = self._as_buffer(blocks)
+        return self._kernel.crypt_blocks(data, self._bulk_keys(len(data) >> 3, False))
 
     def decrypt_blocks(self, blocks) -> bytes:
         """Decrypt a whole buffer (or sequence) of 8-byte blocks in ECB."""
-        return self._kernel.crypt_blocks(self._as_buffer(blocks), self._subkeys_dec)
+        data = self._as_buffer(blocks)
+        return self._kernel.crypt_blocks(data, self._bulk_keys(len(data) >> 3, True))
+
+    def cbc_encrypt_blocks(self, blocks, iv: bytes) -> bytes:
+        """CBC-encrypt whole blocks chained from ``iv``, in one kernel call."""
+        if len(iv) != 8:
+            raise MessageRangeError(f"DES IV must be 8 bytes, got {len(iv)}")
+        data = self._as_buffer(blocks)
+        return self._kernel.cbc_encrypt(data, self._bulk_keys(len(data) >> 3, False), iv)

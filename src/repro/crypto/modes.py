@@ -6,12 +6,13 @@ needed.  We provide ECB (the straightforward reading of a 1976/1990-era
 block-cipher deployment) and CBC with a page-id-derived IV (a stronger
 choice that still requires no stored per-page state), plus PKCS#7 padding.
 
-Every chain-free direction -- ECB both ways and CBC decryption -- hands
-the cipher one contiguous buffer per call, so the whole page reaches the
-kernel's bulk path intact (and, under the numpy ``"vector"`` kernel, runs
-all 16 DES rounds as array operations over the entire page at once).
-Only CBC *encryption* walks block by block, because each block's input
-chains on the previous block's output.
+Every direction hands the cipher one contiguous buffer per call, so the
+whole page reaches the kernel's bulk path intact.  The chain-free ones --
+ECB both ways and CBC decryption -- can run under the numpy ``"vector"``
+kernel as array operations over the entire page at once.  CBC
+*encryption* chains each block's input on the previous block's output,
+so :meth:`~repro.crypto.base.BlockCipher.cbc_encrypt_blocks` runs it as
+one sequential loop inside the kernel, chaining in ints.
 
 CBC decryption is also random-access -- plaintext block *i* is
 ``D(C_i) xor C_(i-1)`` -- so :func:`cbc_decrypt_window` recovers a byte
@@ -109,11 +110,12 @@ class CBCCipher:
     plaintext pages still produce distinct cryptograms without any stored
     per-page nonce.
 
-    The cipher object's cached key schedule is reused across the entire
-    block stream (deriving it per block is the overhead benchmark C10
-    retired), and decryption -- whose cipher applications are chain-free,
-    the XOR chaining happens on the outputs -- runs through the bulk
-    decrypt path with a single whole-buffer XOR.
+    The cipher object's cached key schedule (and round tables, once
+    built) is reused across the entire block stream.  Encryption is one
+    :meth:`~repro.crypto.base.BlockCipher.cbc_encrypt_blocks` call;
+    decryption -- whose cipher applications are chain-free, the XOR
+    chaining happens on the outputs -- runs through the bulk decrypt path
+    with a single whole-buffer XOR.
     """
 
     def __init__(self, cipher: BlockCipher, iv: bytes) -> None:
@@ -126,17 +128,9 @@ class CBCCipher:
         self.iv = iv
 
     def encrypt(self, plaintext: bytes) -> bytes:
-        data = pad_pkcs7(plaintext, self.block_size)
-        size = self.block_size
-        encrypt_block = self.cipher.encrypt_block
-        out = bytearray()
-        previous = int.from_bytes(self.iv, "big")
-        for start in range(0, len(data), size):
-            block = int.from_bytes(data[start : start + size], "big") ^ previous
-            cipher_block = encrypt_block(block.to_bytes(size, "big"))
-            previous = int.from_bytes(cipher_block, "big")
-            out.extend(cipher_block)
-        return bytes(out)
+        return self.cipher.cbc_encrypt_blocks(
+            pad_pkcs7(plaintext, self.block_size), self.iv
+        )
 
     def decrypt(self, ciphertext: bytes) -> bytes:
         return unpad_pkcs7(

@@ -252,15 +252,3 @@ def discrete_log(g: int, h: int, p: int) -> int:
             return i * m + baby[gamma]
         gamma = gamma * factor % p
     raise CryptoError(f"no discrete log of {h} base {g} modulo {p}")
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Solve ``x = r1 (mod m1)``, ``x = r2 (mod m2)`` for coprime moduli.
-
-    Used by the RSA decryption fast path.
-    """
-    g, x, _ = egcd(m1, m2)
-    if g != 1:
-        raise CryptoError(f"moduli {m1}, {m2} are not coprime")
-    lcm = m1 * m2
-    return (r1 + (r2 - r1) * x % m2 * m1) % lcm

@@ -9,8 +9,8 @@ keyed permutation over ``Z_N`` with **no** public key -- the modulus,
 both exponents and the factorisation are all secret.
 
 This module implements key generation (random primes via Miller--Rabin),
-raw integer encryption/decryption (with an optional CRT fast path), and a
-byte-oriented wrapper for enciphering data blocks.
+raw integer encryption, decryption by the Chinese remainder theorem in
+Garner's form, and a byte-oriented wrapper for enciphering data blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.base import IntegerCipher
-from repro.crypto.numbers import crt_pair, modinv, random_prime
+from repro.crypto.numbers import modinv, random_prime
 from repro.exceptions import CryptoError, MessageRangeError
 
 #: Default encryption exponent; kept secret in the paper's usage mode, so
@@ -94,13 +94,14 @@ class RSA(IntegerCipher):
     weaknesses of this mode are discussed in DESIGN.md.
     """
 
-    def __init__(self, keypair: RSAKeyPair, use_crt: bool = True) -> None:
+    def __init__(self, keypair: RSAKeyPair) -> None:
         self.keypair = keypair
         self.modulus = keypair.n
-        self.use_crt = use_crt
-        if use_crt:
-            self._dp = keypair.d % (keypair.p - 1)
-            self._dq = keypair.d % (keypair.q - 1)
+        # Garner's CRT constants, derived once per key: a decrypt is then
+        # two half-size exponentiations and one multiply mod p.
+        self._dp = keypair.d % (keypair.p - 1)
+        self._dq = keypair.d % (keypair.q - 1)
+        self._qinv = modinv(keypair.q, keypair.p)
 
     def encrypt_int(self, m: int) -> int:
         """Return ``m**e mod n``."""
@@ -111,17 +112,19 @@ class RSA(IntegerCipher):
         return pow(m, self.keypair.e, self.modulus)
 
     def decrypt_int(self, c: int) -> int:
-        """Return ``c**d mod n``, via CRT when enabled."""
+        """Return ``c**d mod n`` by Garner's CRT.
+
+        ``m = mq + ((mp - mq) * q^-1 mod p) * q`` with ``mp = c^dp mod p``
+        and ``mq = c^dq mod q``; equal to ``pow(c, d, n)``.
+        """
         if not 0 <= c < self.modulus:
             raise MessageRangeError(
                 f"ciphertext {c} out of range [0, {self.modulus})"
             )
-        if not self.use_crt:
-            return pow(c, self.keypair.d, self.modulus)
         kp = self.keypair
         mp = pow(c % kp.p, self._dp, kp.p)
         mq = pow(c % kp.q, self._dq, kp.q)
-        return crt_pair(mp, kp.p, mq, kp.q)
+        return mq + (mp - mq) * self._qinv % kp.p * kp.q
 
     # -- byte-oriented helpers for data blocks ------------------------------
 

@@ -17,14 +17,6 @@ from __future__ import annotations
 from repro.crypto.des import DES
 from repro.exceptions import KeyError_
 
-try:  # optional: vectorised counter assembly (the cipher itself already
-    import numpy as _np  # has a vector kernel when numpy is present)
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-# Below this many blocks the bytearray loop beats ndarray setup.
-_MIN_VECTOR_BLOCKS = 16
-
 
 class ProgressiveCipher:
     """A DES-based keystream cipher over arbitrary-length byte strings.
@@ -52,23 +44,12 @@ class ProgressiveCipher:
         cipher's bulk path in a single call, so generating a page-sized
         keystream costs one Python call rather than one per block.
         """
-        num_blocks = (length + 7) // 8
-        if _np is not None and num_blocks >= _MIN_VECTOR_BLOCKS:
-            # One vectorised add + byteswap builds every big-endian
-            # counter block at once; uint64 wrap-around matches the
-            # ``% (1 << 64)`` of the scalar loop.
-            start = _np.uint64(self.nonce)  # overflows loudly, like to_bytes
-            with _np.errstate(over="ignore"):
-                counter_vec = start + _np.arange(num_blocks, dtype=_np.uint64)
-            counters = counter_vec.astype(">u8").tobytes()
-        else:
-            buf = bytearray()
-            counter = self.nonce
-            for _ in range(num_blocks):
-                buf.extend(counter.to_bytes(8, "big", signed=False))
-                counter = (counter + 1) % (1 << 64)
-            counters = bytes(buf)
-        return self._des.encrypt_blocks(counters)[:length]
+        buf = bytearray()
+        counter = self.nonce
+        for _ in range((length + 7) // 8):
+            buf.extend(counter.to_bytes(8, "big", signed=False))
+            counter = (counter + 1) % (1 << 64)
+        return self._des.encrypt_blocks(bytes(buf))[:length]
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """XOR the plaintext with the keystream (length-preserving)."""

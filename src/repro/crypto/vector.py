@@ -1,13 +1,21 @@
 """numpy-vectorised DES kernel: all 16 rounds over whole block arrays.
 
-The fast kernel (:class:`repro.crypto.des.FastDESKernel`) already collapses
-every FIPS permutation into byte-wide lookup tables, but it still pays one
-Python-level round loop per 8-byte block.  This module runs the *same*
-tables as numpy gathers over a ``uint64`` vector holding every block of the
-buffer at once, so the interpreter executes a fixed ~200 array ops per
-*call* instead of ~70 int ops per *block*.  The output is byte-identical to
-the reference and fast kernels on every input (the three-way parity tests
+The fast kernel (:class:`repro.crypto.des.FastDESKernel`) pays one
+Python-level round loop per 8-byte block.  This module runs the rounds
+as numpy operations over a vector holding every block of the buffer at
+once, so the interpreter executes a fixed ~130 array operations per
+*call* instead of ~15 int operations per round per *block*.  IP and FP
+are one gather each over the buffer's bytes; a round gathers the four
+10-bit windows of ``R`` (see :data:`repro.crypto.des.WINDOW_SHIFTS`)
+from one table and ORs them.  The output is byte-identical to the
+reference and fast kernels on every input (the three-way parity tests
 and benchmark C10 assert this).
+
+A round runs on the key's :class:`~repro.crypto.des.RoundTables` when its
+:class:`~repro.crypto.des.DES` object has built them.  Bare subkeys run
+the same gathers on the key-independent pair table :data:`_PAIR_SP`,
+paying two more array operations per round to XOR the subkey into each
+window.  :func:`build_round_tables` is the numpy build of the tables.
 
 Importing this module raises :class:`ImportError` when numpy is absent;
 :mod:`repro.crypto.des` catches that and keeps ``"fast"`` as the best
@@ -20,103 +28,106 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.des import (
-    _E_LUT,
     _FP_LUT,
     _IP_LUT,
     _SP,
+    MIN_VECTOR_BLOCKS,
+    WINDOW_SHIFTS,
     FastDESKernel,
+    RoundTables,
 )
 
+_IP_FLAT = np.array(_IP_LUT, dtype=np.uint64).ravel()
+_FP_FLAT = np.array(_FP_LUT, dtype=np.uint64).ravel()
+#: Offset of byte i's 256-entry IP/FP table in the flat tables above.
+_BYTE_BASE = np.arange(8) * 256
 
-def _as_uint64_tables(luts: list[list[int]]) -> list[np.ndarray]:
-    """Mirror the fast kernel's per-byte LUTs as uint64 gather tables."""
-    return [np.array(table, dtype=np.uint64) for table in luts]
+_SP32 = np.array(_SP, dtype=np.uint32)
+#: ``_PAIR_SP[(j << 12) | (a << 6) | b] = SP[2j][a] | SP[2j+1][b]``: the
+#: key-independent table of S-box pair j on its 12 E-output bits.
+_PAIR_SP = np.concatenate(
+    [(_SP32[2 * j][:, None] | _SP32[2 * j + 1][None, :]).ravel() for j in range(4)]
+)
+#: Window j's 10 bits spread to the pair's 12 E-output bits: the two
+#: middle bits feed both S-boxes.
+_SPREAD = np.array([((w & 0x3F0) << 2) | (w & 0x3F) for w in range(1024)], dtype=np.intp)
+#: Subkey shift of each pair's 12-bit chunk, and each pair's table base.
+_PAIR_SHIFTS = np.array([[36], [24], [12], [0]], dtype=np.int64)
+_PAIR_BASE = np.array([[0], [1 << 12], [2 << 12], [3 << 12]], dtype=np.int64)
 
-
-_IP_NP = _as_uint64_tables(_IP_LUT)
-_FP_NP = _as_uint64_tables(_FP_LUT)
-_E_NP = _as_uint64_tables(_E_LUT)
-_SP_NP = _as_uint64_tables(_SP)
-
-#: Buffers shorter than this many 8-byte blocks go to the fast kernel:
-#: below it the vector path's fixed ndarray cost exceeds the fast
-#: kernel's per-block cost.  Measured on a 2-vCPU x86-64 Xeon with
-#: CPython 3.11 and numpy 2.4 (best of 400 interleaved runs per size):
-#: fast ~14 us per block, vector ~500-530 us nearly flat up to 64
-#: blocks, tying at 36 blocks.  A constant keeps the kernel choice
-#: deterministic; both paths are byte-identical either way.
-MIN_VECTOR_BLOCKS = 36
-
+_SHIFTS = np.array(WINDOW_SHIFTS, dtype=np.int64)[:, None]
+#: Offset of window j's 1024-entry table in a round's row of the tables.
+_WINDOW_BASE = np.array([[0], [1024], [2048], [3072]], dtype=np.int64)
+_DUP = np.uint64(0x1_0000_0001)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
+def _pair_keys(subkeys) -> np.ndarray:
+    """Per round, each pair's 12-bit subkey chunk with its table base."""
+    k = np.array(list(subkeys), dtype=np.int64)[:, None, None]
+    return ((k >> _PAIR_SHIFTS) & 0xFFF) | _PAIR_BASE
+
+
+def build_round_tables(subkeys) -> np.ndarray:
+    """The :class:`~repro.crypto.des.RoundTables` buffer: 16 rows of 4096.
+
+    Entry ``(r, 1024 j + w)`` is :data:`_PAIR_SP` at window ``w`` spread
+    and XORed with round r's chunk for pair j -- the lookup a bare round
+    computes, done once for all 1024 windows.  About 0.25 ms.  Built row
+    by row, so the index temporaries stay at 32 KiB.
+    """
+    out = np.empty((16, 4096), dtype=np.uint32)
+    for row, keys in zip(out, _pair_keys(subkeys)):
+        np.take(_PAIR_SP, _SPREAD ^ keys, out=row.reshape(4, 1024))
+    return out
+
+
 class VectorDESKernel:
-    """Array kernel: the fast kernel's LUTs applied as ndarray gathers.
+    """Array kernel: the rounds as ndarray gathers over the whole buffer.
 
     :meth:`crypt_blocks` is the whole point -- the buffer becomes one
-    big-endian ``uint64`` vector, IP/E/SP/FP all run as table gathers over
-    the full vector, and the 16-round loop executes once per *buffer*.
-    Buffers below :data:`MIN_VECTOR_BLOCKS` delegate to
+    ``uint64`` vector and the 16-round loop executes once per *buffer*.
+    Buffers below :data:`~repro.crypto.des.MIN_VECTOR_BLOCKS` delegate to
     :class:`FastDESKernel` (byte-identical by construction), which is
     faster below the ndarray setup cost.
     """
 
     name = "vector"
+    uses_tables = True
 
-    # Single-block calls gain nothing from vectorisation.
+    # Single blocks gain nothing from vectorisation, and CBC encryption
+    # chains block by block.
     crypt_block = staticmethod(FastDESKernel.crypt_block)
+    cbc_encrypt = staticmethod(FastDESKernel.cbc_encrypt)
 
     @staticmethod
-    def crypt_blocks(data: bytes, subkeys: tuple[int, ...]) -> bytes:
+    def crypt_blocks(data: bytes, keys) -> bytes:
         if len(data) < 8 * MIN_VECTOR_BLOCKS:
-            return FastDESKernel.crypt_blocks(data, subkeys)
-        return _crypt_vector(data, subkeys)
+            return FastDESKernel.crypt_blocks(data, keys)
+        return _crypt_vector(data, keys)
 
 
-def _crypt_vector(data: bytes, subkeys: tuple[int, ...]) -> bytes:
+def _crypt_vector(data: bytes, keys) -> bytes:
     """The unconditional ndarray computation, whatever the buffer size."""
-    ip = _IP_NP
-    fp = _FP_NP
-    e = _E_NP
-    sp = _SP_NP
-    v = np.frombuffer(data, dtype=">u8").astype(np.uint64)
-    b = v >> np.uint64(56)
-    t = ip[0][b]
-    t |= ip[1][(v >> np.uint64(48)) & np.uint64(0xFF)]
-    t |= ip[2][(v >> np.uint64(40)) & np.uint64(0xFF)]
-    t |= ip[3][(v >> np.uint64(32)) & np.uint64(0xFF)]
-    t |= ip[4][(v >> np.uint64(24)) & np.uint64(0xFF)]
-    t |= ip[5][(v >> np.uint64(16)) & np.uint64(0xFF)]
-    t |= ip[6][(v >> np.uint64(8)) & np.uint64(0xFF)]
-    t |= ip[7][v & np.uint64(0xFF)]
-    left = t >> _SHIFT32
-    right = t & _MASK32
-    mask6 = np.uint64(0x3F)
-    mask8 = np.uint64(0xFF)
-    for subkey in subkeys:
-        x = e[0][right >> np.uint64(24)]
-        x |= e[1][(right >> np.uint64(16)) & mask8]
-        x |= e[2][(right >> np.uint64(8)) & mask8]
-        x |= e[3][right & mask8]
-        x ^= np.uint64(subkey)
-        f = sp[0][x >> np.uint64(42)]
-        f |= sp[1][(x >> np.uint64(36)) & mask6]
-        f |= sp[2][(x >> np.uint64(30)) & mask6]
-        f |= sp[3][(x >> np.uint64(24)) & mask6]
-        f |= sp[4][(x >> np.uint64(18)) & mask6]
-        f |= sp[5][(x >> np.uint64(12)) & mask6]
-        f |= sp[6][(x >> np.uint64(6)) & mask6]
-        f |= sp[7][x & mask6]
-        left, right = right, left ^ f
+    b = np.frombuffer(data, dtype=np.uint8).reshape(-1, 8)
+    v = np.bitwise_or.reduce(_IP_FLAT[b + _BYTE_BASE], axis=1)
+    left = v >> _SHIFT32
+    right = v & _MASK32
+    # x = R * 0x1_0000_0001 read as int64: the arithmetic shifts' sign
+    # bits never reach a masked 10-bit window
+    if isinstance(keys, RoundTables):
+        buffer = keys.buffer
+        for r in keys.order:
+            idx = ((right * _DUP).view(np.int64) >> _SHIFTS) & 0x3FF
+            idx |= _WINDOW_BASE
+            left, right = right, left ^ np.bitwise_or.reduce(buffer[r][idx], axis=0)
+    else:
+        for k in _pair_keys(keys):
+            w = ((right * _DUP).view(np.int64) >> _SHIFTS) & 0x3FF
+            idx = _SPREAD[w] ^ k
+            left, right = right, left ^ np.bitwise_or.reduce(_PAIR_SP[idx], axis=0)
     # Final swap: the last round's halves are exchanged before FP.
     v = (right << _SHIFT32) | left
-    t = fp[0][v >> np.uint64(56)]
-    t |= fp[1][(v >> np.uint64(48)) & mask8]
-    t |= fp[2][(v >> np.uint64(40)) & mask8]
-    t |= fp[3][(v >> np.uint64(32)) & mask8]
-    t |= fp[4][(v >> np.uint64(24)) & mask8]
-    t |= fp[5][(v >> np.uint64(16)) & mask8]
-    t |= fp[6][(v >> np.uint64(8)) & mask8]
-    t |= fp[7][v & mask8]
-    return t.astype(">u8").tobytes()
+    b = v.astype(">u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_or.reduce(_FP_FLAT[b + _BYTE_BASE], axis=1).astype(">u8").tobytes()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.database import EncipheredDatabase
 from repro.crypto.base import CountingCipher
+from repro.crypto.des import TABLE_BUILD_CALLS, schedule_derivations
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import (
@@ -122,6 +123,25 @@ class TestSuperblockSecurity:
         raw = db.disk.raw_block(0)
         assert b"HSBT1990" not in raw
         assert db.tree.root_id.to_bytes(4, "big") not in raw[:12]
+
+    def test_commits_derive_no_key_schedules(self, db):
+        """The superblock cipher is derived once per handle, not per
+        commit: autocommit writes (each rewriting the superblock) leave
+        the process-wide schedule count where it was."""
+        db.insert(0, b"warm")
+        before = schedule_derivations()
+        for k in range(1, 25):
+            db.insert(k, b"x")
+        db.delete(3)
+        assert schedule_derivations() == before
+
+    def test_close_releases_record_cipher_tables(self, db):
+        des = db.records._transform._des
+        for k in range(TABLE_BUILD_CALLS + 1):
+            db.insert(k, b"x")
+        assert des._tables is not None  # every record write is a bulk call
+        db.close()
+        assert des._tables is None
 
     def test_superblock_tracks_root_splits(self, db, cipher):
         """Enough inserts to split the root several times; the superblock

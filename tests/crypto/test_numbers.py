@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.numbers import (
-    crt_pair,
     discrete_log,
     egcd,
     euler_phi,
@@ -210,20 +209,3 @@ class TestDiscreteLog:
         # 3 generates a subgroup of order 3 in Z_13: {1, 3, 9}
         with pytest.raises(CryptoError):
             discrete_log(3, 2, 13)
-
-
-class TestCrtPair:
-    def test_reconstruction(self):
-        x = crt_pair(2, 3, 3, 5)
-        assert x % 3 == 2 and x % 5 == 3
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=50)
-    def test_roundtrip(self, x):
-        m1, m2 = 10007, 10009
-        x %= m1 * m2
-        assert crt_pair(x % m1, m1, x % m2, m2) == x
-
-    def test_non_coprime_rejected(self):
-        with pytest.raises(CryptoError):
-            crt_pair(1, 6, 2, 9)

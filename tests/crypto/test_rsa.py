@@ -71,12 +71,16 @@ class TestIntegerEncryption:
         m %= cipher.modulus
         assert cipher.decrypt_int(cipher.encrypt_int(m)) == m
 
-    def test_crt_matches_plain_decryption(self, keypair):
-        fast = RSA(keypair, use_crt=True)
-        slow = RSA(keypair, use_crt=False)
-        for m in (7, 123456789, keypair.n - 2):
-            c = fast.encrypt_int(m)
-            assert fast.decrypt_int(c) == slow.decrypt_int(c) == m
+    @given(
+        bits=st.integers(min_value=16, max_value=256),
+        seed=st.integers(min_value=0, max_value=2**32),
+        c=st.integers(min_value=0, max_value=2**256),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_garner_decrypt_equals_plain_pow(self, bits, seed, c):
+        keypair = generate_rsa_keypair(bits=bits, rng=random.Random(seed))
+        c %= keypair.n
+        assert RSA(keypair).decrypt_int(c) == pow(c, keypair.d, keypair.n)
 
     def test_out_of_range_rejected(self, cipher):
         with pytest.raises(MessageRangeError):
