@@ -58,6 +58,15 @@ class NodeView(Protocol):
         """Materialise the full plaintext node (pays full decode cost)."""
         ...
 
+    def edit(self) -> Node:
+        """The node for the B-tree to change and re-``encode``.
+
+        Keys are plaintext.  Pointers may be codec-specific stand-ins
+        that the tree moves around unread and only ``encode`` opens, so
+        an edit pays for the pointers it changes, not the whole node.
+        """
+        ...
+
 
 class NodeCodec(Protocol):
     """Bidirectional node-block serialisation."""
@@ -138,6 +147,9 @@ class PlainNodeView:
             values=list(self._node.values),
             children=list(self._node.children),
         )
+
+    def edit(self) -> Node:
+        return self.to_node()
 
 
 class PlainNodeCodec:

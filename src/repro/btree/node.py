@@ -9,6 +9,11 @@ like any textbook B-Tree while the codecs reassemble triplets for disk.
 ``children[i]`` is the subtree holding keys less than ``keys[i]``;
 ``children[-1]`` is the paper's *"one tree pointer which does not have an
 accompanying [search key] and data pointer"*.
+
+A node taken for rewriting with ``NodeView.edit()`` may hold, in
+``values`` and ``children``, codec-specific stand-ins for pointers it
+has not decrypted; the structural algorithms only move them, and the
+codec's ``encode`` resolves them.
 """
 
 from __future__ import annotations

@@ -8,9 +8,15 @@ whatever cryptography the codec imposes is paid exactly where the paper
 says it is paid:
 
 * *routing* (descending the tree) touches keys via ``key_at`` and one
-  tree pointer via ``child_at`` per node;
-* *mutation* (leaf updates, splits, merges) materialises whole nodes via
-  ``to_node`` and re-encodes them via ``encode``.
+  tree pointer via ``child_at`` per node, for searches and for inserts
+  and deletes alike; occupancy checks read only ``num_keys``;
+* *mutation* (leaf updates, splits, borrows, merges) takes only the nodes
+  it rewrites through ``edit`` and re-encodes them via ``encode``.  An
+  edit leaves pointers in whatever form the codec chooses: under the
+  paper's layout they stay sealed, so ``encode`` decrypts and
+  re-encrypts only the triplets the write creates, changes or moves to
+  another block (codecs with keys inside the cipher, or no cipher, hand
+  over plain ints).
 
 The tree itself never caches plaintext nodes across operations -- the
 paper's model charges every node visit its decryption cost.  Node reads
@@ -35,6 +41,9 @@ from repro.storage.pager import Pager
 
 class TreeCounters(ThreadSafeCounters):
     """Structural operation counts (cryptographic counts live in codecs).
+
+    ``comparisons`` counts key probes: each binary-search probe plus the
+    equality check at the index found, on searches, inserts and deletes.
 
     Thread-safe (per-thread accumulation, merged reads): concurrent
     readers descend the tree in parallel, and lost increments would
@@ -113,6 +122,7 @@ class BTree:
         return self.pager.read_decoded(node_id, self.codec.decode)
 
     def _node(self, node_id: int) -> Node:
+        """Fully decoded plaintext node (inspection only, never written)."""
         return self._view(node_id).to_node()
 
     def _write(self, node: Node) -> None:
@@ -137,6 +147,13 @@ class BTree:
                 hi = mid
         return lo
 
+    def _key_equals(self, view: NodeView, idx: int, key: int) -> bool:
+        """Whether the key at a :meth:`_lower_bound` index is ``key``."""
+        if idx == view.num_keys:
+            return False
+        self.counters.bump("comparisons")
+        return view.key_at(idx) == key
+
     def search(self, key: int) -> int:
         """Return the data pointer stored under ``key``.
 
@@ -146,10 +163,8 @@ class BTree:
         while True:
             view = self._view(node_id)
             idx = self._lower_bound(view, key)
-            if idx < view.num_keys:
-                self.counters.bump("comparisons")
-                if view.key_at(idx) == key:
-                    return view.value_at(idx)
+            if self._key_equals(view, idx, key):
+                return view.value_at(idx)
             if view.is_leaf:
                 raise KeyNotFoundError(key)
             node_id = view.child_at(idx)
@@ -376,50 +391,47 @@ class BTree:
 
         Raises :class:`DuplicateKeyError` if the key is present.
         """
-        root_view = self._view(self.root_id)
-        if root_view.num_keys == self.max_keys:
-            old_root = root_view.to_node()
+        root = self._view(self.root_id)
+        if root.num_keys == self.max_keys:
             new_root = Node(
-                node_id=self._allocate(), is_leaf=False, children=[old_root.node_id]
+                node_id=self._allocate(), is_leaf=False, children=[root.node_id]
             )
-            self._split_child(new_root, 0, old_root)
+            self._split_child(new_root, 0, root)
             self.root_id = new_root.node_id
-        self._insert_nonfull(self.root_id, key, value)
+            root = self._view(self.root_id)
+        self._insert_nonfull(root, key, value)
         self.size += 1
 
-    def _insert_nonfull(self, node_id: int, key: int, value: int) -> None:
+    def _insert_nonfull(self, view: NodeView, key: int, value: int) -> None:
         while True:
-            view = self._view(node_id)
             idx = self._lower_bound(view, key)
-            if idx < view.num_keys:
-                self.counters.bump("comparisons")
-                if view.key_at(idx) == key:
-                    raise DuplicateKeyError(key)
+            if self._key_equals(view, idx, key):
+                raise DuplicateKeyError(key)
             if view.is_leaf:
-                node = view.to_node()
+                node = view.edit()
                 node.keys.insert(idx, key)
                 node.values.insert(idx, value)
                 self._write(node)
                 return
-            child_id = view.child_at(idx)
-            child_view = self._view(child_id)
-            if child_view.num_keys == self.max_keys:
-                parent = view.to_node()
-                self._split_child(parent, idx, child_view.to_node())
+            child = self._view(view.child_at(idx))
+            if child.num_keys == self.max_keys:
+                parent = view.edit()
+                sibling_id = self._split_child(parent, idx, child)
                 separator = parent.keys[idx]
                 if key == separator:
                     raise DuplicateKeyError(key)
-                child_id = parent.children[idx + 1] if key > separator else parent.children[idx]
-            node_id = child_id
+                child = self._view(sibling_id if key > separator else child.node_id)
+            view = child
 
-    def _split_child(self, parent: Node, idx: int, child: Node) -> None:
-        """Split a full ``child`` around its median into two siblings.
+    def _split_child(self, parent: Node, idx: int, child_view: NodeView) -> int:
+        """Split a full child around its median; returns the new sibling's id.
 
         The sibling occupies a fresh block -- the event §3 worries about,
         since under per-page keys every migrated triplet must be
         re-enciphered under the new block's key.
         """
         t = self.min_degree
+        child = child_view.edit()
         sibling = Node(node_id=self._allocate(), is_leaf=child.is_leaf)
         sibling.keys = child.keys[t:]
         sibling.values = child.values[t:]
@@ -437,82 +449,74 @@ class BTree:
         self._write(child)
         self._write(sibling)
         self._write(parent)
+        return sibling.node_id
 
     # -- deletion --------------------------------------------------------
 
     def delete(self, key: int) -> None:
         """Remove ``key``.  Raises :class:`KeyNotFoundError` when absent."""
-        self._delete_from(self.root_id, key)
-        root = self._node(self.root_id)
+        self._delete_from(self._view(self.root_id), key)
+        root = self._view(self.root_id)
         if root.num_keys == 0 and not root.is_leaf:
             old_root_id = self.root_id
-            self.root_id = root.children[0]
+            self.root_id = root.child_at(0)
             self._release(old_root_id)
         self.size -= 1
 
-    def _delete_from(self, node_id: int, key: int) -> None:
-        node = self._node(node_id)
-        idx = self._find_index(node, key)
-        if idx < node.num_keys and node.keys[idx] == key:
-            if node.is_leaf:
+    def _delete_from(self, view: NodeView, key: int) -> None:
+        idx = self._lower_bound(view, key)
+        if self._key_equals(view, idx, key):
+            if view.is_leaf:
+                node = view.edit()
                 node.keys.pop(idx)
                 node.values.pop(idx)
                 self._write(node)
             else:
-                self._delete_internal(node, idx, key)
+                self._delete_internal(view, idx, key)
+        elif view.is_leaf:
+            raise KeyNotFoundError(key)
         else:
-            if node.is_leaf:
-                raise KeyNotFoundError(key)
-            idx = self._ensure_child_capacity(node, idx, key)
-            self._delete_from(node.children[idx], key)
+            self._delete_from(self._ensure_child_capacity(view, idx), key)
 
-    def _find_index(self, node: Node, key: int) -> int:
-        import bisect
-
-        self.counters.bump("comparisons", max(1, node.num_keys.bit_length()))
-        return bisect.bisect_left(node.keys, key)
-
-    def _delete_internal(self, node: Node, idx: int, key: int) -> None:
-        """Delete ``key == node.keys[idx]`` from an internal node (CLRS)."""
+    def _delete_internal(self, view: NodeView, idx: int, key: int) -> None:
+        """Delete ``key == view.key_at(idx)`` from an internal node (CLRS)."""
         t = self.min_degree
-        left_id = node.children[idx]
-        right_id = node.children[idx + 1]
-        left = self._node(left_id)
+        left = self._view(view.child_at(idx))
         if left.num_keys >= t:
-            pred_key, pred_value = self._max_pair(left_id)
-            node.keys[idx] = pred_key
-            node.values[idx] = pred_value
-            self._write(node)
-            self._delete_from(left_id, pred_key)
+            self._replace_and_descend(view, idx, left, self._max_pair(left))
             return
-        right = self._node(right_id)
+        right = self._view(view.child_at(idx + 1))
         if right.num_keys >= t:
-            succ_key, succ_value = self._min_pair(right_id)
-            node.keys[idx] = succ_key
-            node.values[idx] = succ_value
-            self._write(node)
-            self._delete_from(right_id, succ_key)
+            self._replace_and_descend(view, idx, right, self._min_pair(right))
             return
-        self._merge_children(node, idx, left, right)
-        self._delete_from(left_id, key)
+        self._merge_children(view, idx, left, right)
+        self._delete_from(self._view(left.node_id), key)
 
-    def _max_pair(self, node_id: int) -> tuple[int, int]:
-        while True:
-            view = self._view(node_id)
-            if view.is_leaf:
-                last = view.num_keys - 1
-                return view.key_at(last), view.value_at(last)
-            node_id = view.child_at(view.num_keys)
+    def _replace_and_descend(
+        self, view: NodeView, idx: int, child: NodeView, pair: tuple[int, int]
+    ) -> None:
+        """Overwrite separator ``idx`` with ``pair``, then delete it below."""
+        node = view.edit()
+        node.keys[idx], node.values[idx] = pair
+        self._write(node)
+        self._delete_from(child, pair[0])
 
-    def _min_pair(self, node_id: int) -> tuple[int, int]:
-        while True:
-            view = self._view(node_id)
-            if view.is_leaf:
-                return view.key_at(0), view.value_at(0)
-            node_id = view.child_at(0)
+    def _max_pair(self, view: NodeView) -> tuple[int, int]:
+        while not view.is_leaf:
+            view = self._view(view.child_at(view.num_keys))
+        last = view.num_keys - 1
+        return view.key_at(last), view.value_at(last)
 
-    def _merge_children(self, parent: Node, idx: int, left: Node, right: Node) -> None:
-        """Fold ``parent.keys[idx]`` and the right sibling into ``left``."""
+    def _min_pair(self, view: NodeView) -> tuple[int, int]:
+        while not view.is_leaf:
+            view = self._view(view.child_at(0))
+        return view.key_at(0), view.value_at(0)
+
+    def _merge_children(
+        self, parent_view: NodeView, idx: int, left_view: NodeView, right_view: NodeView
+    ) -> None:
+        """Fold separator ``idx`` and the right sibling into the left child."""
+        parent, left, right = parent_view.edit(), left_view.edit(), right_view.edit()
         left.keys.append(parent.keys.pop(idx))
         left.values.append(parent.values.pop(idx))
         left.keys.extend(right.keys)
@@ -524,52 +528,53 @@ class BTree:
         self._write(parent)
         self._release(right.node_id)
 
-    def _ensure_child_capacity(self, node: Node, idx: int, key: int) -> int:
-        """Guarantee ``node.children[idx]`` has at least ``t`` keys.
+    def _ensure_child_capacity(self, view: NodeView, idx: int) -> NodeView:
+        """Guarantee child ``idx`` has at least ``t`` keys; return its view.
 
-        Borrows from a rich sibling or merges with a poor one; returns the
-        (possibly shifted) child index to descend into.
+        Borrows from a rich sibling or merges with a poor one, and
+        returns a view of the child to descend into (the left sibling
+        after merging into it).  An untouched child is not read twice.
         """
         t = self.min_degree
-        child = self._node(node.children[idx])
+        child = self._view(view.child_at(idx))
         if child.num_keys >= t:
-            return idx
-        left_sibling = self._node(node.children[idx - 1]) if idx > 0 else None
-        if left_sibling is not None and left_sibling.num_keys >= t:
+            return child
+        left = self._view(view.child_at(idx - 1)) if idx > 0 else None
+        if left is not None and left.num_keys >= t:
             # rotate right: separator moves down, sibling max moves up
-            child.keys.insert(0, node.keys[idx - 1])
-            child.values.insert(0, node.values[idx - 1])
-            node.keys[idx - 1] = left_sibling.keys.pop()
-            node.values[idx - 1] = left_sibling.values.pop()
-            if not child.is_leaf:
-                child.children.insert(0, left_sibling.children.pop())
-            self.counters.bump("borrows")
-            self._write(left_sibling)
-            self._write(child)
-            self._write(node)
-            return idx
-        right_sibling = (
-            self._node(node.children[idx + 1]) if idx < node.num_keys else None
-        )
-        if right_sibling is not None and right_sibling.num_keys >= t:
+            parent, kid, sibling = view.edit(), child.edit(), left.edit()
+            kid.keys.insert(0, parent.keys[idx - 1])
+            kid.values.insert(0, parent.values[idx - 1])
+            parent.keys[idx - 1] = sibling.keys.pop()
+            parent.values[idx - 1] = sibling.values.pop()
+            if not kid.is_leaf:
+                kid.children.insert(0, sibling.children.pop())
+            self._write_borrow(sibling, kid, parent)
+            return self._view(kid.node_id)
+        right = self._view(view.child_at(idx + 1)) if idx < view.num_keys else None
+        if right is not None and right.num_keys >= t:
             # rotate left: separator moves down, sibling min moves up
-            child.keys.append(node.keys[idx])
-            child.values.append(node.values[idx])
-            node.keys[idx] = right_sibling.keys.pop(0)
-            node.values[idx] = right_sibling.values.pop(0)
-            if not child.is_leaf:
-                child.children.append(right_sibling.children.pop(0))
-            self.counters.bump("borrows")
-            self._write(right_sibling)
-            self._write(child)
-            self._write(node)
-            return idx
-        if left_sibling is not None:
-            self._merge_children(node, idx - 1, left_sibling, child)
-            return idx - 1
-        assert right_sibling is not None  # a non-root node has a sibling
-        self._merge_children(node, idx, child, right_sibling)
-        return idx
+            parent, kid, sibling = view.edit(), child.edit(), right.edit()
+            kid.keys.append(parent.keys[idx])
+            kid.values.append(parent.values[idx])
+            parent.keys[idx] = sibling.keys.pop(0)
+            parent.values[idx] = sibling.values.pop(0)
+            if not kid.is_leaf:
+                kid.children.append(sibling.children.pop(0))
+            self._write_borrow(sibling, kid, parent)
+            return self._view(kid.node_id)
+        if left is not None:
+            self._merge_children(view, idx - 1, left, child)
+            return self._view(left.node_id)
+        assert right is not None  # a non-root node has a sibling
+        self._merge_children(view, idx, child, right)
+        return self._view(child.node_id)
+
+    def _write_borrow(self, sibling: Node, child: Node, parent: Node) -> None:
+        self.counters.bump("borrows")
+        self._write(sibling)
+        self._write(child)
+        self._write(parent)
 
     # -- structure inspection ----------------------------------------------
 

@@ -7,7 +7,10 @@ the cost of the fields the traversal touches:
   are disguises ``f(k)`` -- inverting one is arithmetic, not decryption --
   and each triplet's pointers live in one cryptogram ``E(b || a || p)``.
   Navigating a node costs zero decryptions for the keys and exactly one
-  decryption for the chosen pointer.
+  decryption for the chosen pointer.  Because a cryptogram is bound only
+  to its block, editing a node costs cipher work only for the triplets
+  the edit creates, changes or moves to another block
+  (:class:`SealedTriplet`); the rest are rewritten as stored.
 * :class:`PageKeyNodeCodec` (Bayer--Metzger, §2): every triplet (key and
   pointers together) is enciphered under the page key derived from the
   block id.  Even *looking at* a key costs a decryption, so binary search
@@ -95,26 +98,52 @@ class SubstitutedNodeCodec:
     # -- encode ----------------------------------------------------------
 
     def encode(self, node: Node) -> bytes:
+        """Serialise ``node``; its pointers may be ints or sealed triplets.
+
+        A triplet whose fields are both still the same
+        :class:`SealedTriplet` of this block, of the same leaf/internal
+        kind, keeps its stored cryptogram verbatim (so does the
+        unaccompanied pointer).  Every other field is resolved -- a
+        counted, block-binding-checked decryption for a sealed one -- and
+        the triplet is encrypted afresh.  RSA is deterministic, so both
+        routes yield the same bytes for an untampered block.
+        """
         node.check()
         out = encode_header(node)
         for key in node.keys:
             out.extend(self.substitution.substitute(key).to_bytes(self.key_bytes, "big"))
         for i, value in enumerate(node.values):
             tree_ptr = None if node.is_leaf else node.children[i]
-            packed = self.packing.pack(node.node_id, value, tree_ptr)
-            out.extend(
-                self.cipher.encrypt_int(packed).to_bytes(self.cryptogram_bytes, "big")
-            )
+            out.extend(self._cryptogram(node, value, tree_ptr))
         if not node.is_leaf:
             if self.extra_pointer_mode == "disguise":
-                disguised = self.substitution.substitute(node.children[-1])
+                disguised = self.substitution.substitute(_child(node.children[-1]))
                 out.extend(disguised.to_bytes(self.key_bytes, "big"))
             else:
-                packed = self.packing.pack(node.node_id, None, node.children[-1])
-                out.extend(
-                    self.cipher.encrypt_int(packed).to_bytes(self.cryptogram_bytes, "big")
-                )
+                out.extend(self._cryptogram(node, None, node.children[-1]))
         return bytes(out)
+
+    def _cryptogram(
+        self,
+        node: Node,
+        value: "int | SealedTriplet | None",
+        tree_ptr: "int | SealedTriplet | None",
+    ) -> bytes:
+        sealed = tree_ptr if value is None else value
+        if (
+            isinstance(sealed, SealedTriplet)
+            and (tree_ptr is None or tree_ptr is sealed)
+            and sealed.view.node_id == node.node_id
+            and sealed.view.is_leaf == node.is_leaf
+            and (value is None) == (sealed.index == sealed.view.num_keys)
+        ):
+            return sealed.view.stored_cryptogram(sealed.index)
+        packed = self.packing.pack(
+            node.node_id,
+            None if value is None else _value(value),
+            None if tree_ptr is None else _child(tree_ptr),
+        )
+        return self.cipher.encrypt_int(packed).to_bytes(self.cryptogram_bytes, "big")
 
     def decode(self, node_id: int, data: bytes) -> "SubstitutedNodeView":
         return SubstitutedNodeView(self, node_id, data)
@@ -130,12 +159,45 @@ class SubstitutedNodeCodec:
         return size
 
 
+class SealedTriplet:
+    """Triplet ``index`` of ``view``, carried through a node edit unopened.
+
+    :meth:`SubstitutedNodeView.edit` puts one of these in both the
+    ``values`` and the ``children`` slot of each triplet (the same
+    object), and in the unaccompanied pointer's slot.  The B-tree moves
+    them around like the ints they stand for; the codec's ``encode``
+    copies the stored cryptogram while the triplet stays intact in its
+    own block, and decrypts it (checking the block binding) only when an
+    edit splits it up or moves it elsewhere.
+    """
+
+    __slots__ = ("view", "index")
+
+    def __init__(self, view: "SubstitutedNodeView", index: int) -> None:
+        self.view = view
+        self.index = index
+
+
+def _value(field: "int | SealedTriplet") -> int:
+    if isinstance(field, SealedTriplet):
+        return field.view.value_at(field.index)
+    return field
+
+
+def _child(field: "int | SealedTriplet") -> int:
+    if isinstance(field, SealedTriplet):
+        return field.view.child_at(field.index)
+    return field
+
+
 class SubstitutedNodeView:
     """Lazy reader over the Hardjono--Seberry layout.
 
     Key access performs a disguise inversion (cheap arithmetic, counted by
     the substitution's counters); pointer access decrypts the relevant
     cryptogram once and caches it for the lifetime of the view.
+    :meth:`edit` hands the B-tree a node to rewrite without decrypting
+    any pointer; :meth:`to_node` decrypts them all.
 
     Views are immutable readers over immutable bytes, so one view may be
     shared across reader threads (the pager's decoded cache does this):
@@ -175,14 +237,18 @@ class SubstitutedNodeView:
 
     # -- pointers ----------------------------------------------------------
 
+    def stored_cryptogram(self, i: int) -> bytes:
+        """Cryptogram ``i`` as stored (0..num_keys-1 triplets, num_keys=extra)."""
+        width = self._codec.cryptogram_bytes
+        start = self._crypt_off + i * width
+        return self._data[start : start + width]
+
     def _triplet(self, i: int) -> tuple[int | None, int | None]:
         """Decrypt cryptogram ``i`` (0..num_keys-1 triplets, num_keys=extra)."""
         cached = self._triplet_cache.get(i)
         if cached is not None:
             return cached
-        width = self._codec.cryptogram_bytes
-        start = self._crypt_off + i * width
-        cryptogram = int.from_bytes(self._data[start : start + width], "big")
+        cryptogram = int.from_bytes(self.stored_cryptogram(i), "big")
         block_id, data_ptr, tree_ptr = self._codec.packing.unpack(
             self._codec.cipher.decrypt_int(cryptogram)
         )
@@ -232,6 +298,24 @@ class SubstitutedNodeView:
             keys=keys,
             values=values,
             children=children,
+        )
+
+    def edit(self) -> Node:
+        """The node to rewrite: plaintext keys, every pointer still sealed.
+
+        Costs key inversions only; a pointer is decrypted when ``encode``
+        finds its triplet changed or moved (see :class:`SealedTriplet`).
+        """
+        sealed = [
+            SealedTriplet(self, i)
+            for i in range(self.num_keys + (0 if self.is_leaf else 1))
+        ]
+        return Node(
+            node_id=self.node_id,
+            is_leaf=self.is_leaf,
+            keys=[self.key_at(i) for i in range(self.num_keys)],
+            values=sealed[: self.num_keys],
+            children=[] if self.is_leaf else sealed,
         )
 
 
@@ -447,6 +531,10 @@ class PageKeyNodeView:
             values=values,
             children=children,
         )
+
+    def edit(self) -> Node:
+        """Keys live inside the triplet cipher, so an edit decrypts all."""
+        return self.to_node()
 
 
 # ---------------------------------------------------------------------------

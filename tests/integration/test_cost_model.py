@@ -130,3 +130,76 @@ class TestC3ReorganisationOverhead:
         node_at_3 = Node(node_id=3, is_leaf=True, keys=[7, 9], values=[70, 90])
         node_at_4 = Node(node_id=4, is_leaf=True, keys=[7, 9], values=[70, 90])
         assert codec.encode(node_at_3) != codec.encode(node_at_4)
+
+
+def leaf_keys(tree) -> list[int]:
+    nodes = [tree._node(node_id) for node_id in tree.node_ids()]
+    return sorted(key for node in nodes if node.is_leaf for key in node.keys)
+
+
+class TestWritePathCosts:
+    """Writes pay the pointer cipher only for the triplets they create,
+    change or move, plus one decryption per internal node they route
+    through (sealed node edits)."""
+
+    def test_leaf_insert_without_split_encrypts_one_triplet(self):
+        hs, _, keys = loaded_pair()
+        tree = hs.tree
+        absent = [k for k in range(DESIGN.v) if k not in set(keys)]
+        checked = 0
+        for k in random.Random(9).sample(absent, 20):
+            height = tree.height()
+            splits = tree.counters.splits
+            before = hs.cost_snapshot()
+            tree.insert(k, k)
+            cost = hs.cost_snapshot().minus(before)
+            if tree.counters.splits != splits:
+                continue
+            checked += 1
+            assert cost.pointer_encryptions == 1
+            assert cost.pointer_decryptions <= height
+        assert checked >= 10
+
+    def test_leaf_delete_without_rebalance_encrypts_nothing(self):
+        hs, _, _ = loaded_pair()
+        tree = hs.tree
+        checked = 0
+        for k in random.Random(10).sample(leaf_keys(tree), 20):
+            height = tree.height()
+            reshaped = tree.counters.merges + tree.counters.borrows
+            before = hs.cost_snapshot()
+            tree.delete(k)
+            cost = hs.cost_snapshot().minus(before)
+            if tree.counters.merges + tree.counters.borrows != reshaped:
+                continue
+            checked += 1
+            assert cost.pointer_encryptions == 0
+            assert cost.pointer_decryptions <= height
+        assert checked >= 5
+
+    def test_root_collapse_check_costs_at_most_one_decryption(self):
+        hs = EncipheredBTree(
+            OvalSubstitution(DESIGN, t=5), block_size=512, min_degree=2
+        )
+        tree = hs.tree
+        keys = random.Random(11).sample(range(DESIGN.v), 60)
+        for k in keys:
+            tree.insert(k, k)
+        marks = []
+        descend = tree._delete_from
+
+        def spy(*args):
+            descend(*args)
+            marks.append(hs.cost_snapshot())  # the outermost call returns last
+
+        tree._delete_from = spy
+        collapses = 0
+        for k in keys:
+            root_id = tree.root_id
+            tree.delete(k)
+            collapses += tree.root_id != root_id
+            check = hs.cost_snapshot().minus(marks[-1])
+            assert check.pointer_decryptions <= 1
+            assert check.pointer_encryptions == 0
+        assert collapses > 0
+
