@@ -9,14 +9,15 @@ sync plus write-batched cluster mutations -- in three parts:
 1. **Bytes shipped per single-key write** (the acceptance metric).  A
    write/read ping-pong forces one re-sync per write; the delta
    protocol must move >= 5x fewer bytes per write than the full-state
-   re-ship baseline (``delta_sync=False``), with byte-identical query
-   results.
+   re-ship baseline, priced by ``full_ship_bytes`` of the shard each
+   of those re-syncs caught up (what a full ship of it would have
+   moved), with query results byte-identical to the ``serial``
+   executor.
 2. **Mixed workloads end to end.**  One deterministic operation stream
    per scenario -- read-heavy (90% reads), mixed (60%), write-heavy
    (30%) -- replayed through the ``serial`` and ``processes``
-   executors plus the full-ship baseline, reporting
-   throughput, re-sync counts and bytes shipped.  Results and cipher
-   totals must be identical across all arms.
+   executors, reporting throughput, re-sync counts and bytes shipped.
+   Results and cipher totals must be identical across both arms.
 3. **Write batching.**  k single-key inserts (one re-sync each) vs one
    ``put_many`` burst (one commit + one epoch + one delta per shard):
    ships and bytes must both drop.
@@ -31,6 +32,7 @@ import os
 import random
 import time
 
+from repro.cluster.executor import full_ship_bytes
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
@@ -47,7 +49,7 @@ NUM_WRITES = int(os.environ.get("C11_WRITES", "10"))
 BATCH_SIZE = int(os.environ.get("C11_BATCH", "32"))
 NUM_SHARDS = 4
 SCENARIOS = {"read_heavy": 0.9, "mixed": 0.6, "write_heavy": 0.3}
-ARMS = ("serial", "processes", "processes-full")
+ARMS = ("serial", "processes")
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:
@@ -67,8 +69,7 @@ def _new_cluster(arm: str) -> ShardedEncipheredDatabase:
         block_size=512,
         min_degree=4,
         cache_blocks=64,
-        executor="processes" if arm == "processes-full" else arm,
-        delta_sync=arm != "processes-full",
+        executor=arm,
     )
 
 
@@ -99,35 +100,47 @@ def _shipped(cluster: ShardedEncipheredDatabase) -> tuple[int, int]:
 
 
 def _write_read_pingpong(items):
-    """One re-sync per write, measured for delta vs full-ship arms."""
+    """One re-sync per write: delta bytes vs the full ships they replace."""
     taken = {k for k, _ in items}
     fresh = [k for k in range(DESIGN.v) if k not in taken][:NUM_WRITES]
-    out = {}
-    results = {}
-    for arm in ("processes", "processes-full"):
+    transcripts = {}
+    for arm in ARMS:
         cluster = _new_cluster(arm)
         try:
             cluster.bulk_load(items)
             cluster.range_search(0, DESIGN.v)  # replicas established
             _reset_sync_stats(cluster)
             transcript = []
+            full_bytes = 0
             for i, key in enumerate(fresh):
                 cluster.insert(key, b"w%d" % i)
+                if arm == "processes":
+                    # the payload a full re-ship of the touched shard moves
+                    shard_id = cluster.router.shard_for(key)
+                    full_bytes += full_ship_bytes(cluster.shards[shard_id])
                 transcript.append(cluster.range_search(0, DESIGN.v))
-            ships, shipped = _shipped(cluster)
-            out[arm] = {
-                "writes": len(fresh),
-                "ships": ships,
-                "bytes": shipped,
-                "bytes_per_write": shipped / len(fresh),
-            }
-            results[arm] = transcript
+            if arm == "processes":
+                ships, shipped = _shipped(cluster)
+            transcripts[arm] = transcript
         finally:
             cluster.close()
-    assert results["processes"] == results["processes-full"], (
-        "delta-synced replicas answered differently from full-shipped ones"
+    assert transcripts["processes"] == transcripts["serial"], (
+        "delta-synced replicas answered differently from the serial executor"
     )
-    return out
+    return {
+        "delta": {
+            "writes": len(fresh),
+            "ships": ships,
+            "bytes": shipped,
+            "bytes_per_write": shipped / len(fresh),
+        },
+        "full_baseline": {
+            "writes": len(fresh),
+            "ships": len(fresh),
+            "bytes": full_bytes,
+            "bytes_per_write": full_bytes / len(fresh),
+        },
+    }
 
 
 # -- part 2: mixed workloads through every arm -----------------------------
@@ -227,32 +240,24 @@ def test_c11_mixed_workload(benchmark, reporter):
     items = _items()
 
     pingpong = benchmark(lambda: _write_read_pingpong(items))
-    reduction = (
-        pingpong["processes-full"]["bytes_per_write"]
-        / pingpong["processes"]["bytes_per_write"]
-    )
+    delta, full = pingpong["delta"], pingpong["full_baseline"]
+    reduction = full["bytes_per_write"] / delta["bytes_per_write"]
     reporter.table(
         f"{NUM_WRITES} single-key writes, each followed by a full range "
-        f"fan-out ({NUM_KEYS} keys, {NUM_SHARDS} shards); both arms "
-        "returned byte-identical results",
+        f"fan-out ({NUM_KEYS} keys, {NUM_SHARDS} shards); results "
+        "byte-identical to the serial executor",
         ["sync protocol", "re-syncs", "bytes shipped", "bytes/write"],
         [
-            ["delta (journal-backed)",
-             pingpong["processes"]["ships"],
-             f"{pingpong['processes']['bytes']:,}",
-             f"{pingpong['processes']['bytes_per_write']:,.0f}"],
-            ["full re-ship (PR-4 baseline)",
-             pingpong["processes-full"]["ships"],
-             f"{pingpong['processes-full']['bytes']:,}",
-             f"{pingpong['processes-full']['bytes_per_write']:,.0f}"],
+            ["delta (journal-backed)", delta["ships"],
+             f"{delta['bytes']:,}", f"{delta['bytes_per_write']:,.0f}"],
+            ["full re-ship (spec payload of the same shards)", full["ships"],
+             f"{full['bytes']:,}", f"{full['bytes_per_write']:,.0f}"],
         ],
     )
     assert reduction >= 5.0, (
         f"delta sync only cut bytes/write by {reduction:.1f}x (need >= 5x)"
     )
-    assert (
-        pingpong["processes"]["bytes"] < pingpong["processes-full"]["bytes"]
-    )
+    assert delta["bytes"] < full["bytes"]
 
     scenario_rows = _scenarios(items)
     for name, per_arm in scenario_rows.items():
@@ -270,10 +275,6 @@ def test_c11_mixed_workload(benchmark, reporter):
                 for arm, row in per_arm.items()
             ],
         )
-        full = per_arm["processes-full"]
-        delta = per_arm["processes"]
-        if full["bytes_shipped"]:
-            assert delta["bytes_shipped"] < full["bytes_shipped"], name
 
     batching = _batching(items)
     reporter.table(
@@ -295,8 +296,8 @@ def test_c11_mixed_workload(benchmark, reporter):
         "num_shards": NUM_SHARDS,
         "single_key_writes": {
             "writes": NUM_WRITES,
-            "delta": pingpong["processes"],
-            "full_baseline": pingpong["processes-full"],
+            "delta": delta,
+            "full_baseline": full,
             "bytes_per_write_reduction": reduction,
             "results_identical": True,
         },

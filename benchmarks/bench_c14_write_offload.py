@@ -21,8 +21,7 @@ parent-side apply.
    (``C14_WALL_FLOOR``), because a single-core container cannot beat
    serial and the numbers should say so rather than pretend.
 3. **Offload accounting.**  ``sync_stats()`` must show the batches
-   actually offloaded, the delta bytes shipped back, and the id-index
-   bytes the contiguous-run encoding saved.
+   actually offloaded and the delta bytes shipped back.
 
 ``C14_N``, ``C14_BATCHES`` and ``C14_BATCH`` (env vars) shrink the
 workload for CI smoke runs.
@@ -219,8 +218,6 @@ def test_c14_write_offload(benchmark, reporter):
             ["shard-slices offloaded", sync["offloaded_batches"]],
             ["delta bytes shipped back", f"{sync['offload_bytes']:,}"],
             ["blocks shipped back", sync["offload_blocks"]],
-            ["id-index bytes saved by run encoding",
-             f"{sync['delta_run_bytes_saved']:,}"],
             ["full ships", sync["full_ships"]],
             ["delta ships (read-path catch-ups)", sync["delta_ships"]],
         ],

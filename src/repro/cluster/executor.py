@@ -27,14 +27,16 @@ This module supplies the cluster's ``executor="processes"`` backend:
   decryption, wherever it ran), and installs the state a worker's
   ``bulk_load`` produced back into the parent's shard objects.
 
-A re-sync is *incremental* by default: the shard's change journals
+A re-sync is *incremental*: the shard's change journals
 (:mod:`repro.storage.journal`) record which node/record blocks mutated
 per epoch, and a stale worker receives a
 :class:`~repro.storage.journal.ShardDelta` -- just those blocks'
 at-rest bytes plus the small metadata -- instead of the whole platter.
-The full ship survives as the fallback (first contact, respawned
-worker after a crash, journal truncated past the worker's epoch) and as
-the measurable baseline (``delta_sync=False``, benchmark C11).
+The full ship is the fallback (first contact, respawned worker after a
+crash, journal truncated past the worker's epoch, unsealed parent
+changes).  Epochs live only in the parent's memory and the workers'
+replicas: they make nothing durable (the superblock commit does) and
+nothing about them reaches a platter.
 
 Two sources of truth are avoided by construction: the parent's shards
 remain authoritative; a worker holds a *replica* that is re-synced by
@@ -121,11 +123,7 @@ class ShardSpec:
     @property
     def payload_bytes(self) -> int:
         """Platter bytes this full ship moves (the C11 baseline metric)."""
-        node = sum(len(b) for b in self.node_blocks if b is not None)
-        records = sum(
-            len(b) for b in self.record_state["blocks"] if b is not None
-        )
-        return node + records
+        return _platter_bytes(self.node_blocks, self.record_state["blocks"])
 
     def open(self) -> EncipheredDatabase:
         """Rebuild the shard from this spec (cold caches, fresh counters)."""
@@ -144,12 +142,28 @@ class ShardSpec:
         )
 
 
+def _platter_bytes(node_blocks, record_blocks) -> int:
+    return sum(len(b) for b in (*node_blocks, *record_blocks) if b is not None)
+
+
+def full_ship_bytes(shard: EncipheredDatabase) -> int:
+    """Platter bytes a full ship of ``shard`` would move right now.
+
+    Prices the full-ship baseline (benchmark C11) without shipping
+    anything or touching the shard's change journals.
+    """
+    with shard.lock.read_locked():
+        return _platter_bytes(
+            shard.disk.export_state(), shard.records.export_state()["blocks"]
+        )
+
+
 def spec_from_shard(
     shard: EncipheredDatabase,
     index: int,
     substitution_factory: Callable[[int], KeySubstitution],
     pointer_cipher_factory: Callable[[int], IntegerCipher],
-    checkpoint_epoch: int | None = None,
+    checkpoint_epoch: int,
 ) -> ShardSpec:
     """Capture a parent shard's current durable state as a spec.
 
@@ -179,8 +193,7 @@ def spec_from_shard(
                 f"shard {index} has uncommitted state; commit before "
                 "shipping it to a process worker"
             )
-        if checkpoint_epoch is not None:
-            shard.truncate_journals(checkpoint_epoch)
+        shard.truncate_journals(checkpoint_epoch)
         return ShardSpec(
             index=index,
             substitution_factory=substitution_factory,
@@ -351,7 +364,6 @@ class ProcessShardExecutor:
         substitution_factory: Callable[[int], KeySubstitution],
         pointer_cipher_factory: Callable[[int], IntegerCipher],
         num_shards: int,
-        delta_sync: bool = True,
         op_deadline_s: float | None = None,
         respawn_limit: int = 3,
     ) -> None:
@@ -369,11 +381,6 @@ class ProcessShardExecutor:
         #: the count -- the budget bounds *consecutive* failures, not
         #: lifetime ones.
         self.respawn_limit = respawn_limit
-        #: When True (default), a stale worker is caught up by shipping
-        #: only the blocks its shard's journals prove changed; False
-        #: forces the PR-4 behaviour (full state re-ship on every epoch
-        #: mismatch) -- the baseline arm of benchmark C11.
-        self.delta_sync = delta_sync
         #: Ship accounting for benchmark C11 and ``cluster.sync_stats()``:
         #: how many syncs went full vs delta, and the platter bytes moved
         #: by each kind.
@@ -383,10 +390,6 @@ class ProcessShardExecutor:
             "full_bytes": 0,
             "delta_bytes": 0,
             "delta_blocks": 0,
-            # id-index bytes the (start, count) run encoding saved across
-            # every delta shipped in either direction (satellite of
-            # ROADMAP item 4b)
-            "delta_run_bytes_saved": 0,
             # write offload: batches executed worker-side, and the bytes/
             # blocks their result deltas shipped back to the parent
             "offloaded_batches": 0,
@@ -583,10 +586,10 @@ class ProcessShardExecutor:
         A worker that already holds *some* epoch is caught up with a
         :class:`~repro.storage.journal.ShardDelta` -- only the blocks
         the shard's journals sealed since that epoch, O(changes) instead
-        of O(database) -- when ``delta_sync`` is on and the journals can
-        prove completeness.  Everything else (first contact, respawned
-        worker, truncated journal, uncommitted parent state) takes the
-        full-spec path, whose own guards still apply.
+        of O(database) -- when the journals can prove completeness.
+        Everything else (first contact, respawned worker, truncated
+        journal, uncommitted parent state) takes the full-spec path,
+        whose own guards still apply.
         """
         with self._dispatch_lock:
             if self._ensure_worker(index):
@@ -599,7 +602,7 @@ class ProcessShardExecutor:
             # the stale replica's work must keep counting
             self.harvest(index)
             delta = None
-            if self.delta_sync and self.epochs_sent[index] >= 0:
+            if self.epochs_sent[index] >= 0:
                 delta = shard.collect_delta(self.epochs_sent[index], epoch)
             if delta is not None:
                 delta.index = index
@@ -608,7 +611,6 @@ class ProcessShardExecutor:
                 self.sync_stats["delta_ships"] += 1
                 self.sync_stats["delta_bytes"] += delta.payload_bytes
                 self.sync_stats["delta_blocks"] += delta.blocks_shipped
-                self.sync_stats["delta_run_bytes_saved"] += delta.run_bytes_saved
             else:
                 with shard.obs.trace("executor.full_ship"):
                     spec = spec_from_shard(
@@ -616,7 +618,7 @@ class ProcessShardExecutor:
                         index,
                         self._substitution_factory,
                         self._pointer_cipher_factory,
-                        checkpoint_epoch=epoch if self.delta_sync else None,
+                        checkpoint_epoch=epoch,
                     )
                     try:
                         self._base[index] = self._request(index, "open", spec)

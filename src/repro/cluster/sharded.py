@@ -130,7 +130,6 @@ class ShardedEncipheredDatabase:
         router: ShardRouter,
         executor: str = "serial",
         shard_factories: tuple | None = None,
-        delta_sync: bool = True,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
     ) -> None:
@@ -164,7 +163,6 @@ class ShardedEncipheredDatabase:
         # one mutex per shard making "seal journals, then publish the
         # new epoch" atomic against sibling writers (see _note_writes)
         self._epoch_locks = [threading.Lock() for _ in self.shards]
-        self._delta_sync = delta_sync
         self._procs: ProcessShardExecutor | None = None
         #: Fault-tolerance plane (PR 10): one health state machine per
         #: shard, fed by operation outcomes.  Quarantined shards make
@@ -200,7 +198,6 @@ class ShardedEncipheredDatabase:
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
         executor: str = "serial",
-        delta_sync: bool = True,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         backend: StorageBackend | None = None,
@@ -217,10 +214,6 @@ class ShardedEncipheredDatabase:
         ``executor`` selects the fan-out backend (``"serial"`` or
         ``"processes"``); the process backend requires
         both factories to be picklable module-level functions.
-        ``delta_sync`` (default on) lets stale worker replicas catch up
-        incrementally -- only journal-proven changed blocks ship;
-        ``False`` restores the full-state re-ship on every parent write,
-        which benchmark C11 uses as its baseline arm.
 
         ``backend`` places every shard's devices on a
         :class:`~repro.storage.backend.StorageBackend`: shard ``i``
@@ -272,7 +265,6 @@ class ShardedEncipheredDatabase:
             resolved,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -293,7 +285,6 @@ class ShardedEncipheredDatabase:
         decoded_node_cache_blocks: int = 0,
         validate_routing: bool = True,
         executor: str = "serial",
-        delta_sync: bool = True,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
@@ -345,7 +336,6 @@ class ShardedEncipheredDatabase:
             resolved,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -366,7 +356,6 @@ class ShardedEncipheredDatabase:
         decoded_node_cache_blocks: int = 0,
         validate_routing: bool = True,
         executor: str = "serial",
-        delta_sync: bool = True,
         degraded_reads: bool = False,
         op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
@@ -380,7 +369,7 @@ class ShardedEncipheredDatabase:
         a stale deployment script cannot silently mis-route.  Each
         shard reopens from its scoped backend via
         :meth:`EncipheredDatabase.reopen_from_backend` (replaying any
-        crash-interrupted WAL epochs and rescanning record metadata on
+        crash-interrupted WAL frames and rescanning record metadata on
         the way), and unless ``validate_routing=False`` the
         reconstructed router is still checked against the actual key
         placement -- the manifest authenticates the *configuration*,
@@ -418,7 +407,6 @@ class ShardedEncipheredDatabase:
             router,
             executor=executor,
             shard_factories=(substitution_factory, pointer_cipher_factory),
-            delta_sync=delta_sync,
             degraded_reads=degraded_reads,
             op_deadline_s=op_deadline_s,
         )
@@ -472,7 +460,6 @@ class ShardedEncipheredDatabase:
                     substitution_factory,
                     pointer_cipher_factory,
                     len(self.shards),
-                    delta_sync=self._delta_sync,
                     op_deadline_s=self.op_deadline_s,
                 )
             return self._procs
@@ -910,6 +897,9 @@ class ShardedEncipheredDatabase:
                     # checkpoint while its epoch claims them shipped.
                     self._note_writes((shard_id,))
                     procs.epochs_sent[shard_id] = self._shard_epochs[shard_id]
+                    # the worker committed this state; on the parent it is
+                    # only staged until its devices sync
+                    shard.sync_devices()
                 procs.rebase(shard_id, stats_after)
         except BaseException:
             # a sibling shard failed (or an install threw): workers that
@@ -1079,9 +1069,6 @@ class ShardedEncipheredDatabase:
                 if kind == "delta":
                     procs.sync_stats["offload_bytes"] += state.payload_bytes
                     procs.sync_stats["offload_blocks"] += state.blocks_shipped
-                    procs.sync_stats["delta_run_bytes_saved"] += (
-                        state.run_bytes_saved
-                    )
             else:
                 # a writer raced in between the sync and the install:
                 # the worker's result describes a stale base state.
@@ -1137,6 +1124,8 @@ class ShardedEncipheredDatabase:
             # holds exactly the state it just shipped us
             self._note_writes((shard_id,))
             procs.epochs_sent[shard_id] = self._shard_epochs[shard_id]
+            # the worker's commit is staged here, not yet durable
+            shard.sync_devices()
         return True
 
     # -- cache warming ----------------------------------------------------
@@ -1285,9 +1274,7 @@ class ShardedEncipheredDatabase:
         ``full_ships``/``full_bytes`` count whole-platter spec ships,
         ``delta_ships``/``delta_bytes``/``delta_blocks`` the incremental
         catch-ups; benchmark C11 derives bytes-shipped-per-write from
-        these.  ``delta_run_bytes_saved`` totals the id-index bytes the
-        contiguous-run encoding shaved off every delta shipped in either
-        direction.  ``offloaded_batches``/``offload_bytes``/
+        these.  ``offloaded_batches``/``offload_bytes``/
         ``offload_blocks`` count worker-side ``put_many``/``delete_many``
         executions and the delta traffic their results shipped *back*
         (benchmark C14).

@@ -352,7 +352,7 @@ class EncipheredDatabase:
         """Reopen a database from its backend and the secrets alone.
 
         The crash-recovery entry point: opening the node device replays
-        any write-ahead-log epochs a crash left sealed-but-unapplied,
+        any write-ahead-log frames a crash left logged-but-unapplied,
         the record store rebuilds its slot metadata by scanning (the
         platter carries no metadata records), and :meth:`reopen` then
         verifies the index from the recovered superblock.  Geometry
@@ -426,13 +426,25 @@ class EncipheredDatabase:
                     self._write_superblock()
                     self.tree.pager.flush()
                     self.has_uncommitted_changes = False
-                try:
-                    self.records.disk.sync()
-                    self.disk.sync()
-                except BaseException:
-                    # not durable: close() and the next commit must retry
-                    self.has_uncommitted_changes = True
-                    raise
+                self.sync_devices()
+
+    def sync_devices(self) -> None:
+        """Sync both devices in commit order: records, then nodes.
+
+        The node sync carries the superblock, so it is the commit point.
+        :meth:`commit` ends here; so does a cluster that installs state a
+        process worker already committed (the install stages those
+        bytes, including the worker's superblock, without a commit of
+        its own).  On failure ``has_uncommitted_changes`` is set, so
+        :meth:`close` and the next commit retry.
+        """
+        try:
+            self.records.disk.sync()
+            self.disk.sync()
+        except BaseException:
+            # not durable: close() and the next commit must retry
+            self.has_uncommitted_changes = True
+            raise
 
     def rollback(self) -> None:
         """Discard every change since the last commit point.
@@ -719,12 +731,12 @@ class EncipheredDatabase:
         sets are what :meth:`collect_delta` serves to replica consumers.
         """
         self.disk.journal.seal(epoch)
-        self.records.seal_changes(epoch)
+        self.records.disk.journal.seal(epoch)
 
     def truncate_journals(self, epoch: int) -> None:
         """The replica consumer holds a full snapshot at ``epoch``."""
         self.disk.journal.truncate(epoch)
-        self.records.truncate_journals(epoch)
+        self.records.disk.journal.truncate(epoch)
 
     @property
     def has_unsealed_changes(self) -> bool:
@@ -738,7 +750,7 @@ class EncipheredDatabase:
         """
         return (
             self.disk.journal.has_open
-            or self.records.has_unsealed_changes
+            or self.records.disk.journal.has_open
         )
 
     def collect_delta(self, since_epoch: int, epoch: int) -> ShardDelta | None:

@@ -61,7 +61,7 @@ from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
-from repro.storage.journal import ChangeJournal, DiskDelta, RecordStoreDelta
+from repro.storage.journal import DiskDelta, RecordStoreDelta
 
 
 class _RecordBlockTransform:
@@ -187,11 +187,6 @@ class RecordStore:
             )
         else:
             self.disk = SimulatedDisk(block_size=block_size, transform=self._transform)
-        #: Mutated record-slot ids since the last seal (``put``/``delete``
-        #: note here); the block-level journal on :attr:`disk` tracks the
-        #: enciphered bytes the sync protocol actually ships, this one
-        #: gives deltas their slot-precise manifest.
-        self.journal = ChangeJournal()
         self.cache = LRUCache(cache_blocks, name="record-plaintext")
         self._open_block: int | None = None
         self._open_slots: list[bytes] = []
@@ -303,7 +298,6 @@ class RecordStore:
         self.count = state["count"]
         self._open_block = state["open_block"]
         self._open_slots = list(state["open_slots"])
-        self.journal.taint()  # slot history described the replaced store
         self.cache.clear()
 
     # -- metadata recovery (durable-backend support) ---------------------
@@ -362,38 +356,23 @@ class RecordStore:
 
     # -- incremental replica sync ----------------------------------------
 
-    def seal_changes(self, epoch: int) -> None:
-        """Close both journals' open change sets under ``epoch``."""
-        self.journal.seal(epoch)
-        self.disk.journal.seal(epoch)
-
-    def truncate_journals(self, epoch: int) -> None:
-        """The (single) replica consumer got a full snapshot at ``epoch``."""
-        self.journal.truncate(epoch)
-        self.disk.journal.truncate(epoch)
-
-    @property
-    def has_unsealed_changes(self) -> bool:
-        return self.journal.has_open or self.disk.journal.has_open
-
     def collect_delta(self, since_epoch: int) -> RecordStoreDelta | None:
         """Changed enciphered blocks + full slot metadata since an epoch.
 
-        ``None`` when either journal cannot prove completeness back to
-        ``since_epoch`` (the consumer needs a full snapshot).  Bytes are
-        read at rest -- below the record cipher -- at collect time, so a
-        slot rewritten many times ships its final block image once.
+        ``None`` when the device's journal cannot prove completeness
+        back to ``since_epoch`` (the consumer needs a full snapshot).
+        Bytes are read at rest -- below the record cipher -- at collect
+        time, so a slot rewritten many times ships its final block image
+        once.
         """
         changed_blocks = self.disk.journal.collect_since(since_epoch)
-        changed_slots = self.journal.collect_since(since_epoch)
-        if changed_blocks is None or changed_slots is None:
+        if changed_blocks is None:
             return None
         return RecordStoreDelta(
             disk=DiskDelta(
                 num_blocks=self.disk.num_blocks,
                 block_writes=self.disk.snapshot_blocks(sorted(changed_blocks)),
             ),
-            slot_writes=sorted(changed_slots),
             free=list(self._free),
             count=self.count,
             open_block=self._open_block,
@@ -530,7 +509,6 @@ class RecordStore:
             if block_index == self._open_block:
                 self._open_slots[slot] = slots[slot]
             self.count += 1
-            self.journal.note(record_id)
             return record_id
         if self._open_block is None or len(self._open_slots) == self.slots_per_block:
             self._open_block = self.disk.allocate()
@@ -538,9 +516,7 @@ class RecordStore:
         self._open_slots.append(self._encode_slot(record))
         self._flush_open()
         self.count += 1
-        record_id = self._open_block * self.slots_per_block + len(self._open_slots) - 1
-        self.journal.note(record_id)
-        return record_id
+        return self._open_block * self.slots_per_block + len(self._open_slots) - 1
 
     def put_many(self, records) -> list[int]:
         """Store a batch of records, enciphering each touched block once.
@@ -598,8 +574,6 @@ class RecordStore:
             self._unplace(placed, written)
             raise
         self.count += len(placed)
-        for record_id, _, _, _ in placed:
-            self.journal.note(record_id)
         return [record_id for record_id, _, _, _ in placed]
 
     def _unplace(self, placed, written: set[int]) -> None:
@@ -615,7 +589,6 @@ class RecordStore:
             if block_index in written:
                 slots[slot] = self._free_slot
                 freed[block_index] = slots
-                self.journal.note(record_id)
             elif previous is None:
                 slots.pop()  # appended, and newer appends are already gone
                 continue
@@ -706,4 +679,3 @@ class RecordStore:
             self._open_slots[slot] = slots[slot]
         self._free.append(record_id)
         self.count -= 1
-        self.journal.note(record_id)

@@ -190,7 +190,7 @@ class BlockDevice(ABC):
         #: is *not* journaled (nothing changed, nothing to ship), which
         #: is what keeps no-op commits -- identical superblock rewrites
         #: -- invisible to the sync protocol.
-        self.journal = ChangeJournal(on_seal=self._on_journal_seal)
+        self.journal = ChangeJournal()
         #: Fault-injection + retry seam (the chaos plane).  Unset by
         #: default; :func:`repro.faults.plan_from_env` arms every device
         #: constructed while ``REPRO_FAULTS`` is set.
@@ -662,10 +662,3 @@ class BlockDevice(ABC):
     def durability_snapshot(self) -> dict[str, int]:
         """Durability counters in the one shared, mergeable shape."""
         return {field: 0 for field in DURABILITY_FIELDS}
-
-    def _on_journal_seal(self, epoch: int, sealed_ids: frozenset[int]) -> None:
-        """Hook: the device's change journal sealed ``epoch``.
-
-        The file platter overrides this to make sealed epochs durable
-        (WAL-first); the in-memory device has nothing to do.
-        """

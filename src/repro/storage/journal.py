@@ -36,37 +36,22 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 
 class ChangeJournal:
-    """Epoch-tagged sets of mutated item ids (block ids, slot ids).
+    """Epoch-tagged sets of mutated block ids.
 
     Thread-safe and lock-leaf: every method takes only the journal's own
     mutex, so it may be called from under any owner lock.  ``note`` is
     the hot-path operation -- one set-add under an uncontended lock.
-
-    ``on_seal`` (optional) is invoked as ``on_seal(epoch, sealed_ids)``
-    after every :meth:`seal`, *outside* the journal's mutex so the
-    callback may take its owner's locks freely.  It is how a durable
-    block device learns that an epoch closed and must reach its
-    write-ahead log -- the journal stays the single source of "what
-    changed, under which epoch" for both replica sync and persistence.
-    Callbacks must tolerate their work being coalesced: several sealed
-    epochs can reach durability in one shared WAL round, so an
-    individual ``on_seal`` invocation may find another sync has already
-    flushed everything it would have synced.
+    Sealing is bookkeeping only: durability is the commit path's job
+    (the superblock is the commit point), never the journal's.
     """
 
-    def __init__(
-        self,
-        max_epochs: int = 64,
-        on_seal: "Callable[[int, frozenset[int]], None] | None" = None,
-    ) -> None:
+    def __init__(self, max_epochs: int = 64) -> None:
         if max_epochs < 1:
             raise ValueError("a journal must retain at least one epoch")
         self.max_epochs = max_epochs
-        self.on_seal = on_seal
         self._lock = threading.Lock()
         self._open: set[int] = set()
         self._sealed: "OrderedDict[int, frozenset[int]]" = OrderedDict()
@@ -114,11 +99,6 @@ class ChangeJournal:
                 while len(self._sealed) > self.max_epochs:
                     dropped, _ = self._sealed.popitem(last=False)
                     self._floor = dropped  # history <= dropped is gone
-        if self.on_seal is not None:
-            # outside the mutex: the callback (a durable device's
-            # WAL-append) takes its owner's locks and must not nest
-            # inside this leaf lock
-            self.on_seal(epoch, sealed_ids)
 
     def taint(self) -> None:
         """Wholesale state replacement: all prior history is void."""
@@ -170,11 +150,6 @@ class ChangeJournal:
         with self._lock:
             return bool(self._open)
 
-    @property
-    def floor(self) -> int | None:
-        with self._lock:
-            return self._floor
-
     def snapshot(self) -> dict[str, object]:
         """Debug/stats view: open count, retained epochs, floor."""
         with self._lock:
@@ -188,95 +163,25 @@ class ChangeJournal:
 # -- wire format -----------------------------------------------------------
 
 
-def contiguous_runs(ids) -> list[tuple[int, int]]:
-    """Compress an id set into sorted maximal ``(start, count)`` runs.
-
-    Mutated block ids cluster heavily (a node split touches neighbouring
-    blocks; record appends fill consecutive slots), so a run encoding is
-    usually far smaller than one id word per block.
-    """
-    runs: list[tuple[int, int]] = []
-    start = prev = None
-    for item in sorted(ids):
-        if prev is not None and item == prev + 1:
-            prev = item
-            continue
-        if start is not None:
-            runs.append((start, prev - start + 1))
-        start = prev = item
-    if start is not None:
-        runs.append((start, prev - start + 1))
-    return runs
-
-
-def _id_index_bytes(block_writes: dict[int, bytes | None]) -> int:
-    """Bytes the id index costs on the wire: 8 per id flat, 16 per run
-    compressed -- whichever encoding :meth:`DiskDelta.__getstate__` picks."""
-    flat = 8 * len(block_writes)
-    return min(flat, 16 * len(contiguous_runs(block_writes)))
-
-
-def _blocks_payload_bytes(block_writes: dict[int, bytes | None]) -> int:
-    """Honest byte accounting: at-rest payload plus the id index."""
-    return sum(
-        len(data) for data in block_writes.values() if data is not None
-    ) + _id_index_bytes(block_writes)
-
-
 @dataclass
 class DiskDelta:
-    """Targeted update for one :class:`~repro.storage.disk.SimulatedDisk`.
+    """Targeted update for one :class:`~repro.storage.device.BlockDevice`.
 
     ``block_writes`` maps block id to the at-rest bytes now on the
     parent's platter (``None`` for an allocated-but-never-written slot);
     ``num_blocks`` lets the replica grow its allocation to match.
-
-    On the wire (pickle) the id index travels run-compressed whenever
-    runs of adjacent ids make ``(start, count)`` pairs cheaper than one
-    word per id -- the common case, since B-tree splits and record
-    appends touch neighbouring blocks.  ``payload_bytes`` accounts for
-    whichever encoding actually ships, and :attr:`run_bytes_saved`
-    reports the difference (surfaced through ``sync_stats()``).
     """
 
     num_blocks: int
     block_writes: dict[int, bytes | None]
 
     @property
-    def id_runs(self) -> list[tuple[int, int]]:
-        return contiguous_runs(self.block_writes)
-
-    @property
-    def run_bytes_saved(self) -> int:
-        """Id-index bytes the run encoding saves over one word per id."""
-        return 8 * len(self.block_writes) - _id_index_bytes(self.block_writes)
-
-    @property
     def payload_bytes(self) -> int:
-        return _blocks_payload_bytes(self.block_writes) + 8
-
-    def __getstate__(self) -> dict[str, object]:
-        runs = contiguous_runs(self.block_writes)
-        if 16 * len(runs) >= 8 * len(self.block_writes):
-            return {"num_blocks": self.num_blocks, "block_writes": self.block_writes}
-        payloads = [
-            self.block_writes[block_id]
-            for start, count in runs
-            for block_id in range(start, start + count)
-        ]
-        return {"num_blocks": self.num_blocks, "runs": runs, "payloads": payloads}
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.num_blocks = state["num_blocks"]
-        if "block_writes" in state:
-            self.block_writes = state["block_writes"]
-        else:
-            ids = (
-                block_id
-                for start, count in state["runs"]
-                for block_id in range(start, start + count)
-            )
-            self.block_writes = dict(zip(ids, state["payloads"]))
+        """At-rest payload, one id word per block, and ``num_blocks``."""
+        payload = sum(
+            len(data) for data in self.block_writes.values() if data is not None
+        )
+        return payload + 8 * len(self.block_writes) + 8
 
 
 @dataclass
@@ -284,15 +189,11 @@ class RecordStoreDelta:
     """Changed record blocks plus the store's full slot metadata.
 
     The metadata (free list, count, open block) is tiny next to one
-    block, so it ships whole on every delta; ``slot_writes`` is the
-    slot-precise manifest of what changed (cache invalidation itself is
-    block-grained, driven by ``disk.block_writes``) -- it is what ship
-    accounting and debugging read to see *which records* moved, not
-    just which blocks.
+    block, so it ships whole on every delta; the replica's cache
+    invalidation is block-grained, driven by ``disk.block_writes``.
     """
 
     disk: DiskDelta
-    slot_writes: list[int]
     free: list[int]
     count: int
     open_block: int | None
@@ -302,7 +203,7 @@ class RecordStoreDelta:
     def payload_bytes(self) -> int:
         return (
             self.disk.payload_bytes
-            + 8 * (len(self.slot_writes) + len(self.free))
+            + 8 * len(self.free)
             + sum(len(s) for s in self.open_slots)
             + 16
         )
@@ -332,8 +233,3 @@ class ShardDelta:
     @property
     def blocks_shipped(self) -> int:
         return len(self.node.block_writes) + len(self.records.disk.block_writes)
-
-    @property
-    def run_bytes_saved(self) -> int:
-        """Id-index bytes saved by run-compressing both devices' deltas."""
-        return self.node.run_bytes_saved + self.records.disk.run_bytes_saved

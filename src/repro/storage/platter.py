@@ -2,8 +2,8 @@
 
 :class:`FilePlatter` gives the enciphered-database-at-rest story an
 actual at-rest form: one self-describing file per device, in the spirit
-of the ubik ``.DB0`` layout (magic, ``{epoch, counter}`` version pair,
-length-prefixed values), holding exactly the bytes
+of the ubik ``.DB0`` layout (magic, a version counter, length-prefixed
+values), holding exactly the bytes
 :class:`~repro.storage.disk.SimulatedDisk` would hold in memory --
 the :class:`~repro.storage.device.BlockTransform` still runs at the
 read/write boundary, so what rests in the file is ciphertext.
@@ -26,7 +26,7 @@ On-disk layout (all integers little-endian)::
     +-----------------------------+ 0
     | header slot A (64 bytes)    |   magic "HSPL1990", version u16,
     +-----------------------------+ 64  flags u16, block_size u32,
-    | header slot B (64 bytes)    |   counter u64, epoch u64,
+    | header slot B (64 bytes)    |   counter u64, reserved u64,
     +-----------------------------+ 128 block_count u64, pad, crc32
     | block record 0              |
     |   len  u32  (= payload+1;   |   record i lives at the fixed
@@ -40,10 +40,14 @@ On-disk layout (all integers little-endian)::
     +-----------------------------+ 0
     | magic "HSWL1990", ver, pad  |   16-byte header
     +-----------------------------+ 16
-    | frame: body_len u32, crc u32|   body = counter u64, epoch u64,
+    | frame: body_len u32, crc u32|   body = counter u64, reserved u64,
     |        body                 |   block_count u64, nentries u32,
     +-----------------------------+   then per entry: id u64,
     | frame ...                   |   len u32 (payload+1), payload
+
+The ``reserved`` words (header and frame) are written as 0 and ignored
+on read; older writers stored a replica-sync epoch there, so their
+platters open and replay unchanged.
 
 Durability protocol (one :meth:`sync` = one *flush generation*, the
 ``counter``):
@@ -74,11 +78,12 @@ the next one) -- several committers' writes travel behind one WAL
 fsync, one apply fsync and one header flip, and a sync with nothing
 left pending returns without I/O.
 
-The platter subscribes to its own change journal's ``on_seal`` hook:
-when the cluster seals an epoch that still has unsynced writes (a
-write-batch under ``autocommit=False``), the seal itself forces the
-sync, so *sealed implies durable* -- the WAL is the journal's
-persistent form, which is why epochs ride inside every frame.
+The platter syncs only when its owner asks (a database commit, a
+cluster installing state a process worker committed, or
+:meth:`~FilePlatter.close`).  Its change journal is replica-sync
+bookkeeping and never forces a sync: the database superblock is the
+commit point, so pages staged after the last commit must not reach the
+file without it.
 
 ``fault_hook`` is the crash-injection seam for the recovery tests: when
 set, it is called with a named crash point (``"sync:start"``,
@@ -105,8 +110,8 @@ MAGIC = b"HSPL1990"
 WAL_MAGIC = b"HSWL1990"
 FORMAT_VERSION = 1
 
-#: Header slot: magic, version, flags, block_size, counter, epoch,
-#: block_count, reserved, crc32 over the first 60 bytes.
+#: Header slot: magic, version, flags, block_size, counter, a reserved
+#: word (0), block_count, padding, crc32 over the first 60 bytes.
 _HEADER = struct.Struct("<8sHHIQQQ20sI")
 _HEADER_SIZE = 64
 _DATA_OFFSET = 2 * _HEADER_SIZE
@@ -117,8 +122,8 @@ _WAL_DATA_OFFSET = 16
 assert _WAL_HEADER.size == _WAL_DATA_OFFSET
 
 #: WAL frame prefix (body length, body crc32) and body header
-#: (counter, epoch, block_count, nentries); entries are id u64 +
-#: len-field u32 + payload.
+#: (counter, a reserved word (0), block_count, nentries); entries are
+#: id u64 + len-field u32 + payload.
 _FRAME_PREFIX = struct.Struct("<II")
 _FRAME_BODY = struct.Struct("<QQQI")
 _FRAME_ENTRY = struct.Struct("<QI")
@@ -141,11 +146,10 @@ def _block_crc(block_id: int, payload: bytes) -> int:
 class _Frame:
     """One parsed WAL frame (transient: scan/replay bookkeeping)."""
 
-    __slots__ = ("counter", "epoch", "block_count", "entries")
+    __slots__ = ("counter", "block_count", "entries")
 
-    def __init__(self, counter, epoch, block_count, entries):
+    def __init__(self, counter, block_count, entries):
         self.counter = counter
-        self.epoch = epoch
         self.block_count = block_count
         #: list of (block_id, payload | None, abs_payload_offset)
         self.entries = entries
@@ -227,11 +231,10 @@ class FilePlatter(BlockDevice):
         #: the newest WAL copy of the block, for CRC-failure repair.
         self._repair: dict[int, tuple[int, int]] = {}
         self._durability = {field: 0 for field in DURABILITY_FIELDS}
-        self._last_sealed_epoch = 0
 
         if exists:
             self._fh = open(self.path, "r+b", buffering=0)
-            counter, epoch, count, disk_block_size = self._read_header()
+            counter, count, disk_block_size = self._read_header()
             if block_size not in (4096, disk_block_size):
                 raise StorageError(
                     f"platter {self.path} holds {disk_block_size}-byte blocks, "
@@ -239,7 +242,6 @@ class FilePlatter(BlockDevice):
                 )
             super().__init__(disk_block_size, transform)
             self._durable_counter = counter
-            self._durable_epoch = epoch
             self._durable_count = count
             self._count = count
             self._open_wal(create=not os.path.exists(self.wal_path))
@@ -248,33 +250,31 @@ class FilePlatter(BlockDevice):
             super().__init__(block_size, transform)
             self._fh = open(self.path, "x+b", buffering=0)
             self._durable_counter = 0
-            self._durable_epoch = 0
             self._durable_count = 0
-            self._write_header_slot(0, 0, 0)
+            self._write_header_slot(0, 0)
             self._fsync_main()
             self._open_wal(create=True)
-        self._last_sealed_epoch = self._durable_epoch
 
     # -- header ----------------------------------------------------------
 
-    def _pack_header(self, counter: int, epoch: int, block_count: int) -> bytes:
+    def _pack_header(self, counter: int, block_count: int) -> bytes:
         body = _HEADER.pack(
-            MAGIC, FORMAT_VERSION, 0, self.block_size, counter, epoch,
+            MAGIC, FORMAT_VERSION, 0, self.block_size, counter, 0,
             block_count, b"\x00" * 20, 0,
         )
         return body[:-4] + struct.pack("<I", zlib.crc32(body[:-4]))
 
-    def _write_header_slot(self, counter: int, epoch: int, block_count: int) -> None:
+    def _write_header_slot(self, counter: int, block_count: int) -> None:
         slot = counter & 1
         self._fh.seek(slot * _HEADER_SIZE)
-        self._fh.write(self._pack_header(counter, epoch, block_count))
+        self._fh.write(self._pack_header(counter, block_count))
 
     @staticmethod
     def _parse_header_slot(raw: bytes):
-        """Return (counter, epoch, block_count, block_size) or None."""
+        """Return (counter, block_count, block_size) or None."""
         if len(raw) != _HEADER_SIZE:
             return None
-        magic, version, _flags, block_size, counter, epoch, count, _pad, crc = (
+        magic, version, _flags, block_size, counter, _reserved, count, _pad, crc = (
             _HEADER.unpack(raw)
         )
         if magic != MAGIC or crc != zlib.crc32(raw[:-4]):
@@ -284,7 +284,7 @@ class FilePlatter(BlockDevice):
                 f"platter format version {version} not supported "
                 f"(this build reads version {FORMAT_VERSION})"
             )
-        return counter, epoch, count, block_size
+        return counter, count, block_size
 
     def _read_header(self):
         """Pick the valid header slot with the higher counter."""
@@ -338,7 +338,9 @@ class FilePlatter(BlockDevice):
             body = self._wal.read(body_len)
             if len(body) != body_len or zlib.crc32(body) != crc:
                 break
-            counter, epoch, block_count, nentries = _FRAME_BODY.unpack_from(body, 0)
+            counter, _reserved, block_count, nentries = _FRAME_BODY.unpack_from(
+                body, 0
+            )
             pos = _FRAME_BODY.size
             entries = []
             try:
@@ -360,7 +362,7 @@ class FilePlatter(BlockDevice):
                     f"{self.wal_path}: frame counters not increasing "
                     f"({frames[-1].counter} then {counter})"
                 )
-            frames.append(_Frame(counter, epoch, block_count, entries))
+            frames.append(_Frame(counter, block_count, entries))
             good_end = body_start + body_len
             offset = good_end
         return frames, good_end
@@ -398,12 +400,11 @@ class FilePlatter(BlockDevice):
         if replay:
             self._fsync_main()
             last = replay[-1]
-            self._write_header_slot(last.counter, last.epoch, last.block_count)
+            self._write_header_slot(last.counter, last.block_count)
             self._fsync_main()
             self._durability["header_flips"] += 1
             self.stats.header_flips += 1
             self._durable_counter = last.counter
-            self._durable_epoch = last.epoch
             self._durable_count = last.block_count
             self._count = last.block_count
         self._index_frames(frames)
@@ -524,8 +525,8 @@ class FilePlatter(BlockDevice):
         """Flush every pending write: WAL frame, apply, header flip.
 
         Returns the number of block records made durable.  A sync with
-        nothing pending and no allocation/epoch movement is free -- no
-        frame, no flip.
+        nothing pending and no allocation movement is free -- no frame,
+        no flip.
 
         Concurrent callers serialise on ``_lock``; one that waited
         behind another's round usually finds its writes already flushed
@@ -546,22 +547,17 @@ class FilePlatter(BlockDevice):
 
     def _sync_locked(self) -> int:
         """The flush protocol; caller holds ``_lock``."""
-        if (
-            not self._pending
-            and self._count == self._durable_count
-            and self._last_sealed_epoch == self._durable_epoch
-        ):
+        if not self._pending and self._count == self._durable_count:
             return 0
         self._check_open()
         counter = self._durable_counter + 1
-        epoch = self._last_sealed_epoch
         entries = sorted(self._pending.items())
         sync_start = perf_counter()
         self._fault("sync:start")
 
         with self.tracer.trace("platter.wal_append"):
             parts = [
-                _FRAME_BODY.pack(counter, epoch, self._count, len(entries))
+                _FRAME_BODY.pack(counter, 0, self._count, len(entries))
             ]
             for block_id, payload in entries:
                 if payload is None:
@@ -597,14 +593,13 @@ class FilePlatter(BlockDevice):
         self._fault("apply:done")
 
         with self.tracer.trace("platter.header_flip"):
-            self._write_header_slot(counter, epoch, self._count)
+            self._write_header_slot(counter, self._count)
             self._fsync_main()
         self._durability["header_flips"] += 1
         self.stats.header_flips += 1
         self._fault("header:flipped")
 
         self._durable_counter = counter
-        self._durable_epoch = epoch
         self._durable_count = self._count
         self._pending.clear()
         self._durability["syncs"] += 1
@@ -614,22 +609,6 @@ class FilePlatter(BlockDevice):
             self._checkpoint_locked()
         self.stats.write_time_s += perf_counter() - sync_start
         return len(entries)
-
-    def _on_journal_seal(self, epoch: int, sealed_ids: frozenset[int]) -> None:
-        """Sealed implies durable: an epoch closing over unsynced writes
-        forces the sync, so the WAL frame carrying ``epoch`` exists
-        before any consumer can be told the epoch is complete.
-
-        The sync runs *outside* ``_lock``, so a concurrent committer
-        that flushes between our bookkeeping and our sync just turns the
-        sync into a no-op.
-        """
-        with self._lock:
-            if epoch > self._last_sealed_epoch:
-                self._last_sealed_epoch = epoch
-            pending = bool(self._pending)
-        if pending:
-            self.sync()
 
     def checkpoint(self) -> None:
         """Sync, then truncate the WAL (the main file subsumes it).

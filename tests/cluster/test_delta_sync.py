@@ -1,10 +1,9 @@
 """Incremental replica sync: delta ships, fallbacks, epoch hygiene.
 
-The contract extends PR 4's executor parity: for identical workloads
-every backend -- serial, processes with delta sync, processes
-forced to full ships -- must return byte-identical results and report
-identical cipher totals, while the delta path ships strictly fewer
-bytes per parent-side write.  Failure modes (worker crash mid-protocol,
+The contract extends the executor parity: for identical workloads
+``serial`` and ``processes`` must return byte-identical results and
+report identical cipher totals, while each delta ships strictly fewer
+bytes than a full ship of the same shard would.  Failure modes (worker crash mid-protocol,
 journal history truncated past the replica's epoch) must degrade to the
 full ship, never to wrong answers.
 """
@@ -15,6 +14,7 @@ import random
 
 import pytest
 
+from repro.cluster.executor import full_ship_bytes
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
@@ -51,7 +51,6 @@ def make_cluster(executor: str, **kwargs) -> ShardedEncipheredDatabase:
 ARMS = {
     "serial": lambda: make_cluster("serial"),
     "processes": lambda: make_cluster("processes"),
-    "processes-full": lambda: make_cluster("processes", delta_sync=False),
 }
 
 
@@ -101,32 +100,29 @@ class TestMixedWorkloadParity:
     def test_delta_arm_actually_ships_deltas(self):
         records = seed_keys(40)
         absent = [k for k in range(DESIGN.v) if k not in records]
-        delta = make_cluster("processes")
-        full = make_cluster("processes", delta_sync=False)
+        cluster = make_cluster("processes")
         try:
-            for cluster in (delta, full):
-                cluster.bulk_load(records.items())
-                cluster.range_search(0, DESIGN.v)
-                # drop the bulk-load-era accounting; measure mutations only
-                cluster._procs.sync_stats.update(
-                    dict.fromkeys(cluster._procs.sync_stats, 0)
-                )
+            cluster.bulk_load(records.items())
+            cluster.range_search(0, DESIGN.v)
+            # drop the bulk-load-era accounting; measure mutations only
+            cluster._procs.sync_stats.update(
+                dict.fromkeys(cluster._procs.sync_stats, 0)
+            )
+            full_bytes = 0
             for k in absent[:5]:
-                for cluster in (delta, full):
-                    cluster.insert(k, b"w")
-                    cluster.range_search(0, DESIGN.v)
-            d, f = delta.sync_stats(), full.sync_stats()
-            assert d["full_ships"] == 0 and d["delta_ships"] == 5
-            assert f["delta_ships"] == 0 and f["full_ships"] == 5
-            bytes_delta = d["delta_bytes"] + d["full_bytes"]
-            bytes_full = f["delta_bytes"] + f["full_bytes"]
-            assert bytes_delta < bytes_full, (
+                cluster.insert(k, b"w")
+                # what a full re-ship of the touched shard would move
+                shard_id = cluster.router.shard_for(k)
+                full_bytes += full_ship_bytes(cluster.shards[shard_id])
+                cluster.range_search(0, DESIGN.v)
+            sync = cluster.sync_stats()
+            assert sync["full_ships"] == 0 and sync["delta_ships"] == 5
+            assert sync["delta_bytes"] < full_bytes, (
                 "the incremental protocol shipped no fewer bytes than "
-                "full re-ships"
+                "full re-ships of the same shards"
             )
         finally:
-            delta.close()
-            full.close()
+            cluster.close()
 
     def test_stats_surface_replica_sync(self):
         records = seed_keys(30)

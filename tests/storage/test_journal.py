@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.storage.journal import (
     DiskDelta,
     RecordStoreDelta,
     ShardDelta,
-    contiguous_runs,
 )
 from repro.storage.pager import Pager
 
@@ -242,7 +240,6 @@ class TestDeltaPayloadAccounting:
         assert node.payload_bytes == 100 + 2 * 8 + 8
         records = RecordStoreDelta(
             disk=DiskDelta(num_blocks=2, block_writes={1: b"y" * 50}),
-            slot_writes=[4, 5],
             free=[9],
             count=3,
             open_block=1,
@@ -257,57 +254,3 @@ class TestDeltaPayloadAccounting:
             node.payload_bytes + records.payload_bytes + 32
         )
 
-
-class TestRunEncoding:
-    """Contiguous-run compression of the delta id index."""
-
-    def test_contiguous_runs_compresses_adjacency(self):
-        assert contiguous_runs([]) == []
-        assert contiguous_runs([7]) == [(7, 1)]
-        assert contiguous_runs([3, 1, 2]) == [(1, 3)]
-        assert contiguous_runs({0, 1, 2, 10, 11, 40}) == [
-            (0, 3), (10, 2), (40, 1)
-        ]
-        assert contiguous_runs([5, 3, 1]) == [(1, 1), (3, 1), (5, 1)]
-
-    def test_run_bytes_saved_reflects_the_cheaper_encoding(self):
-        # three adjacent ids: one 16-byte run vs three 8-byte words
-        dense = DiskDelta(num_blocks=4, block_writes={0: b"a", 1: b"b", 2: b"c"})
-        assert dense.id_runs == [(0, 3)]
-        assert dense.run_bytes_saved == 3 * 8 - 16
-        assert dense.payload_bytes == 3 + 16 + 8
-        # two scattered ids: the flat encoding is cheaper, nothing saved
-        sparse = DiskDelta(num_blocks=9, block_writes={0: b"a", 8: b"b"})
-        assert sparse.run_bytes_saved == 0
-        assert sparse.payload_bytes == 2 + 2 * 8 + 8
-
-    def test_pickle_roundtrip_run_encoded(self):
-        delta = DiskDelta(
-            num_blocks=8,
-            block_writes={0: b"a", 1: None, 2: b"c", 6: b"f", 7: b"g"},
-        )
-        assert delta.run_bytes_saved > 0  # the wire picks the run form
-        clone = pickle.loads(pickle.dumps(delta))
-        assert clone.num_blocks == delta.num_blocks
-        assert clone.block_writes == delta.block_writes
-
-    def test_pickle_roundtrip_flat_encoded(self):
-        delta = DiskDelta(num_blocks=20, block_writes={0: b"a", 9: b"b", 18: None})
-        assert delta.run_bytes_saved == 0  # scattered: flat form ships
-        clone = pickle.loads(pickle.dumps(delta))
-        assert clone.num_blocks == delta.num_blocks
-        assert clone.block_writes == delta.block_writes
-
-    def test_shard_delta_sums_both_devices_savings(self):
-        node = DiskDelta(num_blocks=4, block_writes={0: b"a", 1: b"b", 2: b"c"})
-        records = RecordStoreDelta(
-            disk=DiskDelta(num_blocks=6, block_writes={3: b"x", 4: b"y"}),
-            slot_writes=[], free=[], count=0, open_block=None, open_slots=[],
-        )
-        shard = ShardDelta(
-            index=0, epoch=1, node=node, records=records, tree_state=(0, 0, []),
-        )
-        assert shard.run_bytes_saved == (
-            node.run_bytes_saved + records.disk.run_bytes_saved
-        )
-        assert shard.run_bytes_saved == (24 - 16) + (16 - 16)

@@ -124,6 +124,45 @@ class TestFormat:
         with pytest.raises(PlatterFormatError, match="version"):
             make(tmp_path, create=False)
 
+    def test_nonzero_epoch_words_still_open_and_replay(self, tmp_path):
+        """Older writers stored a replica-sync epoch in the header and in
+        every WAL frame; those words are reserved now, so such a platter
+        opens, replays its logged generation, and is rewritten with 0."""
+        p = make(tmp_path)
+        fill(p, [b"gen1"])
+        p.sync()
+        p.write_block(0, b"gen2")
+        kill_at(p, "wal:appended")
+        with pytest.raises(Kill):
+            p.sync()
+        p.abandon()
+        with open(p.path, "r+b") as fh:
+            for slot in (0, 64):
+                fh.seek(slot)
+                raw = bytearray(fh.read(64))
+                struct.pack_into("<Q", raw, 24, 7)  # the epoch word
+                struct.pack_into("<I", raw, 60, zlib.crc32(bytes(raw[:60])))
+                fh.seek(slot)
+                fh.write(raw)
+        with open(p.wal_path, "r+b") as fh:
+            wal = bytearray(fh.read())
+            offset = 16
+            while offset < len(wal):
+                body_len = struct.unpack_from("<I", wal, offset)[0]
+                body = offset + 8
+                struct.pack_into("<Q", wal, body + 8, 9)  # the epoch word
+                crc = zlib.crc32(bytes(wal[body : body + body_len]))
+                struct.pack_into("<I", wal, offset + 4, crc)
+                offset = body + body_len
+            fh.seek(0)
+            fh.write(wal)
+        q = make(tmp_path, create=False)
+        assert q.durability_snapshot()["frames_replayed"] == 1
+        assert q.read_block(0) == b"gen2"
+        q.close()
+        raw = open(p.path, "rb").read(128)
+        assert struct.unpack_from("<Q", raw, 24)[0] == 0  # generation 2's slot
+
     def test_garbage_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.platter"
         path.write_bytes(b"\x00" * 4096)
@@ -201,13 +240,15 @@ class TestSync:
         assert p.durability_snapshot()["checkpoints"] >= 1
         assert os.path.getsize(p.wal_path) <= 64 + 16 + 8 + 48 + 64
 
-    def test_sealed_epoch_implies_durable(self, tmp_path):
+    def test_journal_seal_does_not_sync(self, tmp_path):
         p = make(tmp_path)
-        fill(p, [b"batched"])
-        p.journal.seal(7)  # the cluster's epoch close forces the sync
+        fill(p, [b"committed"])
+        p.sync()
+        p.write_block(0, b"staged")
+        p.journal.seal(7)  # replica-sync bookkeeping only
         assert p.durability_snapshot()["syncs"] == 1
         p.abandon()
-        assert make(tmp_path, create=False).read_block(0) == b"batched"
+        assert make(tmp_path, create=False).read_block(0) == b"committed"
 
 
 class TestCrashMatrix:
