@@ -194,18 +194,6 @@ class BTree:
     def _range_into(self, node_id: int, lo: int, hi: int, out: list[tuple[int, int]]) -> None:
         view = self._view(node_id)
         i = self._lower_bound(view, lo)
-        if not view.is_leaf and self.pager.readahead_workers > 0:
-            # Hint the child window this scan is about to descend into.
-            # The probe walks the same memoized view slots the emit loop
-            # reads next, so decryption counts match the blocking pager
-            # exactly -- the hint only moves block fetches earlier.  No
-            # comparison counter bumps: this is plumbing, not search.
-            j = i
-            while j < view.num_keys and view.key_at(j) <= hi:
-                j += 1
-            self.pager.readahead(
-                view.child_at(x) for x in range(i, min(j, view.num_keys) + 1)
-            )
         while True:
             if not view.is_leaf:
                 self._range_into(view.child_at(i), lo, hi, out)
@@ -248,40 +236,6 @@ class BTree:
             if view.is_leaf:
                 return view.key_at(0 if leftmost else view.num_keys - 1)
             node_id = view.child_at(0 if leftmost else view.num_keys)
-
-    # -- cache warming ---------------------------------------------------
-
-    def warm(self, levels: int = 2) -> int:
-        """Pre-decode the top ``levels`` of the tree; returns nodes touched.
-
-        A breadth-first walk through :meth:`Pager.read_decoded`, so with
-        the decoded-node cache enabled the root's neighbourhood is
-        resident before organic traffic arrives (and with it disabled,
-        the raw block cache still warms).  This is explicit maintenance
-        work: node visits, pointer decryptions and comparisons are
-        counted like any traversal -- prefetch is not free, it is early.
-        """
-        if levels <= 0:
-            return 0
-        warmed = 0
-        frontier = [self.root_id]
-        for depth in range(levels):
-            # Whole-level hint: with readahead workers the pager fetches
-            # the frontier as one batched device round trip while this
-            # loop decodes; without them it is a free no-op.
-            self.pager.readahead(frontier)
-            children: list[int] = []
-            for node_id in frontier:
-                view = self._view(node_id)
-                warmed += 1
-                if not view.is_leaf and depth + 1 < levels:
-                    children.extend(
-                        view.child_at(i) for i in range(view.num_keys + 1)
-                    )
-            frontier = children
-            if not frontier:
-                break
-        return warmed
 
     # -- state snapshots (transaction support) ---------------------------
 

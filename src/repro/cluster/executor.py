@@ -267,9 +267,6 @@ def _shard_worker(conn) -> None:
                 # the parent re-baselines on the returned stats anyway
                 db.apply_delta(payload)
                 conn.send(("ok", db.stats()))
-            elif op == "warm":
-                _chaos_tick()
-                conn.send(("ok", db.warm(payload)))
             elif op == "range_search":
                 _chaos_tick()
                 conn.send(("ok", db.range_search(*payload)))

@@ -1128,30 +1128,6 @@ class ShardedEncipheredDatabase:
             shard.sync_devices()
         return True
 
-    # -- cache warming ----------------------------------------------------
-
-    def warm(self, levels: int = 2) -> int:
-        """Pre-decode every shard's top tree levels into its node caches.
-
-        Fans out per shard like any read.  With the process backend,
-        live worker replicas are warmed too (after the usual epoch
-        sync), because that is where process-backend queries actually
-        run; their warming work rolls up into ``stats()`` like every
-        other worker-side counter.  Returns the total nodes touched.
-        """
-        shard_ids, _ = self.health.partition(range(len(self.shards)))
-        warmed = sum(self._fan_out(lambda i: self.shards[i].warm(levels), shard_ids))
-        if self._use_processes(shard_ids):
-            try:
-                warmed += sum(
-                    self._process_map("warm", shard_ids, [levels] * len(shard_ids))
-                )
-            except UncommittedShardState:
-                pass  # racing writer left dirt: parent-side warm stands
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, shard_ids)
-        return warmed
-
     # -- transactions and durability -------------------------------------
 
     @contextmanager

@@ -86,7 +86,6 @@ from repro.btree.tree import BTree
 from repro.core.codecs import SubstitutedNodeCodec
 from repro.core.packing import PointerPacking
 from repro.core.records import RecordStore
-from repro.counters import ThreadSafeCounters
 from repro.crypto.base import CountingCipher, IntegerCipher
 from repro.crypto.des import DES
 from repro.crypto.modes import CBCCipher
@@ -101,12 +100,6 @@ from repro.storage.rwlock import ReadWriteLock
 from repro.substitution.base import KeySubstitution
 
 _MAGIC = b"HSBT1990"
-
-
-class WarmingCounters(ThreadSafeCounters):
-    """Cache-warming work, counted separately from organic traffic."""
-
-    _FIELDS = ("nodes_warmed",)
 
 
 def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
@@ -179,8 +172,6 @@ class EncipheredDatabase:
         self._txn_record_puts: list[int] = []
         self._txn_record_deletes: list[int] = []
         self._txn_snapshot: tuple[int, int, list[int]] | None = None
-        #: Nodes pre-decoded by :meth:`warm` (reported in :meth:`stats`).
-        self.warming = WarmingCounters()
         # close() is idempotent: the flag flips before any teardown, so
         # a second close (context-manager exit after an explicit close,
         # cluster close after a per-shard close) is a clean no-op
@@ -238,7 +229,6 @@ class EncipheredDatabase:
         decoded_node_cache_blocks: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
-        readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Initialise a fresh database (block 0 reserved for the superblock).
 
@@ -257,10 +247,6 @@ class EncipheredDatabase:
         committed index entry references.  The syncs run under the read
         lock, so concurrent explicit commits share WAL frames (see
         :meth:`commit`).
-
-        ``readahead_workers`` sizes the pager's asynchronous prefetch
-        pool (``0`` -- off -- keeps the blocking read path and the
-        paper's I/O accounting untouched).
         """
         if backend is None:
             disk: BlockDevice = SimulatedDisk(block_size=block_size)
@@ -272,8 +258,7 @@ class EncipheredDatabase:
         counting = _counting(pointer_cipher)
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks,
-                      readahead_workers=readahead_workers)
+                      decoded_cache_blocks=decoded_node_cache_blocks)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
                               block_size=block_size,
@@ -300,7 +285,6 @@ class EncipheredDatabase:
         record_cache_blocks: int | None = None,
         decoded_node_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
-        readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Rebuild a handle from the platter and the secrets alone.
 
@@ -316,8 +300,7 @@ class EncipheredDatabase:
         counting = _counting(pointer_cipher)
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks,
-                      readahead_workers=readahead_workers)
+                      decoded_cache_blocks=decoded_node_cache_blocks)
         if record_cache_blocks is not None:
             records.cache.resize(record_cache_blocks)
         tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
@@ -347,7 +330,6 @@ class EncipheredDatabase:
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
-        readahead_workers: int = 0,
     ) -> "EncipheredDatabase":
         """Reopen a database from its backend and the secrets alone.
 
@@ -379,7 +361,6 @@ class EncipheredDatabase:
             record_cache_blocks=None,
             decoded_node_cache_blocks=decoded_node_cache_blocks,
             observability=observability,
-            readahead_workers=readahead_workers,
         )
 
     # -- commit machinery ------------------------------------------------
@@ -686,19 +667,6 @@ class EncipheredDatabase:
         with span:
             with self.lock.read_locked():
                 matches = self.tree.range_search(lo, hi)
-                if (
-                    matches
-                    and self.tree.pager.readahead_workers > 0
-                    and self.records.cache.enabled
-                ):
-                    # one batched device round trip for every record
-                    # block the gets below will touch; each uncached
-                    # block is deciphered exactly once, the same count
-                    # the cache-enabled serial path pays
-                    spb = self.records.slots_per_block
-                    self.records.warm_blocks(
-                        sorted({record_id // spb for _, record_id in matches})
-                    )
                 # every match's slot window in one device batch and one
                 # bulk decipher; counts equal a get per match
                 records = self.records.get_many(rid for _, rid in matches)
@@ -816,8 +784,8 @@ class EncipheredDatabase:
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (a crashed worker, an injected device fault):
-        every resource -- readahead workers, file handles -- is released
-        even when the final commit errors, and only then does the first
+        every file handle and the cipher tables are released even when
+        the final commit errors, and only then does the first
         such error propagate.  Close never wedges holding half the resources.
         """
         if self._db_closed:
@@ -829,11 +797,6 @@ class EncipheredDatabase:
                 self.commit()
         except BaseException as exc:
             first_error = exc
-        try:
-            self.tree.pager.close()  # readahead workers must not outlive devices
-        except BaseException as exc:
-            if first_error is None:
-                first_error = exc
         for device in (self.records.disk, self.disk):
             try:
                 device.close()
@@ -847,21 +810,6 @@ class EncipheredDatabase:
             raise first_error
 
     # -- caches ----------------------------------------------------------
-
-    def warm(self, levels: int = 2) -> int:
-        """Pre-decode the root's top ``levels`` into the node caches.
-
-        Closes part of the cold-reopen gap without waiting for organic
-        traffic (benchmark C9 measured warm caches ~28x faster than
-        cold).  The work is honest traversal work -- counted like any
-        read -- and is additionally tallied under ``stats()``'s
-        ``cache_warming`` so operators can see prefetch cost apart from
-        serving cost.  Returns the number of nodes touched.
-        """
-        with self.lock.read_locked():
-            warmed = self.tree.warm(levels)
-        self.warming.bump("nodes_warmed", warmed)
-        return warmed
 
     def cache_config(self) -> dict[str, int]:
         """Capacity (in blocks) of each read-path cache level."""
@@ -944,9 +892,6 @@ class EncipheredDatabase:
                     "write_requests": pager.write_requests,
                     "disk_writes": pager.disk_writes,
                     "dirty_evictions": pager.dirty_evictions,
-                    "readaheads": pager.readaheads,
-                    "readahead_loads": pager.readahead_loads,
-                    "readahead_drops": pager.readahead_drops,
                 },
                 "durability": {
                     "node": self.disk.durability_snapshot(),
@@ -961,7 +906,6 @@ class EncipheredDatabase:
                 },
                 "record_cipher": self.records.cipher_counts.snapshot(),
                 "record_cache": self.records.cache.stats.snapshot(),
-                "cache_warming": self.warming.snapshot(),
                 "node_decoded_cache": self.tree.pager.decoded.stats.snapshot(),
                 "pointer_cipher": {
                     "encryptions": self.pointer_cipher.counts.encryptions,

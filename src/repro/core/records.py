@@ -447,55 +447,6 @@ class RecordStore:
         """Drop every cached plaintext block (cold-start support)."""
         return self.cache.clear()
 
-    def warm_blocks(self, block_ids) -> int:
-        """Pre-decipher the listed blocks into the plaintext cache.
-
-        The readahead range prewarm of
-        :meth:`repro.core.database.EncipheredDatabase.range_search` calls
-        this with every block its matches live in, so each uncached
-        block is fetched in one device batch and deciphered once before
-        the per-record reads hit plaintext.  Returns the number of blocks
-        actually warmed; ids beyond the store, never-written blocks, and
-        ids the (disabled or too-small) cache will not retain are
-        skipped, not errors -- a prewarm is advisory, and a failed read
-        resurfaces in the real read that follows.
-        """
-        if not self.cache.enabled:
-            return 0
-        in_range = [
-            block_id
-            for block_id in block_ids
-            if 0 <= block_id < self.disk.num_blocks
-        ]
-        missing = [
-            block_id for block_id in in_range if self.cache.peek(block_id) is None
-        ]
-        # blocks already plaintext-resident count as warmed, as before
-        warmed = len(in_range) - len(missing)
-        if missing:
-            # one batched device round trip for the whole miss set (the
-            # fixed service cost -- a SimulatedDisk latency sleep, a
-            # platter seek pass -- is paid once); decipher counts are
-            # identical to warming block by block
-            try:
-                for block_id, data in zip(missing, self.disk.read_many(missing)):
-                    slots = tuple(
-                        data[i : i + self.slot_size]
-                        for i in range(0, len(data), self.slot_size)
-                    )
-                    self.cache.put(block_id, slots)
-                    warmed += 1
-                return warmed
-            except (BlockBoundsError, StorageError):
-                pass  # a never-written id poisons the batch; retry singly
-        for block_id in missing:
-            try:
-                self._load_slots(block_id)
-            except (BlockBoundsError, StorageError):
-                continue
-            warmed += 1
-        return warmed
-
     # -- public API ------------------------------------------------------
 
     def put(self, record: bytes) -> int:

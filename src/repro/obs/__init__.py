@@ -72,7 +72,6 @@ INSTRUMENTS = (
     "pager.read",
     "pager.write",
     "pager.flush",
-    "pager.readahead",
     "cipher.record_encrypt",
     "cipher.record_decrypt",
     "platter.wal_append",

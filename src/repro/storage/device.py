@@ -416,15 +416,16 @@ class BlockDevice(ABC):
     def read_many(self, block_ids, windows=None) -> list[bytes]:
         """Read several blocks in one device round trip.
 
-        The bulk entry point behind readahead and batched cache warming:
-        one call charges the device's fixed per-operation costs once for
-        the whole batch (:class:`~repro.storage.disk.SimulatedDisk`
-        sleeps its ``latency_s`` once; :class:`~repro.storage.platter.
-        FilePlatter` does a single seek-ordered pass), while the
-        transform still runs per block *outside* any device lock, so a
-        readahead worker deciphers an entire batch without stalling
-        foreground I/O.  Semantics are those of ``[read_block(b) for b
-        in block_ids]`` -- same bounds checks, same per-block statistics,
+        The bulk entry point behind
+        :meth:`~repro.core.records.RecordStore.get_many`, which fetches
+        every record block of a range search in one call: the device's
+        fixed per-operation costs are charged once for the whole batch
+        (:class:`~repro.storage.disk.SimulatedDisk` sleeps its
+        ``latency_s`` once; :class:`~repro.storage.platter.FilePlatter`
+        does a single seek-ordered pass), while the transform still runs
+        *outside* any device lock, so concurrent readers decipher in
+        parallel.  Semantics are those of ``[read_block(b) for b in
+        block_ids]`` -- same bounds checks, same per-block statistics,
         same exception types.
 
         ``windows``, one ``(lo, hi)`` per id, asks for each block's plain
@@ -528,11 +529,13 @@ class BlockDevice(ABC):
     def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
         """Batch fetch: one service-time charge, one id-ordered pass.
 
-        The payoff of readahead: a spindle (or an NVMe queue) serves a
-        batched request in roughly one seek + transfer, and the file
-        platter reads the batch in one forward sweep.  Duplicates are
-        read once and served to every requester; per-block statistics
-        equal the looped form's, and the charged time is spread evenly.
+        Serves :meth:`read_many`, whose one caller is
+        :meth:`~repro.core.records.RecordStore.get_many`: a spindle (or
+        an NVMe queue) serves a batched request in roughly one seek +
+        transfer, and the file platter reads the batch in one forward
+        sweep.  Duplicates are read once and served to every requester;
+        per-block statistics equal the looped form's, and the charged
+        time is spread evenly.
         """
         if not block_ids:
             return []

@@ -60,7 +60,7 @@ class SimulatedDisk(BlockDevice):
         the device lock, so concurrent readers overlap their waits as
         real spindles overlap seeks; it lets the executor and cache
         benchmarks show I/O-overlap effects without a real file.  Mutable
-        at runtime (benchmarks flip it per arm).
+        at runtime.
 
     ``close()`` is a no-op: a :class:`~repro.storage.backend.
     MemoryBackend` hands the same device back when it is reopened by name.

@@ -46,7 +46,6 @@ hit the platter), which benchmark C7 reports.
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -73,13 +72,6 @@ class PagerStats:
     disk_writes: int = 0
     dirty_evictions: int = 0
     flushes: int = 0
-    #: Readahead accounting: blocks handed to the background fetchers,
-    #: fetches that filled the raw cache, and fetches discarded on
-    #: arrival (already cached by a racing read, or poisoned by a write
-    #: or invalidation that landed while the fetch was in flight).
-    readaheads: int = 0
-    readahead_loads: int = 0
-    readahead_drops: int = 0
 
     def reset(self) -> None:
         self.hits = 0
@@ -88,9 +80,6 @@ class PagerStats:
         self.disk_writes = 0
         self.dirty_evictions = 0
         self.flushes = 0
-        self.readaheads = 0
-        self.readahead_loads = 0
-        self.readahead_drops = 0
 
     @property
     def accesses(self) -> int:
@@ -150,20 +139,11 @@ class Pager:
         cache_blocks: int = 64,
         write_back: bool = False,
         decoded_cache_blocks: int = 0,
-        readahead_workers: int = 0,
     ) -> None:
         self.disk = disk
         self.write_back = write_back
         self.retain_dirty = False
         self.stats = PagerStats()
-        #: Background-fetch pool size; ``0`` (default) disables
-        #: :meth:`readahead` entirely, keeping disk-read counts exactly
-        #: on the blocking cost model.
-        self.readahead_workers = readahead_workers
-        self._ra_queue: "queue.Queue[list[int] | None]" = queue.Queue()
-        self._ra_threads: list[threading.Thread] = []
-        self._ra_inflight: set[int] = set()
-        self._ra_poisoned: set[int] = set()
         #: Span tracer for read/write/flush timing; defaults to the
         #: shared disabled tracer, replaced by the owning database.
         self.tracer = NULL_TRACER
@@ -233,106 +213,6 @@ class Pager:
                     self._raw.put(block_id, data)
             return data
 
-    def readahead(self, block_ids) -> int:
-        """Hint that the listed blocks will be read soon (advisory).
-
-        With a worker pool configured (``readahead_workers > 0``) and
-        the raw cache enabled, the not-yet-cached, not-dirty, not
-        already-in-flight blocks are handed to a background fetcher that
-        pulls them through :meth:`BlockDevice.read_many` -- one batched
-        device round trip, deciphering off the caller's thread -- and
-        fills the raw cache on arrival.  Returns the number of blocks
-        scheduled (0 when the feature is off: the hint is free to emit
-        unconditionally).
-
-        Correctness under concurrent mutation: a write, invalidation or
-        cache clear that lands while a fetch is in flight *poisons* the
-        fetched block, and the arrival is dropped instead of filling the
-        cache with bytes older than the platter's.  Fills also never
-        overwrite an existing cache entry (a racing foreground read or
-        write is authoritative), mirroring :meth:`read`.
-        """
-        if self.readahead_workers <= 0 or not self._raw.enabled:
-            return 0
-        with self._lock:
-            batch = [
-                block_id
-                for block_id in block_ids
-                if block_id not in self._ra_inflight
-                and block_id not in self._dirty
-                and self._raw.peek(block_id) is None
-            ]
-            if not batch:
-                return 0
-            self._ra_inflight.update(batch)
-            self.stats.readaheads += len(batch)
-            if not self._ra_threads:
-                for i in range(self.readahead_workers):
-                    thread = threading.Thread(
-                        target=self._readahead_worker,
-                        name=f"pager-readahead-{i}",
-                        daemon=True,
-                    )
-                    thread.start()
-                    self._ra_threads.append(thread)
-        self._ra_queue.put(batch)
-        return len(batch)
-
-    def _readahead_worker(self) -> None:
-        while True:
-            batch = self._ra_queue.get()
-            if batch is None:
-                return
-            with self.tracer.trace("pager.readahead"):
-                try:
-                    fetched = list(zip(batch, self.disk.read_many(batch)))
-                except Exception:
-                    # the batch is advisory: fall back per block and
-                    # skip whatever cannot be read (never-written ids,
-                    # bounds races, a device closing under us)
-                    fetched = []
-                    for block_id in batch:
-                        try:
-                            fetched.append((block_id, self.disk.read_block(block_id)))
-                        except Exception:
-                            fetched.append((block_id, None))
-                with self._lock:
-                    for block_id, data in fetched:
-                        self._ra_inflight.discard(block_id)
-                        if block_id in self._ra_poisoned:
-                            self._ra_poisoned.discard(block_id)
-                            self.stats.readahead_drops += 1
-                        elif (
-                            data is None
-                            or not self._raw.enabled
-                            or self._raw.peek(block_id) is not None
-                        ):
-                            self.stats.readahead_drops += 1
-                        else:
-                            self._raw.put(block_id, data)
-                            self.stats.readahead_loads += 1
-
-    def _poison_inflight(self, block_id: int) -> None:
-        """Caller holds ``_lock``: mark an in-flight readahead stale."""
-        if block_id in self._ra_inflight:
-            self._ra_poisoned.add(block_id)
-
-    def _poison_all_inflight(self) -> None:
-        """Caller holds ``_lock``: no in-flight fetch may fill (cache
-        reset paths -- the fill would defeat an intentional cold start,
-        or resurrect bytes another handle has since replaced)."""
-        self._ra_poisoned.update(self._ra_inflight)
-
-    def close(self) -> None:
-        """Stop the readahead workers (idempotent; drains in-flight work)."""
-        with self._lock:
-            threads, self._ra_threads = self._ra_threads, []
-            self._poison_all_inflight()
-        for _ in threads:
-            self._ra_queue.put(None)
-        for thread in threads:
-            thread.join(timeout=10.0)
-
     def read_decoded(self, block_id: int, decode: Callable[[int, bytes], object]):
         """Read a block through the decoded-page cache.
 
@@ -362,7 +242,6 @@ class Pager:
         with self.tracer.trace("pager.write"):
             with self._lock:
                 self.stats.write_requests += 1
-                self._poison_inflight(block_id)
                 self.decoded.invalidate(block_id)
                 if self.write_back:
                     self._dirty.add(block_id)
@@ -407,7 +286,6 @@ class Pager:
         with self._lock:
             dropped = len(self._dirty)
             for block_id in self._dirty:
-                self._poison_inflight(block_id)
                 self._raw.invalidate(block_id)
                 self.decoded.invalidate(block_id)
             self._dirty.clear()
@@ -442,7 +320,6 @@ class Pager:
         must not resurface at the next flush.
         """
         with self._lock:
-            self._poison_inflight(block_id)
             self._raw.invalidate(block_id)
             self.decoded.invalidate(block_id)
             self._dirty.discard(block_id)
@@ -470,7 +347,6 @@ class Pager:
         """
         with self._lock:
             self.flush()
-            self._poison_all_inflight()
             self._raw.clear()
             self.decoded.clear()
 
@@ -484,7 +360,6 @@ class Pager:
         serves next.
         """
         with self._lock:
-            self._poison_all_inflight()
             for block_id in self._raw.keys():
                 if block_id not in self._dirty:
                     self._raw.invalidate(block_id)

@@ -515,45 +515,3 @@ class TestConcurrentDeltaSync:
             cluster.check_invariants()
         finally:
             cluster.close()
-
-
-class TestClusterWarming:
-    def test_warm_fans_out_and_counts(self):
-        records = seed_keys(60)
-        cluster = make_cluster(
-            "serial", decoded_node_cache_blocks=64
-        )
-        try:
-            cluster.bulk_load(records.items())
-            cluster.clear_caches()
-            warmed = cluster.warm(levels=2)
-            assert warmed >= NUM_SHARDS  # at least every root
-            agg = cluster.stats().aggregate
-            assert agg["cache_warming"]["nodes_warmed"] == warmed
-        finally:
-            cluster.close()
-
-    def test_warm_reaches_process_workers(self):
-        records = seed_keys(60)
-        cluster = make_cluster(
-            "processes", decoded_node_cache_blocks=64
-        )
-        try:
-            cluster.bulk_load(records.items())
-            parent_only = sum(
-                shard.warming.nodes_warmed for shard in cluster.shards
-            )
-            warmed = cluster.warm(levels=2)
-            parent_after = sum(
-                shard.warming.nodes_warmed for shard in cluster.shards
-            )
-            # the total includes worker-side warming beyond the parent's
-            assert warmed > parent_after - parent_only
-            # worker warming work rolls up into cluster stats
-            agg = cluster.stats().aggregate
-            assert agg["cache_warming"]["nodes_warmed"] == warmed
-            assert cluster.range_search(0, DESIGN.v) == sorted(
-                records.items()
-            )
-        finally:
-            cluster.close()

@@ -126,6 +126,24 @@ class TestBackendParity:
             cluster.close()
 
 
+class TestColdScans:
+    @pytest.mark.parametrize("executor", BACKENDS)
+    def test_cold_range_search_spans_every_shard(self, executor):
+        sample = random.Random(0xE5).sample(range(DESIGN.v), 60)
+        records = records_for(sample)
+        cluster = make_cluster(executor)
+        try:
+            cluster.bulk_load(records.items())
+            cluster.clear_caches()
+            assert cluster.range_search(0, DESIGN.v) == sorted(records.items())
+            lo, hi = 40, 120
+            assert cluster.range_search(lo, hi) == sorted(
+                (k, v) for k, v in records.items() if lo <= k <= hi
+            )
+        finally:
+            cluster.close()
+
+
 class TestReplicaConsistency:
     def test_writes_after_process_reads_are_visible(self):
         sample = random.Random(0xE5).sample(range(DESIGN.v), 40)

@@ -233,46 +233,3 @@ class TestBatchedMutations:
         thread.join(10)
         assert not failures, failures
         assert dict(db.items()) == {7: b"seven", 8: b"eight"}
-
-
-class TestWarming:
-    def _fill(self, db, count=120):
-        keys = random.Random(2).sample(range(DESIGN.v), count)
-        db.bulk_load((k, f"r{k}".encode()) for k in keys)
-        return keys
-
-    def test_warm_counts_and_reports(self, cipher):
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            decoded_node_cache_blocks=64,
-        )
-        self._fill(db)
-        db.clear_caches()
-        warmed = db.warm(levels=2)
-        assert warmed >= 2  # root plus at least one child
-        assert len(db.tree.pager.decoded) == warmed
-        assert db.stats()["cache_warming"]["nodes_warmed"] == warmed
-
-    def test_warm_levels_bound_the_walk(self, cipher):
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            decoded_node_cache_blocks=64,
-        )
-        self._fill(db)
-        db.clear_caches()
-        assert db.warm(levels=0) == 0
-        assert db.warm(levels=1) == 1  # exactly the root
-        deep = db.warm(levels=10)  # deeper than the tree: touches it all
-        assert deep >= db.warm(levels=2)
-
-    def test_warm_skips_codec_on_next_read(self, cipher):
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            decoded_node_cache_blocks=64,
-        )
-        keys = self._fill(db)
-        db.clear_caches()
-        db.warm(levels=10)
-        hits_before = db.tree.pager.decoded.stats.hits
-        db.search(keys[0])
-        assert db.tree.pager.decoded.stats.hits > hits_before

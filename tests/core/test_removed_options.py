@@ -5,7 +5,10 @@ warming, the decoded-node byte budget and LRU pinning were removed: no
 measured workload gained from them.  A caller still passing one of their
 keywords gets a ``TypeError``; their methods are gone.  So is the
 ``poll``/``reattach`` reader catch-up: a reader that needs another
-handle's commits reopens with ``reopen_from_backend``.
+handle's commits reopens with ``reopen_from_backend``.  So are the
+pager's background readahead pool (``readahead_workers``) and every
+``warm(levels)`` path: a scan over canonical storage ran slower with
+the pool on, and no benchmark warmed a cache.
 """
 
 from __future__ import annotations
@@ -40,19 +43,20 @@ def cipher(i: int = 0) -> RSA:
 
 
 BUDGET = {"decoded_node_cache_bytes": 1024}
+READAHEAD = {"readahead_workers": 2}
 
 
-def _reopen_db(tmp_path):
+def _reopen_db(tmp_path, removed=BUDGET):
     backend = FileBackend(tmp_path / "db", fsync=False)
     db = EncipheredDatabase.create(sub(), cipher(), backend=backend)
     db.close()
-    return EncipheredDatabase.reopen(sub(), cipher(), db.disk, db.records, **BUDGET)
+    return EncipheredDatabase.reopen(sub(), cipher(), db.disk, db.records, **removed)
 
 
-def _reopen_db_from_backend(tmp_path):
+def _reopen_db_from_backend(tmp_path, removed=BUDGET):
     backend = FileBackend(tmp_path / "db", fsync=False)
     EncipheredDatabase.create(sub(), cipher(), backend=backend).close()
-    return EncipheredDatabase.reopen_from_backend(sub(), cipher(), backend, **BUDGET)
+    return EncipheredDatabase.reopen_from_backend(sub(), cipher(), backend, **removed)
 
 
 def _reopen_cluster(tmp_path):
@@ -82,29 +86,43 @@ REJECTING_CALLS = {
     "LRUCache(max_bytes)": lambda tmp_path: LRUCache(4, max_bytes=1024),
     "LRUCache(weigher)": lambda tmp_path: LRUCache(4, weigher=lambda key, value: 1),
     "LRUCache.put(weight)": lambda tmp_path: LRUCache(4).put("k", "v", weight=1),
-    "db.warm(hot_record_blocks)": lambda tmp_path: EncipheredDatabase.create(
-        sub(), cipher()
-    ).warm(1, hot_record_blocks=2),
-    "db.warm(background)": lambda tmp_path: EncipheredDatabase.create(
-        sub(), cipher()
-    ).warm(1, background=True),
-    "cluster.warm(hot_record_blocks)": lambda tmp_path: ShardedEncipheredDatabase.create(
-        sub, cipher, num_shards=2
-    ).warm(1, hot_record_blocks=2),
-    "cluster.warm(background)": lambda tmp_path: ShardedEncipheredDatabase.create(
-        sub, cipher, num_shards=2
-    ).warm(1, background=True),
+    "db.create(readahead_workers)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher(), **READAHEAD
+    ),
+    "db.reopen(readahead_workers)": lambda tmp_path: _reopen_db(tmp_path, READAHEAD),
+    "db.reopen_from_backend(readahead_workers)": lambda tmp_path: _reopen_db_from_backend(
+        tmp_path, READAHEAD
+    ),
+    "Pager(readahead_workers)": lambda tmp_path: Pager(
+        SimulatedDisk(block_size=64), **READAHEAD
+    ),
 }
+
+#: The prefetch entry points; no owner below may have any of them.
+PREFETCH = ("warm", "warm_blocks", "readahead")
 
 #: Every owner of a removed method or attribute, with what it lost.
 GONE = {
     "database": (
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
-        ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach"),
+        ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach", "warming")
+        + PREFETCH,
+    ),
+    "BTree": (
+        lambda tmp_path: EncipheredDatabase.create(sub(), cipher()).tree,
+        PREFETCH,
+    ),
+    "Pager": (
+        lambda tmp_path: Pager(SimulatedDisk(block_size=64)),
+        ("readahead_workers", "close") + PREFETCH,
+    ),
+    "PagerStats": (
+        lambda tmp_path: Pager(SimulatedDisk(block_size=64)).stats,
+        ("readaheads", "readahead_loads", "readahead_drops"),
     ),
     "RecordStore": (
         lambda tmp_path: RecordStore(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"),
-        ("reattach", "_reindex_blocks", "_meta_blocks"),
+        ("reattach", "_reindex_blocks", "_meta_blocks") + PREFETCH,
     ),
     "BlockDevice": (lambda tmp_path: BlockDevice, ("poll",)),
     "SimulatedDisk": (lambda tmp_path: SimulatedDisk(block_size=64), ("poll",)),
@@ -114,7 +132,7 @@ GONE = {
     ),
     "cluster": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2),
-        ("save_heat", "load_heat"),
+        ("save_heat", "load_heat") + PREFETCH,
     ),
     "MemoryBackend": (lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob")),
     "FileBackend": (

@@ -36,7 +36,7 @@ _CACHE = ("hits", "misses", "insertions", "evictions", "invalidations")
 _INSTRUMENTS = (
     "db.get", "db.put", "db.delete", "db.put_many", "db.delete_many",
     "db.range_search", "db.bulk_load", "db.commit",
-    "pager.read", "pager.write", "pager.flush", "pager.readahead",
+    "pager.read", "pager.write", "pager.flush",
     "cipher.record_encrypt", "cipher.record_decrypt",
     "platter.wal_append", "platter.fsync", "platter.header_flip",
     "executor.full_ship", "executor.delta_ship", "executor.respawn",
@@ -50,13 +50,11 @@ STATS_KEYS = {
     "size": None,
     "node_disk": _DISK,
     "record_disk": _DISK,
-    "pager": ("hits", "misses", "write_requests", "disk_writes", "dirty_evictions",
-              "readaheads", "readahead_loads", "readahead_drops"),
+    "pager": ("hits", "misses", "write_requests", "disk_writes", "dirty_evictions"),
     "durability": {"node": _DURABILITY, "records": _DURABILITY},
     "faults": {"node": _FAULTS, "records": _FAULTS},
     "record_cipher": ("encryptions", "decryptions"),
     "record_cache": _CACHE,
-    "cache_warming": ("nodes_warmed",),
     "node_decoded_cache": _CACHE,
     "pointer_cipher": ("encryptions", "decryptions"),
     "substitution": ("substitutions", "inversions"),

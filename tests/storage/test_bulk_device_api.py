@@ -1,0 +1,81 @@
+"""The batched device API: ``read_many``/``write_many`` equal the looped form.
+
+``RecordStore.get_many`` fetches every record block of a range search
+through one ``read_many`` call, so the batch must return the same bytes,
+count the same statistics and raise the same errors as one
+``read_block`` per id, while charging the device's service time once.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from repro.exceptions import BlockBoundsError
+from repro.storage.disk import SimulatedDisk
+
+
+class TestBulkDeviceApi:
+    def test_read_many_matches_looped_reads(self):
+        disk = SimulatedDisk(block_size=64)
+        ids = [disk.allocate() for _ in range(5)]
+        for b in ids:
+            disk.write_block(b, b"payload-%d" % b)
+        want = [disk.read_block(b) for b in ids]
+        disk.stats.reset()
+        got = disk.read_many(ids)
+        assert got == want
+        assert disk.stats.reads == len(ids)
+
+    def test_write_many_matches_looped_writes(self):
+        one = SimulatedDisk(block_size=64)
+        many = SimulatedDisk(block_size=64)
+        for disk in (one, many):
+            for _ in range(3):
+                disk.allocate()
+        pairs = [(0, b"a"), (1, b"bb"), (2, b"ccc")]
+        for b, data in pairs:
+            one.write_block(b, data)
+        many.write_many(pairs)
+        assert [many.read_block(b) for b in range(3)] == [
+            one.read_block(b) for b in range(3)
+        ]
+        assert many.stats.writes == one.stats.writes
+
+    def test_read_many_charges_one_wait(self):
+        disk = SimulatedDisk(block_size=64, latency_s=0.02)
+        ids = [disk.allocate() for _ in range(4)]
+        for b in ids:
+            disk.write_block(b, b"x")
+        disk.stats.reset()
+        start = time.monotonic()
+        disk.read_many(ids)
+        elapsed = time.monotonic() - start
+        assert elapsed < 4 * 0.02  # one charge, not one per block
+        assert disk.stats.reads == 4
+        assert disk.stats.read_time_s == pytest.approx(0.02)
+
+    def test_read_many_unwritten_raises(self):
+        disk = SimulatedDisk(block_size=64)
+        disk.allocate()
+        with pytest.raises(BlockBoundsError):
+            disk.read_many([0])
+
+    def test_empty_batches_are_free(self):
+        disk = SimulatedDisk(block_size=64, latency_s=0.05)
+        start = time.monotonic()
+        assert disk.read_many([]) == []
+        disk.write_many([])
+        assert time.monotonic() - start < 0.05  # no service time charged
+        assert disk.stats.reads == 0
+        assert disk.stats.writes == 0
+
+    def test_write_many_out_of_range_writes_nothing(self):
+        disk = SimulatedDisk(block_size=64)
+        disk.allocate()
+        disk.write_block(0, b"before")
+        with pytest.raises(BlockBoundsError):
+            disk.write_many([(0, b"after"), (7, b"beyond")])
+        assert disk.read_block(0) == b"before"
+        assert disk.stats.writes == 1

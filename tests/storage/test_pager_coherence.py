@@ -1,0 +1,154 @@
+"""The pager's one blocking read path never serves stale bytes.
+
+Every read either hits a cache entry that the last write, invalidation
+or rollback left coherent, or goes to the device.  Both cache levels are
+checked: the raw block cache (``read``) and the decoded-view cache
+(``read_decoded``), whose plaintext must never outlive the bytes it was
+decoded from.
+"""
+
+from __future__ import annotations
+
+from repro.storage.disk import SimulatedDisk
+from repro.storage.pager import Pager
+
+
+def make_pager(capacity=8, write_back=False, decoded=0):
+    disk = SimulatedDisk(block_size=64)
+    return Pager(
+        disk,
+        cache_blocks=capacity,
+        write_back=write_back,
+        decoded_cache_blocks=decoded,
+    )
+
+
+def seeded(pager, n=4):
+    blocks = [pager.allocate() for _ in range(n)]
+    for b in blocks:
+        pager.write(b, b"block-%d" % b)
+    return blocks
+
+
+class CountingDecoder:
+    """A ``read_decoded`` decode callback that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, block_id, raw):
+        self.calls += 1
+        return ("view", block_id, raw)
+
+
+class TestRawPath:
+    def test_rewrite_after_cold_cache_is_served(self):
+        pager = make_pager()
+        b = seeded(pager, 1)[0]
+        pager.clear_cache()
+        pager.write(b, b"rewritten")
+        assert pager.read(b) == b"rewritten"
+        assert pager.disk.read_block(b) == b"rewritten"
+
+    def test_invalidate_forces_one_fresh_disk_read(self):
+        pager = make_pager()
+        b = seeded(pager, 1)[0]
+        pager.invalidate(b)
+        pager.disk.stats.reset()
+        assert pager.read(b) == b"block-%d" % b
+        assert pager.read(b) == b"block-%d" % b  # refilled: a hit
+        assert pager.disk.stats.reads == 1
+
+    def test_rollback_serves_committed_bytes_from_disk(self):
+        pager = make_pager(write_back=True)
+        pager.retain_dirty = True
+        b = pager.allocate()
+        pager.write(b, b"committed")
+        pager.flush()
+        pager.clear_cache()
+        pager.write(b, b"uncommitted")
+        assert pager.discard_dirty() == 1
+        pager.disk.stats.reset()
+        assert pager.read(b) == b"committed"
+        assert pager.disk.stats.reads == 1
+
+    def test_drop_clean_cache_keeps_dirty_pages(self):
+        pager = make_pager(write_back=True)
+        clean, dirty = pager.allocate(), pager.allocate()
+        pager.write(clean, b"clean")
+        pager.flush()
+        pager.write(dirty, b"dirty")
+        pager.drop_clean_cache()
+        assert pager.dirty_blocks == 1
+        pager.disk.stats.reset()
+        assert pager.read(dirty) == b"dirty"  # still cached, never flushed
+        assert pager.disk.stats.reads == 0
+        assert pager.read(clean) == b"clean"  # dropped: back from disk
+        assert pager.disk.stats.reads == 1
+
+    def test_clear_cache_makes_every_read_cold(self):
+        pager = make_pager()
+        blocks = seeded(pager)
+        pager.clear_cache()
+        pager.disk.stats.reset()
+        pager.stats.reset()
+        for b in blocks:
+            assert pager.read(b) == b"block-%d" % b
+        assert pager.disk.stats.reads == len(blocks)
+        assert pager.stats.misses == len(blocks)
+        assert pager.stats.hits == 0
+
+
+class TestDecodedPath:
+    def test_view_is_memoised_until_the_block_is_rewritten(self):
+        pager = make_pager(decoded=4)
+        b = seeded(pager, 1)[0]
+        decode = CountingDecoder()
+        first = pager.read_decoded(b, decode)
+        assert pager.read_decoded(b, decode) is first
+        assert decode.calls == 1
+        pager.write(b, b"new")
+        assert pager.read_decoded(b, decode) == ("view", b, b"new")
+        assert decode.calls == 2
+
+    def test_invalidate_drops_the_view(self):
+        pager = make_pager(decoded=4)
+        b = seeded(pager, 1)[0]
+        decode = CountingDecoder()
+        pager.read_decoded(b, decode)
+        pager.invalidate(b)
+        pager.read_decoded(b, decode)
+        assert decode.calls == 2
+
+    def test_rollback_drops_the_view_of_a_discarded_page(self):
+        pager = make_pager(write_back=True, decoded=4)
+        pager.retain_dirty = True
+        b = pager.allocate()
+        pager.write(b, b"committed")
+        pager.flush()
+        pager.write(b, b"uncommitted")
+        decode = CountingDecoder()
+        assert pager.read_decoded(b, decode) == ("view", b, b"uncommitted")
+        pager.discard_dirty()
+        assert pager.read_decoded(b, decode) == ("view", b, b"committed")
+
+    def test_drop_clean_cache_drops_every_view(self):
+        pager = make_pager(decoded=4)
+        blocks = seeded(pager, 3)
+        decode = CountingDecoder()
+        for b in blocks:
+            pager.read_decoded(b, decode)
+        pager.drop_clean_cache()
+        assert len(pager.decoded) == 0
+        for b in blocks:
+            pager.read_decoded(b, decode)
+        assert decode.calls == 2 * len(blocks)
+
+    def test_disabled_view_cache_decodes_every_read(self):
+        pager = make_pager(decoded=0)
+        b = seeded(pager, 1)[0]
+        decode = CountingDecoder()
+        for _ in range(3):
+            assert pager.read_decoded(b, decode) == ("view", b, b"block-%d" % b)
+        assert decode.calls == 3
+        assert len(pager.decoded) == 0
