@@ -1,9 +1,8 @@
 """C13 -- the observability plane must observe without perturbing.
 
-PR 7 threads latency histograms, span tracing and heat tracking through
-every layer of the engine.  The instrumentation lives permanently in the
-hot paths -- no ``#ifdef``-style forks -- so its cost discipline is the
-experiment:
+The engine threads latency histograms, fed by span tracing, through
+every layer.  The instrumentation lives permanently in the hot paths --
+no ``#ifdef``-style forks -- so its cost discipline is the experiment:
 
 1. **Disabled is free.**  The default (paper-faithful) configuration's
    ``trace()`` call is one attribute check returning a shared no-op
@@ -19,7 +18,7 @@ experiment:
    cost model is the repo's ground truth and must not move.
 4. **One coherent picture.**  The same enabled workload through the
    ``serial`` and ``processes`` executors must report
-   identical merged instrument counts and heat totals through
+   identical merged instrument counts through
    ``stats()["observability"]`` -- every operation counted exactly
    once, wherever it ran.
 
@@ -148,16 +147,13 @@ def _overhead_arms(items, ops):
 # -- part 4: one coherent picture across executors -------------------------
 
 
-def _counts_and_heat(cluster) -> tuple[dict[str, int], dict[str, int]]:
+def _instrument_counts(cluster) -> dict[str, int]:
     cluster.close()  # harvests every worker replica's final deltas
-    stats = cluster.stats()
-    counts = {
+    return {
         name: snap["count"]
-        for name, snap in stats.latency.items()
+        for name, snap in cluster.stats().latency.items()
         if not name.startswith("executor.")  # ship spans are backend-specific
     }
-    heat = {"ops": stats.heat["ops"], "keys": stats.heat["keys"]}
-    return counts, heat
 
 
 def _executor_parity(items, ops):
@@ -168,8 +164,7 @@ def _executor_parity(items, ops):
             cluster.bulk_load(items)
             _replay(cluster, ops)
         finally:
-            counts, heat = _counts_and_heat(cluster)
-        out[executor] = {"counts": counts, "heat": heat}
+            out[executor] = _instrument_counts(cluster)
     return out
 
 
@@ -222,20 +217,17 @@ def test_c13_observability(benchmark, reporter):
     parity = _executor_parity(items, ops)
     serial = parity["serial"]
     for executor in EXECUTORS[1:]:
-        assert parity[executor]["counts"] == serial["counts"], executor
-        assert parity[executor]["heat"] == serial["heat"], executor
+        assert parity[executor] == serial, executor
     reporter.table(
         "merged observability across executors (identical by assertion)",
-        ["executor", "db.get", "db.range_search", "pager.read",
-         "heat ops", "heat keys"],
+        ["executor", "db.get", "db.range_search", "pager.read", "all spans"],
         [
             [executor,
-             row["counts"]["db.get"],
-             row["counts"]["db.range_search"],
-             row["counts"]["pager.read"],
-             row["heat"]["ops"],
-             row["heat"]["keys"]]
-            for executor, row in parity.items()
+             counts["db.get"],
+             counts["db.range_search"],
+             counts["pager.read"],
+             sum(counts.values())]
+            for executor, counts in parity.items()
         ],
     )
 
@@ -248,6 +240,5 @@ def test_c13_observability(benchmark, reporter):
         "overhead_budget": MAX_OVERHEAD,
         "cipher_counts_identical": ciphers["disabled"] == ciphers["enabled"],
         "executor_parity": True,
-        "heat_ops": serial["heat"]["ops"],
-        "heat_keys": serial["heat"]["keys"],
+        "parity_spans": sum(serial.values()),
     })

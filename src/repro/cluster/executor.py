@@ -116,7 +116,7 @@ class ShardSpec:
     cache_blocks: int
     decoded_node_cache_blocks: int
     #: The parent shard's observability switch, so the worker's replica
-    #: instruments identically -- its histogram/heat deltas then merge
+    #: instruments identically -- its histogram deltas then merge
     #: into one coherent cross-process picture.
     obs_config: ObsConfig | None = None
 

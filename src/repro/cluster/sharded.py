@@ -47,13 +47,7 @@ from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.executor import ProcessShardExecutor, UncommittedShardState
-from repro.cluster.health import (
-    DEGRADED,
-    HEALTHY,
-    QUARANTINED,
-    ClusterHealth,
-    PartialResult,
-)
+from repro.cluster.health import ClusterHealth, PartialResult
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter, ShardRouter
 from repro.cluster.stats import ClusterStats, merge_counter_dicts
@@ -81,9 +75,6 @@ _DEFAULT_DATA_KEY = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"
 
 _SUPER_LABEL = b"SUPR"
 _DATA_LABEL = b"DATA"
-
-#: numeric encoding for the per-shard ``health.state`` gauge
-_HEALTH_GAUGE = {HEALTHY: 0, DEGRADED: 1, QUARANTINED: 2}
 
 
 def derive_shard_key(base_key: bytes, label: bytes, shard_index: int) -> bytes:
@@ -1229,12 +1220,6 @@ class ShardedEncipheredDatabase:
             extras = self._procs.extra_counters(i) if self._procs is not None else []
             base = shard.stats()
             per_shard.append(merge_counter_dicts([base, *extras]) if extras else base)
-            # gauges are export-only readings (outside the mergeable
-            # snapshot): publish each shard's health state where the
-            # obs dump can show it next to the latency instruments
-            shard.obs.registry.gauge("health.state").set(
-                _HEALTH_GAUGE[self.health.state(i)]
-            )
         return ClusterStats(
             router=self.router.name,
             per_shard=per_shard,

@@ -119,31 +119,13 @@ class ClusterStats:
 
     @property
     def observability(self) -> dict[str, object]:
-        """Cluster-wide merged latency histograms, heat and span counts."""
+        """Cluster-wide merged observability snapshot (``{"latency": ...}``)."""
         return self.aggregate["observability"]
 
     @property
     def latency(self) -> dict[str, object]:
         """Merged per-instrument latency histogram snapshots."""
         return self.observability["latency"]
-
-    @property
-    def heat(self) -> dict[str, object]:
-        """Cluster-wide key-range heat counters (see ``shard_heat``)."""
-        return self.observability["heat"]
-
-    @property
-    def shard_heat(self) -> list[dict[str, object]]:
-        """Per-shard key-range heat -- the hot-shard-splitting signal."""
-        return [s["observability"]["heat"] for s in self.per_shard]
-
-    def hottest_shards(self) -> list[tuple[int, int]]:
-        """``(shard_id, ops)`` pairs sorted busiest first (ties by id)."""
-        ranked = sorted(
-            ((heat["ops"], i) for i, heat in enumerate(self.shard_heat)),
-            key=lambda pair: (-pair[0], pair[1]),
-        )
-        return [(i, ops) for ops, i in ranked]
 
     def summary(self) -> str:
         """One human-readable line per shard plus the rollup."""
@@ -184,12 +166,5 @@ class ClusterStats:
                 f"{worker['respawns']} respawns, "
                 f"{worker['worker_deaths']} worker deaths, "
                 f"{self.health['degraded_reads_served']} degraded reads"
-            )
-        heat = agg.get("observability", {}).get("heat")
-        if heat and heat.get("ops"):
-            busiest = self.hottest_shards()[0]
-            lines.append(
-                f"heat: {heat['ops']} ops over {heat['keys']} keys; "
-                f"busiest shard {busiest[0]} ({busiest[1]} ops)"
             )
         return "\n".join(lines)

@@ -125,7 +125,7 @@ class EncipheredDatabase:
         super_key: bytes,
         tree: BTree,
         autocommit: bool = True,
-        observability: ObsConfig | Observability | None = None,
+        observability: ObsConfig | None = None,
     ) -> None:
         self.substitution = substitution
         self.pointer_cipher = _counting(pointer_cipher)
@@ -136,19 +136,12 @@ class EncipheredDatabase:
         #: rewrites the superblock under the write lock.
         self._super = self._super_cipher(super_key)
         self.tree = tree
-        #: The observability plane: latency histograms, span tracing and
-        #: heat tracking behind one switch (see :mod:`repro.obs`).  The
+        #: The observability plane: latency histograms fed by span
+        #: tracing behind one switch (see :mod:`repro.obs`).  The
         #: database threads its tracer through every layer it owns, so a
         #: bare ``Pager``/device built elsewhere keeps the shared
         #: disabled tracer while ours records.
-        try:
-            universe = substitution.key_universe()
-        except Exception:
-            universe = None
-        if isinstance(observability, Observability):
-            self.obs = observability
-        else:
-            self.obs = Observability(observability, universe=universe)
+        self.obs = Observability(observability)
         tracer = self.obs.tracer
         tree.pager.tracer = tracer
         disk.tracer = tracer
@@ -506,9 +499,7 @@ class EncipheredDatabase:
     # -- record operations (superblock kept current) -----------------------
 
     def insert(self, key: int, record: bytes) -> None:
-        obs = self.obs
-        span = obs.trace("db.put")
-        with span:
+        with self.obs.trace("db.put"):
             with self.lock.write_locked():
                 record_id = self.records.put(record)
                 try:
@@ -519,63 +510,44 @@ class EncipheredDatabase:
                 if self._in_txn:
                     self._txn_record_puts.append(record_id)
                 self._after_mutation()
-        if obs.enabled:
-            obs.heat.note_op((key,), span.duration_ns)
 
     def search(self, key: int) -> bytes:
-        obs = self.obs
-        span = obs.trace("db.get")
-        with span:
+        with self.obs.trace("db.get"):
             with self.lock.read_locked():
                 record_id = self.tree.search(key)
-                result = self.records.get(record_id)
-        if obs.enabled:
-            obs.heat.note_op((key,), span.duration_ns)
-        return result
+                return self.records.get(record_id)
 
     def get(self, key: int, default: bytes | None = None) -> bytes | None:
         """Like :meth:`search`, but returns ``default`` for absent keys."""
-        obs = self.obs
-        span = obs.trace("db.get")
-        with span:
+        with self.obs.trace("db.get"):
             with self.lock.read_locked():
                 try:
                     record_id = self.tree.search(key)
                 except KeyNotFoundError:
-                    result = default
-                else:
-                    result = self.records.get(record_id)
-        if obs.enabled:
-            obs.heat.note_op((key,), span.duration_ns)
-        return result
+                    return default
+                return self.records.get(record_id)
 
     def __contains__(self, key: int) -> bool:
         with self.lock.read_locked():
             return self.tree.contains(key)
 
     def delete(self, key: int) -> None:
-        obs = self.obs
-        span = obs.trace("db.delete")
-        try:
-            with span:
-                with self.lock.write_locked():
-                    record_id = self.tree.search(key)
-                    self.tree.delete(key)
-                    if self._in_txn:
-                        # defer the slot free: rollback must still find the bytes
-                        self._txn_record_deletes.append(record_id)
-                        self.has_uncommitted_changes = True
-                        return
-                    try:
-                        self.records.delete(record_id)
-                    finally:
-                        # the index changed even if the slot free failed: the
-                        # superblock must reflect the tree or reopen() rejects the
-                        # database (the slot merely leaks until a later reuse)
-                        self._after_mutation()
-        finally:
-            if obs.enabled:
-                obs.heat.note_op((key,), span.duration_ns)
+        with self.obs.trace("db.delete"):
+            with self.lock.write_locked():
+                record_id = self.tree.search(key)
+                self.tree.delete(key)
+                if self._in_txn:
+                    # defer the slot free: rollback must still find the bytes
+                    self._txn_record_deletes.append(record_id)
+                    self.has_uncommitted_changes = True
+                    return
+                try:
+                    self.records.delete(record_id)
+                finally:
+                    # the index changed even if the slot free failed: the
+                    # superblock must reflect the tree or reopen() rejects the
+                    # database (the slot merely leaks until a later reuse)
+                    self._after_mutation()
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:
         """Ingest ``(key, record)`` pairs via the bottom-up tree build.
@@ -586,9 +558,7 @@ class EncipheredDatabase:
         an empty database.  On failure the stored records are freed
         again and the empty database stays usable.
         """
-        obs = self.obs
-        span = obs.trace("db.bulk_load")
-        with span:
+        with self.obs.trace("db.bulk_load"):
             with self.lock.write_locked():
                 items = list(items)
                 record_ids = self.records.put_many(record for _, record in items)
@@ -602,8 +572,6 @@ class EncipheredDatabase:
                 if self._in_txn:
                     self._txn_record_puts.extend(record_id for _, record_id in pairs)
                 self._after_mutation()
-        if obs.enabled:
-            obs.heat.note_op([key for key, _ in pairs], span.duration_ns)
 
     def _in_txn_owner(self) -> bool:
         """True iff the *calling thread* owns an open transaction scope.
@@ -632,8 +600,6 @@ class EncipheredDatabase:
         Returns the number of pairs inserted.
         """
         pairs = list(items)
-        # span only: the per-key inserts below carry the heat notes, so
-        # the batch wrapper never double-counts key touches
         with self.obs.trace("db.put_many"):
             if self._in_txn_owner():
                 for key, record in pairs:
@@ -662,18 +628,13 @@ class EncipheredDatabase:
             return len(key_list)
 
     def range_search(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
-        obs = self.obs
-        span = obs.trace("db.range_search")
-        with span:
+        with self.obs.trace("db.range_search"):
             with self.lock.read_locked():
                 matches = self.tree.range_search(lo, hi)
                 # every match's slot window in one device batch and one
                 # bulk decipher; counts equal a get per match
                 records = self.records.get_many(rid for _, rid in matches)
-                result = [(key, record) for (key, _), record in zip(matches, records)]
-        if obs.enabled:
-            obs.heat.note_op([key for key, _ in matches], span.duration_ns)
-        return result
+                return [(key, record) for (key, _), record in zip(matches, records)]
 
     def items(self) -> Iterator[tuple[int, bytes]]:
         """Every ``(key, record)`` pair in ascending key order.
@@ -922,8 +883,8 @@ class EncipheredDatabase:
                     "merges": self.tree.counters.merges,
                     "borrows": self.tree.counters.borrows,
                 },
-                # latency histograms + key-range heat; every leaf is an
-                # additive number, so worker deltas harvest and cluster
-                # rollups merge exactly like the counters above
+                # latency histograms; every leaf is an additive number, so
+                # worker deltas harvest and cluster rollups merge exactly
+                # like the counters above
                 "observability": self.obs.snapshot(),
             }

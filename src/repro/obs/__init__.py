@@ -1,20 +1,21 @@
-"""The engine-wide observability plane: metrics, tracing, heat.
+"""The engine-wide observability plane: mergeable latency histograms.
 
 One :class:`Observability` object per :class:`~repro.core.database.
-EncipheredDatabase` bundles the three instruments built in this package:
+EncipheredDatabase` bundles the package's one instrument:
 
-* a :class:`~repro.obs.metrics.MetricsRegistry` of mergeable latency
-  histograms (pre-registered under the fixed :data:`INSTRUMENTS` names,
-  so every shard and worker snapshot has the same shape);
-* a :class:`~repro.obs.tracing.Tracer` whose spans feed those
-  histograms, a recent-span ring and a slow-op log;
-* a :class:`~repro.obs.heat.HeatMap` of per-key-range heat.
+* a :class:`~repro.obs.metrics.MetricsRegistry` of latency histograms,
+  fixed at construction to the :data:`INSTRUMENTS` names, so every
+  shard and worker snapshot has the same shape;
+* a :class:`~repro.obs.tracing.Tracer` whose spans feed them.
 
-The whole plane is governed by one switch.  Disabled (the default, and
-the paper-faithful cost model) every instrument is a no-op fast path;
-enabled, everything records.  The switch comes from an explicit
+The plane is governed by one switch.  Disabled (the default, and the
+paper-faithful cost model) ``trace()`` is a no-op fast path; enabled,
+every span records.  The switch comes from an explicit
 :class:`ObsConfig` or -- so CI can run the entire tier-1 suite with
 tracing live -- from the ``REPRO_OBS_TRACE`` environment variable.
+
+Nothing here is keyed by plaintext search keys, and nothing is
+persisted: observability never changes what is at rest.
 
 Because :meth:`Observability.snapshot` contains only additive numeric
 leaves in a fixed shape, it rides inside ``stats()["observability"]``
@@ -30,36 +31,25 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.obs.heat import NUM_RANGES, RANGE_FIELDS, HeatMap
-from repro.obs.metrics import (
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    percentile,
-    summarize,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, percentile, summarize
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
 __all__ = [
-    "Gauge",
-    "HeatMap",
     "Histogram",
     "INSTRUMENTS",
     "MetricsRegistry",
     "NULL_TRACER",
-    "NUM_RANGES",
     "ObsConfig",
     "Observability",
-    "RANGE_FIELDS",
     "Span",
     "Tracer",
     "percentile",
     "summarize",
 ]
 
-#: Every instrument the engine itself records, pre-registered in each
-#: database's registry so all observability snapshots share one shape
-#: (the worker-harvest subtraction and the cluster merge require it).
+#: Every instrument the engine records, and the only names a database's
+#: registry holds, so all observability snapshots share one shape (the
+#: worker-harvest subtraction and the cluster merge require it).
 INSTRUMENTS = (
     "db.get",
     "db.put",
@@ -83,6 +73,9 @@ INSTRUMENTS = (
     "device.fault_retry",
 )
 
+#: Accepted ``REPRO_OBS_TRACE`` values and the switch each one sets.
+_ENV_FLAGS = {"": False, "0": False, "1": True}
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -94,44 +87,35 @@ class ObsConfig:
     """
 
     enabled: bool = False
-    ring_size: int = 256
-    slow_op_threshold_s: float = 0.100
 
     @classmethod
     def from_env(cls) -> "ObsConfig":
-        """Default config, honouring ``REPRO_OBS_TRACE=1``."""
+        """Default config, honouring ``REPRO_OBS_TRACE`` (``""``, ``"0"`` or ``"1"``)."""
         flag = os.environ.get("REPRO_OBS_TRACE", "")
-        return cls(enabled=flag not in ("", "0"))
+        if flag not in _ENV_FLAGS:  # "false" must not silently mean "on"
+            raise ValueError(
+                f"REPRO_OBS_TRACE must be one of {sorted(_ENV_FLAGS)}, got {flag!r}"
+            )
+        return cls(enabled=_ENV_FLAGS[flag])
 
 
 class Observability:
-    """One database's registry + tracer + heat map behind one switch."""
+    """One database's histogram registry and tracer behind one switch."""
 
-    def __init__(
-        self,
-        config: ObsConfig | None = None,
-        universe: range | None = None,
-    ) -> None:
-        self.config = ObsConfig.from_env() if config is None else config
+    def __init__(self, config: ObsConfig | None = None) -> None:
+        if config is None:
+            config = ObsConfig.from_env()
+        elif not isinstance(config, ObsConfig):
+            raise TypeError(f"observability must be an ObsConfig, got {type(config).__name__}")
+        self.config = config
         self.registry = MetricsRegistry(INSTRUMENTS)
-        self.tracer = Tracer(
-            self.registry,
-            enabled=self.config.enabled,
-            ring_size=self.config.ring_size,
-            slow_op_threshold_s=self.config.slow_op_threshold_s,
-        )
-        self.heat = HeatMap(universe, enabled=self.config.enabled)
+        self.tracer = Tracer(self.registry, enabled=self.config.enabled)
         #: Bound-method shortcut: ``with obs.trace("db.get"): ...``
         self.trace = self.tracer.trace
 
     @property
     def enabled(self) -> bool:
         return self.tracer.enabled
-
-    def set_enabled(self, enabled: bool) -> None:
-        """Flip the whole plane (tracer + heat) at runtime."""
-        self.tracer.enabled = enabled
-        self.heat.enabled = enabled
 
     # -- exporters --------------------------------------------------------
 
@@ -142,11 +126,7 @@ class Observability:
         returns; it flows through ``merge_counter_dicts`` /
         ``subtract_counter_dicts`` unchanged.
         """
-        return {
-            "latency": self.registry.snapshot(),
-            "heat": self.heat.snapshot(),
-            "tracing": self.tracer.snapshot(),
-        }
+        return {"latency": self.registry.snapshot()}
 
     def dump(self) -> str:
         """A human-readable table of the current readings."""
@@ -165,36 +145,6 @@ class Observability:
                 f"{_fmt_s(summary['p95_s']):>10}{_fmt_s(summary['p99_s']):>10}"
                 f"{_fmt_s(summary['total_s']):>10}"
             )
-        tracing = self.tracer.snapshot()
-        lines.append(
-            f"spans: {tracing['spans']}  slow ops: {tracing['slow_ops']} "
-            f"(threshold {_fmt_s(self.tracer.slow_op_threshold_s)})"
-        )
-        for name, start_ns, duration_ns, thread in self.tracer.slow_ops():
-            lines.append(f"  SLOW {name} {_fmt_s(duration_ns / 1e9)} [{thread}]")
-        heat = self.heat.snapshot()
-        if heat["ops"]:
-            bounds = self.heat.range_bounds()
-            hot = sorted(
-                ((heat[field], index) for index, field in enumerate(RANGE_FIELDS)),
-                reverse=True,
-            )[:5]
-            bands = ", ".join(
-                f"[{bounds[index][0]}..{bounds[index][1]}]x{count}"
-                for count, index in hot
-                if count
-            )
-            lines.append(
-                f"heat: {heat['ops']} ops over {heat['keys']} keys; "
-                f"hottest bands: {bands or '(none)'}"
-            )
-        # gauges are export-only readings; refresh the built-ins first
-        self.registry.gauge("tracer.ring_spans").set(len(self.tracer.recent_spans()))
-        gauges = self.registry.gauge_values()
-        lines.append(
-            "gauges: "
-            + ", ".join(f"{name}={value:g}" for name, value in sorted(gauges.items()))
-        )
         return "\n".join(lines)
 
 

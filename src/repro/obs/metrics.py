@@ -1,4 +1,4 @@
-"""Mergeable latency histograms and gauges for the observability plane.
+"""Mergeable latency histograms for the observability plane.
 
 The engine's cost model has always been *counters* -- exact, additive,
 mergeable across threads, shards and worker processes.  Latency must ride
@@ -27,13 +27,10 @@ instrumenting a hot path adds no lock traffic.
 
 from __future__ import annotations
 
-import threading
-
 from repro.counters import ThreadSafeCounters
 
 __all__ = [
     "BUCKET_FIELDS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NUM_BUCKETS",
@@ -138,83 +135,29 @@ def summarize(snapshot: dict) -> dict:
     }
 
 
-class Gauge:
-    """A thread-safe point-in-time value (last write wins).
-
-    Gauges are deliberately **not** part of the mergeable snapshot: a
-    gauge is not additive, and the cluster-stats merge requires every
-    leaf to sum.  They surface only through the human-readable exporters
-    (:meth:`MetricsRegistry.gauge_values`, ``Observability.dump``).
-    """
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self, value: float = 0.0) -> None:
-        self._lock = threading.Lock()
-        self._value = value
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
 class MetricsRegistry:
-    """Named histograms and gauges with a fixed, pre-registered shape.
+    """Named histograms with a fixed shape, set at construction.
 
     The worker-harvest protocol subtracts whole stats snapshots
     leaf-wise, so the set of histograms must be identical in every
-    snapshot a database ever produces.  The registry therefore
-    **pre-creates** every instrument name passed to the constructor;
-    :meth:`histogram` still creates on first use for ad-hoc names, but
-    any instrument that should survive cluster merging must be in the
-    pre-registered set (the engine's own instruments all are -- see
-    ``repro.obs.INSTRUMENTS``).
+    snapshot a database ever produces.  The registry therefore holds
+    exactly the instrument names passed to the constructor (the
+    engine's are ``repro.obs.INSTRUMENTS``) and never grows.
     """
 
     def __init__(self, histogram_names: tuple[str, ...] = ()) -> None:
-        self._lock = threading.Lock()
         self._histograms: dict[str, Histogram] = {
             name: Histogram() for name in histogram_names
         }
-        self._gauges: dict[str, Gauge] = {}
 
     def histogram(self, name: str) -> Histogram:
-        """The histogram registered under ``name`` (created if absent)."""
-        hist = self._histograms.get(name)
-        if hist is None:
-            with self._lock:
-                hist = self._histograms.setdefault(name, Histogram())
-        return hist
+        """The histogram registered under ``name``.
 
-    def gauge(self, name: str) -> Gauge:
-        """The gauge registered under ``name`` (created if absent)."""
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            with self._lock:
-                gauge = self._gauges.setdefault(name, Gauge())
-        return gauge
-
-    def histogram_names(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._histograms)
+        Raises :class:`KeyError` for a name outside the registry: an
+        ad-hoc instrument would break the fixed snapshot shape.
+        """
+        return self._histograms[name]
 
     def snapshot(self) -> dict[str, dict[str, int]]:
         """Every histogram's merged counts -- all leaves additive ints."""
-        with self._lock:
-            histograms = list(self._histograms.items())
-        return {name: hist.snapshot() for name, hist in histograms}
-
-    def gauge_values(self) -> dict[str, float]:
-        """Current gauge readings (export-only; never merged)."""
-        with self._lock:
-            gauges = list(self._gauges.items())
-        return {name: gauge.value for name, gauge in gauges}
+        return {name: hist.snapshot() for name, hist in self._histograms.items()}

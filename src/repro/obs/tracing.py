@@ -8,13 +8,9 @@ The design goal is asymmetric cost:
   check, no allocation, no timestamps.  Benchmark C13 measures this path
   at nanoseconds per call, which is why the instrumentation can stay in
   the code permanently instead of living behind ``#ifdef``-style forks.
-* **enabled**: the span reads ``perf_counter_ns`` twice, feeds the
+* **enabled**: the span reads ``perf_counter_ns`` twice and feeds the
   duration into the instrument's :class:`~repro.obs.metrics.Histogram`
-  (per-thread bucket, lock-free), appends to a bounded ring buffer of
-  recent spans, and -- when the duration crosses the configured
-  threshold -- records a slow-op entry.  Everything it touches is either
-  thread-local or a :class:`collections.deque`, whose append is atomic
-  under the GIL.
+  (per-thread bucket, lock-free).
 
 The tracer deliberately has no notion of span *hierarchy*: the engine's
 layers already encode containment (a ``db.range_search`` span brackets
@@ -24,12 +20,9 @@ cheap enough for per-block instrumentation.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from time import perf_counter_ns
 
-from repro.counters import ThreadSafeCounters
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = ["NULL_TRACER", "Span", "Tracer"]
 
@@ -38,9 +31,6 @@ class _NoopSpan:
     """The shared disabled-path context manager: does nothing, allocates nothing."""
 
     __slots__ = ()
-
-    #: Matches :class:`Span` so callers can read a duration unconditionally.
-    duration_ns = 0
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -55,30 +45,23 @@ _NOOP = _NoopSpan()
 class Span:
     """One timed region; created only when the tracer is enabled."""
 
-    __slots__ = ("_tracer", "name", "start_ns", "duration_ns")
+    __slots__ = ("_hist", "_start_ns")
 
-    def __init__(self, tracer: "Tracer", name: str) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.start_ns = 0
-        self.duration_ns = 0
+    def __init__(self, hist: Histogram) -> None:
+        self._hist = hist
+        self._start_ns = 0
 
     def __enter__(self) -> "Span":
-        self.start_ns = perf_counter_ns()
+        self._start_ns = perf_counter_ns()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.duration_ns = perf_counter_ns() - self.start_ns
-        self._tracer._record(self.name, self.start_ns, self.duration_ns)
+        self._hist.observe_ns(perf_counter_ns() - self._start_ns)
         return False
 
 
-class _TracerCounters(ThreadSafeCounters):
-    _FIELDS = ("spans", "slow_ops")
-
-
 class Tracer:
-    """Span factory + recent-span ring + slow-op log.
+    """Span factory feeding one registry's histograms.
 
     Parameters
     ----------
@@ -90,75 +73,22 @@ class Tracer:
         When false, :meth:`trace` short-circuits to the shared no-op
         span.  Mutable at runtime -- flipping it on mid-flight simply
         starts recording.
-    ring_size:
-        Capacity of the recent-span ring buffer (oldest spans fall out).
-    slow_op_threshold_s:
-        Spans at least this long are additionally recorded in the
-        slow-op log and counted in ``slow_ops``.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None,
-        enabled: bool = False,
-        ring_size: int = 256,
-        slow_op_threshold_s: float = 0.100,
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry | None, enabled: bool = False) -> None:
         self.registry = registry
         self.enabled = enabled
-        self._ring: deque = deque(maxlen=max(1, ring_size))
-        self._slow: deque = deque(maxlen=64)
-        self._threshold_ns = int(slow_op_threshold_s * 1e9)
-        self.counters = _TracerCounters()
-        # per-name histogram cache so the record path skips the registry
-        # lock after an instrument's first span
-        self._hists: dict = {}
-
-    @property
-    def slow_op_threshold_s(self) -> float:
-        return self._threshold_ns / 1e9
-
-    @slow_op_threshold_s.setter
-    def slow_op_threshold_s(self, value: float) -> None:
-        self._threshold_ns = int(value * 1e9)
 
     def trace(self, name: str):
         """A context manager timing the ``name`` instrument.
 
         The disabled path returns a module-shared no-op singleton -- the
-        only cost is this attribute check.
+        only cost is this attribute check.  Enabled, a name the registry
+        does not hold raises :class:`KeyError` here, before the body runs.
         """
         if not self.enabled:
             return _NOOP
-        return Span(self, name)
-
-    def _record(self, name: str, start_ns: int, duration_ns: int) -> None:
-        hist = self._hists.get(name)
-        if hist is None:
-            hist = self.registry.histogram(name)
-            self._hists[name] = hist
-        hist.observe_ns(duration_ns)
-        self.counters.bump("spans")
-        self._ring.append((name, start_ns, duration_ns))
-        if duration_ns >= self._threshold_ns:
-            self.counters.bump("slow_ops")
-            self._slow.append(
-                (name, start_ns, duration_ns, threading.current_thread().name)
-            )
-
-    # -- read side --------------------------------------------------------
-
-    def recent_spans(self) -> list[tuple[str, int, int]]:
-        """Newest-last ``(name, start_ns, duration_ns)`` tuples in the ring."""
-        return list(self._ring)
-
-    def slow_ops(self) -> list[tuple[str, int, int, str]]:
-        """Newest-last ``(name, start_ns, duration_ns, thread)`` slow entries."""
-        return list(self._slow)
-
-    def snapshot(self) -> dict[str, int]:
-        """Additive tracer counters (span/slow-op totals)."""
-        return self.counters.snapshot()
+        return Span(self.registry.histogram(name))
 
 
 #: The permanently disabled tracer handed to components constructed

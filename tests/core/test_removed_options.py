@@ -1,4 +1,4 @@
-"""Deleted cache and heat options fail loudly instead of being ignored.
+"""Deleted cache, heat and observability options fail loudly instead of being ignored.
 
 Record-block heat (and its persistence), heat-guided and background
 warming, the decoded-node byte budget and LRU pinning were removed: no
@@ -8,21 +8,29 @@ keywords gets a ``TypeError``; their methods are gone.  So is the
 handle's commits reopens with ``reopen_from_backend``.  So are the
 pager's background readahead pool (``readahead_workers``) and every
 ``warm(levels)`` path: a scan over canonical storage ran slower with
-the pool on, and no benchmark warmed a cache.
+the pool on, and no benchmark warmed a cache.  Observability keeps only
+its latency histograms: key-range heat (which counted operations by
+plaintext key band), the tracer's recent-span ring, slow-op log and
+span counters, gauges and the runtime on/off switch are gone, with the
+keywords that configured them.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 
 import pytest
+
+import repro.obs
+import repro.obs.metrics
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.obs import HeatMap
+from repro.obs import INSTRUMENTS, MetricsRegistry, ObsConfig, Observability, Tracer
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
@@ -96,6 +104,20 @@ REJECTING_CALLS = {
     "Pager(readahead_workers)": lambda tmp_path: Pager(
         SimulatedDisk(block_size=64), **READAHEAD
     ),
+    "ObsConfig(ring_size)": lambda tmp_path: ObsConfig(enabled=True, ring_size=16),
+    "ObsConfig(slow_op_threshold_s)": lambda tmp_path: ObsConfig(
+        enabled=True, slow_op_threshold_s=0.1
+    ),
+    "Tracer(ring_size)": lambda tmp_path: Tracer(MetricsRegistry(), ring_size=16),
+    "Tracer(slow_op_threshold_s)": lambda tmp_path: Tracer(
+        MetricsRegistry(), slow_op_threshold_s=0.1
+    ),
+    "Observability(universe)": lambda tmp_path: Observability(
+        ObsConfig(), universe=range(183)
+    ),
+    "db.create(observability=Observability)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher(), observability=Observability(ObsConfig())
+    ),
 }
 
 #: The prefetch entry points; no owner below may have any of them.
@@ -144,10 +166,35 @@ GONE = {
         ("pin", "unpin", "unpin_all", "pinned_count", "resize_bytes", "total_bytes",
          "max_bytes"),
     ),
-    "HeatMap": (
-        lambda tmp_path: HeatMap(),
-        ("note_blocks", "add_blocks", "block_counts", "seed_blocks", "seeded_blocks",
-         "combined_blocks", "hot_blocks"),
+    "repro.obs": (
+        lambda tmp_path: repro.obs,
+        ("HeatMap", "NUM_RANGES", "RANGE_FIELDS", "Gauge"),
+    ),
+    "repro.obs.metrics": (lambda tmp_path: repro.obs.metrics, ("Gauge",)),
+    "MetricsRegistry": (
+        lambda tmp_path: MetricsRegistry(INSTRUMENTS),
+        ("gauge", "gauge_values", "histogram_names"),
+    ),
+    "Tracer": (
+        lambda tmp_path: Tracer(MetricsRegistry(), enabled=True),
+        ("recent_spans", "slow_ops", "slow_op_threshold_s", "counters", "snapshot"),
+    ),
+    "Span": (
+        lambda tmp_path: Tracer(MetricsRegistry(("op",)), enabled=True).trace("op"),
+        ("duration_ns", "name", "start_ns"),
+    ),
+    "disabled span": (
+        lambda tmp_path: Tracer(MetricsRegistry(), enabled=False).trace("op"),
+        ("duration_ns",),
+    ),
+    "Observability": (
+        lambda tmp_path: Observability(ObsConfig(enabled=True)),
+        ("set_enabled", "heat"),
+    ),
+    "ObsConfig": (lambda tmp_path: ObsConfig(), ("ring_size", "slow_op_threshold_s")),
+    "ClusterStats": (
+        lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2).stats(),
+        ("heat", "shard_heat", "hottest_shards"),
     ),
 }
 
@@ -164,6 +211,13 @@ class TestRemovedOptions:
         instance = build(tmp_path)
         for name in names:
             assert not hasattr(instance, name), name
+
+    def test_heat_module_is_gone(self):
+        assert importlib.util.find_spec("repro.obs.heat") is None
+
+    def test_observability_stats_hold_latency_only(self):
+        db = EncipheredDatabase.create(sub(), cipher(), observability=ObsConfig(enabled=True))
+        assert list(db.stats()["observability"]) == ["latency"]
 
     def test_cache_config_drops_byte_budget(self):
         db = EncipheredDatabase.create(sub(), cipher())

@@ -1,11 +1,12 @@
-"""Cross-executor observability parity.
+"""Observability watches and never changes what the engine does.
 
 The acceptance bar: the same workload run under the ``serial`` and
 ``processes`` executors must report identical merged instrument
-*counts* and key-range heat through ``stats()["observability"]`` -- every operation counted exactly once, no
-matter which thread or process ran it.  Timing totals (``total_ns``,
-``busy_ns``) are real wall-clock and legitimately differ across
-backends, so parity is asserted on counts only.
+*counts* through ``stats()["observability"]`` -- every operation
+counted exactly once, no matter which thread or process ran it.  Timing
+totals (``total_ns``) are real wall-clock and legitimately differ
+across backends, so parity is asserted on counts only.  Switching the
+plane on changes neither cipher counts nor a byte at rest.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import random
 import pytest
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
+from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
-from repro.obs import INSTRUMENTS, RANGE_FIELDS, ObsConfig
+from repro.obs import INSTRUMENTS, ObsConfig
+from repro.storage.backend import FileBackend
+from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
@@ -26,13 +30,15 @@ BACKENDS = ("serial", "processes")
 
 
 def sub_factory(i: int):
-    from repro.substitution.oval import OvalSubstitution
-
     return OvalSubstitution(DESIGN, t=UNITS[i * 5 % len(UNITS)])
 
 
 def cipher_factory(i: int) -> RSA:
     return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x0B5 + i)))
+
+
+def cipher(i: int = 0) -> RSA:
+    return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7 + i)))
 
 
 def make_cluster(executor: str, enabled: bool = True) -> ShardedEncipheredDatabase:
@@ -62,8 +68,8 @@ def run_workload(cluster: ShardedEncipheredDatabase) -> None:
         cluster.search(key)
 
 
-def observed_counts(cluster: ShardedEncipheredDatabase):
-    """(instrument->count, key-range heat counts).
+def observed_counts(cluster: ShardedEncipheredDatabase) -> dict[str, int]:
+    """Instrument name -> merged span count.
 
     ``close()`` first: it harvests every worker replica's final counter
     deltas.  Executor-side ship spans
@@ -73,14 +79,11 @@ def observed_counts(cluster: ShardedEncipheredDatabase):
     count follows the per-device injection schedule, not the workload.
     """
     cluster.close()
-    stats = cluster.stats()
-    counts = {
+    return {
         name: snap["count"]
-        for name, snap in stats.latency.items()
+        for name, snap in cluster.stats().latency.items()
         if not name.startswith("executor.") and name != "device.fault_retry"
     }
-    heat = {f: stats.heat[f] for f in ("ops", "keys") + RANGE_FIELDS}
-    return counts, heat
 
 
 class TestExecutorParity:
@@ -91,18 +94,16 @@ class TestExecutorParity:
         return observed_counts(cluster)
 
     @pytest.mark.parametrize("executor", BACKENDS[1:])
-    def test_counts_and_heat_match_serial_control(self, executor, control):
+    def test_counts_match_serial_control(self, executor, control):
         cluster = make_cluster(executor)
         run_workload(cluster)
         assert observed_counts(cluster) == control
 
     def test_serial_control_actually_observed_something(self, control):
-        counts, heat = control
         # 2 cluster-level range searches, fanned out to all 4 shards
-        assert counts["db.range_search"] == 8
-        assert counts["db.bulk_load"] > 0
-        assert counts["pager.read"] > 0
-        assert heat["ops"] > 0 and heat["keys"] > 0
+        assert control["db.range_search"] == 8
+        assert control["db.bulk_load"] > 0
+        assert control["pager.read"] > 0
 
 
 class TestDisabledCluster:
@@ -113,7 +114,6 @@ class TestDisabledCluster:
         stats = cluster.stats()
         for name in INSTRUMENTS:
             assert stats.latency[name]["count"] == 0, name
-        assert stats.heat["ops"] == 0
 
     def test_cipher_counts_identical_enabled_vs_disabled(self):
         # observability must never change what the engine does -- only
@@ -133,14 +133,53 @@ class TestDisabledCluster:
         assert totals[False] == totals[True]
 
 
-class TestClusterHeatRollups:
-    def test_stats_surface_heat_and_hottest_shards(self):
-        cluster = make_cluster("serial")
-        run_workload(cluster)
-        stats = cluster.stats()
-        ranked = stats.hottest_shards()
-        assert len(ranked) == 4
-        assert ranked[0][1] >= ranked[-1][1]
-        assert sum(ops for _, ops in ranked) == stats.heat["ops"]
-        assert "heat:" in stats.summary()
-        assert len(stats.shard_heat) == 4
+def _listing(root) -> list[str]:
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
+
+
+class TestNothingAtRest:
+    """Observability records what the engine does; it never changes
+    what is at rest -- no extra file, no changed byte."""
+
+    @staticmethod
+    def _traffic(store):
+        keys = random.Random(11).sample(range(DESIGN.v), 30)
+        for key in keys:
+            store.insert(key, f"rec-{key}".encode())
+        for key in keys[::3]:
+            store.search(key)
+        store.range_search(0, DESIGN.v // 2)
+        store.delete(keys[0])
+
+    def _assert_same_footprint(self, tmp_path, create):
+        footprints = []
+        for enabled in (False, True):
+            root = tmp_path / f"obs-{enabled}"
+            store = create(FileBackend(root, fsync=False), ObsConfig(enabled=enabled))
+            self._traffic(store)
+            store.close()
+            footprints.append({
+                name: (root / name).read_bytes() if (root / name).is_file() else None
+                for name in _listing(root)
+            })
+        off, on = footprints
+        assert sorted(on) == sorted(off)
+        assert on == off
+
+    def test_single_database(self, tmp_path):
+        self._assert_same_footprint(
+            tmp_path,
+            lambda backend, obs: EncipheredDatabase.create(
+                OvalSubstitution(DESIGN, t=5), cipher(), backend=backend,
+                observability=obs, record_cache_blocks=8,
+            ),
+        )
+
+    def test_manifest_cluster(self, tmp_path):
+        self._assert_same_footprint(
+            tmp_path,
+            lambda backend, obs: ShardedEncipheredDatabase.create(
+                lambda i: OvalSubstitution(DESIGN, t=5), cipher, num_shards=2,
+                backend=backend, observability=obs,
+            ),
+        )

@@ -10,7 +10,6 @@ from repro.cluster.stats import merge_counter_dicts, subtract_counter_dicts
 from repro.obs.metrics import (
     BUCKET_FIELDS,
     NUM_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
     bucket_bounds_s,
@@ -132,7 +131,7 @@ class TestMergeability:
         assert delta[BUCKET_FIELDS[bucket_index(9_000)]] == 1
 
 
-class TestRegistryAndGauges:
+class TestRegistry:
     def test_preregistered_shape_is_stable(self):
         registry = MetricsRegistry(("a", "b"))
         snap = registry.snapshot()
@@ -143,18 +142,9 @@ class TestRegistryAndGauges:
         assert delta["a"]["count"] == 1
         assert delta["b"]["count"] == 0
 
-    def test_adhoc_histogram_created_once(self):
-        registry = MetricsRegistry()
-        assert registry.histogram("x") is registry.histogram("x")
-
-    def test_gauges_stay_out_of_the_mergeable_snapshot(self):
+    def test_registry_is_fixed_at_construction(self):
         registry = MetricsRegistry(("a",))
-        registry.gauge("g").set(7.0)
-        assert "g" not in registry.snapshot()
-        assert registry.gauge_values() == {"g": 7.0}
-
-    def test_gauge_add(self):
-        gauge = Gauge()
-        gauge.set(2.0)
-        gauge.add(0.5)
-        assert gauge.value == 2.5
+        assert registry.histogram("a") is registry.histogram("a")
+        with pytest.raises(KeyError):
+            registry.histogram("x")
+        assert set(registry.snapshot()) == {"a"}

@@ -1,4 +1,4 @@
-"""The span tracer: no-op fast path, ring bound, slow-op log, env switch."""
+"""The span tracer: no-op fast path, histogram feed, fixed names, env switch."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.obs import ObsConfig, Observability
+from repro.obs import INSTRUMENTS, ObsConfig, Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, Span, Tracer
 
@@ -21,11 +21,14 @@ class TestDisabledPath:
     def test_disabled_span_records_nothing(self):
         registry = MetricsRegistry(("op",))
         tracer = Tracer(registry, enabled=False)
-        with tracer.trace("op") as span:
+        with tracer.trace("op"):
             pass
-        assert span.duration_ns == 0
         assert registry.snapshot()["op"]["count"] == 0
-        assert tracer.snapshot() == {"spans": 0, "slow_ops": 0}
+
+    def test_disabled_trace_never_checks_the_name(self):
+        tracer = Tracer(MetricsRegistry(("op",)), enabled=False)
+        with tracer.trace("not-registered"):
+            pass  # the fast path is one attribute check, nothing else
 
     def test_null_tracer_never_touches_a_registry(self):
         with NULL_TRACER.trace("anything"):
@@ -36,13 +39,11 @@ class TestEnabledPath:
     def test_span_times_and_feeds_histogram(self):
         registry = MetricsRegistry(("op",))
         tracer = Tracer(registry, enabled=True)
-        with tracer.trace("op") as span:
+        with tracer.trace("op"):
             time.sleep(0.002)
-        assert span.duration_ns >= 2_000_000
         snap = registry.snapshot()["op"]
         assert snap["count"] == 1
-        assert snap["total_ns"] == span.duration_ns
-        assert tracer.recent_spans()[-1][0] == "op"
+        assert snap["total_ns"] >= 2_000_000
 
     def test_span_records_even_when_body_raises(self):
         registry = MetricsRegistry(("op",))
@@ -52,32 +53,13 @@ class TestEnabledPath:
                 raise RuntimeError("boom")
         assert registry.snapshot()["op"]["count"] == 1
 
-    def test_ring_is_bounded_oldest_out(self):
-        tracer = Tracer(MetricsRegistry(), enabled=True, ring_size=4)
-        for i in range(10):
-            with tracer.trace(f"op{i}"):
-                pass
-        names = [name for name, _, _ in tracer.recent_spans()]
-        assert names == ["op6", "op7", "op8", "op9"]
-        assert tracer.snapshot()["spans"] == 10  # counter keeps the total
-
-    def test_slow_op_threshold(self):
-        tracer = Tracer(
-            MetricsRegistry(), enabled=True, slow_op_threshold_s=0.001
-        )
-        with tracer.trace("fast"):
-            pass
-        with tracer.trace("slow"):
-            time.sleep(0.003)
-        assert tracer.snapshot()["slow_ops"] == 1
-        (entry,) = tracer.slow_ops()
-        assert entry[0] == "slow"
-        assert entry[2] >= 1_000_000
-
-    def test_threshold_adjustable_at_runtime(self):
-        tracer = Tracer(MetricsRegistry(), enabled=True)
-        tracer.slow_op_threshold_s = 0.5
-        assert tracer.slow_op_threshold_s == pytest.approx(0.5)
+    def test_unregistered_name_raises_before_the_body_runs(self):
+        tracer = Tracer(MetricsRegistry(("op",)), enabled=True)
+        ran = []
+        with pytest.raises(KeyError):
+            with tracer.trace("ad-hoc"):
+                ran.append(True)
+        assert ran == []
 
     def test_flipping_enabled_mid_flight(self):
         registry = MetricsRegistry(("op",))
@@ -101,6 +83,17 @@ class TestConfig:
         assert ObsConfig.from_env().enabled is True
         monkeypatch.setenv("REPRO_OBS_TRACE", "0")
         assert ObsConfig.from_env().enabled is False
+        monkeypatch.setenv("REPRO_OBS_TRACE", "")
+        assert ObsConfig.from_env().enabled is False
+
+    @pytest.mark.parametrize("value", ["false", "true", "yes", "2", " 1", "on"])
+    def test_env_flag_rejects_other_values(self, monkeypatch, value):
+        # only "", "0" and "1" are accepted: "false" must not mean "on"
+        monkeypatch.setenv("REPRO_OBS_TRACE", value)
+        with pytest.raises(ValueError, match="REPRO_OBS_TRACE"):
+            ObsConfig.from_env()
+        with pytest.raises(ValueError):
+            Observability()
 
     def test_observability_honours_env_when_unconfigured(self, monkeypatch):
         monkeypatch.setenv("REPRO_OBS_TRACE", "1")
@@ -111,15 +104,24 @@ class TestConfig:
         monkeypatch.setenv("REPRO_OBS_TRACE", "1")
         assert Observability(ObsConfig(enabled=False)).enabled is False
 
-    def test_set_enabled_flips_tracer_and_heat(self):
-        obs = Observability(ObsConfig(enabled=False))
-        obs.set_enabled(True)
-        assert obs.tracer.enabled and obs.heat.enabled
-        obs.set_enabled(False)
-        assert not obs.tracer.enabled and not obs.heat.enabled
+    def test_snapshot_is_latency_only(self):
+        obs = Observability(ObsConfig(enabled=True))
+        with obs.trace("db.get"):
+            pass
+        snap = obs.snapshot()
+        assert list(snap) == ["latency"]
+        assert set(snap["latency"]) == set(INSTRUMENTS)
+        assert snap["latency"]["db.get"]["count"] == 1
 
     def test_dump_renders_without_traffic(self):
         obs = Observability(ObsConfig(enabled=True))
         text = obs.dump()
         assert "observability (enabled)" in text
-        assert "gauges:" in text
+        assert len(text.splitlines()) == 2  # title and header, no rows
+
+    def test_dump_lists_instruments_that_saw_traffic(self):
+        obs = Observability(ObsConfig(enabled=True))
+        with obs.trace("db.get"):
+            pass
+        rows = obs.dump().splitlines()[2:]
+        assert [row.split()[:2] for row in rows] == [["db.get", "1"]]

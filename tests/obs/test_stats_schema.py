@@ -43,7 +43,6 @@ _INSTRUMENTS = (
     "device.fault_retry",
 )
 _HISTOGRAM = ("count", "total_ns") + tuple(f"le_{i:02d}" for i in range(28))
-_HEAT = ("ops", "keys", "busy_ns") + tuple(f"r{i:02d}" for i in range(32))
 
 #: The nested key tree: a tuple lists leaf keys, a dict nests further.
 STATS_KEYS = {
@@ -61,8 +60,6 @@ STATS_KEYS = {
     "tree": ("comparisons", "nodes_visited", "splits", "merges", "borrows"),
     "observability": {
         "latency": {name: _HISTOGRAM for name in _INSTRUMENTS},
-        "heat": _HEAT,
-        "tracing": ("spans", "slow_ops"),
     },
 }
 
