@@ -386,9 +386,7 @@ class EncipheredDatabase:
         """
         with self.obs.trace("db.commit"):
             with self.lock.write_locked():
-                for record_id in self._txn_record_deletes:
-                    self.records.delete(record_id)
-                self._txn_record_deletes = []
+                self._free_record_slots(self._txn_record_deletes)
                 self._txn_record_puts = []
                 self._write_superblock()
                 self.tree.pager.flush()
@@ -401,6 +399,21 @@ class EncipheredDatabase:
                     self.tree.pager.flush()
                     self.has_uncommitted_changes = False
                 self.sync_devices()
+
+    def _free_record_slots(self, record_ids: list[int]) -> None:
+        """Free the listed record slots in order, emptying the list.
+
+        Each id leaves the list as soon as its slot is freed, so after a
+        failed free the list holds exactly the ids still to free, and a
+        retried commit or rollback never frees a slot twice.
+        """
+        done = 0
+        try:
+            for record_id in record_ids:
+                self.records.delete(record_id)
+                done += 1
+        finally:
+            del record_ids[:done]
 
     def sync_devices(self) -> None:
         """Sync both devices in commit order: records, then nodes.
@@ -437,9 +450,7 @@ class EncipheredDatabase:
                 raise StorageError("rollback outside a transaction")
             self.tree.pager.discard_dirty()
             self.tree.restore_state(self._txn_snapshot)
-            for record_id in self._txn_record_puts:
-                self.records.delete(record_id)
-            self._txn_record_puts = []
+            self._free_record_slots(self._txn_record_puts)
             self._txn_record_deletes = []
             self.has_uncommitted_changes = False  # back at the commit point
             self._txn_snapshot = self.tree.snapshot_state()

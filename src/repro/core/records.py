@@ -21,8 +21,8 @@ the device for just its slot's byte window and the record cipher
 deciphers only the DES blocks under it, plus the final block for the
 padding check (see :func:`repro.crypto.modes.cbc_decrypt_window`).  It
 still counts as one record-block decipher; platter bytes and every
-check are unchanged.  Writes, metadata scans and cache fills decipher
-whole blocks.
+check are unchanged.  Metadata scans and cache fills decipher whole
+blocks.
 
 A range search reads all its matches with :meth:`RecordStore.get_many`:
 one device batch with one window per match, whose windows the record
@@ -34,6 +34,29 @@ match still counts as one record-block decipher and one device read,
 duplicate blocks included, so the counts are exactly those of looping
 :meth:`RecordStore.get`.
 
+Suffix-only slot writes
+-----------------------
+
+CBC encryption is prefix-preserving too: ciphertext block *i* depends
+only on plaintext blocks ``<= i`` and the IV.  So every slot write --
+a ``put`` into a free slot, a ``delete``, an append to the open block,
+each block :meth:`RecordStore.put_many` touches -- re-enciphers only
+from the DES block *i* holding its first changed plain byte.  It
+deciphers the plain bytes from ``8 i`` to the block's end (the read
+window above, padding check included), edits them, and writes them back
+with the device's ``base=``: the stored ``C[:i]`` stays and the record
+cipher enciphers the rest in one CBC call chained on ``C[i-1]`` (on the
+IV only when *i* is 0; see :func:`repro.crypto.modes.cbc_encrypt_suffix`).
+The result is the whole-block cryptogram byte for byte, so a write into
+slot 3 of a 512-byte block enciphers 17 DES blocks instead of 62 and
+leaks nothing new: the IV is fixed per block id, so a whole-block
+rewrite already kept that prefix.  Reads, writes and the one record-block
+encipher per write are counted as before.
+
+A write that raises may have left torn bytes at rest, so the block's
+next write re-enciphers it from byte 0 out of the plaintext the store
+holds (the open block's slots, or the cache) and heals it.
+
 Plaintext block cache
 ---------------------
 
@@ -43,7 +66,8 @@ whole once per residency instead of once per matching record
 (benchmark C9).
 
 The cache is write-through on the plaintext side: every slot write
-re-enciphers and writes the block as before (ciphertext traffic is
+re-enciphers and writes the block as before, taking the plain bytes
+from the cache instead of a window read (ciphertext traffic is
 byte-identical with the cache on or off) and refreshes the cached
 tuple, so reads after ``put``/``delete`` -- including the deletes a
 transaction rollback issues -- can never see stale plaintext.  The
@@ -55,7 +79,12 @@ from __future__ import annotations
 
 from repro.crypto.base import CryptoOpCounts
 from repro.crypto.des import DES
-from repro.crypto.modes import CBCCipher, cbc_decrypt_window, cbc_decrypt_windows
+from repro.crypto.modes import (
+    CBCCipher,
+    cbc_decrypt_window,
+    cbc_decrypt_windows,
+    cbc_encrypt_suffix,
+)
 from repro.exceptions import BlockBoundsError, StorageError
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
@@ -84,10 +113,19 @@ class _RecordBlockTransform:
     def _iv(self, block_id: int) -> bytes:
         return self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
 
-    def on_write(self, block_id: int, data: bytes) -> bytes:
+    def on_write(self, block_id: int, data: bytes, prefix: bytes = b"") -> bytes:
+        """Encipher a block, keeping the stored cipher blocks ``prefix``.
+
+        ``data`` is the plain bytes from ``len(prefix)`` on; only they
+        are enciphered, chained on the last kept block (on the IV, which
+        is derived only then, for an empty prefix).  Either way it is
+        one block encipher in :attr:`counts`.
+        """
         with self.tracer.trace("cipher.record_encrypt"):
             self.counts.bump("encryptions")
-            return CBCCipher(self._des, self._iv(block_id)).encrypt(data)
+            return cbc_encrypt_suffix(
+                self._des, prefix, data, lambda: self._iv(block_id)
+            )
 
     def on_read(
         self, block_id: int, data: bytes, window: tuple[int, int] | None = None
@@ -191,6 +229,9 @@ class RecordStore:
         self._open_block: int | None = None
         self._open_slots: list[bytes] = []
         self._free: list[int] = []
+        #: Blocks whose last write raised: their at-rest bytes may be
+        #: torn, so the next write re-enciphers them from byte 0.
+        self._unsettled: set[int] = set()
         self.count = 0
 
     @classmethod
@@ -298,6 +339,7 @@ class RecordStore:
         self.count = state["count"]
         self._open_block = state["open_block"]
         self._open_slots = list(state["open_slots"])
+        self._adopted_open_block()
         self.cache.clear()
 
     # -- metadata recovery (durable-backend support) ---------------------
@@ -352,7 +394,16 @@ class RecordStore:
         self.count = count
         self._open_block = open_block
         self._open_slots = open_slots
+        self._unsettled = set()  # the slots just came off the platter
         self.cache.clear()
+
+    def _adopted_open_block(self) -> None:
+        """Settle adopted metadata: its open slots may not be at rest.
+
+        A shipped open block may have lost its last write at the
+        exporter, so its next write here re-enciphers it whole.
+        """
+        self._unsettled = set() if self._open_block is None else {self._open_block}
 
     # -- incremental replica sync ----------------------------------------
 
@@ -392,20 +443,89 @@ class RecordStore:
         self.count = delta.count
         self._open_block = delta.open_block
         self._open_slots = list(delta.open_slots)
+        self._adopted_open_block()
         for block_id in delta.disk.block_writes:
             self.cache.invalidate(block_id)
 
     # -- helpers ---------------------------------------------------------
 
-    def _store_block(self, block_index: int, slots: list[bytes]) -> None:
-        """Encipher and write a block, keeping the plaintext cache current."""
-        self.disk.write_block(block_index, b"".join(slots))
-        if self.cache.enabled:
-            self.cache.put(block_index, tuple(slots))
+    def _base(self, block_index: int, slot: int) -> int:
+        """Plain offset a write changing ``slot`` first re-enciphers from.
 
-    def _flush_open(self) -> None:
+        The start of the DES block holding the slot's first byte, or 0
+        for an unsettled block, whose stored prefix cannot be kept.
+        """
+        if block_index in self._unsettled:
+            return 0
+        offset = slot * self.slot_size
+        return offset - offset % DES.block_size
+
+    def _read_from(self, block_index: int, base: int) -> bytearray:
+        """The block's plain bytes, deciphered from offset ``base`` on.
+
+        With the cache on they come whole from the cached slots (a miss
+        deciphers and caches the whole block).  Off, a window read
+        deciphers only the DES blocks from ``base`` on, plus the padding
+        check; the bytes before ``base`` then read as zeros, and
+        :meth:`_write_from` never sends them.
+        """
+        if self.cache.enabled:
+            return bytearray(b"".join(self._load_slots(block_index)))
+        tail = self.disk.read_block(block_index, window=(base, self.disk.block_size))
+        return bytearray(base) + tail
+
+    def _write_from(self, block_index: int, base: int, plain) -> None:
+        """Write a block whose plain bytes are ``plain``, changed from ``base`` on.
+
+        The one record-block write: the device keeps the stored cipher
+        blocks before ``base`` and the record cipher enciphers
+        ``plain[base:]`` chained on them, which is the whole-block
+        cryptogram of ``plain``.  Keeps the plaintext cache current; a
+        write that raises leaves the block unsettled.
+        """
+        try:
+            self.disk.write_block(block_index, bytes(plain[base:]), base=base)
+        except BaseException:
+            self._unsettled.add(block_index)
+            raise
+        self._unsettled.discard(block_index)
+        if self.cache.enabled:
+            size = self.slot_size
+            self.cache.put(
+                block_index,
+                tuple(bytes(plain[i : i + size]) for i in range(0, len(plain), size)),
+            )
+
+    def _flush_open(self, first: int) -> None:
+        """Write the open block; its slots before ``first`` are at rest."""
         assert self._open_block is not None
-        self._store_block(self._open_block, self._open_slots)
+        self._write_from(
+            self._open_block,
+            self._base(self._open_block, first),
+            b"".join(self._open_slots),
+        )
+
+    def _rewrite_slot(self, record_id: int, raw: bytes) -> None:
+        """Set one stored slot's plain bytes to ``raw``.
+
+        Reads the block from the slot's DES block on and writes it back
+        from there.  A slot past the block's fill raises, and so does
+        freeing a slot that is already free, before anything is written.
+        """
+        block_index, slot = self._locate(record_id)
+        base = self._base(block_index, slot)
+        plain = self._read_from(block_index, base)
+        at = slot * self.slot_size
+        if at >= len(plain):
+            raise StorageError(f"record id {record_id} names an empty slot")
+        if raw == self._free_slot and (
+            int.from_bytes(plain[at : at + 2], "big") > self.record_size
+        ):
+            raise StorageError(f"record id {record_id} slot is already free")
+        plain[at : at + self.slot_size] = raw
+        self._write_from(block_index, base, plain)
+        if block_index == self._open_block:
+            self._open_slots[slot] = raw
 
     def _locate(self, record_id: int) -> tuple[int, int]:
         block_index, slot = divmod(record_id, self.slots_per_block)
@@ -440,9 +560,6 @@ class RecordStore:
             self.cache.put(block_index, slots)
         return slots
 
-    def _read_slots(self, block_index: int) -> list[bytes]:
-        return list(self._load_slots(block_index))
-
     def clear_cache(self) -> int:
         """Drop every cached plaintext block (cold-start support)."""
         return self.cache.clear()
@@ -450,22 +567,30 @@ class RecordStore:
     # -- public API ------------------------------------------------------
 
     def put(self, record: bytes) -> int:
-        """Store a record, returning its data pointer (slot index)."""
+        """Store a record, returning its data pointer (slot index).
+
+        A failed put stores nothing: a free slot it took goes back on
+        the free list, and a slot it appended leaves the open block.
+        """
+        raw = self._encode_slot(record)
         if self._free:
             record_id = self._free.pop()
-            block_index, slot = self._locate(record_id)
-            slots = self._read_slots(block_index)
-            slots[slot] = self._encode_slot(record)
-            self._store_block(block_index, slots)
-            if block_index == self._open_block:
-                self._open_slots[slot] = slots[slot]
+            try:
+                self._rewrite_slot(record_id, raw)
+            except BaseException:
+                self._free.append(record_id)
+                raise
             self.count += 1
             return record_id
         if self._open_block is None or len(self._open_slots) == self.slots_per_block:
             self._open_block = self.disk.allocate()
             self._open_slots = []
-        self._open_slots.append(self._encode_slot(record))
-        self._flush_open()
+        self._open_slots.append(raw)
+        try:
+            self._flush_open(len(self._open_slots) - 1)
+        except BaseException:
+            self._open_slots.pop()
+            raise
         self.count += 1
         return self._open_block * self.slots_per_block + len(self._open_slots) - 1
 
@@ -477,77 +602,95 @@ class RecordStore:
         are reused first (last freed first), then the open block and
         fresh blocks fill in order -- but where ``put`` re-enciphers and
         rewrites the open block for every record, this writes each
-        touched block once.  Every record is size-checked before any is
-        stored.  If the device fails part-way, the records already
-        written are freed again and the rest are never stored.
+        touched block once, from the first slot the batch changes in it.
+        Every record is size-checked before any is stored.  If the
+        device fails part-way, the records already written are freed
+        again and the rest are never stored.
         """
         encoded = [self._encode_slot(record) for record in records]
-        spb = self.slots_per_block
-        reuse = min(len(encoded), len(self._free))
-        # (record id, slot, its block's slot list, the slot's bytes before
-        # -- ``None`` for a slot appended to the open block)
-        placed: list[tuple[int, int, list[bytes], bytes | None]] = []
-        touched: dict[int, list[bytes]] = {}
-        written: set[int] = set()
+        spb, size = self.slots_per_block, self.slot_size
+        reused = self._free[::-1][: len(encoded)]  # the ids put would pop
+        # per touched block, in first-touch order: [first changed slot,
+        # plain bytes -- None for an open block, whose slots are in memory]
+        touched: dict[int, list] = {}
+        for record_id in reused:
+            block_index, slot = self._locate(record_id)
+            edit = touched.setdefault(block_index, [slot, None])
+            edit[0] = min(edit[0], slot)
+        for block_index, edit in touched.items():
+            if block_index != self._open_block:
+                edit[1] = self._read_from(block_index, self._base(block_index, edit[0]))
+        # (record id, the slot's bytes before -- None for an append)
+        placed: list[tuple[int, bytes | None]] = []
+        written: dict[int, bytearray] = {}
 
         def store(block_index: int) -> None:
-            self._store_block(block_index, touched.pop(block_index))
-            written.add(block_index)
+            first, plain = touched[block_index]
+            if plain is None:
+                plain = bytearray(b"".join(self._open_slots))
+            self._write_from(block_index, self._base(block_index, first), plain)
+            written[block_index] = plain
+            del touched[block_index]
 
         try:
-            for raw in encoded[:reuse]:
-                record_id = self._free[-1]
-                block_index, slot = self._locate(record_id)
-                slots = touched.get(block_index)
-                if slots is None:
-                    slots = touched[block_index] = (
-                        self._open_slots
-                        if block_index == self._open_block
-                        else self._read_slots(block_index)
-                    )
+            for record_id, raw in zip(reused, encoded):
+                block_index, slot = divmod(record_id, spb)
+                plain = touched[block_index][1]
+                if plain is None:
+                    previous = self._open_slots[slot]
+                    self._open_slots[slot] = raw
+                else:
+                    at = slot * size
+                    previous = bytes(plain[at : at + size])
+                    plain[at : at + size] = raw
                 self._free.pop()
-                placed.append((record_id, slot, slots, slots[slot]))
-                slots[slot] = raw
-            for raw in encoded[reuse:]:
+                placed.append((record_id, previous))
+            for raw in encoded[len(reused) :]:
                 if self._open_block is None or len(self._open_slots) == spb:
                     if self._open_block in touched:
                         store(self._open_block)
                     self._open_block = self.disk.allocate()
                     self._open_slots = []
-                touched[self._open_block] = self._open_slots
-                slot = len(self._open_slots)
-                record_id = self._open_block * spb + slot
-                placed.append((record_id, slot, self._open_slots, None))
+                touched.setdefault(self._open_block, [len(self._open_slots), None])
+                placed.append((self._open_block * spb + len(self._open_slots), None))
                 self._open_slots.append(raw)
             for block_index in list(touched):
                 store(block_index)
-        except Exception:
+        except BaseException:
             self._unplace(placed, written)
             raise
         self.count += len(placed)
-        return [record_id for record_id, _, _, _ in placed]
+        return [record_id for record_id, _ in placed]
 
-    def _unplace(self, placed, written: set[int]) -> None:
+    def _unplace(self, placed, written) -> None:
         """Undo a failed :meth:`put_many`, newest placement first.
 
         A record whose block reached the device is freed as
-        :meth:`delete` frees it, each such block rewritten once; one that
-        never left memory is taken back out of its slot list.
+        :meth:`delete` frees it, each such block rewritten once from its
+        first freed slot; one that never left memory is taken back out
+        of the open block's slots (other blocks' plain bytes are simply
+        dropped).
         """
-        freed: dict[int, list[bytes]] = {}
-        for record_id, slot, slots, previous in reversed(placed):
-            block_index = record_id // self.slots_per_block
+        spb, size = self.slots_per_block, self.slot_size
+        freed: dict[int, int] = {}  # written block -> first freed slot
+        for record_id, previous in reversed(placed):
+            block_index, slot = divmod(record_id, spb)
             if block_index in written:
-                slots[slot] = self._free_slot
-                freed[block_index] = slots
+                at = slot * size
+                written[block_index][at : at + size] = self._free_slot
+                if block_index == self._open_block:
+                    self._open_slots[slot] = self._free_slot
+                freed[block_index] = min(slot, freed.get(block_index, slot))
             elif previous is None:
-                slots.pop()  # appended, and newer appends are already gone
+                self._open_slots.pop()  # appended; newer appends are gone
                 continue
-            else:
-                slots[slot] = previous
+            elif block_index == self._open_block:
+                self._open_slots[slot] = previous
             self._free.append(record_id)
-        for block_index, slots in freed.items():
-            self._store_block(block_index, slots)
+        for block_index, slot in freed.items():
+            self._write_from(
+                block_index, self._base(block_index, slot), written[block_index]
+            )
 
     def get(self, record_id: int) -> bytes:
         """Fetch and decipher the record at ``record_id``.
@@ -618,15 +761,9 @@ class RecordStore:
         The cached plaintext block is refreshed in the same step, so a
         deleted record's bytes are evicted from memory along with the
         platter: a later ``get`` fails on the free marker, never on
-        stale cache contents.
+        stale cache contents.  Deleting a slot that is already free
+        raises and changes nothing.
         """
-        block_index, slot = self._locate(record_id)
-        slots = self._read_slots(block_index)
-        if slot >= len(slots):
-            raise StorageError(f"record id {record_id} names an empty slot")
-        slots[slot] = self._free_slot
-        self._store_block(block_index, slots)
-        if block_index == self._open_block:
-            self._open_slots[slot] = slots[slot]
+        self._rewrite_slot(record_id, self._free_slot)
         self._free.append(record_id)
         self.count -= 1

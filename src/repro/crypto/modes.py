@@ -22,6 +22,13 @@ same property lets :func:`cbc_decrypt_windows` gather the windows of many
 pages -- one per match of a range search -- into a single bulk call, so
 a range reaches the vector kernel as one buffer instead of many short
 ones below its crossover.
+
+CBC *encryption* is prefix-preserving: ciphertext block *i* depends only
+on plaintext blocks ``<= i`` and the IV.  So a page rewrite whose first
+changed byte lies in block *i* keeps the stored blocks before *i* and
+re-enciphers only the rest, chained on the last kept block
+(:func:`cbc_encrypt_suffix`).  The result is the whole-page cryptogram,
+byte for byte, so the rewrite leaks nothing a whole-page one does not.
 """
 
 from __future__ import annotations
@@ -136,6 +143,30 @@ class CBCCipher:
         return unpad_pkcs7(
             decrypt_run(self.cipher, ciphertext, self.iv), self.block_size
         )
+
+
+def cbc_encrypt_suffix(
+    cipher: BlockCipher,
+    prefix: bytes,
+    plaintext: bytes,
+    iv: Callable[[], bytes],
+) -> bytes:
+    """A padded CBC cryptogram that keeps ``prefix`` and enciphers the rest.
+
+    ``prefix`` is the stored cryptogram's first whole blocks and
+    ``plaintext`` the page's plain bytes from ``len(prefix)`` on.  When
+    ``prefix`` is the first ``len(prefix)`` bytes of ``CBCCipher(cipher,
+    iv()).encrypt(page)`` for a page whose bytes from there on are
+    ``plaintext``, the result equals that whole-page encryption: padding
+    a suffix that starts on a block boundary pads the page, and the
+    chain picks up at the last kept block.  ``iv`` is called only for an
+    empty prefix, so keeping any block spares the IV derivation too.
+    """
+    size = cipher.block_size
+    if len(prefix) % size != 0:
+        raise CryptoError("kept ciphertext prefix is not a block multiple")
+    chain = prefix[-size:] if prefix else iv()
+    return prefix + cipher.cbc_encrypt_blocks(pad_pkcs7(plaintext, size), chain)
 
 
 def cbc_decrypt_window(

@@ -72,7 +72,16 @@ class BlockTransform(Protocol):
     """The on-the-fly encipherment module between memory and disk."""
 
     def on_write(self, block_id: int, data: bytes) -> bytes:
-        """Transform plain block bytes into their at-rest form."""
+        """Transform plain block bytes into their at-rest form.
+
+        A prefix-preserving transform -- one whose at-rest bytes before
+        any offset depend only on the plain bytes before it, as CBC's
+        do at cipher-block boundaries -- can also rewrite just a block's
+        tail.  It then takes a ``prefix=`` keyword: the stored bytes the
+        write keeps, with ``data`` the plain bytes from ``len(prefix)``
+        on, and returns the whole at-rest block (see
+        :meth:`BlockDevice.write_block`'s ``base=``).
+        """
         ...
 
     def on_read(self, block_id: int, data: bytes) -> bytes:
@@ -374,10 +383,36 @@ class BlockDevice(ABC):
 
     # -- I/O (template: transform at the boundary, at-rest below) --------
 
-    def write_block(self, block_id: int, data: bytes) -> None:
-        """Write plain bytes; the transform runs before the platter."""
+    def write_block(self, block_id: int, data: bytes, base: int = 0) -> None:
+        """Write plain bytes; the transform runs before the platter.
+
+        ``base > 0`` rewrites only the block's tail, mirroring
+        :meth:`read_block`'s ``window=``: ``data`` is the plain bytes
+        from offset ``base`` on, the at-rest bytes before ``base`` stay
+        as they are, and they are handed to the transform's ``on_write``
+        as ``prefix=`` (the record cipher then enciphers only the CBC
+        blocks from ``base`` on).  Only transforms that accept a prefix
+        may be written with a base, and only at one of their block
+        boundaries.  Taking the kept bytes is not a read -- no
+        statistics, no fault injection -- and the landing, its
+        injection, retries and statistics are exactly those of a
+        whole-block write.
+        """
         self._check_id(block_id)
-        stored = self.transform.on_write(block_id, data) if self.transform else data
+        if not base:
+            stored = self.transform.on_write(block_id, data) if self.transform else data
+        else:
+            with self._lock:
+                prefix = self._written(block_id)[:base]
+            if len(prefix) != base:
+                raise BlockBoundsError(
+                    f"write base {base} past the {len(prefix)} bytes at rest",
+                    block_id=block_id,
+                )
+            if self.transform is None:
+                stored = prefix + data
+            else:
+                stored = self.transform.on_write(block_id, data, prefix=prefix)
         self._check_fits(block_id, stored)
         if self.faults is None and self.retry_policy is None:
             self._store(block_id, stored)

@@ -344,6 +344,33 @@ class TestBugfixRegressions:
         with pytest.raises(KeyNotFoundError):
             reopened.search(2)
 
+    def test_retried_commit_frees_each_deferred_slot_once(self, db, monkeypatch):
+        for k in range(40):
+            db.insert(k, f"r{k}".encode())
+        write_block = db.records.disk.write_block
+        writes = []
+
+        def second_write_fails(block_id, data, **kwargs):
+            writes.append(block_id)
+            if len(writes) == 2:
+                raise StorageError("slot write failed")
+            write_block(block_id, data, **kwargs)
+
+        monkeypatch.setattr(db.records.disk, "write_block", second_write_fails)
+        with pytest.raises(StorageError, match="slot write failed"):
+            db.delete_many([3, 17])  # the commit frees 3's slot, then fails
+        monkeypatch.undo()
+        db.commit()  # frees only 17's slot
+        free = db.records._free
+        assert len(free) == len(set(free)) == 2
+        assert db.records.count == len(db) == 38
+        for k in (100, 101, 102):
+            db.insert(k, f"r{k}".encode())
+        assert [db.get(k) for k in (100, 101, 102)] == [b"r100", b"r101", b"r102"]
+        assert [db.get(k) for k in range(40) if k not in (3, 17)] == [
+            f"r{k}".encode() for k in range(40) if k not in (3, 17)
+        ]
+
     def test_read_superblock_narrowed_exception(self, db, cipher):
         class ExplodingDisk:
             def read_block(self, block_id):

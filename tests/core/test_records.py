@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -99,6 +100,7 @@ class _CountingKernel:
     def __init__(self, inner) -> None:
         self.inner = inner
         self.blocks = 0
+        self.cbc_blocks = 0  # the share CBC-enciphered
 
     def crypt_block(self, block64, subkeys):
         self.blocks += 1
@@ -107,6 +109,11 @@ class _CountingKernel:
     def crypt_blocks(self, data, subkeys):
         self.blocks += len(data) // 8
         return self.inner.crypt_blocks(data, subkeys)
+
+    def cbc_encrypt(self, data, subkeys, iv):
+        self.blocks += len(data) // 8
+        self.cbc_blocks += len(data) // 8
+        return self.inner.cbc_encrypt(data, subkeys, iv)
 
 
 class TestSlotWindowCostModel:
@@ -204,11 +211,11 @@ class TestPutMany:
         write_block = store.disk.write_block
         writes = []
 
-        def failing_write(block_id, data):
+        def failing_write(block_id, data, **kwargs):
             writes.append(block_id)
             if len(writes) == fail_at:
                 raise StorageError("injected write failure")
-            write_block(block_id, data)
+            write_block(block_id, data, **kwargs)
 
         monkeypatch.setattr(store.disk, "write_block", failing_write)
         with pytest.raises(StorageError, match="injected"):
@@ -306,3 +313,155 @@ class TestGetMany:
         expected = self._loop(store, ids)
         assert str(bad_ids[0]) in expected[2]
         assert self._outcome(lambda: store.get_many(ids)) == expected
+
+
+class _WholeBlockStore(RecordStore):
+    """Reference store: every write re-enciphers its block from byte 0."""
+
+    def _base(self, block_index, slot):
+        return 0
+
+
+def _script(store, seed=23, steps=150):
+    """Puts, deletes and batches, seeded; returns the live ids."""
+    rng = random.Random(seed)
+    live: list[int] = []
+    size = store.record_size
+    for _ in range(steps):
+        draw = rng.random()
+        if live and draw < 0.4:
+            store.delete(live.pop(rng.randrange(len(live))))
+        elif draw < 0.85:
+            live.append(store.put(rng.randbytes(rng.randrange(size + 1))))
+        else:
+            live += store.put_many(
+                [rng.randbytes(rng.randrange(size + 1)) for _ in range(rng.randrange(1, 9))]
+            )
+    return live
+
+
+def _outcome(store, live):
+    """At-rest digest, DiskStats, record-cipher counts and slot metadata."""
+    digest = hashlib.sha256()
+    for block_id, raw in store.disk.raw_blocks():
+        digest.update(block_id.to_bytes(4, "big") + raw)
+    stats, counts = store.disk.stats, store.cipher_counts
+    return (
+        digest.hexdigest()[:16],
+        stats.reads, stats.writes, stats.overwrites, stats.bytes_written,
+        counts.encryptions, counts.decryptions,
+        sum(live), store.count, len(store._free),
+    )
+
+
+class TestSuffixWriteParity:
+    """Suffix writes leave what whole-block writes left: bytes and counts."""
+
+    #: ``_script(seed=23)`` outcomes of the whole-block writer the suffix
+    #: path replaced, keyed by (block size, record size, cache blocks).
+    PINNED = {
+        (512, 120, 0): ("a4862637e1339cbe", 115, 186, 152, 82432, 186, 115, 9121, 135, 1),
+        (512, 120, 4): ("a4862637e1339cbe", 49, 186, 152, 82432, 186, 49, 9121, 135, 1),
+        (256, 32, 0): ("09143d4ef260bce4", 121, 176, 163, 36744, 176, 121, 3533, 83, 3),
+        (256, 32, 4): ("09143d4ef260bce4", 37, 176, 163, 36744, 176, 37, 3533, 83, 3),
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(PINNED))
+    def test_pinned_whole_block_outcome(self, geometry):
+        block_size, record_size, cache_blocks = geometry
+        store = RecordStore(
+            KEY, record_size=record_size, block_size=block_size, cache_blocks=cache_blocks
+        )
+        assert _outcome(store, _script(store)) == self.PINNED[geometry]
+
+    @pytest.mark.parametrize("cache_blocks", [0, 4])
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_equals_whole_block_reference(self, tmp_path, backend, cache_blocks, seed):
+        def make(cls, name):
+            extra = {"backend": FileBackend(tmp_path / name)} if backend == "file" else {}
+            return cls(
+                KEY, record_size=120, block_size=512, cache_blocks=cache_blocks, **extra
+            )
+
+        suffix, whole = make(RecordStore, "suffix"), make(_WholeBlockStore, "whole")
+        assert _script(suffix, seed) == _script(whole, seed)
+        assert _outcome(suffix, []) == _outcome(whole, [])
+        assert (suffix._free, suffix._open_block, suffix._open_slots) == (
+            whole._free, whole._open_block, whole._open_slots,
+        )
+        for store in (suffix, whole):
+            store.disk.close()
+
+    def test_des_blocks_enciphered_per_slot_write(self):
+        # 4 slots of 122 B in a 512-byte block: 62 DES blocks with padding
+        store = RecordStore(KEY, record_size=120, block_size=512)
+        ids = store.put_many([bytes([i]) * 120 for i in range(8)])
+        des = store._transform._des
+        kernel = des._kernel = _CountingKernel(des._kernel)
+        enciphered, read_and_iv = [], []
+        for rid in ids[4:]:
+            kernel.blocks = kernel.cbc_blocks = 0
+            store.delete(rid)
+            enciphered.append(kernel.cbc_blocks)
+            read_and_iv.append(kernel.blocks - kernel.cbc_blocks)
+        assert enciphered == [62, 47, 32, 17]
+        # the read window from the same DES block; slot 0 also derives the
+        # IV, once for the read and once for the write
+        assert read_and_iv == [62 + 2, 47, 32, 17]
+        kernel.cbc_blocks = 0
+        store.put_many([b"a", b"b"])  # reuses slots 3 and 2: one write from slot 2
+        assert kernel.cbc_blocks == 32
+        assert store.cipher_counts.encryptions == 2 + 4 + 1
+
+
+class TestSlotFreeGuards:
+    def test_double_delete_refused_without_a_write(self, store):
+        rids = [store.put(f"r{i}".encode()) for i in range(3)]
+        store.delete(rids[1])
+        state = (store.count, list(store._free))
+        writes = store.disk.stats.writes
+        encryptions = store.cipher_counts.encryptions
+        with pytest.raises(StorageError, match="already free"):
+            store.delete(rids[1])
+        assert (store.count, store._free) == state
+        assert store.disk.stats.writes == writes
+        assert store.cipher_counts.encryptions == encryptions
+        # the slot is handed out once, so no record overwrites another
+        first, second = store.put(b"first"), store.put(b"second")
+        assert first == rids[1] and second != first
+        assert store.get(first) == b"first"
+
+    def test_failed_put_returns_its_free_slot(self, store, monkeypatch):
+        rids = [store.put(f"r{i}".encode()) for i in range(4)]
+        store.delete(rids[2])
+
+        def failing_write(block_id, data, **kwargs):
+            raise StorageError("injected write failure")
+
+        monkeypatch.setattr(store.disk, "write_block", failing_write)
+        with pytest.raises(StorageError, match="injected"):
+            store.put(b"lost?")
+        assert store._free == [rids[2]]
+        assert store.count == 3
+        monkeypatch.undo()
+        assert store.put(b"kept") == rids[2]
+        assert store.get(rids[2]) == b"kept"
+
+    def test_failed_append_leaves_no_record_behind(self, store, monkeypatch):
+        rids = [store.put(f"r{i}".encode()) for i in range(2)]
+
+        def failing_write(block_id, data, **kwargs):
+            raise StorageError("injected write failure")
+
+        monkeypatch.setattr(store.disk, "write_block", failing_write)
+        with pytest.raises(StorageError, match="injected"):
+            store.put(b"never stored")
+        monkeypatch.undo()
+        assert len(store._open_slots) == 2
+        rid = store.put(b"next")
+        assert rid == rids[-1] + 1
+        assert [store.get(r) for r in rids + [rid]] == [b"r0", b"r1", b"next"]
+        expected = (store.count, sorted(store._free))
+        store.recover_metadata()
+        assert (store.count, sorted(store._free)) == expected == (3, [])

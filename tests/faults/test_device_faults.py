@@ -13,9 +13,18 @@ import random
 import pytest
 
 from repro.core.database import EncipheredDatabase
+from repro.core.records import RecordStore
+from repro.crypto.des import DES
+from repro.crypto.modes import CBCCipher
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import PermanentIOError, PlatterFormatError, TransientIOError
+from repro.exceptions import (
+    CryptoError,
+    PermanentIOError,
+    PlatterFormatError,
+    StorageError,
+    TransientIOError,
+)
 from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.storage.backend import FileBackend
 from repro.storage.disk import SimulatedDisk
@@ -203,6 +212,88 @@ class TestTransientHealing:
         write_workload(device)  # would fail every write if still armed
         snap = device.fault_snapshot()
         assert all(v == 0 for v in snap.values())
+
+
+RECORD_KEY = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+class TestTornRecordBlock:
+    """A record-block write that lands torn and exhausts its retries.
+
+    Writes re-encipher only from the first DES block they change, keeping
+    the stored cipher blocks before it -- which a torn write has wrecked.
+    The store's next write to that block must still land and heal it,
+    re-enciphering it whole from the plaintext the store holds, as a
+    whole-block writer did.
+    """
+
+    @staticmethod
+    def _store(tmp_path, backend, cache_blocks=0):
+        extra = {"backend": FileBackend(tmp_path / "db")} if backend == "file" else {}
+        return RecordStore(
+            RECORD_KEY, record_size=120, block_size=512, cache_blocks=cache_blocks,
+            **extra,
+        )
+
+    @staticmethod
+    def _tear_next_write(store):
+        arm(store.disk, "write.torn@1", retry=RetryPolicy(max_attempts=1))
+
+    @staticmethod
+    def _whole_block(store, block_id, slots):
+        iv = store._transform._iv(block_id)
+        return CBCCipher(DES(RECORD_KEY), iv).encrypt(b"".join(slots))
+
+    def test_open_block_append_heals(self, tmp_path, backend):
+        store = self._store(tmp_path, backend)
+        rids = [store.put(b"r0"), store.put(b"r1")]
+        self._tear_next_write(store)
+        with pytest.raises(TransientIOError):
+            store.put(b"torn")
+        store.disk.attach_faults(None)
+        with pytest.raises(CryptoError):
+            store.get(rids[0])  # the block is unreadable
+        rid = store.put(b"heals")
+        assert [store.get(r) for r in rids + [rid]] == [b"r0", b"r1", b"heals"]
+        assert store.disk.raw_block(0) == self._whole_block(store, 0, store._open_slots)
+        # the next append keeps the healed prefix again
+        store.put(b"after")
+        assert store.disk.raw_block(0) == self._whole_block(store, 0, store._open_slots)
+        store.disk.close()
+
+    def test_cached_slot_rewrite_heals(self, tmp_path, backend):
+        store = self._store(tmp_path, backend, cache_blocks=4)
+        rids = [store.put(f"r{i}".encode()) for i in range(5)]  # block 0 is full
+        slots = list(store.cache.get(0))
+        self._tear_next_write(store)
+        with pytest.raises(TransientIOError):
+            store.delete(rids[2])
+        store.disk.attach_faults(None)
+        store.delete(rids[2])  # from the cached plaintext
+        slots[2] = store._free_slot
+        assert store.disk.raw_block(0) == self._whole_block(store, 0, slots)
+        store.clear_cache()
+        assert [store.get(r) for r in rids[:2] + rids[3:]] == [b"r0", b"r1", b"r3", b"r4"]
+        with pytest.raises(StorageError, match="free"):
+            store.get(rids[2])
+        store.disk.close()
+
+    def test_uncached_slot_rewrite_fails_on_the_torn_block(self, tmp_path, backend):
+        # with nothing in memory to heal from, the read fails -- as the
+        # whole-block read did -- and nothing is written or freed
+        store = self._store(tmp_path, backend)
+        rids = [store.put(f"r{i}".encode()) for i in range(5)]
+        self._tear_next_write(store)
+        with pytest.raises(TransientIOError):
+            store.delete(rids[2])
+        store.disk.attach_faults(None)
+        torn = store.disk.raw_block(0)
+        with pytest.raises(CryptoError):
+            store.delete(rids[1])
+        assert store.disk.raw_block(0) == torn
+        assert (store.count, store._free) == (5, [])
+        store.disk.close()
 
 
 class TestEnvArming:

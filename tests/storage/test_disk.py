@@ -230,6 +230,50 @@ class TestWindowedReadMany:
             disk.read_many([0, 0], windows=[(0, 1)])
 
 
+class TestWriteBase:
+    """``write_block(base=)`` keeps the at-rest bytes before ``base``."""
+
+    KEY = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"
+
+    @pytest.mark.parametrize("transform", ["record", "none"])
+    def test_tail_write_equals_whole_write_with_whole_write_stats(
+        self, device, transform
+    ):
+        def make():
+            record = _RecordBlockTransform(self.KEY) if transform == "record" else None
+            return device(block_size=128, transform=record)
+
+        tail, whole = make(), make()
+        old, new = bytes(range(100)), bytes(range(16)) + b"changed from byte 16"
+        for disk in (tail, whole):
+            disk.write_block(disk.allocate(), old)
+            disk.stats.reset()
+        tail.write_block(0, new[16:], base=16)
+        whole.write_block(0, new)
+        assert tail.raw_block(0) == whole.raw_block(0)
+        # one write and one overwrite of the same size; keeping the
+        # prefix is not a read
+        stats = [
+            [getattr(disk.stats, field) for field in CONTRACT_STATS]
+            for disk in (tail, whole)
+        ]
+        assert stats[0] == stats[1] == [0, 1, 1, 0, len(tail.raw_block(0))]
+        assert tail.read_block(0) == new
+        if transform == "record":  # one encipher per block write
+            assert tail.transform.counts.encryptions == 2
+            assert whole.transform.counts.encryptions == 2
+
+    def test_base_past_the_stored_bytes_is_refused(self, device):
+        disk = device(block_size=64)
+        b = disk.allocate()
+        with pytest.raises(BlockBoundsError, match="never written"):
+            disk.write_block(b, b"x", base=8)
+        disk.write_block(b, b"12345678")
+        with pytest.raises(BlockBoundsError, match="past"):
+            disk.write_block(b, b"x", base=16)
+        assert disk.read_block(b) == b"12345678"
+
+
 #: The DiskStats fields the shared contract owns; the time and barrier
 #: fields (modelled vs measured time, fsyncs, header flips) are each
 #: backend's own.
