@@ -11,14 +11,13 @@ serialised it on the GIL.  This experiment measures the two remedies:
    tables, cached forward/reverse key schedules, bulk entry points), in
    both per-block and bulk-call form, asserting byte-identical output.
    Target: >= 5x (the acceptance bar; CI smoke asserts >= 2x).  When
-   numpy is importable the ``vector`` kernel joins the comparison: all
-   16 rounds as ndarray gathers over the whole buffer at once, asserted
-   byte-identical and >= 3x the fast kernel's bulk rate
-   (``C10_VECTOR_FLOOR`` tunes the bar for slow CI hosts).  The bulk
-   rates run on the key's round tables (each kernel's key first makes
-   the ``TABLE_BUILD_CALLS`` short bulk calls that earn them); a second
-   table reports the table build's cost and each bulk kernel's us/block
-   with and without the tables.
+   ``cryptography`` is importable the ``openssl`` kernel joins the
+   comparison: the same calls run by OpenSSL, asserted byte-identical
+   and >= 3x the fast kernel's bulk rate (``C10_OPENSSL_FLOOR`` tunes
+   the bar for slow CI hosts).  The fast kernel's bulk rates run on the
+   key's round tables (its key first makes the ``TABLE_BUILD_CALLS``
+   bulk calls that earn them); a second table reports the table build's
+   cost and the fast kernel's us/block with and without the tables.
 2. **Executor backends.**  The same range-query workload through the
    cluster's ``serial`` and ``processes`` executors, with byte-identical
    results and identical cipher-operation deltas asserted across both.
@@ -28,8 +27,9 @@ serialised it on the GIL.  This experiment measures the two remedies:
    single-core container the process pool cannot beat serial, and the
    numbers say so rather than pretend.
 3. **End to end.**  Mean per-query time of the PR-3 configuration
-   (reference kernel, serial fan-out) vs this PR's (fast kernel,
-   process fan-out): the user-visible speedup of the whole stack.
+   (reference kernel, serial fan-out) vs the current one (default
+   kernel, process fan-out): the user-visible speedup of the whole
+   stack.
 
 ``C10_BLOCKS``, ``C10_N``, ``C10_QUERIES``, ``C10_E2E_QUERIES`` (env
 vars) shrink the workload for CI smoke runs.
@@ -47,12 +47,13 @@ from repro.cluster.stats import subtract_counter_dicts
 from repro.crypto import des as des_module
 from repro.crypto.des import (
     DES,
-    MIN_VECTOR_BLOCKS,
+    MIN_COUNTED_BLOCKS,
     TABLE_BUILD_CALLS,
+    FastDESKernel,
     ReferenceDESKernel,
     RoundTables,
     default_kernel,
-    vector_available,
+    openssl_available,
 )
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
@@ -66,11 +67,11 @@ NUM_BLOCKS = int(os.environ.get("C10_BLOCKS", "3000"))
 NUM_KEYS = int(os.environ.get("C10_N", "1200"))
 NUM_QUERIES = int(os.environ.get("C10_QUERIES", "120"))
 E2E_QUERIES = int(os.environ.get("C10_E2E_QUERIES", "12"))
-VECTOR_FLOOR = float(os.environ.get("C10_VECTOR_FLOOR", "3.0"))
+OPENSSL_FLOOR = float(os.environ.get("C10_OPENSSL_FLOOR", "3.0"))
 NUM_SHARDS = 4
 QUERY_WIDTH = 40
 BACKENDS = ("serial", "processes")
-KERNELS = ("reference", "fast") + (("vector",) if vector_available() else ())
+KERNELS = ("reference", "fast") + (("openssl",) if openssl_available() else ())
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:
@@ -121,15 +122,17 @@ def _reference_kernel_as_default():
 
 
 def _des(key: bytes, kernel: str) -> DES:
-    """A key on ``kernel`` that has already earned its round tables, as
-    a long-lived record or node key has (the reference kernel reads none)."""
+    """A key on ``kernel`` in the state a long-lived record or node key
+    reaches: a fast key has earned its round tables (the reference and
+    openssl kernels read none)."""
     if kernel == "reference":
         with _reference_kernel_as_default():
             return DES(key)
     des = DES(key, kernel=kernel)
-    for _ in range(TABLE_BUILD_CALLS + 1):
-        des.encrypt_blocks(bytes(8 * MIN_VECTOR_BLOCKS))
-    assert des._tables is not None
+    if kernel == "fast":
+        for _ in range(TABLE_BUILD_CALLS + 1):
+            des.encrypt_blocks(bytes(8 * MIN_COUNTED_BLOCKS))
+        assert des._tables is not None
     return des
 
 
@@ -182,25 +185,18 @@ def _best_us(fn, repeats: int = 5) -> float:
 
 
 def _round_table_costs(payload: bytes) -> dict[str, float]:
-    """Table build us (each available builder) and bulk us/block per
-    kernel on bare subkeys vs the key's round tables."""
-    subkeys = DES(bytes.fromhex("133457799BBCDFF1"))._subkeys
+    """Table build us and the fast kernel's bulk us/block on bare
+    subkeys vs the key's round tables."""
+    subkeys = DES(bytes.fromhex("133457799BBCDFF1"), kernel="fast")._subkeys
     tables = RoundTables.build(subkeys)
-    costs = {
-        "build_us": _best_us(lambda: RoundTables.build(subkeys), 20),
-        "build_pure_python_us": _best_us(
-            lambda: des_module._build_round_tables_py(subkeys), 5
-        ),
-    }
+    crypt = FastDESKernel.crypt_blocks
+    assert crypt(payload, tables) == crypt(payload, subkeys)
     nblocks = len(payload) // 8
-    for kernel in KERNELS[1:]:
-        crypt = des_module._KERNELS[kernel].crypt_blocks
-        assert crypt(payload, tables) == crypt(payload, subkeys)
-        costs[f"{kernel}_bare_us_per_block"] = _best_us(
-            lambda: crypt(payload, subkeys)) / nblocks
-        costs[f"{kernel}_tables_us_per_block"] = _best_us(
-            lambda: crypt(payload, tables)) / nblocks
-    return costs
+    return {
+        "build_us": _best_us(lambda: RoundTables.build(subkeys), 5),
+        "fast_bare_us_per_block": _best_us(lambda: crypt(payload, subkeys)) / nblocks,
+        "fast_tables_us_per_block": _best_us(lambda: crypt(payload, tables)) / nblocks,
+    }
 
 
 # -- part 2: executor backends ---------------------------------------------
@@ -266,7 +262,8 @@ def _mean_query_time(cluster, queries) -> float:
 
 
 def _end_to_end(items, queries):
-    """PR-3 stack (reference kernel, serial) vs this PR's (fast, processes)."""
+    """PR-3 stack (reference kernel, serial) vs the current one (default
+    kernel, processes)."""
     # the whole run stays patched: codecs may build DES objects lazily
     with _reference_kernel_as_default():
         baseline = _new_cluster("serial")
@@ -281,10 +278,10 @@ def _end_to_end(items, queries):
     try:
         current.bulk_load(items)
         current.range_search(*queries[0])
-        fast_processes = _mean_query_time(current, queries)
+        current_processes = _mean_query_time(current, queries)
     finally:
         current.close()
-    return reference_serial, fast_processes
+    return reference_serial, current_processes
 
 
 def test_c10_crypto_throughput(benchmark, reporter):
@@ -306,7 +303,7 @@ def test_c10_crypto_throughput(benchmark, reporter):
     reporter.table(
         f"single-thread DES throughput, {NUM_BLOCKS} blocks of 8 bytes "
         "(identical ciphertext asserted across kernels"
-        + ("" if vector_available() else "; numpy absent, no vector arm")
+        + ("" if openssl_available() else "; cryptography absent, no openssl arm")
         + ")",
         ["kernel", "path", "blocks/s"],
         [
@@ -327,19 +324,19 @@ def test_c10_crypto_throughput(benchmark, reporter):
     )
     assert speedup_decrypt >= 2.0
 
-    vector_speedups = None
-    if vector_available():
-        vector_speedups = {
-            "encrypt_bulk_vs_fast": rates["vector"]["encrypt_bulk"]
+    openssl_speedups = None
+    if openssl_available():
+        openssl_speedups = {
+            "encrypt_bulk_vs_fast": rates["openssl"]["encrypt_bulk"]
             / rates["fast"]["encrypt_bulk"],
-            "decrypt_bulk_vs_fast": rates["vector"]["decrypt_bulk"]
+            "decrypt_bulk_vs_fast": rates["openssl"]["decrypt_bulk"]
             / rates["fast"]["decrypt_bulk"],
         }
-        assert vector_speedups["encrypt_bulk_vs_fast"] >= VECTOR_FLOOR, (
-            f"vector kernel only {vector_speedups['encrypt_bulk_vs_fast']:.1f}x "
-            f"the fast kernel (bulk encrypt); floor {VECTOR_FLOOR}x"
+        assert openssl_speedups["encrypt_bulk_vs_fast"] >= OPENSSL_FLOOR, (
+            f"openssl kernel only {openssl_speedups['encrypt_bulk_vs_fast']:.1f}x "
+            f"the fast kernel (bulk encrypt); floor {OPENSSL_FLOOR}x"
         )
-        assert vector_speedups["decrypt_bulk_vs_fast"] >= VECTOR_FLOOR
+        assert openssl_speedups["decrypt_bulk_vs_fast"] >= OPENSSL_FLOOR
 
     # -- executors -------------------------------------------------------
     items = _items()
@@ -350,7 +347,8 @@ def test_c10_crypto_throughput(benchmark, reporter):
     speedup_critical = wall["serial"] / critical
     reporter.table(
         f"{NUM_QUERIES} range queries of width {QUERY_WIDTH} over {NUM_KEYS} "
-        f"keys, {NUM_SHARDS} hash-routed shards, fast kernel, {cpus} CPU(s); "
+        f"keys, {NUM_SHARDS} hash-routed shards, {default_kernel()} kernel, "
+        f"{cpus} CPU(s); "
         "results and cipher-op deltas identical across backends",
         ["executor", "elapsed (s)", "vs serial"],
         [
@@ -363,14 +361,14 @@ def test_c10_crypto_throughput(benchmark, reporter):
 
     # -- end to end ------------------------------------------------------
     e2e_queries = _queries(NUM_QUERIES)[:E2E_QUERIES]
-    reference_serial, fast_processes = _end_to_end(items, e2e_queries)
-    e2e_speedup = reference_serial / fast_processes
+    reference_serial, current_processes = _end_to_end(items, e2e_queries)
+    e2e_speedup = reference_serial / current_processes
     reporter.table(
         f"end to end: mean range-query latency over {len(e2e_queries)} queries",
         ["stack", "s/query", "speedup"],
         [
             ["reference kernel + serial fan-out", f"{reference_serial:.4f}", "1.00x"],
-            ["fast kernel + process fan-out", f"{fast_processes:.4f}",
+            [f"{default_kernel()} kernel + process fan-out", f"{current_processes:.4f}",
              f"{e2e_speedup:.2f}x"],
         ],
     )
@@ -391,8 +389,8 @@ def test_c10_crypto_throughput(benchmark, reporter):
             "speedup_fast_vs_reference_bulk": speedup_bulk,
             "speedup_fast_vs_reference_block_calls": speedup_block,
             "speedup_fast_vs_reference_decrypt_bulk": speedup_decrypt,
-            "vector_available": vector_available(),
-            "speedup_vector_vs_fast": vector_speedups,
+            "openssl_available": openssl_available(),
+            "speedup_openssl_vs_fast": openssl_speedups,
             "round_tables": table_costs,
         },
         "cluster_range_queries": {
@@ -407,7 +405,8 @@ def test_c10_crypto_throughput(benchmark, reporter):
         "end_to_end": {
             "queries": len(e2e_queries),
             "reference_kernel_serial_s_per_query": reference_serial,
-            "fast_kernel_processes_s_per_query": fast_processes,
+            "default_kernel": default_kernel(),
+            "default_kernel_processes_s_per_query": current_processes,
             "speedup": e2e_speedup,
         },
     })

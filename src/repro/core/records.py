@@ -28,8 +28,8 @@ A range search reads all its matches with :meth:`RecordStore.get_many`:
 one device batch with one window per match, whose windows the record
 cipher gathers into a single bulk DES call
 (:func:`repro.crypto.modes.cbc_decrypt_windows`).  A range's ~20
-windows of ~17 DES blocks each thus reach the numpy ``"vector"`` kernel
-as one buffer, where a lone window stays below its crossover.  Each
+windows of ~17 DES blocks each thus reach the DES kernel as one buffer
+and pay its fixed per-call cost once.  Each
 match still counts as one record-block decipher and one device read,
 duplicate blocks included, so the counts are exactly those of looping
 :meth:`RecordStore.get`.

@@ -1,7 +1,8 @@
 """Cryptographic substrate for the enciphered B-Tree.
 
-Everything here is implemented from scratch (no third-party crypto
-dependencies): number theory helpers, the DES block cipher (FIPS 46), the
+Everything here is implemented from scratch: number theory helpers, the
+DES block cipher (FIPS 46; run on OpenSSL when the optional
+``cryptography`` package is installed, see :mod:`repro.crypto.des`), the
 RSA cryptosystem used in the paper's private-parameter mode, cipher modes,
 a progressive (stream) cipher, the Bayer--Metzger page-key scheme, the
 multilevel RSA key organisation of Hardjono & Seberry (ACSC 1989), and

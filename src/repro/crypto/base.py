@@ -39,8 +39,8 @@ class BlockCipher(ABC):
     #
     # A node or record block is many cipher blocks; pushing the whole
     # buffer through one call lets a cipher amortise Python call overhead
-    # (DES overrides all three with kernel-level loops; under the numpy
-    # "vector" kernel an ECB buffer becomes a single array computation).
+    # (DES overrides all three with kernel-level loops; under the
+    # "openssl" kernel an ECB buffer is a single OpenSSL update).
     # The defaults keep every BlockCipher bulk-capable by looping the
     # single-block methods, and counting wrappers pass the buffer through
     # *unsplit* so the inner cipher always sees the contiguous whole.

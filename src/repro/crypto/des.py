@@ -1,12 +1,12 @@
-"""The Data Encryption Standard (FIPS PUB 46), implemented from scratch.
+"""The Data Encryption Standard (FIPS PUB 46): the cipher, three kernels.
 
 The paper (section 5) names DES as one of the two cryptosystems suitable
 for enciphering node blocks and data blocks: *"The DES can be used to
-encrypt data segments or blocks of 64 bits"*.  No third-party crypto
-library is available in this environment, so this module implements the
+encrypt data segments or blocks of 64 bits"*.  This module implements the
 full 16-round cipher -- initial/final permutations, key schedule (PC-1,
 PC-2, rotation schedule), expansion, the eight S-boxes and permutation P --
-directly from the standard.
+directly from the standard, and runs it on OpenSSL when the
+``cryptography`` package is installed.
 
 Three kernels compute the cipher (benchmark C10 compares them; they are
 byte-identical on every input):
@@ -21,38 +21,35 @@ byte-identical on every input):
   *and* reversed) derived once per key object, and bulk entry points
   (:meth:`DES.encrypt_blocks`, :meth:`DES.decrypt_blocks` and the CBC
   chain :meth:`DES.cbc_encrypt_blocks`) that run a whole node or record
-  block in one Python call.
-* ``"vector"`` (requires numpy; see :mod:`repro.crypto.vector`) -- the
-  rounds applied as ndarray gathers over a vector of *all* blocks in the
-  buffer, so the 16-round loop runs once per bulk call instead of once
-  per block.  Buffers shorter than the measured crossover
-  :data:`MIN_VECTOR_BLOCKS`, single blocks and CBC
-  encryption (which chains block by block) run the fast kernel's code.
-  Falls back to ``"fast"`` entirely when numpy is absent.
+  block in one Python call.  Pure Python, so it needs no dependency.
+* ``"openssl"`` (requires ``cryptography``; see :class:`OpenSSLDESKernel`)
+  -- the same calls run by OpenSSL, as triple DES with the key repeated
+  three times: EDE with K1 = K2 = K3 is single DES.  No Python key
+  schedule is derived for it.  Falls back to ``"fast"`` when
+  ``cryptography`` is absent.
 
-**Round tables.**  A key that does enough bulk work gets key-specific
-round tables (:class:`RoundTables`): for each round and each pair of
-S-boxes, one 1024-entry table that folds the expansion E, the subkey
-XOR and both fused S-box/P lookups into a single lookup on the 10 bits
-of ``R`` the pair reads.  A round then costs 4 lookups instead of 4 E
-lookups, the subkey XOR and 8 SP lookups.  Both bulk kernels run the
-same round loop on the same buffer (16 x 4 x 1024 uint32, 256 KiB per
-key); decryption walks it in reverse round order.  A :class:`DES`
-object builds its tables on the first bulk call of at least
-:data:`MIN_VECTOR_BLOCKS` blocks that follows :data:`TABLE_BUILD_CALLS`
-such calls; until then, for shorter calls and for single blocks, the
-kernels run the key-independent rounds.  So a key's first call never
-builds: one-off keys (a page key enciphering or deciphering one whole
-page, key derivation, IVs) and keys that only make short calls (a
-commit's 3-block superblock) never pay for a build.  Tables live on their
-:class:`DES` object and die with it, or earlier through
-:meth:`DES.release_tables`.
+**Round tables.**  A ``fast`` key that does enough bulk work gets
+key-specific round tables (:class:`RoundTables`): for each round and each
+pair of S-boxes, one 1024-entry table that folds the expansion E, the
+subkey XOR and both fused S-box/P lookups into a single lookup on the 10
+bits of ``R`` the pair reads.  A round then costs 4 lookups instead of 4
+E lookups, the subkey XOR and 8 SP lookups.  The tables are one buffer
+(16 x 4 x 1024 uint32, 256 KiB per key); decryption walks it in reverse
+round order.  A :class:`DES` object builds its tables on the first bulk
+call of at least :data:`MIN_COUNTED_BLOCKS` blocks that follows
+:data:`TABLE_BUILD_CALLS` such calls; until then, for shorter calls and
+for single blocks, the kernel runs the key-independent rounds.  So a
+key's first call never builds: one-off keys (a page key enciphering or
+deciphering one whole page, key derivation, IVs) and keys that only make
+short calls (a commit's 3-block superblock) never pay for a build.
+Tables live on their :class:`DES` object and die with it, or earlier
+through :meth:`DES.release_tables`.
 
-The kernel (``"fast"`` or ``"vector"``) is chosen per :class:`DES`
+The kernel (``"openssl"`` or ``"fast"``) is chosen per :class:`DES`
 instance (``kernel=``), falling back to the process-wide default --
 :func:`set_default_kernel` or the ``REPRO_DES_KERNEL`` environment
 variable.  Unless overridden, the default is the best available kernel:
-``"vector"`` when numpy is importable, else ``"fast"``.
+``"openssl"`` when ``cryptography`` is importable, else ``"fast"``.
 """
 
 from __future__ import annotations
@@ -61,10 +58,18 @@ import os
 import sys
 import threading
 from array import array
+from functools import cached_property
 from itertools import cycle
 
 from repro.crypto.base import BlockCipher
 from repro.exceptions import KeyError_, MessageRangeError
+
+try:  # the openssl kernel needs cryptography; "fast" is the ceiling without it
+    from cryptography.hazmat.decrepit.ciphers.algorithms import TripleDES
+    from cryptography.hazmat.primitives.ciphers import Cipher
+    from cryptography.hazmat.primitives.ciphers.modes import CBC, ECB
+except ImportError:  # exercised by the cryptography-free CI job
+    TripleDES = None
 
 # --------------------------------------------------------------------------
 # FIPS 46 tables.  Entries are 1-based bit positions, MSB first, exactly as
@@ -268,12 +273,8 @@ _MASK64 = (1 << 64) - 1
 WINDOW_SHIFTS = (23, 15, 7, 31)
 
 
-def _build_round_tables_py(subkeys: tuple[int, ...]) -> array:
-    """The 16 x 4 x 1024 round tables as a flat ``array('I')``.
-
-    The pure-Python build (about 4.5 ms); the numpy build in
-    :mod:`repro.crypto.vector` returns the same entries.
-    """
+def _build_round_tables(subkeys: tuple[int, ...]) -> array:
+    """The 16 x 4 x 1024 round tables as a flat ``array('I')`` (about 4 ms)."""
     out = array("I")
     for subkey in subkeys:
         for j in range(4):
@@ -292,38 +293,34 @@ def _build_round_tables_py(subkeys: tuple[int, ...]) -> array:
 class RoundTables:
     """A key's round subkeys, in application order, with its round tables.
 
-    ``buffer`` holds round r's four tables at row r: a ``(16, 4096)``
-    uint32 ndarray with numpy, else a flat ``array('I')``.  ``order``
-    lists the rows in application order, so :meth:`reversed` -- the
-    decryption schedule -- shares the encryption buffer.  ``rounds``
-    views the same tables as four memoryview slices per round, in
-    application order, for the fast kernel's scalar loop.
+    ``buffer`` is a flat ``array('I')`` holding round r's four tables at
+    row r (4096 entries a row).  ``rounds`` views them as four memoryview
+    slices per round, in application order, for the fast kernel's loop,
+    so :meth:`reversed` -- the decryption schedule -- shares the
+    encryption buffer.
     """
 
-    __slots__ = ("subkeys", "buffer", "order", "rounds")
+    __slots__ = ("subkeys", "buffer", "rounds")
 
-    def __init__(self, subkeys, buffer, order: range, rounds: list) -> None:
+    def __init__(self, subkeys, buffer, rounds: list) -> None:
         self.subkeys = subkeys
         self.buffer = buffer
-        self.order = order
         self.rounds = rounds
 
     @classmethod
     def build(cls, subkeys: tuple[int, ...]) -> "RoundTables":
         """Build the encryption tables of an encryption schedule."""
         buffer = _build_round_tables(subkeys)
-        flat = memoryview(buffer).cast("B").cast("I")
+        flat = memoryview(buffer)
         rounds = [
             tuple(flat[(4 * r + j) << 10 : (4 * r + j + 1) << 10] for j in range(4))
             for r in range(16)
         ]
-        return cls(subkeys, buffer, range(16), rounds)
+        return cls(subkeys, buffer, rounds)
 
     def reversed(self) -> "RoundTables":
         """The same tables in reverse round order (the other direction)."""
-        return RoundTables(
-            self.subkeys[::-1], self.buffer, self.order[::-1], self.rounds[::-1]
-        )
+        return RoundTables(self.subkeys[::-1], self.buffer, self.rounds[::-1])
 
 
 def _rotate28(value: int, amount: int) -> int:
@@ -376,7 +373,7 @@ def _key_schedule(key64: int) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
-# Kernels: two computations of the same cipher.
+# Kernels: three computations of the same cipher.
 # --------------------------------------------------------------------------
 
 
@@ -385,16 +382,16 @@ class ReferenceDESKernel:
 
     This is the executable specification -- each step reads directly off
     the FIPS 46 tables via :func:`_permute`, paying ``len(table)`` bit
-    operations per permutation.  The fast kernel must match it byte for
-    byte on every input (asserted by the kernel-parity tests and by
-    benchmark C10).  Not selectable through :class:`DES`: callers that
+    operations per permutation.  The fast and openssl kernels must match
+    it byte for byte on every input (asserted by the kernel-parity tests
+    and by benchmark C10).  Not selectable through :class:`DES`: callers that
     want the oracle call :meth:`crypt_block` / :meth:`crypt_blocks` with
     a schedule from :func:`_key_schedule`.
     """
 
-    #: Runs the FIPS steps on bare subkeys; :class:`DES` never hands it
-    #: round tables.
-    uses_tables = False
+    #: Runs the FIPS steps on bare subkeys: swapped into any :class:`DES`
+    #: object, it gets neither round tables nor OpenSSL contexts.
+    bare_subkeys = True
 
     @staticmethod
     def _feistel(right32: int, subkey48: int) -> int:
@@ -450,7 +447,6 @@ class FastDESKernel:
     """
 
     name = "fast"
-    uses_tables = True
 
     @staticmethod
     def crypt_block(block64: int, subkeys: tuple[int, ...]) -> int:
@@ -584,89 +580,116 @@ class FastDESKernel:
         return out.tobytes()
 
 
-#: Buffers shorter than this many 8-byte blocks go to the fast kernel
-#: under ``"vector"``: below it the vector path's fixed ndarray cost
-#: exceeds the fast kernel's per-block cost.  Measured on a 2-vCPU x86-64
-#: Xeon with CPython 3.11 and numpy 2.4 (best of 200 runs per size): on
-#: round tables, fast costs ~9.2 us per block and vector ~92 us nearly
-#: flat up to 32 blocks, tying at 10 blocks; on bare subkeys (fast ~13.1
-#: us per block, vector ~99 us) the tie is at 8 blocks.  A constant keeps
-#: the kernel choice deterministic; both paths are byte-identical either
-#: way.  It is also the smallest bulk call that counts towards
-#: :data:`TABLE_BUILD_CALLS`.  Defined here, not in
-#: :mod:`repro.crypto.vector`, so the policy holds without numpy.
-MIN_VECTOR_BLOCKS = 10
+class _OpenSSLKey:
+    """One direction of a key on OpenSSL, with an ECB context per thread.
 
-_KERNELS = {FastDESKernel.name: FastDESKernel}
+    A ``cryptography`` cipher context is not re-entrant: two threads
+    updating one context race (it raises ``RuntimeError('Already
+    borrowed')``), and record reads decipher outside every lock.  So each
+    thread keeps its own ECB context in a :class:`threading.local`, made
+    on its first call.  A forked child keeps only the forking thread's
+    contexts, which no other thread was using.
+    """
 
-try:  # the vector kernel needs numpy; "fast" stays the ceiling without it
-    from repro.crypto.vector import VectorDESKernel, build_round_tables
+    __slots__ = ("algorithm", "decrypt", "_local")
 
-    _KERNELS[VectorDESKernel.name] = VectorDESKernel
-    _build_round_tables = build_round_tables
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    VectorDESKernel = None  # type: ignore[assignment,misc]
-    _build_round_tables = _build_round_tables_py
+    def __init__(self, algorithm, decrypt: bool) -> None:
+        self.algorithm = algorithm
+        self.decrypt = decrypt
+        self._local = threading.local()
 
-#: Bulk calls of at least :data:`MIN_VECTOR_BLOCKS` blocks a :class:`DES`
-#: object makes on bare subkeys; the next such call builds its
-#: :class:`RoundTables`.  Shorter calls and single blocks never count.
-#: The count is the build's cost over the smallest saving the tables
-#: give one counted call on the kernel that runs it.  Measured on a
-#: 2-vCPU x86-64 Xeon with CPython 3.11 and numpy 2.4 (best of 200-1500
-#: interleaved runs): with numpy the build costs ~0.25 ms and ECB calls of
-#: 10+ blocks run on the vector kernel, whose tables save only ~8-17 us
-#: per call up to 64 blocks (36 us at 370, 47 us at 512), so 25 calls;
-#: without numpy every call runs the fast kernel, whose tables save ~4.7
-#: us per block (~47 us at 10 blocks) against a ~4.5 ms pure-Python
-#: build, so 100 calls.  CBC encryption runs the fast kernel even under
-#: ``"vector"``, so for it the count is conservative.  Counting calls
-#: rather than blocks keeps a key that makes one big call -- a page key
-#: enciphering one whole 512-block page -- from building tables it would
-#: use once.  Counted on the canonical workloads and on benchmarks A1-A3,
-#: C1 and C3, only record-store keys cross it (4 of 9 DES objects on
-#: ``get_zipf``, 16 of 80 on ``cluster_mixed``, 2-20 of 1,417-19,188 in
-#: the benchmarks); the 209-3,698 page keys per benchmark that make one
-#: counted call never build.
-TABLE_BUILD_CALLS = 25 if VectorDESKernel is not None else 100
-
-#: The name the vector kernel registers under, spelled once.  When numpy
-#: is absent, requests for it (env var, ``set_default_kernel``,
-#: ``DES(kernel=)``) silently resolve to ``"fast"`` -- the best available
-#: byte-identical kernel -- instead of failing.
-_VECTOR_NAME = "vector"
+    def ecb(self):
+        """This thread's ECB context, in this key's direction."""
+        try:
+            return self._local.context
+        except AttributeError:
+            cipher = Cipher(self.algorithm, ECB())
+            context = cipher.decryptor() if self.decrypt else cipher.encryptor()
+            self._local.context = context
+            return context
 
 
-def vector_available() -> bool:
-    """True iff numpy is importable and the vector kernel registered."""
-    return _VECTOR_NAME in _KERNELS
+class OpenSSLDESKernel:
+    """OpenSSL kernel: the engine's DES calls run by ``cryptography``.
+
+    The key is ``TripleDES(key * 3)``: EDE with three equal keys is
+    single DES (E, then D and E under the same key), and the 24-byte form
+    raises no deprecation warning where an 8-byte key would.  OpenSSL
+    checks neither parity nor weak keys, like the other kernels.  ECB
+    runs on a reused per-thread context (:class:`_OpenSSLKey`); a CBC
+    encryption needs a fresh context for its IV.
+    """
+
+    name = "openssl"
+
+    @staticmethod
+    def keys(key: bytes) -> tuple[_OpenSSLKey, _OpenSSLKey]:
+        """The ``(encrypt, decrypt)`` schedules of ``key``."""
+        algorithm = TripleDES(key * 3)
+        return _OpenSSLKey(algorithm, False), _OpenSSLKey(algorithm, True)
+
+    @staticmethod
+    def crypt_block(block64: int, keys: _OpenSSLKey) -> int:
+        return int.from_bytes(keys.ecb().update(block64.to_bytes(8, "big")), "big")
+
+    @staticmethod
+    def crypt_blocks(data: bytes, keys: _OpenSSLKey) -> bytes:
+        return keys.ecb().update(data)
+
+    @staticmethod
+    def cbc_encrypt(data: bytes, keys: _OpenSSLKey, iv: bytes) -> bytes:
+        return Cipher(keys.algorithm, CBC(iv)).encryptor().update(data)
 
 
-def _resolve_kernel(name: str) -> str:
+_KERNELS: dict[str, type] = {FastDESKernel.name: FastDESKernel}
+if TripleDES is not None:
+    _KERNELS[OpenSSLDESKernel.name] = OpenSSLDESKernel
+
+#: Bulk calls shorter than this many 8-byte blocks never count towards
+#: :data:`TABLE_BUILD_CALLS`: a commit's 3-block superblock earns no
+#: tables, however often it runs.
+MIN_COUNTED_BLOCKS = 10
+
+#: Counted bulk calls a ``fast`` :class:`DES` object makes on bare
+#: subkeys; the next counted call builds its :class:`RoundTables`.  The
+#: count is the build's cost over the smallest saving the tables give
+#: one counted call.  Measured on a 2-vCPU x86-64 Xeon with CPython 3.11
+#: (best of 200-1500 interleaved runs): the tables save ~4.7 us per
+#: block (~47 us at 10 blocks) against a ~4.5 ms build, so 100 calls.
+#: Counting calls rather than blocks keeps a key that makes one big call
+#: -- a page key enciphering one whole 512-block page -- from building
+#: tables it would use once.  On the canonical workloads and on
+#: benchmarks A1-A3, C1 and C3 only record-store keys cross it; the
+#: 209-3,698 page keys per benchmark that make one counted call never
+#: build.
+TABLE_BUILD_CALLS = 100
+
+def openssl_available() -> bool:
+    """True iff ``cryptography`` imported and the openssl kernel registered."""
+    return OpenSSLDESKernel.name in _KERNELS
+
+
+def _resolve_kernel(name: str, source: str = "kernel") -> str:
     """Map a requested kernel name onto an available one.
 
-    ``"vector"`` degrades to ``"fast"`` when numpy is absent; anything
-    else unknown raises, because a typo should fail loudly rather than
-    silently encrypt with a different kernel than the operator asked for.
+    ``"openssl"`` degrades to ``"fast"`` -- the best available
+    byte-identical kernel -- when ``cryptography`` is absent, whether it
+    was asked for by ``REPRO_DES_KERNEL``, ``set_default_kernel`` or
+    ``DES(kernel=)``.  Anything else unknown raises, because a typo (or a
+    removed kernel) should fail loudly rather than silently encrypt with
+    a different kernel than the operator asked for.
     """
-    if name not in _KERNELS:
-        if name == _VECTOR_NAME:
-            return FastDESKernel.name
-        raise KeyError_(f"kernel must be one of {sorted(_KERNELS)}, got {name!r}")
-    return name
+    if name in _KERNELS:
+        return name
+    if name == OpenSSLDESKernel.name:
+        return FastDESKernel.name
+    raise KeyError_(f"{source} must be one of {sorted(_KERNELS)}, got {name!r}")
 
 
-_default_kernel = os.environ.get(
-    "REPRO_DES_KERNEL", _VECTOR_NAME if vector_available() else FastDESKernel.name
+# fail at import, not at the first encryption
+_default_kernel = _resolve_kernel(
+    os.environ.get("REPRO_DES_KERNEL", OpenSSLDESKernel.name), "REPRO_DES_KERNEL"
 )
-if _default_kernel not in _KERNELS:  # fail at import, not first encryption
-    if _default_kernel == _VECTOR_NAME:
-        _default_kernel = FastDESKernel.name
-    else:
-        raise KeyError_(
-            f"REPRO_DES_KERNEL must be one of {sorted(_KERNELS)}, "
-            f"got {_default_kernel!r}"
-        )
 
 
 def default_kernel() -> str:
@@ -678,7 +701,7 @@ def set_default_kernel(name: str) -> str:
     """Set the process-wide default kernel; returns the previous one.
 
     Existing :class:`DES` objects keep the kernel they were built with.
-    ``"vector"`` falls back to ``"fast"`` when numpy is absent.
+    ``"openssl"`` falls back to ``"fast"`` when ``cryptography`` is absent.
     """
     global _default_kernel
     previous = _default_kernel
@@ -696,10 +719,10 @@ class DES(BlockCipher):
         (most software implementations ignore them); pass
         ``enforce_parity=True`` to require odd parity per byte.
     kernel:
-        ``"fast"`` or ``"vector"``; ``None`` (default)
-        uses the process-wide default (see :func:`set_default_kernel`).
-        Both produce byte-identical ciphertext; ``"vector"``
-        requires numpy and degrades to ``"fast"`` without it.
+        ``"openssl"`` or ``"fast"``; ``None`` (default) uses the
+        process-wide default (see :func:`set_default_kernel`).  Both
+        produce byte-identical ciphertext; ``"openssl"`` requires
+        ``cryptography`` and degrades to ``"fast"`` without it.
     """
 
     block_size = 8
@@ -718,12 +741,13 @@ class DES(BlockCipher):
         self.key = key
         self.kernel = name
         self._kernel = _KERNELS[name]
-        # Both directions of the schedule, derived once per key object:
-        # decryption runs the same rounds with the subkeys reversed, and
-        # re-reversing (or re-deriving) per block is the classic
-        # per-block overhead benchmark C10 eliminates.
-        self._subkeys = _key_schedule(int.from_bytes(key, "big"))
-        self._subkeys_dec = self._subkeys[::-1]
+        #: ``(encrypt, decrypt)`` :class:`_OpenSSLKey` schedules, on the
+        #: openssl kernel only.
+        self._contexts = (
+            OpenSSLDESKernel.keys(key) if self._kernel is OpenSSLDESKernel else None
+        )
+        if self._contexts is None:
+            self._subkeys  # a Python kernel: derive the schedule now
         #: Counted bulk calls made on bare subkeys (see
         #: :data:`TABLE_BUILD_CALLS`).
         self._bulk_calls = 0
@@ -732,6 +756,20 @@ class DES(BlockCipher):
         self._tables: tuple[RoundTables, RoundTables] | None = None
 
     # -- key schedule ------------------------------------------------------
+
+    # Both directions of the Python schedule, derived at most once per key
+    # object: decryption runs the same rounds with the subkeys reversed,
+    # and re-reversing (or re-deriving) per block is the classic per-block
+    # overhead benchmark C10 eliminates.  An openssl object derives them
+    # only if a Python kernel is swapped in.
+
+    @cached_property
+    def _subkeys(self) -> tuple[int, ...]:
+        return _key_schedule(int.from_bytes(self.key, "big"))
+
+    @cached_property
+    def _subkeys_dec(self) -> tuple[int, ...]:
+        return self._subkeys[::-1]
 
     @staticmethod
     def has_odd_parity(key: bytes) -> bool:
@@ -755,7 +793,9 @@ class DES(BlockCipher):
         """Encrypt one 8-byte block."""
         if len(block) != 8:
             raise MessageRangeError(f"DES block must be 8 bytes, got {len(block)}")
-        value = self._kernel.crypt_block(int.from_bytes(block, "big"), self._subkeys)
+        value = self._kernel.crypt_block(
+            int.from_bytes(block, "big"), self._keys(False)
+        )
         return value.to_bytes(8, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
@@ -763,34 +803,37 @@ class DES(BlockCipher):
         if len(block) != 8:
             raise MessageRangeError(f"DES block must be 8 bytes, got {len(block)}")
         value = self._kernel.crypt_block(
-            int.from_bytes(block, "big"), self._subkeys_dec
+            int.from_bytes(block, "big"), self._keys(True)
         )
         return value.to_bytes(8, "big")
 
     # -- bulk API ----------------------------------------------------------
 
-    def _bulk_keys(self, nblocks: int, decrypt: bool):
-        """The schedule for a bulk call: round tables once they are earned.
+    def _keys(self, decrypt: bool, nblocks: int | None = None):
+        """What the kernel runs on: OpenSSL contexts, tables or subkeys.
 
-        Only kernels that read tables get them: the reference kernel,
-        swapped in by a test or benchmark, always gets bare subkeys, and a
-        stand-in that declares nothing is taken to wrap a real kernel and
+        ``nblocks`` is a bulk call's size (``None`` for a single block,
+        which never runs on tables).  The reference kernel, swapped in by
+        a test or benchmark, always gets bare subkeys; a stand-in that
+        declares nothing is taken to wrap the object's own kernel and
         pass the schedule through.  Concurrent callers may race on the
-        count or build twice; either way every schedule handed out is
-        correct, and one build wins.
+        table count or build twice; either way every schedule handed out
+        is correct, and one build wins.
         """
-        if not getattr(self._kernel, "uses_tables", True):
-            return self._subkeys_dec if decrypt else self._subkeys
-        tables = self._tables
-        if tables is None and nblocks >= MIN_VECTOR_BLOCKS:
-            if self._bulk_calls < TABLE_BUILD_CALLS:
-                self._bulk_calls += 1
-            else:
-                encrypt = RoundTables.build(self._subkeys)
-                tables = self._tables = (encrypt, encrypt.reversed())
-        if tables is None:
-            return self._subkeys_dec if decrypt else self._subkeys
-        return tables[decrypt]
+        if not getattr(self._kernel, "bare_subkeys", False):
+            if self._contexts is not None:
+                return self._contexts[decrypt]
+            if nblocks is not None:
+                tables = self._tables
+                if tables is None and nblocks >= MIN_COUNTED_BLOCKS:
+                    if self._bulk_calls < TABLE_BUILD_CALLS:
+                        self._bulk_calls += 1
+                    else:
+                        encrypt = RoundTables.build(self._subkeys)
+                        tables = self._tables = (encrypt, encrypt.reversed())
+                if tables is not None:
+                    return tables[decrypt]
+        return self._subkeys_dec if decrypt else self._subkeys
 
     def release_tables(self) -> None:
         """Drop the round tables; the object earns them again from zero."""
@@ -800,22 +843,20 @@ class DES(BlockCipher):
     def encrypt_blocks(self, blocks) -> bytes:
         """Encrypt a whole buffer (or sequence) of 8-byte blocks in ECB.
 
-        One Python call for the entire buffer: the kernel's block loop
-        runs with its tables and schedule in locals, which is where the
-        bulk path's throughput advantage over per-block calls comes
-        from.
+        One kernel call for the entire buffer, which is where the bulk
+        path's throughput advantage over per-block calls comes from.
         """
         data = self._as_buffer(blocks)
-        return self._kernel.crypt_blocks(data, self._bulk_keys(len(data) >> 3, False))
+        return self._kernel.crypt_blocks(data, self._keys(False, len(data) >> 3))
 
     def decrypt_blocks(self, blocks) -> bytes:
         """Decrypt a whole buffer (or sequence) of 8-byte blocks in ECB."""
         data = self._as_buffer(blocks)
-        return self._kernel.crypt_blocks(data, self._bulk_keys(len(data) >> 3, True))
+        return self._kernel.crypt_blocks(data, self._keys(True, len(data) >> 3))
 
     def cbc_encrypt_blocks(self, blocks, iv: bytes) -> bytes:
         """CBC-encrypt whole blocks chained from ``iv``, in one kernel call."""
         if len(iv) != 8:
             raise MessageRangeError(f"DES IV must be 8 bytes, got {len(iv)}")
         data = self._as_buffer(blocks)
-        return self._kernel.cbc_encrypt(data, self._bulk_keys(len(data) >> 3, False), iv)
+        return self._kernel.cbc_encrypt(data, self._keys(False, len(data) >> 3), iv)

@@ -8,11 +8,11 @@ choice that still requires no stored per-page state), plus PKCS#7 padding.
 
 Every direction hands the cipher one contiguous buffer per call, so the
 whole page reaches the kernel's bulk path intact.  The chain-free ones --
-ECB both ways and CBC decryption -- can run under the numpy ``"vector"``
-kernel as array operations over the entire page at once.  CBC
-*encryption* chains each block's input on the previous block's output,
-so :meth:`~repro.crypto.base.BlockCipher.cbc_encrypt_blocks` runs it as
-one sequential loop inside the kernel, chaining in ints.
+ECB both ways and CBC decryption -- are one ECB call over the entire
+page, with CBC decryption's chaining done as one XOR on the outputs.
+CBC *encryption* chains each block's input on the previous block's
+output, so :meth:`~repro.crypto.base.BlockCipher.cbc_encrypt_blocks`
+runs it as one sequential chain inside the kernel.
 
 CBC decryption is also random-access -- plaintext block *i* is
 ``D(C_i) xor C_(i-1)`` -- so :func:`cbc_decrypt_window` recovers a byte
@@ -20,8 +20,8 @@ range of a page by deciphering only the cipher blocks that cover it, plus
 the final block whose PKCS#7 padding fixes the plaintext length.  The
 same property lets :func:`cbc_decrypt_windows` gather the windows of many
 pages -- one per match of a range search -- into a single bulk call, so
-a range reaches the vector kernel as one buffer instead of many short
-ones below its crossover.
+a range pays the kernel's fixed per-call cost once instead of once per
+match.
 
 CBC *encryption* is prefix-preserving: ciphertext block *i* depends only
 on plaintext blocks ``<= i`` and the IV.  So a page rewrite whose first

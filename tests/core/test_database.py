@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.database import EncipheredDatabase
 from repro.crypto.base import CountingCipher
-from repro.crypto.des import TABLE_BUILD_CALLS, schedule_derivations
+from repro.crypto.des import TABLE_BUILD_CALLS, schedule_derivations, set_default_kernel
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import (
@@ -135,8 +135,15 @@ class TestSuperblockSecurity:
         db.delete(3)
         assert schedule_derivations() == before
 
-    def test_close_releases_record_cipher_tables(self, db):
+    def test_close_releases_record_cipher_tables(self, cipher):
+        # round tables belong to the fast kernel; openssl builds none
+        previous = set_default_kernel("fast")
+        try:
+            db = EncipheredDatabase.create(OvalSubstitution(DESIGN, t=5), cipher)
+        finally:
+            set_default_kernel(previous)
         des = db.records._transform._des
+        assert des.kernel == "fast"
         for k in range(TABLE_BUILD_CALLS + 1):
             db.insert(k, b"x")
         assert des._tables is not None  # every record write is a bulk call

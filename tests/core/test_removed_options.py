@@ -12,13 +12,19 @@ the pool on, and no benchmark warmed a cache.  Observability keeps only
 its latency histograms: key-range heat (which counted operations by
 plaintext key band), the tracer's recent-span ring, slow-op log and
 span counters, gauges and the runtime on/off switch are gone, with the
-keywords that configured them.
+keywords that configured them.  The numpy ``"vector"`` DES kernel is
+gone too, replaced by ``"openssl"``: asking for it by ``DES(kernel=)``,
+``set_default_kernel`` or ``REPRO_DES_KERNEL`` raises ``KeyError_``, and
+nothing in the package imports numpy any more.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,8 +34,11 @@ import repro.obs.metrics
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
+from repro.crypto import des as des_module
+from repro.crypto.des import DES, default_kernel, set_default_kernel
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.exceptions import KeyError_
 from repro.obs import INSTRUMENTS, MetricsRegistry, ObsConfig, Observability, Tracer
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.cache import LRUCache
@@ -224,3 +233,48 @@ class TestRemovedOptions:
         assert sorted(db.cache_config()) == [
             "node_decoded_blocks", "node_raw_blocks", "record_plaintext_blocks",
         ]
+
+
+def _run_python(script: str, **env_extra: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter with this checkout's ``src`` on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_DES_KERNEL"}
+    env.update(env_extra)
+    here = os.path.dirname(os.path.abspath(des_module.__file__))
+    src = os.path.join(here, "..", "..")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+
+
+class TestRemovedVectorKernel:
+    def test_des_kernel_vector_raises(self):
+        with pytest.raises(KeyError_):
+            DES(b"k" * 8, kernel="vector")
+
+    def test_set_default_kernel_vector_raises(self):
+        before = default_kernel()
+        with pytest.raises(KeyError_):
+            set_default_kernel("vector")
+        assert default_kernel() == before
+
+    def test_env_var_vector_fails_at_import(self):
+        done = _run_python("import repro.crypto.des", REPRO_DES_KERNEL="vector")
+        assert done.returncode != 0
+        assert "KeyError_" in done.stderr and "REPRO_DES_KERNEL" in done.stderr
+
+    def test_vector_names_are_gone(self):
+        assert importlib.util.find_spec("repro.crypto.vector") is None
+        for name in ("VectorDESKernel", "vector_available", "MIN_VECTOR_BLOCKS",
+                     "_build_round_tables_py"):
+            assert not hasattr(des_module, name), name
+
+    def test_no_module_imports_numpy(self):
+        done = _run_python(
+            "import importlib, pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "print('numpy' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]

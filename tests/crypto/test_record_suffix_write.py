@@ -26,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import RecordStore, _RecordBlockTransform
-from repro.crypto.des import DES, ReferenceDESKernel, vector_available
+from repro.crypto.des import DES, ReferenceDESKernel, openssl_available
 from repro.crypto.modes import CBCCipher, cbc_encrypt_suffix
 from repro.exceptions import CryptoError
 
-BULK_KERNELS = ("fast",) + (("vector",) if vector_available() else ())
+BULK_KERNELS = ("fast",) + (("openssl",) if openssl_available() else ())
 KERNELS = ("reference",) + BULK_KERNELS
 BLOCK_SIZES = (512, 4096)
 RECORD_SIZE = 120

@@ -1,12 +1,12 @@
-"""Key-specific DES round tables: kernel parity and the build policy.
+"""Key-specific DES round tables: fast-kernel parity and the build policy.
 
-A :class:`~repro.crypto.des.DES` object runs the key-independent rounds
-until it has made :data:`~repro.crypto.des.TABLE_BUILD_CALLS` bulk calls of
-at least :data:`~repro.crypto.des.MIN_VECTOR_BLOCKS` blocks, then builds
-:class:`~repro.crypto.des.RoundTables` that both bulk kernels share.
-Either way every output must equal the FIPS reference kernel's, in both
-directions and in CBC.  The buffer sizes below straddle the vector
-crossover, on objects before and after their build.
+A ``fast`` :class:`~repro.crypto.des.DES` object runs the key-independent
+rounds until it has made :data:`~repro.crypto.des.TABLE_BUILD_CALLS` bulk
+calls of at least :data:`~repro.crypto.des.MIN_COUNTED_BLOCKS` blocks,
+then builds :class:`~repro.crypto.des.RoundTables`.  Either way every
+output must equal the FIPS reference kernel's, in both directions and in
+CBC, on objects before and after their build.  An ``openssl`` object
+never builds tables.
 """
 
 from __future__ import annotations
@@ -21,28 +21,26 @@ from hypothesis import strategies as st
 
 from repro.btree.node import Node
 from repro.core.codecs import PageKeyNodeCodec
-from repro.crypto import des as des_module
 from repro.crypto.des import (
     DES,
-    MIN_VECTOR_BLOCKS,
+    MIN_COUNTED_BLOCKS,
     TABLE_BUILD_CALLS,
     ReferenceDESKernel,
     RoundTables,
+    openssl_available,
     schedule_derivations,
-    vector_available,
 )
 from repro.crypto.modes import CBCCipher
 from repro.crypto.pagekey import PageKeyScheme
 
-KERNELS = ("fast",) + (("vector",) if vector_available() else ())
 MAX_BLOCKS = 400
 #: The smallest bulk call that counts towards the build.
-COUNTED = bytes(8 * MIN_VECTOR_BLOCKS)
+COUNTED = bytes(8 * MIN_COUNTED_BLOCKS)
 
 
-def _des(key: bytes, kernel: str, tables: bool) -> DES:
-    """A DES on ``kernel`` that has (or has not yet) built its tables."""
-    des = DES(key, kernel=kernel)
+def _des(key: bytes, tables: bool) -> DES:
+    """A ``fast`` DES that has (or has not yet) built its tables."""
+    des = DES(key, kernel="fast")
     if tables:
         for _ in range(TABLE_BUILD_CALLS + 1):
             des.encrypt_blocks(COUNTED)
@@ -76,10 +74,10 @@ def _reference_block(des: DES, block: bytes, decrypt: bool = False) -> bytes:
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=30, deadline=None)
-def test_every_kernel_matches_the_reference(key, nblocks, seed):
-    """ECB both ways and CBC both ways, bare and tabled, on every kernel.
+def test_bare_and_tabled_rounds_match_the_reference(key, nblocks, seed):
+    """ECB both ways and CBC both ways, bare and tabled.
 
-    The kernels must agree on the whole buffer; the reference kernel
+    Both schedules must agree on the whole buffer; the reference kernel
     (bit by bit, slow) checks sampled blocks of each output, which pins
     the whole buffer since ECB is blockwise and CBC block i depends only
     on plaintext i and ciphertext i-1.
@@ -88,18 +86,17 @@ def test_every_kernel_matches_the_reference(key, nblocks, seed):
     data = rng.randbytes(8 * nblocks)
     iv = rng.randbytes(8)
     outputs = set()
-    for kernel in KERNELS:
-        for tables in (False, True):
-            des = _des(key, kernel, tables)
-            ecb = des.encrypt_blocks(data)
-            cbc = des.cbc_encrypt_blocks(data, iv)
-            assert des.decrypt_blocks(ecb) == data
-            # the key-independent rounds at every size, whatever the object built
-            assert des._kernel.crypt_blocks(data, des._subkeys) == ecb
-            assert des._kernel.cbc_encrypt(data, des._subkeys, iv) == cbc
-            padded = CBCCipher(des, iv)
-            assert padded.decrypt(padded.encrypt(data)) == data
-            outputs.add((ecb, cbc, des.decrypt_blocks(data)))
+    for tables in (False, True):
+        des = _des(key, tables)
+        ecb = des.encrypt_blocks(data)
+        cbc = des.cbc_encrypt_blocks(data, iv)
+        assert des.decrypt_blocks(ecb) == data
+        # the key-independent rounds at every size, whatever the object built
+        assert des._kernel.crypt_blocks(data, des._subkeys) == ecb
+        assert des._kernel.cbc_encrypt(data, des._subkeys, iv) == cbc
+        padded = CBCCipher(des, iv)
+        assert padded.decrypt(padded.encrypt(data)) == data
+        outputs.add((ecb, cbc, des.decrypt_blocks(data)))
     assert len(outputs) == 1
     ecb, cbc, dec = outputs.pop()
     oracle = DES(key)
@@ -127,16 +124,14 @@ def test_reference_kernel_cbc_chains_its_own_blocks():
 class TestBuildPolicy:
     KEY = b"\x2b" * 8
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_single_blocks_never_build(self, kernel):
-        des = DES(self.KEY, kernel=kernel)
+    def test_single_blocks_never_build(self):
+        des = DES(self.KEY, kernel="fast")
         for i in range(4 * TABLE_BUILD_CALLS):
             des.decrypt_block(des.encrypt_block(i.to_bytes(8, "big")))
         assert des._tables is None
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_builds_on_the_call_after_the_count(self, kernel):
-        des = DES(self.KEY, kernel=kernel)
+    def test_builds_on_the_call_after_the_count(self):
+        des = DES(self.KEY, kernel="fast")
         for i in range(TABLE_BUILD_CALLS - 1):
             [des.encrypt_blocks, des.decrypt_blocks][i % 2](COUNTED)
             des.cbc_encrypt_blocks(COUNTED[8:], bytes(8))  # too short to count
@@ -147,23 +142,21 @@ class TestBuildPolicy:
         assert des._tables is not None
         assert schedule_derivations() == before  # tables reuse the schedule
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_short_calls_never_build(self, kernel):
+    def test_short_calls_never_build(self):
         """A commit's 3-block superblock, however many commits."""
-        des = DES(self.KEY, kernel=kernel)
+        des = DES(self.KEY, kernel="fast")
         for _ in range(4 * TABLE_BUILD_CALLS):
             des.cbc_encrypt_blocks(COUNTED[8:], bytes(8))
             des.decrypt_blocks(COUNTED[8:])
         assert des._tables is None
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_a_first_call_never_builds(self, kernel):
+    def test_a_first_call_never_builds(self):
         """However big: one 4096-byte page is 512 blocks."""
         for call in ("encrypt_blocks", "decrypt_blocks"):
-            des = DES(self.KEY, kernel=kernel)
+            des = DES(self.KEY, kernel="fast")
             getattr(des, call)(bytes(4096))
             assert des._tables is None
-        des = DES(self.KEY, kernel=kernel)
+        des = DES(self.KEY, kernel="fast")
         des.cbc_encrypt_blocks(bytes(4096), bytes(8))
         assert des._tables is None
 
@@ -187,7 +180,7 @@ class TestBuildPolicy:
 
     def test_the_reference_kernel_gets_bare_subkeys(self, builds):
         """A swapped-in reference kernel reads no tables, so none are built."""
-        des = DES(self.KEY)
+        des = DES(self.KEY, kernel="fast")
         des._kernel = ReferenceDESKernel
         for _ in range(TABLE_BUILD_CALLS + 1):
             assert des.decrypt_blocks(des.encrypt_blocks(COUNTED)) == COUNTED
@@ -195,7 +188,7 @@ class TestBuildPolicy:
         assert builds == []
 
     def test_release_drops_the_tables_and_the_count(self):
-        des = _des(self.KEY, "fast", tables=True)
+        des = _des(self.KEY, tables=True)
         ct = des.encrypt_blocks(COUNTED)
         des.release_tables()
         assert des._tables is None
@@ -203,27 +196,29 @@ class TestBuildPolicy:
         assert des._tables is None  # one call is below the count again
 
     def test_decryption_shares_the_encryption_buffer(self):
-        des = _des(self.KEY, "fast", tables=True)
+        des = _des(self.KEY, tables=True)
         encrypt, decrypt = des._tables
         assert decrypt.buffer is encrypt.buffer
-        assert list(decrypt.order) == list(reversed(encrypt.order))
         assert decrypt.subkeys == des._subkeys_dec
         assert encrypt.subkeys == des._subkeys
         assert decrypt.rounds == encrypt.rounds[::-1]
 
     def test_a_keys_tables_take_at_most_256_kib(self):
-        encrypt, _ = _des(self.KEY, "fast", tables=True)._tables
+        encrypt, _ = _des(self.KEY, tables=True)._tables
         assert memoryview(encrypt.buffer).nbytes <= 256 * 1024
 
     def test_tables_die_with_their_object(self):
-        des = _des(self.KEY, "fast", tables=True)
+        des = _des(self.KEY, tables=True)
         buffer = weakref.ref(des._tables[0].buffer)
         del des
         gc.collect()
         assert buffer() is None
 
-    @pytest.mark.skipif(not vector_available(), reason="numpy not importable")
-    def test_pure_python_build_equals_the_numpy_build(self):
-        subkeys = DES(self.KEY)._subkeys
-        numpy_tables = des_module._build_round_tables(subkeys)
-        assert des_module._build_round_tables_py(subkeys).tobytes() == numpy_tables.tobytes()
+    @pytest.mark.skipif(not openssl_available(), reason="cryptography not installed")
+    def test_openssl_objects_never_build(self, builds):
+        """OpenSSL keeps its own schedule: no tables, however many calls."""
+        des = DES(self.KEY, kernel="openssl")
+        for _ in range(4 * TABLE_BUILD_CALLS):
+            assert des.decrypt_blocks(des.encrypt_blocks(COUNTED)) == COUNTED
+        assert des._tables is None
+        assert builds == []

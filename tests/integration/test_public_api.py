@@ -106,10 +106,11 @@ class TestSurface:
                 try:
                     module = importlib.import_module(info.name)
                 except ImportError:
-                    # a module gated on an optional dependency (e.g.
-                    # repro.crypto.vector without numpy) is allowed to
-                    # refuse import; its docstring is checked on hosts
-                    # that have the dependency
+                    # a module gated on an optional dependency is
+                    # allowed to refuse import; its docstring is checked
+                    # on hosts that have the dependency (no module is
+                    # gated today: the openssl DES kernel falls back to
+                    # fast inside repro.crypto.des)
                     continue
                 assert module.__doc__, f"{info.name} lacks a module docstring"
                 if info.ispkg:
