@@ -18,6 +18,10 @@ serialised it on the GIL.  This experiment measures the two remedies:
    key's round tables (its key first makes the ``TABLE_BUILD_CALLS``
    bulk calls that earn them); a second table reports the table build's
    cost and the fast kernel's us/block with and without the tables.
+   A third table prices one RSA-128 pointer decrypt -- the paper's
+   per-node cost -- on GMP's ``mpz_powm`` against CPython's ``pow``,
+   asserted identical to ``pow(c, d, n)``; where libgmp loads, GMP must
+   be >= 3x faster (``C10_GMP_FLOOR`` tunes the bar).
 2. **Executor backends.**  The same range-query workload through the
    cluster's ``serial`` and ``processes`` executors, with byte-identical
    results and identical cipher-operation deltas asserted across both.
@@ -40,6 +44,7 @@ from __future__ import annotations
 import os
 import random
 import time
+from contextlib import nullcontext
 from unittest.mock import patch
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
@@ -55,7 +60,8 @@ from repro.crypto.des import (
     default_kernel,
     openssl_available,
 )
-from repro.crypto.rsa import RSA, generate_rsa_keypair
+from repro.crypto import rsa as rsa_module
+from repro.crypto.rsa import RSA, generate_rsa_keypair, gmp_available
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
 from repro.substitution.oval import OvalSubstitution
@@ -68,6 +74,8 @@ NUM_KEYS = int(os.environ.get("C10_N", "1200"))
 NUM_QUERIES = int(os.environ.get("C10_QUERIES", "120"))
 E2E_QUERIES = int(os.environ.get("C10_E2E_QUERIES", "12"))
 OPENSSL_FLOOR = float(os.environ.get("C10_OPENSSL_FLOOR", "3.0"))
+GMP_FLOOR = float(os.environ.get("C10_GMP_FLOOR", "3.0"))
+RSA_DECRYPTS = 2000
 NUM_SHARDS = 4
 QUERY_WIDTH = 40
 BACKENDS = ("serial", "processes")
@@ -199,6 +207,30 @@ def _round_table_costs(payload: bytes) -> dict[str, float]:
     }
 
 
+def _rsa_decrypt_costs() -> dict[str, float]:
+    """us per RSA-128 pointer decrypt on each available backend (best of
+    5 runs over the same cryptograms), identical results asserted."""
+    keypair = generate_rsa_keypair(bits=128, rng=random.Random(0xC10A))
+    cipher = RSA(keypair)
+    rng = random.Random(0xC10B)
+    values = [rng.randrange(keypair.n) for _ in range(RSA_DECRYPTS)]
+
+    def decrypt_all():
+        return [cipher.decrypt_int(c) for c in values]
+
+    costs: dict[str, float] = {}
+    outputs: dict[str, list[int]] = {}
+    for backend in ("gmp", "pow") if gmp_available() else ("pow",):
+        on_pow = backend == "pow"
+        with patch.object(rsa_module, "_scratch", None) if on_pow else nullcontext():
+            outputs[backend] = decrypt_all()
+            costs[backend] = _best_us(decrypt_all) / len(values)
+    expected = [pow(c, keypair.d, keypair.n) for c in values]
+    for backend, output in outputs.items():
+        assert output == expected, f"{backend} RSA decrypts diverge from pow"
+    return costs
+
+
 # -- part 2: executor backends ---------------------------------------------
 
 
@@ -319,6 +351,24 @@ def test_c10_crypto_throughput(benchmark, reporter):
         ["measure", "us"],
         [[name, f"{value:,.2f}"] for name, value in table_costs.items()],
     )
+    rsa_costs = _rsa_decrypt_costs()
+    gmp_speedup = rsa_costs["pow"] / rsa_costs["gmp"] if "gmp" in rsa_costs else None
+    reporter.table(
+        f"RSA-128 pointer decrypt (Garner CRT), {RSA_DECRYPTS} cryptograms, "
+        "best of 5 (results identical to pow(c, d, n) asserted"
+        + ("" if gmp_available() else "; libgmp not loadable, no gmp arm")
+        + ")",
+        ["backend", "us/decrypt", "vs pow"],
+        [
+            [backend, f"{us:.2f}", f"{rsa_costs['pow'] / us:.2f}x"]
+            for backend, us in rsa_costs.items()
+        ],
+    )
+    if gmp_speedup is not None:
+        assert gmp_speedup >= GMP_FLOOR, (
+            f"GMP RSA decrypt only {gmp_speedup:.1f}x pow; floor {GMP_FLOOR}x"
+        )
+
     assert speedup_bulk >= 2.0, (
         f"fast kernel only {speedup_bulk:.1f}x the reference (bulk encrypt)"
     )
@@ -392,6 +442,13 @@ def test_c10_crypto_throughput(benchmark, reporter):
             "openssl_available": openssl_available(),
             "speedup_openssl_vs_fast": openssl_speedups,
             "round_tables": table_costs,
+        },
+        "rsa_pointer_decrypt": {
+            "bits": 128,
+            "decrypts": RSA_DECRYPTS,
+            "gmp_available": gmp_available(),
+            "us_per_decrypt": rsa_costs,
+            "speedup_gmp_vs_pow": gmp_speedup,
         },
         "cluster_range_queries": {
             "wall_clock_s": wall,

@@ -31,14 +31,19 @@ def multiplier_shift(ds: DifferenceSet, t: int) -> int | None:
     shift exists (i.e. ``t`` is not a numerical multiplier)."""
     if gcd(t % ds.v, ds.v) != 1:
         raise DesignError(f"{t} is not a unit modulo {ds.v}")
-    image = sorted(r * t % ds.v for r in ds.residues)
+    v = ds.v
+    image = {r * t % v for r in ds.residues}
     base = sorted(ds.residues)
-    # t*D = D + s iff the sorted image equals some translate of D;
-    # candidate shifts are image[i] - base[0] for each rotation alignment.
-    for anchor in image:
-        s = (anchor - base[0]) % ds.v
-        if sorted((r + s) % ds.v for r in base) == image:
-            return s
+    # t*D = D + s puts both base[0] + s and base[-1] + s in the image, so
+    # only an anchor a with a + d in the image can give s = a - base[0];
+    # each such candidate is confirmed against the whole translate (of
+    # the same size as the image, so inclusion is equality).
+    d = base[-1] - base[0]
+    for anchor in sorted(image):
+        if (anchor + d) % v in image:
+            s = (anchor - base[0]) % v
+            if all((r + s) % v in image for r in base):
+                return s
     return None
 
 

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 import pytest
 
-from repro.designs.difference_sets import singer_difference_set
+from repro.designs.difference_sets import (
+    DifferenceSet,
+    planar_difference_set,
+    singer_difference_set,
+)
 from repro.designs.multipliers import (
     is_numerical_multiplier,
     multiplier_shift,
@@ -74,3 +80,53 @@ class TestOvalParameterGuidance:
         multipliers = numerical_multipliers(paper_design)
         good = non_multiplier_units(paper_design)
         assert len(multipliers) + len(good) == 12  # phi(13)
+
+
+def _brute_force_shift(ds, t):
+    """The exhaustive search: every image element as the anchor of a
+    translate, each translate sorted and compared."""
+    image = sorted(r * t % ds.v for r in ds.residues)
+    base = sorted(ds.residues)
+    for anchor in image:
+        s = (anchor - base[0]) % ds.v
+        if sorted((r + s) % ds.v for r in base) == image:
+            return s
+    return None
+
+
+def _units(v):
+    return [t for t in range(1, v) if gcd(t, v) == 1]
+
+
+class TestShiftSearch:
+    """The difference-filtered shift search agrees with brute force."""
+
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+    def test_planar_orders_match_brute_force(self, order):
+        ds = planar_difference_set(order)
+        units = _units(ds.v)
+        shifts = [_brute_force_shift(ds, t) for t in units]
+        assert [multiplier_shift(ds, t) for t in units] == shifts
+        assert non_multiplier_units(ds) == [
+            t for t, s in zip(units, shifts) if t > 1 and s is None
+        ]
+
+    def test_order_37_matches_brute_force(self):
+        ds = planar_difference_set(37)  # v = 1407, the engine's design
+        units = _units(ds.v)
+        for t in units:
+            assert multiplier_shift(ds, t) == _brute_force_shift(ds, t), t
+        # phi(1407) = 792 units, three of them multipliers (1, 37, 37^2)
+        assert len(non_multiplier_units(ds)) == 789
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            DifferenceSet(tuple(range(1, 7)), 7, 5),  # a point's complement
+            DifferenceSet((3,), 7, 0),  # one residue: every unit shifts it
+            DifferenceSet((0, 1, 2, 3, 4, 5, 6), 7, 7),  # all of Z_7
+        ],
+    )
+    def test_degenerate_sets_match_brute_force(self, ds):
+        for t in _units(ds.v):
+            assert multiplier_shift(ds, t) == _brute_force_shift(ds, t)
