@@ -1,9 +1,8 @@
-"""C10 -- crypto kernel throughput and executor wall-clock.
+"""C10 -- crypto kernel throughput and its end-to-end effect.
 
-PR 2 made the *count* of cipher operations on a range query small and
-parallel (C8: ~2.9x shorter critical path), but the wall clock barely
-moved: pure-Python DES dominated the hot path and a thread pool
-serialised it on the GIL.  This experiment measures the two remedies:
+PR 2 made the *count* of cipher operations on a range query small
+(C8), but the wall clock barely moved: pure-Python DES dominated the
+hot path.  This experiment measures the remedy, the cipher kernels:
 
 1. **Kernel throughput.**  Single-thread DES blocks/sec for the
    clarity-first :class:`ReferenceDESKernel` (timed directly: it is the
@@ -22,21 +21,12 @@ serialised it on the GIL.  This experiment measures the two remedies:
    per-node cost -- on GMP's ``mpz_powm`` against CPython's ``pow``,
    asserted identical to ``pow(c, d, n)``; where libgmp loads, GMP must
    be >= 3x faster (``C10_GMP_FLOOR`` tunes the bar).
-2. **Executor backends.**  The same range-query workload through the
-   cluster's ``serial`` and ``processes`` executors, with byte-identical
-   results and identical cipher-operation deltas asserted across both.
-   Reported alongside the measured wall
-   clock: the serially-measured per-shard *critical path* (what
-   parallel hardware can reach) and the honest CPU count -- on a
-   single-core container the process pool cannot beat serial, and the
-   numbers say so rather than pretend.
-3. **End to end.**  Mean per-query time of the PR-3 configuration
-   (reference kernel, serial fan-out) vs the current one (default
-   kernel, process fan-out): the user-visible speedup of the whole
-   stack.
+2. **End to end.**  Mean per-query time of a 4-shard cluster's range
+   queries on the reference DES kernel vs the default one: the
+   user-visible speedup of the whole stack.
 
-``C10_BLOCKS``, ``C10_N``, ``C10_QUERIES``, ``C10_E2E_QUERIES`` (env
-vars) shrink the workload for CI smoke runs.
+``C10_BLOCKS``, ``C10_N``, ``C10_E2E_QUERIES`` (env vars) shrink the
+workload for CI smoke runs.
 """
 
 from __future__ import annotations
@@ -48,7 +38,6 @@ from contextlib import nullcontext
 from unittest.mock import patch
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
-from repro.cluster.stats import subtract_counter_dicts
 from repro.crypto import des as des_module
 from repro.crypto.des import (
     DES,
@@ -71,14 +60,12 @@ UNITS = non_multiplier_units(DESIGN)
 
 NUM_BLOCKS = int(os.environ.get("C10_BLOCKS", "3000"))
 NUM_KEYS = int(os.environ.get("C10_N", "1200"))
-NUM_QUERIES = int(os.environ.get("C10_QUERIES", "120"))
 E2E_QUERIES = int(os.environ.get("C10_E2E_QUERIES", "12"))
 OPENSSL_FLOOR = float(os.environ.get("C10_OPENSSL_FLOOR", "3.0"))
 GMP_FLOOR = float(os.environ.get("C10_GMP_FLOOR", "3.0"))
 RSA_DECRYPTS = 2000
 NUM_SHARDS = 4
 QUERY_WIDTH = 40
-BACKENDS = ("serial", "processes")
 KERNELS = ("reference", "fast") + (("openssl",) if openssl_available() else ())
 
 
@@ -90,7 +77,7 @@ def _cipher_factory(shard: int) -> RSA:
     return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xC100 + shard)))
 
 
-def _new_cluster(executor: str) -> ShardedEncipheredDatabase:
+def _new_cluster() -> ShardedEncipheredDatabase:
     return ShardedEncipheredDatabase.create(
         _sub_factory,
         _cipher_factory,
@@ -99,7 +86,6 @@ def _new_cluster(executor: str) -> ShardedEncipheredDatabase:
         block_size=512,
         min_degree=4,
         cache_blocks=64,
-        executor=executor,
     )
 
 
@@ -231,59 +217,7 @@ def _rsa_decrypt_costs() -> dict[str, float]:
     return costs
 
 
-# -- part 2: executor backends ---------------------------------------------
-
-
-def _measure_backends(items, queries):
-    clusters = {name: _new_cluster(name) for name in BACKENDS}
-    wall: dict[str, float] = {}
-    results: dict[str, list] = {}
-    deltas: dict[str, dict] = {}
-    try:
-        for cluster in clusters.values():
-            cluster.bulk_load(items)
-        for cluster in clusters.values():
-            cluster.range_search(*queries[0])  # warm pools, ship specs
-        for name, cluster in clusters.items():
-            before = cluster.stats().aggregate
-            start = time.perf_counter()
-            results[name] = [cluster.range_search(lo, hi) for lo, hi in queries]
-            wall[name] = time.perf_counter() - start
-            after = cluster.stats().aggregate
-            deltas[name] = {
-                "pointer_cipher": subtract_counter_dicts(
-                    after["pointer_cipher"], before["pointer_cipher"]
-                ),
-                "record_cipher": subtract_counter_dicts(
-                    after["record_cipher"], before["record_cipher"]
-                ),
-            }
-
-        # the critical path: each shard's share timed separately (what a
-        # core per shard would run concurrently), measured on the serial
-        # cluster after the stats comparison so it pollutes no deltas
-        critical = 0.0
-        for lo, hi in queries:
-            shard_times = []
-            for shard in clusters["serial"].shards:
-                start = time.perf_counter()
-                shard.range_search(lo, hi)
-                shard_times.append(time.perf_counter() - start)
-            critical += max(shard_times)
-    finally:
-        for cluster in clusters.values():
-            cluster.close()
-
-    assert results["serial"] == results["processes"], (
-        "executor backends returned different results"
-    )
-    assert deltas["serial"] == deltas["processes"], (
-        f"executor backends did different cipher work: {deltas}"
-    )
-    return wall, critical, deltas["serial"], len(results["serial"][0])
-
-
-# -- part 3: end to end ----------------------------------------------------
+# -- part 2: end to end ----------------------------------------------------
 
 
 def _mean_query_time(cluster, queries) -> float:
@@ -294,26 +228,22 @@ def _mean_query_time(cluster, queries) -> float:
 
 
 def _end_to_end(items, queries):
-    """PR-3 stack (reference kernel, serial) vs the current one (default
-    kernel, processes)."""
-    # the whole run stays patched: codecs may build DES objects lazily
-    with _reference_kernel_as_default():
-        baseline = _new_cluster("serial")
-        try:
-            baseline.bulk_load(items)
-            baseline.range_search(*queries[0])
-            reference_serial = _mean_query_time(baseline, queries)
-        finally:
-            baseline.close()
-
-    current = _new_cluster("processes")
-    try:
-        current.bulk_load(items)
-        current.range_search(*queries[0])
-        current_processes = _mean_query_time(current, queries)
-    finally:
-        current.close()
-    return reference_serial, current_processes
+    """Mean s/query on the reference kernel vs the default one, with
+    identical results asserted."""
+    times, results = [], []
+    for on_reference in (True, False):
+        # the whole run stays patched: codecs may build DES objects lazily
+        with _reference_kernel_as_default() if on_reference else nullcontext():
+            cluster = _new_cluster()
+            try:
+                cluster.bulk_load(items)
+                cluster.range_search(*queries[0])
+                times.append(_mean_query_time(cluster, queries))
+                results.append([cluster.range_search(lo, hi) for lo, hi in queries])
+            finally:
+                cluster.close()
+    assert results[0] == results[1], "the kernels returned different results"
+    return times[0], times[1], len(results[1][0])
 
 
 def test_c10_crypto_throughput(benchmark, reporter):
@@ -388,49 +318,28 @@ def test_c10_crypto_throughput(benchmark, reporter):
         )
         assert openssl_speedups["decrypt_bulk_vs_fast"] >= OPENSSL_FLOOR
 
-    # -- executors -------------------------------------------------------
-    items = _items()
-    queries = _queries(NUM_QUERIES)
-    wall, critical, cipher_delta, first_matches = _measure_backends(items, queries)
-    cpus = os.cpu_count() or 1
-    speedup = {name: wall["serial"] / wall[name] for name in BACKENDS}
-    speedup_critical = wall["serial"] / critical
-    reporter.table(
-        f"{NUM_QUERIES} range queries of width {QUERY_WIDTH} over {NUM_KEYS} "
-        f"keys, {NUM_SHARDS} hash-routed shards, {default_kernel()} kernel, "
-        f"{cpus} CPU(s); "
-        "results and cipher-op deltas identical across backends",
-        ["executor", "elapsed (s)", "vs serial"],
-        [
-            ["serial", f"{wall['serial']:.3f}", "1.00x"],
-            ["processes", f"{wall['processes']:.3f}", f"{speedup['processes']:.2f}x"],
-            ["critical path (1 core/shard)", f"{critical:.3f}",
-             f"{speedup_critical:.2f}x"],
-        ],
-    )
-
     # -- end to end ------------------------------------------------------
-    e2e_queries = _queries(NUM_QUERIES)[:E2E_QUERIES]
-    reference_serial, current_processes = _end_to_end(items, e2e_queries)
-    e2e_speedup = reference_serial / current_processes
+    items = _items()
+    e2e_queries = _queries(E2E_QUERIES)
+    reference_s, default_s, first_matches = _end_to_end(items, e2e_queries)
+    e2e_speedup = reference_s / default_s
     reporter.table(
-        f"end to end: mean range-query latency over {len(e2e_queries)} queries",
-        ["stack", "s/query", "speedup"],
+        f"end to end: mean latency of {len(e2e_queries)} range queries of "
+        f"width {QUERY_WIDTH} over {NUM_KEYS} keys, {NUM_SHARDS} hash-routed "
+        f"shards (identical results asserted)",
+        ["kernel", "s/query", "speedup"],
         [
-            ["reference kernel + serial fan-out", f"{reference_serial:.4f}", "1.00x"],
-            [f"{default_kernel()} kernel + process fan-out", f"{current_processes:.4f}",
-             f"{e2e_speedup:.2f}x"],
+            ["reference", f"{reference_s:.4f}", "1.00x"],
+            [default_kernel(), f"{default_s:.4f}", f"{e2e_speedup:.2f}x"],
         ],
     )
     assert e2e_speedup > 1.8, (
-        f"the full stack gained only {e2e_speedup:.2f}x over the PR-3 baseline"
+        f"the default kernel gained only {e2e_speedup:.2f}x over the reference"
     )
 
     reporter.metrics({
-        "cpus": cpus,
         "num_shards": NUM_SHARDS,
         "num_keys": NUM_KEYS,
-        "num_queries": NUM_QUERIES,
         "query_width": QUERY_WIDTH,
         "matches_first_query": first_matches,
         "kernel_throughput": {
@@ -450,20 +359,11 @@ def test_c10_crypto_throughput(benchmark, reporter):
             "us_per_decrypt": rsa_costs,
             "speedup_gmp_vs_pow": gmp_speedup,
         },
-        "cluster_range_queries": {
-            "wall_clock_s": wall,
-            "speedup_processes_over_serial": speedup["processes"],
-            "critical_path_s": critical,
-            "speedup_critical_path": speedup_critical,
-            "results_identical_across_backends": True,
-            "cipher_deltas_identical_across_backends": True,
-            "cipher_delta_per_backend": cipher_delta,
-        },
         "end_to_end": {
             "queries": len(e2e_queries),
-            "reference_kernel_serial_s_per_query": reference_serial,
+            "reference_kernel_s_per_query": reference_s,
             "default_kernel": default_kernel(),
-            "default_kernel_processes_s_per_query": current_processes,
+            "default_kernel_s_per_query": default_s,
             "speedup": e2e_speedup,
         },
     })

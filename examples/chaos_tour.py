@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
-"""A tour of the fault-tolerance plane added in PR 10.
+"""A tour of the fault-tolerance plane.
 
-The engine now assumes its devices and workers *will* misbehave, and
-makes the misbehaviour reproducible: a seeded fault plan
+The engine assumes its devices *will* misbehave, and makes the
+misbehaviour reproducible: a seeded fault plan
 (:class:`repro.faults.FaultPlan`) injects transient errors, torn
 writes, latency and permanent failures at the block-device seam, a
 capped-backoff :class:`repro.faults.RetryPolicy` heals what can be
-healed, the process executor supervises its workers (heartbeats, op
-deadlines, bounded respawn), and the cluster tracks per-shard health
-(healthy -> degraded -> quarantined) so a dying shard degrades
-gracefully instead of wedging the fleet.  This example walks through
-all of it:
+healed, and the cluster tracks per-shard health (healthy -> degraded
+-> quarantined) so a dying shard degrades gracefully instead of
+wedging the fleet.  This example walks through all of it:
 
 1. arm a transient-fault schedule on one database and watch the retry
    loop heal it byte-for-byte;
-2. kill a worker process mid ``put_many`` offload and watch the parent
-   rescue the batch and respawn the worker;
-3. fail a shard's devices permanently and watch the cluster quarantine
+2. fail a shard's devices permanently and watch the cluster quarantine
    it, fail fast with the typed error, then serve explicit partial
    reads once ``degraded_reads=True`` opts in;
-4. revive the shard and show full service restored.
+3. revive the shard and show full service restored.
 
 Run:  PYTHONPATH=src python examples/chaos_tour.py
 """
@@ -76,28 +72,8 @@ def main() -> None:
     print(f"  operations lost           : 0 (by construction)")
     db.close()
 
-    # -- 2. a worker dies mid-offload ------------------------------------
-    print("\n=== 2. worker killed mid put_many offload ===")
-    cluster = ShardedEncipheredDatabase.create(
-        sub_factory, cipher_factory, num_shards=3, router="hash",
-        block_size=512, min_degree=2, executor="processes",
-    )
-    cluster.put_many([(k, f"rec-{k}".encode()) for k in range(0, 120, 2)])
-    cluster.range_search(0, DESIGN.v)  # spawn + ship every worker
-    procs = cluster._process_pool()
-    procs.inject_worker_fault(1, crash_after=1)  # next op: os._exit(17)
-    cluster.put_many([(k, f"rec-{k}".encode()) for k in range(1, 121, 2)])
-    stats = procs.sync_stats
-    print(f"  worker deaths             : {stats['worker_deaths']}")
-    print(f"  respawns                  : {stats['respawns']}")
-    print(f"  rows after the crash      : {len(cluster)} (all {120} arrived)")
-    health = cluster.stats().health
-    print(f"  worker losses seen by health plane: "
-          f"{health['per_shard'][1]['worker_losses']}")
-    cluster.close()
-
-    # -- 3. permanent shard loss -> quarantine -> partial reads ----------
-    print("\n=== 3. permanent shard failure, graceful degradation ===")
+    # -- 2. permanent shard loss -> quarantine -> partial reads ----------
+    print("\n=== 2. permanent shard failure, graceful degradation ===")
     cluster = ShardedEncipheredDatabase.create(
         sub_factory, cipher_factory, num_shards=3, router="hash",
         block_size=512, min_degree=2, degraded_reads=True,
@@ -120,8 +96,8 @@ def main() -> None:
           f"complete={partial.complete}, missing shards={partial.missing_shards}")
     print("  " + cluster.stats().summary().splitlines()[-1].strip())
 
-    # -- 4. operator revives the shard -----------------------------------
-    print("\n=== 4. revive: device replaced, shard back in service ===")
+    # -- 3. operator revives the shard -----------------------------------
+    print("\n=== 3. revive: device replaced, shard back in service ===")
     for device in (cluster.shards[0].disk, cluster.shards[0].records.disk):
         device.attach_faults(None)  # "replace" the device
     cluster.health.revive(0)

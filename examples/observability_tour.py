@@ -95,7 +95,7 @@ def main() -> None:
     per_shard = [s["observability"]["latency"]["db.get"]["count"] for s in cstats.per_shard]
     merged = cstats.latency["db.get"]["count"]
     assert merged == sum(per_shard) == len(hot)
-    print("== cluster rollup (3 shards, serial executor) ==")
+    print("== cluster rollup (3 shards) ==")
     print(f"  db.get per shard {per_shard}, merged {merged}")
     print(f"  db.range_search merged: {cstats.latency['db.range_search']['count']} "
           "(one per shard the range fanned out to)")

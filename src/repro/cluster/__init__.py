@@ -14,38 +14,29 @@ platters cannot correlate block frequencies across shards.
   scope names) a durable backend stores beside its platters;
 * :mod:`repro.cluster.sharded` -- the
   :class:`~repro.cluster.sharded.ShardedEncipheredDatabase` engine
-  (serial or process-pool fan-out, per-shard key derivation,
-  cross-shard transactions);
-* :mod:`repro.cluster.executor` -- the process-pool backend: picklable
-  shard specs, one worker process per shard, merged counter rollups;
+  (one serial fan-out path, per-shard key derivation, cross-shard
+  transactions);
+* :mod:`repro.cluster.health` -- per-shard health state machines and
+  degraded reads;
 * :mod:`repro.cluster.stats` -- per-shard and aggregated counter rollups.
 
 Benchmark C8 (``benchmarks/bench_c8_sharding.py``) measures the
 cluster's write amplification, range-query speedup and cross-shard block
-indistinguishability; C10 (``benchmarks/bench_c10_crypto_throughput.py``)
-measures cipher-kernel throughput and the executor backends' wall-clock.
+indistinguishability.
 """
 
-from repro.cluster.executor import ProcessShardExecutor, ShardSpec
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter, ShardRouter
 from repro.cluster.sharded import ShardedEncipheredDatabase, derive_shard_key
-from repro.cluster.stats import (
-    ClusterStats,
-    merge_counter_dicts,
-    subtract_counter_dicts,
-)
+from repro.cluster.stats import ClusterStats, merge_counter_dicts
 
 __all__ = [
     "ClusterManifest",
     "ClusterStats",
     "HashRouter",
-    "ProcessShardExecutor",
     "RangeRouter",
     "ShardRouter",
-    "ShardSpec",
     "ShardedEncipheredDatabase",
     "derive_shard_key",
     "merge_counter_dicts",
-    "subtract_counter_dicts",
 ]

@@ -4,12 +4,11 @@ The cluster's graceful-degradation plane.  Every shard gets a tiny
 state machine fed by the outcomes of the operations that touch it:
 
 * ``healthy`` -- the steady state.  A few *consecutive* transient
-  failures (injected I/O errors, worker deaths absorbed by respawn)
-  push the shard to ``degraded``.
+  failures (I/O errors that outlived the device retries) push the
+  shard to ``degraded``.
 * ``degraded`` -- still serving, but on notice.  A streak of successes
-  recovers it to ``healthy``; continued failures, a permanent device
-  error, or an exhausted worker-respawn budget push it to
-  ``quarantined``.
+  recovers it to ``healthy``; continued failures or a permanent device
+  error push it to ``quarantined``.
 * ``quarantined`` -- out of service.  Cluster operations that need the
   shard fail fast with :class:`~repro.exceptions.ShardUnavailableError`;
   read fan-outs opted into ``degraded_reads=True`` skip it and return a
@@ -20,8 +19,8 @@ state machine fed by the outcomes of the operations that touch it:
 
 All transitions and counters are rolled up by :meth:`ClusterHealth.
 snapshot` into the ``health`` field of :class:`~repro.cluster.stats.
-ClusterStats`, alongside the executor's supervision counters, so a
-chaos test can assert the observed schedule exactly.
+ClusterStats`, so a chaos test can assert the observed schedule
+exactly.
 """
 
 from __future__ import annotations
@@ -32,16 +31,6 @@ from typing import Iterable, Sequence
 HEALTHY = "healthy"
 DEGRADED = "degraded"
 QUARANTINED = "quarantined"
-
-#: executor supervision counters mirrored into the health snapshot;
-#: zeros when the cluster runs without a process executor
-WORKER_FIELDS = (
-    "worker_deaths",
-    "op_timeouts",
-    "respawns",
-    "op_retries",
-    "heartbeats",
-)
 
 
 class PartialResult(list):
@@ -68,7 +57,7 @@ class _ShardHealth:
 
     __slots__ = (
         "state", "reason", "consec_failures", "consec_successes",
-        "transient_failures", "permanent_failures", "worker_losses",
+        "transient_failures", "permanent_failures",
         "times_degraded", "times_quarantined",
     )
 
@@ -79,7 +68,6 @@ class _ShardHealth:
         self.consec_successes = 0
         self.transient_failures = 0
         self.permanent_failures = 0
-        self.worker_losses = 0
         self.times_degraded = 0
         self.times_quarantined = 0
 
@@ -89,7 +77,6 @@ class _ShardHealth:
             "reason": self.reason,
             "transient_failures": self.transient_failures,
             "permanent_failures": self.permanent_failures,
-            "worker_losses": self.worker_losses,
             "times_degraded": self.times_degraded,
             "times_quarantined": self.times_quarantined,
         }
@@ -101,9 +88,9 @@ class ClusterHealth:
     ``degrade_after`` consecutive failures mark a shard degraded;
     ``quarantine_after`` consecutive failures (or any permanent error)
     quarantine it; ``recover_after`` consecutive successes bring a
-    degraded shard back.  The fan-out threads record outcomes
-    concurrently, so every transition happens under one lock -- with a
-    lock-free fast path for the overwhelmingly common case of a success
+    degraded shard back.  Client threads record outcomes concurrently,
+    so every transition happens under one lock -- with a lock-free fast
+    path for the overwhelmingly common case of a success
     on a shard with a clean slate.
     """
 
@@ -150,36 +137,25 @@ class ClusterHealth:
         with self._lock:
             shard = self._shards[index]
             shard.transient_failures += 1
-            self._record_failure_locked(index, shard, reason)
-
-    def record_worker_loss(self, index: int, reason: str = "") -> None:
-        """The shard's process worker died or hung; the parent absorbed it."""
-        with self._lock:
-            shard = self._shards[index]
-            shard.worker_losses += 1
-            self._record_failure_locked(index, shard, reason)
-
-    def _record_failure_locked(self, index: int, shard: _ShardHealth,
-                               reason: str) -> None:
-        self._dirty[index] = True
-        shard.consec_successes = 0
-        shard.consec_failures += 1
-        if shard.state == QUARANTINED:
-            return
-        if shard.consec_failures >= self.quarantine_after:
-            shard.state = QUARANTINED
-            shard.reason = reason or (
-                f"{shard.consec_failures} consecutive failures"
-            )
-            shard.times_quarantined += 1
-        elif shard.state == HEALTHY and (
-            shard.consec_failures >= self.degrade_after
-        ):
-            shard.state = DEGRADED
-            shard.reason = reason or (
-                f"{shard.consec_failures} consecutive failures"
-            )
-            shard.times_degraded += 1
+            self._dirty[index] = True
+            shard.consec_successes = 0
+            shard.consec_failures += 1
+            if shard.state == QUARANTINED:
+                return
+            if shard.consec_failures >= self.quarantine_after:
+                shard.state = QUARANTINED
+                shard.reason = reason or (
+                    f"{shard.consec_failures} consecutive failures"
+                )
+                shard.times_quarantined += 1
+            elif shard.state == HEALTHY and (
+                shard.consec_failures >= self.degrade_after
+            ):
+                shard.state = DEGRADED
+                shard.reason = reason or (
+                    f"{shard.consec_failures} consecutive failures"
+                )
+                shard.times_degraded += 1
 
     def record_permanent(self, index: int, reason: str = "") -> None:
         """A permanent device failure: straight to quarantine."""
@@ -242,7 +218,7 @@ class ClusterHealth:
             (quarantined if self.is_quarantined(index) else available).append(index)
         return available, quarantined
 
-    def snapshot(self, worker: dict[str, int] | None = None) -> dict[str, object]:
+    def snapshot(self) -> dict[str, object]:
         """The mergeless rollup surfaced as ``ClusterStats.health``."""
         with self._lock:
             per_shard = [shard.snapshot() for shard in self._shards]
@@ -250,13 +226,8 @@ class ClusterHealth:
         states = {HEALTHY: 0, DEGRADED: 0, QUARANTINED: 0}
         for entry in per_shard:
             states[entry["state"]] += 1
-        worker_counters = {field: 0 for field in WORKER_FIELDS}
-        if worker:
-            for field in WORKER_FIELDS:
-                worker_counters[field] = worker.get(field, 0)
         return {
             "states": states,
             "per_shard": per_shard,
-            "worker": worker_counters,
             "degraded_reads_served": served,
         }

@@ -10,22 +10,15 @@ different keys on every shard.
 
 Routing happens on plaintext keys inside the trusted boundary (see
 :mod:`repro.cluster.router`).  Cross-shard operations -- ``range_search``
-fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads -- run on
-one of two executor backends (``executor=``):
-
-* ``"serial"`` (default) -- a plain loop on the calling thread.  Every
-  slice runs even after one raises, and the first error is re-raised
-  after the loop.  Pure-Python cryptography serialises on the GIL, so a
-  thread pool measured slower than this loop (benchmarks C10, C14).
-* ``"processes"`` -- one worker process per shard (see
-  :mod:`repro.cluster.executor`): each worker rebuilds its shard from a
-  picklable spec and runs the fan-out's cryptography on its own
-  interpreter, which is what turns the shorter critical path into
-  wall-clock speedup on multi-core hardware (benchmark C10).  Requires
-  module-level (picklable) factories.  Single-key operations,
-  single-shard batches and transactions stay on the calling process;
-  worker replicas are re-synced automatically after any cluster-level
-  mutation.
+fan-out, ``bulk_load`` partitioning, ``get_many`` batch reads and the
+batched mutations -- run through one fan-out path,
+:meth:`ShardedEncipheredDatabase._fan_out`: a plain loop on the calling
+thread.  Every slice runs even after one raises, and the first error is
+re-raised after the loop.  With the ciphers running natively (DES on
+OpenSSL, RSA pointer decrypts on GMP) a shard's slice costs less than
+the round trip to a worker process, so a process-pool backend measured
+slower than this loop on the canonical ``cluster_mixed`` workload and
+was removed.
 
 Key derivation
 --------------
@@ -42,15 +35,13 @@ substitution parameters.
 from __future__ import annotations
 
 import heapq
-import threading
 from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.cluster.executor import ProcessShardExecutor, UncommittedShardState
 from repro.cluster.health import ClusterHealth, PartialResult
 from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter, ShardRouter
-from repro.cluster.stats import ClusterStats, merge_counter_dicts
+from repro.cluster.stats import ClusterStats
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
 from repro.crypto.base import IntegerCipher
@@ -62,7 +53,6 @@ from repro.exceptions import (
     ShardUnavailableError,
     StorageError,
     TransientIOError,
-    WorkerCrashError,
 )
 from repro.obs import ObsConfig
 from repro.storage.backend import StorageBackend
@@ -113,16 +103,12 @@ class ShardedEncipheredDatabase:
     strictly harder than against one database.
     """
 
-    _EXECUTORS = ("serial", "processes")
-
     def __init__(
         self,
         shards: Sequence[EncipheredDatabase],
         router: ShardRouter,
-        executor: str = "serial",
-        shard_factories: tuple | None = None,
+        *,
         degraded_reads: bool = False,
-        op_deadline_s: float | None = None,
     ) -> None:
         if not shards:
             raise StorageError("a cluster needs at least one shard")
@@ -130,31 +116,8 @@ class ShardedEncipheredDatabase:
             raise StorageError(
                 f"router covers {router.num_shards} shards, got {len(shards)}"
             )
-        if executor not in self._EXECUTORS:
-            raise StorageError(
-                f"executor must be one of {self._EXECUTORS}, got {executor!r}"
-            )
-        if executor == "processes" and shard_factories is None:
-            raise StorageError(
-                "executor='processes' needs the shard factories to rebuild "
-                "shards in workers; construct the cluster via create()/reopen()"
-            )
         self.shards = list(shards)
         self.router = router
-        self.executor = executor
-        self._shard_factories = shard_factories
-        self._procs_lock = threading.Lock()
-        self._txn_thread: int | None = None
-        # Process-backend replica consistency: each cluster-level
-        # mutation bumps the touched shards' epochs (sealing the shard's
-        # change journals under the new number), and a worker whose
-        # replica predates the epoch is caught up -- incrementally when
-        # the journals can serve a delta, by full re-ship otherwise.
-        self._shard_epochs = [0] * len(self.shards)
-        # one mutex per shard making "seal journals, then publish the
-        # new epoch" atomic against sibling writers (see _note_writes)
-        self._epoch_locks = [threading.Lock() for _ in self.shards]
-        self._procs: ProcessShardExecutor | None = None
         #: Fault-tolerance plane (PR 10): one health state machine per
         #: shard, fed by operation outcomes.  Quarantined shards make
         #: cluster operations fail fast with ShardUnavailableError --
@@ -163,9 +126,6 @@ class ShardedEncipheredDatabase:
         #: missing shards.
         self.health = ClusterHealth(len(self.shards))
         self.degraded_reads = degraded_reads
-        #: Per-op deadline handed to the process executor's result
-        #: pipes; ``None`` waits forever (the pre-supervision default).
-        self.op_deadline_s = op_deadline_s
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------
@@ -188,9 +148,7 @@ class ShardedEncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         decoded_node_cache_blocks: int = 0,
-        executor: str = "serial",
         degraded_reads: bool = False,
-        op_deadline_s: float | None = None,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
     ) -> "ShardedEncipheredDatabase":
@@ -198,13 +156,9 @@ class ShardedEncipheredDatabase:
 
         ``record_cache_blocks``/``decoded_node_cache_blocks`` size each
         shard's *private* plaintext read caches (defaults off).  Private
-        caches give the fan-out per-shard cache locality: each worker
+        caches give the fan-out per-shard cache locality: each slice
         warms and hits only the shard it is scanning, with no
         cross-shard invalidation traffic and no shared-cache lock.
-
-        ``executor`` selects the fan-out backend (``"serial"`` or
-        ``"processes"``); the process backend requires
-        both factories to be picklable module-level functions.
 
         ``backend`` places every shard's devices on a
         :class:`~repro.storage.backend.StorageBackend`: shard ``i``
@@ -251,14 +205,7 @@ class ShardedEncipheredDatabase:
                 data_label=_DATA_LABEL,
             )
             backend.save_manifest(manifest.encipher(super_key))
-        return cls(
-            shards,
-            resolved,
-            executor=executor,
-            shard_factories=(substitution_factory, pointer_cipher_factory),
-            degraded_reads=degraded_reads,
-            op_deadline_s=op_deadline_s,
-        )
+        return cls(shards, resolved, degraded_reads=degraded_reads)
 
     @classmethod
     def reopen(
@@ -275,9 +222,7 @@ class ShardedEncipheredDatabase:
         record_cache_blocks: int | None = None,
         decoded_node_cache_blocks: int = 0,
         validate_routing: bool = True,
-        executor: str = "serial",
         degraded_reads: bool = False,
-        op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
     ) -> "ShardedEncipheredDatabase":
         """Rebuild a cluster from each shard's platters and the secrets.
@@ -322,14 +267,7 @@ class ShardedEncipheredDatabase:
             cls._validate_routing(shards, resolved)
             for shard in shards:
                 shard._make_cold()  # the validation walk must not pre-warm
-        return cls(
-            shards,
-            resolved,
-            executor=executor,
-            shard_factories=(substitution_factory, pointer_cipher_factory),
-            degraded_reads=degraded_reads,
-            op_deadline_s=op_deadline_s,
-        )
+        return cls(shards, resolved, degraded_reads=degraded_reads)
 
     @classmethod
     def reopen_from_manifest(
@@ -348,7 +286,6 @@ class ShardedEncipheredDatabase:
         validate_routing: bool = True,
         executor: str = "serial",
         degraded_reads: bool = False,
-        op_deadline_s: float | None = None,
         observability: ObsConfig | None = None,
     ) -> "ShardedEncipheredDatabase":
         """Rebuild a cluster from its backend and the base secrets alone.
@@ -365,7 +302,15 @@ class ShardedEncipheredDatabase:
         reconstructed router is still checked against the actual key
         placement -- the manifest authenticates the *configuration*,
         the validation cross-checks it against the *data*.
+
+        ``executor`` accepts only ``"serial"``, the one fan-out path;
+        any other value raises :class:`~repro.exceptions.StorageError`.
         """
+        if executor != "serial":
+            raise StorageError(
+                f"executor {executor!r} is not available: the process "
+                "executor was removed, and 'serial' is the only fan-out path"
+            )
         manifest = ClusterManifest.decipher(backend.load_manifest(), super_key)
         substitutions = [
             substitution_factory(i) for i in range(manifest.num_shards)
@@ -393,14 +338,7 @@ class ShardedEncipheredDatabase:
             cls._validate_routing(shards, router)
         for shard in shards:
             shard._make_cold()  # recovery/validation walks must not pre-warm
-        return cls(
-            shards,
-            router,
-            executor=executor,
-            shard_factories=(substitution_factory, pointer_cipher_factory),
-            degraded_reads=degraded_reads,
-            op_deadline_s=op_deadline_s,
-        )
+        return cls(shards, router, degraded_reads=degraded_reads)
 
     @staticmethod
     def _validate_routing(
@@ -440,89 +378,6 @@ class ShardedEncipheredDatabase:
     @property
     def num_shards(self) -> int:
         return len(self.shards)
-
-    # -- the process pool ------------------------------------------------
-
-    def _process_pool(self) -> ProcessShardExecutor:
-        with self._procs_lock:
-            if self._procs is None:
-                substitution_factory, pointer_cipher_factory = self._shard_factories
-                self._procs = ProcessShardExecutor(
-                    substitution_factory,
-                    pointer_cipher_factory,
-                    len(self.shards),
-                    op_deadline_s=self.op_deadline_s,
-                )
-            return self._procs
-
-    def _process_map(self, op: str, shard_ids: Sequence[int], payloads: Sequence) -> list:
-        return self._process_pool().map(
-            op, shard_ids, payloads, self.shards, self._shard_epochs
-        )
-
-    def _use_processes(self, shard_ids: Sequence[int]) -> bool:
-        """Worker processes pay off only for a true multi-shard fan-out.
-
-        Single-shard work stays on this thread; in-transaction work
-        always stays, and so does any fan-out while a shard holds *uncommitted*
-        state (dirty write-back pages or an open shard transaction):
-        shipping a spec must never force a commit, and the in-process
-        backends already serve uncommitted reads with the right
-        semantics.
-        """
-        return (
-            self.executor == "processes"
-            and len(shard_ids) > 1
-            and threading.get_ident() != self._txn_thread
-            and not any(
-                shard.has_uncommitted_changes
-                or shard.tree.pager.dirty_blocks
-                or shard._in_txn
-                for shard in self.shards
-            )
-        )
-
-    def _note_writes(self, shard_ids: Iterable[int]) -> None:
-        """Record that the listed shards' durable state changed.
-
-        Bumping a shard's epoch and *sealing* its change journals under
-        the new number are one operation: the sealed sets are what a
-        later delta sync ships to a worker replica holding an older
-        epoch.
-
-        Inside this cluster's :meth:`transaction` the call is a no-op:
-        nothing is committed yet, sealing would split the transaction's
-        bytes across an epoch boundary, and the transaction's own exit
-        seals exactly the shards whose committed bytes changed -- so a
-        rolled-back scope full of batched writes still re-ships nothing.
-        """
-        if threading.get_ident() == self._txn_thread:
-            return
-        for shard_id in shard_ids:
-            with self._epoch_locks[shard_id]:
-                # seal BEFORE publishing the bump: a concurrent reader's
-                # sync that observes the new epoch number must find the
-                # epoch's changes already sealed, or it would ship an
-                # empty delta stamped with a tree state the worker's
-                # blocks cannot support.  The per-shard mutex also keeps
-                # two racing writers from publishing the same epoch
-                # number (each seal gets a distinct, ordered epoch).
-                epoch = self._shard_epochs[shard_id] + 1
-                self.shards[shard_id].seal_changes(epoch)
-                self._shard_epochs[shard_id] = epoch
-
-    def _note_changed_writes(self, shard_ids: Iterable[int]) -> None:
-        """Like :meth:`_note_writes`, but only where bytes truly changed.
-
-        The journals make "did committed platter bytes change?" cheap to
-        answer, so rolled-back and no-op transactions skip the epoch
-        bump entirely -- worker replicas stay valid and nothing
-        re-ships.  (A rollback that freed record slots *did* change
-        bytes and still bumps -- but only on the shards it touched.)
-        """
-        self._note_writes(
-            [i for i in shard_ids if self.shards[i].has_unsealed_changes]
-        )
 
     # -- fault tolerance (PR 10) -----------------------------------------
 
@@ -580,28 +435,13 @@ class ShardedEncipheredDatabase:
         self.health.record_success(shard_id)
         return result
 
-    def _note_worker_trouble(self, exc: BaseException, shard_ids: Sequence[int]) -> None:
-        """A process-backend fan-out lost its worker(s); record and move on.
-
-        Worker trouble is *not* shard trouble: the parent's copy of the
-        shard is intact and the caller is about to serve the operation
-        in-process, so the loss feeds the failure streak (degrading a
-        shard whose worker keeps dying) without quarantining anything.
-        """
-        shard_id = getattr(exc, "shard_id", None)
-        if shard_id is None or shard_id not in shard_ids:
-            shard_id = shard_ids[0] if shard_ids else 0
-        self.health.record_worker_loss(shard_id, str(exc))
-
     def close(self) -> None:
-        """Commit every shard, release devices and worker processes.
+        """Commit every shard and release its devices.
 
         On durable backends this closes every shard's platter files
         (after their final sync); on in-memory devices the close is a
         no-op and the cluster object remains usable, which existing
-        callers rely on.  Worker replicas' counters are harvested as
-        the workers stop, so ``stats()`` after close still counts every
-        operation they ran.
+        callers rely on.
 
         Idempotent, and hardened against a degraded cluster: a second
         call is a no-op, quarantined shards are skipped (their device
@@ -625,9 +465,6 @@ class ShardedEncipheredDatabase:
             except BaseException as exc:
                 if first_error is None and not self.health.is_quarantined(i):
                     first_error = exc
-        if self._procs is not None:
-            # keep the object: its harvested counters still feed stats()
-            self._procs.close()
         if first_error is not None:
             raise first_error
 
@@ -640,19 +477,19 @@ class ShardedEncipheredDatabase:
     def _fan_out(self, fn: Callable[[int], object], shard_ids: Sequence[int]) -> list:
         """Run ``fn(shard_id)`` for every id on the calling thread.
 
+        Each slice runs under :meth:`_on_shard`'s health accounting.
         Every slice runs even when one raises an :class:`Exception`
-        (the first is re-raised after the loop), the same drain contract
-        the process offload honours.  Callers rely on it: a failing
-        shard in a mutating fan-out (``put_many``, ``delete_many``,
-        ``bulk_load``) rolls back only its own slice while every sibling
-        shard's slice still commits, whichever executor is configured.
+        (the first is re-raised after the loop).  Callers rely on this
+        drain contract: a failing shard in a mutating fan-out
+        (``put_many``, ``delete_many``, ``bulk_load``) rolls back only
+        its own slice while every sibling shard's slice still commits.
         An interrupt or exit propagates at once.
         """
         results: list[object] = []
         first_error: Exception | None = None
         for i in shard_ids:
             try:
-                results.append(fn(i))
+                results.append(self._on_shard(i, lambda: fn(i)))
             except Exception as exc:
                 if first_error is None:
                     first_error = exc
@@ -668,7 +505,6 @@ class ShardedEncipheredDatabase:
     def insert(self, key: int, record: bytes) -> None:
         shard_id = self.router.shard_for(key)
         self._on_shard(shard_id, lambda: self.shards[shard_id].insert(key, record))
-        self._note_writes((shard_id,))
 
     def search(self, key: int) -> bytes:
         shard_id = self.router.shard_for(key)
@@ -687,7 +523,6 @@ class ShardedEncipheredDatabase:
     def delete(self, key: int) -> None:
         shard_id = self.router.shard_for(key)
         self._on_shard(shard_id, lambda: self.shards[shard_id].delete(key))
-        self._note_writes((shard_id,))
 
     # -- fanned-out operations -------------------------------------------
 
@@ -695,39 +530,18 @@ class ShardedEncipheredDatabase:
         """All ``(key, record)`` pairs with ``lo <= key <= hi``, ascending.
 
         The router prunes the shard set (a :class:`RangeRouter` touches
-        only overlapping sub-ranges); the surviving shards are queried (in
-        worker processes with ``executor="processes"``) and their sorted
-        partial results merged.
+        only overlapping sub-ranges); the surviving shards are queried in
+        turn and their sorted partial results merged.
 
         Quarantined shards make the read fail fast with
         :class:`~repro.exceptions.ShardUnavailableError` -- unless the
         cluster was built with ``degraded_reads=True``, in which case
         they are skipped and the merge comes back as a
-        :class:`~repro.cluster.health.PartialResult` naming them.  A
-        worker crash mid fan-out is absorbed: the executor already
-        retried once against a fresh replica, and if that failed too the
-        read is served by the parent's own (intact) shards in-process.
+        :class:`~repro.cluster.health.PartialResult` naming them.
         """
         shard_ids = self.router.shards_for_range(lo, hi)
         serving, skipped = self._serviceable(shard_ids)
-        partials = None
-        if serving and self._use_processes(serving):
-            try:
-                partials = self._process_map(
-                    "range_search", serving, [(lo, hi)] * len(serving)
-                )
-            except UncommittedShardState:
-                partials = None  # racing writer left dirt: serve in-process
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, serving)
-                partials = None  # workers are gone; the parent shards are not
-        if partials is None:
-            partials = self._fan_out(
-                lambda i: self._on_shard(
-                    i, lambda: self.shards[i].range_search(lo, hi)
-                ),
-                serving,
-            )
+        partials = self._fan_out(lambda i: self.shards[i].range_search(lo, hi), serving)
         if len(partials) <= 1:
             merged = partials[0] if partials else []
         else:
@@ -757,43 +571,20 @@ class ShardedEncipheredDatabase:
         touched = [i for i, group in enumerate(by_shard) if group]
         serving, skipped = self._serviceable(touched)
 
-        def finish(values: list) -> list[bytes | None]:
-            if skipped:
-                self.health.record_degraded_read()
-                return PartialResult(values, missing_shards=skipped)
-            return values
-
-        if serving and self._use_processes(serving):
-            payloads = [
-                ([key for _, key in by_shard[i]], default) for i in serving
-            ]
-            try:
-                chunks = self._process_map("get_many", serving, payloads)
-            except UncommittedShardState:
-                chunks = None  # racing writer left dirt: serve in-process
-            except (WorkerCrashError, ShardUnavailableError) as exc:
-                self._note_worker_trouble(exc, serving)
-                chunks = None  # workers are gone; the parent shards are not
-            if chunks is not None:
-                for shard_id, values in zip(serving, chunks):
-                    for (position, _), record in zip(by_shard[shard_id], values):
-                        out[position] = record
-                return finish(out)
-
         def fetch(shard_id: int) -> list[tuple[int, bytes | None]]:
             shard = self.shards[shard_id]
-            return self._on_shard(
-                shard_id,
-                lambda: [
-                    (position, shard.get(key, default))
-                    for position, key in by_shard[shard_id]
-                ],
-            )
+            return [
+                (position, shard.get(key, default))
+                for position, key in by_shard[shard_id]
+            ]
 
         for chunk in self._fan_out(fetch, serving):
             for position, record in chunk:
                 out[position] = record
-        return finish(out)
+        if skipped:
+            self.health.record_degraded_read()
+            return PartialResult(out, missing_shards=skipped)
+        return out
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:
         """Partition ``(key, record)`` pairs by shard and load each slice.
@@ -814,90 +605,7 @@ class ShardedEncipheredDatabase:
         partitions = self.router.partition(pairs, key=lambda kv: kv[0])
         loaded = [i for i, part in enumerate(partitions) if part]
         self._require_available(loaded)
-        # The worker commits its replica to ship the state back, so the
-        # process path is only equivalent when the parent would commit
-        # too: an autocommit=False load must stay uncommitted (rollback-
-        # able), which only the in-process backends preserve.
-        if self._use_processes(loaded) and all(
-            self.shards[i].autocommit for i in loaded
-        ):
-            try:
-                self._process_bulk_load(loaded, partitions)
-                return
-            except UncommittedShardState:
-                pass  # racing writer left dirt: load in-process instead
-        try:
-            self._fan_out(
-                lambda i: self._on_shard(
-                    i, lambda: self.shards[i].bulk_load(partitions[i])
-                ),
-                loaded,
-            )
-        finally:
-            # in the finally: a *partial* failure already changed some
-            # shards' durable state (cross-shard atomicity is documented
-            # as open), and a worker replica shipped before the load
-            # must not keep serving the pre-load state
-            self._note_writes(loaded)
-
-    def _process_bulk_load(self, loaded: Sequence[int], partitions: Sequence) -> None:
-        """Build the per-shard trees in the workers, then adopt their state.
-
-        Each worker loads its slice into its private replica and ships
-        the resulting durable state back; the parent installs it into
-        its shard objects (platters, slot metadata, tree metadata --
-        a state transfer, no re-encryption) and re-baselines the
-        worker's counters so the load's cipher operations are counted
-        exactly once.
-        """
-        procs = self._process_pool()
-        try:
-            replies = self._process_map(
-                "bulk_load", loaded, [partitions[i] for i in loaded]
-            )
-            for shard_id, (stats_after, tree_state, node_blocks, record_state) in zip(
-                loaded, replies
-            ):
-                shard = self.shards[shard_id]
-                with shard.lock.write_locked():
-                    # the worker built from a snapshot of an *empty* shard
-                    # (bulk_load's precondition); a write that raced in
-                    # since would be silently clobbered by the install,
-                    # so refuse it instead (checked under the shard lock,
-                    # where every mutation updates tree.size)
-                    if shard.tree.size != 0:
-                        raise StorageError(
-                            f"shard {shard_id} was mutated during a "
-                            "process-backend bulk_load; nothing installed "
-                            "for it, reload required"
-                        )
-                    shard.tree.pager.discard_dirty()
-                    shard.tree.pager.clear_cache()
-                    shard.disk.import_state(node_blocks)
-                    shard.records.import_state(record_state)
-                    shard.tree.restore_state(tree_state)
-                    # the worker already holds exactly this state: bump
-                    # the epoch and mark it shipped, so the next read
-                    # skips the re-sync.  The install tainted the
-                    # journals (wholesale import); sealing here
-                    # re-checkpoints them at the new epoch, so later
-                    # mutations ship as deltas.  Still under the shard
-                    # write lock: the taint-then-checkpoint pair must
-                    # not interleave with a racing writer's notes, or
-                    # that writer's block ids would be discarded by the
-                    # checkpoint while its epoch claims them shipped.
-                    self._note_writes((shard_id,))
-                    procs.epochs_sent[shard_id] = self._shard_epochs[shard_id]
-                    # the worker committed this state; on the parent it is
-                    # only staged until its devices sync
-                    shard.sync_devices()
-                procs.rebase(shard_id, stats_after)
-        except BaseException:
-            # a sibling shard failed (or an install threw): workers that
-            # already loaded their slice now diverge from the parent, so
-            # force a re-ship before any of them serves again
-            procs.invalidate(loaded)
-            raise
+        self._fan_out(lambda i: self.shards[i].bulk_load(partitions[i]), loaded)
 
     # -- batched mutations ------------------------------------------------
 
@@ -905,22 +613,12 @@ class ShardedEncipheredDatabase:
         """Insert a batch of ``(key, record)`` pairs, grouped per shard.
 
         Each shard receives its whole slice under **one** write-lock
-        acquisition, one commit and one epoch bump
-        (:meth:`EncipheredDatabase.put_many`), so a burst of k writes
-        triggers one replica delta ship per touched shard instead of k
-        re-syncs.  With the process executor, each shard's slice is
-        *offloaded* to
-        its owning worker -- the mutation executes in the worker (where
-        its cipher plane runs on a separate interpreter) and the
-        resulting :class:`~repro.storage.journal.ShardDelta` ships back
-        for parent apply, so write-heavy workloads parallelise across
-        shards like reads do.
+        acquisition and one commit (:meth:`EncipheredDatabase.put_many`).
 
         Atomicity is *per shard*: a failing slice (duplicate key,
         oversized record) rolls its own shard back, while every sibling
-        shard's slice still runs and commits -- on either executor, the
-        same contract as :meth:`bulk_load`.  Returns the number of pairs
-        inserted.
+        shard's slice still runs and commits -- the same contract as
+        :meth:`bulk_load`.  Returns the number of pairs inserted.
         """
         pairs = list(items)
         if not pairs:
@@ -928,20 +626,7 @@ class ShardedEncipheredDatabase:
         partitions = self.router.partition(pairs, key=lambda kv: kv[0])
         touched = [i for i, part in enumerate(partitions) if part]
         self._require_available(touched)
-        if self._offload_batch("put_many", touched, partitions):
-            return len(pairs)
-        try:
-            self._fan_out(
-                lambda i: self._on_shard(
-                    i, lambda: self.shards[i].put_many(partitions[i])
-                ),
-                touched,
-            )
-        finally:
-            # even on a partial failure: committed shards changed bytes
-            # (bump + seal), the rolled-back shard bumps only if its
-            # rollback left byte changes (freed record slots)
-            self._note_changed_writes(touched)
+        self._fan_out(lambda i: self.shards[i].put_many(partitions[i]), touched)
         return len(pairs)
 
     def delete_many(self, keys: Iterable[int]) -> int:
@@ -949,9 +634,7 @@ class ShardedEncipheredDatabase:
 
         A missing key raises :class:`~repro.exceptions.KeyNotFoundError`
         and rolls back that shard's whole slice; sibling shards are
-        unaffected.  With the process executor the per-shard slices are
-        offloaded to the owning workers like :meth:`put_many`'s.
-        Returns the number of keys deleted.
+        unaffected.  Returns the number of keys deleted.
         """
         key_list = list(keys)
         if not key_list:
@@ -959,165 +642,8 @@ class ShardedEncipheredDatabase:
         partitions = self.router.partition(key_list, key=lambda k: k)
         touched = [i for i, part in enumerate(partitions) if part]
         self._require_available(touched)
-        if self._offload_batch("delete_many", touched, partitions):
-            return len(key_list)
-        try:
-            self._fan_out(
-                lambda i: self._on_shard(
-                    i, lambda: self.shards[i].delete_many(partitions[i])
-                ),
-                touched,
-            )
-        finally:
-            self._note_changed_writes(touched)
+        self._fan_out(lambda i: self.shards[i].delete_many(partitions[i]), touched)
         return len(key_list)
-
-    def _offload_batch(
-        self, op: str, touched: Sequence[int], partitions: Sequence
-    ) -> bool:
-        """Execute a batched mutation worker-side; True when handled.
-
-        Each touched shard's slice runs in its owning process worker
-        (synced to the parent's epoch first), and the worker ships back
-        the delta its commit produced; the parent applies it under the
-        shard's write lock -- a pure state transfer, so the batch's
-        cipher work happened exactly once, in the worker.  Falls back to
-        the parent-side fan-out (returns ``False``) when the process
-        path is unavailable or unsafe: wrong executor, single-shard
-        batch, inside a transaction, uncommitted state anywhere, a
-        non-autocommit shard (the worker commits its replica, so
-        offloading would break rollback-ability), or a racing writer
-        surfacing :class:`UncommittedShardState` mid-sync.
-
-        Per-shard atomicity matches the parent-side path: a failing
-        slice raises after every successful sibling's delta is applied,
-        and the failed shard's replica is re-shipped before reuse.
-        """
-        if not self._use_processes(touched) or not all(
-            self.shards[i].autocommit for i in touched
-        ):
-            return False
-        procs = self._process_pool()
-        try:
-            outcomes = procs.map_settled(
-                op,
-                touched,
-                [partitions[i] for i in touched],
-                self.shards,
-                self._shard_epochs,
-            )
-        except UncommittedShardState:
-            return False  # racing writer left dirt: mutate in-process
-        except (WorkerCrashError, ShardUnavailableError) as exc:
-            # a worker died (or exhausted its respawn budget) during the
-            # sync/dispatch phase: no slice has been applied parent-side
-            # yet, so the whole batch can still run in-process against
-            # the parent's intact shards
-            self._note_worker_trouble(exc, touched)
-            return False
-        first_error: BaseException | None = None
-        for shard_id, (ok, value) in zip(touched, outcomes):
-            if not ok and isinstance(value, WorkerCrashError):
-                # the worker died mid-slice.  Its replica died with it
-                # (nothing half-applied survives), and the parent shard
-                # never saw the slice -- so the mutation is safe to run
-                # parent-side, exactly as if the offload never happened.
-                # The slice's cipher work honestly runs again and is
-                # counted again, like the stale-install race below.
-                self._note_worker_trouble(value, (shard_id,))
-                procs.invalidate((shard_id,))
-                try:
-                    shard = self.shards[shard_id]
-                    if op == "put_many":
-                        shard.put_many(partitions[shard_id])
-                    else:
-                        shard.delete_many(partitions[shard_id])
-                except BaseException as exc:
-                    if first_error is None:
-                        first_error = exc
-                finally:
-                    self._note_changed_writes((shard_id,))
-                continue
-            if not ok:
-                # the slice failed worker-side (duplicate key, missing
-                # key, oversized record): the replica rolled back, but
-                # its rollback may have moved bytes -- re-ship it
-                procs.invalidate((shard_id,))
-                if first_error is None:
-                    first_error = value
-                continue
-            stats_after, _count, kind, state = value
-            try:
-                installed = self._install_offload(shard_id, kind, state)
-            except BaseException as exc:
-                procs.invalidate((shard_id,))
-                if first_error is None:
-                    first_error = exc
-                continue
-            if installed:
-                procs.rebase(shard_id, stats_after)
-                procs.sync_stats["offloaded_batches"] += 1
-                if kind == "delta":
-                    procs.sync_stats["offload_bytes"] += state.payload_bytes
-                    procs.sync_stats["offload_blocks"] += state.blocks_shipped
-            else:
-                # a writer raced in between the sync and the install:
-                # the worker's result describes a stale base state.
-                # Drop it (re-ship the replica) and run this slice
-                # parent-side; in this rare race the slice's cipher
-                # work honestly happened twice and is counted twice.
-                procs.invalidate((shard_id,))
-                try:
-                    shard = self.shards[shard_id]
-                    if op == "put_many":
-                        shard.put_many(partitions[shard_id])
-                    else:
-                        shard.delete_many(partitions[shard_id])
-                finally:
-                    self._note_changed_writes((shard_id,))
-        if first_error is not None:
-            raise first_error
-        return True
-
-    def _install_offload(self, shard_id: int, kind: str, state) -> bool:
-        """Adopt one offloaded slice's shipped state into the parent shard.
-
-        Returns ``False`` (install refused, nothing changed) when the
-        parent shard moved since the worker was synced -- the worker's
-        delta describes a different base state and applying it would
-        clobber the racing writer's bytes.  Checked under the shard's
-        write lock, where every mutation publishes its epoch.
-        """
-        shard = self.shards[shard_id]
-        procs = self._procs
-        with shard.lock.write_locked():
-            with self._epoch_locks[shard_id]:
-                current = self._shard_epochs[shard_id]
-            if (
-                procs.epochs_sent[shard_id] != current
-                or shard.has_unsealed_changes
-                or shard.has_uncommitted_changes
-                or bool(shard.tree.pager.dirty_blocks)
-            ):
-                return False
-            if kind == "delta":
-                # reentrant write lock: apply_delta takes it again
-                shard.apply_delta(state)
-            else:
-                tree_state, node_blocks, record_state = state
-                shard.tree.pager.discard_dirty()
-                shard.tree.pager.clear_cache()
-                shard.disk.import_state(node_blocks)
-                shard.records.import_state(record_state)
-                shard.tree.restore_state(tree_state)
-            # same pairing as _process_bulk_load: bump + seal under the
-            # shard lock, then mark the worker current -- it already
-            # holds exactly the state it just shipped us
-            self._note_writes((shard_id,))
-            procs.epochs_sent[shard_id] = self._shard_epochs[shard_id]
-            # the worker's commit is staged here, not yet durable
-            shard.sync_devices()
-        return True
 
     # -- transactions and durability -------------------------------------
 
@@ -1128,67 +654,30 @@ class ShardedEncipheredDatabase:
         Shard transactions are entered in shard order (a fixed order, so
         two concurrent cluster transactions cannot deadlock on each
         other's write locks) and unwound together: a clean exit commits
-        every shard, an exception rolls every shard back.  Fan-out
-        operations called inside the scope stay on this thread (see
-        :meth:`_use_processes`).
+        every shard, an exception rolls every shard back.  Reads inside
+        the scope, fan-outs included, see the scope's uncommitted
+        writes.
         """
-        committing = False
-        try:
-            with ExitStack() as stack:
-                for shard in self.shards:
-                    stack.enter_context(shard.transaction())
-                self._txn_thread = threading.get_ident()
-                try:
-                    yield self
-                    committing = True  # clean exit: shards commit on unwind
-                finally:
-                    self._txn_thread = None
-        finally:
-            # runs after every shard committed (or rolled back), so the
-            # journals have seen the commit's flush: bump exactly the
-            # shards whose committed bytes changed.  A rolled-back scope
-            # bumps nothing at all -- replicas keep serving the pre-
-            # transaction state, which *is* the logical outcome; the
-            # rollback's only byte changes (freed record slots, which no
-            # tree references) stay in the journals' open sets and ride
-            # along with the next committed epoch.  No-op transactions
-            # are journal-invisible and bump nothing either.
-            if committing:
-                self._note_changed_writes(range(len(self.shards)))
+        with ExitStack() as stack:
+            for shard in self.shards:
+                stack.enter_context(shard.transaction())
+            yield self
 
     def commit(self) -> None:
         """Make every shard's pending changes durable.
 
-        Only shards with pending work get their replica epoch bumped: a
-        no-op commit rewrites the superblock with identical bytes, so
-        the worker replicas stay valid and a read-heavy process-backend
-        workload does not re-ship every platter after each periodic
-        commit.  Quarantined shards are skipped: their device already
-        failed permanently, and re-raising that error from every
-        periodic commit would stop the healthy shards from ever
-        committing.
+        Quarantined shards are skipped: their device already failed
+        permanently, and re-raising that error from every periodic
+        commit would stop the healthy shards from ever committing.
         """
         for i, shard in enumerate(self.shards):
-            if self.health.is_quarantined(i):
-                continue
-            pending = (
-                shard.has_uncommitted_changes or shard.tree.pager.dirty_blocks
-            )
-            shard.commit()
-            if pending:
-                self._note_writes((i,))
+            if not self.health.is_quarantined(i):
+                shard.commit()
 
     def clear_caches(self) -> None:
-        """Drop every shard's cached plaintext (cold-start support).
-
-        Process-backend worker replicas hold their own plaintext caches;
-        live workers are told to go cold too, so a cold benchmark run
-        means cold everywhere.
-        """
+        """Drop every shard's cached plaintext (cold-start support)."""
         for shard in self.shards:
             shard.clear_caches()
-        if self._procs is not None:
-            self._procs.clear_caches()
 
     # -- whole-cluster queries -------------------------------------------
 
@@ -1206,43 +695,12 @@ class ShardedEncipheredDatabase:
         )
 
     def stats(self) -> ClusterStats:
-        """Aggregated per-shard counter rollups (see :class:`ClusterStats`).
-
-        With the process backend, operations executed inside worker
-        replicas are merged into their shard's rollup (leaf-wise, like
-        every other counter), so the cost model reports every cipher
-        operation the cluster performed regardless of which process ran
-        it -- serial and process runs of the same workload report
-        identical cipher totals.
-        """
-        per_shard = []
-        for i, shard in enumerate(self.shards):
-            extras = self._procs.extra_counters(i) if self._procs is not None else []
-            base = shard.stats()
-            per_shard.append(merge_counter_dicts([base, *extras]) if extras else base)
+        """Aggregated per-shard counter rollups (see :class:`ClusterStats`)."""
         return ClusterStats(
             router=self.router.name,
-            per_shard=per_shard,
-            replica_sync=self.sync_stats(),
-            health=self.health.snapshot(
-                worker=self._procs.sync_stats if self._procs is not None else None
-            ),
+            per_shard=[shard.stats() for shard in self.shards],
+            health=self.health.snapshot(),
         )
-
-    def sync_stats(self) -> dict[str, int] | None:
-        """Replica ship accounting (``None`` until a process sync ran).
-
-        ``full_ships``/``full_bytes`` count whole-platter spec ships,
-        ``delta_ships``/``delta_bytes``/``delta_blocks`` the incremental
-        catch-ups; benchmark C11 derives bytes-shipped-per-write from
-        these.  ``offloaded_batches``/``offload_bytes``/
-        ``offload_blocks`` count worker-side ``put_many``/``delete_many``
-        executions and the delta traffic their results shipped *back*
-        (benchmark C14).
-        """
-        if self._procs is None:
-            return None
-        return dict(self._procs.sync_stats)
 
     def check_invariants(self) -> None:
         """Verify every shard's B-Tree invariants and router placement."""

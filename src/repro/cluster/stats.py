@@ -27,42 +27,20 @@ def merge_counter_dicts(dicts: list[dict[str, object]]) -> dict[str, object]:
     return merged
 
 
-def subtract_counter_dicts(
-    current: dict[str, object], base: dict[str, object]
-) -> dict[str, object]:
-    """Leaf-wise ``current - base`` of same-shaped nested dicts.
-
-    The process executor uses this to turn two snapshots of a worker's
-    counters into the delta attributable to the operations in between.
-    """
-    delta: dict[str, object] = {}
-    for key, value in current.items():
-        if isinstance(value, dict):
-            delta[key] = subtract_counter_dicts(value, base[key])
-        else:
-            delta[key] = value - base[key]
-    return delta
-
-
 @dataclass
 class ClusterStats:
     """Point-in-time statistics for a sharded database.
 
     ``per_shard[i]`` is shard ``i``'s full counter rollup;
-    ``aggregate`` is their leaf-wise sum.  ``replica_sync`` carries the
-    process executor's ship accounting (full vs delta re-syncs and the
-    platter bytes each moved) when that backend has run, ``None``
-    otherwise; it is executor-level state, not a per-shard counter, so
-    it stays outside the leaf-wise merge.  ``health`` is the
+    ``aggregate`` is their leaf-wise sum.  ``health`` is the
     fault-tolerance rollup from :class:`~repro.cluster.health.
-    ClusterHealth` -- per-shard state machines, lifetime fault counters
-    and the executor's supervision counters; like ``replica_sync`` it
-    carries cluster-level state and stays outside the merge.
+    ClusterHealth` -- per-shard state machines and lifetime fault
+    counters; it carries cluster-level state, not a per-shard counter,
+    so it stays outside the leaf-wise merge.
     """
 
     router: str
     per_shard: list[dict[str, object]]
-    replica_sync: dict[str, int] | None = None
     health: dict[str, object] | None = None
 
     @property
@@ -149,22 +127,12 @@ class ClusterStats:
             f"record cache {self._hit_rate(agg['record_cache']):.0%}, "
             f"decoded-node cache {self._hit_rate(agg['node_decoded_cache']):.0%}"
         )
-        if self.replica_sync is not None:
-            sync = self.replica_sync
-            lines.append(
-                f"replica sync: {sync['delta_ships']} delta ships "
-                f"({sync['delta_bytes']} B), {sync['full_ships']} full ships "
-                f"({sync['full_bytes']} B)"
-            )
         if self.health is not None:
             states = self.health["states"]
-            worker = self.health["worker"]
             lines.append(
                 f"health: {states['healthy']} healthy / "
                 f"{states['degraded']} degraded / "
                 f"{states['quarantined']} quarantined; "
-                f"{worker['respawns']} respawns, "
-                f"{worker['worker_deaths']} worker deaths, "
                 f"{self.health['degraded_reads_served']} degraded reads"
             )
         return "\n".join(lines)

@@ -94,7 +94,6 @@ from repro.obs import ObsConfig, Observability
 from repro.storage.backend import StorageBackend
 from repro.storage.device import BlockDevice
 from repro.storage.disk import SimulatedDisk
-from repro.storage.journal import ShardDelta
 from repro.storage.pager import Pager
 from repro.storage.rwlock import ReadWriteLock
 from repro.substitution.base import KeySubstitution
@@ -158,8 +157,7 @@ class EncipheredDatabase:
         #: point: with ``autocommit=False`` a write-through mutation
         #: updates node blocks on the platter but not the superblock, so
         #: the platter alone is not a faithful snapshot until commit.
-        #: Consumers that serialise the platter (the cluster's process
-        #: executor) consult this to refuse or reroute.
+        #: :meth:`commit` and :meth:`close` consult it.
         self.has_uncommitted_changes = False
         self._in_txn = False
         self._txn_record_puts: list[int] = []
@@ -418,12 +416,9 @@ class EncipheredDatabase:
     def sync_devices(self) -> None:
         """Sync both devices in commit order: records, then nodes.
 
-        The node sync carries the superblock, so it is the commit point.
-        :meth:`commit` ends here; so does a cluster that installs state a
-        process worker already committed (the install stages those
-        bytes, including the worker's superblock, without a commit of
-        its own).  On failure ``has_uncommitted_changes`` is set, so
-        :meth:`close` and the next commit retry.
+        The node sync carries the superblock, so it is the commit point;
+        :meth:`commit` ends here.  On failure ``has_uncommitted_changes``
+        is set, so :meth:`close` and the next commit retry.
         """
         try:
             self.records.disk.sync()
@@ -602,10 +597,9 @@ class EncipheredDatabase:
 
         One write-lock acquisition and one commit for the whole batch --
         the superblock is re-enciphered once instead of once per key, so
-        a burst of k writes costs one commit's worth of overhead (and,
-        under the cluster's process executor, one replica delta instead
-        of k).  Runs inside :meth:`transaction` semantics: a failure
-        (duplicate key, oversized record) rolls the whole batch back.
+        a burst of k writes costs one commit's worth of overhead.  Runs
+        inside :meth:`transaction` semantics: a failure (duplicate key,
+        oversized record) rolls the whole batch back.
         Called inside an enclosing transaction, the batch simply joins
         it -- the outer scope owns atomicity and the commit point.
         Returns the number of pairs inserted.
@@ -661,92 +655,6 @@ class EncipheredDatabase:
         with self.lock.read_locked():
             return self.tree.size
 
-    # -- incremental replica sync ----------------------------------------
-
-    def seal_changes(self, epoch: int) -> None:
-        """Close every change journal's open set under ``epoch``.
-
-        Called by the owner of the epoch counter (the cluster) right
-        after it bumps the epoch for a committed mutation; the sealed
-        sets are what :meth:`collect_delta` serves to replica consumers.
-        """
-        self.disk.journal.seal(epoch)
-        self.records.disk.journal.seal(epoch)
-
-    def truncate_journals(self, epoch: int) -> None:
-        """The replica consumer holds a full snapshot at ``epoch``."""
-        self.disk.journal.truncate(epoch)
-        self.records.disk.journal.truncate(epoch)
-
-    @property
-    def has_unsealed_changes(self) -> bool:
-        """True when committed platter bytes changed since the last seal.
-
-        No-op commits rewrite the superblock with identical ciphertext
-        and are journal-invisible, so this is a *bytes-changed* test,
-        not a *commit-happened* test -- the distinction that lets the
-        cluster skip epoch bumps (and replica re-syncs) for rolled-back
-        and no-op transactions.
-        """
-        return (
-            self.disk.journal.has_open
-            or self.records.disk.journal.has_open
-        )
-
-    def collect_delta(self, since_epoch: int, epoch: int) -> ShardDelta | None:
-        """Changes a replica at ``since_epoch`` needs to reach ``epoch``.
-
-        Returns ``None`` when no delta can be served -- journals
-        truncated past the consumer's epoch, or uncommitted state
-        (dirty pages, stale superblock) making the platter
-        non-authoritative -- in which case the consumer falls back to a
-        full state ship.  Runs under the read lock: writers are held
-        off, so the node delta, record delta and tree metadata describe
-        one consistent committed state.
-        """
-        with self.lock.read_locked():
-            if self.has_uncommitted_changes:
-                return None
-            if self.has_unsealed_changes:
-                # committed bytes not yet sealed under any epoch (a
-                # sibling writer between its commit and its seal, or a
-                # rollback's freed slots): the tree metadata below would
-                # describe blocks the sealed history cannot ship.  A
-                # full ship -- one consistent platter snapshot -- serves
-                # this sync instead.
-                return None
-            node = self.tree.pager.collect_delta(since_epoch)
-            if node is None:
-                return None
-            records = self.records.collect_delta(since_epoch)
-            if records is None:
-                return None
-            return ShardDelta(
-                index=-1,  # stamped by the executor that owns shard ids
-                epoch=epoch,
-                node=node,
-                records=records,
-                tree_state=self.tree.snapshot_state(),
-            )
-
-    def apply_delta(self, delta: ShardDelta) -> None:
-        """Catch a replica up in place (the consumer half of collect).
-
-        A pure state transfer: at-rest bytes are patched below both
-        ciphers, the tree metadata is installed directly, and every
-        cache level drops exactly the blocks the delta replaced -- no
-        cipher operation, no disk I/O statistics, no counter movement.
-        """
-        with self.lock.write_locked():
-            pager = self.tree.pager
-            pager.discard_dirty()  # replicas hold no work worth keeping
-            self.disk.patch_state(delta.node.num_blocks, delta.node.block_writes)
-            for block_id in delta.node.block_writes:
-                pager.invalidate(block_id)
-            self.records.apply_delta(delta.records)
-            self.tree.restore_state(delta.tree_state)
-            self.has_uncommitted_changes = False
-
     def close(self) -> None:
         """Commit pending work; release both devices' OS resources and the
         record cipher's round tables.
@@ -755,7 +663,7 @@ class EncipheredDatabase:
         not call inside a :meth:`transaction` scope.
 
         Idempotent: a second call returns immediately.  Hardened for
-        degraded shutdowns (a crashed worker, an injected device fault):
+        degraded shutdowns (an injected device fault):
         every file handle and the cipher tables are released even when
         the final commit errors, and only then does the first
         such error propagate.  Close never wedges holding half the resources.
@@ -895,7 +803,6 @@ class EncipheredDatabase:
                     "borrows": self.tree.counters.borrows,
                 },
                 # latency histograms; every leaf is an additive number, so
-                # worker deltas harvest and cluster rollups merge exactly
-                # like the counters above
+                # cluster rollups merge them exactly like the counters above
                 "observability": self.obs.snapshot(),
             }

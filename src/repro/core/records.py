@@ -90,7 +90,6 @@ from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
-from repro.storage.journal import DiskDelta, RecordStoreDelta
 
 
 class _RecordBlockTransform:
@@ -285,63 +284,6 @@ class RecordStore:
         """Drop the record cipher's round tables (see ``DES.release_tables``)."""
         self._transform._des.release_tables()
 
-    # -- whole-store state (process-executor support) --------------------
-
-    def export_state(self) -> dict[str, object]:
-        """Everything a process-pool worker needs to rebuild this store.
-
-        Platter bytes stay *enciphered* (they are exported at rest,
-        below the transform) alongside the slot-allocation metadata that
-        lives only in memory.  Pair with :meth:`from_state`.
-        """
-        return {
-            "data_key": self.data_key,
-            "record_size": self.record_size,
-            "block_size": self.disk.block_size,
-            "cache_blocks": self.cache.capacity,
-            "blocks": self.disk.export_state(),
-            "free": list(self._free),
-            "count": self.count,
-            "open_block": self._open_block,
-            "open_slots": list(self._open_slots),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, object]) -> "RecordStore":
-        """Rebuild a store from :meth:`export_state` output (cold caches)."""
-        store = cls(
-            state["data_key"],
-            record_size=state["record_size"],
-            block_size=state["block_size"],
-            cache_blocks=state["cache_blocks"],
-        )
-        store.import_state(state)
-        return store
-
-    def import_state(self, state: dict[str, object]) -> None:
-        """Adopt another store's platter and slot metadata in place.
-
-        Used when a worker's post-``bulk_load`` state is shipped back:
-        the receiving store must already share the exported store's
-        geometry and data key.  The plaintext cache is dropped -- it may
-        describe blocks the imported platter replaced.
-        """
-        if (
-            state["record_size"] != self.record_size
-            or state["block_size"] != self.disk.block_size
-            or state["data_key"] != self.data_key
-        ):
-            raise StorageError(
-                "record-store state import requires identical geometry and key"
-            )
-        self.disk.import_state(state["blocks"])  # taints the block journal
-        self._free = list(state["free"])
-        self.count = state["count"]
-        self._open_block = state["open_block"]
-        self._open_slots = list(state["open_slots"])
-        self._adopted_open_block()
-        self.cache.clear()
-
     # -- metadata recovery (durable-backend support) ---------------------
 
     def _scan_block(self, block_id: int):
@@ -396,56 +338,6 @@ class RecordStore:
         self._open_slots = open_slots
         self._unsettled = set()  # the slots just came off the platter
         self.cache.clear()
-
-    def _adopted_open_block(self) -> None:
-        """Settle adopted metadata: its open slots may not be at rest.
-
-        A shipped open block may have lost its last write at the
-        exporter, so its next write here re-enciphers it whole.
-        """
-        self._unsettled = set() if self._open_block is None else {self._open_block}
-
-    # -- incremental replica sync ----------------------------------------
-
-    def collect_delta(self, since_epoch: int) -> RecordStoreDelta | None:
-        """Changed enciphered blocks + full slot metadata since an epoch.
-
-        ``None`` when the device's journal cannot prove completeness
-        back to ``since_epoch`` (the consumer needs a full snapshot).
-        Bytes are read at rest -- below the record cipher -- at collect
-        time, so a slot rewritten many times ships its final block image
-        once.
-        """
-        changed_blocks = self.disk.journal.collect_since(since_epoch)
-        if changed_blocks is None:
-            return None
-        return RecordStoreDelta(
-            disk=DiskDelta(
-                num_blocks=self.disk.num_blocks,
-                block_writes=self.disk.snapshot_blocks(sorted(changed_blocks)),
-            ),
-            free=list(self._free),
-            count=self.count,
-            open_block=self._open_block,
-            open_slots=list(self._open_slots),
-        )
-
-    def apply_delta(self, delta: RecordStoreDelta) -> None:
-        """Adopt a delta in place (the replica-side half of collect).
-
-        Patches the enciphered platter, replaces the slot metadata
-        wholesale (it is small and ships complete), and invalidates the
-        plaintext cache for exactly the patched blocks -- cached
-        plaintext must never outlive the bytes it was deciphered from.
-        """
-        self.disk.patch_state(delta.disk.num_blocks, delta.disk.block_writes)
-        self._free = list(delta.free)
-        self.count = delta.count
-        self._open_block = delta.open_block
-        self._open_slots = list(delta.open_slots)
-        self._adopted_open_block()
-        for block_id in delta.disk.block_writes:
-            self.cache.invalidate(block_id)
 
     # -- helpers ---------------------------------------------------------
 

@@ -338,7 +338,7 @@ _schedule_lock = threading.Lock()
 
 
 def _reset_schedule_lock_after_fork() -> None:
-    # A forked child (the cluster's process executor) inherits this lock
+    # A forked child inherits this lock
     # in whatever state some *other* parent thread held it; its first
     # DES construction would then deadlock.  The child is single-threaded
     # at birth, so a fresh lock is always the correct state.

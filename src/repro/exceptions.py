@@ -51,11 +51,6 @@ class ClearanceError(CryptoError):
         self.clearance = clearance
         self.level = level
 
-    def __reduce__(self):
-        # multi-argument __init__ breaks the default exception pickling;
-        # worker processes ship these back over the result pipe
-        return (type(self), (self.clearance, self.level))
-
 
 class StorageError(ReproError):
     """Base class for simulated-disk failures."""
@@ -102,42 +97,12 @@ class PermanentIOError(StorageError):
     """
 
 
-class WorkerCrashError(StorageError):
-    """A shard worker process died (or was killed) mid-conversation.
-
-    Classified as *transient* by :class:`repro.faults.RetryPolicy`: the
-    executor can respawn the worker and re-ship its replica, so the
-    operation is retryable as long as the respawn budget holds out.
-    """
-
-    def __init__(self, shard_id: int, message: str) -> None:
-        super().__init__(f"shard {shard_id} {message}")
-        self.shard_id = shard_id
-
-    def __reduce__(self):
-        # multi-argument __init__ breaks the default exception pickling
-        return (WorkerCrashError, (self.shard_id, _strip_shard_prefix(self)))
-
-
-class WorkerTimeoutError(WorkerCrashError):
-    """A shard worker missed its per-op deadline and was put down."""
-
-    def __reduce__(self):
-        return (WorkerTimeoutError, (self.shard_id, _strip_shard_prefix(self)))
-
-
-def _strip_shard_prefix(exc: WorkerCrashError) -> str:
-    text = str(exc)
-    prefix = f"shard {exc.shard_id} "
-    return text[len(prefix):] if text.startswith(prefix) else text
-
-
 class ShardUnavailableError(StorageError):
     """A cluster operation touched a shard that is out of service.
 
-    Raised when a shard is quarantined (permanent device failure,
-    exhausted worker-respawn budget) and the caller did not opt into
-    degraded reads.  Carries the shard id so routers and retry layers
+    Raised when a shard is quarantined (a permanent device failure, a
+    run of transient ones, or an operator's quarantine) and the caller
+    did not opt into degraded reads.  Carries the shard id so routers and retry layers
     can act on it.
     """
 
@@ -146,11 +111,6 @@ class ShardUnavailableError(StorageError):
         super().__init__(f"shard {shard_id} unavailable{detail}")
         self.shard_id = shard_id
         self.reason = reason
-
-    def __reduce__(self):
-        # multi-argument __init__ breaks the default exception pickling;
-        # worker processes ship these back over the result pipe
-        return (type(self), (self.shard_id, self.reason))
 
 
 class BTreeError(ReproError):
@@ -164,9 +124,6 @@ class DuplicateKeyError(BTreeError):
         super().__init__(f"duplicate key: {key}")
         self.key = key
 
-    def __reduce__(self):
-        return (type(self), (self.key,))
-
 
 class KeyNotFoundError(BTreeError):
     """A delete or lookup named a key that is not in the tree."""
@@ -174,9 +131,6 @@ class KeyNotFoundError(BTreeError):
     def __init__(self, key: int) -> None:
         super().__init__(f"key not found: {key}")
         self.key = key
-
-    def __reduce__(self):
-        return (type(self), (self.key,))
 
 
 class SubstitutionError(ReproError):
@@ -190,8 +144,3 @@ class KeyUniverseError(SubstitutionError):
         super().__init__(f"search key {key} outside universe {universe}")
         self.key = key
         self.universe = universe
-
-    def __reduce__(self):
-        # multi-argument __init__ breaks the default exception pickling;
-        # worker processes ship these back over the result pipe
-        return (type(self), (self.key, self.universe))

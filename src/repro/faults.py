@@ -8,7 +8,7 @@ probability per op); a :class:`FaultInjector` executes one plan against
 one device, counting everything it does so tests can assert the injected
 schedule exactly.  :class:`RetryPolicy` is the recovery half: capped
 exponential backoff with deterministic jitter plus the transient-vs-
-permanent classification used by devices and the shard executor alike.
+permanent classification the devices retry by.
 
 The ``REPRO_FAULTS`` environment variable arms the whole engine: every
 :class:`~repro.storage.device.BlockDevice` constructed while it is set
@@ -46,7 +46,6 @@ from .exceptions import (
     PermanentIOError,
     StorageError,
     TransientIOError,
-    WorkerCrashError,
 )
 
 __all__ = [
@@ -127,7 +126,7 @@ class RetryPolicy:
         """Classify an error: retryable (transient) or not (permanent)."""
         if isinstance(exc, PermanentIOError):
             return False
-        return isinstance(exc, (TransientIOError, WorkerCrashError))
+        return isinstance(exc, TransientIOError)
 
     def delay_for(self, attempt: int, rng: random.Random | None = None) -> float:
         delay = min(

@@ -5,7 +5,7 @@ EncipheredDatabase` bundles the package's one instrument:
 
 * a :class:`~repro.obs.metrics.MetricsRegistry` of latency histograms,
   fixed at construction to the :data:`INSTRUMENTS` names, so every
-  shard and worker snapshot has the same shape;
+  shard's snapshot has the same shape;
 * a :class:`~repro.obs.tracing.Tracer` whose spans feed them.
 
 The plane is governed by one switch.  Disabled (the default, and the
@@ -19,11 +19,10 @@ persisted: observability never changes what is at rest.
 
 Because :meth:`Observability.snapshot` contains only additive numeric
 leaves in a fixed shape, it rides inside ``stats()["observability"]``
-through every existing aggregation path: in-process shards merge it
-leaf-wise, process workers ship it as snapshot deltas over the pipe
-protocol, and :class:`~repro.cluster.stats.ClusterStats` rolls it up --
-serial and process executors therefore report one coherent picture
-(asserted by benchmark C13 and the cluster observability tests).
+through the cluster's aggregation path:
+:class:`~repro.cluster.stats.ClusterStats` merges the shards' snapshots
+leaf-wise, like every other counter (asserted by benchmark C13 and the
+cluster observability tests).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ __all__ = [
 
 #: Every instrument the engine records, and the only names a database's
 #: registry holds, so all observability snapshots share one shape (the
-#: worker-harvest subtraction and the cluster merge require it).
+#: cluster merge requires it).
 INSTRUMENTS = (
     "db.get",
     "db.put",
@@ -67,9 +66,6 @@ INSTRUMENTS = (
     "platter.wal_append",
     "platter.fsync",
     "platter.header_flip",
-    "executor.full_ship",
-    "executor.delta_ship",
-    "executor.respawn",
     "device.fault_retry",
 )
 
@@ -79,12 +75,7 @@ _ENV_FLAGS = {"": False, "0": False, "1": True}
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Picklable observability configuration.
-
-    Travels inside :class:`~repro.cluster.executor.ShardSpec` so worker
-    processes instrument their replicas identically to the parent --
-    without that, the merged cross-executor picture would be incomplete.
-    """
+    """Observability configuration: one switch, shared by every shard."""
 
     enabled: bool = False
 
@@ -123,8 +114,7 @@ class Observability:
         """The mergeable export: fixed shape, every leaf an additive number.
 
         This is what ``EncipheredDatabase.stats()["observability"]``
-        returns; it flows through ``merge_counter_dicts`` /
-        ``subtract_counter_dicts`` unchanged.
+        returns; it flows through ``merge_counter_dicts`` unchanged.
         """
         return {"latency": self.registry.snapshot()}
 

@@ -1,17 +1,15 @@
 """Mergeable latency histograms for the observability plane.
 
 The engine's cost model has always been *counters* -- exact, additive,
-mergeable across threads, shards and worker processes.  Latency must ride
-the same rails or it cannot be rolled up: a per-process list of raw
-durations neither merges leaf-wise (variable shape) nor subtracts (the
-worker-harvest protocol computes ``current - base`` snapshots).
+mergeable across threads and shards.  Latency must ride the same rails
+or it cannot be rolled up: a list of raw durations does not merge
+leaf-wise (variable shape).
 
 :class:`Histogram` therefore stores latency as **fixed-shape counts**: a
 log-spaced bucket per power-of-two microsecond band, plus an exact
 ``count`` and ``total_ns``.  Every field is an additive integer, so a
 histogram snapshot is just another counter dict -- it flows through
-:func:`repro.cluster.stats.merge_counter_dicts`, ships over the worker
-pipe protocol via snapshot subtraction, and two merged histograms answer
+:func:`repro.cluster.stats.merge_counter_dicts`, and two merged histograms answer
 the same percentile queries as one histogram that saw both streams
 (bucketing is deterministic, so merging loses nothing the bucket
 resolution had not already discarded).
@@ -96,7 +94,7 @@ def percentile(snapshot: dict, q: float) -> float:
 
     ``snapshot`` is any dict with ``count`` and the ``le_XX`` bucket
     fields -- a single histogram's :meth:`Histogram.snapshot`, or the
-    leaf-wise merge of many (cluster rollups, worker harvests).  Returns
+    leaf-wise merge of many (cluster rollups).  Returns
     the upper bound of the bucket containing the target rank, i.e. a
     conservative (never-optimistic) latency estimate at the bucket
     resolution.  Zero observations -> ``0.0``.
@@ -138,9 +136,9 @@ def summarize(snapshot: dict) -> dict:
 class MetricsRegistry:
     """Named histograms with a fixed shape, set at construction.
 
-    The worker-harvest protocol subtracts whole stats snapshots
-    leaf-wise, so the set of histograms must be identical in every
-    snapshot a database ever produces.  The registry therefore holds
+    The cluster merges whole stats snapshots leaf-wise, so the set of
+    histograms must be identical in every snapshot a database ever
+    produces.  The registry therefore holds
     exactly the instrument names passed to the constructor (the
     engine's are ``repro.obs.INSTRUMENTS``) and never grows.
     """

@@ -7,7 +7,7 @@ physical disk.  This package simulates that boundary:
 
 * :mod:`repro.storage.device` -- :class:`BlockDevice`, the at-rest
   contract written once (allocation, bounds, read/write accounting,
-  state transfer, the raw view) plus an optional encipherment transform
+  at-rest state access, the raw view) plus an optional encipherment transform
   applied exactly at the read/write boundary (the hardware module's
   position); each backend below supplies only its at-rest primitives;
 * :mod:`repro.storage.disk` -- the in-memory device (instant, the
@@ -25,10 +25,6 @@ physical disk.  This package simulates that boundary:
   *raw* (still-enciphered) blocks, so cryptographic costs stay faithful
   while disk traffic is still realistic, and an opt-in decoded-page
   level for serving paths that may skip redundant re-decryption;
-* :mod:`repro.storage.journal` -- epoch-tagged change journals and the
-  delta wire format behind incremental replica sync (which blocks
-  changed, so a process-pool worker catches up in O(changes) instead of
-  O(database));
 * :mod:`repro.storage.layout` -- triplet/node sizing arithmetic used by
   the storage-overhead experiment (C2);
 * :mod:`repro.storage.rwlock` -- the reader--writer lock the concurrent
@@ -40,7 +36,6 @@ from repro.storage.backend import FileBackend, MemoryBackend, StorageBackend
 from repro.storage.cache import CacheStats, LRUCache
 from repro.storage.device import BlockDevice
 from repro.storage.disk import BlockTransform, DiskStats, SimulatedDisk
-from repro.storage.journal import ChangeJournal, DiskDelta, RecordStoreDelta, ShardDelta
 from repro.storage.layout import NodeLayout, TripletLayout
 from repro.storage.pager import Pager
 from repro.storage.platter import FilePlatter
@@ -50,8 +45,6 @@ __all__ = [
     "BlockDevice",
     "BlockTransform",
     "CacheStats",
-    "ChangeJournal",
-    "DiskDelta",
     "DiskStats",
     "FileBackend",
     "FilePlatter",
@@ -60,8 +53,6 @@ __all__ = [
     "NodeLayout",
     "Pager",
     "ReadWriteLock",
-    "RecordStoreDelta",
-    "ShardDelta",
     "SimulatedDisk",
     "StorageBackend",
     "TripletLayout",

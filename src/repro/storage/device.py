@@ -8,12 +8,10 @@ implements every shared device semantic once:
 * allocation, ``num_blocks`` and bounds checks;
 * single and batched reads and writes with their :class:`DiskStats`
   bookkeeping -- a batch reads each distinct id once, in id order, and
-  counts every requester -- and the change journal's no-op dedup (a
-  write whose at-rest bytes equal what is already there is not
-  journaled);
-* the state-transfer surface the process executor and replica sync ship
-  at-rest bytes through (``export_state``/``import_state``/
-  ``snapshot_blocks``/``patch_state``);
+  counts every requester -- and the no-op dedup (a write whose at-rest
+  bytes equal what is already there is counted but not staged);
+* ``export_state``/``patch_state``, which read and set at-rest bytes
+  below the transform and the statistics;
 * the attacker's view (``raw_block``/``raw_blocks``);
 * fault injection and retries around the at-rest part.
 
@@ -65,7 +63,6 @@ from repro.faults import (
     zero_fault_counters,
 )
 from repro.obs.tracing import NULL_TRACER
-from repro.storage.journal import ChangeJournal
 
 
 class BlockTransform(Protocol):
@@ -173,8 +170,7 @@ class BlockDevice(ABC):
     Subclasses supply the at-rest primitives (:meth:`_at_rest`,
     :meth:`_stage`, :meth:`_grow`, :meth:`_wait`); this base class owns
     everything else: allocation, bounds, the transform boundary, the
-    statistics, the change journal the incremental replica-sync protocol
-    reads, the state-transfer surface and the attacker's view.
+    statistics, at-rest state access and the attacker's view.
 
     The primitives run under ``_lock``, which guards the block count,
     the at-rest bytes and the statistics; the transform runs outside it,
@@ -194,12 +190,6 @@ class BlockDevice(ABC):
         #: fsync, header flip).  Defaults to the shared disabled tracer;
         #: the owning database replaces it with its own.
         self.tracer = NULL_TRACER
-        #: Ledger of mutated block ids for incremental replica sync; a
-        #: write whose at-rest bytes equal what the platter already held
-        #: is *not* journaled (nothing changed, nothing to ship), which
-        #: is what keeps no-op commits -- identical superblock rewrites
-        #: -- invisible to the sync protocol.
-        self.journal = ChangeJournal()
         #: Fault-injection + retry seam (the chaos plane).  Unset by
         #: default; :func:`repro.faults.plan_from_env` arms every device
         #: constructed while ``REPRO_FAULTS`` is set.
@@ -318,7 +308,7 @@ class BlockDevice(ABC):
     def _stage(self, block_id: int, stored: bytes | None) -> None:
         """Set an id's at-rest bytes (``None``: never written).
 
-        No statistics, no journal: the callers here account for both.
+        No statistics: the callers here account for them.
         """
 
     def _grow(self, num_blocks: int) -> None:
@@ -528,11 +518,16 @@ class BlockDevice(ABC):
         self._guarded_batch(attempt_batch)
 
     def _store(self, block_id: int, stored: bytes) -> None:
-        """Land at-rest bytes: statistics, journal dedup, staging."""
+        """Land at-rest bytes: statistics, no-op dedup, staging."""
         self._store_many([(block_id, stored)])
 
     def _store_many(self, pairs: list[tuple[int, bytes]]) -> None:
-        """Land a batch; the modelled service time is charged once."""
+        """Land a batch; the modelled service time is charged once.
+
+        A write whose at-rest bytes equal what the block already holds
+        is counted but not staged, so an identical rewrite (a no-op
+        commit's superblock) gives a durable platter nothing to sync.
+        """
         if not pairs:
             return
         share = (self._wait() or 0.0) / len(pairs)
@@ -543,7 +538,6 @@ class BlockDevice(ABC):
                 if current is not None:
                     stats.overwrites += 1
                 if current != stored:
-                    self.journal.note(block_id)
                     self._stage(block_id, stored)
                 stats.writes += 1
                 stats.bytes_written += len(stored)
@@ -591,60 +585,22 @@ class BlockDevice(ABC):
                 stats.read_time_s += share
         return [fetched[block_id] for block_id in block_ids]
 
-    # -- whole-platter state (process-executor support) ------------------
+    # -- at-rest state -------------------------------------------------
     #
-    # State transfers, not I/O: neither the statistics nor the transform
+    # State access, not I/O: neither the statistics nor the transform
     # are touched (the bytes are already at rest), and oversized blocks
     # are rejected exactly as a physical write would reject them.
 
     def export_state(self) -> list[bytes | None]:
-        """Every block slot -- written or not -- in platter order.
-
-        Feed the result to :meth:`import_state` on a device with the
-        same block size and transform to clone the platter, e.g. into a
-        process-pool worker's private copy of a shard.
-        """
+        """Every block slot -- written or not -- in platter order."""
         with self._lock:
             return [self._at_rest(block_id) for block_id in range(self._count)]
 
-    def import_state(self, blocks: list[bytes | None]) -> None:
-        """Replace the entire platter with :meth:`export_state` output.
-
-        Ids at or above the imported length read as never written, even
-        after the device grows again.  The change journal is *tainted*:
-        its history described the replaced platter, so any consumer
-        tracking this device needs a fresh full snapshot.
-        """
-        blocks = list(blocks)
-        for block_id, data in enumerate(blocks):
-            self._check_fits(block_id, data, "imported payload")
-        with self._lock:
-            self._grow(len(blocks))
-            for block_id in range(len(blocks), self._count):
-                self._stage(block_id, None)
-            for block_id, data in enumerate(blocks):
-                self._stage(block_id, data)
-            self._count = len(blocks)
-        self.journal.taint()
-
-    def snapshot_blocks(self, block_ids) -> dict[int, bytes | None]:
-        """At-rest bytes of the listed blocks (a targeted export).
-
-        Allocated-but-never-written blocks yield ``None``.
-        """
-        with self._lock:
-            out: dict[int, bytes | None] = {}
-            for block_id in block_ids:
-                self._check_id(block_id)
-                out[block_id] = self._at_rest(block_id)
-            return out
-
     def patch_state(self, num_blocks: int, block_writes: dict[int, bytes | None]) -> None:
-        """Apply a targeted delta: grow to ``num_blocks``, set the listed ids.
+        """Grow to ``num_blocks`` and set the listed ids' at-rest bytes.
 
-        The replica-side half of :meth:`snapshot_blocks`.  The device
-        never shrinks here.  The patched ids are journaled -- they are
-        genuine state changes should anything ever track *this* device.
+        The device never shrinks here.  Tests use it to tamper with
+        stored bytes behind the transform's back.
         """
         for block_id, data in block_writes.items():
             self._check_fits(block_id, data, "patched payload")
@@ -660,7 +616,6 @@ class BlockDevice(ABC):
                 self._count = num_blocks
             for block_id, data in block_writes.items():
                 self._stage(block_id, data)
-        self.journal.note_many(block_writes)
 
     # -- the attacker's view ---------------------------------------------
 

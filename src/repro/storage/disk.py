@@ -12,7 +12,7 @@ This module supplies only the at-rest primitives of the
 at-rest bytes (``None`` for a never-written block), read and set by id
 and extended on allocation, plus the optional modelled service time
 ``latency_s``.  Everything else -- allocation, bounds, statistics, the
-change journal, the state-transfer surface, the attacker's view
+no-op dedup, at-rest state access, the attacker's view
 (:meth:`~repro.storage.device.BlockDevice.raw_block`, which feeds the
 shape-reconstruction analysis of experiment C5) and fault injection --
 is the base class's, shared with the durable
@@ -58,8 +58,8 @@ class SimulatedDisk(BlockDevice):
         per batch for ``read_many``/``write_many`` (default ``0.0`` --
         instant, the paper-faithful cost model).  The sleep runs outside
         the device lock, so concurrent readers overlap their waits as
-        real spindles overlap seeks; it lets the executor and cache
-        benchmarks show I/O-overlap effects without a real file.  Mutable
+        real spindles overlap seeks; it lets the cache benchmarks
+        show I/O-overlap effects without a real file.  Mutable
         at runtime.
 
     ``close()`` is a no-op: a :class:`~repro.storage.backend.

@@ -53,7 +53,6 @@ from typing import Callable
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
-from repro.storage.journal import DiskDelta
 
 
 @dataclass
@@ -291,27 +290,6 @@ class Pager:
             self._dirty.clear()
             self._raw.enforce_capacity()
             return dropped
-
-    def collect_delta(self, since_epoch: int) -> DiskDelta | None:
-        """The committed block changes sealed after ``since_epoch``.
-
-        Returns a :class:`~repro.storage.journal.DiskDelta` carrying the
-        current at-rest bytes of every block the disk's journal sealed
-        after that epoch, or ``None`` when no delta can be served: the
-        journal was truncated/tainted past the epoch, or dirty pages
-        make the platter a non-authoritative snapshot (a delta must
-        describe *committed* state only).
-        """
-        with self._lock:
-            if self._dirty:
-                return None
-            changed = self.disk.journal.collect_since(since_epoch)
-            if changed is None:
-                return None
-            return DiskDelta(
-                num_blocks=self.disk.num_blocks,
-                block_writes=self.disk.snapshot_blocks(sorted(changed)),
-            )
 
     def invalidate(self, block_id: int) -> None:
         """Drop a block from both cache levels (e.g. after deallocation).

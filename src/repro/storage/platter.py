@@ -14,8 +14,8 @@ pending overlay of unsynced writes, then the file, then WAL repair of a
 record whose CRC fails) and staging one id's bytes in that overlay.  It
 keeps the base's default service time: a read is charged its measured
 time, a write the measured time of the :meth:`~FilePlatter.sync` that
-lands it.  Allocation, bounds, statistics, the change journal's no-op dedup, the
-state-transfer surface and the attacker's view are the base class's,
+lands it.  Allocation, bounds, statistics, the no-op dedup, at-rest
+state access and the attacker's view are the base class's,
 shared with :class:`~repro.storage.disk.SimulatedDisk`.  What this
 module owns is the file format and the durability protocol below.  I/O
 on a closed platter raises :class:`~repro.exceptions.StorageError`.
@@ -78,12 +78,10 @@ the next one) -- several committers' writes travel behind one WAL
 fsync, one apply fsync and one header flip, and a sync with nothing
 left pending returns without I/O.
 
-The platter syncs only when its owner asks (a database commit, a
-cluster installing state a process worker committed, or
-:meth:`~FilePlatter.close`).  Its change journal is replica-sync
-bookkeeping and never forces a sync: the database superblock is the
-commit point, so pages staged after the last commit must not reach the
-file without it.
+The platter syncs only when its owner asks (a database commit or
+:meth:`~FilePlatter.close`): the database superblock is the commit
+point, so pages staged after the last commit must not reach the file
+without it.
 
 ``fault_hook`` is the crash-injection seam for the recovery tests: when
 set, it is called with a named crash point (``"sync:start"``,
@@ -135,7 +133,7 @@ _RECORD_HEADER = _RECORD_PREFIX.size
 
 #: Sentinel for "the at-rest bytes are unreadable" in the write-path
 #: dedup compare -- unequal to any bytes and to None, so a write over a
-#: corrupt record always journals and always lands.
+#: corrupt record always lands.
 _TORN = object()
 
 
@@ -185,7 +183,7 @@ class FilePlatter(BlockDevice):
         but the repair history).
 
     Write path: at-rest bytes stage in ``_pending`` (read-modify-write
-    against the file for the journal's no-op dedup) and reach the file
+    against the file for the no-op dedup) and reach the file
     only at :meth:`sync` -- the device-level analogue of a write-back
     cache, and what makes "one commit = one WAL frame = one header
     flip" possible.  Reads prefer ``_pending`` (a handle must see its

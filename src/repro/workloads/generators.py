@@ -131,8 +131,8 @@ def mixed_operations(
 ) -> list[tuple]:
     """A deterministic interleaved stream of reads and writes.
 
-    Models the mixed workloads benchmark C11 replays against every
-    executor backend: each step is a range read with probability
+    Models a mixed read/write workload: each step is a range read with
+    probability
     ``read_fraction``, otherwise a write (alternating inserts of absent
     keys and deletes of present ones, so the population stays near its
     initial size).  The generator simulates the key population as it

@@ -1,19 +1,15 @@
 """The superblock is a durable cluster's only commit point.
 
-A shard on durable devices syncs at ``commit()``, or when it installs a
-batch a process worker already committed, and nowhere else: with
+A shard on durable devices syncs at ``commit()`` and nowhere else: with
 ``autocommit=False`` a run of cluster writes reaches the WAL only when
-the caller commits, whichever executor serves the reads.  A process
-that dies mid-batch therefore leaves every shard at its last commit,
-and the manifest-driven reopen lands there exactly, as a single
-database does.
+the caller commits.  A process that dies mid-batch therefore leaves
+every shard at its last commit, and the manifest-driven reopen lands
+there exactly, as a single database does.
 """
 
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
@@ -25,7 +21,6 @@ from repro.substitution.oval import OvalSubstitution
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
 NUM_SHARDS = 2
-EXECUTORS = ("serial", "processes")
 
 
 def sub_factory(i: int) -> OvalSubstitution:
@@ -40,7 +35,7 @@ def backend_at(tmp_path) -> FileBackend:
     return FileBackend(tmp_path / "cluster", fsync=False)
 
 
-def committed_cluster(tmp_path, executor):
+def committed_cluster(tmp_path):
     """A 2-shard file-backed cluster holding 30 committed rows."""
     keys = random.Random(0xC01).sample(range(DESIGN.v), 60)
     cluster = ShardedEncipheredDatabase.create(
@@ -49,13 +44,11 @@ def committed_cluster(tmp_path, executor):
         num_shards=NUM_SHARDS,
         min_degree=2,
         autocommit=False,
-        executor=executor,
         backend=backend_at(tmp_path),
     )
     committed = {k: f"c{k}".encode() for k in keys[:30]}
     cluster.put_many(committed.items())
     cluster.commit()
-    # a fan-out now starts the process workers on the committed state
     assert cluster.range_search(0, DESIGN.v) == sorted(committed.items())
     return cluster, committed, keys[30:]
 
@@ -69,17 +62,14 @@ def device_syncs(cluster) -> int:
 
 
 def crash(cluster) -> None:
-    """The process dies: no sync, no close, workers reaped."""
+    """The process dies: no sync, no close."""
     for shard in cluster.shards:
         shard.disk.abandon()
         shard.records.disk.abandon()
-    if cluster._procs is not None:
-        cluster._procs.close()
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_uncommitted_writes_do_not_sync(tmp_path, executor):
-    cluster, committed, fresh = committed_cluster(tmp_path, executor)
+def test_uncommitted_writes_do_not_sync(tmp_path):
+    cluster, committed, fresh = committed_cluster(tmp_path)
     try:
         before = device_syncs(cluster)
         for k in fresh[:20]:
@@ -92,16 +82,15 @@ def test_uncommitted_writes_do_not_sync(tmp_path, executor):
         cluster.close()
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_crash_mid_batch_reopens_at_the_last_commit(tmp_path, executor):
-    cluster, committed, fresh = committed_cluster(tmp_path, executor)
+def test_crash_mid_batch_reopens_at_the_last_commit(tmp_path):
+    cluster, committed, fresh = committed_cluster(tmp_path)
     for k in fresh[:20]:
         cluster.insert(k, f"u{k}".encode())
     cluster.delete(next(iter(committed)))
     crash(cluster)
 
     reopened = ShardedEncipheredDatabase.reopen_from_manifest(
-        sub_factory, cipher_factory, backend_at(tmp_path), executor=executor
+        sub_factory, cipher_factory, backend_at(tmp_path)
     )
     try:
         reopened.check_invariants()
@@ -111,13 +100,10 @@ def test_crash_mid_batch_reopens_at_the_last_commit(tmp_path, executor):
         reopened.close()
 
 
-def test_installed_worker_commits_survive_a_crash(tmp_path):
-    """Process-backend batches commit in the workers, then install here.
-
-    With ``autocommit=True`` a ``bulk_load``, ``put_many`` or
+def test_autocommit_batches_survive_a_crash(tmp_path):
+    """With ``autocommit=True`` a ``bulk_load``, ``put_many`` or
     ``delete_many`` has returned only once its shards are durable, so a
-    crash right after it must not lose the batch.
-    """
+    crash right after it must not lose the batch."""
     keys = random.Random(0xC02).sample(range(DESIGN.v), 60)
     cluster = ShardedEncipheredDatabase.create(
         sub_factory,
@@ -125,19 +111,15 @@ def test_installed_worker_commits_survive_a_crash(tmp_path):
         num_shards=NUM_SHARDS,
         min_degree=2,
         autocommit=True,
-        executor="processes",
         backend=backend_at(tmp_path),
     )
     expected = {k: f"b{k}".encode() for k in keys[:30]}
     cluster.bulk_load(expected.items())
-    assert cluster._procs is not None  # the load ran in the workers
     batch = {k: f"p{k}".encode() for k in keys[30:]}
     cluster.put_many(batch.items())
     expected.update(batch)
-    assert cluster.sync_stats()["offloaded_batches"] == NUM_SHARDS
     gone = keys[:4] + keys[30:34]
     cluster.delete_many(gone)
-    assert cluster.sync_stats()["offloaded_batches"] == 2 * NUM_SHARDS
     for k in gone:
         del expected[k]
     crash(cluster)

@@ -15,7 +15,12 @@ span counters, gauges and the runtime on/off switch are gone, with the
 keywords that configured them.  The numpy ``"vector"`` DES kernel is
 gone too, replaced by ``"openssl"``: asking for it by ``DES(kernel=)``,
 ``set_default_kernel`` or ``REPRO_DES_KERNEL`` raises ``KeyError_``, and
-nothing in the package imports numpy any more.
+nothing in the package imports numpy any more.  The cluster's process
+executor is gone with its change journals and replica sync: ``create``
+and ``reopen`` reject ``executor=``, ``shard_factories=`` and
+``op_deadline_s=``, ``reopen_from_manifest`` accepts only
+``executor="serial"`` (anything else raises ``StorageError``), and
+nothing in the package imports ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -28,8 +33,12 @@ import sys
 
 import pytest
 
+import repro.cluster
+import repro.cluster.health
+import repro.exceptions
 import repro.obs
 import repro.obs.metrics
+import repro.storage
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
@@ -38,7 +47,7 @@ from repro.crypto import des as des_module
 from repro.crypto.des import DES, default_kernel, set_default_kernel
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import KeyError_
+from repro.exceptions import KeyError_, StorageError
 from repro.obs import INSTRUMENTS, MetricsRegistry, ObsConfig, Observability, Tracer
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.cache import LRUCache
@@ -81,10 +90,38 @@ def _reopen_cluster(tmp_path):
     return ShardedEncipheredDatabase.reopen(sub, cipher, cluster.shard_parts(), **BUDGET)
 
 
-def _reopen_cluster_from_manifest(tmp_path):
+def _manifest_backend() -> MemoryBackend:
     backend = MemoryBackend()
     ShardedEncipheredDatabase.create(sub, cipher, num_shards=2, backend=backend).close()
-    return ShardedEncipheredDatabase.reopen_from_manifest(sub, cipher, backend, **BUDGET)
+    return backend
+
+
+def _reopen_cluster_from_manifest(tmp_path):
+    return ShardedEncipheredDatabase.reopen_from_manifest(
+        sub, cipher, _manifest_backend(), **BUDGET
+    )
+
+
+#: The process executor's keywords, each with a value it used to accept.
+EXECUTOR_KEYWORDS = {
+    "executor": "serial",
+    "shard_factories": (sub, cipher),
+    "op_deadline_s": 0.5,
+}
+
+
+def _reopen_cluster_with(keyword):
+    cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
+    return ShardedEncipheredDatabase.reopen(
+        sub, cipher, cluster.shard_parts(), **{keyword: EXECUTOR_KEYWORDS[keyword]}
+    )
+
+
+def _construct_cluster_with(*removed_args, **removed):
+    cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
+    return ShardedEncipheredDatabase(
+        cluster.shards, cluster.router, *removed_args, **removed
+    )
 
 
 #: Every surface that took a removed keyword, called with it.
@@ -127,6 +164,33 @@ REJECTING_CALLS = {
     "db.create(observability=Observability)": lambda tmp_path: EncipheredDatabase.create(
         sub(), cipher(), observability=Observability(ObsConfig())
     ),
+    **{
+        f"cluster.create({keyword})": (
+            lambda tmp_path, keyword=keyword: ShardedEncipheredDatabase.create(
+                sub, cipher, num_shards=2, **{keyword: EXECUTOR_KEYWORDS[keyword]}
+            )
+        )
+        for keyword in EXECUTOR_KEYWORDS
+    },
+    **{
+        f"cluster.reopen({keyword})": (
+            lambda tmp_path, keyword=keyword: _reopen_cluster_with(keyword)
+        )
+        for keyword in EXECUTOR_KEYWORDS
+    },
+    "cluster.reopen_from_manifest(op_deadline_s)": lambda tmp_path: (
+        ShardedEncipheredDatabase.reopen_from_manifest(
+            sub, cipher, _manifest_backend(), op_deadline_s=0.5
+        )
+    ),
+    "ShardedEncipheredDatabase(executor)": lambda tmp_path: _construct_cluster_with(
+        executor="serial"
+    ),
+    # the third positional parameter was ``executor``; it must not land
+    # in ``degraded_reads`` now
+    "ShardedEncipheredDatabase(shards, router, executor)": lambda tmp_path: (
+        _construct_cluster_with("serial")
+    ),
 }
 
 #: The prefetch entry points; no owner below may have any of them.
@@ -136,16 +200,14 @@ PREFETCH = ("warm", "warm_blocks", "readahead")
 GONE = {
     "database": (
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
-        ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach", "warming")
+        ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach", "warming",
+         "seal_changes", "truncate_journals", "has_unsealed_changes",
+         "collect_delta", "apply_delta")
         + PREFETCH,
     ),
     "BTree": (
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()).tree,
         PREFETCH,
-    ),
-    "Pager": (
-        lambda tmp_path: Pager(SimulatedDisk(block_size=64)),
-        ("readahead_workers", "close") + PREFETCH,
     ),
     "PagerStats": (
         lambda tmp_path: Pager(SimulatedDisk(block_size=64)).stats,
@@ -153,17 +215,32 @@ GONE = {
     ),
     "RecordStore": (
         lambda tmp_path: RecordStore(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"),
-        ("reattach", "_reindex_blocks", "_meta_blocks") + PREFETCH,
+        ("reattach", "_reindex_blocks", "_meta_blocks", "export_state", "from_state",
+         "import_state", "collect_delta", "apply_delta") + PREFETCH,
     ),
-    "BlockDevice": (lambda tmp_path: BlockDevice, ("poll",)),
-    "SimulatedDisk": (lambda tmp_path: SimulatedDisk(block_size=64), ("poll",)),
+    "BlockDevice": (
+        lambda tmp_path: BlockDevice,
+        ("poll", "import_state", "snapshot_blocks"),
+    ),
+    "SimulatedDisk": (
+        lambda tmp_path: SimulatedDisk(block_size=64),
+        ("poll", "journal", "import_state", "snapshot_blocks"),
+    ),
     "FilePlatter": (
         lambda tmp_path: FilePlatter(tmp_path / "p.platter", fsync=False),
-        ("poll",),
+        ("poll", "journal", "import_state", "snapshot_blocks"),
+    ),
+    "Pager": (
+        lambda tmp_path: Pager(SimulatedDisk(block_size=64)),
+        ("readahead_workers", "close", "collect_delta") + PREFETCH,
     ),
     "cluster": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2),
-        ("save_heat", "load_heat") + PREFETCH,
+        ("save_heat", "load_heat", "sync_stats", "executor", "op_deadline_s",
+         "_procs", "_shard_epochs", "_epoch_locks", "_txn_thread",
+         "_process_pool", "_process_map", "_use_processes", "_process_bulk_load",
+         "_offload_batch", "_install_offload", "_note_writes",
+         "_note_changed_writes", "_note_worker_trouble") + PREFETCH,
     ),
     "MemoryBackend": (lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob")),
     "FileBackend": (
@@ -203,7 +280,24 @@ GONE = {
     "ObsConfig": (lambda tmp_path: ObsConfig(), ("ring_size", "slow_op_threshold_s")),
     "ClusterStats": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2).stats(),
-        ("heat", "shard_heat", "hottest_shards"),
+        ("heat", "shard_heat", "hottest_shards", "replica_sync"),
+    ),
+    "ClusterHealth": (
+        lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2).health,
+        ("record_worker_loss",),
+    ),
+    "repro.exceptions": (
+        lambda tmp_path: repro.exceptions,
+        ("WorkerCrashError", "WorkerTimeoutError"),
+    ),
+    "repro.cluster": (
+        lambda tmp_path: repro.cluster,
+        ("ProcessShardExecutor", "ShardSpec", "subtract_counter_dicts"),
+    ),
+    "repro.cluster.health": (lambda tmp_path: repro.cluster.health, ("WORKER_FIELDS",)),
+    "repro.storage": (
+        lambda tmp_path: repro.storage,
+        ("ChangeJournal", "DiskDelta", "RecordStoreDelta", "ShardDelta"),
     ),
 }
 
@@ -275,6 +369,45 @@ class TestRemovedVectorKernel:
             "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
             "    importlib.import_module(info.name)\n"
             "print('numpy' in sys.modules)"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+
+
+class TestRemovedProcessExecutor:
+    @pytest.mark.parametrize("module", ["repro.cluster.executor", "repro.storage.journal"])
+    def test_process_executor_modules_are_gone(self, module):
+        assert importlib.util.find_spec(module) is None
+
+    @pytest.mark.parametrize("executor", ["processes", "threads"])
+    def test_reopen_from_manifest_accepts_only_serial(self, executor):
+        backend = _manifest_backend()
+        with pytest.raises(StorageError, match="process executor was removed"):
+            ShardedEncipheredDatabase.reopen_from_manifest(
+                sub, cipher, backend, executor=executor
+            )
+        cluster = ShardedEncipheredDatabase.reopen_from_manifest(
+            sub, cipher, backend, executor="serial"
+        )
+        assert cluster.num_shards == 2
+
+    def test_instruments_drop_the_executor_histograms(self):
+        assert [name for name in INSTRUMENTS if name.startswith("executor.")] == []
+
+    def test_health_snapshot_has_no_worker_block(self):
+        cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
+        health = cluster.stats().health
+        assert "worker" not in health
+        assert "worker_losses" not in health["per_shard"][0]
+        with pytest.raises(TypeError):
+            cluster.health.snapshot(worker={})
+
+    def test_no_module_imports_multiprocessing(self):
+        done = _run_python(
+            "import importlib, pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "print('multiprocessing' in sys.modules)"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]

@@ -1,4 +1,4 @@
-"""The chaos matrix: 105 seeded fault schedules, replayable one by one.
+"""The chaos matrix: 125 seeded fault schedules, replayable one by one.
 
 Three arms, each parametrised by seed so a red schedule reruns exactly
 (``pytest -k 'seed47'`` style):
@@ -12,10 +12,14 @@ Three arms, each parametrised by seed so a red schedule reruns exactly
   mid-run.  The cluster must degrade with the typed error and then
   serve explicit :class:`PartialResult` reads equal to the control
   minus the dead shard's keys.  Never a wedge, never a wrong answer.
-* **Arm C** (20 schedules) -- process-executor worker crashes and
-  hangs at seed-chosen points.  Results and platter bytes must match
-  one shared fault-free serial control, and the supervision counters
-  must record every injected death.
+* **Arm C** (40 schedules; 32 memory + 8 file-backed) -- healable
+  schedules armed on one shard of a cluster at a seed-chosen phase of a
+  mixed cluster workload (batched writes, single-key writes, cold
+  fan-out reads, a transaction).  Results, platter bytes and pointer
+  cipher counts must match one fault-free cluster control, the retry
+  counters must equal the injected schedule, and no shard may leave
+  the healthy state: a fault the device heals is invisible to the
+  cluster's health machine.
 """
 
 from __future__ import annotations
@@ -225,12 +229,80 @@ def test_shard_loss_schedule(seed):
 
 
 # ---------------------------------------------------------------------------
-# Arm C: worker crashes and hangs against one shared serial control
+# Arm C: healable faults on one shard of a cluster, at a seed-chosen phase
 # ---------------------------------------------------------------------------
 
-WORKER_SEEDS = 20
-BASE = [(k, f"rec-{k}".encode()) for k in range(0, 120, 2)]
-EXTRA = [(k, f"rec-{k}".encode()) for k in range(1, 121, 2)]
+CLUSTER_MEMORY_SEEDS = 32
+CLUSTER_FILE_SEEDS = 8
+CLUSTER_PHASES = 5
+
+
+def cluster_phases(cluster: ShardedEncipheredDatabase, out: list) -> list:
+    """The fixed cluster workload, as phases a schedule can be armed before."""
+    rng = random.Random(414)  # data rng is FIXED: every run, every seed
+    keys = rng.sample(range(DESIGN.v), 72)
+    loaded, inserted, fresh = keys[:48], keys[48:64], keys[64:]
+
+    def batch_writes():
+        cluster.put_many((k, f"payload-{k:03d}".encode()) for k in loaded)
+
+    def single_writes():
+        for k in inserted:
+            cluster.insert(k, f"single-{k:03d}".encode())
+        cluster.commit()
+
+    def cold_reads():
+        cluster.clear_caches()
+        out.append(cluster.range_search(0, DESIGN.v))
+        out.append(cluster.get_many(keys[::3] + fresh[:2], default=None))
+        out.append([cluster.search(k) for k in inserted[::4]])
+
+    def deletes_and_transaction():
+        cluster.delete_many(loaded[::4])
+        with cluster.transaction():
+            for k in fresh:
+                cluster.insert(k, f"txn-{k:03d}".encode())
+            cluster.delete(inserted[0])
+            out.append(cluster.range_search(DESIGN.v // 3, DESIGN.v))
+
+    def final_reads():
+        cluster.commit()
+        cluster.clear_caches()
+        out.append(cluster.range_search(0, DESIGN.v))
+        out.append(cluster.get_many(keys, default=b"?"))
+
+    return [batch_writes, single_writes, cold_reads,
+            deletes_and_transaction, final_reads]
+
+
+def cluster_schedule_for(seed: int) -> tuple[int, int, FaultPlan]:
+    """(victim shard, phase to arm before, 1-3 healable one-shot rules)."""
+    rng = random.Random(0xD0000 + seed)
+    victim = rng.randrange(NUM_SHARDS)
+    phase = rng.randrange(CLUSTER_PHASES)
+    tokens = [f"seed={seed}", "attempts=4", "delay=0.0"]
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("read", "write"))
+        kinds = ("transient", "latency") if op == "read" else (
+            "transient", "torn", "latency")
+        kind = rng.choice(kinds)
+        token = f"{op}.{kind}@{rng.randint(1, 12)}"
+        if kind == "latency":
+            token += "=0.0005"
+        tokens.append(token)
+    return victim, phase, FaultPlan.parse(" ".join(tokens))
+
+
+def run_cluster_workload(cluster, arm_before=None, arm=None):
+    """Run every phase; return (results, platter bytes, pointer cipher ops)."""
+    out: list = []
+    for i, phase in enumerate(cluster_phases(cluster, out)):
+        if i == arm_before:
+            arm()
+        phase()
+    cluster.commit()
+    cipher_ops = cluster.stats().aggregate["pointer_cipher"]
+    return out, platter_fingerprint(cluster), cipher_ops
 
 
 def platter_fingerprint(cluster):
@@ -241,40 +313,65 @@ def platter_fingerprint(cluster):
 
 
 @pytest.fixture(scope="module")
-def serial_control():
-    with make_cluster(executor="serial") as control:
-        control.put_many(BASE)
-        control.put_many(EXTRA)
-        results = control.range_search(0, DESIGN.v)
-        control.commit()
-        return results, platter_fingerprint(control)
+def cluster_memory_control():
+    with make_cluster() as control:
+        return run_cluster_workload(control)
 
 
-@pytest.mark.parametrize("seed", range(WORKER_SEEDS))
-def test_worker_chaos_schedule(seed, serial_control):
-    rng = random.Random(0xC0000 + seed)
-    victim = rng.randrange(NUM_SHARDS)
-    stage = rng.randrange(3)
-    with make_cluster(executor="processes", op_deadline_s=0.5) as chaos:
-        chaos.put_many(BASE)
-        chaos.range_search(0, DESIGN.v)  # spawn + ship every worker
-        procs = chaos._process_pool()
-        if stage == 0:  # crash mid put_many offload
-            procs.inject_worker_fault(victim, crash_after=1)
-            chaos.put_many(EXTRA)
-        elif stage == 1:  # crash mid read fan-out
-            chaos.put_many(EXTRA)
-            procs.inject_worker_fault(victim, crash_after=1)
-        else:  # hang mid read fan-out, reaped by the op deadline
-            chaos.put_many(EXTRA)
-            procs.inject_worker_fault(victim, hang_after=1, hang_s=30.0)
-        results = chaos.range_search(0, DESIGN.v)
-        expect_results, expect_fingerprint = serial_control
-        assert results == expect_results
-        chaos.commit()
-        assert platter_fingerprint(chaos) == expect_fingerprint
-        stats = procs.sync_stats
-        assert stats["worker_deaths"] >= 1
-        assert stats["respawns"] >= 1 or stats["op_retries"] == 0
-        if stage == 2:
-            assert stats["op_timeouts"] >= 1
+@pytest.fixture(scope="module")
+def cluster_file_control(tmp_path_factory):
+    backend = FileBackend(tmp_path_factory.mktemp("cluster-ctl") / "c", fsync=False)
+    with make_cluster(backend=backend) as control:
+        return run_cluster_workload(control)
+
+
+def run_cluster_schedule(seed, control, **kwargs):
+    victim, phase, plan = cluster_schedule_for(seed)
+    with make_cluster(**kwargs) as cluster:
+        devices = (cluster.shards[victim].disk, cluster.shards[victim].records.disk)
+
+        def arm():
+            devices[0].attach_faults(plan.injector("node"), plan.retry)
+            devices[1].attach_faults(plan.injector("records"), plan.retry)
+
+        observed = run_cluster_workload(cluster, arm_before=phase, arm=arm)
+        faults = [device.fault_snapshot() for device in devices]
+        health = cluster.stats().health
+    # identical answers, bytes at rest and cipher work, or it is not healing
+    assert observed == control
+    injected = sum(f["injected_transient"] + f["injected_torn"] for f in faults)
+    assert sum(f["retries"] for f in faults) == injected
+    assert sum(f["retries_exhausted"] for f in faults) == 0
+    # a healed fault never escapes the device: the cluster saw only successes
+    assert health["states"]["healthy"] == NUM_SHARDS
+    assert all(s["transient_failures"] == 0 for s in health["per_shard"])
+    return faults
+
+
+@pytest.mark.parametrize("seed", range(CLUSTER_MEMORY_SEEDS))
+def test_cluster_memory_schedule(seed, cluster_memory_control):
+    run_cluster_schedule(seed, cluster_memory_control)
+
+
+@pytest.mark.parametrize("seed", range(CLUSTER_FILE_SEEDS))
+def test_cluster_file_schedule(seed, tmp_path, cluster_file_control):
+    backend = FileBackend(tmp_path / "c", fsync=False)
+    run_cluster_schedule(seed, cluster_file_control, backend=backend)
+
+
+def test_the_cluster_arm_actually_injects(cluster_memory_control):
+    """Guard against a vacuously green arm: most schedules must fire,
+    and every phase and every shard must be armed by some seed."""
+    fired = 0
+    phases, victims = set(), set()
+    for seed in range(CLUSTER_MEMORY_SEEDS):
+        victim, phase, _ = cluster_schedule_for(seed)
+        phases.add(phase)
+        victims.add(victim)
+        faults = run_cluster_schedule(seed, cluster_memory_control)
+        fired += any(
+            v for f in faults for k, v in f.items() if k.startswith("injected")
+        )
+    assert fired >= CLUSTER_MEMORY_SEEDS // 2
+    assert phases == set(range(CLUSTER_PHASES))
+    assert victims == set(range(NUM_SHARDS))

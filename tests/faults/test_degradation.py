@@ -127,15 +127,6 @@ class TestStateMachine:
         assert health.state(0) == HEALTHY
         assert not health.is_quarantined(0)
 
-    def test_worker_losses_count_separately(self):
-        health = ClusterHealth(1, degrade_after=2)
-        health.record_worker_loss(0, "worker died: EOF")
-        health.record_worker_loss(0, "worker died: EOF")
-        assert health.state(0) == DEGRADED
-        snap = health.snapshot()
-        assert snap["per_shard"][0]["worker_losses"] == 2
-        assert snap["per_shard"][0]["transient_failures"] == 0
-
     def test_partition_preserves_order(self):
         health = ClusterHealth(4)
         health.quarantine(2, "ops order")
@@ -146,10 +137,17 @@ class TestStateMachine:
         health.record_failure(1)
         health.record_permanent(2)
         health.record_degraded_read()
-        snap = health.snapshot(worker={"respawns": 4, "worker_deaths": 2})
+        snap = health.snapshot()
+        assert sorted(snap) == [
+            "degraded_reads_served", "per_shard", "states",
+        ]
         assert snap["states"] == {HEALTHY: 1, DEGRADED: 1, QUARANTINED: 1}
-        assert snap["worker"]["respawns"] == 4
-        assert snap["worker"]["heartbeats"] == 0  # absent fields zero-fill
+        assert sorted(snap["per_shard"][0]) == [
+            "permanent_failures", "reason", "state", "times_degraded",
+            "times_quarantined", "transient_failures",
+        ]
+        assert snap["per_shard"][1]["transient_failures"] == 1
+        assert snap["per_shard"][2]["permanent_failures"] == 1
         assert snap["degraded_reads_served"] == 1
 
 

@@ -16,8 +16,6 @@ from repro.exceptions import (
     PermanentIOError,
     ShardUnavailableError,
     TransientIOError,
-    WorkerCrashError,
-    WorkerTimeoutError,
 )
 from repro.faults import (
     FaultInjector,
@@ -153,8 +151,6 @@ class TestInjector:
 class TestRetryPolicy:
     def test_classification(self):
         assert RetryPolicy.is_transient(TransientIOError("x"))
-        assert RetryPolicy.is_transient(WorkerCrashError(0, "worker died: x"))
-        assert RetryPolicy.is_transient(WorkerTimeoutError(1, "worker died: y"))
         assert not RetryPolicy.is_transient(PermanentIOError("x"))
         assert not RetryPolicy.is_transient(ShardUnavailableError(0, "gone"))
         assert not RetryPolicy.is_transient(ValueError("x"))
@@ -228,29 +224,8 @@ class TestEnvPlan:
 
 
 class TestExceptionTypes:
-    def test_worker_crash_error_message_and_pickle_round_trip(self):
-        import pickle
-
-        exc = WorkerCrashError(3, "worker died: EOF")
-        assert str(exc) == "shard 3 worker died: EOF"
-        clone = pickle.loads(pickle.dumps(exc))
-        assert isinstance(clone, WorkerCrashError)
-        assert clone.shard_id == 3 and str(clone) == str(exc)
-
-    def test_worker_timeout_is_a_crash(self):
-        exc = WorkerTimeoutError(1, "worker missed its 0.5s op deadline")
-        assert isinstance(exc, WorkerCrashError)
-        import pickle
-
-        clone = pickle.loads(pickle.dumps(exc))
-        assert isinstance(clone, WorkerTimeoutError) and clone.shard_id == 1
-
     def test_shard_unavailable_carries_shard_and_reason(self):
-        import pickle
-
         exc = ShardUnavailableError(2, "quarantined: dead spindle")
         assert exc.shard_id == 2
         assert "shard 2 unavailable" in str(exc)
         assert "dead spindle" in str(exc)
-        clone = pickle.loads(pickle.dumps(exc))
-        assert clone.shard_id == 2 and clone.reason == exc.reason

@@ -60,39 +60,6 @@ class TestSurface:
         for cls in leaf_classes:
             assert issubclass(cls, exceptions.ReproError), cls
 
-    def test_exceptions_pickle_round_trip(self):
-        """Worker processes ship failures back over a pipe as pickles.
-
-        An exception whose ``__init__`` takes extra positional
-        arguments breaks the default exception reduce protocol unless
-        it defines ``__reduce__`` -- the unpickle then raises
-        ``TypeError`` *instead of* delivering the real error, wedging
-        the caller with a meaningless failure.
-        """
-        import pickle
-
-        from repro import exceptions
-
-        for _, cls in inspect.getmembers(exceptions, inspect.isclass):
-            if not (
-                issubclass(cls, Exception)
-                and cls.__module__ == "repro.exceptions"
-            ):
-                continue
-            params = [
-                p
-                for p in list(
-                    inspect.signature(cls.__init__).parameters.values()
-                )[1:]
-                if p.default is p.empty
-                and p.kind
-                in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-            ]
-            original = cls(*(7 for _ in params)) if params else cls("boom")
-            clone = pickle.loads(pickle.dumps(original))
-            assert type(clone) is cls
-            assert str(clone) == str(original), cls
-
     def test_every_submodule_has_a_docstring(self):
         import importlib
         import pkgutil

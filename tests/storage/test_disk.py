@@ -90,21 +90,73 @@ class TestBasicIO:
         with pytest.raises(StorageError):
             device(block_size=4)
 
-    def test_shrinking_import_forgets_dropped_blocks(self, device):
-        """Ids at or above an imported length read as never written,
-        also once the device grows over them again."""
+
+class TestNoOpRewrite:
+    def test_identical_rewrite_stages_nothing(self, device):
+        """A write whose at-rest bytes are already there is counted as a
+        write but never staged, so a no-op commit's superblock rewrite
+        leaves a durable platter nothing to sync."""
         disk = device(block_size=64)
-        disk.import_state([b"old0", b"old1", b"old2"])
+        staged = []
+        real_stage = disk._stage
+
+        def spy(block_id, stored):
+            staged.append(block_id)
+            real_stage(block_id, stored)
+
+        disk._stage = spy
+        block = disk.allocate()
+        disk.write_block(block, b"same")
         disk.sync()
-        disk.import_state([b"new0"])
-        disk.sync()
-        assert disk.allocate() == 1
-        disk.patch_state(3, {})
-        for b in (1, 2):
-            with pytest.raises(BlockBoundsError, match="never written"):
-                disk.read_block(b)
-        assert disk.export_state() == [b"new0", None, None]
-        assert disk.raw_blocks() == [(0, b"new0")]
+        assert staged == [block]
+        disk.write_block(block, b"same")
+        disk.write_many([(block, b"same")])
+        assert staged == [block]
+        assert disk.sync() == 0  # nothing pending
+        assert (disk.stats.writes, disk.stats.overwrites) == (3, 2)
+        disk.write_block(block, b"changed")
+        assert staged == [block, block]
+        assert disk.read_block(block) == b"changed"
+
+
+class TestAtRestState:
+    def test_patch_state_validates_before_applying(self, device):
+        disk = device(block_size=64)
+        with pytest.raises(BlockBoundsError):
+            disk.patch_state(2, {0: b"x" * 65})
+        with pytest.raises(BlockBoundsError):
+            disk.patch_state(2, {2: b"x"})
+        assert disk.num_blocks == 0  # nothing half-applied
+
+    def test_patch_state_never_shrinks(self, device):
+        disk = device(block_size=64)
+        for _ in range(3):
+            disk.allocate()
+        disk.write_block(2, b"keep")
+        disk.patch_state(1, {0: b"new"})
+        assert disk.num_blocks == 3
+        assert disk.read_block(2) == b"keep"
+
+    def test_state_access_is_at_rest_and_uncounted(self, device):
+        calls = []
+
+        class Transform:
+            def on_write(self, block_id, data):
+                return bytes(b ^ 0xFF for b in data)
+
+            def on_read(self, block_id, data):
+                calls.append(block_id)
+                return bytes(b ^ 0xFF for b in data)
+
+        disk = device(block_size=64, transform=Transform())
+        block = disk.allocate()
+        disk.write_block(block, b"secret")
+        before = dataclasses.asdict(disk.stats)
+        assert disk.export_state() == [bytes(b ^ 0xFF for b in b"secret")]
+        disk.patch_state(1, {block: b"forged"})
+        assert dataclasses.asdict(disk.stats) == before
+        assert calls == []  # the transform never ran
+        assert disk.raw_block(block) == b"forged"
 
 
 class TestStats:
@@ -291,12 +343,10 @@ def _contract_script(disk) -> list[tuple]:
             out.append(("raises", type(exc).__name__, str(exc)))
         stats = dataclasses.asdict(disk.stats)
         out.append(("stats", {f: stats[f] for f in CONTRACT_STATS}))
-        out.append(("journal", disk.journal.snapshot()))
 
-    step(disk.journal.truncate, 0)  # a consumer holds epoch 0
     a, b, c = (disk.allocate() for _ in range(3))
     step(disk.write_block, a, b"alpha")
-    step(disk.write_block, a, b"alpha")  # identical bytes: not journaled
+    step(disk.write_block, a, b"alpha")  # identical bytes: not staged
     step(disk.write_block, b, b"beta")
     step(disk.write_block, a, b"x" * 65)  # overflows the block
     step(disk.write_block, -1, b"x")
@@ -306,23 +356,14 @@ def _contract_script(disk) -> list[tuple]:
     step(disk.read_many, [a, c])
     step(disk.raw_block, c)
     step(disk.raw_blocks)
-    step(disk.snapshot_blocks, [c, a])
-    step(disk.snapshot_blocks, [a, 9])
-    step(disk.journal.seal, 1)
-    step(disk.journal.collect_since, 0)
     step(disk.patch_state, 5, {c: b"gamma", 4: b"epsilon"})
     step(disk.patch_state, 4, {4: b"x"})  # id beyond the patched length
     step(disk.patch_state, 5, {0: b"y" * 65})
     step(disk.export_state)
     step(disk.write_many, [(a, b"uno"), (b, b"beta"), (4, b"cinco")])
-    step(disk.journal.seal, 2)
-    step(disk.journal.collect_since, 1)
-    step(disk.import_state, [b"one", None])  # a shrink
-    step(disk.journal.collect_since, 1)  # tainted
-    step(disk.journal.seal, 3)
-    step(disk.allocate)  # grows over a dropped id
-    step(disk.patch_state, 5, {})
-    step(disk.read_block, 2)
+    step(disk.allocate)
+    step(disk.patch_state, 7, {})
+    step(disk.read_block, 6)
     step(disk.export_state)
     step(disk.raw_blocks)
     step(disk.read_many, [0, 0])
@@ -348,8 +389,8 @@ class TestOneContract:
     def test_backends_leave_the_contract_to_the_base(self, backend):
         shared = (
             "allocate", "num_blocks", "_check_id", "_store", "_fetch",
-            "_fetch_many", "_store_many", "export_state", "import_state",
-            "snapshot_blocks", "patch_state", "raw_block", "raw_blocks",
+            "_fetch_many", "_store_many", "export_state", "patch_state",
+            "raw_block", "raw_blocks",
         )
         assert [name for name in shared if name in vars(backend)] == []
 

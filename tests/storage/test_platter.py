@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import BlockBoundsError, PlatterFormatError, StorageError
+from repro.exceptions import PlatterFormatError, StorageError
 from repro.storage.platter import FORMAT_VERSION, MAGIC, WAL_MAGIC, FilePlatter
 
 
@@ -240,12 +240,11 @@ class TestSync:
         assert p.durability_snapshot()["checkpoints"] >= 1
         assert os.path.getsize(p.wal_path) <= 64 + 16 + 8 + 48 + 64
 
-    def test_journal_seal_does_not_sync(self, tmp_path):
+    def test_staged_write_waits_for_sync(self, tmp_path):
         p = make(tmp_path)
         fill(p, [b"committed"])
         p.sync()
         p.write_block(0, b"staged")
-        p.journal.seal(7)  # replica-sync bookkeeping only
         assert p.durability_snapshot()["syncs"] == 1
         p.abandon()
         assert make(tmp_path, create=False).read_block(0) == b"committed"
@@ -379,33 +378,19 @@ class TestCrashMatrix:
             make(tmp_path, create=False)
 
 
-class TestStateTransfer:
-    """The process-executor surface works over the durable device too."""
+class TestAtRestState:
+    """``export_state``/``patch_state`` work over the durable device too."""
 
-    def test_export_import_roundtrip(self, tmp_path):
+    def test_export_and_patch_survive_reopen(self, tmp_path):
         p = make(tmp_path)
         fill(p, [b"a", b"b"])
         p.allocate()
-        state = p.export_state()
-        assert state == [b"a", b"b", None]
-        q = make(tmp_path, name="copy")
-        q.import_state(state)
-        assert q.num_blocks == 3
-        assert q.read_block(0) == b"a"
-        q.close()
-        assert make(tmp_path, name="copy", create=False).read_block(1) == b"b"
-
-    def test_shrinking_import_survives_reopen(self, tmp_path):
-        p = make(tmp_path)
-        p.import_state([b"old0", b"old1", b"old2"])
-        p.sync()
-        p.import_state([b"new0"])
+        assert p.export_state() == [b"a", b"b", None]
+        p.patch_state(4, {2: b"c"})
         p.close()
         q = make(tmp_path, create=False)
-        assert q.num_blocks == 1
-        assert q.allocate() == 1
-        with pytest.raises(BlockBoundsError, match="never written"):
-            q.read_block(1)
+        assert q.export_state() == [b"a", b"b", b"c", None]
+        assert q.read_block(2) == b"c"
 
 
 # -- property-based open-after-kill round-trips --------------------------
