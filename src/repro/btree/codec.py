@@ -109,9 +109,9 @@ def decode_header(data: bytes) -> tuple[bool, int]:
     if len(data) < HEADER_BYTES:
         raise CodecError("block too short for node header")
     flag = data[0]
-    if flag not in (0, 1):
+    if flag > 1:
         raise CodecError(f"corrupt leaf flag {flag}")
-    return bool(flag), int.from_bytes(data[1:3], "big")
+    return flag == 1, data[1] << 8 | data[2]
 
 
 class PlainNodeView:

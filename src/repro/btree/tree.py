@@ -18,6 +18,14 @@ says it is paid:
   another block (codecs with keys inside the cipher, or no cipher, hand
   over plain ints).
 
+Read descents (:meth:`BTree.search`, :meth:`BTree.range_search`) make
+one pass per visited node: the binary search runs inline over
+``key_at``, and the probe and visit counts accumulate in locals and land
+in :class:`TreeCounters` once per operation -- in a ``finally``, so a
+descent that raises (an absent key, a cryptogram bound to another
+block) books exactly the work it did.  The counts equal per-probe
+booking; only their cost changes.
+
 The tree itself never caches plaintext nodes across operations -- the
 paper's model charges every node visit its decryption cost.  Node reads
 go through :meth:`~repro.storage.pager.Pager.read_decoded`, whose
@@ -135,16 +143,23 @@ class BTree:
 
         Each *distinct* probe costs one key access; views cache decoded
         triplets, so the probe count is the decryption count for lazy
-        codecs -- the paper's "binary search-and-decrypt".
+        codecs -- the paper's "binary search-and-decrypt".  Used by the
+        write descents; :meth:`search` and :meth:`_range_into` run the
+        same loop inline.
         """
+        key_at = view.key_at
         lo, hi = 0, view.num_keys
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.counters.bump("comparisons")
-            if view.key_at(mid) < key:
-                lo = mid + 1
-            else:
-                hi = mid
+        probes = 0
+        try:
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                probes += 1
+                if key_at(mid) < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        finally:
+            self.counters.bump("comparisons", probes)
         return lo
 
     def _key_equals(self, view: NodeView, idx: int, key: int) -> bool:
@@ -157,17 +172,45 @@ class BTree:
     def search(self, key: int) -> int:
         """Return the data pointer stored under ``key``.
 
-        Raises :class:`KeyNotFoundError` when absent.
+        Raises :class:`KeyNotFoundError` when absent.  One pass per
+        visited node: the binary search runs inline and the probe and
+        visit tallies stay in locals, booked once when the descent ends
+        -- however it ends, so a descent that raises half way still
+        books exactly the work it did.
         """
+        read = self.pager.read_decoded
+        decode = self.codec.decode
         node_id = self.root_id
-        while True:
-            view = self._view(node_id)
-            idx = self._lower_bound(view, key)
-            if self._key_equals(view, idx, key):
-                return view.value_at(idx)
-            if view.is_leaf:
-                raise KeyNotFoundError(key)
-            node_id = view.child_at(idx)
+        visits = probes = 0
+        try:
+            while True:
+                visits += 1
+                view = read(node_id, decode)
+                key_at = view.key_at
+                n = view.num_keys
+                lo, hi = 0, n
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    probes += 1
+                    probed = key_at(mid)
+                    if probed < key:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                        at_hi = probed
+                if lo < n:
+                    # the equality check is a probe of its own; ``lo`` is
+                    # the last ``hi``, so its key is already in hand
+                    probes += 1
+                    if at_hi == key:
+                        return view.value_at(lo)
+                if view.is_leaf:
+                    raise KeyNotFoundError(key)
+                node_id = view.child_at(lo)
+        finally:
+            counters = self.counters
+            counters.bump("nodes_visited", visits)
+            counters.bump("comparisons", probes)
 
     def contains(self, key: int) -> bool:
         """Membership test."""
@@ -188,23 +231,47 @@ class BTree:
         if lo > hi:
             return []
         out: list[tuple[int, int]] = []
-        self._range_into(self.root_id, lo, hi, out)
+        tally = [0, 0]  # node visits, probes
+        try:
+            self._range_into(self.root_id, lo, hi, out, tally)
+        finally:
+            counters = self.counters
+            counters.bump("nodes_visited", tally[0])
+            counters.bump("comparisons", tally[1])
         return out
 
-    def _range_into(self, node_id: int, lo: int, hi: int, out: list[tuple[int, int]]) -> None:
-        view = self._view(node_id)
-        i = self._lower_bound(view, lo)
-        while True:
-            if not view.is_leaf:
-                self._range_into(view.child_at(i), lo, hi, out)
-            if i < view.num_keys:
-                key = view.key_at(i)
-                self.counters.bump("comparisons")
-                if key <= hi:
-                    out.append((key, view.value_at(i)))
-                    i += 1
-                    continue
-            break
+    def _range_into(
+        self, node_id: int, lo: int, hi: int, out: list[tuple[int, int]], tally: list[int]
+    ) -> None:
+        """Append the subtree's matches; add its visits and probes to ``tally``."""
+        probes = 0
+        tally[0] += 1
+        try:
+            view = self.pager.read_decoded(node_id, self.codec.decode)
+            key_at = view.key_at
+            n = view.num_keys
+            i, end = 0, n
+            while i < end:
+                mid = (i + end) >> 1
+                probes += 1
+                if key_at(mid) < lo:
+                    i = mid + 1
+                else:
+                    end = mid
+            leaf = view.is_leaf
+            while True:
+                if not leaf:
+                    self._range_into(view.child_at(i), lo, hi, out, tally)
+                if i < n:
+                    key = key_at(i)
+                    probes += 1
+                    if key <= hi:
+                        out.append((key, view.value_at(i)))
+                        i += 1
+                        continue
+                break
+        finally:
+            tally[1] += probes
 
     def items(self) -> Iterator[tuple[int, int]]:
         """In-order iteration over every ``(key, data pointer)`` pair."""

@@ -94,6 +94,10 @@ class SubstitutedNodeCodec:
             )
         self.key_bytes = bytes_for_value(substitution.max_substitute())
         self.cryptogram_bytes = bytes_for_value(pointer_cipher.modulus - 1)
+        # the unaccompanied pointer's width, appended to internal nodes
+        self.extra_bytes = (
+            self.key_bytes if extra_pointer_mode == "disguise" else self.cryptogram_bytes
+        )
 
     # -- encode ----------------------------------------------------------
 
@@ -150,13 +154,7 @@ class SubstitutedNodeCodec:
 
     def node_overhead_bytes(self, num_keys: int, is_leaf: bool) -> int:
         size = HEADER_BYTES + num_keys * (self.key_bytes + self.cryptogram_bytes)
-        if not is_leaf:
-            size += (
-                self.key_bytes
-                if self.extra_pointer_mode == "disguise"
-                else self.cryptogram_bytes
-            )
-        return size
+        return size if is_leaf else size + self.extra_bytes
 
 
 class SealedTriplet:
@@ -205,14 +203,22 @@ class SubstitutedNodeView:
     both computations yield identical values, so either fill is correct.
     """
 
+    __slots__ = (
+        "_codec", "_data", "node_id", "is_leaf", "num_keys",
+        "_key_bytes", "_crypt_off", "_key_cache", "_triplet_cache",
+    )
+
     def __init__(self, codec: SubstitutedNodeCodec, node_id: int, data: bytes) -> None:
         self._codec = codec
         self._data = data
         self.node_id = node_id
-        self.is_leaf, self.num_keys = decode_header(data)
-        self._keys_off = HEADER_BYTES
-        self._crypt_off = self._keys_off + self.num_keys * codec.key_bytes
-        expected = codec.node_overhead_bytes(self.num_keys, self.is_leaf)
+        self.is_leaf, num_keys = decode_header(data)
+        self.num_keys = num_keys
+        key_bytes = self._key_bytes = codec.key_bytes
+        crypt_off = self._crypt_off = HEADER_BYTES + num_keys * key_bytes
+        expected = crypt_off + num_keys * codec.cryptogram_bytes
+        if not self.is_leaf:
+            expected += codec.extra_bytes
         if len(data) < expected:
             raise CodecError(
                 f"node {node_id}: {len(data)} bytes, layout needs {expected}"
@@ -225,14 +231,20 @@ class SubstitutedNodeView:
     def stored_key_at(self, i: int) -> int:
         if not 0 <= i < self.num_keys:
             raise CodecError(f"key index {i} out of range")
-        start = self._keys_off + i * self._codec.key_bytes
-        return int.from_bytes(self._data[start : start + self._codec.key_bytes], "big")
+        start = HEADER_BYTES + i * self._key_bytes
+        return int.from_bytes(self._data[start : start + self._key_bytes], "big")
 
     def key_at(self, i: int) -> int:
+        """Plaintext key ``i``: one counted inversion per distinct index."""
         cached = self._key_cache.get(i)
         if cached is None:
-            cached = self._codec.substitution.invert(self.stored_key_at(i))
-            self._key_cache[i] = cached
+            if not 0 <= i < self.num_keys:
+                raise CodecError(f"key index {i} out of range")
+            width = self._key_bytes
+            start = HEADER_BYTES + i * width
+            cached = self._key_cache[i] = self._codec.substitution.invert(
+                int.from_bytes(self._data[start : start + width], "big")
+            )
         return cached
 
     # -- pointers ----------------------------------------------------------

@@ -56,12 +56,13 @@ class PointerPacking:
 
     def unpack(self, packed: int) -> tuple[int, int | None, int | None]:
         """Invert :meth:`pack`; returns ``(block_id, data_ptr, tree_ptr)``."""
-        if not 0 <= packed < self.required_modulus():
+        bits = self.pointer_bits
+        if not 0 <= packed < 1 << (self.block_bits + 2 * bits):
             raise CodecError(f"packed value {packed} out of range")
-        mask = (1 << self.pointer_bits) - 1
+        mask = (1 << bits) - 1
         p = packed & mask
-        a = (packed >> self.pointer_bits) & mask
-        block_id = packed >> (2 * self.pointer_bits)
+        a = (packed >> bits) & mask
+        block_id = packed >> (2 * bits)
         return (
             block_id,
             None if a == 0 else a - 1,

@@ -77,6 +77,8 @@ which is the control arm of C9's security-envelope check.
 
 from __future__ import annotations
 
+import threading
+
 from repro.crypto.base import CryptoOpCounts
 from repro.crypto.des import DES
 from repro.crypto.modes import (
@@ -90,6 +92,26 @@ from repro.obs.tracing import NULL_TRACER
 from repro.storage.backend import StorageBackend
 from repro.storage.cache import LRUCache
 from repro.storage.disk import SimulatedDisk
+
+
+class _WriteIVs(threading.local):
+    """Per thread, the block IVs the record write under way has derived.
+
+    A write that re-enciphers a block from its first DES block needs the
+    block's IV twice: the window read deciphers through it, and the
+    suffix write enciphers through it again.  ``with`` scopes one record
+    write; inside it each block's IV is derived once and handed from the
+    read to the write.  Outside a scope nothing is kept, so no IV
+    outlives the write that derived it.
+    """
+
+    by_block: dict[int, bytes] | None = None
+
+    def __enter__(self) -> None:
+        self.by_block = {}
+
+    def __exit__(self, *exc) -> None:
+        self.by_block = None
 
 
 class _RecordBlockTransform:
@@ -108,9 +130,17 @@ class _RecordBlockTransform:
         #: Span tracer timing whole-block cipher work; defaults to the
         #: shared disabled tracer (see :meth:`RecordStore.attach_tracer`).
         self.tracer = NULL_TRACER
+        #: Scopes one record write (see :class:`_WriteIVs`).
+        self.one_write = _WriteIVs()
 
     def _iv(self, block_id: int) -> bytes:
-        return self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
+        ivs = self.one_write.by_block
+        iv = None if ivs is None else ivs.get(block_id)
+        if iv is None:
+            iv = self._des.encrypt_block((block_id ^ 0xA5A5A5A5).to_bytes(8, "big"))
+            if ivs is not None:
+                ivs[block_id] = iv
+        return iv
 
     def on_write(self, block_id: int, data: bytes, prefix: bytes = b"") -> bytes:
         """Encipher a block, keeping the stored cipher blocks ``prefix``.
@@ -406,16 +436,17 @@ class RecordStore:
         """
         block_index, slot = self._locate(record_id)
         base = self._base(block_index, slot)
-        plain = self._read_from(block_index, base)
-        at = slot * self.slot_size
-        if at >= len(plain):
-            raise StorageError(f"record id {record_id} names an empty slot")
-        if raw == self._free_slot and (
-            int.from_bytes(plain[at : at + 2], "big") > self.record_size
-        ):
-            raise StorageError(f"record id {record_id} slot is already free")
-        plain[at : at + self.slot_size] = raw
-        self._write_from(block_index, base, plain)
+        with self._transform.one_write:
+            plain = self._read_from(block_index, base)
+            at = slot * self.slot_size
+            if at >= len(plain):
+                raise StorageError(f"record id {record_id} names an empty slot")
+            if raw == self._free_slot and (
+                int.from_bytes(plain[at : at + 2], "big") > self.record_size
+            ):
+                raise StorageError(f"record id {record_id} slot is already free")
+            plain[at : at + self.slot_size] = raw
+            self._write_from(block_index, base, plain)
         if block_index == self._open_block:
             self._open_slots[slot] = raw
 
@@ -499,6 +530,11 @@ class RecordStore:
         device fails part-way, the records already written are freed
         again and the rest are never stored.
         """
+        # a block read and rewritten from slot 0 derives its IV once
+        with self._transform.one_write:
+            return self._put_many(records)
+
+    def _put_many(self, records) -> list[int]:
         encoded = [self._encode_slot(record) for record in records]
         spb, size = self.slots_per_block, self.slot_size
         reused = self._free[::-1][: len(encoded)]  # the ids put would pop

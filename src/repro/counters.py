@@ -12,13 +12,20 @@ model must never err in).
 :class:`ThreadSafeCounters` closes that without putting a lock on every
 hot-path increment: each thread accumulates into its own private bucket
 (no sharing, no contention, no lost updates), and reads merge all
-buckets under a lock.  A bucket is registered once per thread; when its
-thread is collected the bucket is folded into a retired total, so
-totals never shrink and unbounded thread churn never grows the bucket
-list or slows the merged reads.  The merged read
+buckets under a lock.  A bucket is registered on its thread's first
+bump, after which a bump is one ``threading.local`` attribute read and
+one dict increment; when its thread is collected the bucket is folded
+into a retired total, so totals never shrink and unbounded thread churn
+never grows the bucket list or slows the merged reads.  The merged read
 is a momentary sum -- exact whenever the writers are quiescent (which is
 when benchmarks read it), and never an undercount of work already
 completed by any thread at merge time.
+
+Hot loops need not bump per event: the B-tree's read descents count
+their probes and node visits in local variables and bump once per
+operation (in a ``finally``, so a descent that raises still books the
+work it did).  Per-operation booking is exact -- the totals are the
+same sums -- and it keeps counting cheap next to what it counts.
 
 Concrete counter families (:class:`~repro.btree.tree.TreeCounters`,
 :class:`~repro.substitution.base.SubstitutionCounters`,
@@ -72,34 +79,39 @@ class ThreadSafeCounters:
         # survive thread death without keeping a bucket per dead thread
         self._retired: dict[str, int] = dict.fromkeys(self._FIELDS, 0)
         self._finalizers: list[weakref.finalize] = []
+        # each thread's bucket, as attribute ``bucket``: a plain local,
+        # whose attribute reads are cheaper than a subclass's
         self._local = threading.local()
         for field, value in initial.items():
             if field not in self._FIELDS:
                 raise TypeError(
                     f"{type(self).__name__} has no counter {field!r}"
                 )
-            self._mine()[field] = value
+            self.bump(field, value)
 
     # -- the write side (per-thread, lock-free) --------------------------
 
-    def _mine(self) -> dict[str, int]:
-        bucket = getattr(self._local, "bucket", None)
-        if bucket is None:
-            bucket = _Bucket.fromkeys(self._FIELDS, 0)
-            with self._lock:
-                self._buckets.append(bucket)
-            self._local.bucket = bucket
-            # when this thread's Thread object is collected, fold the
-            # bucket into the retired totals -- unbounded thread churn
-            # must not grow the bucket list or slow the merged reads
-            finalizer = weakref.finalize(
-                threading.current_thread(),
-                _retire_bucket,
-                weakref.ref(self),
-                weakref.ref(bucket),
-            )
-            with self._lock:
-                self._finalizers.append(finalizer)
+    def _register(self) -> dict[str, int]:
+        """Make and register the calling thread's bucket (once per thread).
+
+        Called on a thread's first bump, when ``self._local.bucket`` is
+        still missing; counters a thread never bumps -- most latency
+        histograms while tracing is off -- cost it nothing.
+        """
+        bucket = _Bucket.fromkeys(self._FIELDS, 0)
+        # when this thread's Thread object is collected, fold the bucket
+        # into the retired totals -- unbounded thread churn must not grow
+        # the bucket list or slow the merged reads
+        finalizer = weakref.finalize(
+            threading.current_thread(),
+            _retire_bucket,
+            weakref.ref(self),
+            weakref.ref(bucket),
+        )
+        with self._lock:
+            self._buckets.append(bucket)
+            self._finalizers.append(finalizer)
+        self._local.bucket = bucket
         return bucket
 
     def __del__(self) -> None:
@@ -120,7 +132,10 @@ class ThreadSafeCounters:
 
     def bump(self, field: str, n: int = 1) -> None:
         """Add ``n`` to ``field`` in this thread's private bucket."""
-        self._mine()[field] += n
+        try:
+            self._local.bucket[field] += n
+        except AttributeError:  # this thread's first bump
+            self._register()[field] += n
 
     # -- the read side (merged under the lock) ---------------------------
 

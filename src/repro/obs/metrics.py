@@ -74,7 +74,10 @@ class Histogram(ThreadSafeCounters):
 
     def observe_ns(self, duration_ns: int) -> None:
         """Record one observation of ``duration_ns`` nanoseconds."""
-        bucket = self._mine()
+        try:
+            bucket = self._local.bucket
+        except AttributeError:  # this thread's first observation
+            bucket = self._register()
         bucket["count"] += 1
         bucket["total_ns"] += duration_ns
         bucket[BUCKET_FIELDS[bucket_index(duration_ns)]] += 1

@@ -47,38 +47,29 @@ hit the platter), which benchmark C7 reports.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Callable
 
+from repro.counters import ThreadSafeCounters
 from repro.obs.tracing import NULL_TRACER
 from repro.storage.cache import LRUCache
 from repro.storage.device import BlockDevice
 
 
-@dataclass
-class PagerStats:
+class PagerStats(ThreadSafeCounters):
     """Cache-effectiveness and write-traffic counters.
 
     ``write_requests`` counts logical writes asked of the pager;
     ``disk_writes`` counts blocks the pager actually pushed to disk.  In
     write-through mode the two are equal; in write-back mode coalescing
     makes ``disk_writes`` the smaller number.
+
+    Thread-safe (per-thread accumulation, merged reads), so a cache hit
+    books itself without taking the pager's mutex.
     """
 
-    hits: int = 0
-    misses: int = 0
-    write_requests: int = 0
-    disk_writes: int = 0
-    dirty_evictions: int = 0
-    flushes: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.write_requests = 0
-        self.disk_writes = 0
-        self.dirty_evictions = 0
-        self.flushes = 0
+    _FIELDS = (
+        "hits", "misses", "write_requests", "disk_writes", "dirty_evictions", "flushes"
+    )
 
     @property
     def accesses(self) -> int:
@@ -86,7 +77,9 @@ class PagerStats:
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
+        snap = self.snapshot()
+        accesses = snap["hits"] + snap["misses"]
+        return snap["hits"] / accesses if accesses else 0.0
 
     @property
     def writes_deferred(self) -> int:
@@ -96,7 +89,9 @@ class PagerStats:
     @property
     def write_amplification(self) -> float:
         """Disk writes per logical write (1.0 in write-through mode)."""
-        return self.disk_writes / self.write_requests if self.write_requests else 0.0
+        snap = self.snapshot()
+        requests = snap["write_requests"]
+        return snap["disk_writes"] / requests if requests else 0.0
 
 
 class Pager:
@@ -157,9 +152,10 @@ class Pager:
         self.decoded = LRUCache(decoded_cache_blocks, name="pager-decoded")
         self._dirty: set[int] = set()
         # Concurrent readers admitted by the database's reader--writer
-        # lock still *mutate* the pager (LRU reorder, fill-on-miss,
-        # counters); this mutex keeps that mutation atomic.  Reentrant
-        # because flush()/clear_cache() nest.
+        # lock still *mutate* the pager: a hit's LRU reorder is atomic
+        # under the raw cache's own lock and its count lands in the
+        # thread's stats bucket, while a fill on a miss (which may evict)
+        # takes this mutex.  Reentrant because flush()/clear_cache() nest.
         self._lock = threading.RLock()
 
     def allocate(self) -> int:
@@ -188,29 +184,36 @@ class Pager:
         In write-back mode the cache is authoritative: a dirty page is
         newer than the platter, so the cached copy is always returned.
 
-        The mutex is *not* held across the disk read: the disk-level
-        transform is where the cryptography happens, and concurrent
-        readers missing on different blocks must be able to decipher in
-        parallel.  Racing misses on the same block both read the platter;
-        only the first fills the cache.
+        A hit takes only the raw cache's own lock and books itself in
+        the thread's :class:`PagerStats` bucket; the pager's mutex guards
+        only the fill.  It is *not* held across the disk read: the
+        disk-level transform is where the cryptography happens, and
+        concurrent readers missing on different blocks must be able to
+        decipher in parallel.  Racing misses on the same block both read
+        the platter; only the first fills the cache.
         """
-        with self.tracer.trace("pager.read"):
-            with self._lock:
-                cached = self._raw.get(block_id)
-                if cached is not None:
-                    self.stats.hits += 1
-                    return cached
-                self.stats.misses += 1
-            data = self.disk.read_block(block_id)
-            with self._lock:
-                current = self._raw.peek(block_id)
-                if current is not None:
-                    # a racing write (possibly dirty, newer than the
-                    # platter) or fill beat us; theirs is authoritative
-                    return current
-                if self._raw.enabled:
-                    self._raw.put(block_id, data)
-            return data
+        tracer = self.tracer
+        if not tracer.enabled:
+            return self._read(block_id)
+        with tracer.trace("pager.read"):
+            return self._read(block_id)
+
+    def _read(self, block_id: int) -> bytes:
+        cached = self._raw.get(block_id)
+        if cached is not None:
+            self.stats.bump("hits")
+            return cached
+        self.stats.bump("misses")
+        data = self.disk.read_block(block_id)
+        with self._lock:
+            current = self._raw.peek(block_id)
+            if current is not None:
+                # a racing write (possibly dirty, newer than the
+                # platter) or fill beat us; theirs is authoritative
+                return current
+            if self._raw.enabled:
+                self._raw.put(block_id, data)
+        return data
 
     def read_decoded(self, block_id: int, decode: Callable[[int, bytes], object]):
         """Read a block through the decoded-page cache.
@@ -240,7 +243,7 @@ class Pager:
         """
         with self.tracer.trace("pager.write"):
             with self._lock:
-                self.stats.write_requests += 1
+                self.stats.bump("write_requests")
                 self.decoded.invalidate(block_id)
                 if self.write_back:
                     self._dirty.add(block_id)
@@ -249,7 +252,7 @@ class Pager:
                     # cache at all this degenerates to write-through.
                     self._raw.put(block_id, data)
                 else:
-                    self.stats.disk_writes += 1
+                    self.stats.bump("disk_writes")
                     self.disk.write_block(block_id, data)
                     if self._raw.enabled:
                         self._raw.put(block_id, data)
@@ -265,11 +268,11 @@ class Pager:
                 return 0
             with self.tracer.trace("pager.flush"):
                 for block_id in sorted(self._dirty):
-                    self.stats.disk_writes += 1
+                    self.stats.bump("disk_writes")
                     self.disk.write_block(block_id, self._raw.peek(block_id))
                 flushed = len(self._dirty)
                 self._dirty.clear()
-                self.stats.flushes += 1
+                self.stats.bump("flushes")
                 # clean pages are evictable again
                 self._raw.enforce_capacity()
                 return flushed
@@ -347,7 +350,7 @@ class Pager:
         """Raw-cache eviction callback: a dirty page's last chance to
         reach disk (runs under both the pager and cache locks)."""
         if block_id in self._dirty:
-            self.stats.disk_writes += 1
-            self.stats.dirty_evictions += 1
+            self.stats.bump("disk_writes")
+            self.stats.bump("dirty_evictions")
             self.disk.write_block(block_id, data)
             self._dirty.discard(block_id)

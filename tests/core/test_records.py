@@ -407,12 +407,25 @@ class TestSuffixWriteParity:
             read_and_iv.append(kernel.blocks - kernel.cbc_blocks)
         assert enciphered == [62, 47, 32, 17]
         # the read window from the same DES block; slot 0 also derives the
-        # IV, once for the read and once for the write
-        assert read_and_iv == [62 + 2, 47, 32, 17]
+        # IV, once per write: the suffix write takes the one the read derived
+        assert read_and_iv == [62 + 1, 47, 32, 17]
         kernel.cbc_blocks = 0
         store.put_many([b"a", b"b"])  # reuses slots 3 and 2: one write from slot 2
         assert kernel.cbc_blocks == 32
         assert store.cipher_counts.encryptions == 2 + 4 + 1
+
+    def test_batch_write_from_slot_0_derives_the_iv_once(self):
+        store = RecordStore(KEY, record_size=120, block_size=512)
+        ids = store.put_many([bytes([i]) * 120 for i in range(12)])
+        for rid in ids[4:8]:  # block 1, settled (block 2 is the open one)
+            store.delete(rid)
+        des = store._transform._des
+        kernel = des._kernel = _CountingKernel(des._kernel)
+        store.put_many([b"a", b"b", b"c", b"d"])  # reuses slots 3 to 0 of block 1
+        assert kernel.cbc_blocks == 62
+        # the window read's 62 blocks and one IV, shared by read and write
+        assert kernel.blocks - kernel.cbc_blocks == 62 + 1
+        assert [store.get(rid) for rid in ids[4:8]] == [b"d", b"c", b"b", b"a"]
 
 
 class TestSlotFreeGuards:

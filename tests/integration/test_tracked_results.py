@@ -19,3 +19,9 @@ def test_c9_read_cache_results_are_default_size():
     metrics = json.loads((RESULTS / "c9_read_cache.json").read_text())["metrics"]
     assert metrics["num_keys"] == 1200
     assert metrics["num_queries"] == 100
+
+
+def test_c12_durability_results_are_default_size():
+    metrics = json.loads((RESULTS / "c12_durability.json").read_text())["metrics"]
+    assert metrics["num_keys"] == 500
+    assert "== 500-key workload" in (RESULTS / "c12_durability.txt").read_text()

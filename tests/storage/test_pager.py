@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from repro.storage.disk import SimulatedDisk
 from repro.storage.pager import Pager
 
@@ -80,6 +83,41 @@ class TestCaching:
         pager.read(b)
         pager.read(b)
         assert pager.stats.hit_rate == 1.0
+
+
+    def test_concurrent_reads_book_every_hit_and_miss(self):
+        """Hits take no pager mutex; the per-thread stats must still
+        add up to exactly one hit or miss per read."""
+        pager = make_pager(4)
+        blocks = [pager.allocate() for _ in range(6)]  # more than the cache
+        for b in blocks:
+            pager.write(b, f"block{b}".encode())
+        pager.reset_stats()
+        threads, reads = 6, 2000
+        start = threading.Barrier(threads)
+        wrong: list[int] = []
+
+        def reader(offset: int) -> None:
+            start.wait(timeout=30)
+            for i in range(reads):
+                b = blocks[(offset + i) % len(blocks)]
+                if pager.read(b) != f"block{b}".encode():
+                    wrong.append(b)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=reader, args=(i,)) for i in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not wrong
+        assert pager.stats.hits + pager.stats.misses == threads * reads
+        assert pager.stats.misses == pager.disk.stats.reads
 
 
 class TestWriteBack:

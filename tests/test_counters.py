@@ -104,6 +104,71 @@ class TestThreadSafeCounters:
         counts.reset()
         assert counts.encryptions == 0
 
+    def test_first_bump_on_a_fresh_thread_registers_one_bucket(self):
+        counts = CryptoOpCounts(encryptions=1)  # the main thread's bucket
+        bumped, release = threading.Event(), threading.Event()
+        seen: list[int] = []
+
+        def worker() -> None:
+            seen.append(len(counts._buckets))  # no bucket before a bump
+            counts.bump("decryptions", 5)
+            seen.append(len(counts._buckets))
+            counts.bump("decryptions")  # the same bucket, not a new one
+            seen.append(len(counts._buckets))
+            bumped.set()
+            release.wait(timeout=30)
+
+        t = threading.Thread(target=worker)
+        t.start()
+        assert bumped.wait(timeout=30)
+        assert seen == [1, 2, 2]
+        assert counts.snapshot() == {"encryptions": 1, "decryptions": 6}
+        release.set()
+        t.join(timeout=30)
+        assert not t.is_alive()
+
+    def test_dead_thread_bucket_retires_into_the_totals(self):
+        import gc
+
+        counts = CryptoOpCounts()
+        counts.bump("encryptions")
+        t = threading.Thread(target=lambda: counts.bump("encryptions", 7))
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        del t
+        gc.collect()
+        assert len(counts._buckets) == 1  # only the live main thread's
+        assert counts.encryptions == 8
+        counts.bump("encryptions")  # the main thread's bucket still counts
+        assert counts.encryptions == 9
+
+    def test_reset_reaches_buckets_of_live_threads(self):
+        counts = TreeCounters()
+        bumped, done = threading.Barrier(4, timeout=30), threading.Barrier(4, timeout=30)
+        cleared = threading.Event()
+
+        def worker() -> None:
+            counts.bump("comparisons", 10)
+            bumped.wait()
+            cleared.wait(timeout=30)
+            counts.bump("comparisons")  # lands on the zeroed bucket
+            done.wait()
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        bumped.wait()
+        assert counts.comparisons == 30
+        counts.reset()
+        assert counts.comparisons == 0
+        cleared.set()
+        done.wait()
+        assert counts.comparisons == 3
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+
     def test_constructor_seeding_preserves_dataclass_style(self):
         counts = CryptoOpCounts(encryptions=3, decryptions=4)
         assert counts.total == 7
