@@ -13,14 +13,11 @@ hot path.  This experiment measures the remedy, the cipher kernels:
    ``cryptography`` is importable the ``openssl`` kernel joins the
    comparison: the same calls run by OpenSSL, asserted byte-identical
    and >= 3x the fast kernel's bulk rate (``C10_OPENSSL_FLOOR`` tunes
-   the bar for slow CI hosts).  The fast kernel's bulk rates run on the
-   key's round tables (its key first makes the ``TABLE_BUILD_CALLS``
-   bulk calls that earn them); a second table reports the table build's
-   cost and the fast kernel's us/block with and without the tables.
-   A third table prices one RSA-128 pointer decrypt -- the paper's
-   per-node cost -- on GMP's ``mpz_powm`` against CPython's ``pow``,
-   asserted identical to ``pow(c, d, n)``; where libgmp loads, GMP must
-   be >= 3x faster (``C10_GMP_FLOOR`` tunes the bar).
+   the bar for slow CI hosts).  A second table prices one RSA-128
+   pointer decrypt -- the paper's per-node cost -- on GMP's
+   ``mpz_powm`` against CPython's ``pow``, asserted identical to
+   ``pow(c, d, n)``; where libgmp loads, GMP must be >= 3x faster
+   (``C10_GMP_FLOOR`` tunes the bar).
 2. **End to end.**  Mean per-query time of a 4-shard cluster's range
    queries on the reference DES kernel vs the default one: the
    user-visible speedup of the whole stack.
@@ -39,16 +36,7 @@ from unittest.mock import patch
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto import des as des_module
-from repro.crypto.des import (
-    DES,
-    MIN_COUNTED_BLOCKS,
-    TABLE_BUILD_CALLS,
-    FastDESKernel,
-    ReferenceDESKernel,
-    RoundTables,
-    default_kernel,
-    openssl_available,
-)
+from repro.crypto.des import DES, ReferenceDESKernel, default_kernel, openssl_available
 from repro.crypto import rsa as rsa_module
 from repro.crypto.rsa import RSA, generate_rsa_keypair, gmp_available
 from repro.designs.difference_sets import planar_difference_set
@@ -109,25 +97,18 @@ def _reference_kernel_as_default():
     """Build default-kernel :class:`DES` objects on the reference kernel.
 
     The reference kernel is not selectable; while this patch is active
-    new ``DES(key)`` objects call ``ReferenceDESKernel.crypt_block(s)``
+    new ``DES(key)`` objects call ``ReferenceDESKernel.crypt_blocks``
     directly.
     """
     return patch.dict(des_module._KERNELS, {default_kernel(): ReferenceDESKernel})
 
 
 def _des(key: bytes, kernel: str) -> DES:
-    """A key on ``kernel`` in the state a long-lived record or node key
-    reaches: a fast key has earned its round tables (the reference and
-    openssl kernels read none)."""
+    """A key on ``kernel``, the reference kernel included."""
     if kernel == "reference":
         with _reference_kernel_as_default():
             return DES(key)
-    des = DES(key, kernel=kernel)
-    if kernel == "fast":
-        for _ in range(TABLE_BUILD_CALLS + 1):
-            des.encrypt_blocks(bytes(8 * MIN_COUNTED_BLOCKS))
-        assert des._tables is not None
-    return des
+    return DES(key, kernel=kernel)
 
 
 def _throughput(fn, blocks: int) -> float:
@@ -176,21 +157,6 @@ def _best_us(fn, repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best * 1e6
-
-
-def _round_table_costs(payload: bytes) -> dict[str, float]:
-    """Table build us and the fast kernel's bulk us/block on bare
-    subkeys vs the key's round tables."""
-    subkeys = DES(bytes.fromhex("133457799BBCDFF1"), kernel="fast")._subkeys
-    tables = RoundTables.build(subkeys)
-    crypt = FastDESKernel.crypt_blocks
-    assert crypt(payload, tables) == crypt(payload, subkeys)
-    nblocks = len(payload) // 8
-    return {
-        "build_us": _best_us(lambda: RoundTables.build(subkeys), 5),
-        "fast_bare_us_per_block": _best_us(lambda: crypt(payload, subkeys)) / nblocks,
-        "fast_tables_us_per_block": _best_us(lambda: crypt(payload, tables)) / nblocks,
-    }
 
 
 def _rsa_decrypt_costs() -> dict[str, float]:
@@ -274,13 +240,6 @@ def test_c10_crypto_throughput(benchmark, reporter):
             for path, rate in rates[kernel].items()
         ],
     )
-    table_costs = _round_table_costs(payload)
-    reporter.table(
-        f"round tables: build cost and bulk encrypt cost per block, "
-        f"{NUM_BLOCKS} blocks (identical output asserted)",
-        ["measure", "us"],
-        [[name, f"{value:,.2f}"] for name, value in table_costs.items()],
-    )
     rsa_costs = _rsa_decrypt_costs()
     gmp_speedup = rsa_costs["pow"] / rsa_costs["gmp"] if "gmp" in rsa_costs else None
     reporter.table(
@@ -350,7 +309,6 @@ def test_c10_crypto_throughput(benchmark, reporter):
             "speedup_fast_vs_reference_decrypt_bulk": speedup_decrypt,
             "openssl_available": openssl_available(),
             "speedup_openssl_vs_fast": openssl_speedups,
-            "round_tables": table_costs,
         },
         "rsa_pointer_decrypt": {
             "bits": 128,

@@ -656,17 +656,16 @@ class EncipheredDatabase:
             return self.tree.size
 
     def close(self) -> None:
-        """Commit pending work; release both devices' OS resources and the
-        record cipher's round tables.
+        """Commit pending work; release both devices' OS resources.
 
-        For in-memory backends only the commit and the tables remain.  Do
-        not call inside a :meth:`transaction` scope.
+        For in-memory backends only the commit remains.  Do not call
+        inside a :meth:`transaction` scope.
 
         Idempotent: a second call returns immediately.  Hardened for
         degraded shutdowns (an injected device fault):
-        every file handle and the cipher tables are released even when
-        the final commit errors, and only then does the first
-        such error propagate.  Close never wedges holding half the resources.
+        every file handle is released even when the final commit errors,
+        and only then does the first such error propagate.  Close never
+        wedges holding half the resources.
         """
         if self._db_closed:
             return
@@ -683,9 +682,6 @@ class EncipheredDatabase:
             except BaseException as exc:
                 if first_error is None:
                     first_error = exc
-        # a closed handle enciphers nothing more: its 256 KiB of record
-        # cipher round tables go now, not whenever the handle is collected
-        self.records.release_cipher_tables()
         if first_error is not None:
             raise first_error
 

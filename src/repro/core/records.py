@@ -310,10 +310,6 @@ class RecordStore:
         """The data-block cipher key (secret; in-memory material only)."""
         return self._transform.key
 
-    def release_cipher_tables(self) -> None:
-        """Drop the record cipher's round tables (see ``DES.release_tables``)."""
-        self._transform._des.release_tables()
-
     # -- metadata recovery (durable-backend support) ---------------------
 
     def _scan_block(self, block_id: int):

@@ -18,38 +18,21 @@ byte-identical on every input):
 * ``"fast"`` -- the same 16 rounds around precomputed lookup tables:
   byte-wide LUTs for IP/FP/E, the eight S-boxes fused with permutation P
   into eight 64-entry -> 32-bit SP tables, the key schedule (forward
-  *and* reversed) derived once per key object, and bulk entry points
-  (:meth:`DES.encrypt_blocks`, :meth:`DES.decrypt_blocks` and the CBC
-  chain :meth:`DES.cbc_encrypt_blocks`) that run a whole node or record
-  block in one Python call.  Pure Python, so it needs no dependency.
+  *and* reversed) derived once per key object, and one round loop that
+  serves every entry point: :meth:`DES.encrypt_blocks`,
+  :meth:`DES.decrypt_blocks` and the CBC chain
+  :meth:`DES.cbc_encrypt_blocks` run a whole node or record block in one
+  Python call, and a single block is a one-block call.  Pure Python, so
+  it needs no dependency.
 * ``"openssl"`` (requires ``cryptography``; see :class:`OpenSSLDESKernel`)
   -- the same calls run by OpenSSL, as triple DES with the key repeated
   three times: EDE with K1 = K2 = K3 is single DES.  No Python key
   schedule is derived for it.  Falls back to ``"fast"`` when
   ``cryptography`` is absent.
 
-**Round tables.**  A ``fast`` key that does enough bulk work gets
-key-specific round tables (:class:`RoundTables`): for each round and each
-pair of S-boxes, one 1024-entry table that folds the expansion E, the
-subkey XOR and both fused S-box/P lookups into a single lookup on the 10
-bits of ``R`` the pair reads.  A round then costs 4 lookups instead of 4
-E lookups, the subkey XOR and 8 SP lookups.  The tables are one buffer
-(16 x 4 x 1024 uint32, 256 KiB per key); decryption walks it in reverse
-round order.  A :class:`DES` object builds its tables on the first bulk
-call of at least :data:`MIN_COUNTED_BLOCKS` blocks that follows
-:data:`TABLE_BUILD_CALLS` such calls; until then, for shorter calls and
-for single blocks, the kernel runs the key-independent rounds.  So a
-key's first call never builds: one-off keys (a page key enciphering or
-deciphering one whole page, key derivation, IVs) and keys that only make
-short calls (a commit's 3-block superblock) never pay for a build.
-Tables live on their :class:`DES` object and die with it, or earlier
-through :meth:`DES.release_tables`.
-
-The kernel (``"openssl"`` or ``"fast"``) is chosen per :class:`DES`
-instance (``kernel=``), falling back to the process-wide default --
-:func:`set_default_kernel` or the ``REPRO_DES_KERNEL`` environment
-variable.  Unless overridden, the default is the best available kernel:
-``"openssl"`` when ``cryptography`` is importable, else ``"fast"``.
+The platform alone picks the default kernel (:func:`default_kernel`):
+``"openssl"`` when ``cryptography`` imports, else ``"fast"``.  A single
+:class:`DES` object may ask for another with ``kernel=``.
 """
 
 from __future__ import annotations
@@ -59,7 +42,6 @@ import sys
 import threading
 from array import array
 from functools import cached_property
-from itertools import cycle
 
 from repro.crypto.base import BlockCipher
 from repro.exceptions import KeyError_, MessageRangeError
@@ -258,71 +240,6 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 _MASK64 = (1 << 64) - 1
 
 
-# --------------------------------------------------------------------------
-# Key-specific round tables.
-#
-# S-boxes 2j and 2j+1 read 12 bits of E(R), which are 10 distinct bits of
-# R: window j.  With x = R * 0x1_0000_0001 (R written twice, so the
-# windows that wrap around R's ends are contiguous), window j is
-# (x >> WINDOW_SHIFTS[j]) & 0x3FF.  Its top 6 bits feed S-box 2j and its
-# low 6 bits S-box 2j+1, so for a round subkey whose 6-bit chunks for
-# that pair are ka and kb, table entry w is
-#     SP[2j][(w >> 4) ^ ka] | SP[2j+1][(w & 0x3F) ^ kb].
-# --------------------------------------------------------------------------
-
-WINDOW_SHIFTS = (23, 15, 7, 31)
-
-
-def _build_round_tables(subkeys: tuple[int, ...]) -> array:
-    """The 16 x 4 x 1024 round tables as a flat ``array('I')`` (about 4 ms)."""
-    out = array("I")
-    for subkey in subkeys:
-        for j in range(4):
-            ka = (subkey >> (42 - 12 * j)) & 0x3F  # S-box 2j's subkey chunk
-            kb = (subkey >> (36 - 12 * j)) & 0x3F  # S-box 2j+1's
-            spa, spb = _SP[2 * j], _SP[2 * j + 1]
-            low = [spb[i ^ kb] for i in range(64)]
-            # w = (hi << 4) | lo: S-box 2j reads hi, S-box 2j+1 reads
-            # w & 0x3F = ((hi & 3) << 4) | lo, i.e. quarter hi & 3 of low
-            quarters = [low[q : q + 16] for q in (0, 16, 32, 48)]
-            high = [spa[i ^ ka] for i in range(64)]
-            out.extend([x | y for x, q in zip(high, cycle(quarters)) for y in q])
-    return out
-
-
-class RoundTables:
-    """A key's round subkeys, in application order, with its round tables.
-
-    ``buffer`` is a flat ``array('I')`` holding round r's four tables at
-    row r (4096 entries a row).  ``rounds`` views them as four memoryview
-    slices per round, in application order, for the fast kernel's loop,
-    so :meth:`reversed` -- the decryption schedule -- shares the
-    encryption buffer.
-    """
-
-    __slots__ = ("subkeys", "buffer", "rounds")
-
-    def __init__(self, subkeys, buffer, rounds: list) -> None:
-        self.subkeys = subkeys
-        self.buffer = buffer
-        self.rounds = rounds
-
-    @classmethod
-    def build(cls, subkeys: tuple[int, ...]) -> "RoundTables":
-        """Build the encryption tables of an encryption schedule."""
-        buffer = _build_round_tables(subkeys)
-        flat = memoryview(buffer)
-        rounds = [
-            tuple(flat[(4 * r + j) << 10 : (4 * r + j + 1) << 10] for j in range(4))
-            for r in range(16)
-        ]
-        return cls(subkeys, buffer, rounds)
-
-    def reversed(self) -> "RoundTables":
-        """The same tables in reverse round order (the other direction)."""
-        return RoundTables(self.subkeys[::-1], self.buffer, self.rounds[::-1])
-
-
 def _rotate28(value: int, amount: int) -> int:
     """Left-rotate a 28-bit quantity."""
     return ((value << amount) | (value >> (28 - amount))) & 0xFFFFFFF
@@ -390,7 +307,7 @@ class ReferenceDESKernel:
     """
 
     #: Runs the FIPS steps on bare subkeys: swapped into any :class:`DES`
-    #: object, it gets neither round tables nor OpenSSL contexts.
+    #: object, it never gets OpenSSL contexts.
     bare_subkeys = True
 
     @staticmethod
@@ -438,74 +355,24 @@ class ReferenceDESKernel:
 class FastDESKernel:
     """LUT kernel: byte-wide IP/FP/E tables and fused SP boxes.
 
-    :meth:`crypt_blocks` and :meth:`cbc_encrypt` are the throughput
-    paths -- one Python call per *buffer* rather than per block, with
-    every table bound to a local and the round function inlined into the
-    block loop.  Given a :class:`RoundTables` schedule they run the
-    table round; given bare subkeys, the key-independent E/SP round.
-    Benchmark C10 measures the resulting blocks/sec.
+    :meth:`crypt_blocks` and :meth:`cbc_encrypt` share one loop -- one
+    Python call per *buffer* rather than per block, with every table
+    bound to a local and the E/SP round function inlined into the block
+    loop.  Benchmark C10 measures the resulting blocks/sec.
     """
 
     name = "fast"
 
     @staticmethod
-    def crypt_block(block64: int, subkeys: tuple[int, ...]) -> int:
-        ip0, ip1, ip2, ip3, ip4, ip5, ip6, ip7 = _IP_LUT
-        fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_LUT
-        e0, e1, e2, e3 = _E_LUT
-        sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
-        v = (
-            ip0[(block64 >> 56) & 0xFF]
-            | ip1[(block64 >> 48) & 0xFF]
-            | ip2[(block64 >> 40) & 0xFF]
-            | ip3[(block64 >> 32) & 0xFF]
-            | ip4[(block64 >> 24) & 0xFF]
-            | ip5[(block64 >> 16) & 0xFF]
-            | ip6[(block64 >> 8) & 0xFF]
-            | ip7[block64 & 0xFF]
-        )
-        left = v >> 32
-        right = v & 0xFFFFFFFF
-        for subkey in subkeys:
-            x = (
-                e0[(right >> 24) & 0xFF]
-                | e1[(right >> 16) & 0xFF]
-                | e2[(right >> 8) & 0xFF]
-                | e3[right & 0xFF]
-            ) ^ subkey
-            left, right = right, left ^ (
-                sp0[(x >> 42) & 0x3F]
-                | sp1[(x >> 36) & 0x3F]
-                | sp2[(x >> 30) & 0x3F]
-                | sp3[(x >> 24) & 0x3F]
-                | sp4[(x >> 18) & 0x3F]
-                | sp5[(x >> 12) & 0x3F]
-                | sp6[(x >> 6) & 0x3F]
-                | sp7[x & 0x3F]
-            )
-        # Final swap: the last round's halves are exchanged before FP.
-        v = (right << 32) | left
-        return (
-            fp0[(v >> 56) & 0xFF]
-            | fp1[(v >> 48) & 0xFF]
-            | fp2[(v >> 40) & 0xFF]
-            | fp3[(v >> 32) & 0xFF]
-            | fp4[(v >> 24) & 0xFF]
-            | fp5[(v >> 16) & 0xFF]
-            | fp6[(v >> 8) & 0xFF]
-            | fp7[v & 0xFF]
-        )
+    def crypt_blocks(data: bytes, subkeys: tuple[int, ...]) -> bytes:
+        return FastDESKernel._bulk(data, subkeys, None)
 
     @staticmethod
-    def crypt_blocks(data: bytes, keys) -> bytes:
-        return FastDESKernel._bulk(data, keys, None)
+    def cbc_encrypt(data: bytes, subkeys: tuple[int, ...], iv: bytes) -> bytes:
+        return FastDESKernel._bulk(data, subkeys, iv)
 
     @staticmethod
-    def cbc_encrypt(data: bytes, keys, iv: bytes) -> bytes:
-        return FastDESKernel._bulk(data, keys, iv)
-
-    @staticmethod
-    def _bulk(data: bytes, keys, iv: bytes | None) -> bytes:
+    def _bulk(data: bytes, subkeys: tuple[int, ...], iv: bytes | None) -> bytes:
         """ECB over ``data``, or CBC encryption chained from ``iv``.
 
         CBC needs no second loop.  IP is a bit permutation, so
@@ -519,7 +386,6 @@ class FastDESKernel:
         fp0, fp1, fp2, fp3, fp4, fp5, fp6, fp7 = _FP_LUT
         e0, e1, e2, e3 = _E_LUT
         sp0, sp1, sp2, sp3, sp4, sp5, sp6, sp7 = _SP
-        rounds = keys.rounds if isinstance(keys, RoundTables) else None
         state = keep = 0
         if iv is not None:
             keep = _MASK64
@@ -535,33 +401,23 @@ class FastDESKernel:
             ) ^ state
             left = v >> 32
             right = v & 0xFFFFFFFF
-            if rounds is not None:
-                for t0, t1, t2, t3 in rounds:
-                    x = right * 0x1_0000_0001
-                    left, right = right, left ^ (
-                        t0[(x >> 23) & 0x3FF]
-                        | t1[(x >> 15) & 0x3FF]
-                        | t2[(x >> 7) & 0x3FF]
-                        | t3[(x >> 31) & 0x3FF]
-                    )
-            else:
-                for subkey in keys:
-                    x = (
-                        e0[(right >> 24) & 0xFF]
-                        | e1[(right >> 16) & 0xFF]
-                        | e2[(right >> 8) & 0xFF]
-                        | e3[right & 0xFF]
-                    ) ^ subkey
-                    left, right = right, left ^ (
-                        sp0[(x >> 42) & 0x3F]
-                        | sp1[(x >> 36) & 0x3F]
-                        | sp2[(x >> 30) & 0x3F]
-                        | sp3[(x >> 24) & 0x3F]
-                        | sp4[(x >> 18) & 0x3F]
-                        | sp5[(x >> 12) & 0x3F]
-                        | sp6[(x >> 6) & 0x3F]
-                        | sp7[x & 0x3F]
-                    )
+            for subkey in subkeys:
+                x = (
+                    e0[(right >> 24) & 0xFF]
+                    | e1[(right >> 16) & 0xFF]
+                    | e2[(right >> 8) & 0xFF]
+                    | e3[right & 0xFF]
+                ) ^ subkey
+                left, right = right, left ^ (
+                    sp0[(x >> 42) & 0x3F]
+                    | sp1[(x >> 36) & 0x3F]
+                    | sp2[(x >> 30) & 0x3F]
+                    | sp3[(x >> 24) & 0x3F]
+                    | sp4[(x >> 18) & 0x3F]
+                    | sp5[(x >> 12) & 0x3F]
+                    | sp6[(x >> 6) & 0x3F]
+                    | sp7[x & 0x3F]
+                )
             # Final swap: the last round's halves are exchanged before FP.
             v = (right << 32) | left
             state = v & keep
@@ -629,10 +485,6 @@ class OpenSSLDESKernel:
         return _OpenSSLKey(algorithm, False), _OpenSSLKey(algorithm, True)
 
     @staticmethod
-    def crypt_block(block64: int, keys: _OpenSSLKey) -> int:
-        return int.from_bytes(keys.ecb().update(block64.to_bytes(8, "big")), "big")
-
-    @staticmethod
     def crypt_blocks(data: bytes, keys: _OpenSSLKey) -> bytes:
         return keys.ecb().update(data)
 
@@ -645,68 +497,36 @@ _KERNELS: dict[str, type] = {FastDESKernel.name: FastDESKernel}
 if TripleDES is not None:
     _KERNELS[OpenSSLDESKernel.name] = OpenSSLDESKernel
 
-#: Bulk calls shorter than this many 8-byte blocks never count towards
-#: :data:`TABLE_BUILD_CALLS`: a commit's 3-block superblock earns no
-#: tables, however often it runs.
-MIN_COUNTED_BLOCKS = 10
-
-#: Counted bulk calls a ``fast`` :class:`DES` object makes on bare
-#: subkeys; the next counted call builds its :class:`RoundTables`.  The
-#: count is the build's cost over the smallest saving the tables give
-#: one counted call.  Measured on a 2-vCPU x86-64 Xeon with CPython 3.11
-#: (best of 200-1500 interleaved runs): the tables save ~4.7 us per
-#: block (~47 us at 10 blocks) against a ~4.5 ms build, so 100 calls.
-#: Counting calls rather than blocks keeps a key that makes one big call
-#: -- a page key enciphering one whole 512-block page -- from building
-#: tables it would use once.  On the canonical workloads and on
-#: benchmarks A1-A3, C1 and C3 only record-store keys cross it; the
-#: 209-3,698 page keys per benchmark that make one counted call never
-#: build.
-TABLE_BUILD_CALLS = 100
 
 def openssl_available() -> bool:
     """True iff ``cryptography`` imported and the openssl kernel registered."""
     return OpenSSLDESKernel.name in _KERNELS
 
 
-def _resolve_kernel(name: str, source: str = "kernel") -> str:
+def _resolve_kernel(name: str) -> str:
     """Map a requested kernel name onto an available one.
 
     ``"openssl"`` degrades to ``"fast"`` -- the best available
-    byte-identical kernel -- when ``cryptography`` is absent, whether it
-    was asked for by ``REPRO_DES_KERNEL``, ``set_default_kernel`` or
-    ``DES(kernel=)``.  Anything else unknown raises, because a typo (or a
-    removed kernel) should fail loudly rather than silently encrypt with
-    a different kernel than the operator asked for.
+    byte-identical kernel -- when ``cryptography`` is absent.  Anything
+    else unknown raises, because a typo (or a removed kernel) should fail
+    loudly rather than silently encrypt with a different kernel than the
+    caller asked for.
     """
     if name in _KERNELS:
         return name
     if name == OpenSSLDESKernel.name:
         return FastDESKernel.name
-    raise KeyError_(f"{source} must be one of {sorted(_KERNELS)}, got {name!r}")
+    raise KeyError_(f"kernel must be one of {sorted(_KERNELS)}, got {name!r}")
 
 
-# fail at import, not at the first encryption
-_default_kernel = _resolve_kernel(
-    os.environ.get("REPRO_DES_KERNEL", OpenSSLDESKernel.name), "REPRO_DES_KERNEL"
-)
+#: The best available kernel, fixed at import by the platform alone.
+_DEFAULT_KERNEL = _resolve_kernel(OpenSSLDESKernel.name)
 
 
 def default_kernel() -> str:
-    """The kernel new :class:`DES` objects use when ``kernel=None``."""
-    return _default_kernel
-
-
-def set_default_kernel(name: str) -> str:
-    """Set the process-wide default kernel; returns the previous one.
-
-    Existing :class:`DES` objects keep the kernel they were built with.
-    ``"openssl"`` falls back to ``"fast"`` when ``cryptography`` is absent.
-    """
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = _resolve_kernel(name)
-    return previous
+    """The kernel new :class:`DES` objects use when ``kernel=None``:
+    ``"openssl"`` when ``cryptography`` imports, else ``"fast"``."""
+    return _DEFAULT_KERNEL
 
 
 class DES(BlockCipher):
@@ -719,10 +539,10 @@ class DES(BlockCipher):
         (most software implementations ignore them); pass
         ``enforce_parity=True`` to require odd parity per byte.
     kernel:
-        ``"openssl"`` or ``"fast"``; ``None`` (default) uses the
-        process-wide default (see :func:`set_default_kernel`).  Both
-        produce byte-identical ciphertext; ``"openssl"`` requires
-        ``cryptography`` and degrades to ``"fast"`` without it.
+        ``"openssl"`` or ``"fast"``; ``None`` (default) uses
+        :func:`default_kernel`.  Both produce byte-identical ciphertext;
+        ``"openssl"`` requires ``cryptography`` and degrades to
+        ``"fast"`` without it.
     """
 
     block_size = 8
@@ -737,7 +557,7 @@ class DES(BlockCipher):
             raise KeyError_(f"DES key must be 8 bytes, got {len(key)}")
         if enforce_parity and not self.has_odd_parity(key):
             raise KeyError_("DES key fails odd-parity check")
-        name = _default_kernel if kernel is None else _resolve_kernel(kernel)
+        name = _DEFAULT_KERNEL if kernel is None else _resolve_kernel(kernel)
         self.key = key
         self.kernel = name
         self._kernel = _KERNELS[name]
@@ -748,12 +568,6 @@ class DES(BlockCipher):
         )
         if self._contexts is None:
             self._subkeys  # a Python kernel: derive the schedule now
-        #: Counted bulk calls made on bare subkeys (see
-        #: :data:`TABLE_BUILD_CALLS`).
-        self._bulk_calls = 0
-        #: ``(encrypt, decrypt)`` :class:`RoundTables` sharing one buffer,
-        #: built on the counted call after :data:`TABLE_BUILD_CALLS`.
-        self._tables: tuple[RoundTables, RoundTables] | None = None
 
     # -- key schedule ------------------------------------------------------
 
@@ -790,55 +604,31 @@ class DES(BlockCipher):
     # -- public API --------------------------------------------------------
 
     def encrypt_block(self, block: bytes) -> bytes:
-        """Encrypt one 8-byte block."""
+        """Encrypt one 8-byte block (a one-block bulk call)."""
         if len(block) != 8:
             raise MessageRangeError(f"DES block must be 8 bytes, got {len(block)}")
-        value = self._kernel.crypt_block(
-            int.from_bytes(block, "big"), self._keys(False)
-        )
-        return value.to_bytes(8, "big")
+        return self._kernel.crypt_blocks(block, self._keys(False))
 
     def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt one 8-byte block."""
+        """Decrypt one 8-byte block (a one-block bulk call)."""
         if len(block) != 8:
             raise MessageRangeError(f"DES block must be 8 bytes, got {len(block)}")
-        value = self._kernel.crypt_block(
-            int.from_bytes(block, "big"), self._keys(True)
-        )
-        return value.to_bytes(8, "big")
+        return self._kernel.crypt_blocks(block, self._keys(True))
 
     # -- bulk API ----------------------------------------------------------
 
-    def _keys(self, decrypt: bool, nblocks: int | None = None):
-        """What the kernel runs on: OpenSSL contexts, tables or subkeys.
+    def _keys(self, decrypt: bool):
+        """What the kernel runs on: OpenSSL contexts, else subkeys.
 
-        ``nblocks`` is a bulk call's size (``None`` for a single block,
-        which never runs on tables).  The reference kernel, swapped in by
-        a test or benchmark, always gets bare subkeys; a stand-in that
-        declares nothing is taken to wrap the object's own kernel and
-        pass the schedule through.  Concurrent callers may race on the
-        table count or build twice; either way every schedule handed out
-        is correct, and one build wins.
+        The reference kernel, swapped in by a test or benchmark, always
+        gets bare subkeys; a stand-in that declares nothing is taken to
+        wrap the object's own kernel and pass the schedule through.
         """
-        if not getattr(self._kernel, "bare_subkeys", False):
-            if self._contexts is not None:
-                return self._contexts[decrypt]
-            if nblocks is not None:
-                tables = self._tables
-                if tables is None and nblocks >= MIN_COUNTED_BLOCKS:
-                    if self._bulk_calls < TABLE_BUILD_CALLS:
-                        self._bulk_calls += 1
-                    else:
-                        encrypt = RoundTables.build(self._subkeys)
-                        tables = self._tables = (encrypt, encrypt.reversed())
-                if tables is not None:
-                    return tables[decrypt]
+        if self._contexts is not None and not getattr(
+            self._kernel, "bare_subkeys", False
+        ):
+            return self._contexts[decrypt]
         return self._subkeys_dec if decrypt else self._subkeys
-
-    def release_tables(self) -> None:
-        """Drop the round tables; the object earns them again from zero."""
-        self._tables = None
-        self._bulk_calls = 0
 
     def encrypt_blocks(self, blocks) -> bytes:
         """Encrypt a whole buffer (or sequence) of 8-byte blocks in ECB.
@@ -847,16 +637,16 @@ class DES(BlockCipher):
         path's throughput advantage over per-block calls comes from.
         """
         data = self._as_buffer(blocks)
-        return self._kernel.crypt_blocks(data, self._keys(False, len(data) >> 3))
+        return self._kernel.crypt_blocks(data, self._keys(False))
 
     def decrypt_blocks(self, blocks) -> bytes:
         """Decrypt a whole buffer (or sequence) of 8-byte blocks in ECB."""
         data = self._as_buffer(blocks)
-        return self._kernel.crypt_blocks(data, self._keys(True, len(data) >> 3))
+        return self._kernel.crypt_blocks(data, self._keys(True))
 
     def cbc_encrypt_blocks(self, blocks, iv: bytes) -> bytes:
         """CBC-encrypt whole blocks chained from ``iv``, in one kernel call."""
         if len(iv) != 8:
             raise MessageRangeError(f"DES IV must be 8 bytes, got {len(iv)}")
         data = self._as_buffer(blocks)
-        return self._kernel.cbc_encrypt(data, self._keys(False, len(data) >> 3), iv)
+        return self._kernel.cbc_encrypt(data, self._keys(False), iv)

@@ -117,8 +117,8 @@ class CBCCipher:
     plaintext pages still produce distinct cryptograms without any stored
     per-page nonce.
 
-    The cipher object's cached key schedule (and round tables, once
-    built) is reused across the entire block stream.  Encryption is one
+    The cipher object's cached key schedule is reused across the entire
+    block stream.  Encryption is one
     :meth:`~repro.crypto.base.BlockCipher.cbc_encrypt_blocks` call;
     decryption -- whose cipher applications are chain-free, the XOR
     chaining happens on the outputs -- runs through the bulk decrypt path

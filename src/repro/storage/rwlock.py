@@ -26,10 +26,41 @@ Semantics
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.exceptions import StorageError
+
+
+class _ReadScope:
+    """``with lock.read_locked():`` -- the shared side for one block.
+
+    Stateless (the lock keeps every thread's depth), so each lock builds
+    one scope per side and every ``with`` reuses it, nested or not.  The
+    acquire and release are looked up on each entry, so a wrapper set on
+    the lock instance (a tracer) sees every scope.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: "ReadWriteLock") -> None:
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        self._lock.acquire_read()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release_read()
+
+
+class _WriteScope(_ReadScope):
+    """``with lock.write_locked():`` -- the exclusive side for one block."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        self._lock.acquire_write()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release_write()
 
 
 class ReadWriteLock:
@@ -41,6 +72,8 @@ class ReadWriteLock:
         self._writer: int | None = None  # owning thread id, if any
         self._writer_depth = 0
         self._writers_waiting = 0
+        self._read_scope = _ReadScope(self)
+        self._write_scope = _WriteScope(self)
 
     # -- read side -------------------------------------------------------
 
@@ -109,23 +142,13 @@ class ReadWriteLock:
 
     # -- context managers ------------------------------------------------
 
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
+    def read_locked(self) -> _ReadScope:
         """Scope held under the shared (reader) side."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
+        return self._read_scope
 
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
+    def write_locked(self) -> _WriteScope:
         """Scope held under the exclusive (writer) side."""
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+        return self._write_scope
 
     # -- introspection (tests and diagnostics) ---------------------------
 

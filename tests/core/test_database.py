@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.database import EncipheredDatabase
 from repro.crypto.base import CountingCipher
-from repro.crypto.des import TABLE_BUILD_CALLS, schedule_derivations, set_default_kernel
+from repro.crypto.des import schedule_derivations
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import (
@@ -134,21 +134,6 @@ class TestSuperblockSecurity:
             db.insert(k, b"x")
         db.delete(3)
         assert schedule_derivations() == before
-
-    def test_close_releases_record_cipher_tables(self, cipher):
-        # round tables belong to the fast kernel; openssl builds none
-        previous = set_default_kernel("fast")
-        try:
-            db = EncipheredDatabase.create(OvalSubstitution(DESIGN, t=5), cipher)
-        finally:
-            set_default_kernel(previous)
-        des = db.records._transform._des
-        assert des.kernel == "fast"
-        for k in range(TABLE_BUILD_CALLS + 1):
-            db.insert(k, b"x")
-        assert des._tables is not None  # every record write is a bulk call
-        db.close()
-        assert des._tables is None
 
     def test_superblock_tracks_root_splits(self, db, cipher):
         """Enough inserts to split the root several times; the superblock

@@ -102,10 +102,6 @@ class _CountingKernel:
         self.blocks = 0
         self.cbc_blocks = 0  # the share CBC-enciphered
 
-    def crypt_block(self, block64, subkeys):
-        self.blocks += 1
-        return self.inner.crypt_block(block64, subkeys)
-
     def crypt_blocks(self, data, subkeys):
         self.blocks += len(data) // 8
         return self.inner.crypt_blocks(data, subkeys)

@@ -13,9 +13,12 @@ its latency histograms: key-range heat (which counted operations by
 plaintext key band), the tracer's recent-span ring, slow-op log and
 span counters, gauges and the runtime on/off switch are gone, with the
 keywords that configured them.  The numpy ``"vector"`` DES kernel is
-gone too, replaced by ``"openssl"``: asking for it by ``DES(kernel=)``,
-``set_default_kernel`` or ``REPRO_DES_KERNEL`` raises ``KeyError_``, and
-nothing in the package imports numpy any more.  The cluster's process
+gone too, replaced by ``"openssl"``: asking for it by ``DES(kernel=)``
+raises ``KeyError_``, and nothing in the package imports numpy any more.
+So are the ``fast`` kernel's key-specific round tables with their build
+policy, and the process-wide kernel override: ``set_default_kernel`` is
+gone and the ``REPRO_DES_KERNEL`` environment variable is ignored, so
+the platform alone picks the default kernel.  The cluster's process
 executor is gone with its change journals and replica sync: ``create``
 and ``reopen`` reject ``executor=``, ``shard_factories=`` and
 ``op_deadline_s=``, ``reopen_from_manifest`` accepts only
@@ -44,7 +47,7 @@ from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
 from repro.crypto import des as des_module
-from repro.crypto.des import DES, default_kernel, set_default_kernel
+from repro.crypto.des import DES, default_kernel
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import KeyError_, StorageError
@@ -331,8 +334,7 @@ class TestRemovedOptions:
 
 def _run_python(script: str, **env_extra: str) -> subprocess.CompletedProcess:
     """``script`` in a fresh interpreter with this checkout's ``src`` on the path."""
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_DES_KERNEL"}
-    env.update(env_extra)
+    env = dict(os.environ, **env_extra)
     here = os.path.dirname(os.path.abspath(des_module.__file__))
     src = os.path.join(here, "..", "..")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -345,17 +347,6 @@ class TestRemovedVectorKernel:
     def test_des_kernel_vector_raises(self):
         with pytest.raises(KeyError_):
             DES(b"k" * 8, kernel="vector")
-
-    def test_set_default_kernel_vector_raises(self):
-        before = default_kernel()
-        with pytest.raises(KeyError_):
-            set_default_kernel("vector")
-        assert default_kernel() == before
-
-    def test_env_var_vector_fails_at_import(self):
-        done = _run_python("import repro.crypto.des", REPRO_DES_KERNEL="vector")
-        assert done.returncode != 0
-        assert "KeyError_" in done.stderr and "REPRO_DES_KERNEL" in done.stderr
 
     def test_vector_names_are_gone(self):
         assert importlib.util.find_spec("repro.crypto.vector") is None
@@ -372,6 +363,38 @@ class TestRemovedVectorKernel:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
+
+
+class TestRemovedRoundTables:
+    @pytest.mark.parametrize("name", [
+        "RoundTables", "_build_round_tables", "WINDOW_SHIFTS",
+        "MIN_COUNTED_BLOCKS", "TABLE_BUILD_CALLS", "set_default_kernel",
+    ])
+    def test_module_names_are_gone(self, name):
+        assert not hasattr(des_module, name), name
+
+    def test_des_objects_hold_no_tables(self):
+        des = DES(b"k" * 8, kernel="fast")
+        for _ in range(3):
+            des.encrypt_blocks(bytes(8 * 20))
+        for name in ("release_tables", "_tables", "_bulk_calls"):
+            assert not hasattr(des, name), name
+        assert not hasattr(RecordStore, "release_cipher_tables")
+
+    def test_single_block_methods_are_gone(self):
+        # a single block is a one-block bulk call; the FIPS oracle keeps its own
+        assert not hasattr(des_module.FastDESKernel, "crypt_block")
+        assert not hasattr(des_module.OpenSSLDESKernel, "crypt_block")
+        assert hasattr(des_module.ReferenceDESKernel, "crypt_block")
+
+    @pytest.mark.parametrize("requested", ["fast", "vector"])
+    def test_kernel_env_var_is_ignored(self, requested):
+        done = _run_python(
+            "from repro.crypto import des; print(des.default_kernel())",
+            REPRO_DES_KERNEL=requested,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [default_kernel()]
 
 
 class TestRemovedProcessExecutor:

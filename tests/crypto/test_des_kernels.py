@@ -36,7 +36,6 @@ from repro.crypto.des import (
     default_kernel,
     openssl_available,
     schedule_derivations,
-    set_default_kernel,
 )
 from repro.crypto.modes import CBCCipher, ECBCipher
 from repro.exceptions import KeyError_, MessageRangeError
@@ -349,15 +348,13 @@ class TestScheduleDerivation:
         )
 
 
-def _import_des(requested: str | None, cryptography: bool) -> list[str]:
+def _import_des(cryptography: bool) -> list[str]:
     """``default_kernel()`` and ``openssl_available()`` in a fresh interpreter.
 
     A ``None`` entry in ``sys.modules`` makes ``import cryptography`` fail,
     so ``cryptography=False`` runs the import-time rule without it.
     """
-    env = {k: v for k, v in os.environ.items() if k != "REPRO_DES_KERNEL"}
-    if requested is not None:
-        env["REPRO_DES_KERNEL"] = requested
+    env = dict(os.environ)
     src = os.path.join(os.path.dirname(des_module.__file__), "..", "..")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
@@ -375,75 +372,27 @@ def _import_des(requested: str | None, cryptography: bool) -> list[str]:
 
 
 class TestKernelSelection:
-    def test_default_kernel_follows_environment(self):
-        # unset, the default is the best available kernel; CI also forces
-        # one via REPRO_DES_KERNEL, and asking for the openssl kernel on a
-        # host without cryptography falls back to fast
-        expected = os.environ.get("REPRO_DES_KERNEL", BEST)
-        if expected == "openssl" and not openssl_available():
-            expected = "fast"
-        assert default_kernel() == expected
-        assert DES(b"k" * 8).kernel == expected
+    def test_default_is_the_best_available_kernel(self):
+        assert default_kernel() == BEST
+        assert DES(b"k" * 8).kernel == BEST
 
-    @pytest.mark.parametrize(
-        "cryptography, requested, expected",
-        [
-            (False, None, "fast"),
-            (False, "openssl", "fast"),
-            (False, "fast", "fast"),
-            (True, None, "openssl"),
-            (True, "fast", "fast"),
-        ],
-    )
-    def test_import_time_default(self, cryptography, requested, expected):
+    @pytest.mark.parametrize("cryptography, expected", [(False, "fast"), (True, "openssl")])
+    def test_import_time_default(self, cryptography, expected):
         # a fresh interpreter, so the import-time rule runs for real
         if cryptography and not openssl_available():
             pytest.skip("cryptography is not installed")
-        out = _import_des(requested, cryptography)
+        out = _import_des(cryptography)
         assert out == [expected, str(cryptography), "False"]
-
-    def test_set_default_kernel_round_trip(self):
-        initial = default_kernel()
-        other = "fast" if initial == "openssl" else "openssl"
-        expected = other if openssl_available() else "fast"
-        previous = set_default_kernel(other)
-        try:
-            assert previous == initial
-            assert DES(b"k" * 8).kernel == expected
-        finally:
-            set_default_kernel(previous)
-        assert DES(b"k" * 8).kernel == initial
-
-    def test_existing_objects_keep_their_kernel(self):
-        des = DES(b"k" * 8, kernel="fast")
-        previous = set_default_kernel("openssl")
-        try:
-            assert des.kernel == "fast"
-        finally:
-            set_default_kernel(previous)
 
     def test_unknown_kernel_rejected(self):
         # the reference kernel is the tests' oracle, not a selectable kernel
         for name in ("quantum", "reference"):
             with pytest.raises(KeyError_):
                 DES(b"k" * 8, kernel=name)
-            with pytest.raises(KeyError_):
-                set_default_kernel(name)
-
-    def test_env_override_honoured_at_import(self):
-        # the module validated REPRO_DES_KERNEL at import; here we only
-        # check the resolved default is one of the known kernels
-        assert default_kernel() in des_module._KERNELS
 
     def test_openssl_registration_matches_availability(self):
         assert openssl_available() == ("openssl" in des_module._KERNELS)
 
     def test_openssl_request_falls_back_without_cryptography(self):
         """``kernel="openssl"`` must never raise: it degrades to fast."""
-        des = DES(b"k" * 8, kernel="openssl")
-        assert des.kernel == BEST
-        previous = set_default_kernel("openssl")
-        try:
-            assert default_kernel() == BEST
-        finally:
-            set_default_kernel(previous)
+        assert DES(b"k" * 8, kernel="openssl").kernel == BEST

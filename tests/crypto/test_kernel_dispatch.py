@@ -1,13 +1,10 @@
-"""Kernel dispatch: what each :class:`DES` call runs on, around the threshold.
+"""Kernel dispatch: what each :class:`DES` call runs on.
 
-A ``fast`` object's bulk calls of at least
-:data:`~repro.crypto.des.MIN_COUNTED_BLOCKS` blocks count towards its
-round tables; shorter ones and single blocks run the key-independent
-rounds.  Whichever side a buffer lands on, and whichever schedule runs
-it, the bytes must equal the FIPS reference kernel's, encrypting and
-decrypting.  The tabled rounds must also be right below the threshold,
-so the constant is a pure speed choice.  An ``openssl`` object hands
-every call to OpenSSL and never touches a Python schedule.
+A ``fast`` object runs every call -- a single block, a bulk buffer, a
+CBC chain -- through the one E/SP round loop on its bare subkeys.
+Whatever the buffer's length, the bytes must equal the FIPS reference
+kernel's, encrypting and decrypting.  An ``openssl`` object hands every
+call to OpenSSL and never touches a Python schedule.
 """
 
 from __future__ import annotations
@@ -16,17 +13,15 @@ import pytest
 
 from repro.crypto.des import (
     DES,
-    MIN_COUNTED_BLOCKS,
     FastDESKernel,
     OpenSSLDESKernel,
     ReferenceDESKernel,
-    RoundTables,
     openssl_available,
     schedule_derivations,
 )
 
 KEY = bytes.fromhex("133457799BBCDFF1")
-AROUND = (MIN_COUNTED_BLOCKS - 1, MIN_COUNTED_BLOCKS, MIN_COUNTED_BLOCKS + 1)
+SIZES = (0, 1, 7, 9, 10, 11, 20)
 KERNELS = ("fast",) + (("openssl",) if openssl_available() else ())
 
 
@@ -34,21 +29,21 @@ def payload(nblocks):
     return bytes((i * 37 + 11) & 0xFF for i in range(8 * nblocks))
 
 
-@pytest.mark.parametrize("nblocks", AROUND)
-def test_fast_matches_the_reference_around_the_threshold(nblocks):
+@pytest.mark.parametrize("nblocks", SIZES)
+def test_fast_kernel_matches_the_reference(nblocks):
     data = payload(nblocks)
     des = DES(KEY, kernel="fast")
-    encrypt = RoundTables.build(des._subkeys)
-    decrypt = encrypt.reversed()
-    for subkeys, tables in ((des._subkeys, encrypt), (des._subkeys_dec, decrypt)):
+    for subkeys in (des._subkeys, des._subkeys_dec):
         out = ReferenceDESKernel.crypt_blocks(data, subkeys)
         assert FastDESKernel.crypt_blocks(data, subkeys) == out
-        assert FastDESKernel.crypt_blocks(data, tables) == out
+    assert FastDESKernel.cbc_encrypt(data, des._subkeys, KEY) == (
+        ReferenceDESKernel.cbc_encrypt(data, des._subkeys, KEY)
+    )
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("nblocks", AROUND)
-def test_des_round_trips_around_the_threshold(kernel, nblocks):
+@pytest.mark.parametrize("nblocks", SIZES)
+def test_des_round_trips(kernel, nblocks):
     """The same buffers through the public ``DES(kernel=)`` API."""
     data = payload(nblocks)
     des = DES(KEY, kernel=kernel)
@@ -57,33 +52,25 @@ def test_des_round_trips_around_the_threshold(kernel, nblocks):
     assert des.decrypt_blocks(ct) == data
 
 
-@pytest.mark.parametrize("nblocks", (0, 1) + AROUND + (2 * MIN_COUNTED_BLOCKS,))
-def test_the_threshold_decides_what_counts(nblocks):
-    des = DES(KEY, kernel="fast")
-    des.encrypt_blocks(payload(nblocks))
-    des.decrypt_blocks(payload(nblocks))
-    des.cbc_encrypt_blocks(payload(nblocks), bytes(8))
-    assert des._bulk_calls == (3 if nblocks >= MIN_COUNTED_BLOCKS else 0)
-
-
-@pytest.mark.parametrize("nblocks", (0, 1, 7))
-def test_tabled_rounds_are_exact_below_the_threshold(nblocks):
-    data = payload(nblocks)
-    subkeys = DES(KEY, kernel="fast")._subkeys
-    tables = RoundTables.build(subkeys)
-    assert FastDESKernel.crypt_blocks(data, tables) == FastDESKernel.crypt_blocks(
-        data, subkeys
-    )
-    assert FastDESKernel.cbc_encrypt(data, tables, KEY) == FastDESKernel.cbc_encrypt(
-        data, subkeys, KEY
-    )
+def test_reference_cbc_chains_its_own_blocks():
+    """The oracle's CBC is its own single-block cipher, chained by hand."""
+    des = DES(KEY)
+    data, iv = payload(8), b"\x5a" * 8
+    expected, previous = b"", iv
+    for off in range(0, len(data), 8):
+        block = bytes(a ^ b for a, b in zip(data[off : off + 8], previous))
+        value = ReferenceDESKernel.crypt_block(int.from_bytes(block, "big"), des._subkeys)
+        previous = value.to_bytes(8, "big")
+        expected += previous
+    assert ReferenceDESKernel.cbc_encrypt(data, des._subkeys, iv) == expected
+    assert des.cbc_encrypt_blocks(data, iv) == expected
 
 
 @pytest.mark.skipif(not openssl_available(), reason="cryptography not installed")
 def test_openssl_calls_run_on_the_objects_contexts(monkeypatch):
     """Every call reaches OpenSSL with the object's own direction."""
     seen = []
-    for name in ("crypt_block", "crypt_blocks", "cbc_encrypt"):
+    for name in ("crypt_blocks", "cbc_encrypt"):
         inner = getattr(OpenSSLDESKernel, name)
 
         def spy(*args, _name=name, _inner=inner):
@@ -98,7 +85,7 @@ def test_openssl_calls_run_on_the_objects_contexts(monkeypatch):
     des.decrypt_blocks(payload(12))
     des.cbc_encrypt_blocks(payload(12), bytes(8))
     assert seen == [
-        ("crypt_block", False), ("crypt_block", True),
+        ("crypt_blocks", False), ("crypt_blocks", True),
         ("crypt_blocks", False), ("crypt_blocks", True), ("cbc_encrypt", False),
     ]
     assert "_subkeys" not in vars(des)  # no Python schedule was derived
@@ -108,7 +95,7 @@ def test_openssl_calls_run_on_the_objects_contexts(monkeypatch):
 def test_dispatch_derives_no_schedules(kernel):
     des = DES(KEY, kernel=kernel)  # a fast schedule is derived here
     before = schedule_derivations()
-    for nblocks in AROUND:
+    for nblocks in SIZES:
         des.decrypt_blocks(des.encrypt_blocks(payload(nblocks)))
         des.cbc_encrypt_blocks(payload(nblocks), bytes(8))
     assert schedule_derivations() == before
