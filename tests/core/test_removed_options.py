@@ -387,7 +387,7 @@ class TestRemovedRoundTables:
         assert not hasattr(des_module.OpenSSLDESKernel, "crypt_block")
         assert hasattr(des_module.ReferenceDESKernel, "crypt_block")
 
-    @pytest.mark.parametrize("requested", ["fast", "vector"])
+    @pytest.mark.parametrize("requested", ["fast", "openssl", "vector"])
     def test_kernel_env_var_is_ignored(self, requested):
         done = _run_python(
             "from repro.crypto import des; print(des.default_kernel())",

@@ -66,6 +66,64 @@ def test_reference_cbc_chains_its_own_blocks():
     assert des.cbc_encrypt_blocks(data, iv) == expected
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_single_block_is_a_one_block_bulk_call(kernel, monkeypatch):
+    des = DES(KEY, kernel=kernel)
+    inner = des._kernel.crypt_blocks
+    lengths = []
+
+    def spy(data, keys):
+        lengths.append(len(data))
+        return inner(data, keys)
+
+    monkeypatch.setattr(des._kernel, "crypt_blocks", staticmethod(spy))
+    block = payload(1)
+    expected = ReferenceDESKernel.crypt_block(int.from_bytes(block, "big"), des._subkeys)
+    ct = des.encrypt_block(block)
+    assert ct == expected.to_bytes(8, "big")
+    assert des.decrypt_block(ct) == block
+    assert lengths == [8, 8]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_keys_are_the_kernels_own(kernel):
+    """OpenSSL contexts on openssl, else the Python schedule."""
+    des = DES(KEY, kernel=kernel)
+    if kernel == "openssl":
+        assert des._keys(False) is des._contexts[0]
+        assert des._keys(True) is des._contexts[1]
+        assert (des._keys(False).decrypt, des._keys(True).decrypt) == (False, True)
+    else:
+        assert des._contexts is None
+        assert des._keys(False) is des._subkeys
+        assert des._keys(True) is des._subkeys_dec
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_swapped_in_reference_kernel_gets_bare_subkeys(kernel):
+    des = DES(KEY, kernel=kernel)
+    des._kernel = ReferenceDESKernel
+    assert des._keys(False) == DES(KEY, kernel="fast")._subkeys
+    assert des._keys(True) == DES(KEY, kernel="fast")._subkeys_dec
+    assert des.encrypt_blocks(payload(3)) == DES(KEY, kernel="fast").encrypt_blocks(payload(3))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_calls_leave_the_object_unchanged(kernel):
+    """No call count, no tables: once each direction has run (a ``fast``
+    object derives its decryption schedule on first use), calls change
+    nothing on the object."""
+    des = DES(KEY, kernel=kernel)
+    des.decrypt_blocks(des.encrypt_blocks(payload(1)))
+    before = dict(vars(des))
+    for nblocks in SIZES:
+        des.decrypt_blocks(des.encrypt_blocks(payload(nblocks)))
+        des.cbc_encrypt_blocks(payload(nblocks), bytes(8))
+    des.decrypt_block(des.encrypt_block(payload(1)))
+    assert vars(des) == before
+    assert all(vars(des)[name] is value for name, value in before.items())
+
+
 @pytest.mark.skipif(not openssl_available(), reason="cryptography not installed")
 def test_openssl_calls_run_on_the_objects_contexts(monkeypatch):
     """Every call reaches OpenSSL with the object's own direction."""
