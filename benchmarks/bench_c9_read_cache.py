@@ -1,15 +1,22 @@
-"""C9 -- read-path cache hierarchy: warm-query speedup, unchanged envelope.
+"""C9 -- plaintext record cache: warm-query speedup, unchanged envelope.
 
-PR 2's C8 run measured per-match record-block DES decryption at ~70-80%
-of range-query time: the enciphered B-Tree prunes beautifully and then
-re-deciphers the same data blocks for every matching record.  The cache
-hierarchy (``repro.storage.cache``) attacks exactly that redundancy.
-Three questions are measured:
+An early C8 run measured per-match record-block DES decryption at
+~70-80% of range-query time: the enciphered B-Tree prunes beautifully
+and then re-deciphers the same data blocks for every matching record.
+The record store's plaintext slot-block cache (``record_cache_blocks``,
+built on ``repro.storage.cache``) attacks exactly that redundancy.  The
+node path keeps no plaintext: every node visit decodes its block and
+pays its pointer decryptions, cache on or off.  Three questions are
+measured:
 
 1. **Warm speedup.**  The same bulk-loaded database is queried with the
-   caches off (the historical engine, the control) and with the
-   plaintext record cache + decoded node cache on.  The headline number
-   is warm-cache elapsed time vs the control; the win must be >= 2x.
+   record cache off (the historical engine, the control) and on.  The
+   headline number is warm-cache elapsed time vs the control (fastest of
+   ``TIMING_REPEATS`` batches each); the win must be >= 1.5x, with zero
+   warm record decryptions and exactly the control's pointer
+   decryptions.  On the ``openssl`` DES kernel record deciphering is a
+   bit under half of the control's time, so the warm win tops out near
+   2x; on the pure-Python ``fast`` kernel it is far larger.
 2. **Security envelope.**  Caching must change only *plaintext-side*
    work.  Asserted two ways: (a) with caches **disabled**, per-shard
    pointer- and record-cipher counts over a routed query workload are
@@ -18,8 +25,8 @@ Three questions are measured:
    caches **enabled**, the bytes at rest on every platter are
    byte-identical to the uncached engine's -- fewer decryptions, never
    different ciphertext.
-3. **Cluster locality.**  Each shard's private caches warm under the
-   thread-pool fan-out; the rollup reports per-shard and aggregate hit
+3. **Cluster locality.**  Each shard's private record cache warms
+   under the fan-out; the rollup reports per-shard and aggregate hit
    rates.
 
 ``C9_N`` and ``C9_QUERIES`` (env vars) override the workload for CI
@@ -44,11 +51,12 @@ NUM_KEYS = int(os.environ.get("C9_N", "1200"))
 NUM_QUERIES = int(os.environ.get("C9_QUERIES", "100"))
 NUM_SHARDS = 4
 QUERY_WIDTH = 40
+TIMING_REPEATS = 5
 UNITS = non_multiplier_units(DESIGN)
 
 # plenty for the whole working set: the caches never thrash in this
 # experiment, so the measured win is the steady-state warm number
-CACHE_CONFIG = {"record_cache_blocks": 1024, "decoded_node_cache_blocks": 1024}
+CACHE_CONFIG = {"record_cache_blocks": 1024}
 
 
 def _sub_factory(shard: int) -> OvalSubstitution:
@@ -84,6 +92,20 @@ def _new_single(**cache_kwargs) -> EncipheredDatabase:
     )
 
 
+def _best_time(run) -> tuple[float, object]:
+    """Fastest wall time (s) of ``TIMING_REPEATS`` calls, and the last result.
+
+    A batch takes tens of milliseconds, so one timing is at the mercy of
+    a scheduler hiccup; the fastest of a few is the steady-state cost.
+    """
+    best = float("inf")
+    for _ in range(TIMING_REPEATS):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
 def _reset_meters(db: EncipheredDatabase) -> None:
     db.disk.stats.reset()
     db.records.disk.stats.reset()
@@ -103,9 +125,9 @@ def test_c9_read_cache(benchmark, reporter):
     cached.bulk_load(data.items())
 
     control.range_search(*queries[0])  # warm the raw node cache alike
-    start = time.perf_counter()
-    control_results = [control.range_search(lo, hi) for lo, hi in queries]
-    control_elapsed = time.perf_counter() - start
+    control_elapsed, control_results = _best_time(
+        lambda: [control.range_search(lo, hi) for lo, hi in queries]
+    )
     _reset_meters(control)
     [control.range_search(lo, hi) for lo, hi in queries]
     control_record_decrypts = control.records.cipher_counts.decryptions
@@ -120,12 +142,11 @@ def test_c9_read_cache(benchmark, reporter):
         return [cached.range_search(lo, hi) for lo, hi in queries]
 
     _reset_meters(cached)
-    start = time.perf_counter()
     warm_results = run_warm()
-    warm_elapsed = time.perf_counter() - start
-    benchmark.pedantic(run_warm, rounds=1, iterations=1)
     warm_record_decrypts = cached.records.cipher_counts.decryptions
     warm_pointer_decrypts = cached.pointer_cipher.counts.decryptions
+    warm_elapsed, _ = _best_time(run_warm)
+    benchmark.pedantic(run_warm, rounds=1, iterations=1)
 
     assert warm_results == control_results, "cached results diverge"
     assert cold_results == control_results, "cold cached results diverge"
@@ -133,7 +154,6 @@ def test_c9_read_cache(benchmark, reporter):
     speedup = control_elapsed / warm_elapsed
     cold_ratio = control_elapsed / cold_elapsed
     record_stats = cached.records.cache.stats
-    decoded_stats = cached.tree.pager.decoded.stats
 
     reporter.table(
         f"{NUM_QUERIES} range queries of width {QUERY_WIDTH} over "
@@ -141,20 +161,21 @@ def test_c9_read_cache(benchmark, reporter):
         ["engine", "elapsed (s)", "vs control",
          "record decrypts", "pointer decrypts"],
         [
-            ["caches off (control)", f"{control_elapsed:.3f}", "1.00x",
+            ["record cache off (control)", f"{control_elapsed:.3f}", "1.00x",
              control_record_decrypts, control_pointer_decrypts],
-            ["caches on, cold", f"{cold_elapsed:.3f}",
+            ["record cache on, cold", f"{cold_elapsed:.3f}",
              f"{cold_ratio:.2f}x", "-", "-"],
-            ["caches on, warm", f"{warm_elapsed:.3f}",
+            ["record cache on, warm", f"{warm_elapsed:.3f}",
              f"{speedup:.2f}x", warm_record_decrypts, warm_pointer_decrypts],
         ],
     )
-    assert speedup >= 2.0, (
-        f"warm cache must win >= 2x over the cache-off control, got "
+    assert speedup >= 1.5, (
+        f"warm cache must win >= 1.5x over the cache-off control, got "
         f"{speedup:.2f}x"
     )
     assert warm_record_decrypts < control_record_decrypts
-    assert warm_pointer_decrypts < control_pointer_decrypts
+    # the node path caches no plaintext: every visit pays its decrypts
+    assert warm_pointer_decrypts == control_pointer_decrypts
 
     # -- 2a. envelope: disabled caches add zero crypto anywhere ----------
     cluster = ShardedEncipheredDatabase.create(
@@ -238,7 +259,6 @@ def test_c9_read_cache(benchmark, reporter):
             f"shard {i}",
             s["record_cache"]["hits"],
             s["record_cache"]["misses"],
-            s["node_decoded_cache"]["hits"],
         ]
         for i, s in enumerate(cstats.per_shard)
     ]
@@ -246,12 +266,11 @@ def test_c9_read_cache(benchmark, reporter):
         "aggregate",
         cstats.record_cache["hits"],
         cstats.record_cache["misses"],
-        cstats.node_decoded_cache["hits"],
     ])
     reporter.table(
-        "range-routed cluster, caches on: per-shard cache locality "
-        "(each worker warms only the shard it scans)",
-        ["shard", "rec hits", "rec misses", "decoded hits"],
+        "range-routed cluster, record cache on: per-shard cache locality "
+        "(each slice warms only the shard it scans)",
+        ["shard", "rec hits", "rec misses"],
         locality_rows,
     )
 
@@ -270,7 +289,6 @@ def test_c9_read_cache(benchmark, reporter):
             "pointer_decrypts_control": control_pointer_decrypts,
             "pointer_decrypts_warm": warm_pointer_decrypts,
             "record_cache": record_stats.snapshot(),
-            "decoded_node_cache": decoded_stats.snapshot(),
         },
         "envelope": {
             "per_shard_counts_identical_when_disabled": True,
@@ -279,21 +297,21 @@ def test_c9_read_cache(benchmark, reporter):
         "cluster": {
             "router": cstats.router,
             "record_cache_hit_rate": cstats.record_cache_hit_rate,
-            "decoded_cache_hit_rate": cstats.node_decoded_cache_hit_rate,
         },
     })
 
     reporter.section(
         "verdict",
-        f"the plaintext cache hierarchy serves warm range queries "
+        f"the plaintext record cache serves warm range queries "
         f"{speedup:.2f}x faster than the cache-off control "
         f"({control_record_decrypts} -> {warm_record_decrypts} record-block "
-        f"decryptions, {control_pointer_decrypts} -> {warm_pointer_decrypts} "
-        f"pointer decryptions per {NUM_QUERIES}-query batch) while leaving "
-        f"the security envelope untouched: disabled-cache cipher counts are "
-        f"identical to standalone controls on every shard, and enabled-cache "
-        f"platters are byte-identical to the uncached engine's -- caching "
-        f"changes plaintext-side work only, never ciphertext traffic.",
+        f"decryptions per {NUM_QUERIES}-query batch; pointer decryptions "
+        f"stay at the control's {warm_pointer_decrypts}, since every node "
+        f"visit still pays its own) while leaving the security envelope "
+        f"untouched: disabled-cache cipher counts are identical to "
+        f"standalone controls on every shard, and enabled-cache platters "
+        f"are byte-identical to the uncached engine's -- caching changes "
+        f"plaintext-side work only, never ciphertext traffic.",
     )
 
     cluster.close()

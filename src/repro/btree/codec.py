@@ -136,10 +136,11 @@ class PlainNodeView:
         return self._node.children[i]
 
     def to_node(self) -> Node:
-        # A fresh copy: callers mutate the materialised node in place,
-        # and a view may be shared through the pager's decoded cache --
-        # aliasing the backing node would let an aborted mutation leak
-        # into cached plaintext.
+        # A fresh copy: callers mutate the node they get back, and the
+        # view must keep describing the bytes it was decoded from -- a
+        # later key_at/child_at/edit on the same view would otherwise see
+        # the first caller's half-applied changes, with num_keys still
+        # the decoded count.
         return Node(
             node_id=self._node.node_id,
             is_leaf=self._node.is_leaf,

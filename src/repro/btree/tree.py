@@ -26,13 +26,10 @@ descent that raises (an absent key, a cryptogram bound to another
 block) books exactly the work it did.  The counts equal per-probe
 booking; only their cost changes.
 
-The tree itself never caches plaintext nodes across operations -- the
-paper's model charges every node visit its decryption cost.  Node reads
-go through :meth:`~repro.storage.pager.Pager.read_decoded`, whose
-decoded-page cache is *disabled by default*: only when a deployment
-opts in (``decoded_cache_blocks > 0``) do repeat visits to a hot node
-skip the codec, and every node write invalidates that block's decoded
-entry first.
+Nothing caches plaintext nodes across operations -- the paper's model
+charges every node visit its decryption cost.  Node reads go through
+:meth:`~repro.storage.pager.Pager.read_decoded`, which decodes the
+block on every call; the pager below caches only the block's bytes.
 """
 
 from __future__ import annotations

@@ -147,18 +147,17 @@ class ShardedEncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
         degraded_reads: bool = False,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
     ) -> "ShardedEncipheredDatabase":
         """Initialise ``num_shards`` fresh shards with derived secrets.
 
-        ``record_cache_blocks``/``decoded_node_cache_blocks`` size each
-        shard's *private* plaintext read caches (defaults off).  Private
-        caches give the fan-out per-shard cache locality: each slice
-        warms and hits only the shard it is scanning, with no
-        cross-shard invalidation traffic and no shared-cache lock.
+        ``record_cache_blocks`` sizes each shard's *private* plaintext
+        record cache (default off).  Private caches give the fan-out
+        per-shard cache locality: each slice warms and hits only the
+        shard it is scanning, with no cross-shard invalidation traffic
+        and no shared-cache lock.
 
         ``backend`` places every shard's devices on a
         :class:`~repro.storage.backend.StorageBackend`: shard ``i``
@@ -185,7 +184,6 @@ class ShardedEncipheredDatabase:
                 write_back=write_back,
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
                 backend=backend.scoped(scopes[i]) if backend is not None else None,
                 observability=observability,
             )
@@ -220,7 +218,6 @@ class ShardedEncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int | None = None,
-        decoded_node_cache_blocks: int = 0,
         validate_routing: bool = True,
         degraded_reads: bool = False,
         observability: ObsConfig | None = None,
@@ -233,8 +230,7 @@ class ShardedEncipheredDatabase:
         re-derived key on the way up, and every cache starts cold.  As
         with :meth:`EncipheredDatabase.reopen`, each record store keeps
         its configured cache capacity unless ``record_cache_blocks``
-        overrides it (``None`` keeps, ``0`` forces off), while the
-        rebuilt pagers take ``decoded_node_cache_blocks`` directly.
+        overrides it (``None`` keeps, ``0`` forces off).
 
         Unless ``validate_routing=False``, the supplied ``router`` is
         then checked against the actual key placement: every key on
@@ -257,7 +253,6 @@ class ShardedEncipheredDatabase:
                 write_back=write_back,
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
                 observability=observability,
             )
             for i, (disk, records) in enumerate(parts)
@@ -282,7 +277,6 @@ class ShardedEncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
         validate_routing: bool = True,
         executor: str = "serial",
         degraded_reads: bool = False,
@@ -328,7 +322,6 @@ class ShardedEncipheredDatabase:
                 write_back=write_back,
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
-                decoded_node_cache_blocks=decoded_node_cache_blocks,
                 observability=observability,
             )
             for i in range(manifest.num_shards)

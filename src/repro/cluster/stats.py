@@ -81,17 +81,8 @@ class ClusterStats:
         return self.aggregate["record_cache"]
 
     @property
-    def node_decoded_cache(self) -> dict[str, object]:
-        """Cluster-wide decoded node-view cache counters."""
-        return self.aggregate["node_decoded_cache"]
-
-    @property
     def record_cache_hit_rate(self) -> float:
         return self._hit_rate(self.record_cache)
-
-    @property
-    def node_decoded_cache_hit_rate(self) -> float:
-        return self._hit_rate(self.node_decoded_cache)
 
     # -- observability rollups -------------------------------------------
 
@@ -124,8 +115,7 @@ class ClusterStats:
             f"{self.total_size} keys, "
             f"{agg['node_disk']['writes']} node writes, "
             f"imbalance {self.imbalance:.2f}, "
-            f"record cache {self._hit_rate(agg['record_cache']):.0%}, "
-            f"decoded-node cache {self._hit_rate(agg['node_decoded_cache']):.0%}"
+            f"record cache {self._hit_rate(agg['record_cache']):.0%}"
         )
         if self.health is not None:
             states = self.health["states"]

@@ -197,10 +197,10 @@ class SubstitutedNodeView:
     :meth:`edit` hands the B-tree a node to rewrite without decrypting
     any pointer; :meth:`to_node` decrypts them all.
 
-    Views are immutable readers over immutable bytes, so one view may be
-    shared across reader threads (the pager's decoded cache does this):
-    racing accesses to a lazily-cached field may compute it twice, but
-    both computations yield identical values, so either fill is correct.
+    A view lives for one node visit: the pager decodes a fresh one on
+    every read, so the pointers it decrypts are never kept past the
+    operation that asked for them.  Within that visit it is an immutable
+    reader over immutable bytes.
     """
 
     __slots__ = (

@@ -39,26 +39,26 @@ change (benchmark C7 reports both).
 Read-path caches
 ----------------
 
-Two opt-in plaintext cache levels (both off by default, keeping every
-cipher count on the paper's cost model):
+Two cache levels, both in memory:
 
-* ``record_cache_blocks`` -- the record store caches deciphered slot
-  blocks, so ``get``/``range_search`` decipher each data block once per
-  residency instead of once per matching record;
-* ``decoded_node_cache_blocks`` -- the pager memoises decoded node
-  views, so repeat visits to a hot node skip the codec's substitution
-  inversions and pointer decryptions.
+* ``cache_blocks`` -- the node pager's raw block cache (default 16).
+  It saves disk reads only: every node visit still decodes its block
+  and pays its substitution inversions and pointer decryptions, as the
+  paper's cost model charges;
+* ``record_cache_blocks`` -- the one opt-in plaintext cache (off by
+  default, keeping every cipher count on the paper's cost model): the
+  record store caches deciphered slot blocks, so ``get``/``range_search``
+  decipher each data block once per residency instead of once per
+  matching record.
 
 Invalidation is wired through every mutation path: ``put``/``delete``
-refresh the record cache in the same step as the platter write, node
-writes drop the block's decoded view, and a transaction rollback
-discards both the dirty pages and any plaintext decoded from them --
-cached plaintext can never outlive the bytes it came from.  Caching
-changes *plaintext-side* work only; ciphertext traffic is byte-identical
-with the caches on or off (benchmark C9 asserts both properties).
-:meth:`EncipheredDatabase.stats` reports each level's hit/miss/eviction
-counters and :meth:`EncipheredDatabase.clear_caches` forces a cold
-start.
+refresh the record cache in the same step as the platter write, and a
+transaction rollback discards the dirty node pages -- cached bytes can
+never outlive the write they came from.  The record cache changes
+*plaintext-side* work only; ciphertext traffic is byte-identical with it
+on or off (benchmark C9 asserts both properties).
+:meth:`EncipheredDatabase.stats` reports each level's hit/miss counters
+and :meth:`EncipheredDatabase.clear_caches` forces a cold start.
 
 Concurrency
 -----------
@@ -217,16 +217,14 @@ class EncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
     ) -> "EncipheredDatabase":
         """Initialise a fresh database (block 0 reserved for the superblock).
 
-        ``record_cache_blocks`` and ``decoded_node_cache_blocks`` size
-        the two plaintext read caches (record slot blocks and decoded
-        node views); both default to ``0`` -- off -- which keeps every
-        cipher-operation count on the paper's cost model.
+        ``record_cache_blocks`` sizes the plaintext record-block cache;
+        it defaults to ``0`` -- off -- which keeps every cipher-operation
+        count on the paper's cost model.
 
         ``backend`` selects where the two block devices live (``None``
         keeps the historical private in-memory disks): devices are
@@ -248,8 +246,7 @@ class EncipheredDatabase:
             raise StorageError("superblock must be block 0")
         counting = _counting(pointer_cipher)
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks)
+        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
                               block_size=block_size,
@@ -274,24 +271,21 @@ class EncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int | None = None,
-        decoded_node_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
     ) -> "EncipheredDatabase":
         """Rebuild a handle from the platter and the secrets alone.
 
         Every cache starts cold, as after a process restart.  Cache
         *capacities* follow their owners: the pager is rebuilt here, so
-        ``cache_blocks``/``decoded_node_cache_blocks`` apply directly
-        (the decoded level defaults off, like ``create``); the record
-        store is the caller's durable object, so its configured cache
-        capacity persists unless ``record_cache_blocks`` is given
-        (``None`` keeps it, ``0`` forces the cache off).
+        ``cache_blocks`` applies directly; the record store is the
+        caller's durable object, so its configured cache capacity
+        persists unless ``record_cache_blocks`` is given (``None`` keeps
+        it, ``0`` forces the cache off).
         """
         root_id, min_degree, size = cls._read_superblock(disk, super_key)
         counting = _counting(pointer_cipher)
         codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back,
-                      decoded_cache_blocks=decoded_node_cache_blocks)
+        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
         if record_cache_blocks is not None:
             records.cache.resize(record_cache_blocks)
         tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
@@ -319,7 +313,6 @@ class EncipheredDatabase:
         write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
-        decoded_node_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
     ) -> "EncipheredDatabase":
         """Reopen a database from its backend and the secrets alone.
@@ -350,7 +343,6 @@ class EncipheredDatabase:
             write_back=write_back,
             autocommit=autocommit,
             record_cache_blocks=None,
-            decoded_node_cache_blocks=decoded_node_cache_blocks,
             observability=observability,
         )
 
@@ -691,7 +683,6 @@ class EncipheredDatabase:
         """Capacity (in blocks) of each read-path cache level."""
         return {
             "node_raw_blocks": self.tree.pager.capacity,
-            "node_decoded_blocks": self.tree.pager.decoded.capacity,
             "record_plaintext_blocks": self.records.cache.capacity,
         }
 
@@ -702,9 +693,9 @@ class EncipheredDatabase:
         clearing caches must never lose written data.  Inside a
         :meth:`transaction` scope flushing would push uncommitted pages
         past the rollback point, so only *clean* raw pages and the
-        derived plaintext levels (decoded views, record slots) are
-        dropped; uncommitted dirt stays cached and discardable.  Either
-        way the call is safe mid-workload.
+        plaintext record slots are dropped; uncommitted dirt stays
+        cached and discardable.  Either way the call is safe
+        mid-workload.
         """
         with self.lock.write_locked():
             if self._in_txn:
@@ -733,11 +724,14 @@ class EncipheredDatabase:
 
         One nesting level per subsystem; all leaves are numbers, so the
         cluster layer (and benchmark reporters) can aggregate dicts from
-        many databases by summing leaf-wise.
+        many databases by summing leaf-wise.  Each thread-safe counter
+        family is read with one ``snapshot()``, so the fields of a
+        section are merged together and cannot tear against a
+        concurrent writer.
         """
         with self.lock.read_locked():
             disk, rdisk = self.disk.stats, self.records.disk.stats
-            pager = self.tree.pager.stats
+            pager = self.tree.pager.stats.snapshot()
             return {
                 "size": self.tree.size,
                 "node_disk": {
@@ -763,11 +757,9 @@ class EncipheredDatabase:
                     "header_flips": rdisk.header_flips,
                 },
                 "pager": {
-                    "hits": pager.hits,
-                    "misses": pager.misses,
-                    "write_requests": pager.write_requests,
-                    "disk_writes": pager.disk_writes,
-                    "dirty_evictions": pager.dirty_evictions,
+                    field: pager[field]
+                    for field in ("hits", "misses", "write_requests",
+                                  "disk_writes", "dirty_evictions")
                 },
                 "durability": {
                     "node": self.disk.durability_snapshot(),
@@ -782,22 +774,9 @@ class EncipheredDatabase:
                 },
                 "record_cipher": self.records.cipher_counts.snapshot(),
                 "record_cache": self.records.cache.stats.snapshot(),
-                "node_decoded_cache": self.tree.pager.decoded.stats.snapshot(),
-                "pointer_cipher": {
-                    "encryptions": self.pointer_cipher.counts.encryptions,
-                    "decryptions": self.pointer_cipher.counts.decryptions,
-                },
-                "substitution": {
-                    "substitutions": self.substitution.counters.substitutions,
-                    "inversions": self.substitution.counters.inversions,
-                },
-                "tree": {
-                    "comparisons": self.tree.counters.comparisons,
-                    "nodes_visited": self.tree.counters.nodes_visited,
-                    "splits": self.tree.counters.splits,
-                    "merges": self.tree.counters.merges,
-                    "borrows": self.tree.counters.borrows,
-                },
+                "pointer_cipher": self.pointer_cipher.counts.snapshot(),
+                "substitution": self.substitution.counters.snapshot(),
+                "tree": self.tree.counters.snapshot(),
                 # latency histograms; every leaf is an additive number, so
                 # cluster rollups merge them exactly like the counters above
                 "observability": self.obs.snapshot(),

@@ -21,10 +21,10 @@ physical disk.  This package simulates that boundary:
 * :mod:`repro.storage.cache` -- the generic thread-safe LRU (eviction
   predicate and callback, mergeable hit/miss/eviction stats) every
   read-path layer builds its caching on;
-* :mod:`repro.storage.pager` -- block allocation plus a two-level cache:
-  *raw* (still-enciphered) blocks, so cryptographic costs stay faithful
-  while disk traffic is still realistic, and an opt-in decoded-page
-  level for serving paths that may skip redundant re-decryption;
+* :mod:`repro.storage.pager` -- block allocation plus one cache of
+  *raw* (still-enciphered) blocks: it saves disk traffic, and every
+  node visit still decodes -- and pays its decryptions -- so
+  cryptographic costs stay faithful to the paper;
 * :mod:`repro.storage.layout` -- triplet/node sizing arithmetic used by
   the storage-overhead experiment (C2);
 * :mod:`repro.storage.rwlock` -- the reader--writer lock the concurrent

@@ -1,13 +1,12 @@
 """A generic thread-safe LRU cache: the read path's one caching primitive.
 
-Every layer of the read path keeps *some* recently-produced value around
--- the pager holds raw block bytes, the record store holds deciphered
-slot tuples, the node path can hold decoded views -- and before this
-module each layer grew its own ad-hoc ``OrderedDict`` with its own
-locking and its own half of the statistics.  :class:`LRUCache` unifies
-them: one eviction policy, one stats shape (so the cluster layer can sum
-cache counters leaf-wise like every other counter dict), and two hooks
-the storage layers need:
+Two layers of the read path keep recently-produced values around -- the
+pager holds raw block bytes, the record store holds deciphered slot
+tuples -- and before this module each layer grew its own ad-hoc
+``OrderedDict`` with its own locking and its own half of the statistics.
+:class:`LRUCache` unifies them: one eviction policy, one stats shape (so
+the cluster layer can sum cache counters leaf-wise like every other
+counter dict), and two hooks the storage layers need:
 
 * **eviction protection** -- a ``may_evict`` predicate consulted at
   eviction time (a protected entry is never chosen; the cache may

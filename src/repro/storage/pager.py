@@ -1,27 +1,19 @@
-"""Block allocation and a two-level block cache with two write policies.
+"""Block allocation and one raw block cache with two write policies.
 
 The pager sits between the B-Tree and the block device (the in-memory
 :class:`~repro.storage.disk.SimulatedDisk` or the durable
 :class:`~repro.storage.platter.FilePlatter` -- any
-:class:`~repro.storage.device.BlockDevice`).  Both of its
-cache levels are :class:`~repro.storage.cache.LRUCache` instances -- the
-one caching subsystem every layer of the read path shares:
-
-* The **raw cache** holds blocks in their *post-transform* (i.e. still
-  plain, the disk transform is below us) byte form as returned by the
-  disk read path; decoding a node -- which is where the per-triplet
-  cryptography lives -- always happens above the pager, so raw hits save
-  disk I/O but never hide cryptographic cost.  That separation keeps the
-  decryption counts of experiments C1/C3 faithful to the paper's model,
-  where every node *visit* pays its decryptions.
-* The **decoded cache** (``decoded_cache_blocks``, *disabled by
-  default*) additionally memoises the caller-supplied decode of a block
-  via :meth:`Pager.read_decoded`.  A decoded hit skips the codec
-  entirely -- including its cryptography -- so this level must stay off
-  for every paper-faithful experiment; it exists for the serving path,
-  where redundant re-decryption of hot nodes is pure waste (benchmark
-  C9).  Every write or invalidation of a block drops its decoded entry,
-  so the decoded cache can never serve bytes the raw path has replaced.
+:class:`~repro.storage.device.BlockDevice`).  Its cache is one
+:class:`~repro.storage.cache.LRUCache` -- the caching primitive every
+layer of the read path shares -- holding blocks in their
+*post-transform* (i.e. still plain, the disk transform is below us) byte
+form as returned by the disk read path.  Decoding a node -- which is
+where the per-triplet cryptography lives -- always happens above the
+pager, and :meth:`Pager.read_decoded` decodes on every call: a cache hit
+saves disk I/O but never hides cryptographic cost, and no decrypted
+pointer outlives the operation that decrypted it.  That separation keeps
+the decryption counts of experiments C1/C3 faithful to the paper's
+model, where every node *visit* pays its decryptions.
 
 Two write policies are offered:
 
@@ -73,7 +65,8 @@ class PagerStats(ThreadSafeCounters):
 
     @property
     def accesses(self) -> int:
-        return self.hits + self.misses
+        snap = self.snapshot()
+        return snap["hits"] + snap["misses"]
 
     @property
     def hit_rate(self) -> float:
@@ -84,7 +77,8 @@ class PagerStats(ThreadSafeCounters):
     @property
     def writes_deferred(self) -> int:
         """Logical writes that never became their own disk write."""
-        return self.write_requests - self.disk_writes
+        snap = self.snapshot()
+        return snap["write_requests"] - snap["disk_writes"]
 
     @property
     def write_amplification(self) -> float:
@@ -95,7 +89,7 @@ class PagerStats(ThreadSafeCounters):
 
 
 class Pager:
-    """Two-level LRU block cache with write-through or write-back semantics.
+    """LRU block cache with write-through or write-back semantics.
 
     Parameters
     ----------
@@ -111,10 +105,6 @@ class Pager:
         ``False`` (default) writes through to disk on every
         :meth:`write`; ``True`` defers writes to eviction or
         :meth:`flush`.
-    decoded_cache_blocks:
-        Capacity of the decoded-page cache consulted by
-        :meth:`read_decoded`; ``0`` (default) disables it, keeping every
-        decode -- and its cryptography -- on the paper's cost model.
 
     Attributes
     ----------
@@ -132,7 +122,6 @@ class Pager:
         disk: BlockDevice,
         cache_blocks: int = 64,
         write_back: bool = False,
-        decoded_cache_blocks: int = 0,
     ) -> None:
         self.disk = disk
         self.write_back = write_back
@@ -149,7 +138,6 @@ class Pager:
             may_evict=lambda b: not (self.retain_dirty and b in self._dirty),
             name="pager-raw",
         )
-        self.decoded = LRUCache(decoded_cache_blocks, name="pager-decoded")
         self._dirty: set[int] = set()
         # Concurrent readers admitted by the database's reader--writer
         # lock still *mutate* the pager: a hit's LRU reorder is atomic
@@ -216,35 +204,20 @@ class Pager:
         return data
 
     def read_decoded(self, block_id: int, decode: Callable[[int, bytes], object]):
-        """Read a block through the decoded-page cache.
+        """Read a block and decode it: ``decode(block_id, raw_bytes)``.
 
-        ``decode`` is called as ``decode(block_id, raw_bytes)`` on a
-        decoded miss (or whenever the cache is disabled) and its result
-        -- typically a lazy node view holding plaintext -- is memoised
-        until the block is rewritten or invalidated.  The decode runs
-        outside every pager lock, exactly like the raw read path: racing
-        readers may decode the same block twice, and either result (they
-        are equivalent) wins the fill.
+        The tree's one node-read entry point.  Every call decodes anew --
+        the returned view (and whatever plaintext it decrypts) lives only
+        as long as its caller holds it.  The decode runs outside every
+        pager lock, exactly like the raw read path.
         """
-        if not self.decoded.enabled:
-            return decode(block_id, self.read(block_id))
-        cached = self.decoded.get(block_id)
-        if cached is not None:
-            return cached
-        value = decode(block_id, self.read(block_id))
-        self.decoded.put(block_id, value)
-        return value
+        return decode(block_id, self.read(block_id))
 
     def write(self, block_id: int, data: bytes) -> None:
-        """Write a block: through to disk, or into the dirty set.
-
-        Either way the block's decoded entry is dropped -- the plaintext
-        cache must never outlive the bytes it was decoded from.
-        """
+        """Write a block: through to disk, or into the dirty set."""
         with self.tracer.trace("pager.write"):
             with self._lock:
                 self.stats.bump("write_requests")
-                self.decoded.invalidate(block_id)
                 if self.write_back:
                     self._dirty.add(block_id)
                     # put() evicts over capacity, and eviction of a dirty
@@ -280,35 +253,32 @@ class Pager:
     def discard_dirty(self) -> int:
         """Drop every dirty page *without* writing it (rollback support).
 
-        The platter keeps whatever it last held for those blocks; both
-        the raw bytes and any decoded plaintext cached for them are
-        dropped, so a rolled-back page can never be served.  Returns the
-        number of pages discarded.
+        The platter keeps whatever it last held for those blocks; their
+        cached bytes are dropped, so a rolled-back page can never be
+        served.  Returns the number of pages discarded.
         """
         with self._lock:
             dropped = len(self._dirty)
             for block_id in self._dirty:
                 self._raw.invalidate(block_id)
-                self.decoded.invalidate(block_id)
             self._dirty.clear()
             self._raw.enforce_capacity()
             return dropped
 
     def invalidate(self, block_id: int) -> None:
-        """Drop a block from both cache levels (e.g. after deallocation).
+        """Drop a block from the cache (e.g. after deallocation).
 
         A dirty page is dropped unwritten: the block is dead, its bytes
         must not resurface at the next flush.
         """
         with self._lock:
             self._raw.invalidate(block_id)
-            self.decoded.invalidate(block_id)
             self._dirty.discard(block_id)
 
     def reset_stats(self) -> None:
         """Zero every statistics surface the pager owns.
 
-        :class:`PagerStats` and the two cache levels' own
+        :class:`PagerStats` and the raw cache's own
         :class:`~repro.storage.cache.CacheStats` count overlapping
         events (a raw read bumps both tallies); resetting them together
         keeps the surfaces agreeing.
@@ -316,10 +286,9 @@ class Pager:
         with self._lock:
             self.stats.reset()
             self._raw.stats.reset()
-            self.decoded.stats.reset()
 
     def clear_cache(self) -> None:
-        """Empty both cache levels; used to force cold benchmark runs.
+        """Empty the cache; used to force cold benchmark runs.
 
         Dirty pages are flushed first -- clearing the cache must never
         lose written data.  Never call this inside a transaction scope:
@@ -329,22 +298,18 @@ class Pager:
         with self._lock:
             self.flush()
             self._raw.clear()
-            self.decoded.clear()
 
     def drop_clean_cache(self) -> None:
-        """Drop every *clean* cached page and all decoded views.
+        """Drop every *clean* cached page.
 
         The transaction-safe cold-cache path: dirty pages are neither
         flushed nor dropped, so uncommitted work stays exactly as
-        discardable as it was.  Decoded views are always safe to drop --
-        they are derived data, re-decodable from whatever the raw path
-        serves next.
+        discardable as it was.
         """
         with self._lock:
             for block_id in self._raw.keys():
                 if block_id not in self._dirty:
                     self._raw.invalidate(block_id)
-            self.decoded.clear()
 
     def _write_if_dirty(self, block_id: int, data: bytes) -> None:
         """Raw-cache eviction callback: a dirty page's last chance to

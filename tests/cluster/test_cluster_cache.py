@@ -26,7 +26,7 @@ DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
 NUM_SHARDS = 4
 
-CACHED = {"record_cache_blocks": 64, "decoded_node_cache_blocks": 64}
+CACHED = {"record_cache_blocks": 64}
 
 
 @pytest.fixture(scope="module")

@@ -105,6 +105,37 @@ class TestConvenienceAPI:
         assert stats["substitution"]["substitutions"] > 0
         assert stats["tree"]["nodes_visited"] > 0
 
+    def test_stats_reads_each_counter_family_once(self, db):
+        """Each thread-safe section is one merged snapshot: its fields
+        cannot tear against a concurrent writer."""
+        db.insert(1, b"x")
+        db.search(1)
+        families = {
+            "pager": db.tree.pager.stats,
+            "tree": db.tree.counters,
+            "pointer_cipher": db.pointer_cipher.counts,
+            "substitution": db.substitution.counters,
+        }
+        entries = dict.fromkeys(families, 0)
+
+        class CountingLock:
+            def __init__(self, name, inner):
+                self.name, self.inner = name, inner
+
+            def __enter__(self):
+                entries[self.name] += 1
+                return self.inner.__enter__()
+
+            def __exit__(self, *exc):
+                return self.inner.__exit__(*exc)
+
+        for name, counters in families.items():
+            counters._lock = CountingLock(name, counters._lock)
+        stats = db.stats()
+        assert entries == dict.fromkeys(families, 1)
+        assert stats["tree"]["nodes_visited"] > 0
+        assert stats["pager"]["write_requests"] == stats["pager"]["disk_writes"]
+
 
 class TestSuperblockSecurity:
     def test_wrong_super_key_rejected(self, db, cipher):

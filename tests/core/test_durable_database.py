@@ -225,9 +225,7 @@ class TestReaderReopen:
             writer.insert(k, f"v{k}".encode())
         writer.commit()
 
-        reader = reopen_db(backend_at(tmp_path),
-                           record_cache_blocks=16,
-                           decoded_node_cache_blocks=16)
+        reader = reopen_db(backend_at(tmp_path), record_cache_blocks=16)
         assert reader.search(10) == b"v10"  # warm the caches
 
         writer.insert(61, b"fresh")
@@ -235,9 +233,7 @@ class TestReaderReopen:
         writer.insert(10, b"v10-new")
         writer.commit()
 
-        reader = reopen_db(backend_at(tmp_path),
-                           record_cache_blocks=16,
-                           decoded_node_cache_blocks=16)
+        reader = reopen_db(backend_at(tmp_path), record_cache_blocks=16)
         assert reader.search(61) == b"fresh"
         assert reader.search(10) == b"v10-new"
         assert reader.tree.size == writer.tree.size

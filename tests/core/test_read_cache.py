@@ -1,12 +1,11 @@
-"""The plaintext read-cache hierarchy: hits, invalidation, envelope.
+"""The read caches: hits, invalidation, envelope.
 
 Three families of claims:
 
 * **correctness** -- cached and uncached engines return identical
   results, and every mutation path (put, delete, rollback, reopen)
   invalidates or refreshes the plaintext it touches;
-* **effectiveness** -- warm reads stop deciphering record blocks and
-  decoding node blocks;
+* **effectiveness** -- warm reads stop deciphering record blocks;
 * **security envelope** -- the caches change only plaintext-side work:
   with caching disabled the cipher-operation counts are bit-for-bit the
   historical ones, and with it enabled the ciphertext on the platters is
@@ -120,8 +119,7 @@ class TestRecordStoreCache:
 
 class TestDatabaseCaching:
     def test_cached_database_serves_identical_results(self, cipher):
-        cached = make_db(cipher, record_cache_blocks=64,
-                         decoded_node_cache_blocks=64)
+        cached = make_db(cipher, record_cache_blocks=64)
         control = make_db(cipher)
         keys = random.Random(1).sample(range(DESIGN.v), 80)
         for k in keys:
@@ -132,28 +130,18 @@ class TestDatabaseCaching:
         assert cached.range_search(0, DESIGN.v) == control.range_search(0, DESIGN.v)
 
     def test_warm_range_search_decrypts_fewer_blocks(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         for k in range(0, 120, 2):
             db.insert(k, b"payload")
         db.records.cipher_counts.reset()
-        db.range_search(0, 120)  # warms both cache levels
+        db.range_search(0, 120)  # warms the record cache
         warm_start = db.records.cipher_counts.decryptions
         db.range_search(0, 120)
         assert db.records.cipher_counts.decryptions == warm_start  # all hits
         assert db.stats()["record_cache"]["hits"] > 0
 
-    def test_decoded_node_cache_skips_pointer_decryptions(self, cipher):
-        db = make_db(cipher, decoded_node_cache_blocks=64)
-        for k in range(0, 100, 2):
-            db.insert(k, b"x")
-        db.search(50)  # warm the path
-        before = db.pointer_cipher.counts.decryptions
-        db.search(50)
-        assert db.pointer_cipher.counts.decryptions == before
-        assert db.stats()["node_decoded_cache"]["hits"] > 0
-
     def test_disabled_caches_keep_historic_cipher_counts(self, cipher):
-        db = make_db(cipher)  # both cache levels off (the default)
+        db = make_db(cipher)  # record cache off (the default)
         for k in range(0, 60, 3):
             db.insert(k, b"x")
         db.pointer_cipher.reset_counts()
@@ -169,7 +157,7 @@ class TestDatabaseCaching:
         assert db.records.cipher_counts.decryptions == 2
 
     def test_update_via_delete_insert_is_visible_through_caches(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         db.insert(10, b"old")
         assert db.search(10) == b"old"  # warm
         db.delete(10)
@@ -177,14 +165,13 @@ class TestDatabaseCaching:
         assert db.search(10) == b"new"
 
     def test_cache_config_reports_capacities(self, cipher):
-        db = make_db(cipher, record_cache_blocks=5, decoded_node_cache_blocks=7)
+        db = make_db(cipher, record_cache_blocks=5)
         config = db.cache_config()
         assert config["record_plaintext_blocks"] == 5
-        assert config["node_decoded_blocks"] == 7
         assert config["node_raw_blocks"] == 16
 
     def test_clear_caches_is_safe_and_cold(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         for k in range(0, 40, 2):
             db.insert(k, b"x")
         db.range_search(0, 40)
@@ -196,12 +183,12 @@ class TestDatabaseCaching:
 
 class TestInvalidation:
     def test_rollback_evicts_plaintext_cached_during_transaction(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         db.insert(1, b"committed")
         with pytest.raises(RuntimeError):
             with db.transaction():
                 db.insert(2, b"uncommitted")
-                # warm every cache level with the uncommitted state
+                # warm the caches with the uncommitted state
                 assert db.search(2) == b"uncommitted"
                 db.range_search(0, 10)
                 raise RuntimeError("abort")
@@ -212,7 +199,7 @@ class TestInvalidation:
         assert db.records.count == 1
 
     def test_rollback_then_reinsert_reads_fresh_plaintext(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         with pytest.raises(RuntimeError):
             with db.transaction():
                 db.insert(5, b"phantom")
@@ -225,7 +212,7 @@ class TestInvalidation:
     def test_clear_caches_inside_transaction_keeps_rollback_sound(self, cipher):
         """clear_caches() mid-transaction must not flush uncommitted pages
         past the rollback point (it drops only clean/derived state)."""
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         db.insert(1, b"committed")
         with pytest.raises(RuntimeError):
             with db.transaction():
@@ -244,7 +231,7 @@ class TestInvalidation:
         assert len(reopened) == 1
 
     def test_committed_transaction_keeps_caches_coherent(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         with db.transaction():
             for k in range(0, 30, 3):
                 db.insert(k, f"v{k}".encode())
@@ -253,7 +240,7 @@ class TestInvalidation:
         ]
 
     def test_delete_then_get_misses_through_database(self, cipher):
-        db = make_db(cipher, record_cache_blocks=64, decoded_node_cache_blocks=64)
+        db = make_db(cipher, record_cache_blocks=64)
         db.insert(9, b"here")
         assert db.search(9) == b"here"  # plaintext cached
         db.delete(9)
@@ -262,25 +249,19 @@ class TestInvalidation:
 
     def test_reopen_starts_cold(self, cipher):
         sub = OvalSubstitution(DESIGN, t=5)
-        db = EncipheredDatabase.create(
-            sub, cipher, record_cache_blocks=64, decoded_node_cache_blocks=64
-        )
+        db = EncipheredDatabase.create(sub, cipher, record_cache_blocks=64)
         for k in range(0, 50, 5):
             db.insert(k, b"x")
         db.range_search(0, 50)  # warm
         assert len(db.records.cache) > 0
         reopened = EncipheredDatabase.reopen(
             OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records,
-            record_cache_blocks=64, decoded_node_cache_blocks=64,
+            record_cache_blocks=64,
         )
         # the shared record store's cache was cleared on the way up, and
-        # the node caches forgot what attach's verification walk touched
+        # the node cache forgot what attach's verification walk touched
         stats = reopened.stats()
         assert stats["record_cache"]["hits"] == 0
-        assert stats["node_decoded_cache"] == dict.fromkeys(
-            ("hits", "misses", "insertions", "evictions", "invalidations"), 0
-        )
-        assert len(reopened.tree.pager.decoded) == 0
         assert stats["pager"]["hits"] == 0
         reopened.records.cipher_counts.reset()
         assert reopened.search(20) == b"x"
@@ -293,7 +274,6 @@ class TestInvalidation:
             OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
         )
         assert reopened.cache_config()["record_plaintext_blocks"] == 12
-        assert reopened.cache_config()["node_decoded_blocks"] == 0
 
     def test_stats_contains_cache_counters(self, cipher):
         db = make_db(cipher, record_cache_blocks=8)
@@ -301,7 +281,7 @@ class TestInvalidation:
         db.search(1)
         db.search(1)
         stats = db.stats()
-        for section in ("record_cache", "node_decoded_cache", "record_cipher"):
+        for section in ("record_cache", "record_cipher"):
             assert section in stats
         assert stats["record_cache"]["hits"] >= 1
         # put() enciphered the block; the warm searches never deciphered

@@ -2,8 +2,12 @@
 
 Record-block heat (and its persistence), heat-guided and background
 warming, the decoded-node byte budget and LRU pinning were removed: no
-measured workload gained from them.  A caller still passing one of their
-keywords gets a ``TypeError``; their methods are gone.  So is the
+measured workload gained from them.  So was the decoded-node cache
+itself (``decoded_node_cache_blocks``): it kept decrypted pointers
+from one operation to the next, where the paper charges every node
+visit its decrypts, and no measured workload turned it on.  A caller
+still passing one of their keywords gets a ``TypeError``; their methods
+are gone.  So is the
 ``poll``/``reattach`` reader catch-up: a reader that needs another
 handle's commits reopens with ``reopen_from_backend``.  So are the
 pager's background readahead pool (``readahead_workers``) and every
@@ -73,6 +77,7 @@ def cipher(i: int = 0) -> RSA:
 
 BUDGET = {"decoded_node_cache_bytes": 1024}
 READAHEAD = {"readahead_workers": 2}
+DECODED = {"decoded_node_cache_blocks": 64}
 
 
 def _reopen_db(tmp_path, removed=BUDGET):
@@ -88,9 +93,9 @@ def _reopen_db_from_backend(tmp_path, removed=BUDGET):
     return EncipheredDatabase.reopen_from_backend(sub(), cipher(), backend, **removed)
 
 
-def _reopen_cluster(tmp_path):
+def _reopen_cluster(tmp_path, removed=BUDGET):
     cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
-    return ShardedEncipheredDatabase.reopen(sub, cipher, cluster.shard_parts(), **BUDGET)
+    return ShardedEncipheredDatabase.reopen(sub, cipher, cluster.shard_parts(), **removed)
 
 
 def _manifest_backend() -> MemoryBackend:
@@ -99,9 +104,9 @@ def _manifest_backend() -> MemoryBackend:
     return backend
 
 
-def _reopen_cluster_from_manifest(tmp_path):
+def _reopen_cluster_from_manifest(tmp_path, removed=BUDGET):
     return ShardedEncipheredDatabase.reopen_from_manifest(
-        sub, cipher, _manifest_backend(), **BUDGET
+        sub, cipher, _manifest_backend(), **removed
     )
 
 
@@ -152,6 +157,25 @@ REJECTING_CALLS = {
     ),
     "Pager(readahead_workers)": lambda tmp_path: Pager(
         SimulatedDisk(block_size=64), **READAHEAD
+    ),
+    "db.create(decoded_node_cache_blocks)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher(), **DECODED
+    ),
+    "db.reopen(decoded_node_cache_blocks)": lambda tmp_path: _reopen_db(tmp_path, DECODED),
+    "db.reopen_from_backend(decoded_node_cache_blocks)": lambda tmp_path: (
+        _reopen_db_from_backend(tmp_path, DECODED)
+    ),
+    "cluster.create(decoded_node_cache_blocks)": lambda tmp_path: (
+        ShardedEncipheredDatabase.create(sub, cipher, num_shards=2, **DECODED)
+    ),
+    "cluster.reopen(decoded_node_cache_blocks)": lambda tmp_path: _reopen_cluster(
+        tmp_path, DECODED
+    ),
+    "cluster.reopen_from_manifest(decoded_node_cache_blocks)": lambda tmp_path: (
+        _reopen_cluster_from_manifest(tmp_path, DECODED)
+    ),
+    "Pager(decoded_cache_blocks)": lambda tmp_path: Pager(
+        SimulatedDisk(block_size=64), decoded_cache_blocks=4
     ),
     "ObsConfig(ring_size)": lambda tmp_path: ObsConfig(enabled=True, ring_size=16),
     "ObsConfig(slow_op_threshold_s)": lambda tmp_path: ObsConfig(
@@ -235,7 +259,7 @@ GONE = {
     ),
     "Pager": (
         lambda tmp_path: Pager(SimulatedDisk(block_size=64)),
-        ("readahead_workers", "close", "collect_delta") + PREFETCH,
+        ("readahead_workers", "close", "collect_delta", "decoded") + PREFETCH,
     ),
     "cluster": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2),
@@ -283,7 +307,8 @@ GONE = {
     "ObsConfig": (lambda tmp_path: ObsConfig(), ("ring_size", "slow_op_threshold_s")),
     "ClusterStats": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2).stats(),
-        ("heat", "shard_heat", "hottest_shards", "replica_sync"),
+        ("heat", "shard_heat", "hottest_shards", "replica_sync",
+         "node_decoded_cache", "node_decoded_cache_hit_rate"),
     ),
     "ClusterHealth": (
         lambda tmp_path: ShardedEncipheredDatabase.create(sub, cipher, num_shards=2).health,
@@ -327,9 +352,7 @@ class TestRemovedOptions:
 
     def test_cache_config_drops_byte_budget(self):
         db = EncipheredDatabase.create(sub(), cipher())
-        assert sorted(db.cache_config()) == [
-            "node_decoded_blocks", "node_raw_blocks", "record_plaintext_blocks",
-        ]
+        assert sorted(db.cache_config()) == ["node_raw_blocks", "record_plaintext_blocks"]
 
 
 def _run_python(script: str, **env_extra: str) -> subprocess.CompletedProcess:

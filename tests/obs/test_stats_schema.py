@@ -53,7 +53,6 @@ STATS_KEYS = {
     "faults": {"node": _FAULTS, "records": _FAULTS},
     "record_cipher": ("encryptions", "decryptions"),
     "record_cache": _CACHE,
-    "node_decoded_cache": _CACHE,
     "pointer_cipher": ("encryptions", "decryptions"),
     "substitution": ("substitutions", "inversions"),
     "tree": ("comparisons", "nodes_visited", "splits", "merges", "borrows"),

@@ -255,6 +255,49 @@ class TestWriteBack:
         assert pager.dirty_blocks == 0
 
 
+class RacingWriterLock:
+    """Stands in for a counters object's lock; every acquisition first
+    books one write-through write and one read miss and hit in the
+    caller's bucket, as a concurrent writer and reader landing between
+    two field reads would."""
+
+    def __init__(self, stats):
+        stats.bump("hits", 0)  # register the bucket before the swap
+        self._bucket = stats._local.bucket
+        self._inner = stats._lock
+        self.entries = 0
+
+    def __enter__(self):
+        self.entries += 1
+        for field in ("write_requests", "disk_writes", "hits", "misses"):
+            self._bucket[field] += 1
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self._inner.__exit__(*exc)
+
+
+class TestMergedReads:
+    """A derived counter reads every field it merges in one snapshot."""
+
+    def racing(self):
+        stats = make_pager(4).stats
+        lock = stats._lock = RacingWriterLock(stats)
+        return stats, lock
+
+    def test_writes_deferred_never_tears(self):
+        stats, lock = self.racing()
+        # two separate field reads would see write_requests=1 and
+        # disk_writes=2 and report -1 deferred writes
+        assert stats.writes_deferred == 0
+        assert lock.entries == 1
+
+    def test_accesses_reads_hits_and_misses_together(self):
+        stats, lock = self.racing()
+        assert stats.accesses == 2
+        assert lock.entries == 1
+
+
 class TestDiskOverwrites:
     def test_overwrite_counter(self):
         disk = SimulatedDisk(block_size=64)

@@ -1,10 +1,9 @@
 """The pager's one blocking read path never serves stale bytes.
 
 Every read either hits a cache entry that the last write, invalidation
-or rollback left coherent, or goes to the device.  Both cache levels are
-checked: the raw block cache (``read``) and the decoded-view cache
-(``read_decoded``), whose plaintext must never outlive the bytes it was
-decoded from.
+or rollback left coherent, or goes to the device.  Both entry points are
+checked: ``read`` and ``read_decoded``, which decodes whatever ``read``
+serves on every call and keeps no decoded plaintext.
 """
 
 from __future__ import annotations
@@ -13,14 +12,9 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.pager import Pager
 
 
-def make_pager(capacity=8, write_back=False, decoded=0):
+def make_pager(capacity=8, write_back=False):
     disk = SimulatedDisk(block_size=64)
-    return Pager(
-        disk,
-        cache_blocks=capacity,
-        write_back=write_back,
-        decoded_cache_blocks=decoded,
-    )
+    return Pager(disk, cache_blocks=capacity, write_back=write_back)
 
 
 def seeded(pager, n=4):
@@ -100,28 +94,17 @@ class TestRawPath:
 
 
 class TestDecodedPath:
-    def test_view_is_memoised_until_the_block_is_rewritten(self):
-        pager = make_pager(decoded=4)
+    def test_rewrite_is_decoded_at_the_next_read(self):
+        pager = make_pager()
         b = seeded(pager, 1)[0]
         decode = CountingDecoder()
-        first = pager.read_decoded(b, decode)
-        assert pager.read_decoded(b, decode) is first
-        assert decode.calls == 1
+        pager.read_decoded(b, decode)
         pager.write(b, b"new")
         assert pager.read_decoded(b, decode) == ("view", b, b"new")
         assert decode.calls == 2
 
-    def test_invalidate_drops_the_view(self):
-        pager = make_pager(decoded=4)
-        b = seeded(pager, 1)[0]
-        decode = CountingDecoder()
-        pager.read_decoded(b, decode)
-        pager.invalidate(b)
-        pager.read_decoded(b, decode)
-        assert decode.calls == 2
-
-    def test_rollback_drops_the_view_of_a_discarded_page(self):
-        pager = make_pager(write_back=True, decoded=4)
+    def test_rollback_decodes_the_committed_page(self):
+        pager = make_pager(write_back=True)
         pager.retain_dirty = True
         b = pager.allocate()
         pager.write(b, b"committed")
@@ -132,23 +115,12 @@ class TestDecodedPath:
         pager.discard_dirty()
         assert pager.read_decoded(b, decode) == ("view", b, b"committed")
 
-    def test_drop_clean_cache_drops_every_view(self):
-        pager = make_pager(decoded=4)
-        blocks = seeded(pager, 3)
-        decode = CountingDecoder()
-        for b in blocks:
-            pager.read_decoded(b, decode)
-        pager.drop_clean_cache()
-        assert len(pager.decoded) == 0
-        for b in blocks:
-            pager.read_decoded(b, decode)
-        assert decode.calls == 2 * len(blocks)
-
-    def test_disabled_view_cache_decodes_every_read(self):
-        pager = make_pager(decoded=0)
+    def test_every_read_decodes(self):
+        pager = make_pager()
         b = seeded(pager, 1)[0]
         decode = CountingDecoder()
-        for _ in range(3):
-            assert pager.read_decoded(b, decode) == ("view", b, b"block-%d" % b)
+        views = [pager.read_decoded(b, decode) for _ in range(3)]
+        assert views == [("view", b, b"block-%d" % b)] * 3
         assert decode.calls == 3
-        assert len(pager.decoded) == 0
+        # a fresh view per call: nothing decoded is kept between reads
+        assert views[0] is not views[1]
