@@ -471,44 +471,53 @@ class BTree:
 
     # -- deletion --------------------------------------------------------
 
-    def delete(self, key: int) -> None:
-        """Remove ``key``.  Raises :class:`KeyNotFoundError` when absent."""
-        self._delete_from(self._view(self.root_id), key)
-        root = self._view(self.root_id)
-        if root.num_keys == 0 and not root.is_leaf:
-            old_root_id = self.root_id
-            self.root_id = root.child_at(0)
-            self._release(old_root_id)
+    def delete(self, key: int) -> int:
+        """Remove ``key`` and return its data pointer, in one descent.
+
+        Raises :class:`KeyNotFoundError` when absent, found out at a leaf
+        after the descent's borrows and merges: they keep every key, and
+        a root they empty collapses however the descent ends.
+        """
+        try:
+            value = self._delete_from(self._view(self.root_id), key)
+        finally:
+            root = self._view(self.root_id)
+            if root.num_keys == 0 and not root.is_leaf:
+                old_root_id = self.root_id
+                self.root_id = root.child_at(0)
+                self._release(old_root_id)
         self.size -= 1
+        return value
 
-    def _delete_from(self, view: NodeView, key: int) -> None:
+    def _delete_from(self, view: NodeView, key: int) -> int:
         idx = self._lower_bound(view, key)
-        if self._key_equals(view, idx, key):
+        if not self._key_equals(view, idx, key):
             if view.is_leaf:
-                node = view.edit()
-                node.keys.pop(idx)
-                node.values.pop(idx)
-                self._write(node)
-            else:
-                self._delete_internal(view, idx, key)
-        elif view.is_leaf:
-            raise KeyNotFoundError(key)
-        else:
-            self._delete_from(self._ensure_child_capacity(view, idx), key)
+                raise KeyNotFoundError(key)
+            return self._delete_from(self._ensure_child_capacity(view, idx), key)
+        if not view.is_leaf:
+            return self._delete_internal(view, idx, key)
+        value = view.value_at(idx)
+        node = view.edit()
+        del node.keys[idx], node.values[idx]
+        self._write(node)
+        return value
 
-    def _delete_internal(self, view: NodeView, idx: int, key: int) -> None:
+    def _delete_internal(self, view: NodeView, idx: int, key: int) -> int:
         """Delete ``key == view.key_at(idx)`` from an internal node (CLRS)."""
         t = self.min_degree
         left = self._view(view.child_at(idx))
+        value = view.value_at(idx)  # the triplet child_at just decrypted
         if left.num_keys >= t:
             self._replace_and_descend(view, idx, left, self._max_pair(left))
-            return
+            return value
         right = self._view(view.child_at(idx + 1))
         if right.num_keys >= t:
             self._replace_and_descend(view, idx, right, self._min_pair(right))
-            return
+            return value
         self._merge_children(view, idx, left, right)
         self._delete_from(self._view(left.node_id), key)
+        return value
 
     def _replace_and_descend(
         self, view: NodeView, idx: int, child: NodeView, pair: tuple[int, int]
@@ -643,6 +652,8 @@ class BTree:
     ) -> int:
         node = self._node(node_id)
         node.check()
+        if is_root and not node.is_leaf and node.num_keys == 0:
+            raise BTreeError(f"root {node_id} is an internal node with no keys")
         if not is_root and node.num_keys < self.min_keys:
             raise BTreeError(
                 f"node {node_id} underfull: {node.num_keys} < {self.min_keys}"

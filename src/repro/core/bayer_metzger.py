@@ -128,9 +128,7 @@ class BayerMetzgerBTree:
         return self.records.get(self.tree.search(key))
 
     def delete(self, key: int) -> None:
-        record_id = self.tree.search(key)
-        self.tree.delete(key)
-        self.records.delete(record_id)
+        self.records.delete(self.tree.delete(key))
 
     def range_search(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
         return [

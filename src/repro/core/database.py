@@ -530,21 +530,22 @@ class EncipheredDatabase:
             return self.tree.contains(key)
 
     def delete(self, key: int) -> None:
+        """Remove ``key`` and free its record slot, in one tree descent.
+
+        The mutation is booked however the delete ends: the descent for
+        an absent key may rebalance before it raises, and the superblock
+        must follow the tree.  A transaction defers the slot free to its
+        commit, so a rollback still finds the record's bytes.
+        """
         with self.obs.trace("db.delete"):
             with self.lock.write_locked():
-                record_id = self.tree.search(key)
-                self.tree.delete(key)
-                if self._in_txn:
-                    # defer the slot free: rollback must still find the bytes
-                    self._txn_record_deletes.append(record_id)
-                    self.has_uncommitted_changes = True
-                    return
                 try:
-                    self.records.delete(record_id)
+                    record_id = self.tree.delete(key)
+                    if self._in_txn:
+                        self._txn_record_deletes.append(record_id)
+                    else:
+                        self.records.delete(record_id)  # a failed free leaks the slot
                 finally:
-                    # the index changed even if the slot free failed: the
-                    # superblock must reflect the tree or reopen() rejects the
-                    # database (the slot merely leaks until a later reuse)
                     self._after_mutation()
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:

@@ -161,9 +161,7 @@ class EncipheredBTree:
 
     def delete(self, key: int) -> None:
         """Remove the key and free its record slot."""
-        record_id = self.tree.search(key)
-        self.tree.delete(key)
-        self.records.delete(record_id)
+        self.records.delete(self.tree.delete(key))
 
     def bulk_load(self, items) -> None:
         """Ingest ``(key, record)`` pairs via the bottom-up tree build.

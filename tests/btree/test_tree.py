@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.btree.codec import PlainNodeCodec
+from repro.btree.node import Node
 from repro.btree.tree import BTree
 from repro.exceptions import BTreeError, DuplicateKeyError, KeyNotFoundError
 from repro.storage.disk import SimulatedDisk
@@ -95,15 +96,51 @@ class TestDelete:
         with pytest.raises(KeyNotFoundError):
             tree.delete(2)
 
+    @pytest.mark.parametrize(
+        "inserted, deleted",
+        [((10, 20, 30, 40), (40,)), (range(0, 90, 10), ())],
+        ids=["height-2", "height-3"],
+    )
+    def test_missing_key_delete_collapses_an_emptied_root(self, inserted, deleted):
+        """The root holds one key over two minimal children, so the
+        descent for an absent key merges them into the root first; the
+        key turns out missing only at a leaf, and the emptied root must
+        collapse all the same."""
+        tree = make_tree(min_degree=2)
+        for k in inserted:
+            tree.insert(k, k)
+        for k in deleted:
+            tree.delete(k)
+        size, items, height = tree.size, [*tree.items()], tree.height()
+        with pytest.raises(KeyNotFoundError):
+            tree.delete(15)
+        assert tree.size == size
+        assert [*tree.items()] == items
+        assert tree.height() == height - 1
+        assert tree._node(tree.root_id).keys
+        tree.check_invariants()
+
+    def test_invariants_reject_an_empty_internal_root(self):
+        tree = make_tree(min_degree=2)
+        for k in range(10):
+            tree.insert(k, k)
+        hollow = Node(node_id=tree._allocate(), is_leaf=False, children=[tree.root_id])
+        tree._write(hollow)
+        tree.root_id = hollow.node_id
+        with pytest.raises(BTreeError, match="no keys"):
+            tree.check_invariants()
+
     def test_delete_all_random_order(self):
         tree = make_tree(min_degree=2)
         rng = random.Random(7)
         keys = rng.sample(range(500), 200)
         for k in keys:
-            tree.insert(k, k)
+            tree.insert(k, k * 10)
         rng.shuffle(keys)
         for i, k in enumerate(keys):
-            tree.delete(k)
+            # leaf hits, separator replacements and merges all hand
+            # back the removed key's pointer
+            assert tree.delete(k) == k * 10
             if i % 20 == 0:
                 tree.check_invariants()
         assert tree.size == 0

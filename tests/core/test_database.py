@@ -18,6 +18,7 @@ from repro.exceptions import (
     KeyNotFoundError,
     StorageError,
 )
+from repro.storage.backend import FileBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)
@@ -288,6 +289,59 @@ class TestTransactions:
         )
         assert len(reopened) == 50
         assert reopened.search(49) == b"r49"
+
+
+class TestMissingKeyDelete:
+    """The descent for an absent key merges the root's two minimal
+    children before it finds the key missing; the superblock must follow
+    the tree that leaves, and a failed batch must leave no trace."""
+
+    @staticmethod
+    def loaded(cipher, backend):
+        db = EncipheredDatabase.create(
+            OvalSubstitution(DESIGN, t=5), cipher, min_degree=2, backend=backend
+        )
+        for k in (10, 20, 30, 40):
+            db.insert(k, f"r{k}".encode())
+        db.delete(40)
+        return db
+
+    @staticmethod
+    def shape(db):
+        return db.tree.root_id, db.tree.height(), list(db.items())
+
+    @staticmethod
+    def platter(db):
+        return db.disk.raw_blocks(), db.records.disk.raw_blocks()
+
+    def assert_reopens_as_live(self, db, cipher, backend):
+        live = self.shape(db)
+        db.close()
+        reopened = EncipheredDatabase.reopen_from_backend(
+            OvalSubstitution(DESIGN, t=5), cipher, backend
+        )
+        assert self.shape(reopened) == live
+        reopened.tree.check_invariants()
+        reopened.close()
+
+    def test_superblock_follows_the_tree(self, cipher, tmp_path):
+        backend = FileBackend(tmp_path / "db", fsync=False)
+        db = self.loaded(cipher, backend)
+        with pytest.raises(KeyNotFoundError):
+            db.delete(15)
+        assert len(db) == 3
+        self.assert_reopens_as_live(db, cipher, backend)
+
+    def test_failed_batch_rolls_back_to_the_same_platter(self, cipher, tmp_path):
+        backend = FileBackend(tmp_path / "db", fsync=False)
+        db = self.loaded(cipher, backend)
+        before, shape = self.platter(db), self.shape(db)
+        with pytest.raises(KeyNotFoundError):
+            with db.transaction():
+                db.delete_many([30, 15])
+        assert self.platter(db) == before
+        assert self.shape(db) == shape
+        self.assert_reopens_as_live(db, cipher, backend)
 
 
 class TestBulkLoad:

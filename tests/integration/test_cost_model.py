@@ -12,8 +12,9 @@ from math import ceil, log2
 import pytest
 
 from repro.core.bayer_metzger import BayerMetzgerBTree
+from repro.core.database import EncipheredDatabase
 from repro.core.enciphered_btree import EncipheredBTree
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set, singer_difference_set
 from repro.storage.layout import (
     NodeLayout,
@@ -176,6 +177,32 @@ class TestWritePathCosts:
             assert cost.pointer_encryptions == 0
             assert cost.pointer_decryptions <= height
         assert checked >= 5
+
+    def test_database_leaf_delete_costs_one_descent(self):
+        """A delete through the durable facade descends once: one
+        pointer decryption per internal node on the path, plus the data
+        pointer read where the key sits -- no separate search first."""
+        db = EncipheredDatabase.create(
+            OvalSubstitution(DESIGN, t=5),
+            RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xDE))),
+        )
+        for k in random.Random(5).sample(range(DESIGN.v), 150):
+            db.insert(k, b"x")
+        tree, counts = db.tree, db.pointer_cipher.counts
+        assert tree.height() == 3
+        rng, checked = random.Random(12), 0
+        for _ in range(60):
+            k = rng.choice(leaf_keys(tree))  # earlier merges lift keys
+            height = tree.height()
+            reshaped = tree.counters.merges + tree.counters.borrows
+            decryptions, encryptions = counts.decryptions, counts.encryptions
+            db.delete(k)
+            if tree.counters.merges + tree.counters.borrows != reshaped:
+                continue
+            checked += 1
+            assert counts.decryptions - decryptions == height
+            assert counts.encryptions - encryptions == 0
+        assert checked >= 30
 
     def test_root_collapse_check_costs_at_most_one_decryption(self):
         hs = EncipheredBTree(
