@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import random
 
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec, SubstitutedNodeCodec, WholePageNodeCodec
+from repro.core.database import EncipheredDatabase
+from repro.crypto.base import CountingCipher
+from repro.crypto.pagekey import PageKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(23)  # v = 553
 NUM_KEYS = 250
 NUM_PROBES = 40
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+FILE_KEY = b"\x01\x23\x45\x67\x89\xab\xcd\xef"
 
 
 def _workload():
@@ -29,59 +35,60 @@ def _workload():
     return keys, rng.sample(keys, NUM_PROBES)
 
 
-def _loaded(system, keys):
-    for k in keys:
-        system.insert(k, b"x")
-    system.reset_costs()
-    return system
+def hardjono_seberry(extra_pointer_mode: str) -> EncipheredDatabase:
+    substitution = OvalSubstitution(DESIGN, t=9)
+    cipher = CountingCipher(POINTER_CIPHER)
+    codec = SubstitutedNodeCodec(substitution, cipher, extra_pointer_mode=extra_pointer_mode)
+    return EncipheredDatabase.create(
+        substitution, cipher, block_size=512, min_degree=4, codec=codec
+    )
+
+
+def bayer_metzger(codec_class, page_mode: str = "ecb") -> EncipheredDatabase:
+    return EncipheredDatabase.create(
+        IdentitySubstitution(), POINTER_CIPHER, block_size=512, min_degree=4,
+        codec=codec_class(PageKeyScheme(FILE_KEY, mode=page_mode)),
+    )
+
+
+def _deciphered(db: EncipheredDatabase) -> tuple[int, int | None]:
+    """Cryptograms and DES blocks deciphered so far (HS has no DES blocks)."""
+    codec = db.tree.codec
+    if isinstance(codec, SubstitutedNodeCodec):
+        return db.stats()["pointer_cipher"]["decryptions"], None
+    return codec.triplet_counts.decryptions, codec.block_counts.decryptions
 
 
 def test_a1_layout_ablation(benchmark, reporter):
     keys, probes = _workload()
 
     systems = {
-        "HS (extra ptr encrypted)": EncipheredBTree(
-            OvalSubstitution(DESIGN, t=9), block_size=512, min_degree=4
-        ),
-        "HS (extra ptr disguised)": EncipheredBTree(
-            OvalSubstitution(DESIGN, t=9),
-            block_size=512,
-            min_degree=4,
-            extra_pointer_mode="disguise",
-        ),
-        "BM lazy triplets": BayerMetzgerBTree(
-            block_size=512, min_degree=4, layout="triplet"
-        ),
-        "BM whole page (ECB)": BayerMetzgerBTree(
-            block_size=512, min_degree=4, layout="page", page_mode="ecb"
-        ),
-        "BM whole page (CBC)": BayerMetzgerBTree(
-            block_size=512, min_degree=4, layout="page", page_mode="cbc"
-        ),
-        "BM whole page (progressive)": BayerMetzgerBTree(
-            block_size=512, min_degree=4, layout="page", page_mode="progressive"
-        ),
+        "HS (extra ptr encrypted)": hardjono_seberry("encrypt"),
+        "HS (extra ptr disguised)": hardjono_seberry("disguise"),
+        "BM lazy triplets": bayer_metzger(PageKeyNodeCodec),
+        "BM whole page (ECB)": bayer_metzger(WholePageNodeCodec, "ecb"),
+        "BM whole page (CBC)": bayer_metzger(WholePageNodeCodec, "cbc"),
+        "BM whole page (progressive)": bayer_metzger(WholePageNodeCodec, "progressive"),
     }
-    for system in systems.values():
-        _loaded(system, keys)
+    for db in systems.values():
+        for k in keys:
+            db.insert(k, b"x")
 
     rows = []
     per_search: dict[str, float] = {}
-    for name, system in systems.items():
-        system.reset_costs()
+    for name, db in systems.items():
+        decr_before, blocks_before = _deciphered(db)
         for k in probes:
-            system.tree.search(k)
-        cost = system.cost_snapshot()
-        decr = getattr(cost, "triplet_decryptions", None)
-        if decr is None:
-            decr = cost.pointer_decryptions
+            db.tree.search(k)
+        decr_after, blocks_after = _deciphered(db)
+        decr = decr_after - decr_before
         per_search[name] = decr / NUM_PROBES
         rows.append(
             [
                 name,
-                system.tree.height(),
+                db.tree.height(),
                 f"{decr / NUM_PROBES:.2f}",
-                getattr(cost, "des_block_decryptions", "-"),
+                "-" if blocks_after is None else blocks_after - blocks_before,
             ]
         )
 

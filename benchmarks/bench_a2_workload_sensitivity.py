@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import random
 
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec
+from repro.core.database import EncipheredDatabase
+from repro.crypto.pagekey import PageKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 from repro.workloads.generators import sample_keys
 
@@ -20,31 +23,39 @@ DESIGN = planar_difference_set(23)  # v = 553
 NUM_KEYS = 240
 NUM_PROBES = 40
 DISTRIBUTIONS = ["uniform", "sequential", "clustered"]
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+FILE_KEY = b"\x01\x23\x45\x67\x89\xab\xcd\xef"
 
 
 def run_distribution(distribution: str) -> dict:
     keys = sample_keys(range(DESIGN.v), NUM_KEYS, distribution, seed=0xA2)
-    hs = EncipheredBTree(OvalSubstitution(DESIGN, t=9), block_size=512, min_degree=4)
-    bm = BayerMetzgerBTree(block_size=512, min_degree=4)
+    hs = EncipheredDatabase.create(
+        OvalSubstitution(DESIGN, t=9), POINTER_CIPHER, block_size=512, min_degree=4
+    )
+    bm = EncipheredDatabase.create(
+        IdentitySubstitution(), POINTER_CIPHER, block_size=512, min_degree=4,
+        codec=PageKeyNodeCodec(PageKeyScheme(FILE_KEY, mode="ecb")),
+    )
+    bm_counts = bm.tree.codec.triplet_counts
     for k in keys:
         hs.insert(k, b"x")
         bm.insert(k, b"x")
-    build_hs = hs.cost_snapshot()
-    build_bm = bm.cost_snapshot()
-    splits = hs.tree.counters.splits
-    hs.reset_costs()
-    bm.reset_costs()
+    hs_build = hs.stats()
+    bm_build = bm_counts.snapshot()
     probes = random.Random(1).sample(keys, NUM_PROBES)
     for k in probes:
         hs.tree.search(k)
         bm.tree.search(k)
+    hs_decr = hs.stats()["pointer_cipher"]["decryptions"]
+    hs_decr -= hs_build["pointer_cipher"]["decryptions"]
+    bm_decr = bm_counts.decryptions - bm_build["decryptions"]
     return {
         "distribution": distribution,
-        "hs_splits": splits,
-        "hs_build_enc": build_hs.pointer_encryptions,
-        "bm_build_enc": build_bm.triplet_encryptions,
-        "hs_search": hs.cost_snapshot().pointer_decryptions / NUM_PROBES,
-        "bm_search": bm.cost_snapshot().triplet_decryptions / NUM_PROBES,
+        "hs_splits": hs_build["tree"]["splits"],
+        "hs_build_enc": hs_build["pointer_cipher"]["encryptions"],
+        "bm_build_enc": bm_build["encryptions"],
+        "hs_search": hs_decr / NUM_PROBES,
+        "bm_search": bm_decr / NUM_PROBES,
     }
 
 

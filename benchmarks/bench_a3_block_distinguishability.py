@@ -16,19 +16,30 @@ from repro.analysis.frequency import (
     mean_pairwise_distance,
     profile_disk,
 )
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec
+from repro.core.database import EncipheredDatabase
+from repro.crypto.pagekey import PageKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(23)  # v = 553
 NUM_KEYS = 200
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+FILE_KEY = b"\x01\x23\x45\x67\x89\xab\xcd\xef"
 
 
 def build_systems():
+    """Both layouts on the engine; each node device holds its superblock."""
     keys = random.Random(0xA3).sample(range(DESIGN.v), NUM_KEYS)
-    hs = EncipheredBTree(OvalSubstitution(DESIGN, t=9), block_size=512, min_degree=4)
-    bm = BayerMetzgerBTree(block_size=512, min_degree=4)
+    hs = EncipheredDatabase.create(
+        OvalSubstitution(DESIGN, t=9), POINTER_CIPHER, block_size=512, min_degree=4
+    )
+    bm = EncipheredDatabase.create(
+        IdentitySubstitution(), POINTER_CIPHER, block_size=512, min_degree=4,
+        codec=PageKeyNodeCodec(PageKeyScheme(FILE_KEY, mode="ecb")),
+    )
     for k in keys:
         payload = f"classified record {k} :: ".encode() * 2
         hs.insert(k, payload[:100])

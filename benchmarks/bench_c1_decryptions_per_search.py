@@ -11,15 +11,20 @@ from __future__ import annotations
 import random
 from math import log2
 
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec
+from repro.core.database import EncipheredDatabase
+from repro.crypto.pagekey import PageKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(23)  # v = 553
 NUM_KEYS = 360
 NUM_PROBES = 60
 MIN_DEGREES = [2, 4, 8, 16, 32]
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+FILE_KEY = b"\x01\x23\x45\x67\x89\xab\xcd\xef"
 
 
 def _workload():
@@ -29,26 +34,47 @@ def _workload():
     return keys, probes
 
 
+def hardjono_seberry(min_degree: int) -> EncipheredDatabase:
+    return EncipheredDatabase.create(
+        OvalSubstitution(DESIGN, t=9), POINTER_CIPHER,
+        block_size=8192, min_degree=min_degree,
+    )
+
+
+def bayer_metzger(min_degree: int) -> EncipheredDatabase:
+    """The same engine with the page-key triplet codec: its keys and
+    pointers never reach the substitution or the pointer cipher."""
+    return EncipheredDatabase.create(
+        IdentitySubstitution(), POINTER_CIPHER,
+        block_size=8192, min_degree=min_degree,
+        codec=PageKeyNodeCodec(PageKeyScheme(FILE_KEY, mode="ecb")),
+    )
+
+
 def measure_pair(min_degree: int):
     keys, probes = _workload()
-    hs = EncipheredBTree(
-        OvalSubstitution(DESIGN, t=9), block_size=8192, min_degree=min_degree
-    )
-    bm = BayerMetzgerBTree(block_size=8192, min_degree=min_degree)
+    hs = hardjono_seberry(min_degree)
+    bm = bayer_metzger(min_degree)
     for k in keys:
         hs.insert(k, b"x")
         bm.insert(k, b"x")
-    hs.reset_costs()
-    bm.reset_costs()
+    hs_before = hs.stats()
+    bm_before = bm.tree.codec.triplet_counts.decryptions
     for k in probes:
         hs.tree.search(k)
         bm.tree.search(k)
+    height = hs.tree.height()
+    hs_after = hs.stats()
+
+    def hs_per_probe(section: str, field: str) -> float:
+        return (hs_after[section][field] - hs_before[section][field]) / NUM_PROBES
+
     return {
         "n": 2 * min_degree - 1,
-        "height": hs.tree.height(),
-        "hs_decr": hs.cost_snapshot().pointer_decryptions / NUM_PROBES,
-        "hs_inv": hs.cost_snapshot().inversions / NUM_PROBES,
-        "bm_decr": bm.cost_snapshot().triplet_decryptions / NUM_PROBES,
+        "height": height,
+        "hs_decr": hs_per_probe("pointer_cipher", "decryptions"),
+        "hs_inv": hs_per_probe("substitution", "inversions"),
+        "bm_decr": (bm.tree.codec.triplet_counts.decryptions - bm_before) / NUM_PROBES,
     }
 
 
@@ -57,7 +83,7 @@ def test_c1_decryptions_per_search(benchmark, reporter):
 
     # time one full search on the mid-size configuration
     keys, probes = _workload()
-    hs = EncipheredBTree(OvalSubstitution(DESIGN, t=9), block_size=8192, min_degree=8)
+    hs = hardjono_seberry(8)
     for k in keys:
         hs.insert(k, b"x")
     benchmark(hs.tree.search, probes[0])

@@ -20,7 +20,8 @@ from repro.analysis.attacker import (
     true_edges,
 )
 from repro.analysis.metrics import edge_precision_recall
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.database import EncipheredDatabase
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
@@ -28,20 +29,24 @@ from repro.substitution.sums import SumSubstitution
 
 DESIGN = planar_difference_set(23)  # v = 553
 NUM_KEYS = 240
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
 
 
 def build(substitution):
-    tree = EncipheredBTree(substitution, block_size=512, min_degree=4)
+    db = EncipheredDatabase.create(
+        substitution, POINTER_CIPHER, block_size=512, min_degree=4
+    )
     universe = substitution.key_universe()
     keys = random.Random(0xC5).sample(list(universe), NUM_KEYS)
     for k in keys:
-        tree.insert(k, b"x")
-    return tree, keys
+        db.insert(k, b"x")
+    return db, keys
 
 
-def attack(tree, keys, substitution) -> dict:
+def attack(db, keys, substitution) -> dict:
+    # the superblock is ciphertext and never parses as a node
     surface = parse_substituted_blocks(
-        tree.disk, tree.codec.key_bytes, tree.codec.cryptogram_bytes
+        db.disk, db.tree.codec.key_bytes, db.tree.codec.cryptogram_bytes
     )
     pairs = [(k, substitution.substitute(k)) for k in keys]
     tau = key_order_correlation(pairs)
@@ -49,7 +54,7 @@ def attack(tree, keys, substitution) -> dict:
     census_acc = rank_attack_accuracy(census, pairs)
     recovered_t = multiplier_recovery_attack(pairs[:4], DESIGN.v)
     guessed = range_nesting_edges(surface)
-    precision, recall = edge_precision_recall(guessed, true_edges(tree.tree))
+    precision, recall = edge_precision_recall(guessed, true_edges(db.tree))
     return {
         "tau": tau,
         "census": census_acc,
@@ -66,15 +71,15 @@ def test_c5_shape_security(benchmark, reporter):
         "sum-of-treatments": SumSubstitution(DESIGN, num_keys=DESIGN.v - 10, start_line=5),
     }
     results = {}
-    trees = {}
+    databases = {}
     for name, sub in schemes.items():
-        tree, keys = build(sub)
-        trees[name] = (tree, keys, sub)
-        results[name] = attack(tree, keys, sub)
+        db, keys = build(sub)
+        databases[name] = (db, keys, sub)
+        results[name] = attack(db, keys, sub)
 
     # benchmark one full attack run against the oval tree
-    tree, keys, sub = trees["oval (t=9)"]
-    benchmark(attack, tree, keys, sub)
+    db, keys, sub = databases["oval (t=9)"]
+    benchmark(attack, db, keys, sub)
 
     rows = [
         [

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from repro import (
-    EncipheredBTree,
+    EncipheredDatabase,
     IdentitySubstitution,
     OvalSubstitution,
     SumSubstitution,
@@ -31,28 +31,30 @@ from repro.analysis import (
     rank_matching_attack,
 )
 from repro.analysis.attacker import rank_attack_accuracy, true_edges
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 
 DESIGN = planar_difference_set(13)  # v = 183
 NUM_RECORDS = 110
+POINTER_CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
 
 
 def build(substitution):
-    tree = EncipheredBTree(substitution, block_size=512, min_degree=4)
+    db = EncipheredDatabase.create(substitution, POINTER_CIPHER)
     keys = random.Random(7).sample(list(substitution.key_universe()), NUM_RECORDS)
     for k in keys:
-        tree.insert(k, f"secret dossier {k}".encode())
-    return tree, keys
+        db.insert(k, f"secret dossier {k}".encode())
+    return db, keys
 
 
-def attack(name: str, tree, keys, substitution) -> None:
+def attack(name: str, db, keys, substitution) -> None:
     print(f"--- scheme: {name} ---")
     surface = parse_substituted_blocks(
-        tree.disk, tree.codec.key_bytes, tree.codec.cryptogram_bytes
+        db.disk, db.tree.codec.key_bytes, db.tree.codec.cryptogram_bytes
     )
     print(f"  parsed {len(surface.blocks)} node blocks off the platter")
 
     # 1. entropy of data blocks: are payloads readable?
-    dump = b"".join(data for _, data in tree.records.disk.raw_blocks())
+    dump = b"".join(data for _, data in db.records.disk.raw_blocks())
     print(f"  data-block entropy: {byte_entropy(dump):.2f} bits/byte "
           "(8.0 = indistinguishable from noise)")
 
@@ -73,7 +75,7 @@ def attack(name: str, tree, keys, substitution) -> None:
 
     # 5. shape reconstruction
     guess = range_nesting_edges(surface)
-    precision, recall = edge_precision_recall(guess, true_edges(tree.tree))
+    precision, recall = edge_precision_recall(guess, true_edges(db.tree))
     print(f"  tree-edge reconstruction: precision {precision:.0%}, "
           f"recall {recall:.0%}\n")
 
@@ -86,8 +88,8 @@ def main() -> None:
     ]
     print(f"database: {NUM_RECORDS} records, v = {DESIGN.v} design\n")
     for name, substitution in schemes:
-        tree, keys = build(substitution)
-        attack(name, tree, keys, substitution)
+        db, keys = build(substitution)
+        attack(name, db, keys, substitution)
 
     print(
         "reading: the oval disguise defeats order inference, census "

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Quickstart: an enciphered B-Tree in a dozen lines.
+"""Quickstart: an enciphered B-Tree database in a dozen lines.
 
 Builds the paper's system -- disguised search keys, encrypted pointers,
 independently enciphered data blocks -- inserts some records, runs point
@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import EncipheredBTree, OvalSubstitution, planar_difference_set
+from repro import EncipheredDatabase, OvalSubstitution, planar_difference_set
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 
 
 def main() -> None:
@@ -25,38 +26,45 @@ def main() -> None:
     print(f"secret material: {substitution.secret_size_bytes()} bytes "
           f"({substitution.secret_material()})\n")
 
-    # 3. Build the tree.  Everything below this call -- node layout,
-    #    pointer encryption, record encipherment -- is the paper's §3/§5.
-    tree = EncipheredBTree(substitution, block_size=512)
+    # 3. Build the database.  Pointer pairs are encrypted under RSA;
+    #    everything below this call -- node layout, pointer encryption,
+    #    record encipherment -- is the paper's §3/§5.
+    db = EncipheredDatabase.create(substitution, RSA(generate_rsa_keypair(bits=128)))
 
     # 4. Insert records: keys are disguised, pointers encrypted, payloads
     #    enciphered in separate data blocks.
     for key in (23, 7, 98, 45, 121, 60, 3, 77):
-        tree.insert(key, f"employee record #{key}".encode())
+        db.insert(key, f"employee record #{key}".encode())
 
     # 5. Point lookup.
-    print("search(45) ->", tree.search(45).decode())
+    print("search(45) ->", db.search(45).decode())
 
     # 6. Range search works despite the scrambled at-rest keys, because
     #    triplet placement follows the plaintext order (§4.1).
     print("range_search(20, 80) ->")
-    for key, payload in tree.range_search(20, 80):
+    for key, payload in db.range_search(20, 80):
         print(f"   {key:3d}: {payload.decode()}")
 
     # 7. The cryptographic bill: one pointer decryption per node visited,
     #    zero key decryptions (inversions are modular arithmetic).
-    tree.reset_costs()
-    tree.search(98)
-    cost = tree.cost_snapshot()
+    before = db.stats()
+    db.search(98)
+    after = db.stats()
+
+    def cost(section: str, field: str) -> int:
+        return after[section][field] - before[section][field]
+
     print("\none search cost:")
-    print(f"  pointer decryptions : {cost.pointer_decryptions}"
-          f"  (tree height = {tree.tree.height()})")
-    print(f"  key inversions      : {cost.inversions} (arithmetic, not crypto)")
-    print(f"  comparisons         : {cost.comparisons}")
-    print(f"  disk reads          : {cost.disk_reads}")
+    print(f"  pointer decryptions : {cost('pointer_cipher', 'decryptions')}"
+          f"  (tree height = {db.tree.height()})")
+    print(f"  key inversions      : {cost('substitution', 'inversions')}"
+          " (arithmetic, not crypto)")
+    print(f"  comparisons         : {cost('tree', 'comparisons')}")
+    print(f"  node blocks read    : {cost('pager', 'misses')} from disk, "
+          f"{cost('pager', 'hits')} from the pager cache")
 
     # 8. What rests on the platter: disguised keys, opaque cryptograms.
-    raw = tree.disk.raw_block(tree.tree.root_id)
+    raw = db.disk.raw_block(db.tree.root_id)
     print(f"\nroot block at rest (first 48 bytes): {raw[:48].hex()}")
 
 

@@ -9,12 +9,18 @@ range queries through an untrusted DBMS.
 
 Quickstart::
 
-    from repro import EncipheredBTree, OvalSubstitution, planar_difference_set
+    from repro import EncipheredDatabase, OvalSubstitution, planar_difference_set
+    from repro.crypto.rsa import RSA, generate_rsa_keypair
 
     design = planar_difference_set(9)          # v = 91 keys
-    tree = EncipheredBTree(OvalSubstitution(design, t=2))
-    tree.insert(41, b"records stay encrypted at rest")
-    assert tree.search(41) == b"records stay encrypted at rest"
+    db = EncipheredDatabase.create(
+        OvalSubstitution(design, t=2), RSA(generate_rsa_keypair(bits=128))
+    )
+    db.insert(41, b"records stay encrypted at rest")
+    assert db.search(41) == b"records stay encrypted at rest"
+
+The Bayer--Metzger baseline is the same engine with another node codec:
+pass ``codec=PageKeyNodeCodec(...)`` to ``EncipheredDatabase.create``.
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
@@ -28,13 +34,10 @@ from repro.cluster import (
     ShardRouter,
 )
 from repro.core import (
-    BayerMetzgerBTree,
-    EncipheredBTree,
     EncipheredDatabase,
     MultilevelEncipheredBTree,
     PlainBTreeSystem,
     SecurityFilter,
-    TraversalCost,
 )
 from repro.designs import (
     PAPER_DIFFERENCE_SET,
@@ -60,11 +63,9 @@ from repro.substitution import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "BayerMetzgerBTree",
     "BlockDesign",
     "ClusterStats",
     "DifferenceSet",
-    "EncipheredBTree",
     "EncipheredDatabase",
     "EncryptedKeySubstitution",
     "ExponentiationSubstitution",
@@ -83,7 +84,6 @@ __all__ = [
     "ShardRouter",
     "ShardedEncipheredDatabase",
     "SumSubstitution",
-    "TraversalCost",
     "non_multiplier_units",
     "oval_table",
     "planar_difference_set",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.btree.node import Node
-from repro.exceptions import CodecError
+from repro.exceptions import BTreeError, CodecError
 
 #: Sentinel meaning "no pointer" in packed integer fields (ids are shifted
 #: by one on disk so that id 0 remains representable).
@@ -82,6 +82,16 @@ class NodeCodec(Protocol):
     def node_overhead_bytes(self, num_keys: int, is_leaf: bool) -> int:
         """Stored size of a node with the given shape (for layout math)."""
         ...
+
+
+def fit_min_degree(codec: NodeCodec, block_size: int) -> int:
+    """Largest minimum degree whose full internal node fits one block."""
+    t = 2
+    while codec.node_overhead_bytes(2 * (t + 1) - 1, is_leaf=False) <= block_size:
+        t += 1
+    if codec.node_overhead_bytes(2 * t - 1, is_leaf=False) > block_size:
+        raise BTreeError(f"block size {block_size} cannot hold a degree-2 node")
+    return t
 
 
 def _read_int(data: bytes, offset: int, width: int) -> int:

@@ -1,12 +1,17 @@
 """The paper's systems, assembled from the substrates.
 
-* :class:`~repro.core.enciphered_btree.EncipheredBTree` -- the
-  Hardjono--Seberry scheme: node blocks store ``[f(k), E(b || a || p)]``
-  triplets; keys are disguised, both pointers ride in one cryptogram
-  bound to the block number.
-* :class:`~repro.core.bayer_metzger.BayerMetzgerBTree` -- the baseline:
-  every triplet enciphered under a per-page key derived from the page id
-  (lazy "binary search-and-decrypt" or whole-page decryption).
+* :class:`~repro.core.database.EncipheredDatabase` -- the durable
+  engine.  Its node codec selects the system: by default the
+  Hardjono--Seberry layout (:class:`~repro.core.codecs.SubstitutedNodeCodec`:
+  node blocks store ``[f(k), E(b || a || p)]`` triplets; keys are
+  disguised, both pointers ride in one cryptogram bound to the block
+  number), or the Bayer--Metzger baseline
+  (:class:`~repro.core.codecs.PageKeyNodeCodec` and
+  :class:`~repro.core.codecs.WholePageNodeCodec`: every triplet
+  enciphered under a per-page key derived from the page id, with lazy
+  "binary search-and-decrypt" or whole-page decryption).
+* :class:`~repro.core.multilevel_store.MultilevelEncipheredBTree` --
+  §5's per-record security levels over the paper's node layout.
 * :class:`~repro.core.security_filter.SecurityFilter` -- the §4.3
   deployment: an order-preserving disguise plus record encryption and
   cryptographic checksums, retrofitted *in front of* an unmodified DBMS.
@@ -19,8 +24,6 @@ from repro.core.codecs import (
 )
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
-from repro.core.enciphered_btree import EncipheredBTree, TraversalCost
-from repro.core.bayer_metzger import BayerMetzgerBTree
 from repro.core.multilevel_store import (
     MultilevelEncipheredBTree,
     MultilevelRecordStore,
@@ -29,8 +32,6 @@ from repro.core.plain import PlainBTreeSystem
 from repro.core.security_filter import SecurityFilter, SealedRecord
 
 __all__ = [
-    "BayerMetzgerBTree",
-    "EncipheredBTree",
     "EncipheredDatabase",
     "MultilevelEncipheredBTree",
     "MultilevelRecordStore",
@@ -40,6 +41,5 @@ __all__ = [
     "SealedRecord",
     "SecurityFilter",
     "SubstitutedNodeCodec",
-    "TraversalCost",
     "WholePageNodeCodec",
 ]

@@ -34,9 +34,10 @@ from repro.counters import ThreadSafeCounters
 from repro.crypto.base import CryptoOpCounts, IntegerCipher
 from repro.crypto.des import DES
 from repro.crypto.pagekey import PageKeyScheme
-from repro.exceptions import CodecError, IntegrityError
+from repro.exceptions import CodecError, IntegrityError, SubstitutionError
 from repro.storage.layout import bytes_for_value
 from repro.substitution.base import KeySubstitution
+from repro.substitution.exponentiation import ExponentiationSubstitution
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +52,8 @@ class SubstitutedNodeCodec:
     ----------
     substitution:
         The key disguise ``f`` (any :class:`KeySubstitution`).
+        Exponentiation disguises are refused unless injective: two keys
+        sharing a substitute would make one of them unreachable.
     pointer_cipher:
         Integer cipher for the packed pointer pairs; its modulus must
         exceed ``packing.required_modulus()``.  Wrap it in a
@@ -82,6 +85,11 @@ class SubstitutedNodeCodec:
             raise CodecError(
                 f"extra_pointer_mode must be one of {self._EXTRA_MODES}, "
                 f"got {extra_pointer_mode!r}"
+            )
+        if isinstance(substitution, ExponentiationSubstitution) and not substitution.is_injective():
+            raise SubstitutionError(
+                "exponentiation disguise is not injective for these parameters "
+                "(two keys share a substitute); choose N > v or different t/g"
             )
         self.substitution = substitution
         self.cipher = pointer_cipher
@@ -566,8 +574,8 @@ class WholePageNodeCodec:
 
     Cost accounting: ``triplet_counts`` tallies whole triplets carried
     through the cipher (all of them, on every encode/decode) and
-    ``block_counts`` the underlying cipher blocks, so the facade's
-    snapshots stay comparable across layouts.
+    ``block_counts`` the underlying cipher blocks, so per-search counts
+    stay comparable across layouts.
     """
 
     def __init__(

@@ -1,16 +1,29 @@
 """A self-contained enciphered database: superblock + index + records.
 
-The bare :class:`~repro.core.enciphered_btree.EncipheredBTree` keeps its
-root id and geometry in Python attributes; a real deployment must survive
-a restart from the platter alone.  :class:`EncipheredDatabase` adds the
-missing piece: **block 0 is a superblock** holding the root id, the
-minimum degree and the key count, enciphered under the file key like any
-other block (an opponent cannot even read the geometry), plus a magic tag
-that authenticates the deciphering key.
+A real deployment must survive a restart from the platter alone, so
+**block 0 is a superblock** holding the root id, the minimum degree and
+the key count, enciphered under the file key like any other block (an
+opponent cannot even read the geometry), plus a magic tag that
+authenticates the deciphering key.
 
 ``create`` builds a fresh database; ``reopen`` reconstructs a working
 handle from the two disks and the secret material alone, verifying the
 B-Tree invariants on the way up.
+
+Node layouts
+------------
+
+The node codec is the engine's one layout parameter.  By default it is
+the paper's :class:`~repro.core.codecs.SubstitutedNodeCodec` over the
+given ``substitution`` and ``pointer_cipher``; passing ``codec=`` swaps
+in another layout -- the Bayer--Metzger baselines
+(:class:`~repro.core.codecs.PageKeyNodeCodec`,
+:class:`~repro.core.codecs.WholePageNodeCodec`) or an ablated
+substituted codec -- with the superblock, pager, record store, commit
+path and ``stats()`` unchanged.  A caller-built codec meters itself: the
+``pointer_cipher`` and ``substitution`` sections of ``stats()`` count
+only what the codec routes through those two objects (a page-key codec
+keeps its own ``triplet_counts``/``block_counts``).
 
 Write policies and transactions
 -------------------------------
@@ -82,6 +95,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator
 
+from repro.btree.codec import NodeCodec
 from repro.btree.tree import BTree
 from repro.core.codecs import SubstitutedNodeCodec
 from repro.core.packing import PointerPacking
@@ -113,7 +127,7 @@ def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
 
 
 class EncipheredDatabase:
-    """Durable facade: everything needed to reopen lives on the disks."""
+    """Durable engine: everything needed to reopen lives on the disks."""
 
     def __init__(
         self,
@@ -219,8 +233,13 @@ class EncipheredDatabase:
         record_cache_blocks: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
+        codec: NodeCodec | None = None,
     ) -> "EncipheredDatabase":
         """Initialise a fresh database (block 0 reserved for the superblock).
+
+        ``codec`` is the node layout (see the module docstring); omitted,
+        it is the paper's substituted codec over ``substitution`` and
+        ``pointer_cipher``.
 
         ``record_cache_blocks`` sizes the plaintext record-block cache;
         it defaults to ``0`` -- off -- which keeps every cipher-operation
@@ -245,7 +264,8 @@ class EncipheredDatabase:
         if reserved != 0:
             raise StorageError("superblock must be block 0")
         counting = _counting(pointer_cipher)
-        codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
+        if codec is None:
+            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
@@ -272,6 +292,7 @@ class EncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int | None = None,
         observability: ObsConfig | None = None,
+        codec: NodeCodec | None = None,
     ) -> "EncipheredDatabase":
         """Rebuild a handle from the platter and the secrets alone.
 
@@ -280,11 +301,13 @@ class EncipheredDatabase:
         ``cache_blocks`` applies directly; the record store is the
         caller's durable object, so its configured cache capacity
         persists unless ``record_cache_blocks`` is given (``None`` keeps
-        it, ``0`` forces the cache off).
+        it, ``0`` forces the cache off).  ``codec`` must be the layout
+        the database was created with.
         """
         root_id, min_degree, size = cls._read_superblock(disk, super_key)
         counting = _counting(pointer_cipher)
-        codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
+        if codec is None:
+            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
         if record_cache_blocks is not None:
             records.cache.resize(record_cache_blocks)
@@ -314,6 +337,7 @@ class EncipheredDatabase:
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
+        codec: NodeCodec | None = None,
     ) -> "EncipheredDatabase":
         """Reopen a database from its backend and the secrets alone.
 
@@ -344,6 +368,7 @@ class EncipheredDatabase:
             autocommit=autocommit,
             record_cache_blocks=None,
             observability=observability,
+            codec=codec,
         )
 
     # -- commit machinery ------------------------------------------------

@@ -21,11 +21,16 @@ from __future__ import annotations
 
 import random
 
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.btree.codec import fit_min_degree
+from repro.btree.tree import BTree
+from repro.core.codecs import SubstitutedNodeCodec
 from repro.core.records import RecordStore
 from repro.crypto.base import IntegerCipher
 from repro.crypto.multilevel import MultilevelKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.exceptions import ClearanceError, CryptoError, StorageError
+from repro.storage.disk import SimulatedDisk
+from repro.storage.pager import Pager
 from repro.substitution.base import KeySubstitution
 
 
@@ -101,13 +106,16 @@ class MultilevelRecordStore:
         return self._stores[level].get(inner)
 
 
-class MultilevelEncipheredBTree(EncipheredBTree):
+class MultilevelEncipheredBTree:
     """The paper's enciphered B-Tree with §5's per-record levels.
 
-    The index layer (disguised keys, encrypted pointers) is exactly the
-    parent class; the record layer is swapped for the multilevel store.
-    ``insert`` takes a security level; ``search`` takes the caller's
-    clearance and raises :class:`ClearanceError` below it.
+    The index layer is the paper's node layout (disguised keys, encrypted
+    pointers) over an in-memory B-Tree; the record layer is the
+    multilevel store.  ``insert`` takes a security level; ``search``
+    takes the caller's clearance and raises :class:`ClearanceError`
+    below it.  A deterministic 128-bit RSA pointer cipher is generated
+    when ``pointer_cipher`` is omitted, and ``min_degree`` defaults to
+    the largest that fits ``block_size``.
     """
 
     def __init__(
@@ -116,12 +124,22 @@ class MultilevelEncipheredBTree(EncipheredBTree):
         levels: int = 4,
         pointer_cipher: IntegerCipher | None = None,
         key_scheme: MultilevelKeyScheme | None = None,
-        **kwargs,
+        *,
+        block_size: int = 4096,
+        min_degree: int | None = None,
+        record_size: int = 120,
     ) -> None:
-        record_size = kwargs.pop("record_size", 120)
-        block_size = kwargs.get("block_size", 4096)
-        super().__init__(
-            substitution, pointer_cipher, record_size=record_size, **kwargs
+        if pointer_cipher is None:
+            pointer_cipher = RSA(
+                generate_rsa_keypair(bits=128, rng=random.Random(0x48533930))
+            )
+        codec = SubstitutedNodeCodec(substitution, pointer_cipher)
+        if min_degree is None:
+            min_degree = fit_min_degree(codec, block_size)
+        self.tree = BTree(
+            pager=Pager(SimulatedDisk(block_size=block_size), cache_blocks=0),
+            codec=codec,
+            min_degree=min_degree,
         )
         self.key_scheme = key_scheme or MultilevelKeyScheme(
             levels, rng=random.Random(0x4D4C)
@@ -132,7 +150,7 @@ class MultilevelEncipheredBTree(EncipheredBTree):
 
     # -- level-aware operations ----------------------------------------------
 
-    def insert(self, key: int, record: bytes, level: int = 0) -> None:  # type: ignore[override]
+    def insert(self, key: int, record: bytes, level: int = 0) -> None:
         record_id = self.records.put(record, level)
         try:
             self.tree.insert(key, record_id)
@@ -140,14 +158,14 @@ class MultilevelEncipheredBTree(EncipheredBTree):
             self.records.delete(record_id)
             raise
 
-    def search(self, key: int, clearance: int = 0) -> bytes:  # type: ignore[override]
+    def search(self, key: int, clearance: int = 0) -> bytes:
         return self.records.get(self.tree.search(key), clearance)
 
     def level_of(self, key: int) -> int:
         """The security level of the record under ``key`` (index metadata)."""
         return self.records.level_of(self.tree.search(key))
 
-    def range_search(  # type: ignore[override]
+    def range_search(
         self, lo: int, hi: int, clearance: int = 0, skip_denied: bool = False
     ) -> list[tuple[int, bytes]]:
         """Range query under a clearance.
@@ -164,3 +182,9 @@ class MultilevelEncipheredBTree(EncipheredBTree):
                 if not skip_denied:
                     raise
         return out
+
+    def delete(self, key: int) -> None:
+        self.records.delete(self.tree.delete(key))
+
+    def __len__(self) -> int:
+        return self.tree.size

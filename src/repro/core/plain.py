@@ -12,7 +12,7 @@ Two roles:
 
 from __future__ import annotations
 
-from repro.btree.codec import PlainNodeCodec
+from repro.btree.codec import PlainNodeCodec, fit_min_degree
 from repro.btree.tree import BTree
 from repro.exceptions import BTreeError
 from repro.storage.disk import SimulatedDisk
@@ -40,21 +40,13 @@ class PlainBTreeSystem:
         self.disk = SimulatedDisk(block_size=block_size)
         self.pager = Pager(self.disk, cache_blocks=cache_blocks)
         if min_degree is None:
-            min_degree = self._fit_min_degree(block_size)
+            min_degree = fit_min_degree(self.codec, block_size)
         self.tree = BTree(pager=self.pager, codec=self.codec, min_degree=min_degree)
         self.record_size = record_size
         self._record_disk = SimulatedDisk(block_size=block_size)
         self._slots_per_block = (block_size - 2) // (record_size + 2)
         self._records: list[int] = []  # block ids, for slot arithmetic
         self._slot_count = 0
-
-    def _fit_min_degree(self, block_size: int) -> int:
-        t = 2
-        while self.codec.node_overhead_bytes(2 * (t + 1) - 1, is_leaf=False) <= block_size:
-            t += 1
-        if self.codec.node_overhead_bytes(2 * t - 1, is_leaf=False) > block_size:
-            raise BTreeError(f"block size {block_size} cannot hold a degree-2 node")
-        return t
 
     # -- record storage (cleartext slots) ------------------------------------
 

@@ -17,10 +17,13 @@ from repro.analysis.attacker import (
     true_edges,
 )
 from repro.analysis.metrics import edge_precision_recall
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.database import EncipheredDatabase
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.substitution.oval import OvalSubstitution
 from repro.substitution.sums import SumSubstitution
+
+CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +33,7 @@ def design():
 
 @pytest.fixture(scope="module")
 def oval_tree(design):
-    tree = EncipheredBTree(OvalSubstitution(design, t=5), block_size=512)
+    tree = EncipheredDatabase.create(OvalSubstitution(design, t=5), CIPHER)
     keys = random.Random(0).sample(range(design.v), 120)
     for k in keys:
         tree.insert(k, b"r")
@@ -40,7 +43,7 @@ def oval_tree(design):
 
 @pytest.fixture(scope="module")
 def sum_tree(design):
-    tree = EncipheredBTree(SumSubstitution(design, num_keys=160), block_size=512)
+    tree = EncipheredDatabase.create(SumSubstitution(design, num_keys=160), CIPHER)
     keys = random.Random(0).sample(range(160), 120)
     for k in keys:
         tree.insert(k, b"r")
@@ -51,7 +54,7 @@ def sum_tree(design):
 class TestParsing:
     def test_parses_every_node_block(self, oval_tree):
         surface = parse_substituted_blocks(
-            oval_tree.disk, oval_tree.codec.key_bytes, oval_tree.codec.cryptogram_bytes
+            oval_tree.disk, oval_tree.tree.codec.key_bytes, oval_tree.tree.codec.cryptogram_bytes
         )
         live = set(oval_tree.tree.node_ids())
         parsed = {b.block_id for b in surface.blocks}
@@ -59,14 +62,14 @@ class TestParsing:
 
     def test_disguised_keys_visible(self, oval_tree, design):
         surface = parse_substituted_blocks(
-            oval_tree.disk, oval_tree.codec.key_bytes, oval_tree.codec.cryptogram_bytes
+            oval_tree.disk, oval_tree.tree.codec.key_bytes, oval_tree.tree.codec.cryptogram_bytes
         )
         expected = {k * 5 % design.v for k in oval_tree._test_keys}
         assert set(surface.all_disguised_keys) == expected
 
     def test_leaf_internal_split(self, oval_tree):
         surface = parse_substituted_blocks(
-            oval_tree.disk, oval_tree.codec.key_bytes, oval_tree.codec.cryptogram_bytes
+            oval_tree.disk, oval_tree.tree.codec.key_bytes, oval_tree.tree.codec.cryptogram_bytes
         )
         assert surface.leaf_blocks()
         assert surface.internal_blocks()
@@ -118,7 +121,7 @@ class TestKnownPlaintext:
 class TestShapeReconstruction:
     def test_oval_defeats_range_nesting(self, oval_tree):
         surface = parse_substituted_blocks(
-            oval_tree.disk, oval_tree.codec.key_bytes, oval_tree.codec.cryptogram_bytes
+            oval_tree.disk, oval_tree.tree.codec.key_bytes, oval_tree.tree.codec.cryptogram_bytes
         )
         guess = range_nesting_edges(surface)
         truth = true_edges(oval_tree.tree)
@@ -127,7 +130,7 @@ class TestShapeReconstruction:
 
     def test_sequence_heuristic_weak(self, oval_tree):
         surface = parse_substituted_blocks(
-            oval_tree.disk, oval_tree.codec.key_bytes, oval_tree.codec.cryptogram_bytes
+            oval_tree.disk, oval_tree.tree.codec.key_bytes, oval_tree.tree.codec.cryptogram_bytes
         )
         fanout = oval_tree.tree.max_keys + 1
         guess = edge_recovery_by_sequence(surface, fanout)

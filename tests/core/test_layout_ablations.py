@@ -7,49 +7,62 @@ import random
 import pytest
 
 from repro.btree.node import Node
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.codecs import SubstitutedNodeCodec, WholePageNodeCodec
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec, SubstitutedNodeCodec, WholePageNodeCodec
+from repro.core.database import EncipheredDatabase
 from repro.crypto.base import CountingCipher
 from repro.crypto.pagekey import PageKeyScheme
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import BTreeError, CodecError
+from repro.exceptions import CodecError
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)
+CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+FILE_KEY = b"\x01\x23\x45\x67\x89\xab\xcd\xef"
+
+
+def bayer_metzger(codec_class, page_mode: str = "ecb") -> EncipheredDatabase:
+    return EncipheredDatabase.create(
+        IdentitySubstitution(), CIPHER,
+        codec=codec_class(PageKeyScheme(FILE_KEY, mode=page_mode)),
+    )
+
+
+def disguised_extra_pointer(sub: OvalSubstitution) -> EncipheredDatabase:
+    cipher = CountingCipher(CIPHER)
+    codec = SubstitutedNodeCodec(sub, cipher, extra_pointer_mode="disguise")
+    return EncipheredDatabase.create(sub, cipher, codec=codec)
 
 
 class TestWholePageLayout:
     @pytest.mark.parametrize("page_mode", ["ecb", "cbc", "progressive"])
     def test_crud_all_modes(self, page_mode):
-        tree = BayerMetzgerBTree(block_size=512, layout="page", page_mode=page_mode)
+        db = bayer_metzger(WholePageNodeCodec, page_mode)
         keys = random.Random(1).sample(range(5000), 60)
         for k in keys:
-            tree.insert(k, f"wp-{k}".encode())
-        tree.tree.check_invariants()
+            db.insert(k, f"wp-{k}".encode())
+        db.tree.check_invariants()
         for k in keys[:10]:
-            assert tree.search(k) == f"wp-{k}".encode()
+            assert db.search(k) == f"wp-{k}".encode()
         for k in keys[:20]:
-            tree.delete(k)
-        tree.tree.check_invariants()
+            db.delete(k)
+        db.tree.check_invariants()
 
     def test_whole_page_decrypts_everything_per_visit(self):
         """Contrast with the lazy layout: a single search pays the full
         node's triplets at every level."""
-        tree = BayerMetzgerBTree(block_size=512, layout="page")
-        for k in range(200):
-            tree.insert(k, b"x")
-        tree.reset_costs()
-        tree.tree.search(100)
-        cost = tree.cost_snapshot()
+        decryptions = {}
+        for codec_class in (WholePageNodeCodec, PageKeyNodeCodec):
+            db = bayer_metzger(codec_class)
+            for k in range(200):
+                db.insert(k, b"x")
+            counts = db.tree.codec.triplet_counts
+            before = counts.decryptions
+            db.tree.search(100)
+            decryptions[codec_class] = counts.decryptions - before
         # far more than log2(n) per node: all resident triplets decrypted
-        lazy = BayerMetzgerBTree(block_size=512, layout="triplet")
-        for k in range(200):
-            lazy.insert(k, b"x")
-        lazy.reset_costs()
-        lazy.tree.search(100)
-        assert cost.triplet_decryptions > lazy.cost_snapshot().triplet_decryptions
+        assert decryptions[WholePageNodeCodec] > decryptions[PageKeyNodeCodec]
 
     def test_codec_roundtrip(self):
         codec = WholePageNodeCodec(PageKeyScheme(b"\x01" * 8), key_bytes=4)
@@ -68,25 +81,16 @@ class TestWholePageLayout:
         node = Node(node_id=1, is_leaf=True, keys=[1], values=[0])
         assert len(codec.encode(node)) == codec.inner.node_overhead_bytes(1, True)
 
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(BTreeError):
-            BayerMetzgerBTree(layout="mystery")
-
 
 class TestDisguisedExtraPointer:
     def test_tree_roundtrip(self):
-        tree = EncipheredBTree(
-            OvalSubstitution(DESIGN, t=5),
-            block_size=512,
-            min_degree=4,
-            extra_pointer_mode="disguise",
-        )
+        db = disguised_extra_pointer(OvalSubstitution(DESIGN, t=5))
         keys = random.Random(2).sample(range(DESIGN.v), 90)
         for k in keys:
-            tree.insert(k, b"x")
-        tree.tree.check_invariants()
+            db.insert(k, b"x")
+        db.tree.check_invariants()
         for k in keys:
-            assert tree.search(k) == b"x"
+            assert db.search(k) == b"x"
 
     def test_smaller_node_overhead(self):
         cipher = CountingCipher(RSA(generate_rsa_keypair(bits=128, rng=random.Random(3))))
@@ -103,20 +107,19 @@ class TestDisguisedExtraPointer:
         from repro.analysis.attacker import parse_substituted_blocks
 
         sub = OvalSubstitution(DESIGN, t=5)
-        tree = EncipheredBTree(
-            sub, block_size=512, min_degree=4, extra_pointer_mode="disguise"
-        )
+        db = disguised_extra_pointer(sub)
         for k in random.Random(4).sample(range(DESIGN.v), 90):
-            tree.insert(k, b"x")
+            db.insert(k, b"x")
         # find an internal node and read the disguised extra pointer field
         leaked = 0
-        for node_id in tree.tree.node_ids():
-            view = tree.tree._view(node_id)
+        for node_id in db.tree.node_ids():
+            view = db.tree._view(node_id)
             if view.is_leaf:
                 continue
-            raw = tree.disk.raw_block(node_id)
-            offset = 3 + view.num_keys * tree.codec.key_bytes + view.num_keys * tree.codec.cryptogram_bytes
-            stored = int.from_bytes(raw[offset : offset + tree.codec.key_bytes], "big")
+            raw = db.disk.raw_block(node_id)
+            codec = db.tree.codec
+            offset = 3 + view.num_keys * codec.key_bytes + view.num_keys * codec.cryptogram_bytes
+            stored = int.from_bytes(raw[offset : offset + codec.key_bytes], "big")
             recovered_child = stored * sub.t_inverse % DESIGN.v  # attacker knows t
             if recovered_child == view.child_at(view.num_keys):
                 leaked += 1

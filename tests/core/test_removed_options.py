@@ -27,11 +27,16 @@ executor is gone with its change journals and replica sync: ``create``
 and ``reopen`` reject ``executor=``, ``shard_factories=`` and
 ``op_deadline_s=``, ``reopen_from_manifest`` accepts only
 ``executor="serial"`` (anything else raises ``StorageError``), and
-nothing in the package imports ``multiprocessing``.
+nothing in the package imports ``multiprocessing``.  The in-memory
+``EncipheredBTree`` and ``BayerMetzgerBTree`` facades are gone with their
+``TraversalCost``/``BaselineCost`` snapshots: both systems run on
+``EncipheredDatabase``, the Bayer--Metzger layouts passed as ``codec=``,
+and their costs are read from ``stats()`` and the codec's own counters.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import os
 import random
@@ -40,8 +45,10 @@ import sys
 
 import pytest
 
+import repro
 import repro.cluster
 import repro.cluster.health
+import repro.core
 import repro.exceptions
 import repro.obs
 import repro.obs.metrics
@@ -457,3 +464,17 @@ class TestRemovedProcessExecutor:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
+
+
+class TestRemovedFacades:
+    @pytest.mark.parametrize("module", ["repro.core.enciphered_btree", "repro.core.bayer_metzger"])
+    def test_facade_modules_fail_to_import(self, module):
+        assert importlib.util.find_spec(module) is None
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    @pytest.mark.parametrize("package", [repro, repro.core], ids=["repro", "repro.core"])
+    @pytest.mark.parametrize("name", ["EncipheredBTree", "BayerMetzgerBTree", "TraversalCost"])
+    def test_facade_names_are_not_exported(self, package, name):
+        assert not hasattr(package, name)
+        assert name not in package.__all__

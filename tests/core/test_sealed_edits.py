@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree.codec import HEADER_BYTES
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import SubstitutedNodeCodec
+from repro.core.database import EncipheredDatabase
+from repro.crypto.base import CountingCipher
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import DuplicateKeyError, IntegrityError
@@ -26,19 +28,19 @@ DESIGN = planar_difference_set(13)  # v = 183
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0x5EA1))
 
 
-def make_tree(min_degree: int, extra_pointer_mode: str = "encrypt") -> EncipheredBTree:
-    return EncipheredBTree(
-        OvalSubstitution(DESIGN, t=5),
-        RSA(KEYPAIR),
-        block_size=1024,
-        min_degree=min_degree,
-        extra_pointer_mode=extra_pointer_mode,
+def make_tree(min_degree: int, extra_pointer_mode: str = "encrypt") -> EncipheredDatabase:
+    """An uncached database: blocks planted on the disk are what the tree reads."""
+    sub = OvalSubstitution(DESIGN, t=5)
+    cipher = CountingCipher(RSA(KEYPAIR))
+    return EncipheredDatabase.create(
+        sub, cipher, block_size=1024, min_degree=min_degree, cache_blocks=0,
+        codec=SubstitutedNodeCodec(sub, cipher, extra_pointer_mode=extra_pointer_mode),
     )
 
 
-def assert_blocks_freshly_encoded(hs: EncipheredBTree) -> None:
+def assert_blocks_freshly_encoded(hs: EncipheredDatabase) -> None:
     """Every live node block equals a full decrypt-and-re-encrypt of itself."""
-    codec = hs.codec
+    codec = hs.tree.codec
     for node_id in hs.tree.node_ids():
         stored = hs.disk.raw_block(node_id)
         fresh = codec.encode(codec.decode(node_id, stored).to_node())
@@ -75,15 +77,15 @@ def test_sealed_edits_match_fresh_encryption(min_degree, extra_pointer_mode, ops
 # -- foreign cryptograms ----------------------------------------------------
 
 
-def leaves(hs: EncipheredBTree) -> list[int]:
+def leaves(hs: EncipheredDatabase) -> list[int]:
     """The root's children, left to right (the trees below are height 2)."""
     return hs.tree._node(hs.tree.root_id).children
 
 
-def plant_foreign(hs: EncipheredBTree, target: int, slot: int, source: int) -> None:
+def plant_foreign(hs: EncipheredDatabase, target: int, slot: int, source: int) -> None:
     """Overwrite cryptogram ``slot`` of block ``target`` with block
     ``source``'s first cryptogram -- a valid cryptogram, bound elsewhere."""
-    codec = hs.codec
+    codec = hs.tree.codec
     foreign = codec.decode(source, hs.disk.raw_block(source)).stored_cryptogram(0)
     data = bytearray(hs.disk.raw_block(target))
     num_keys = codec.decode(target, bytes(data)).num_keys
@@ -92,7 +94,7 @@ def plant_foreign(hs: EncipheredBTree, target: int, slot: int, source: int) -> N
     hs.disk.write_block(target, bytes(data))
 
 
-def build(keys: list[int]) -> EncipheredBTree:
+def build(keys: list[int]) -> EncipheredDatabase:
     hs = make_tree(min_degree=2)
     for key in keys:
         hs.tree.insert(key, key * 10)

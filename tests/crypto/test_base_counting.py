@@ -54,29 +54,31 @@ class TestCountingUnderCaching:
         """The measurement model of DESIGN.md: caching raw blocks reduces
         disk reads but never hides decryption cost, because decoding
         happens above the pager."""
-        from repro.core.enciphered_btree import EncipheredBTree
+        from repro.core.database import EncipheredDatabase
         from repro.designs.difference_sets import planar_difference_set
         from repro.substitution.oval import OvalSubstitution
 
         design = planar_difference_set(13)
-        cold = EncipheredBTree(
-            OvalSubstitution(design, t=5), block_size=512, cache_blocks=0
+        inner = RSA(generate_rsa_keypair(bits=128, rng=random.Random(2)))
+        cold = EncipheredDatabase.create(
+            OvalSubstitution(design, t=5), inner, cache_blocks=0
         )
-        warm = EncipheredBTree(
-            OvalSubstitution(design, t=5), block_size=512, cache_blocks=64
+        warm = EncipheredDatabase.create(
+            OvalSubstitution(design, t=5), inner, cache_blocks=64
         )
         keys = random.Random(2).sample(range(design.v), 80)
         for k in keys:
             cold.insert(k, b"x")
             warm.insert(k, b"x")
-        cold.reset_costs()
-        warm.reset_costs()
-        probes = keys[:20]
-        for k in probes:
+        before = {db: db.stats() for db in (cold, warm)}
+        for k in keys[:20]:
             cold.tree.search(k)
             warm.tree.search(k)
-        cold_cost = cold.cost_snapshot()
-        warm_cost = warm.cost_snapshot()
-        assert warm_cost.disk_reads < cold_cost.disk_reads
-        assert warm_cost.pointer_decryptions == cold_cost.pointer_decryptions
-        assert warm_cost.inversions == cold_cost.inversions
+
+        def spent(db, section, field):
+            return db.stats()[section][field] - before[db][section][field]
+
+        assert spent(warm, "node_disk", "reads") < spent(cold, "node_disk", "reads")
+        for section, field in (("pointer_cipher", "decryptions"),
+                               ("substitution", "inversions")):
+            assert spent(warm, section, field) == spent(cold, section, field)

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.btree.codec import fit_min_degree
+from repro.core.codecs import SubstitutedNodeCodec
+from repro.core.database import EncipheredDatabase
 from repro.core.packing import PointerPacking
+from repro.crypto.base import CountingCipher
 from repro.crypto.blockint import BlockIntegerCipher, des_pointer_cipher
 from repro.crypto.des import DES
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import MessageRangeError
 from repro.substitution.oval import OvalSubstitution
@@ -48,45 +52,40 @@ class TestBlockIntegerCipher:
         assert cipher.decrypt_int(cipher.encrypt_int(m)) == m
 
 
+def des_codec(sub: OvalSubstitution) -> SubstitutedNodeCodec:
+    """§5's block-cipher option: pointers in one DES block, 16/24/24 bits."""
+    return SubstitutedNodeCodec(
+        sub,
+        CountingCipher(des_pointer_cipher(KEY)),
+        PointerPacking(block_bits=16, pointer_bits=24),
+    )
+
+
 class TestDesBackedTree:
     def test_tree_with_des_pointers(self):
-        """§5's block-cipher option end to end: pointers in one DES block
-        with a 16/24/24-bit packing."""
+        """§5's block-cipher option end to end."""
         design = planar_difference_set(13)
-        tree = EncipheredBTree(
-            OvalSubstitution(design, t=5),
-            pointer_cipher=des_pointer_cipher(KEY),
-            packing=PointerPacking(block_bits=16, pointer_bits=24),
-            block_size=512,
-        )
+        sub = OvalSubstitution(design, t=5)
+        codec = des_codec(sub)
+        db = EncipheredDatabase.create(sub, codec.cipher, codec=codec)
         keys = random.Random(0).sample(range(design.v), 80)
         for k in keys:
-            tree.insert(k, f"des-{k}".encode())
-        tree.tree.check_invariants()
+            db.insert(k, f"des-{k}".encode())
+        db.tree.check_invariants()
         for k in keys:
-            assert tree.search(k) == f"des-{k}".encode()
-        result = tree.range_search(30, 120)
+            assert db.search(k) == f"des-{k}".encode()
+        result = db.range_search(30, 120)
         assert [k for k, _ in result] == sorted(k for k in keys if 30 <= k <= 120)
+        assert db.stats()["pointer_cipher"]["decryptions"] > 0
 
     def test_des_cryptograms_are_8_bytes(self):
-        design = planar_difference_set(13)
-        tree = EncipheredBTree(
-            OvalSubstitution(design, t=5),
-            pointer_cipher=des_pointer_cipher(KEY),
-            packing=PointerPacking(block_bits=16, pointer_bits=24),
-            block_size=512,
-        )
-        assert tree.codec.cryptogram_bytes == 8  # vs 16 for RSA-128
+        codec = des_codec(OvalSubstitution(planar_difference_set(13), t=5))
+        assert codec.cryptogram_bytes == 8  # vs 16 for RSA-128
 
     def test_fanout_beats_rsa_variant(self):
         """Smaller cryptograms -> more triplets per block: the DES option
         trades modulus size for fanout."""
-        design = planar_difference_set(13)
-        des_tree = EncipheredBTree(
-            OvalSubstitution(design, t=5),
-            pointer_cipher=des_pointer_cipher(KEY),
-            packing=PointerPacking(block_bits=16, pointer_bits=24),
-            block_size=512,
-        )
-        rsa_tree = EncipheredBTree(OvalSubstitution(design, t=5), block_size=512)
-        assert des_tree.tree.min_degree > rsa_tree.tree.min_degree
+        sub = OvalSubstitution(planar_difference_set(13), t=5)
+        rsa = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+        rsa_codec = SubstitutedNodeCodec(sub, rsa)
+        assert fit_min_degree(des_codec(sub), 512) > fit_min_degree(rsa_codec, 512)

@@ -11,9 +11,10 @@ from math import ceil, log2
 
 import pytest
 
-from repro.core.bayer_metzger import BayerMetzgerBTree
+from repro.btree.codec import fit_min_degree
+from repro.core.codecs import PageKeyNodeCodec, SubstitutedNodeCodec
 from repro.core.database import EncipheredDatabase
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.crypto.pagekey import PageKeyScheme
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set, singer_difference_set
 from repro.storage.layout import (
@@ -22,14 +23,33 @@ from repro.storage.layout import (
     plaintext_triplet,
     substituted_triplet,
 )
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
+CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
+PAGE_KEYS = PageKeyScheme(b"\x01\x23\x45\x67\x89\xab\xcd\xef", mode="ecb")
 
 
-def loaded_pair(num_keys: int = 150, block_size: int = 512):
-    hs = EncipheredBTree(OvalSubstitution(DESIGN, t=5), block_size=block_size)
-    bm = BayerMetzgerBTree(block_size=block_size)
+def hardjono_seberry(min_degree: int = 4) -> EncipheredDatabase:
+    return EncipheredDatabase.create(
+        OvalSubstitution(DESIGN, t=5), CIPHER, min_degree=min_degree
+    )
+
+
+def bayer_metzger(min_degree: int = 4) -> EncipheredDatabase:
+    return EncipheredDatabase.create(
+        IdentitySubstitution(), CIPHER, min_degree=min_degree,
+        codec=PageKeyNodeCodec(PAGE_KEYS),
+    )
+
+
+def loaded_pair(num_keys: int = 150):
+    """Both systems, each with the widest node its codec fits in 512 bytes."""
+    hs = hardjono_seberry(
+        fit_min_degree(SubstitutedNodeCodec(OvalSubstitution(DESIGN, t=5), CIPHER), 512)
+    )
+    bm = bayer_metzger(fit_min_degree(PageKeyNodeCodec(PAGE_KEYS), 512))
     keys = random.Random(5).sample(range(DESIGN.v), num_keys)
     for k in keys:
         hs.insert(k, b"x")
@@ -37,40 +57,53 @@ def loaded_pair(num_keys: int = 150, block_size: int = 512):
     return hs, bm, keys
 
 
+def hs_cost(db: EncipheredDatabase, operation) -> dict[str, int]:
+    """Pointer-cipher and substitution counts ``operation()`` costs."""
+    before = db.stats()
+    operation()
+    after = db.stats()
+    return {
+        field: after[section][field] - before[section][field]
+        for section in ("pointer_cipher", "substitution")
+        for field in after[section]
+    }
+
+
+def bm_cost(db: EncipheredDatabase, operation) -> dict[str, int]:
+    """Triplet encryptions and decryptions ``operation()`` costs."""
+    counts = db.tree.codec.triplet_counts
+    before = counts.snapshot()
+    operation()
+    return {field: n - before[field] for field, n in counts.snapshot().items()}
+
+
 class TestC1DecryptionsPerSearch:
     def test_substitution_beats_binary_search_and_decrypt(self):
         hs, bm, keys = loaded_pair()
         probes = random.Random(6).sample(keys, 30)
-        hs.reset_costs()
-        bm.reset_costs()
-        for k in probes:
-            hs.tree.search(k)
-            bm.tree.search(k)
-        hs_per_search = hs.cost_snapshot().pointer_decryptions / len(probes)
-        bm_per_search = bm.cost_snapshot().triplet_decryptions / len(probes)
-        assert hs_per_search < bm_per_search
+
+        def run(db):
+            return lambda: [db.tree.search(k) for k in probes]
+
+        assert hs_cost(hs, run(hs))["decryptions"] < bm_cost(bm, run(bm))["decryptions"]
 
     def test_hs_cost_equals_path_length(self):
         hs, _, keys = loaded_pair()
         height = hs.tree.height()
         for k in random.Random(7).sample(keys, 10):
-            before = hs.cost_snapshot()
-            hs.tree.search(k)
-            cost = hs.cost_snapshot().minus(before)
+            cost = hs_cost(hs, lambda: hs.tree.search(k))
             # one pointer decryption per internal node on the path,
             # plus one for the data pointer at the hit
-            assert cost.pointer_decryptions <= height
+            assert cost["decryptions"] <= height
 
     def test_bm_cost_scales_with_log_fanout(self):
         _, bm, keys = loaded_pair()
         height = bm.tree.height()
         n = bm.tree.max_keys
         for k in random.Random(8).sample(keys, 10):
-            before = bm.cost_snapshot()
-            bm.tree.search(k)
-            cost = bm.cost_snapshot().minus(before)
-            assert cost.triplet_decryptions <= height * (ceil(log2(n)) + 2)
-            assert cost.triplet_decryptions >= height
+            cost = bm_cost(bm, lambda: bm.tree.search(k))
+            assert cost["decryptions"] <= height * (ceil(log2(n)) + 2)
+            assert cost["decryptions"] >= height
 
 
 class TestC2StorageAndDepth:
@@ -101,31 +134,24 @@ class TestC3ReorganisationOverhead:
         """§3: under page keys every migrated triplet is decrypted and
         re-encrypted, search keys included; the substitution scheme never
         *decrypts* a key (inversions are arithmetic)."""
-        hs = EncipheredBTree(
-            OvalSubstitution(DESIGN, t=5), block_size=512, min_degree=3
-        )
-        bm = BayerMetzgerBTree(block_size=512, min_degree=3)
-        hs.reset_costs()
-        bm.reset_costs()
-        for k in range(150):
-            hs.insert(k, b"x")
-            bm.insert(k, b"x")
+        hs, bm = hardjono_seberry(min_degree=3), bayer_metzger(min_degree=3)
+
+        def load(db):
+            return lambda: [db.insert(k, b"x") for k in range(150)]
+
+        hs_load, bm_load = hs_cost(hs, load(hs)), bm_cost(bm, load(bm))
         assert hs.tree.counters.splits > 0
         # BM: every split re-enciphers whole triplets (keys inside)
-        bm_cost = bm.cost_snapshot()
-        assert bm_cost.triplet_encryptions > 150
+        assert bm_load["encryptions"] > 150
         # HS: pointer cryptograms are re-encrypted, but key handling is
         # substitution only -- no key decryptions exist in the scheme
-        hs_cost = hs.cost_snapshot()
-        assert hs_cost.substitutions > 0
-        assert hs_cost.pointer_encryptions > 0
+        assert hs_load["substitutions"] > 0
+        assert hs_load["encryptions"] > 0
 
     def test_page_key_binding_forces_reencryption(self):
         """Moving a node's contents to a fresh block changes every
         cryptogram byte under page keys."""
         from repro.btree.node import Node
-        from repro.core.codecs import PageKeyNodeCodec
-        from repro.crypto.pagekey import PageKeyScheme
 
         codec = PageKeyNodeCodec(PageKeyScheme(b"\x01" * 8), key_bytes=4)
         node_at_3 = Node(node_id=3, is_leaf=True, keys=[7, 9], values=[70, 90])
@@ -151,14 +177,12 @@ class TestWritePathCosts:
         for k in random.Random(9).sample(absent, 20):
             height = tree.height()
             splits = tree.counters.splits
-            before = hs.cost_snapshot()
-            tree.insert(k, k)
-            cost = hs.cost_snapshot().minus(before)
+            cost = hs_cost(hs, lambda: tree.insert(k, k))
             if tree.counters.splits != splits:
                 continue
             checked += 1
-            assert cost.pointer_encryptions == 1
-            assert cost.pointer_decryptions <= height
+            assert cost["encryptions"] == 1
+            assert cost["decryptions"] <= height
         assert checked >= 10
 
     def test_leaf_delete_without_rebalance_encrypts_nothing(self):
@@ -168,24 +192,19 @@ class TestWritePathCosts:
         for k in random.Random(10).sample(leaf_keys(tree), 20):
             height = tree.height()
             reshaped = tree.counters.merges + tree.counters.borrows
-            before = hs.cost_snapshot()
-            tree.delete(k)
-            cost = hs.cost_snapshot().minus(before)
+            cost = hs_cost(hs, lambda: tree.delete(k))
             if tree.counters.merges + tree.counters.borrows != reshaped:
                 continue
             checked += 1
-            assert cost.pointer_encryptions == 0
-            assert cost.pointer_decryptions <= height
+            assert cost["encryptions"] == 0
+            assert cost["decryptions"] <= height
         assert checked >= 5
 
     def test_database_leaf_delete_costs_one_descent(self):
         """A delete through the durable facade descends once: one
         pointer decryption per internal node on the path, plus the data
         pointer read where the key sits -- no separate search first."""
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5),
-            RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xDE))),
-        )
+        db = hardjono_seberry()
         for k in random.Random(5).sample(range(DESIGN.v), 150):
             db.insert(k, b"x")
         tree, counts = db.tree, db.pointer_cipher.counts
@@ -205,10 +224,8 @@ class TestWritePathCosts:
         assert checked >= 30
 
     def test_root_collapse_check_costs_at_most_one_decryption(self):
-        hs = EncipheredBTree(
-            OvalSubstitution(DESIGN, t=5), block_size=512, min_degree=2
-        )
-        tree = hs.tree
+        hs = hardjono_seberry(min_degree=2)
+        tree, counts = hs.tree, hs.pointer_cipher.counts
         keys = random.Random(11).sample(range(DESIGN.v), 60)
         for k in keys:
             tree.insert(k, k)
@@ -217,7 +234,7 @@ class TestWritePathCosts:
 
         def spy(*args):
             descend(*args)
-            marks.append(hs.cost_snapshot())  # the outermost call returns last
+            marks.append(counts.snapshot())  # the outermost call returns last
 
         tree._delete_from = spy
         collapses = 0
@@ -225,8 +242,8 @@ class TestWritePathCosts:
             root_id = tree.root_id
             tree.delete(k)
             collapses += tree.root_id != root_id
-            check = hs.cost_snapshot().minus(marks[-1])
-            assert check.pointer_decryptions <= 1
-            assert check.pointer_encryptions == 0
+            check = counts.snapshot()
+            assert check["decryptions"] - marks[-1]["decryptions"] <= 1
+            assert check["encryptions"] == marks[-1]["encryptions"]
         assert collapses > 0
 

@@ -10,15 +10,19 @@ import random
 
 import pytest
 
-from repro.core.bayer_metzger import BayerMetzgerBTree
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.codecs import PageKeyNodeCodec
+from repro.core.database import EncipheredDatabase
 from repro.core.plain import PlainBTreeSystem
 from repro.core.security_filter import SecurityFilter
+from repro.crypto.pagekey import PageKeyScheme
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.substitution.identity import IdentitySubstitution
 from repro.substitution.oval import OvalSubstitution
 from repro.substitution.sums import SumSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
+CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
 KEYS = random.Random(99).sample(range(160), 90)
 PAYLOADS = {k: f"payload::{k}".encode() for k in KEYS}
 
@@ -26,10 +30,13 @@ PAYLOADS = {k: f"payload::{k}".encode() for k in KEYS}
 def build_systems():
     return {
         "plain": PlainBTreeSystem(block_size=512),
-        "hardjono-seberry": EncipheredBTree(
-            OvalSubstitution(DESIGN, t=5), block_size=512
+        "hardjono-seberry": EncipheredDatabase.create(
+            OvalSubstitution(DESIGN, t=5), CIPHER
         ),
-        "bayer-metzger": BayerMetzgerBTree(block_size=512),
+        "bayer-metzger": EncipheredDatabase.create(
+            IdentitySubstitution(), CIPHER,
+            codec=PageKeyNodeCodec(PageKeyScheme(b"\x01\x23\x45\x67\x89\xab\xcd\xef")),
+        ),
         "security-filter": SecurityFilter(SumSubstitution(DESIGN, num_keys=160)),
     }
 

@@ -30,23 +30,29 @@ class TestSurface:
 
     def test_docstring_example_runs(self):
         """The package docstring's quickstart must stay true."""
+        from repro.crypto.rsa import RSA, generate_rsa_keypair
+
         design = repro.planar_difference_set(9)
         assert design.v == 91
-        tree = repro.EncipheredBTree(
-            repro.OvalSubstitution(design, t=2), block_size=512
+        db = repro.EncipheredDatabase.create(
+            repro.OvalSubstitution(design, t=2), RSA(generate_rsa_keypair(bits=128))
         )
-        tree.insert(41, b"records stay encrypted at rest")
-        assert tree.search(41) == b"records stay encrypted at rest"
+        db.insert(41, b"records stay encrypted at rest")
+        assert db.search(41) == b"records stay encrypted at rest"
 
     def test_readme_quickstart_runs(self):
+        from repro.crypto.rsa import RSA, generate_rsa_keypair
+
         design = repro.planar_difference_set(13)
-        tree = repro.EncipheredBTree(repro.OvalSubstitution(design, t=5))
-        tree.insert(45, b"employee record #45")
-        assert tree.search(45).startswith(b"employee")
-        assert tree.range_search(20, 80) == [(45, b"employee record #45")]
-        tree.reset_costs()
-        tree.search(45)
-        assert tree.cost_snapshot().decryptions >= 1
+        db = repro.EncipheredDatabase.create(
+            repro.OvalSubstitution(design, t=5), RSA(generate_rsa_keypair(bits=128))
+        )
+        db.insert(45, b"employee record #45")
+        assert db.search(45).startswith(b"employee")
+        assert db.range_search(20, 80) == [(45, b"employee record #45")]
+        before = db.stats()["pointer_cipher"]["decryptions"]
+        db.search(45)
+        assert db.stats()["pointer_cipher"]["decryptions"] - before >= 1
 
     def test_exceptions_form_one_hierarchy(self):
         from repro import exceptions

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.database import EncipheredDatabase
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import singer_difference_set
 from repro.designs.multipliers import is_numerical_multiplier
 from repro.substitution.oval import OvalSubstitution
@@ -24,8 +25,10 @@ class TestLargeDesigns:
 
     def test_thousand_record_enciphered_tree(self):
         ds = singer_difference_set(47)  # v = 2257
-        tree = EncipheredBTree(
-            OvalSubstitution(ds, t=5), block_size=512, min_degree=8
+        tree = EncipheredDatabase.create(
+            OvalSubstitution(ds, t=5),
+            RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930))),
+            min_degree=8,
         )
         keys = random.Random(0).sample(range(ds.v), 1000)
         for k in keys:
@@ -36,11 +39,11 @@ class TestLargeDesigns:
             assert tree.search(k) == b"r"
         # cost profile still one decryption per level at scale
         height = tree.tree.height()
-        tree.reset_costs()
+        counts = tree.pointer_cipher.counts
         for k in probes:
-            before = tree.cost_snapshot()
+            before = counts.decryptions
             tree.tree.search(k)
-            assert tree.cost_snapshot().minus(before).pointer_decryptions <= height
+            assert counts.decryptions - before <= height
 
     def test_order_preserving_at_scale(self):
         ds = singer_difference_set(29)  # v = 871

@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.core.enciphered_btree import EncipheredBTree
+from repro.core.database import EncipheredDatabase
 from repro.core.plain import PlainBTreeSystem
 from repro.core.security_filter import SecurityFilter
+from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import DuplicateKeyError, KeyNotFoundError
 from repro.substitution.oval import OvalSubstitution
 from repro.substitution.sums import RankedSumSubstitution, SumSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
+CIPHER = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0x48533930)))
 
 
 @given(
@@ -24,7 +28,7 @@ DESIGN = planar_difference_set(13)  # v = 183
 )
 @settings(max_examples=25, deadline=None)
 def test_enciphered_tree_is_a_sorted_map(keys, t):
-    tree = EncipheredBTree(OvalSubstitution(DESIGN, t=t), block_size=512, min_degree=2)
+    tree = EncipheredDatabase.create(OvalSubstitution(DESIGN, t=t), CIPHER, min_degree=2)
     for k in keys:
         tree.insert(k, f"v{k}".encode())
     tree.tree.check_invariants()
@@ -64,8 +68,8 @@ class EncipheredMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.tree = EncipheredBTree(
-            OvalSubstitution(DESIGN, t=5), block_size=512, min_degree=2
+        self.tree = EncipheredDatabase.create(
+            OvalSubstitution(DESIGN, t=5), CIPHER, min_degree=2
         )
         self.model: dict[int, bytes] = {}
 
