@@ -114,8 +114,8 @@ class MultilevelEncipheredBTree:
     multilevel store.  ``insert`` takes a security level; ``search``
     takes the caller's clearance and raises :class:`ClearanceError`
     below it.  A deterministic 128-bit RSA pointer cipher is generated
-    when ``pointer_cipher`` is omitted, and ``min_degree`` defaults to
-    the largest that fits ``block_size``.
+    when ``pointer_cipher`` is omitted, and nodes are as wide as
+    ``block_size`` holds.
     """
 
     def __init__(
@@ -126,27 +126,21 @@ class MultilevelEncipheredBTree:
         key_scheme: MultilevelKeyScheme | None = None,
         *,
         block_size: int = 4096,
-        min_degree: int | None = None,
-        record_size: int = 120,
     ) -> None:
         if pointer_cipher is None:
             pointer_cipher = RSA(
                 generate_rsa_keypair(bits=128, rng=random.Random(0x48533930))
             )
         codec = SubstitutedNodeCodec(substitution, pointer_cipher)
-        if min_degree is None:
-            min_degree = fit_min_degree(codec, block_size)
         self.tree = BTree(
             pager=Pager(SimulatedDisk(block_size=block_size), cache_blocks=0),
             codec=codec,
-            min_degree=min_degree,
+            min_degree=fit_min_degree(codec, block_size),
         )
         self.key_scheme = key_scheme or MultilevelKeyScheme(
             levels, rng=random.Random(0x4D4C)
         )
-        self.records = MultilevelRecordStore(
-            self.key_scheme, record_size=record_size, block_size=block_size
-        )
+        self.records = MultilevelRecordStore(self.key_scheme, block_size=block_size)
 
     # -- level-aware operations ----------------------------------------------
 
