@@ -42,6 +42,19 @@ class NodeView(Protocol):
         """The ``i``-th search key, in plaintext."""
         ...
 
+    def locate(self, key: int) -> tuple[int, int | None, int]:
+        """One node visit's binary search for ``key``.
+
+        Returns ``(index, found, probes)``: ``index`` is the first ``i``
+        with ``key_at(i) >= key`` (``num_keys`` if there is none),
+        ``found`` is the key at ``index`` (``None`` at ``num_keys``;
+        the search has always probed it otherwise) and ``probes`` is
+        the number of keys the search compared.  Each probe costs what
+        ``key_at`` costs, so the counts are those of the loop over
+        ``key_at`` (:func:`locate_by_key_at`).
+        """
+        ...
+
     def stored_key_at(self, i: int) -> int:
         """The ``i``-th key *as stored* (disguised/encrypted form)."""
         ...
@@ -94,6 +107,24 @@ def fit_min_degree(codec: NodeCodec, block_size: int) -> int:
     return t
 
 
+def locate_by_key_at(view: NodeView, key: int) -> tuple[int, int | None, int]:
+    """:meth:`NodeView.locate` as a binary search over ``view.key_at``."""
+    key_at = view.key_at
+    lo, hi = 0, view.num_keys
+    found = None
+    probes = 0
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        probes += 1
+        probed = key_at(mid)
+        if probed < key:
+            lo = mid + 1
+        else:
+            hi = mid
+            found = probed
+    return lo, found, probes
+
+
 def _read_int(data: bytes, offset: int, width: int) -> int:
     return int.from_bytes(data[offset : offset + width], "big")
 
@@ -138,6 +169,8 @@ class PlainNodeView:
 
     def stored_key_at(self, i: int) -> int:
         return self._node.keys[i]
+
+    locate = locate_by_key_at
 
     def value_at(self, i: int) -> int:
         return self._node.values[i]

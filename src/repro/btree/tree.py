@@ -18,13 +18,17 @@ says it is paid:
   another block (codecs with keys inside the cipher, or no cipher, hand
   over plain ints).
 
-Read descents (:meth:`BTree.search`, :meth:`BTree.range_search`) make
-one pass per visited node: the binary search runs inline over
-``key_at``, and the probe and visit counts accumulate in locals and land
-in :class:`TreeCounters` once per operation -- in a ``finally``, so a
-descent that raises (an absent key, a cryptogram bound to another
-block) books exactly the work it did.  The counts equal per-probe
-booking; only their cost changes.
+Every descent runs a node visit's binary search as one call to the
+view's ``locate``, which returns the lower-bound index, the key found
+there and the probes spent; the paper's layout implements it straight
+over its stored bytes, other views loop over ``key_at``.  Read descents
+(:meth:`BTree.search`, :meth:`BTree.range_search`) add the probe and
+visit counts up in locals and book them in :class:`TreeCounters` once
+per operation -- in a ``finally``, so a descent that raises (an absent
+key, a cryptogram bound to another block) books exactly the work it
+did.  The counts equal per-probe booking; only their cost changes.  (A
+stored key whose inversion raises ends its visit uncompared: the view
+books the inversion, the tree no probe of that visit.)
 
 Nothing caches plaintext nodes across operations -- the paper's model
 charges every node visit its decryption cost.  Node reads go through
@@ -72,6 +76,9 @@ class BTree:
             raise BTreeError(f"minimum degree must be >= 2, got {self.min_degree}")
         self.size = 0
         self._free: list[int] = []
+        #: Set by every node write; a caller clears it to learn whether
+        #: an operation that raised had written anything before it did.
+        self.wrote_node = False
         root = Node(node_id=self._allocate(), is_leaf=True)
         self.root_id = root.node_id
         self._write(root)
@@ -97,6 +104,7 @@ class BTree:
         tree.min_degree = min_degree
         tree.counters = TreeCounters()
         tree._free = []
+        tree.wrote_node = False
         tree.root_id = root_id
         tree.size = 0
         tree.size = sum(1 for _ in tree.items())
@@ -131,49 +139,32 @@ class BTree:
         return self._view(node_id).to_node()
 
     def _write(self, node: Node) -> None:
+        self.wrote_node = True
         self.pager.write(node.node_id, self.codec.encode(node))
 
     # -- search ----------------------------------------------------------
 
-    def _lower_bound(self, view: NodeView, key: int) -> int:
-        """First index ``i`` with ``view.key_at(i) >= key`` (binary search).
+    def _find(self, view: NodeView, key: int) -> tuple[int, bool]:
+        """Lower-bound index of ``key`` in ``view``, and whether it is there.
 
-        Each *distinct* probe costs one key access; views cache decoded
-        triplets, so the probe count is the decryption count for lazy
-        codecs -- the paper's "binary search-and-decrypt".  Used by the
-        write descents; :meth:`search` and :meth:`_range_into` run the
-        same loop inline.
+        One :meth:`~repro.btree.codec.NodeView.locate` call -- the
+        paper's "binary search-and-decrypt" for lazy codecs -- plus the
+        equality check, a probe of its own whose key the search already
+        holds.  Used by the write descents.
         """
-        key_at = view.key_at
-        lo, hi = 0, view.num_keys
-        probes = 0
-        try:
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                probes += 1
-                if key_at(mid) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-        finally:
-            self.counters.bump("comparisons", probes)
-        return lo
-
-    def _key_equals(self, view: NodeView, idx: int, key: int) -> bool:
-        """Whether the key at a :meth:`_lower_bound` index is ``key``."""
-        if idx == view.num_keys:
-            return False
-        self.counters.bump("comparisons")
-        return view.key_at(idx) == key
+        idx, found, probes = view.locate(key)
+        if found is not None:
+            probes += 1
+        self.counters.bump("comparisons", probes)
+        return idx, found == key
 
     def search(self, key: int) -> int:
         """Return the data pointer stored under ``key``.
 
-        Raises :class:`KeyNotFoundError` when absent.  One pass per
-        visited node: the binary search runs inline and the probe and
-        visit tallies stay in locals, booked once when the descent ends
-        -- however it ends, so a descent that raises half way still
-        books exactly the work it did.
+        Raises :class:`KeyNotFoundError` when absent.  One ``locate``
+        per visited node; the probe and visit tallies stay in locals,
+        booked once when the descent ends -- however it ends, so a
+        descent that raises half way still books the work it did.
         """
         read = self.pager.read_decoded
         decode = self.codec.decode
@@ -183,27 +174,17 @@ class BTree:
             while True:
                 visits += 1
                 view = read(node_id, decode)
-                key_at = view.key_at
-                n = view.num_keys
-                lo, hi = 0, n
-                while lo < hi:
-                    mid = (lo + hi) >> 1
+                idx, found, spent = view.locate(key)
+                probes += spent
+                if found is not None:
+                    # the equality check is a probe of its own, on the
+                    # key the search already holds
                     probes += 1
-                    probed = key_at(mid)
-                    if probed < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                        at_hi = probed
-                if lo < n:
-                    # the equality check is a probe of its own; ``lo`` is
-                    # the last ``hi``, so its key is already in hand
-                    probes += 1
-                    if at_hi == key:
-                        return view.value_at(lo)
+                    if found == key:
+                        return view.value_at(idx)
                 if view.is_leaf:
                     raise KeyNotFoundError(key)
-                node_id = view.child_at(lo)
+                node_id = view.child_at(idx)
         finally:
             counters = self.counters
             counters.bump("nodes_visited", visits)
@@ -245,16 +226,9 @@ class BTree:
         tally[0] += 1
         try:
             view = self.pager.read_decoded(node_id, self.codec.decode)
+            i, _, probes = view.locate(lo)
             key_at = view.key_at
             n = view.num_keys
-            i, end = 0, n
-            while i < end:
-                mid = (i + end) >> 1
-                probes += 1
-                if key_at(mid) < lo:
-                    i = mid + 1
-                else:
-                    end = mid
             leaf = view.is_leaf
             while True:
                 if not leaf:
@@ -422,8 +396,8 @@ class BTree:
 
     def _insert_nonfull(self, view: NodeView, key: int, value: int) -> None:
         while True:
-            idx = self._lower_bound(view, key)
-            if self._key_equals(view, idx, key):
+            idx, present = self._find(view, key)
+            if present:
                 raise DuplicateKeyError(key)
             if view.is_leaf:
                 node = view.edit()
@@ -490,8 +464,8 @@ class BTree:
         return value
 
     def _delete_from(self, view: NodeView, key: int) -> int:
-        idx = self._lower_bound(view, key)
-        if not self._key_equals(view, idx, key):
+        idx, present = self._find(view, key)
+        if not present:
             if view.is_leaf:
                 raise KeyNotFoundError(key)
             return self._delete_from(self._ensure_child_capacity(view, idx), key)

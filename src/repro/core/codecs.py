@@ -27,6 +27,7 @@ from repro.btree.codec import (
     PlainNodeView,
     decode_header,
     encode_header,
+    locate_by_key_at,
 )
 from repro.btree.node import Node
 from repro.core.packing import PointerPacking
@@ -200,8 +201,10 @@ class SubstitutedNodeView:
     """Lazy reader over the Hardjono--Seberry layout.
 
     Key access performs a disguise inversion (cheap arithmetic, counted by
-    the substitution's counters); pointer access decrypts the relevant
-    cryptogram once and caches it for the lifetime of the view.
+    the substitution's counters), once per key; :meth:`locate` runs a
+    visit's whole binary search over the stored bytes in one call.
+    Pointer access decrypts the relevant cryptogram once and caches it
+    for the lifetime of the view.
     :meth:`edit` hands the B-tree a node to rewrite without decrypting
     any pointer; :meth:`to_node` decrypts them all.
 
@@ -254,6 +257,46 @@ class SubstitutedNodeView:
                 int.from_bytes(self._data[start : start + width], "big")
             )
         return cached
+
+    def locate(self, key: int) -> tuple[int, int | None, int]:
+        """One visit's binary search, straight over the stored keys.
+
+        The counts of the ``key_at`` loop (:meth:`NodeView.locate`): a
+        probe at an index not yet read inverts its stored key -- one
+        slice, one ``from_bytes`` and the disguise's uncounted map --
+        and the visit's inversions are booked with one ``bump``, even
+        when an inversion raises.  Probed keys join the view's key
+        cache, so a later ``key_at`` or :meth:`edit` does not invert
+        them again.
+        """
+        cache = self._key_cache
+        data = self._data
+        width = self._key_bytes
+        invert = self._codec.substitution._invert
+        from_bytes = int.from_bytes
+        lo, hi = 0, self.num_keys
+        found = None
+        probes = inversions = 0
+        try:
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                probes += 1
+                probed = cache.get(mid)
+                if probed is None:
+                    inversions += 1
+                    start = HEADER_BYTES + mid * width
+                    probed = cache[mid] = invert(
+                        from_bytes(data[start : start + width], "big")
+                    )
+                if probed < key:
+                    lo = mid + 1
+                else:
+                    hi = mid
+                    found = probed
+        finally:
+            if inversions:
+                self._codec.substitution.counters.bump("inversions", inversions)
+        return lo, found, probes
 
     # -- pointers ----------------------------------------------------------
 
@@ -484,6 +527,8 @@ class PageKeyNodeView:
         if not 0 <= i < self.num_keys:
             raise CodecError(f"key index {i} out of range")
         return self._triplet(i)[0]
+
+    locate = locate_by_key_at
 
     def stored_key_at(self, i: int) -> int:
         """The at-rest form is ciphertext; expose the raw bytes as an int."""

@@ -557,15 +557,25 @@ class EncipheredDatabase:
     def delete(self, key: int) -> None:
         """Remove ``key`` and free its record slot, in one tree descent.
 
-        The mutation is booked however the delete ends: the descent for
-        an absent key may rebalance before it raises, and the superblock
-        must follow the tree.  A transaction defers the slot free to its
-        commit, so a rollback still finds the record's bytes.
+        A delete that raises books the mutation only if its descent
+        wrote a node or moved the root or size: the descent for an
+        absent key may rebalance before it raises, and the superblock
+        must follow the tree, but one that reshaped nothing commits
+        nothing.  A transaction defers the slot free to its commit, so
+        a rollback still finds the record's bytes.
         """
         with self.obs.trace("db.delete"):
             with self.lock.write_locked():
+                tree = self.tree
+                root_id, size = tree.root_id, tree.size
+                tree.wrote_node = False
                 try:
-                    record_id = self.tree.delete(key)
+                    record_id = tree.delete(key)
+                except BaseException:
+                    if tree.wrote_node or (tree.root_id, tree.size) != (root_id, size):
+                        self._after_mutation()
+                    raise
+                try:
                     if self._in_txn:
                         self._txn_record_deletes.append(record_id)
                     else:

@@ -19,10 +19,11 @@ block to extract one slot.  CBC decryption is random-access (plaintext
 block *i* is ``D(C_i) xor C_(i-1)``), so an uncached ``get`` now asks
 the device for just its slot's byte window and the record cipher
 deciphers only the DES blocks under it, plus the final block for the
-padding check (see :func:`repro.crypto.modes.cbc_decrypt_window`).  It
-still counts as one record-block decipher; platter bytes and every
-check are unchanged.  Metadata scans and cache fills decipher whole
-blocks.
+padding check: one ``decrypt_blocks`` call, one XOR and one padding
+check, with no batch planning (see
+:func:`repro.crypto.modes.cbc_decrypt_window`).  It still counts as one
+record-block decipher; platter bytes and every check are unchanged.
+Metadata scans and cache fills decipher whole blocks.
 
 A range search reads all its matches with :meth:`RecordStore.get_many`:
 one device batch with one window per match, whose windows the record

@@ -169,6 +169,36 @@ def cbc_encrypt_suffix(
     return prefix + cipher.cbc_encrypt_blocks(pad_pkcs7(plaintext, size), chain)
 
 
+def _window_runs(
+    ciphertext: bytes, lo: int, hi: int, size: int
+) -> list[tuple[int, int]]:
+    """The block runs ``[start, stop)`` a window decipher needs, in order.
+
+    The run under the window ``[lo, hi)`` clamped to the cryptogram,
+    then the final block (its padding fixes the plaintext length),
+    which a window ending next to it absorbs.  The runs are in block
+    order, so the final block always ends the last one.  Raises what an
+    invalid window or cryptogram raises in :func:`cbc_decrypt_window`.
+    """
+    if not 0 <= lo <= hi:
+        raise ValueError(f"invalid plaintext window [{lo}, {hi})")
+    if len(ciphertext) % size != 0:
+        raise CryptoError("ciphertext length is not a block multiple")
+    if not ciphertext:  # the whole-block path's unpad message
+        raise CryptoError("padded data length is not a block multiple")
+    blocks = len(ciphertext) // size
+    first = lo // size
+    # the plain length is at least len - size, so a window clamped to
+    # the cryptogram already covers every block the plaintext clamp can
+    # keep; one that ends next to the final block absorbs it
+    end = -(-min(hi, len(ciphertext)) // size) if lo < hi else first
+    if end <= first:
+        return [(blocks - 1, blocks)]
+    if end >= blocks - 1:
+        return [(first, blocks)]
+    return [(first, end), (blocks - 1, blocks)]
+
+
 def cbc_decrypt_window(
     cipher: BlockCipher,
     ciphertext: bytes,
@@ -181,14 +211,30 @@ def cbc_decrypt_window(
     Equal to ``CBCCipher(cipher, iv()).decrypt(ciphertext)[lo:hi]`` --
     same length and padding checks, same :class:`CryptoError` -- but it
     deciphers only the final block (its padding fixes the plaintext
-    length) and the blocks covering the window clamped to that length.
-    ``iv`` is called only when a deciphered run starts at block 0, so a
-    page-id-derived IV costs nothing for windows further in.  The
-    one-item case of :func:`cbc_decrypt_windows`.
+    length) and the blocks covering the window clamped to that length:
+    one ``decrypt_blocks`` call over those blocks, one XOR chaining
+    them, one padding check.  ``iv`` is called only when the window's
+    run starts at block 0, so a page-id-derived IV costs nothing for
+    windows further in.  :func:`cbc_decrypt_windows` does the same for
+    many windows at once, with the same block runs.
     """
-    return cbc_decrypt_windows(
-        cipher, [(ciphertext, lo, hi, None)], lambda _tag: iv()
-    )[0]
+    size = cipher.block_size
+    runs = _window_runs(ciphertext, lo, hi, size)
+    parts: list[bytes] = []
+    chains: list[bytes] = []
+    for start, stop in runs:
+        parts.append(ciphertext[start * size : stop * size])
+        # the ciphertext block before a run chains its first block
+        chains.append(ciphertext[(start - 1) * size : start * size] if start else iv())
+        chains.append(ciphertext[start * size : (stop - 1) * size])
+    gathered = b"".join(parts)
+    plain = (
+        int.from_bytes(cipher.decrypt_blocks(gathered), "big")
+        ^ int.from_bytes(b"".join(chains), "big")
+    ).to_bytes(len(gathered), "big")
+    hi = min(hi, len(ciphertext) - _pad_length(plain[-size:], size))
+    base = runs[0][0] * size  # the plaintext byte at ``plain[0]``
+    return plain[lo - base : hi - base] if lo < hi else b""
 
 
 def cbc_decrypt_windows(
@@ -221,27 +267,12 @@ def cbc_decrypt_windows(
     failure: Exception | None = None
 
     for ciphertext, lo, hi, tag in items:
-        if not 0 <= lo <= hi:
-            failure = ValueError(f"invalid plaintext window [{lo}, {hi})")
+        try:
+            item_runs = _window_runs(ciphertext, lo, hi, size)
+        except (ValueError, CryptoError) as exc:
+            failure = exc
             break
-        if len(ciphertext) % size != 0:
-            failure = CryptoError("ciphertext length is not a block multiple")
-            break
-        if not ciphertext:  # the whole-block path's unpad message
-            failure = CryptoError("padded data length is not a block multiple")
-            break
-        blocks = len(ciphertext) // size
-        first = lo // size
-        # the plain length is at least len - size, so a window clamped
-        # to the cryptogram already covers every block the plaintext
-        # clamp can keep; one that ends next to the final block absorbs it
-        end = -(-min(hi, len(ciphertext)) // size) if lo < hi else first
-        item_runs = []
-        if end > first:
-            item_runs.append((first, blocks if end >= blocks - 1 else end))
-        if not item_runs or item_runs[0][1] < blocks:
-            item_runs.append((blocks - 1, blocks))
-        base = gathered - first * size
+        base = gathered - (lo // size) * size
         for start, stop in item_runs:
             previous = (
                 ciphertext[(start - 1) * size : start * size] if start else iv(tag)

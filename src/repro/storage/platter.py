@@ -425,14 +425,20 @@ class FilePlatter(BlockDevice):
     def _read_record(self, block_id: int) -> bytes | None:
         """At-rest bytes straight from the file; ``None`` if never written.
 
-        Raises :class:`PlatterFormatError` on a CRC mismatch or a
-        short read -- the caller routes that through WAL repair.
+        One ``os.pread`` of the whole record slot (prefix and the
+        largest payload), so a read moves no file offset.  Raises
+        :class:`PlatterFormatError` on an overflowing length field, a
+        CRC mismatch or a short read -- the caller routes that through
+        WAL repair.
         """
-        self._fh.seek(self._record_offset(block_id))
-        prefix = self._fh.read(_RECORD_HEADER)
-        if len(prefix) < _RECORD_HEADER:
+        raw = os.pread(
+            self._fh.fileno(),
+            _RECORD_HEADER + self.block_size,
+            self._record_offset(block_id),
+        )
+        if len(raw) < _RECORD_HEADER:
             return None  # beyond EOF: allocated, never synced
-        len_field, crc = _RECORD_PREFIX.unpack(prefix)
+        len_field, crc = _RECORD_PREFIX.unpack_from(raw)
         if len_field == 0:
             return None
         if len_field - 1 > self.block_size:
@@ -440,7 +446,7 @@ class FilePlatter(BlockDevice):
                 f"block {block_id}: length field {len_field - 1} overflows "
                 f"{self.block_size}-byte records"
             )
-        payload = self._fh.read(len_field - 1)
+        payload = raw[_RECORD_HEADER : _RECORD_HEADER + len_field - 1]
         if len(payload) != len_field - 1 or _block_crc(block_id, payload) != crc:
             raise PlatterFormatError(f"block {block_id}: record checksum mismatch")
         return payload

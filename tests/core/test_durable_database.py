@@ -106,6 +106,69 @@ class TestDurableLifecycle:
         assert set(mem.stats()["durability"]["node"]) == set(durability["node"])
 
 
+class TestFailedDelete:
+    """An absent-key delete commits only what its descent reshaped."""
+
+    @staticmethod
+    def at_rest(tmp_path) -> dict[str, bytes]:
+        root = tmp_path / "db"
+        return {path.name: path.read_bytes() for path in sorted(root.iterdir())}
+
+    @staticmethod
+    def device_counts(db) -> dict[str, int]:
+        counts = {}
+        for name, device in (("node", db.disk), ("records", db.records.disk)):
+            counts[f"{name}.writes"] = device.stats.writes
+            counts[f"{name}.syncs"] = device.durability_snapshot()["syncs"]
+        return counts
+
+    def test_delete_that_reshapes_nothing_writes_nothing(self, tmp_path):
+        db = make_db(backend_at(tmp_path), min_degree=4)
+        keys = random.Random(30).sample(range(DESIGN.v), 150)
+        for k in keys:
+            db.insert(k, f"rec-{k}".encode())
+        tree = db.tree
+        assert tree.height() >= 3
+        checked = 0
+        for k in sorted(set(range(DESIGN.v)) - set(keys)):
+            reshaped = tree.counters.merges + tree.counters.borrows
+            files, counts = self.at_rest(tmp_path), self.device_counts(db)
+            with pytest.raises(KeyNotFoundError):
+                db.delete(k)
+            if tree.counters.merges + tree.counters.borrows != reshaped:
+                continue  # a rebalancing descent commits what it wrote
+            checked += 1
+            assert self.at_rest(tmp_path) == files
+            assert self.device_counts(db) == counts
+            assert not db.has_uncommitted_changes
+        assert checked >= 10
+        db.close()
+        db2 = reopen_db(backend_at(tmp_path))
+        assert sorted(k for k, _ in db2.items()) == sorted(keys)
+
+    def test_delete_that_rebalances_still_commits(self, tmp_path):
+        db = make_db(backend_at(tmp_path), min_degree=2)
+        keys = random.Random(31).sample(range(DESIGN.v), 60)
+        for k in keys:
+            db.insert(k, b"x")
+        tree = db.tree
+        syncs = db.disk.durability_snapshot()["syncs"]
+        for k in sorted(set(range(DESIGN.v)) - set(keys)):
+            reshaped = tree.counters.merges + tree.counters.borrows
+            with pytest.raises(KeyNotFoundError):
+                db.delete(k)
+            if tree.counters.merges + tree.counters.borrows != reshaped:
+                break
+        else:
+            pytest.fail("no absent-key delete rebalanced")
+        assert db.disk.durability_snapshot()["syncs"] == syncs + 1
+        assert not db.has_uncommitted_changes
+        tree.check_invariants()
+        db.close()
+        db2 = reopen_db(backend_at(tmp_path))
+        assert sorted(k for k, _ in db2.items()) == sorted(keys)
+
+
 class TestCrashRecovery:
     def workload(self, db):
         for k in range(0, 120, 3):

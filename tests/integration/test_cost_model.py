@@ -188,8 +188,9 @@ class TestWritePathCosts:
     def test_leaf_delete_without_rebalance_encrypts_nothing(self):
         hs, _, _ = loaded_pair()
         tree = hs.tree
-        checked = 0
-        for k in random.Random(10).sample(leaf_keys(tree), 20):
+        rng, checked = random.Random(10), 0
+        for _ in range(20):
+            k = rng.choice(leaf_keys(tree))  # earlier borrows lift keys
             height = tree.height()
             reshaped = tree.counters.merges + tree.counters.borrows
             cost = hs_cost(hs, lambda: tree.delete(k))

@@ -334,6 +334,43 @@ class TestCrashMatrix:
         assert r.read_block(b) == b"precious"
         assert r.durability_snapshot()["blocks_repaired"] == 0
 
+    def test_overflowing_length_field_goes_to_wal_repair(self, tmp_path):
+        p = make(tmp_path)
+        (b, _other) = fill(p, [b"precious", b"bystander"])
+        p.sync()
+        p.abandon()
+        with open(p.path, "r+b") as fh:
+            fh.seek(128)  # block 0's length field: payload length + 1
+            fh.write(struct.pack("<I", 64 + 2))
+        q = make(tmp_path, create=False)
+        with pytest.raises(PlatterFormatError, match="overflows 64-byte records"):
+            q._read_record(b)
+        assert q.read_block(b) == b"precious"
+        assert q.durability_snapshot()["blocks_repaired"] == 1
+
+    def test_file_truncated_mid_payload_goes_to_wal_repair(self, tmp_path):
+        p = make(tmp_path)
+        (first, last) = fill(p, [b"bystander", b"precious payload"])
+        p.sync()
+        p.abandon()
+        # the last record is the file's tail: cut it inside its payload
+        os.truncate(p.path, 128 + last * (8 + 64) + 8 + 5)
+        q = make(tmp_path, create=False)
+        with pytest.raises(PlatterFormatError, match="checksum mismatch"):
+            q._read_record(last)
+        assert q.read_block(first) == b"bystander"
+        assert q.read_block(last) == b"precious payload"
+        assert q.durability_snapshot()["blocks_repaired"] == 1
+
+    def test_never_written_slot_past_eof_reads_none(self, tmp_path):
+        p = make(tmp_path)
+        (written,) = fill(p, [b"alpha"])
+        unwritten = p.allocate()
+        p.sync()
+        assert os.path.getsize(p.path) <= 128 + unwritten * (8 + 64)
+        assert p._read_record(unwritten) is None
+        assert p._read_record(written) == b"alpha"
+
     def test_corruption_after_checkpoint_is_unrepairable(self, tmp_path):
         p = make(tmp_path)
         fill(p, [b"precious"])
