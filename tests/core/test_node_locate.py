@@ -113,6 +113,7 @@ def test_locate_agrees_with_a_key_at_loop(name, node):
         )
         assert located == expected, query
         assert located_cost == expected_cost, query
+        assert located_cost.get("decryptions", 0) == 0  # keys are not pointers
         idx, found, _ = located
         assert idx == sum(1 for k in node.keys if k < query)
         assert found == (node.keys[idx] if idx < node.num_keys else None)
