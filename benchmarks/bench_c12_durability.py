@@ -21,15 +21,11 @@ and verifies the recovery story end to end:
    to an in-memory control cluster that committed the same operations
    cleanly.
 
-An extra *I/O-bound* arm runs the same workload on
-``MemoryBackend(latency_s=...)`` -- memory that pretends to seek -- to
-show how the cost balance shifts when the device, not the cipher plane,
-dominates; its cipher counts must still match the instant-memory arm
-exactly.
+The "I/O wait" column is each arm's measured device time: reads'
+at-rest fetches, plus the platter syncs that land its writes.
 
 ``C12_N`` and ``C12_WRITES`` (env vars) shrink the workload for CI
-smoke runs; ``C12_LATENCY`` (seconds per block I/O, default 200us)
-tunes the I/O-bound arm.
+smoke runs.
 """
 
 from __future__ import annotations
@@ -53,7 +49,6 @@ UNITS = non_multiplier_units(DESIGN)
 
 NUM_KEYS = int(os.environ.get("C12_N", "500"))
 NUM_WRITES = int(os.environ.get("C12_WRITES", "40"))
-LATENCY_S = float(os.environ.get("C12_LATENCY", "0.0002"))
 NUM_SHARDS = 3
 
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0xC12))
@@ -110,7 +105,6 @@ def _single_database_arms(keys):
     root = tempfile.mkdtemp(prefix="c12-arms-")
     arms = {
         "memory": MemoryBackend(),
-        "memory+latency": MemoryBackend(latency_s=LATENCY_S),
         "file": FileBackend(os.path.join(root, "plain"), fsync=False),
         "file+fsync": FileBackend(os.path.join(root, "fsync"), fsync=True),
     }
@@ -260,17 +254,10 @@ def test_c12_durability(benchmark, reporter):
 
     assert observations["file"] == observations["memory"]
     assert observations["file+fsync"] == observations["memory"]
-    assert observations["memory+latency"] == observations["memory"]
     assert ciphers["file"] == ciphers["memory"], (
         "the durable device changed the cipher-operation counts"
     )
     assert ciphers["file+fsync"] == ciphers["memory"]
-    assert ciphers["memory+latency"] == ciphers["memory"], (
-        "simulated seek latency changed the cipher-operation counts"
-    )
-    assert rows["memory+latency"]["io_wait_s"] > 0, (
-        "the latency arm never waited on its device"
-    )
 
     assert rows["file"]["replayed_on_clean_open"] == 0
 
@@ -278,7 +265,7 @@ def test_c12_durability(benchmark, reporter):
     reporter.table(
         f"{NUM_KEYS}-key workload (inserts, deletes, searches, range "
         "reads, two commits); results and cipher counts identical on "
-        f"every backend (latency arm: {LATENCY_S * 1e6:,.0f}us/block)",
+        "every backend",
         ["backend", "elapsed", "vs memory", "I/O wait", "WAL frames",
          "WAL bytes", "header flips"],
         [

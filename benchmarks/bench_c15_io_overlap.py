@@ -1,15 +1,17 @@
 """C15 -- overlapped I/O: concurrent commits share WAL rounds.
 
-8 committers on a ``FileBackend`` with a modeled per-fsync cost
-(``C15_FSYNC_LATENCY_S``): a commit stages under the write lock and
-syncs under the read lock, so concurrent commits share WAL rounds --
-one frame, one data fsync, one header flip per round -- instead of
-paying the full fsync set each.  The control is the same 8 committers
-on the same code, serialised by a benchmark-side mutex around each
-insert+commit pair.  Acceptance: >= ``C15_COMMIT_FLOOR``x commits/s over
-the serialised control, fewer fsyncs, and every committed key durable
-after reopen.  (A tier-1 test in ``tests/core/`` pins the
-single-threaded platter bytes.)
+8 committers on a ``FileBackend`` doing real fsyncs to the test's
+temporary directory: a commit stages under the write lock and syncs
+under the read lock, so concurrent commits share WAL rounds -- one
+frame, one data fsync, one header flip per round -- instead of paying
+the full fsync set each.  The control is the same 8 committers on the
+same code, serialised by a benchmark-side mutex around each
+insert+commit pair.  Acceptance, in order: the concurrent arm makes at
+most ``MAX_FSYNC_SHARE`` of the control's fsyncs (the count does not
+depend on how fast this host's fsync is), reaches >=
+``C15_COMMIT_FLOOR``x commits/s over the control, and every committed
+key is durable after reopen.  (A tier-1 test in ``tests/core/`` pins
+the single-threaded platter bytes.)
 
 ``C15_COMMITTERS`` and ``C15_COMMITS`` shrink the workload for CI smoke
 runs.
@@ -33,8 +35,13 @@ DESIGN = planar_difference_set(37)  # v = 1407
 
 COMMITTERS = int(os.environ.get("C15_COMMITTERS", "8"))
 COMMITS_EACH = int(os.environ.get("C15_COMMITS", "3"))
-FSYNC_LATENCY_S = float(os.environ.get("C15_FSYNC_LATENCY_S", "0.002"))
-COMMIT_FLOOR = float(os.environ.get("C15_COMMIT_FLOOR", "3.0"))
+#: Below the slowest of 20 default-size runs on a 2-vCPU host with an
+#: ext4 disk (1.32x; median 1.70x), above 1.0: sharing rounds must win.
+COMMIT_FLOOR = float(os.environ.get("C15_COMMIT_FLOOR", "1.2"))
+#: The concurrent arm's fsyncs over the serialised arm's, at most: a
+#: round serving two commits on average already halves them (those
+#: 20 runs made 25 or 31 fsyncs against 151).
+MAX_FSYNC_SHARE = 0.5
 
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0xC15))
 
@@ -44,7 +51,7 @@ def _keys():
 
 
 def _commit_backend(tmp_path, name):
-    return FileBackend(tmp_path / name, fsync=True, fsync_latency_s=FSYNC_LATENCY_S)
+    return FileBackend(tmp_path / name, fsync=True)
 
 
 def _commit_arm(tmp_path, name, serialise):
@@ -117,16 +124,18 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
     conc_wall, conc_fsyncs, conc_frames = run["concurrent"]
     commits = COMMITTERS * COMMITS_EACH
     commit_speedup = (commits / conc_wall) / (commits / serial_wall)
+    assert conc_fsyncs <= MAX_FSYNC_SHARE * serial_fsyncs, (
+        f"concurrent commits made {conc_fsyncs} fsyncs against "
+        f"{serial_fsyncs} serialised (at most {MAX_FSYNC_SHARE:.0%})"
+    )
     assert commit_speedup >= COMMIT_FLOOR, (
         f"concurrent commits reached only {commit_speedup:.2f}x commits/s "
         f"with {COMMITTERS} committers (floor {COMMIT_FLOOR}x)"
     )
-    assert conc_fsyncs < serial_fsyncs, "coalescing saved no fsyncs"
 
     reporter.table(
-        f"{COMMITTERS} committers x {COMMITS_EACH} commits, "
-        f"{FSYNC_LATENCY_S * 1e3:.1f} ms/fsync modeled; all commits durable "
-        "after reopen in both arms",
+        f"{COMMITTERS} committers x {COMMITS_EACH} commits, real fsyncs; "
+        "all commits durable after reopen in both arms",
         ["arm", "wall-clock", "fsyncs", "WAL frames", "commits/s vs serialised"],
         [
             ["serialised (mutex)", f"{serial_wall * 1e3:,.1f} ms",
@@ -139,7 +148,6 @@ def test_c15_io_overlap(benchmark, reporter, tmp_path):
     reporter.metrics({
         "committers": COMMITTERS,
         "commits_each": COMMITS_EACH,
-        "fsync_latency_s": FSYNC_LATENCY_S,
         "commit_wall_s": {"serialised": serial_wall, "concurrent": conc_wall},
         "commit_fsyncs": {"serialised": serial_fsyncs, "concurrent": conc_fsyncs},
         "wal_frames": {"serialised": serial_frames, "concurrent": conc_frames},

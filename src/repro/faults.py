@@ -240,6 +240,13 @@ class FaultAction:
     kind: str
     delay_s: float = 0.0
 
+    def stall(self) -> bool:
+        """Sleep out an injected delay; ``True`` if that is the whole action."""
+        if self.kind != "latency":
+            return False
+        time.sleep(self.delay_s)
+        return True
+
 
 #: fixed counter shape every injector/device snapshot shares, so the
 #: cluster's leaf-wise merge/subtract always sees the same keys

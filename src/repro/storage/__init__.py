@@ -11,7 +11,7 @@ physical disk.  This package simulates that boundary:
   applied exactly at the read/write boundary (the hardware module's
   position); each backend below supplies only its at-rest primitives;
 * :mod:`repro.storage.disk` -- the in-memory device (instant, the
-  paper-faithful cost model, optional simulated latency);
+  paper-faithful cost model);
 * :mod:`repro.storage.platter` -- the durable device: one
   self-describing file per platter with a checksummed dual-slot header,
   CRC-tagged block records and a sidecar write-ahead log replayed (and

@@ -1,17 +1,14 @@
 """Storage backends: where a database's block devices come from.
 
 A database owns two block devices (node blocks, record blocks) and a
-cluster owns two per shard.  Before PR 6 every layer constructed
-:class:`~repro.storage.disk.SimulatedDisk` directly; a
-:class:`StorageBackend` abstracts that choice into a factory the
-create/reopen paths thread through, so the same code runs on the
+cluster owns two per shard.  A :class:`StorageBackend` is the factory
+the create/reopen paths thread through, so the same code runs on the
 instant in-memory device or on durable :class:`~repro.storage.platter.
 FilePlatter` files:
 
 * :class:`MemoryBackend` -- devices are :class:`SimulatedDisk`\\ s held
   in a registry (so a same-process "reopen" finds them again) and the
-  manifest is a held byte string.  Supports the optional per-operation
-  latency knob for I/O-wait modelling.
+  manifest is a held byte string.
 * :class:`FileBackend` -- a directory; each device is a
   ``<name>.platter`` file (plus its ``.wal`` sidecar), the manifest is
   an atomically-replaced ``MANIFEST`` file, and :meth:`scoped` returns
@@ -90,18 +87,11 @@ class StorageBackend(ABC):
 
 
 class MemoryBackend(StorageBackend):
-    """In-memory devices with a registry, so reopen-by-name works.
-
-    ``latency_s`` is handed to every :class:`SimulatedDisk` opened here
-    -- the backend-level home of the I/O-wait model, so a benchmark can
-    run the same create path against "instant memory" and "memory that
-    pretends to seek".
-    """
+    """In-memory devices with a registry, so reopen-by-name works."""
 
     durable = False
 
-    def __init__(self, latency_s: float = 0.0) -> None:
-        self.latency_s = latency_s
+    def __init__(self) -> None:
         self._devices: dict[str, SimulatedDisk] = {}
         self._scopes: dict[str, MemoryBackend] = {}
         self._manifest: bytes | None = None
@@ -131,9 +121,7 @@ class MemoryBackend(StorageBackend):
                 # it so cipher counters land on the new handle's meters
                 existing.transform = transform
             return existing
-        device = SimulatedDisk(
-            block_size=block_size, transform=transform, latency_s=self.latency_s
-        )
+        device = SimulatedDisk(block_size=block_size, transform=transform)
         self._devices[name] = device
         return device
 
@@ -141,7 +129,7 @@ class MemoryBackend(StorageBackend):
         _check_name(name)
         child = self._scopes.get(name)
         if child is None:
-            child = MemoryBackend(latency_s=self.latency_s)
+            child = MemoryBackend()
             self._scopes[name] = child
         return child
 
@@ -164,10 +152,8 @@ class FileBackend(StorageBackend):
         <name>.platter.wal        its write-ahead log
         <scope>/...               scoped child backends (per shard)
 
-    ``fsync=False``, ``wal_limit_bytes`` and ``fsync_latency_s`` pass
-    straight through to every platter opened here (the latency knob
-    charges a modeled seconds-per-fsync so benchmarks see realistic
-    durability costs on fast filesystems).
+    ``fsync=False`` and ``wal_limit_bytes`` pass straight through to
+    every platter opened here.
     """
 
     durable = True
@@ -178,12 +164,10 @@ class FileBackend(StorageBackend):
         *,
         fsync: bool = True,
         wal_limit_bytes: int = 16 * 1024 * 1024,
-        fsync_latency_s: float = 0.0,
     ) -> None:
         self.root = os.fspath(root)
         self.fsync = fsync
         self.wal_limit_bytes = wal_limit_bytes
-        self.fsync_latency_s = fsync_latency_s
         os.makedirs(self.root, exist_ok=True)
 
     def device_path(self, name: str) -> str:
@@ -204,7 +188,6 @@ class FileBackend(StorageBackend):
             create=create,
             fsync=self.fsync,
             wal_limit_bytes=self.wal_limit_bytes,
-            fsync_latency_s=self.fsync_latency_s,
         )
 
     def scoped(self, name: str) -> "FileBackend":
@@ -212,7 +195,6 @@ class FileBackend(StorageBackend):
             os.path.join(self.root, _check_name(name)),
             fsync=self.fsync,
             wal_limit_bytes=self.wal_limit_bytes,
-            fsync_latency_s=self.fsync_latency_s,
         )
 
     @property

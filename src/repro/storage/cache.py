@@ -153,6 +153,19 @@ class LRUCache:
             self.stats.hits += 1
             return value
 
+    def touch(self, key: Hashable, default: object = None) -> object:
+        """Like :meth:`get` but books no statistics.
+
+        For an owner that tallies hits and misses itself (the pager's
+        :class:`~repro.storage.pager.PagerStats`), so each is counted once.
+        """
+        with self._lock:
+            value = self._entries.get(key, _ABSENT)
+            if value is _ABSENT:
+                return default
+            self._entries.move_to_end(key)
+            return value
+
     def peek(self, key: Hashable, default: object = None) -> object:
         """Like :meth:`get` but touches neither LRU order nor statistics."""
         with self._lock:

@@ -17,12 +17,12 @@ implements every shared device semantic once:
 
 A backend supplies only its at-rest primitives: :meth:`BlockDevice.
 _at_rest` (one id's bytes, or ``None`` if never written),
-:meth:`BlockDevice._stage` (set one id's bytes), :meth:`BlockDevice._grow`
-(make room for more ids) and the service-time hook
-:meth:`BlockDevice._wait`.  There are two:
+:meth:`BlockDevice._stage` (set one id's bytes) and :meth:`BlockDevice._grow`
+(make room for more ids).  Every device charges the same measured time:
+a read its at-rest fetch, a write nothing until a durable device's
+:meth:`~BlockDevice.sync` lands it.  There are two:
 
-* :class:`~repro.storage.disk.SimulatedDisk` -- a list in memory, with an
-  optional modelled per-operation latency;
+* :class:`~repro.storage.disk.SimulatedDisk` -- a list in memory;
 * :class:`~repro.storage.platter.FilePlatter` -- a single real file with
   a checksummed self-describing header, CRC-tagged block records and a
   write-ahead log, giving the enciphered-database-at-rest story an
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import random
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from time import perf_counter
@@ -100,13 +99,11 @@ class DiskStats:
     data -- the quantity a write-back pager drives down by coalescing
     repeated rewrites of hot blocks (benchmark C7).
 
-    ``read_time_s``/``write_time_s`` accumulate time the device spent in
-    physical I/O (the modeled service time for :class:`~repro.storage.
-    disk.SimulatedDisk`, measured wall time for :class:`~repro.storage.
-    platter.FilePlatter`); ``fsyncs`` and ``header_flips`` count the
-    durable device's barrier operations.  Together they are the signal
-    an async pager needs to decide what is worth overlapping (ROADMAP
-    item 1 follow-on); the instant in-memory device reports zeros.
+    ``read_time_s``/``write_time_s`` accumulate measured wall time:
+    ``read_time_s`` every device's at-rest fetches, ``write_time_s`` the
+    :meth:`~BlockDevice.sync` rounds that land writes on a durable
+    device (the in-memory device never books it).  ``fsyncs`` and
+    ``header_flips`` count the durable device's barrier operations.
     """
 
     reads: int = 0
@@ -168,7 +165,7 @@ class BlockDevice(ABC):
     """A growable array of fixed-size blocks with I/O accounting.
 
     Subclasses supply the at-rest primitives (:meth:`_at_rest`,
-    :meth:`_stage`, :meth:`_grow`, :meth:`_wait`); this base class owns
+    :meth:`_stage`, :meth:`_grow`); this base class owns
     everything else: allocation, bounds, the transform boundary, the
     statistics, at-rest state access and the attacker's view.
 
@@ -236,19 +233,16 @@ class BlockDevice(ABC):
         return snap
 
     def _inject(self, op: str, block_id: int | None, stored: bytes | None) -> None:
-        """Consult the injector for one at-rest op; raise/sleep on its cue.
+        """Consult the injector for one at-rest op; raise or stall on its cue.
 
         Runs *before* the backend primitive, so an injected failure that
         is later retried leaves :class:`DiskStats` exactly as a
         fault-free run would -- only torn writes land (corrupt) bytes.
         """
         action = self.faults.fire(op)
-        if action is None:
+        if action is None or action.stall():
             return
         where = f" on block {block_id}" if block_id is not None else ""
-        if action.kind == "latency":
-            time.sleep(action.delay_s)
-            return
         if action.kind == "torn" and stored is not None and block_id is not None:
             # the classic torn write: corrupt bytes reach the platter AND
             # the caller sees an error -- a retry must heal byte-exactly
@@ -313,15 +307,6 @@ class BlockDevice(ABC):
 
     def _grow(self, num_blocks: int) -> None:
         """Make room for ids below ``num_blocks`` (default: nothing to do)."""
-
-    def _wait(self) -> float | None:
-        """The service-time hook, run once per access or batch, unlocked.
-
-        Returns the modelled seconds to charge, or ``None`` (the default)
-        to charge a read its measured time.  An unmodelled write charges
-        nothing here: a durable backend's physical write is its ``sync``.
-        """
-        return None
 
     def _overwritten(self, block_id: int):
         """The at-rest bytes a write is about to replace (the dedup compare).
@@ -443,15 +428,14 @@ class BlockDevice(ABC):
 
         The bulk entry point behind
         :meth:`~repro.core.records.RecordStore.get_many`, which fetches
-        every record block of a range search in one call: the device's
-        fixed per-operation costs are charged once for the whole batch
-        (:class:`~repro.storage.disk.SimulatedDisk` sleeps its
-        ``latency_s`` once; :class:`~repro.storage.platter.FilePlatter`
-        does a single seek-ordered pass), while the transform still runs
-        *outside* any device lock, so concurrent readers decipher in
-        parallel.  Semantics are those of ``[read_block(b) for b in
-        block_ids]`` -- same bounds checks, same per-block statistics,
-        same exception types.
+        every record block of a range search in one call: the batch is
+        fetched in one id-ordered pass under one lock acquisition (one
+        seek-ordered sweep of a :class:`~repro.storage.platter.
+        FilePlatter`), while the transform still runs *outside* any
+        device lock, so concurrent readers decipher in parallel.
+        Semantics are those of ``[read_block(b) for b in block_ids]``
+        -- same bounds checks, same per-block statistics, same
+        exception types.
 
         ``windows``, one ``(lo, hi)`` per id, asks for each block's plain
         bytes ``[lo, hi)`` as :meth:`read_block`'s ``window=`` does.  A
@@ -496,8 +480,8 @@ class BlockDevice(ABC):
         """Write several ``(block_id, data)`` pairs in one round trip.
 
         The mirror of :meth:`read_many`: transforms run per block before
-        the batch lands, and :meth:`_store_many` charges the backend's
-        service time once.  Equivalent to ``write_block`` in a loop.
+        the batch lands under one lock acquisition.  Equivalent to
+        ``write_block`` in a loop.
         """
         pairs = []
         for block_id, data in items:
@@ -522,15 +506,14 @@ class BlockDevice(ABC):
         self._store_many([(block_id, stored)])
 
     def _store_many(self, pairs: list[tuple[int, bytes]]) -> None:
-        """Land a batch; the modelled service time is charged once.
+        """Land a batch: statistics, no-op dedup, staging.
 
         A write whose at-rest bytes equal what the block already holds
         is counted but not staged, so an identical rewrite (a no-op
         commit's superblock) gives a durable platter nothing to sync.
+        It charges no time: a durable device's physical write is its
+        :meth:`sync`, which books ``write_time_s``.
         """
-        if not pairs:
-            return
-        share = (self._wait() or 0.0) / len(pairs)
         stats = self.stats
         with self._lock:
             for block_id, stored in pairs:
@@ -541,43 +524,37 @@ class BlockDevice(ABC):
                     self._stage(block_id, stored)
                 stats.writes += 1
                 stats.bytes_written += len(stored)
-                stats.write_time_s += share
 
     def _fetch(self, block_id: int) -> bytes:
         """At-rest bytes of one block, with its read statistics."""
-        waited = self._wait()
         start = perf_counter()
         with self._lock:
             stored = self._written(block_id)
             stats = self.stats
             stats.reads += 1
             stats.bytes_read += len(stored)
-            stats.read_time_s += perf_counter() - start if waited is None else waited
+            stats.read_time_s += perf_counter() - start
         return stored
 
     def _fetch_many(self, block_ids: list[int]) -> list[bytes]:
-        """Batch fetch: one service-time charge, one id-ordered pass.
+        """Batch fetch: one id-ordered pass, one measured time.
 
         Serves :meth:`read_many`, whose one caller is
-        :meth:`~repro.core.records.RecordStore.get_many`: a spindle (or
-        an NVMe queue) serves a batched request in roughly one seek +
-        transfer, and the file platter reads the batch in one forward
-        sweep.  Duplicates are read once and served to every requester;
-        per-block statistics equal the looped form's, and the charged
-        time is spread evenly.
+        :meth:`~repro.core.records.RecordStore.get_many`; the file
+        platter reads the batch in one forward sweep.  Duplicates are
+        read once and served to every requester; per-block statistics
+        equal the looped form's, and the pass's measured time is spread
+        evenly over the requesters.
         """
         if not block_ids:
             return []
-        waited = self._wait()
         start = perf_counter()
         with self._lock:
             fetched = {
                 block_id: self._written(block_id)
                 for block_id in sorted(set(block_ids))
             }
-            if waited is None:
-                waited = perf_counter() - start
-            share = waited / len(block_ids)
+            share = (perf_counter() - start) / len(block_ids)
             stats = self.stats
             for block_id in block_ids:
                 stats.reads += 1

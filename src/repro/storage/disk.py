@@ -10,9 +10,9 @@ complete I/O statistics so experiments can report exact counts.
 This module supplies only the at-rest primitives of the
 :class:`~repro.storage.device.BlockDevice` contract: a Python list of
 at-rest bytes (``None`` for a never-written block), read and set by id
-and extended on allocation, plus the optional modelled service time
-``latency_s``.  Everything else -- allocation, bounds, statistics, the
-no-op dedup, at-rest state access, the attacker's view
+and extended on allocation.  Everything else -- allocation, bounds,
+statistics with their measured read time, the no-op dedup, at-rest
+state access, the attacker's view
 (:meth:`~repro.storage.device.BlockDevice.raw_block`, which feeds the
 shape-reconstruction analysis of experiment C5) and fault injection --
 is the base class's, shared with the durable
@@ -22,9 +22,6 @@ backend because the paper's experiments count operations, not seconds.
 
 from __future__ import annotations
 
-import time
-
-from repro.exceptions import StorageError
 from repro.storage.device import (
     BlockDevice,
     BlockTransform,
@@ -53,14 +50,6 @@ class SimulatedDisk(BlockDevice):
         Optional encipherment module applied at the I/O boundary.  When a
         transform expands data (padding), the *expanded* form must fit the
         block, exactly as it would on hardware.
-    latency_s:
-        Simulated seconds charged per physical block read or write, once
-        per batch for ``read_many``/``write_many`` (default ``0.0`` --
-        instant, the paper-faithful cost model).  The sleep runs outside
-        the device lock, so concurrent readers overlap their waits as
-        real spindles overlap seeks; it lets the cache benchmarks
-        show I/O-overlap effects without a real file.  Mutable
-        at runtime.
 
     ``close()`` is a no-op: a :class:`~repro.storage.backend.
     MemoryBackend` hands the same device back when it is reopened by name.
@@ -70,12 +59,8 @@ class SimulatedDisk(BlockDevice):
         self,
         block_size: int = 4096,
         transform: BlockTransform | None = None,
-        latency_s: float = 0.0,
     ) -> None:
         super().__init__(block_size, transform)
-        if latency_s < 0.0:
-            raise StorageError(f"negative device latency: {latency_s}")
-        self.latency_s = latency_s
         self._blocks: list[bytes | None] = []
 
     def _at_rest(self, block_id: int) -> bytes | None:
@@ -86,13 +71,3 @@ class SimulatedDisk(BlockDevice):
 
     def _grow(self, num_blocks: int) -> None:
         self._blocks.extend([None] * (num_blocks - len(self._blocks)))
-
-    def _wait(self) -> float:
-        """Sleep the modelled service time and charge exactly that.
-
-        The sleep's wall-clock jitter is noise, not service time.
-        """
-        latency = self.latency_s
-        if latency > 0.0:
-            time.sleep(latency)
-        return latency

@@ -187,7 +187,7 @@ class Pager:
             return self._read(block_id)
 
     def _read(self, block_id: int) -> bytes:
-        cached = self._raw.get(block_id)
+        cached = self._raw.touch(block_id)
         if cached is not None:
             self.stats.bump("hits")
             return cached
@@ -276,16 +276,9 @@ class Pager:
             self._dirty.discard(block_id)
 
     def reset_stats(self) -> None:
-        """Zero every statistics surface the pager owns.
-
-        :class:`PagerStats` and the raw cache's own
-        :class:`~repro.storage.cache.CacheStats` count overlapping
-        events (a raw read bumps both tallies); resetting them together
-        keeps the surfaces agreeing.
-        """
-        with self._lock:
-            self.stats.reset()
-            self._raw.stats.reset()
+        """Zero :class:`PagerStats`, the one tally of the pager's hits,
+        misses and writes."""
+        self.stats.reset()
 
     def clear_cache(self) -> None:
         """Empty the cache; used to force cold benchmark runs.

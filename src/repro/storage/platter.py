@@ -11,10 +11,10 @@ read/write boundary, so what rests in the file is ciphertext.
 Of the :class:`~repro.storage.device.BlockDevice` contract this module
 supplies only the at-rest primitives: reading one id's bytes (the
 pending overlay of unsynced writes, then the file, then WAL repair of a
-record whose CRC fails) and staging one id's bytes in that overlay.  It
-keeps the base's default service time: a read is charged its measured
-time, a write the measured time of the :meth:`~FilePlatter.sync` that
-lands it.  Allocation, bounds, statistics, the no-op dedup, at-rest
+record whose CRC fails) and staging one id's bytes in that overlay.  A
+read is charged its measured fetch time by the base class, a write the
+measured time of the :meth:`~FilePlatter.sync` that lands it.
+Allocation, bounds, statistics, the no-op dedup, at-rest
 state access and the attacker's view are the base class's,
 shared with :class:`~repro.storage.disk.SimulatedDisk`.  What this
 module owns is the file format and the durability protocol below.  I/O
@@ -83,19 +83,19 @@ The platter syncs only when its owner asks (a database commit or
 point, so pages staged after the last commit must not reach the file
 without it.
 
-``fault_hook`` is the crash-injection seam for the recovery tests: when
-set, it is called with a named crash point (``"sync:start"``,
+``fault_hook`` is a per-instance probe into the sync protocol: when
+set, it is called with a named point (``"sync:start"``,
 ``"wal:appended"``, ``"apply:block"``, ``"apply:done"``,
-``"header:flipped"``) and may raise to simulate the process dying right
-there; :meth:`abandon` then drops the file handles without any
-tidy-up, exactly like a kill.
+``"header:flipped"``).  It may raise to simulate the process dying right
+there -- :meth:`abandon` then drops the file handles without any
+tidy-up, exactly like a kill -- or run code at that point, as the
+group-commit tests do to start a reader mid-sync.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import time
 import zlib
 from time import perf_counter
 
@@ -201,20 +201,12 @@ class FilePlatter(BlockDevice):
         create: bool | None = None,
         fsync: bool = True,
         wal_limit_bytes: int = 16 * 1024 * 1024,
-        fsync_latency_s: float = 0.0,
     ) -> None:
         self.path = os.fspath(path)
         self.wal_path = self.path + ".wal"
         self.fsync = fsync
         self.wal_limit_bytes = wal_limit_bytes
-        #: Modeled seconds charged per fsync (sleeps alongside the real
-        #: call), the durable-device analogue of ``SimulatedDisk
-        #: (latency_s=...)``: benchmarks arm it so commit batching shows
-        #: up in wall time even on a RAM-backed CI filesystem.
-        if fsync_latency_s < 0.0:
-            raise StorageError(f"negative fsync latency: {fsync_latency_s}")
-        self.fsync_latency_s = fsync_latency_s
-        #: Crash-injection seam; see the module docstring.
+        #: Crash point and mid-sync probe; see the module docstring.
         self.fault_hook = None
 
         exists = os.path.exists(self.path)
@@ -502,21 +494,18 @@ class FilePlatter(BlockDevice):
         if self.fsync:
             with self.tracer.trace("platter.fsync"):
                 os.fsync(self._fh.fileno())
-                if self.fsync_latency_s > 0.0:
-                    time.sleep(self.fsync_latency_s)
             self.stats.fsyncs += 1
 
     def _fsync_wal(self) -> None:
         if self.fsync:
             with self.tracer.trace("platter.fsync"):
                 os.fsync(self._wal.fileno())
-                if self.fsync_latency_s > 0.0:
-                    time.sleep(self.fsync_latency_s)
             self.stats.fsyncs += 1
 
     def _fault(self, point: str) -> None:
-        # the shared injector seam first (REPRO_FAULTS / attach_faults),
-        # then the legacy per-instance hook the recovery tests predate it with
+        # the shared injector's crash rules first (REPRO_FAULTS /
+        # attach_faults), then this instance's hook: a crash point or a
+        # mid-sync probe such as the group-commit reader test's
         if self.faults is not None:
             self.faults.crash_point(point)
         hook = self.fault_hook

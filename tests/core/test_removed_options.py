@@ -32,6 +32,10 @@ nothing in the package imports ``multiprocessing``.  The in-memory
 ``TraversalCost``/``BaselineCost`` snapshots: both systems run on
 ``EncipheredDatabase``, the Bayer--Metzger layouts passed as ``codec=``,
 and their costs are read from ``stats()`` and the codec's own counters.
+The modelled device latency is gone: ``SimulatedDisk`` and
+``MemoryBackend`` reject ``latency_s=``, ``FilePlatter`` and
+``FileBackend`` reject ``fsync_latency_s=``, and no device keeps a
+service-time hook, so a device books only the time it measures.
 """
 
 from __future__ import annotations
@@ -217,6 +221,16 @@ REJECTING_CALLS = {
             sub, cipher, _manifest_backend(), op_deadline_s=0.5
         )
     ),
+    "SimulatedDisk(latency_s)": lambda tmp_path: SimulatedDisk(
+        block_size=64, latency_s=0.001
+    ),
+    "MemoryBackend(latency_s)": lambda tmp_path: MemoryBackend(latency_s=0.001),
+    "FilePlatter(fsync_latency_s)": lambda tmp_path: FilePlatter(
+        tmp_path / "p.platter", fsync=False, fsync_latency_s=0.001
+    ),
+    "FileBackend(fsync_latency_s)": lambda tmp_path: FileBackend(
+        tmp_path / "f", fsync=False, fsync_latency_s=0.001
+    ),
     "ShardedEncipheredDatabase(executor)": lambda tmp_path: _construct_cluster_with(
         executor="serial"
     ),
@@ -254,15 +268,16 @@ GONE = {
     ),
     "BlockDevice": (
         lambda tmp_path: BlockDevice,
-        ("poll", "import_state", "snapshot_blocks"),
+        ("poll", "import_state", "snapshot_blocks", "_wait"),
     ),
     "SimulatedDisk": (
         lambda tmp_path: SimulatedDisk(block_size=64),
-        ("poll", "journal", "import_state", "snapshot_blocks"),
+        ("poll", "journal", "import_state", "snapshot_blocks", "_wait", "latency_s"),
     ),
     "FilePlatter": (
         lambda tmp_path: FilePlatter(tmp_path / "p.platter", fsync=False),
-        ("poll", "journal", "import_state", "snapshot_blocks"),
+        ("poll", "journal", "import_state", "snapshot_blocks", "_wait",
+         "fsync_latency_s"),
     ),
     "Pager": (
         lambda tmp_path: Pager(SimulatedDisk(block_size=64)),
@@ -276,10 +291,12 @@ GONE = {
          "_offload_batch", "_install_offload", "_note_writes",
          "_note_changed_writes", "_note_worker_trouble") + PREFETCH,
     ),
-    "MemoryBackend": (lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob")),
+    "MemoryBackend": (
+        lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob", "latency_s")
+    ),
     "FileBackend": (
         lambda tmp_path: FileBackend(tmp_path / "f", fsync=False),
-        ("save_blob", "load_blob", "blob_path"),
+        ("save_blob", "load_blob", "blob_path", "fsync_latency_s"),
     ),
     "LRUCache": (
         lambda tmp_path: LRUCache(4),

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
 from repro.exceptions import StorageError
 from repro.storage.backend import FileBackend, MemoryBackend
-from repro.storage.disk import SimulatedDisk
 from repro.storage.platter import FilePlatter
 
 
@@ -80,31 +78,6 @@ class TestMemoryBackend:
                 backend.open_device(name)
             with pytest.raises(StorageError, match="invalid device"):
                 backend.scoped(name)
-
-    def test_latency_passes_through(self):
-        backend = MemoryBackend(latency_s=0.002)
-        dev = backend.open_device("node", block_size=64)
-        assert isinstance(dev, SimulatedDisk)
-        assert dev.latency_s == 0.002
-        assert backend.scoped("child").latency_s == 0.002
-
-
-class TestSimulatedLatency:
-    def test_default_is_instant(self):
-        assert SimulatedDisk().latency_s == 0.0
-
-    def test_latency_is_waited_per_operation(self):
-        disk = SimulatedDisk(block_size=64, latency_s=0.005)
-        b = disk.allocate()
-        start = time.perf_counter()
-        disk.write_block(b, b"x")
-        disk.read_block(b)
-        elapsed = time.perf_counter() - start
-        assert elapsed >= 0.009  # two ops, ~5ms each (minus clock slop)
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(StorageError):
-            SimulatedDisk(latency_s=-1.0)
 
 
 class TestFileBackend:

@@ -62,6 +62,16 @@ class TestBasics:
         cache.put("c", 3)  # peek did not promote a, so a is evicted
         assert "a" not in cache
 
+    def test_touch_promotes_without_counting(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.touch("a") == 1
+        assert cache.touch("absent", "dflt") == "dflt"
+        assert cache.stats.accesses == 0
+        cache.put("c", 3)  # touch promoted a, so b is evicted
+        assert "a" in cache and "b" not in cache
+
     def test_cached_none_is_distinguishable(self):
         cache = LRUCache(2)
         cache.put("k", None)

@@ -188,6 +188,29 @@ class TestStats:
         assert disk.stats.writes == 0
 
 
+class TestMeasuredTime:
+    """One time path: a device books what it measures, nothing modelled."""
+
+    def test_reads_book_their_fetch_time_and_writes_none(self, device):
+        disk = device(block_size=64)
+        ids = [disk.allocate() for _ in range(3)]
+        disk.write_many([(b, b"block-%d" % b) for b in ids])
+        disk.write_block(ids[0], b"rewritten")
+        disk.read_block(ids[0])
+        disk.read_many(ids + [ids[1]])
+        assert disk.stats.read_time_s > 0.0
+        assert disk.stats.write_time_s == 0.0
+
+    def test_a_platter_books_write_time_at_sync(self, tmp_path):
+        disk = build("file", tmp_path, "timed", block_size=64)
+        b = disk.allocate()
+        disk.write_block(b, b"payload")
+        assert disk.stats.write_time_s == 0.0
+        disk.sync()
+        assert disk.stats.write_time_s > 0.0
+        disk.close()
+
+
 class TestTransform:
     def test_page_key_transform_roundtrip(self, device):
         scheme = PageKeyScheme(b"\x01" * 8)
@@ -326,9 +349,9 @@ class TestWriteBase:
         assert disk.read_block(b) == b"12345678"
 
 
-#: The DiskStats fields the shared contract owns; the time and barrier
-#: fields (modelled vs measured time, fsyncs, header flips) are each
-#: backend's own.
+#: The DiskStats fields the shared contract owns; the time fields are
+#: measured, so no two runs agree on them, and the barrier fields
+#: (fsyncs, header flips) are the durable device's own.
 CONTRACT_STATS = ("reads", "writes", "overwrites", "bytes_read", "bytes_written")
 
 

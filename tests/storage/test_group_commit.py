@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import threading
 
-import pytest
-
-from repro.exceptions import StorageError
 from repro.storage.platter import FilePlatter
 
 
@@ -23,12 +20,6 @@ def make(tmp_path, name="disk", **kwargs):
     kwargs.setdefault("block_size", 64)
     kwargs.setdefault("fsync", False)
     return FilePlatter(tmp_path / f"{name}.platter", **kwargs)
-
-
-class TestFsyncLatency:
-    def test_negative_fsync_latency_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            make(tmp_path, fsync_latency_s=-0.1)
 
 
 class TestConcurrentCommitters:
