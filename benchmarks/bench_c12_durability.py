@@ -21,8 +21,12 @@ and verifies the recovery story end to end:
    to an in-memory control cluster that committed the same operations
    cleanly.
 
-The "I/O wait" column is each arm's measured device time: reads'
-at-rest fetches, plus the platter syncs that land its writes.
+Each arm runs ``ROUNDS`` times, the arms in rotated order, and reports
+its median run: run once in a fixed order, the first arm paid the
+process's warm-up, so the "vs memory" column priced the order instead
+of durability.  The "I/O wait" column is the median run's measured
+device time: reads' at-rest fetches, plus the platter syncs that land
+its writes.
 
 ``C12_N`` and ``C12_WRITES`` (env vars) shrink the workload for CI
 smoke runs.
@@ -50,6 +54,7 @@ UNITS = non_multiplier_units(DESIGN)
 NUM_KEYS = int(os.environ.get("C12_N", "500"))
 NUM_WRITES = int(os.environ.get("C12_WRITES", "40"))
 NUM_SHARDS = 3
+ROUNDS = 3  # runs per arm, in rotated order; each arm reports its median
 
 KEYPAIR = generate_rsa_keypair(bits=128, rng=random.Random(0xC12))
 SHARD_KEYPAIRS = {
@@ -99,62 +104,89 @@ def _cipher_totals(db) -> tuple:
 # -- part 1 + 2: write-through cost, then cold open ------------------------
 
 
-def _single_database_arms(keys):
-    # a fresh directory per invocation: the benchmark fixture may run
-    # this several times, and a platter create demands virgin paths
-    root = tempfile.mkdtemp(prefix="c12-arms-")
-    arms = {
-        "memory": MemoryBackend(),
-        "file": FileBackend(os.path.join(root, "plain"), fsync=False),
-        "file+fsync": FileBackend(os.path.join(root, "fsync"), fsync=True),
+ARMS = {
+    "memory": lambda path: MemoryBackend(),
+    "file": lambda path: FileBackend(path, fsync=False),
+    "file+fsync": lambda path: FileBackend(path, fsync=True),
+}
+
+
+def _run_arm(backend, keys):
+    """One arm: the workload, then (on a durable backend) a cold open.
+
+    Returns ``(row, observed, ciphers)``.
+    """
+    sub, rsa = _single_parts()
+    start = time.perf_counter()
+    db = EncipheredDatabase.create(sub, rsa, backend=backend, autocommit=False)
+    observed = {"": _workload(db, keys)}
+    elapsed = time.perf_counter() - start
+    ciphers = _cipher_totals(db)
+    stats = db.stats()
+    durability = stats["durability"]
+    io_wait_s = sum(
+        stats[device][field]
+        for device in ("node_disk", "record_disk")
+        for field in ("read_time_s", "write_time_s")
+    )
+    row = {
+        "elapsed_s": elapsed,
+        "io_wait_s": io_wait_s,
+        "durable": backend.durable,
+        "wal_frames": durability["node"]["wal_frames"]
+        + durability["records"]["wal_frames"],
+        "wal_bytes": durability["node"]["wal_bytes"]
+        + durability["records"]["wal_bytes"],
+        "header_flips": durability["node"]["header_flips"]
+        + durability["records"]["header_flips"],
     }
+    db.close()
+
+    if backend.durable:
+        start = time.perf_counter()
+        sub, rsa = _single_parts()
+        db2 = EncipheredDatabase.reopen_from_backend(sub, rsa, backend)
+        open_s = time.perf_counter() - start
+        start = time.perf_counter()
+        probe = db2.range_search(0, 120)
+        first_query_s = time.perf_counter() - start
+        row["cold_open_s"] = open_s
+        row["cold_first_query_s"] = first_query_s
+        row["replayed_on_clean_open"] = (
+            db2.stats()["durability"]["node"]["frames_replayed"]
+        )
+        observed[":reopened"] = [probe]
+        db2.close()
+    return row, observed, ciphers
+
+
+def _single_database_arms(keys):
+    # a fresh directory per invocation and per run: the benchmark
+    # fixture may run this several times, and a platter create demands
+    # virgin paths
+    root = tempfile.mkdtemp(prefix="c12-arms-")
+    names = list(ARMS)
+    runs = {name: [] for name in names}
+    for r in range(ROUNDS):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            backend = ARMS[name](os.path.join(root, f"{name}-{r}"))
+            runs[name].append(_run_arm(backend, keys))
+    shutil.rmtree(root, ignore_errors=True)
+
     rows = {}
     observations = {}
     ciphers = {}
-    for name, backend in arms.items():
-        sub, rsa = _single_parts()
-        start = time.perf_counter()
-        db = EncipheredDatabase.create(sub, rsa, backend=backend,
-                                       autocommit=False)
-        observations[name] = _workload(db, keys)
-        elapsed = time.perf_counter() - start
-        ciphers[name] = _cipher_totals(db)
-        stats = db.stats()
-        durability = stats["durability"]
-        io_wait_s = sum(
-            stats[device][field]
-            for device in ("node_disk", "record_disk")
-            for field in ("read_time_s", "write_time_s")
-        )
-        rows[name] = {
-            "elapsed_s": elapsed,
-            "io_wait_s": io_wait_s,
-            "durable": backend.durable,
-            "wal_frames": durability["node"]["wal_frames"]
-            + durability["records"]["wal_frames"],
-            "wal_bytes": durability["node"]["wal_bytes"]
-            + durability["records"]["wal_bytes"],
-            "header_flips": durability["node"]["header_flips"]
-            + durability["records"]["header_flips"],
-        }
-        db.close()
-
-        if backend.durable:
-            start = time.perf_counter()
-            sub, rsa = _single_parts()
-            db2 = EncipheredDatabase.reopen_from_backend(sub, rsa, backend)
-            open_s = time.perf_counter() - start
-            start = time.perf_counter()
-            probe = db2.range_search(0, 120)
-            first_query_s = time.perf_counter() - start
-            rows[name]["cold_open_s"] = open_s
-            rows[name]["cold_first_query_s"] = first_query_s
-            rows[name]["replayed_on_clean_open"] = (
-                db2.stats()["durability"]["node"]["frames_replayed"]
-            )
-            observations[name + ":reopened"] = [probe]
-            db2.close()
-    shutil.rmtree(root, ignore_errors=True)
+    for name in names:
+        ranked = sorted(runs[name], key=lambda run: run[0]["elapsed_s"])
+        row, observed, counts = ranked[len(ranked) // 2]
+        for _, other_observed, other_counts in ranked:
+            assert other_observed == observed, f"{name} runs returned different results"
+            assert other_counts == counts, f"{name} runs counted different cipher work"
+        rows[name] = row
+        ciphers[name] = counts
+        for suffix, results in observed.items():
+            observations[name + suffix] = results
     return rows, observations, ciphers
 
 
@@ -265,7 +297,8 @@ def test_c12_durability(benchmark, reporter):
     reporter.table(
         f"{NUM_KEYS}-key workload (inserts, deletes, searches, range "
         "reads, two commits); results and cipher counts identical on "
-        "every backend",
+        f"every backend; median of {ROUNDS} runs per backend, backends "
+        "in rotated order",
         ["backend", "elapsed", "vs memory", "I/O wait", "WAL frames",
          "WAL bytes", "header flips"],
         [
@@ -308,6 +341,7 @@ def test_c12_durability(benchmark, reporter):
 
     reporter.metrics({
         "num_keys": NUM_KEYS,
+        "rounds": ROUNDS,
         "write_through": rows,
         "crash_recovery": crash,
         "cipher_counts_identical": True,

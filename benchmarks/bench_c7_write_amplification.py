@@ -5,7 +5,7 @@ superblock re-encipherment) a disk write, exactly as the paper's
 per-operation cost model requires.  This bench quantifies what the
 write-back/commit layer buys an ingest workload on top of that model:
 identical inserts run (a) autocommitted through the write-through pager,
-(b) inside one transaction over a write-back pager, and (c) through the
+(b) inside one transaction, where the pager runs write-back, and (c) through the
 bottom-up bulk loader.  Disk-block writes, overwrites, pointer-cipher
 operations and wall-clock throughput are reported for each.
 
@@ -51,7 +51,7 @@ def _keys() -> list[int]:
     return random.Random(0xC7).sample(range(DESIGN.v), NUM_KEYS)
 
 
-def _new_db(**kwargs) -> EncipheredDatabase:
+def _new_db() -> EncipheredDatabase:
     cipher = RSA(generate_rsa_keypair(bits=128, rng=random.Random(0xC7)))
     db = EncipheredDatabase.create(
         OvalSubstitution(DESIGN, t=5),
@@ -59,7 +59,6 @@ def _new_db(**kwargs) -> EncipheredDatabase:
         block_size=512,
         min_degree=4,
         cache_blocks=CACHE_BLOCKS,
-        **kwargs,
     )
     db.disk.stats.reset()
     db.records.disk.stats.reset()
@@ -70,7 +69,7 @@ def _new_db(**kwargs) -> EncipheredDatabase:
 
 def _measure(scenario: str):
     keys = _keys()
-    db = _new_db(write_back=(scenario == "write-back"))
+    db = _new_db()
     start = time.perf_counter()
     if scenario == "write-through":
         for k in keys:

@@ -7,8 +7,8 @@ ingest.  This example loads the same records three ways and prints what
 each pays:
 
 1. autocommit through the write-through pager (the paper's mode);
-2. one transaction over a write-back pager -- dirty nodes and the
-   superblock reach the disk once, at commit;
+2. one transaction -- the pager runs write-back inside it, so dirty
+   nodes and the superblock reach the disk once, at commit;
 3. ``bulk_load`` -- the tree is built bottom-up, each node enciphered
    and written exactly once.
 
@@ -30,13 +30,12 @@ DESIGN = planar_difference_set(23)  # v = 553
 NUM_RECORDS = 250
 
 
-def new_db(write_back: bool = False) -> EncipheredDatabase:
+def new_db() -> EncipheredDatabase:
     cipher = RSA(generate_rsa_keypair(bits=128, rng=random.Random(42)))
     db = EncipheredDatabase.create(
         OvalSubstitution(DESIGN, t=5),
         cipher,
         cache_blocks=128,
-        write_back=write_back,
     )
     db.disk.stats.reset()
     db.pointer_cipher.reset_counts()
@@ -61,7 +60,7 @@ def main() -> None:
     report("write-through", db1)
 
     # 2. one transaction: same inserts, one flush at commit
-    db2 = new_db(write_back=True)
+    db2 = new_db()
     with db2.transaction():
         for k, rec in records:
             db2.insert(k, rec)

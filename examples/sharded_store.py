@@ -13,7 +13,8 @@ data keys, so:
   prunes to the overlapping shards).
 
 This example ingests a personnel directory, queries it through both
-routers, survives a crash (reopen from the platters alone), and prints
+routers, survives a crash (reopen from its storage backend and the
+secrets alone), and prints
 the per-shard statistics rollup.
 
 Run:  PYTHONPATH=src python examples/sharded_store.py
@@ -27,6 +28,7 @@ from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
+from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(17)  # v = 307 employee ids
@@ -56,9 +58,10 @@ def main() -> None:
     }
 
     # -- build: range routing, one transaction across all shards --------
+    backend = MemoryBackend()  # held, so the cluster can be reopened
     store = ShardedEncipheredDatabase.create(
         substitution_factory, cipher_factory,
-        num_shards=NUM_SHARDS, router="range",
+        num_shards=NUM_SHARDS, router="range", backend=backend,
     )
     with store.transaction():
         for emp, record in directory.items():
@@ -83,16 +86,16 @@ def main() -> None:
     print(f"\nrange [{lo}, {hi}]: {len(matches)} records from "
           f"shards {touched} (of {store.num_shards})")
 
-    # -- crash: reopen from the platters and the secrets alone ----------
-    parts = store.shard_parts()
+    # -- crash: reopen from the backend and the secrets alone -----------
     store.close()
-    reopened = ShardedEncipheredDatabase.reopen(
-        substitution_factory, cipher_factory, parts, router="range",
+    reopened = ShardedEncipheredDatabase.reopen_from_manifest(
+        substitution_factory, cipher_factory, backend,
     )
     assert list(reopened.items()) == sorted(
         (k, v) for k, v in directory.items()
     )
-    print(f"\nreopened from {len(parts)} platters: {len(reopened)} records intact")
+    print(f"\nreopened {reopened.num_shards} shards from the backend's manifest: "
+          f"{len(reopened)} records intact")
 
     # -- what the all-platters attacker sees ----------------------------
     raw = [

@@ -1,11 +1,11 @@
 """The enciphered cluster manifest: a cluster that describes itself.
 
-Before PR 6, :meth:`~repro.cluster.sharded.ShardedEncipheredDatabase.
-reopen` trusted the caller to supply the shard count, the router kind
-and boundaries, and the shard parts *in the right order* -- a
-mis-remembered configuration silently mis-routes (the placement
-validator catches it, but only because it re-walks the data).  The
-manifest makes the cluster self-describing: one small enciphered blob,
+A cluster reopen that trusted the caller to supply the shard count,
+the router kind and boundaries, and the shards *in the right order*
+would silently mis-route on a mis-remembered configuration (the
+placement validator catches it, but only because it re-walks the
+data).  The manifest makes the cluster self-describing: one small
+enciphered blob,
 stored by the backend beside the platters, recording
 
 * the format version and shard count,

@@ -43,7 +43,6 @@ from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter, ShardRouter
 from repro.cluster.stats import ClusterStats
 from repro.core.database import EncipheredDatabase
-from repro.core.records import RecordStore
 from repro.crypto.base import IntegerCipher
 from repro.crypto.des import DES
 from repro.exceptions import (
@@ -55,8 +54,7 @@ from repro.exceptions import (
     TransientIOError,
 )
 from repro.obs import ObsConfig
-from repro.storage.backend import StorageBackend
-from repro.storage.device import BlockDevice
+from repro.storage.backend import MemoryBackend, StorageBackend
 from repro.substitution.base import KeySubstitution
 
 # the single-database defaults, reused as the cluster's base secrets
@@ -95,8 +93,9 @@ def _resolve_router(
 class ShardedEncipheredDatabase:
     """Horizontal partitioning of :class:`EncipheredDatabase` over N shards.
 
-    Build with :meth:`create` (fresh disks) or :meth:`reopen` (from the
-    per-shard disks and secrets alone).  The factories receive the shard
+    Build with :meth:`create` (fresh devices) or
+    :meth:`reopen_from_manifest` (from the storage backend and the base
+    secrets alone).  The factories receive the shard
     index and must return *independent* instances -- in particular each
     shard should get its own substitution secret (e.g. a different oval
     multiplier), which is what makes cross-shard frequency analysis
@@ -144,7 +143,6 @@ class ShardedEncipheredDatabase:
         data_key: bytes = _DEFAULT_DATA_KEY,
         record_size: int = 120,
         cache_blocks: int = 16,
-        write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         degraded_reads: bool = False,
@@ -166,9 +164,12 @@ class ShardedEncipheredDatabase:
         (shard count, router kind/boundaries, key-derivation labels,
         geometry, scope names) is saved to the backend, so a later
         :meth:`reopen_from_manifest` needs only the backend and the base
-        secrets.  ``None`` keeps the historical in-memory devices (and
-        writes no manifest).
+        secrets.  ``None`` places the cluster on a fresh
+        :class:`~repro.storage.backend.MemoryBackend`; pass one you hold
+        to reopen the cluster later.
         """
+        if backend is None:
+            backend = MemoryBackend()
         substitutions = [substitution_factory(i) for i in range(num_shards)]
         scopes = [f"shard-{i:03d}" for i in range(num_shards)]
         shards = [
@@ -181,87 +182,26 @@ class ShardedEncipheredDatabase:
                 data_key=derive_shard_key(data_key, _DATA_LABEL, i),
                 record_size=record_size,
                 cache_blocks=cache_blocks,
-                write_back=write_back,
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
-                backend=backend.scoped(scopes[i]) if backend is not None else None,
+                backend=backend.scoped(scopes[i]),
                 observability=observability,
             )
             for i in range(num_shards)
         ]
         resolved = _resolve_router(router, num_shards, substitutions[0])
-        if backend is not None:
-            kind, boundaries = ClusterManifest.describe_router(resolved)
-            manifest = ClusterManifest(
-                num_shards=num_shards,
-                router_kind=kind,
-                router_boundaries=boundaries,
-                block_size=block_size,
-                record_size=record_size,
-                shard_scopes=scopes,
-                super_label=_SUPER_LABEL,
-                data_label=_DATA_LABEL,
-            )
-            backend.save_manifest(manifest.encipher(super_key))
-        return cls(shards, resolved, degraded_reads=degraded_reads)
-
-    @classmethod
-    def reopen(
-        cls,
-        substitution_factory: Callable[[int], KeySubstitution],
-        pointer_cipher_factory: Callable[[int], IntegerCipher],
-        parts: Sequence[tuple[BlockDevice, RecordStore]],
-        *,
-        router: ShardRouter | str = "hash",
-        super_key: bytes = _DEFAULT_SUPER_KEY,
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        record_cache_blocks: int | None = None,
-        validate_routing: bool = True,
-        degraded_reads: bool = False,
-        observability: ObsConfig | None = None,
-    ) -> "ShardedEncipheredDatabase":
-        """Rebuild a cluster from each shard's platters and the secrets.
-
-        ``parts`` is what :meth:`shard_parts` returned for the original
-        cluster (one ``(node disk, record store)`` pair per shard, in
-        shard order); every shard's superblock is authenticated under its
-        re-derived key on the way up, and every cache starts cold.  As
-        with :meth:`EncipheredDatabase.reopen`, each record store keeps
-        its configured cache capacity unless ``record_cache_blocks``
-        overrides it (``None`` keeps, ``0`` forces off).
-
-        Unless ``validate_routing=False``, the supplied ``router`` is
-        then checked against the actual key placement: every key on
-        every shard must route back to that shard.  A cluster reopened
-        with the wrong strategy, the wrong boundaries, or parts out of
-        order would otherwise *silently mis-route* -- point reads
-        missing keys that are on the platters, range routers skipping
-        populated shards -- so a mismatch fails fast with
-        :class:`~repro.exceptions.StorageError` instead.
-        """
-        substitutions = [substitution_factory(i) for i in range(len(parts))]
-        shards = [
-            EncipheredDatabase.reopen(
-                substitutions[i],
-                pointer_cipher_factory(i),
-                disk,
-                records,
-                super_key=derive_shard_key(super_key, _SUPER_LABEL, i),
-                cache_blocks=cache_blocks,
-                write_back=write_back,
-                autocommit=autocommit,
-                record_cache_blocks=record_cache_blocks,
-                observability=observability,
-            )
-            for i, (disk, records) in enumerate(parts)
-        ]
-        resolved = _resolve_router(router, len(parts), substitutions[0])
-        if validate_routing:
-            cls._validate_routing(shards, resolved)
-            for shard in shards:
-                shard._make_cold()  # the validation walk must not pre-warm
+        kind, boundaries = ClusterManifest.describe_router(resolved)
+        manifest = ClusterManifest(
+            num_shards=num_shards,
+            router_kind=kind,
+            router_boundaries=boundaries,
+            block_size=block_size,
+            record_size=record_size,
+            shard_scopes=scopes,
+            super_label=_SUPER_LABEL,
+            data_label=_DATA_LABEL,
+        )
+        backend.save_manifest(manifest.encipher(super_key))
         return cls(shards, resolved, degraded_reads=degraded_reads)
 
     @classmethod
@@ -274,10 +214,8 @@ class ShardedEncipheredDatabase:
         super_key: bytes = _DEFAULT_SUPER_KEY,
         data_key: bytes = _DEFAULT_DATA_KEY,
         cache_blocks: int = 16,
-        write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
-        validate_routing: bool = True,
         executor: str = "serial",
         degraded_reads: bool = False,
         observability: ObsConfig | None = None,
@@ -292,10 +230,13 @@ class ShardedEncipheredDatabase:
         shard reopens from its scoped backend via
         :meth:`EncipheredDatabase.reopen_from_backend` (replaying any
         crash-interrupted WAL frames and rescanning record metadata on
-        the way), and unless ``validate_routing=False`` the
-        reconstructed router is still checked against the actual key
-        placement -- the manifest authenticates the *configuration*,
-        the validation cross-checks it against the *data*.
+        the way), and the reconstructed router is still checked against
+        the actual key placement -- the manifest authenticates the
+        *configuration*, the validation cross-checks it against the
+        *data*: a mismatch (a manifest whose router kind, boundaries or
+        scope order do not reproduce where the keys live) fails fast
+        with :class:`~repro.exceptions.StorageError` instead of silently
+        mis-routing point reads and pruned ranges.
 
         ``executor`` accepts only ``"serial"``, the one fan-out path;
         any other value raises :class:`~repro.exceptions.StorageError`.
@@ -319,7 +260,6 @@ class ShardedEncipheredDatabase:
                 block_size=manifest.block_size,
                 record_size=manifest.record_size,
                 cache_blocks=cache_blocks,
-                write_back=write_back,
                 autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
                 observability=observability,
@@ -327,8 +267,7 @@ class ShardedEncipheredDatabase:
             for i in range(manifest.num_shards)
         ]
         router = manifest.build_router()
-        if validate_routing:
-            cls._validate_routing(shards, router)
+        cls._validate_routing(shards, router)
         for shard in shards:
             shard._make_cold()  # recovery/validation walks must not pre-warm
         return cls(shards, router, degraded_reads=degraded_reads)
@@ -343,7 +282,7 @@ class ShardedEncipheredDatabase:
         validated from each shard's min and max key alone -- two
         O(height) edge walks; if both endpoints route home, so does
         everything between them.  Non-monotonic routers (hash) need the
-        full key walk, which -- like the tree walk ``reopen`` already
+        full key walk, which -- like the tree walk a shard reopen already
         performs to recover the key count -- bumps the read-side
         operation counters; benchmarks reset counters after reopen.
         """
@@ -359,14 +298,10 @@ class ShardedEncipheredDatabase:
                     if routed != index:
                         raise StorageError(
                             f"router mismatch: key {key} lives on shard "
-                            f"{index} but the supplied {router.name!r} router "
+                            f"{index} but the {router.name!r} router "
                             f"sends it to shard {routed}; check the router "
-                            f"kind/boundaries and the order of shard parts"
+                            f"kind/boundaries and the order of shard scopes"
                         )
-
-    def shard_parts(self) -> list[tuple[BlockDevice, RecordStore]]:
-        """The durable state a later :meth:`reopen` needs, in shard order."""
-        return [(shard.disk, shard.records) for shard in self.shards]
 
     @property
     def num_shards(self) -> int:
@@ -642,14 +577,18 @@ class ShardedEncipheredDatabase:
 
     @contextmanager
     def transaction(self) -> Iterator["ShardedEncipheredDatabase"]:
-        """One transaction spanning every shard.
+        """One transaction scope over every shard -- not an atomic commit.
 
         Shard transactions are entered in shard order (a fixed order, so
         two concurrent cluster transactions cannot deadlock on each
-        other's write locks) and unwound together: a clean exit commits
-        every shard, an exception rolls every shard back.  Reads inside
-        the scope, fan-outs included, see the scope's uncommitted
-        writes.
+        other's write locks) and unwound in reverse.  An exception in
+        the scope rolls every shard back.  A clean exit commits the
+        shards one at a time, last shard first: if shard *k*'s commit
+        fails, the shards after *k* stay committed, the shards before
+        *k* roll back, and shard *k* keeps its writes pending for its
+        next commit or close.  Atomic cross-shard commit is ROADMAP
+        item 7(b).  Reads inside the scope, fan-outs included, see the
+        scope's uncommitted writes.
         """
         with ExitStack() as stack:
             for shard in self.shards:

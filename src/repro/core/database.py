@@ -6,9 +6,13 @@ the key count, enciphered under the file key like any other block (an
 opponent cannot even read the geometry), plus a magic tag that
 authenticates the deciphering key.
 
-``create`` builds a fresh database; ``reopen`` reconstructs a working
-handle from the two disks and the secret material alone, verifying the
-B-Tree invariants on the way up.
+``create`` builds a fresh database; ``reopen_from_backend`` reconstructs
+a working handle from the storage backend and the secret material
+alone, verifying the B-Tree invariants on the way up.  Every database
+lives on a :class:`~repro.storage.backend.StorageBackend`; without one,
+``create`` opens its devices on a fresh
+:class:`~repro.storage.backend.MemoryBackend`, so a caller that will
+reopen an in-memory database creates and holds that backend itself.
 
 Node layouts
 ------------
@@ -25,23 +29,22 @@ path and ``stats()`` unchanged.  A caller-built codec meters itself: the
 only what the codec routes through those two objects (a page-key codec
 keeps its own ``triplet_counts``/``block_counts``).
 
-Write policies and transactions
--------------------------------
+Commits and transactions
+------------------------
 
 By default the database *autocommits*: every ``insert``/``delete``
-re-enciphers the superblock and (with the default write-through pager)
-pushes each dirty node block to disk immediately.  That is the mode the
-paper's experiments must use -- C1/C3 charge every node rewrite its disk
-write, and the per-operation cipher counts assume no batching.
+re-enciphers the superblock and the write-through pager pushes each
+dirty node block to disk immediately.  That is the mode the paper's
+experiments must use -- C1/C3 charge every node rewrite its disk write,
+and the per-operation cipher counts assume no batching.
 
 For ingest-style workloads the hot path can amortise that cost:
 
-* ``create(..., write_back=True)`` puts the node pager in write-back
-  mode, so repeated rewrites of a hot block coalesce;
-* :meth:`EncipheredDatabase.transaction` defers the superblock rewrite
-  and every dirty node block to a single :meth:`commit` at scope exit,
-  and rolls the index back (discarding the dirty pages) if the block
-  raises;
+* :meth:`EncipheredDatabase.transaction` -- the one place the pager
+  runs write-back -- defers the superblock rewrite and every dirty node
+  block to a single :meth:`commit` at scope exit, so repeated rewrites
+  of a hot block coalesce, and rolls the index back (discarding the
+  dirty pages) if the block raises;
 * :meth:`EncipheredDatabase.bulk_load` builds the index bottom-up,
   writing and enciphering each node exactly once.
 
@@ -105,9 +108,8 @@ from repro.crypto.des import DES
 from repro.crypto.modes import CBCCipher
 from repro.exceptions import CryptoError, IntegrityError, KeyNotFoundError, StorageError
 from repro.obs import ObsConfig, Observability
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import MemoryBackend, StorageBackend
 from repro.storage.device import BlockDevice
-from repro.storage.disk import SimulatedDisk
 from repro.storage.pager import Pager
 from repro.storage.rwlock import ReadWriteLock
 from repro.substitution.base import KeySubstitution
@@ -228,7 +230,6 @@ class EncipheredDatabase:
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
         record_size: int = 120,
         cache_blocks: int = 16,
-        write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         backend: StorageBackend | None = None,
@@ -246,8 +247,9 @@ class EncipheredDatabase:
         count on the paper's cost model.
 
         ``backend`` selects where the two block devices live (``None``
-        keeps the historical private in-memory disks): devices are
-        opened as ``"node"`` and ``"records"``, created fresh.  On a
+        opens them on a fresh :class:`~repro.storage.backend.MemoryBackend`;
+        pass one you hold to :meth:`reopen_from_backend` later): devices
+        are opened as ``"node"`` and ``"records"``, created fresh.  On a
         durable backend every :meth:`commit` additionally syncs both
         devices -- records first, node last, so the node device's
         superblock (the authority a reopen trusts) is the commit point:
@@ -257,68 +259,24 @@ class EncipheredDatabase:
         :meth:`commit`).
         """
         if backend is None:
-            disk: BlockDevice = SimulatedDisk(block_size=block_size)
-        else:
-            disk = backend.open_device("node", block_size=block_size, create=True)
+            backend = MemoryBackend()
+        disk = backend.open_device("node", block_size=block_size, create=True)
         reserved = disk.allocate()
         if reserved != 0:
             raise StorageError("superblock must be block 0")
         counting = _counting(pointer_cipher)
         if codec is None:
             codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
+        pager = Pager(disk, cache_blocks=cache_blocks)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
                               block_size=block_size,
                               cache_blocks=record_cache_blocks,
                               backend=backend,
-                              create=True if backend is not None else None)
+                              create=True)
         db = cls(substitution, counting, disk, records, super_key, tree,
                  autocommit=autocommit, observability=observability)
         db.commit()  # superblock + the fresh root reach the platter
-        return db
-
-    @classmethod
-    def reopen(
-        cls,
-        substitution: KeySubstitution,
-        pointer_cipher: IntegerCipher,
-        disk: BlockDevice,
-        records: RecordStore,
-        *,
-        super_key: bytes = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde",
-        cache_blocks: int = 16,
-        write_back: bool = False,
-        autocommit: bool = True,
-        record_cache_blocks: int | None = None,
-        observability: ObsConfig | None = None,
-        codec: NodeCodec | None = None,
-    ) -> "EncipheredDatabase":
-        """Rebuild a handle from the platter and the secrets alone.
-
-        Every cache starts cold, as after a process restart.  Cache
-        *capacities* follow their owners: the pager is rebuilt here, so
-        ``cache_blocks`` applies directly; the record store is the
-        caller's durable object, so its configured cache capacity
-        persists unless ``record_cache_blocks`` is given (``None`` keeps
-        it, ``0`` forces the cache off).  ``codec`` must be the layout
-        the database was created with.
-        """
-        root_id, min_degree, size = cls._read_superblock(disk, super_key)
-        counting = _counting(pointer_cipher)
-        if codec is None:
-            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks, write_back=write_back)
-        if record_cache_blocks is not None:
-            records.cache.resize(record_cache_blocks)
-        tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
-        if tree.size != size:
-            raise IntegrityError(
-                f"superblock records {size} keys, tree holds {tree.size}"
-            )
-        db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability)
-        db._make_cold()  # attach's verification walk must not pre-warm
         return db
 
     @classmethod
@@ -333,7 +291,6 @@ class EncipheredDatabase:
         block_size: int = 512,
         record_size: int = 120,
         cache_blocks: int = 16,
-        write_back: bool = False,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
@@ -343,33 +300,41 @@ class EncipheredDatabase:
 
         The crash-recovery entry point: opening the node device replays
         any write-ahead-log frames a crash left logged-but-unapplied,
-        the record store rebuilds its slot metadata by scanning (the
-        platter carries no metadata records), and :meth:`reopen` then
-        verifies the index from the recovered superblock.  Geometry
-        (``block_size``/``record_size``) must match creation -- the
-        cluster manifest records it; standalone callers supply it.
+        the superblock authenticates ``super_key``, the record store
+        rebuilds its slot metadata by scanning (the platter carries no
+        metadata records), and the index is verified from the recovered
+        superblock.  Geometry (``block_size``/``record_size``) must
+        match creation -- the cluster manifest records it; standalone
+        callers supply it.  ``codec`` must be the layout the database
+        was created with.
+
+        Every cache starts cold, as after a process restart; the
+        capacities are this call's ``cache_blocks`` and
+        ``record_cache_blocks``.  The handle owns its record store: two
+        handles on one in-memory backend share the devices, not the
+        slot metadata.
         """
         disk = backend.open_device("node", block_size=block_size, create=False)
-        records = RecordStore.reopen(
-            data_key,
-            backend,
-            record_size=record_size,
-            block_size=block_size,
-            cache_blocks=record_cache_blocks,
-        )
-        return cls.reopen(
-            substitution,
-            pointer_cipher,
-            disk,
-            records,
-            super_key=super_key,
-            cache_blocks=cache_blocks,
-            write_back=write_back,
-            autocommit=autocommit,
-            record_cache_blocks=None,
-            observability=observability,
-            codec=codec,
-        )
+        # a wrong super_key fails here, before the scan deciphers every record block
+        root_id, min_degree, size = cls._read_superblock(disk, super_key)
+        records = RecordStore(data_key, record_size=record_size,
+                              block_size=block_size,
+                              cache_blocks=record_cache_blocks,
+                              backend=backend, create=False)
+        records.recover_metadata()
+        counting = _counting(pointer_cipher)
+        if codec is None:
+            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
+        pager = Pager(disk, cache_blocks=cache_blocks)
+        tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
+        if tree.size != size:
+            raise IntegrityError(
+                f"superblock records {size} keys, tree holds {tree.size}"
+            )
+        db = cls(substitution, counting, disk, records, super_key, tree,
+                 autocommit=autocommit, observability=observability)
+        db._make_cold()  # attach's verification walk must not pre-warm
+        return db
 
     # -- commit machinery ------------------------------------------------
 
@@ -490,13 +455,11 @@ class EncipheredDatabase:
             if self._in_txn:
                 raise StorageError("transactions do not nest")
             pager = self.tree.pager
-            # pre-transaction dirt must reach the disk first: rollback
-            # discards every dirty page, and pages written before this scope
-            # are not ours to throw away
+            # dirt a failed commit left behind must reach the disk first:
+            # rollback discards every dirty page, and pages written before
+            # this scope are not ours to throw away
             pager.flush()
-            saved_mode = (pager.write_back, pager.retain_dirty)
-            pager.write_back = True
-            pager.retain_dirty = True
+            pager.write_back = pager.retain_dirty = True
             self._in_txn = True
             self._txn_snapshot = self.tree.snapshot_state()
             self._txn_record_puts = []
@@ -511,7 +474,7 @@ class EncipheredDatabase:
             finally:
                 self._in_txn = False
                 self._txn_snapshot = None
-                pager.write_back, pager.retain_dirty = saved_mode
+                pager.write_back = pager.retain_dirty = False
                 pager.flush()  # restoring write-through must not strand dirt
 
     def _after_mutation(self) -> None:

@@ -2,8 +2,8 @@
 
 §5: *"The encryption algorithm used for the encryption of data blocks can
 be different and independent to that used for the tree and data pointers
-in the node blocks."*  The record store therefore owns its own simulated
-disk with its own cipher at the I/O boundary, entirely independent of the
+in the node blocks."*  The record store therefore owns its own block
+device with its own cipher at the I/O boundary, entirely independent of the
 node-block machinery.  Compromise of the node blocks yields only the
 *locations* of data blocks, never their contents.
 
@@ -90,9 +90,8 @@ from repro.crypto.modes import (
 )
 from repro.exceptions import BlockBoundsError, StorageError
 from repro.obs.tracing import NULL_TRACER
-from repro.storage.backend import StorageBackend
+from repro.storage.backend import MemoryBackend, StorageBackend
 from repro.storage.cache import LRUCache
-from repro.storage.disk import SimulatedDisk
 
 
 class _WriteIVs(threading.local):
@@ -213,13 +212,13 @@ class RecordStore:
         default) disables it, preserving the decipher-per-read cost
         model exactly.
     backend:
-        Optional :class:`~repro.storage.backend.StorageBackend` the
-        store's device comes from (``None`` keeps the historical
-        private in-memory disk).  ``device_name``/``create`` select and
-        qualify the backend device; opening an *existing* device gives
-        back the at-rest bytes but not the slot metadata, which lives
-        only in memory -- use :meth:`reopen` (or call
-        :meth:`recover_metadata`) to rebuild it by scanning.
+        The :class:`~repro.storage.backend.StorageBackend` the store's
+        ``"records"`` device comes from (``None`` opens it on a fresh
+        :class:`~repro.storage.backend.MemoryBackend`); ``create``
+        qualifies the open as the backend does.  Opening an *existing*
+        device gives back the at-rest bytes but not the slot metadata,
+        which lives only in memory -- call :meth:`recover_metadata` to
+        rebuild it by scanning.
     """
 
     def __init__(
@@ -230,7 +229,6 @@ class RecordStore:
         cache_blocks: int = 0,
         *,
         backend: StorageBackend | None = None,
-        device_name: str = "records",
         create: bool | None = None,
     ) -> None:
         slot = record_size + 2  # 2-byte length prefix
@@ -246,15 +244,14 @@ class RecordStore:
         #: A freed slot's bytes: the ``0xFFFF`` length prefix marks it free.
         self._free_slot = b"\xff\xff" + bytes(record_size)
         self._transform = _RecordBlockTransform(data_key)
-        if backend is not None:
-            self.disk = backend.open_device(
-                device_name,
-                block_size=block_size,
-                transform=self._transform,
-                create=create,
-            )
-        else:
-            self.disk = SimulatedDisk(block_size=block_size, transform=self._transform)
+        if backend is None:
+            backend = MemoryBackend()
+        self.disk = backend.open_device(
+            "records",
+            block_size=block_size,
+            transform=self._transform,
+            create=create,
+        )
         self.cache = LRUCache(cache_blocks, name="record-plaintext")
         self._open_block: int | None = None
         self._open_slots: list[bytes] = []
@@ -263,38 +260,6 @@ class RecordStore:
         #: torn, so the next write re-enciphers them from byte 0.
         self._unsettled: set[int] = set()
         self.count = 0
-
-    @classmethod
-    def reopen(
-        cls,
-        data_key: bytes,
-        backend: StorageBackend,
-        *,
-        record_size: int = 120,
-        block_size: int = 4096,
-        cache_blocks: int = 0,
-        device_name: str = "records",
-    ) -> "RecordStore":
-        """Rebuild a store from a backend's existing device by scanning.
-
-        The platter holds only enciphered slot blocks -- no metadata
-        records -- so the free list, record count and open block are
-        recovered by deciphering every block once and reading the slot
-        length prefixes (a free slot's prefix is the ``0xFFFF`` marker).
-        That full-scan decipher *is* the honest cold-open cost of the
-        metadata-less format; benchmark C12 measures it.
-        """
-        store = cls(
-            data_key,
-            record_size=record_size,
-            block_size=block_size,
-            cache_blocks=cache_blocks,
-            backend=backend,
-            device_name=device_name,
-            create=False,
-        )
-        store.recover_metadata()
-        return store
 
     @property
     def cipher_counts(self) -> CryptoOpCounts:
@@ -339,7 +304,12 @@ class RecordStore:
     def recover_metadata(self) -> None:
         """Rebuild free list / count / open block by scanning every block.
 
-        The wholesale path: one decipher per allocated block.  The only
+        The platter holds only enciphered slot blocks -- no metadata
+        records -- so the metadata is recovered by deciphering every
+        block once and reading the slot length prefixes (a free slot's
+        prefix is the ``0xFFFF`` marker).  That full-scan decipher *is*
+        the honest cold-open cost of the metadata-less format; benchmark
+        C12 measures it.  The only
         partially-filled block a correct writer can leave is the open
         one, so the (last) block with fewer than ``slots_per_block``
         slots -- or a never-written trailing allocation -- is adopted as

@@ -21,10 +21,11 @@ Two write policies are offered:
   to the disk.  This is the mode the paper's experiments (C1/C3 and the
   E-series) must run in -- each node rewrite is a disk write, so the
   reported I/O counts match the paper's per-operation cost model exactly.
-* **write-back** (``write_back=True``): writes only mark the cached copy
-  dirty; bytes reach the disk when the block is evicted (evict-writes-
-  dirty, via the raw cache's eviction callback), on :meth:`Pager.flush`,
-  or never if :meth:`Pager.discard_dirty` drops them first.  Repeated
+* **write-back** (:attr:`Pager.write_back` raised, which only a
+  database transaction does): writes only mark the cached copy dirty;
+  bytes reach the disk when the block is evicted (evict-writes-dirty,
+  via the raw cache's eviction callback), on :meth:`Pager.flush`, or
+  never if :meth:`Pager.discard_dirty` drops them first.  Repeated
   rewrites of a hot block -- the superblock, a leaf absorbing a batch of
   inserts -- coalesce into one disk write, which is the amortisation a
   transactional commit layer builds on.  Deferral happens *below* the
@@ -97,17 +98,17 @@ class Pager:
         The underlying block device.
     cache_blocks:
         Raw-cache capacity in blocks; ``0`` disables raw caching, which
-        the benchmarks use to measure cold-traversal costs.  (With
-        ``write_back=True`` and no cache, every dirty page is evicted --
+        the benchmarks use to measure cold-traversal costs.  (In
+        write-back mode with no cache, every dirty page is evicted --
         and therefore written -- immediately, degenerating to
         write-through.)
-    write_back:
-        ``False`` (default) writes through to disk on every
-        :meth:`write`; ``True`` defers writes to eviction or
-        :meth:`flush`.
 
     Attributes
     ----------
+    write_back:
+        ``False`` (the initial state) writes through to disk on every
+        :meth:`write`; ``True`` defers writes to eviction or
+        :meth:`flush`.  A database transaction raises it for its scope.
     retain_dirty:
         When ``True``, eviction never selects a dirty page -- including
         pages that were already dirty when the flag was raised -- so the
@@ -121,10 +122,9 @@ class Pager:
         self,
         disk: BlockDevice,
         cache_blocks: int = 64,
-        write_back: bool = False,
     ) -> None:
         self.disk = disk
-        self.write_back = write_back
+        self.write_back = False
         self.retain_dirty = False
         self.stats = PagerStats()
         #: Span tracer for read/write/flush timing; defaults to the

@@ -4,27 +4,31 @@ The parity suite here extends the cluster's core contract to the cache
 hierarchy: a fully-cached cluster must return byte-identical results to
 an uncached one (and to an uncached single database) over both routing
 strategies, across deletes, transactions and reopen.  The reopen tests
-cover the fail-fast validation of the supplied router against the
+cover the fail-fast validation of the manifest's router against the
 actual key placement.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.cluster.router import RangeRouter
+from repro.cluster.manifest import ClusterManifest
+from repro.cluster.router import HashRouter, RangeRouter
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
 from repro.exceptions import IntegrityError, StorageError
+from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
 UNITS = non_multiplier_units(DESIGN)
 NUM_SHARDS = 4
+SUPER_KEY = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"  # the cluster default
 
 CACHED = {"record_cache_blocks": 64}
 
@@ -52,6 +56,13 @@ def make_cluster(factories, router="hash", **kwargs):
     sub_factory, cipher_factory = factories
     return ShardedEncipheredDatabase.create(
         sub_factory, cipher_factory, num_shards=NUM_SHARDS, router=router, **kwargs
+    )
+
+
+def reopen_cluster(factories, backend, **kwargs):
+    sub_factory, cipher_factory = factories
+    return ShardedEncipheredDatabase.reopen_from_manifest(
+        sub_factory, cipher_factory, backend, **kwargs
     )
 
 
@@ -87,20 +98,15 @@ class TestClusterParity:
 
     @pytest.mark.parametrize("router", ["hash", "range"])
     def test_cached_parity_survives_reopen(self, factories, router):
-        cached = make_cluster(factories, router=router, **CACHED)
-        control = make_cluster(factories, router=router)
+        cached_backend, control_backend = MemoryBackend(), MemoryBackend()
+        cached = make_cluster(factories, router=router, backend=cached_backend, **CACHED)
+        control = make_cluster(factories, router=router, backend=control_backend)
         run_workload(cached, 23)
         run_workload(control, 23)
         cached.close()
         control.close()
-        sub_factory, cipher_factory = factories
-        reopened_cached = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, cached.shard_parts(),
-            router=router, **CACHED,
-        )
-        reopened_control = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, control.shard_parts(), router=router
-        )
+        reopened_cached = reopen_cluster(factories, cached_backend, **CACHED)
+        reopened_control = reopen_cluster(factories, control_backend)
         assert sorted(reopened_cached.items()) == sorted(reopened_control.items())
         # reopen is cold: the items() walk above deciphered every block anew
         stats = reopened_cached.stats()
@@ -151,59 +157,62 @@ class TestClusterCacheStats:
 
 
 class TestReopenValidation:
+    """The manifest authenticates the configuration; the placement
+    check cross-checks it against the data.  Each reject test saves a
+    mismatched manifest under the right key, as a stale or doctored
+    configuration would be, and the reopen must refuse it."""
+
     def load(self, factories, router="hash"):
-        db = make_cluster(factories, router=router)
+        backend = MemoryBackend()
+        db = make_cluster(factories, router=router, backend=backend)
         for k in random.Random(5).sample(range(DESIGN.v), 60):
             db.insert(k, f"r{k}".encode())
         db.close()
-        return db
+        return backend
+
+    @staticmethod
+    def resave(backend, **changes):
+        """Replace the stored manifest with an edited copy."""
+        manifest = ClusterManifest.decipher(backend.load_manifest(), SUPER_KEY)
+        edited = dataclasses.replace(manifest, **changes)
+        backend.save_manifest(edited.encipher(SUPER_KEY))
 
     def test_reopen_with_matching_router_succeeds(self, factories):
-        db = self.load(factories, router="hash")
-        sub_factory, cipher_factory = factories
-        reopened = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, db.shard_parts(), router="hash"
-        )
+        backend = self.load(factories, router="hash")
+        reopened = reopen_cluster(factories, backend)
         assert len(reopened) == 60
         reopened.close()
 
     def test_reopen_with_wrong_router_kind_fails_fast(self, factories):
-        db = self.load(factories, router="hash")
-        sub_factory, cipher_factory = factories
+        backend = self.load(factories, router="hash")
+        uniform = RangeRouter.uniform(NUM_SHARDS, range(DESIGN.v))
+        self.resave(
+            backend, router_kind="range", router_boundaries=list(uniform.boundaries)
+        )
         with pytest.raises(StorageError, match="router mismatch"):
-            ShardedEncipheredDatabase.reopen(
-                sub_factory, cipher_factory, db.shard_parts(), router="range"
-            )
+            reopen_cluster(factories, backend)
 
     def test_reopen_with_wrong_boundaries_fails_fast(self, factories):
-        db = self.load(factories, router="range")
-        sub_factory, cipher_factory = factories
-        skewed = RangeRouter([2, 4, 6])  # shard 3 would own nearly everything
+        backend = self.load(factories, router="range")
+        # shard 3 would own nearly everything
+        self.resave(backend, router_boundaries=[2, 4, 6])
         with pytest.raises(StorageError, match="router mismatch"):
-            ShardedEncipheredDatabase.reopen(
-                sub_factory, cipher_factory, db.shard_parts(), router=skewed
-            )
+            reopen_cluster(factories, backend)
 
     def test_reopen_with_shuffled_parts_fails_fast(self, factories):
-        db = self.load(factories, router="range")
-        sub_factory, cipher_factory = factories
-        parts = db.shard_parts()
-        parts[0], parts[-1] = parts[-1], parts[0]
+        backend = self.load(factories, router="range")
+        scopes = [f"shard-{i:03d}" for i in range(NUM_SHARDS)]
+        scopes[0], scopes[-1] = scopes[-1], scopes[0]
+        self.resave(backend, shard_scopes=scopes)
         with pytest.raises((StorageError, IntegrityError)):
             # shard 0's superblock no longer authenticates under shard 0's
             # derived key, or -- if it somehow did -- routing validation
             # rejects the placement; either way reopen refuses
-            ShardedEncipheredDatabase.reopen(
-                sub_factory, cipher_factory, parts, router="range"
-            )
+            reopen_cluster(factories, backend)
 
-    def test_validation_can_be_skipped(self, factories):
-        db = self.load(factories, router="hash")
-        sub_factory, cipher_factory = factories
-        reopened = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, db.shard_parts(),
-            router="range", validate_routing=False,
-        )
-        # explicit opt-out: the caller owns the consequences
-        assert reopened.num_shards == NUM_SHARDS
-        reopened.close()
+    def test_check_invariants_rejects_a_wrong_router(self, factories):
+        backend = self.load(factories, router="range")
+        reopened = reopen_cluster(factories, backend)
+        reopened.router = HashRouter(NUM_SHARDS)
+        with pytest.raises(StorageError, match="router mismatch"):
+            reopened.check_invariants()

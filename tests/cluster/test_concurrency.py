@@ -19,6 +19,7 @@ from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.designs.multipliers import non_multiplier_units
+from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
@@ -46,7 +47,8 @@ class TestSingleDatabaseConcurrency:
     def test_readers_and_writer_interleave(self, keypairs):
         substitution = OvalSubstitution(DESIGN, t=UNITS[0])
         cipher = RSA(keypairs[0])
-        db = EncipheredDatabase.create(substitution, cipher)
+        backend = MemoryBackend()
+        db = EncipheredDatabase.create(substitution, cipher, backend=backend)
         stable = list(range(0, 60))
         for k in stable:
             db.insert(k, f"stable-{k}".encode())
@@ -87,11 +89,10 @@ class TestSingleDatabaseConcurrency:
             try:
                 while not writer_done.is_set():
                     with db.lock.read_locked():
-                        reopened = EncipheredDatabase.reopen(
+                        reopened = EncipheredDatabase.reopen_from_backend(
                             OvalSubstitution(DESIGN, t=UNITS[0]),
                             RSA(keypairs[0]),
-                            db.disk,
-                            db.records,
+                            backend,
                         )
                         assert len(reopened) == len(db)
             except BaseException as exc:  # noqa: BLE001
@@ -107,9 +108,8 @@ class TestSingleDatabaseConcurrency:
         assert len(db) == 60 + 50
         db.tree.check_invariants()
         # a final reopen proves the platter state is coherent
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=UNITS[0]), RSA(keypairs[0]),
-            db.disk, db.records,
+        reopened = EncipheredDatabase.reopen_from_backend(
+            OvalSubstitution(DESIGN, t=UNITS[0]), RSA(keypairs[0]), backend
         )
         assert len(reopened) == 110
 

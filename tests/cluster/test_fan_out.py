@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import ExitStack
 
 import pytest
 
@@ -233,11 +234,14 @@ class TestReads:
             cluster.close()
 
     @pytest.mark.parametrize("router", ["hash", "range"])
-    @pytest.mark.parametrize("write_back", [False, True], ids=["through", "back"])
-    def test_transaction_reads_see_uncommitted_writes(self, router, write_back):
+    @pytest.mark.parametrize("autocommit", [True, False], ids=["autocommit", "manual"])
+    def test_transaction_reads_see_uncommitted_writes(self, router, autocommit):
+        """The scopes run write-back whatever the commit mode outside
+        them: autocommit, or manual commits that leave the bulk load's
+        superblock behind until the first scope commits."""
         sample = random.Random(0xE6).sample(range(DESIGN.v), 30)
         absent = [k for k in range(DESIGN.v) if k not in set(sample)]
-        cluster = make_cluster(router=router, write_back=write_back)
+        cluster = make_cluster(router=router, autocommit=autocommit)
         try:
             cluster.bulk_load(records_for(sample).items())
             with cluster.transaction():
@@ -261,19 +265,20 @@ class TestReads:
             cluster.close()
 
     def test_reads_never_flush_dirty_pages(self):
-        """A fan-out read serves write-back dirty pages without
-        committing them."""
+        """A fan-out read inside a transaction serves its dirty pages
+        without committing them."""
         sample = random.Random(0xEC).sample(range(DESIGN.v), 20)
-        cluster = make_cluster(write_back=True, autocommit=False)
+        cluster = make_cluster()
         try:
-            for k in sample:
-                cluster.insert(k, f"rec{k}".encode())
-            dirty_before = sum(s.tree.pager.dirty_blocks for s in cluster.shards)
-            assert dirty_before > 0
-            assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
-            assert len(cluster.get_many(sample)) == len(sample)
-            dirty_after = sum(s.tree.pager.dirty_blocks for s in cluster.shards)
-            assert dirty_after == dirty_before, "a read committed dirty pages"
+            with cluster.transaction():
+                for k in sample:
+                    cluster.insert(k, f"rec{k}".encode())
+                dirty_before = sum(s.tree.pager.dirty_blocks for s in cluster.shards)
+                assert dirty_before > 0
+                assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
+                assert len(cluster.get_many(sample)) == len(sample)
+                dirty_after = sum(s.tree.pager.dirty_blocks for s in cluster.shards)
+                assert dirty_after == dirty_before, "a read committed dirty pages"
         finally:
             cluster.close()
 
@@ -296,20 +301,25 @@ class TestReads:
 
     def test_uncommitted_bulk_load_stays_uncommitted(self):
         sample = random.Random(0xEE).sample(range(DESIGN.v), 40)
-        cluster = make_cluster(write_back=True, autocommit=False)
+        cluster = make_cluster()
         try:
-            cluster.bulk_load(records_for(sample).items())
-            assert any(s.tree.pager.dirty_blocks for s in cluster.shards)
-            assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
+            with cluster.transaction():
+                cluster.bulk_load(records_for(sample).items())
+                assert any(s.tree.pager.dirty_blocks for s in cluster.shards)
+                assert len(cluster.range_search(0, DESIGN.v)) == len(sample)
+            assert not any(s.tree.pager.dirty_blocks for s in cluster.shards)
         finally:
-            cluster.close()  # commits, like any orderly shutdown
+            cluster.close()
 
 
 class TestOracleMatrix:
     """A seeded stream of every cluster operation, checked step by step
     against a dict.  Each point of the matrix changes what the fan-out
     sees: one shard (no merge), an uneven shard count, key-ordered or
-    hashed placement, and pages that stay dirty until commit."""
+    hashed placement, and pages that stay dirty until commit.  The
+    ``back`` arm runs the stream in cluster transactions of up to ten
+    steps -- the one write-back scope -- closing each before the
+    stream's own transaction steps."""
 
     @pytest.mark.parametrize("write_back", [False, True], ids=["through", "back"])
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 5])
@@ -317,9 +327,9 @@ class TestOracleMatrix:
     def test_stream_matches_a_dict(self, router, num_shards, write_back):
         rng = random.Random(f"{router}-{num_shards}-{write_back}")
         oracle: dict[int, bytes] = {}
-        cluster = make_cluster(
-            num_shards=num_shards, router=router, write_back=write_back
-        )
+        cluster = make_cluster(num_shards=num_shards, router=router)
+        scope = ExitStack()  # the back arm's open cluster transaction
+        in_scope = False
 
         def some(n, present):
             pool = sorted(oracle) if present else [
@@ -334,6 +344,12 @@ class TestOracleMatrix:
                     "search", "get", "put_many", "delete_many", "range",
                     "get_many", "txn_commit", "txn_abort",
                 ))
+                if write_back and (op.startswith("txn") or step % 10 == 0):
+                    scope.close()
+                    in_scope = False
+                if write_back and not in_scope and not op.startswith("txn"):
+                    scope.enter_context(cluster.transaction())
+                    in_scope = True
                 if op == "insert":
                     for k in some(1, present=False):
                         cluster.insert(k, f"i{step}".encode())
@@ -401,12 +417,14 @@ class TestOracleMatrix:
                         oracle = view
                     assert dict(cluster.range_search(0, DESIGN.v)) == oracle
                 assert len(cluster) == len(oracle)
+            scope.close()
             cluster.check_invariants()
             cluster.commit()
             cluster.clear_caches()
             assert list(cluster.items()) == sorted(oracle.items())
             assert cluster.range_search(0, DESIGN.v) == sorted(oracle.items())
         finally:
+            scope.close()
             cluster.close()
 
 

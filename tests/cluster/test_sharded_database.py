@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.cluster.manifest import ClusterManifest
 from repro.cluster.router import HashRouter, RangeRouter
 from repro.cluster.sharded import ShardedEncipheredDatabase, derive_shard_key
 from repro.core.database import EncipheredDatabase
@@ -26,6 +27,7 @@ from repro.exceptions import (
     KeyNotFoundError,
     StorageError,
 )
+from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
@@ -61,9 +63,17 @@ def make_cluster(factories, router="hash", **kwargs):
     )
 
 
-def make_single(factories, keypairs):
+def make_single(factories, keypairs, **kwargs):
     sub_factory, _ = factories
-    return EncipheredDatabase.create(sub_factory(0), RSA(keypairs[9]))
+    return EncipheredDatabase.create(sub_factory(0), RSA(keypairs[9]), **kwargs)
+
+
+def reopen_cluster(factories, backend, **kwargs):
+    """A second cluster handle rebuilt from the backend's manifest."""
+    sub_factory, cipher_factory = factories
+    return ShardedEncipheredDatabase.reopen_from_manifest(
+        sub_factory, cipher_factory, backend, **kwargs
+    )
 
 
 class TestLifecycle:
@@ -135,14 +145,18 @@ class TestLifecycle:
             )
 
     def test_reopen_authenticates_each_shard(self, factories):
-        db = make_cluster(factories)
+        backend = MemoryBackend()
+        db = make_cluster(factories, backend=backend)
         db.insert(5, b"x")
-        sub_factory, cipher_factory = factories
+        # a manifest that deciphers under the wrong base secret: the
+        # shard superblocks must still refuse the keys derived from it
+        wrong = b"\x00" * 8
+        manifest = ClusterManifest.decipher(
+            backend.load_manifest(), b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"
+        )
+        backend.save_manifest(manifest.encipher(wrong))
         with pytest.raises(IntegrityError):
-            ShardedEncipheredDatabase.reopen(
-                sub_factory, cipher_factory, db.shard_parts(),
-                super_key=b"\x00" * 8,
-            )
+            reopen_cluster(factories, backend, super_key=wrong)
 
     def test_bulk_load_rejects_duplicates_before_touching_shards(self, factories):
         db = make_cluster(factories)
@@ -172,6 +186,39 @@ class TestLifecycle:
         assert db.search(keys[0]) == f"t{keys[0]}".encode()
         for k in fresh[:8]:
             assert k not in db
+        db.check_invariants()
+
+    def test_failed_shard_commit_is_not_rolled_back_everywhere(
+        self, factories, monkeypatch
+    ):
+        """What a cluster transaction does *not* guarantee: the shards
+        commit one at a time, last first, so a failed commit on shard k
+        leaves the later shards committed, rolls the earlier ones back
+        and keeps k's writes pending until its next commit."""
+        db = make_cluster(factories, router="range")
+        keys = [
+            next(key for key in range(DESIGN.v) if db.router.shard_for(key) == i)
+            for i in range(NUM_SHARDS)
+        ]
+        failing = 1
+
+        def refuse():
+            raise StorageError("sync refused")
+
+        monkeypatch.setattr(db.shards[failing].disk, "sync", refuse)
+        with pytest.raises(StorageError, match="sync refused"):
+            with db.transaction():
+                for key in keys:
+                    db.insert(key, b"t")
+        assert [key in db for key in keys] == [
+            i >= failing for i in range(NUM_SHARDS)
+        ]
+        assert [shard.has_uncommitted_changes for shard in db.shards] == [
+            i == failing for i in range(NUM_SHARDS)
+        ]
+        monkeypatch.undo()
+        db.commit()
+        assert not any(shard.has_uncommitted_changes for shard in db.shards)
         db.check_invariants()
 
     def test_fan_out_inside_transaction_does_not_deadlock(self, factories):
@@ -234,19 +281,18 @@ class WorkloadMixin:
             assert (k in sharded) == (k in single)
 
     def test_mutation_parity_and_reopen(self, factories, keypairs):
-        sharded = make_cluster(factories, router=self.router)
-        single = make_single(factories, keypairs)
+        cluster_backend, single_backend = MemoryBackend(), MemoryBackend()
+        sharded = make_cluster(factories, router=self.router, backend=cluster_backend)
+        single = make_single(factories, keypairs, backend=single_backend)
         keys = self.run_workload(sharded)
         assert self.run_workload(single) == keys
         self.assert_parity(sharded, single, keys)
         sharded.check_invariants()
 
-        sub_factory, cipher_factory = factories
-        reopened_sharded = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, sharded.shard_parts(), router=self.router
-        )
-        reopened_single = EncipheredDatabase.reopen(
-            sub_factory(0), RSA(keypairs[9]), single.disk, single.records
+        sub_factory, _ = factories
+        reopened_sharded = reopen_cluster(factories, cluster_backend)
+        reopened_single = EncipheredDatabase.reopen_from_backend(
+            sub_factory(0), RSA(keypairs[9]), single_backend
         )
         self.assert_parity(reopened_sharded, reopened_single, keys)
         # reopened handles stay writable and consistent
@@ -262,17 +308,15 @@ class WorkloadMixin:
             (k, f"bulk-{k}".encode())
             for k in random.Random(0xB1).sample(range(DESIGN.v), 80)
         ]
-        sharded = make_cluster(factories, router=self.router)
+        backend = MemoryBackend()
+        sharded = make_cluster(factories, router=self.router, backend=backend)
         single = make_single(factories, keypairs)
         sharded.bulk_load(items)
         single.bulk_load(items)
         self.assert_parity(sharded, single, [k for k, _ in items])
         sharded.check_invariants()
 
-        sub_factory, cipher_factory = factories
-        reopened = ShardedEncipheredDatabase.reopen(
-            sub_factory, cipher_factory, sharded.shard_parts(), router=self.router
-        )
+        reopened = reopen_cluster(factories, backend)
         self.assert_parity(reopened, single, [k for k, _ in items])
         sharded.close()
         reopened.close()

@@ -18,7 +18,7 @@ from repro.exceptions import (
     KeyNotFoundError,
     StorageError,
 )
-from repro.storage.backend import FileBackend
+from repro.storage.backend import FileBackend, MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)
@@ -30,8 +30,22 @@ def cipher():
 
 
 @pytest.fixture
-def db(cipher):
-    return EncipheredDatabase.create(OvalSubstitution(DESIGN, t=5), cipher)
+def backend():
+    return MemoryBackend()
+
+
+@pytest.fixture
+def db(cipher, backend):
+    return EncipheredDatabase.create(
+        OvalSubstitution(DESIGN, t=5), cipher, backend=backend
+    )
+
+
+def reopen(cipher, backend, **kwargs):
+    """A second handle rebuilt from the backend and the secrets alone."""
+    return EncipheredDatabase.reopen_from_backend(
+        OvalSubstitution(DESIGN, t=5), cipher, backend, **kwargs
+    )
 
 
 class TestLifecycle:
@@ -43,14 +57,12 @@ class TestLifecycle:
         assert len(db) == 1
         assert db.range_search(0, 100) == [(20, b"twenty")]
 
-    def test_reopen_restores_everything(self, db, cipher):
+    def test_reopen_restores_everything(self, db, cipher, backend):
         keys = random.Random(0).sample(range(DESIGN.v), 70)
         for k in keys:
             db.insert(k, f"r{k}".encode())
 
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 70
         for k in keys[:10]:
             assert reopened.search(k) == f"r{k}".encode()
@@ -59,14 +71,12 @@ class TestLifecycle:
         reopened.insert(fresh, b"new")
         assert reopened.search(fresh) == b"new"
 
-    def test_reopen_after_mutation_cycle(self, db, cipher):
+    def test_reopen_after_mutation_cycle(self, db, cipher, backend):
         for k in range(0, 60, 2):
             db.insert(k, b"x")
         for k in range(0, 30, 2):
             db.delete(k)
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert [k for k, _ in reopened.range_search(0, 100)] == list(range(30, 60, 2))
 
 
@@ -139,16 +149,10 @@ class TestConvenienceAPI:
 
 
 class TestSuperblockSecurity:
-    def test_wrong_super_key_rejected(self, db, cipher):
+    def test_wrong_super_key_rejected(self, db, cipher, backend):
         db.insert(1, b"x")
         with pytest.raises(IntegrityError):
-            EncipheredDatabase.reopen(
-                OvalSubstitution(DESIGN, t=5),
-                cipher,
-                db.disk,
-                db.records,
-                super_key=b"\x00" * 8,
-            )
+            reopen(cipher, backend, super_key=b"\x00" * 8)
 
     def test_superblock_is_ciphertext_at_rest(self, db):
         db.insert(5, b"x")
@@ -167,26 +171,22 @@ class TestSuperblockSecurity:
         db.delete(3)
         assert schedule_derivations() == before
 
-    def test_superblock_tracks_root_splits(self, db, cipher):
+    def test_superblock_tracks_root_splits(self, db, cipher, backend):
         """Enough inserts to split the root several times; the superblock
         must always point at the current root."""
         for k in range(120):
             db.insert(k, b"x")
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert reopened.tree.root_id == db.tree.root_id
         assert len(reopened) == 120
 
 
 class TestTransactions:
-    def test_commit_on_clean_exit(self, db, cipher):
+    def test_commit_on_clean_exit(self, db, cipher, backend):
         with db.transaction():
             for k in range(30):
                 db.insert(k, f"r{k}".encode())
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 30
         assert reopened.search(17) == b"r17"
 
@@ -202,7 +202,7 @@ class TestTransactions:
         # batching beats one-superblock-rewrite-per-insert on its own
         assert db.disk.stats.writes < 25
 
-    def test_rollback_restores_committed_state(self, db, cipher):
+    def test_rollback_restores_committed_state(self, db, cipher, backend):
         for k in range(10):
             db.insert(k, f"base{k}".encode())
         records_before = db.records.count
@@ -218,9 +218,7 @@ class TestTransactions:
         assert db.search(3) == b"base3"
         # the doomed inserts' slots were freed again
         assert db.records.count == records_before
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 10
 
     def test_rollback_leaves_db_usable(self, db):
@@ -262,31 +260,30 @@ class TestTransactions:
         assert pager.retain_dirty is False
         assert pager.dirty_blocks == 0
 
-    def test_manual_commit_without_autocommit(self, db, cipher):
+    def test_manual_commit_without_autocommit(self, db, cipher, backend):
         db.autocommit = False
         db.insert(1, b"x")
         db.insert(2, b"y")
         # superblock still describes the empty tree
         with pytest.raises(IntegrityError):
-            EncipheredDatabase.reopen(
-                OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-            )
+            reopen(cipher, backend)
         db.commit()
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 2
 
-    def test_write_back_database_round_trip(self, cipher):
+    def test_write_back_database_round_trip(self, cipher, backend):
+        """A transaction is the one write-back scope: with a two-block
+        cache its dirty pages outgrow the bound, stay held until the
+        commit, and reach the platter whole."""
         db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher, write_back=True
+            OvalSubstitution(DESIGN, t=5), cipher, cache_blocks=2, backend=backend
         )
         with db.transaction():
             for k in range(50):
                 db.insert(k, f"r{k}".encode())
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+            assert db.tree.pager.dirty_blocks > db.tree.pager.capacity
+        assert db.tree.pager.dirty_blocks == 0
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 50
         assert reopened.search(49) == b"r49"
 
@@ -345,7 +342,7 @@ class TestMissingKeyDelete:
 
 
 class TestBulkLoad:
-    def test_equivalent_to_sequential_insert(self, db, cipher):
+    def test_equivalent_to_sequential_insert(self, db, cipher, backend):
         keys = random.Random(7).sample(range(DESIGN.v), 90)
         db.bulk_load((k, f"r{k}".encode()) for k in keys)
         db.tree.check_invariants()
@@ -353,9 +350,7 @@ class TestBulkLoad:
         for k in keys:
             inserted.insert(k, f"r{k}".encode())
         assert db.range_search(0, DESIGN.v) == inserted.range_search(0, DESIGN.v)
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 90
 
     def test_requires_empty_database(self, db):
@@ -386,9 +381,11 @@ class TestBulkLoadRecordWrites:
 
 
 class TestBugfixRegressions:
-    def test_counting_cipher_reused_not_double_wrapped(self, cipher):
+    def test_counting_cipher_reused_not_double_wrapped(self, cipher, backend):
         counting = CountingCipher(cipher)
-        db = EncipheredDatabase.create(OvalSubstitution(DESIGN, t=5), counting)
+        db = EncipheredDatabase.create(
+            OvalSubstitution(DESIGN, t=5), counting, backend=backend
+        )
         assert db.pointer_cipher is counting
         db.insert(1, b"x")
         db.search(1)
@@ -396,12 +393,12 @@ class TestBugfixRegressions:
         # split the tallies and halved what the caller's handle reports
         assert counting.counts.encryptions > 0
         assert counting.counts.decryptions > 0
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), counting, db.disk, db.records
-        )
+        reopened = reopen(counting, backend)
         assert reopened.pointer_cipher is counting
 
-    def test_delete_writes_superblock_even_if_record_free_fails(self, db, cipher, monkeypatch):
+    def test_delete_writes_superblock_even_if_record_free_fails(
+        self, db, cipher, backend, monkeypatch
+    ):
         for k in range(5):
             db.insert(k, b"x")
 
@@ -414,9 +411,7 @@ class TestBugfixRegressions:
         monkeypatch.undo()
         # the tree lost the key; the superblock must agree with it, or
         # the database can never be reopened (the slot merely leaks)
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 4
         with pytest.raises(KeyNotFoundError):
             reopened.search(2)
@@ -448,7 +443,7 @@ class TestBugfixRegressions:
             f"r{k}".encode() for k in range(40) if k not in (3, 17)
         ]
 
-    def test_read_superblock_narrowed_exception(self, db, cipher):
+    def test_read_superblock_narrowed_exception(self, db, cipher, backend):
         class ExplodingDisk:
             def read_block(self, block_id):
                 raise RuntimeError("programming error, not a bad key")
@@ -459,16 +454,15 @@ class TestBugfixRegressions:
         # while genuine decipherment failures still map to IntegrityError
         db.disk._blocks[0] = bytes(len(db.disk._blocks[0]))
         with pytest.raises(IntegrityError):
-            EncipheredDatabase.reopen(
-                OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-            )
+            reopen(cipher, backend)
 
-    def test_rollback_preserves_pretransaction_uncommitted_writes(self, cipher):
-        """Dirty pages written *before* the scope are flushed on entry,
-        so rolling the scope back cannot discard them."""
+    def test_rollback_preserves_pretransaction_uncommitted_writes(self, cipher, backend):
+        """Writes made *before* the scope are not the scope's to undo:
+        its rollback returns to the state it entered, uncommitted
+        pre-scope writes included."""
         db = EncipheredDatabase.create(
             OvalSubstitution(DESIGN, t=5), cipher,
-            write_back=True, autocommit=False,
+            autocommit=False, backend=backend,
         )
         db.insert(1, b"pre-txn")
         with pytest.raises(RuntimeError):
@@ -478,9 +472,7 @@ class TestBugfixRegressions:
         assert len(db) == 1
         assert db.search(1) == b"pre-txn"
         db.commit()
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
+        reopened = reopen(cipher, backend)
         assert len(reopened) == 1
         assert reopened.search(1) == b"pre-txn"
 

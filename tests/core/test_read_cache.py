@@ -23,6 +23,7 @@ from repro.core.records import RecordStore
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
 from repro.exceptions import StorageError
+from repro.storage.backend import MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
 DESIGN = planar_difference_set(13)  # v = 183
@@ -212,7 +213,8 @@ class TestInvalidation:
     def test_clear_caches_inside_transaction_keeps_rollback_sound(self, cipher):
         """clear_caches() mid-transaction must not flush uncommitted pages
         past the rollback point (it drops only clean/derived state)."""
-        db = make_db(cipher, record_cache_blocks=64)
+        backend = MemoryBackend()
+        db = make_db(cipher, record_cache_blocks=64, backend=backend)
         db.insert(1, b"committed")
         with pytest.raises(RuntimeError):
             with db.transaction():
@@ -225,8 +227,8 @@ class TestInvalidation:
         assert len(db) == 1
         db.tree.check_invariants()
         # the platter is coherent: a fresh handle agrees
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
+        reopened = EncipheredDatabase.reopen_from_backend(
+            OvalSubstitution(DESIGN, t=5), cipher, backend
         )
         assert len(reopened) == 1
 
@@ -249,31 +251,27 @@ class TestInvalidation:
 
     def test_reopen_starts_cold(self, cipher):
         sub = OvalSubstitution(DESIGN, t=5)
-        db = EncipheredDatabase.create(sub, cipher, record_cache_blocks=64)
+        backend = MemoryBackend()
+        db = EncipheredDatabase.create(
+            sub, cipher, record_cache_blocks=64, backend=backend
+        )
         for k in range(0, 50, 5):
             db.insert(k, b"x")
         db.range_search(0, 50)  # warm
         assert len(db.records.cache) > 0
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records,
+        reopened = EncipheredDatabase.reopen_from_backend(
+            OvalSubstitution(DESIGN, t=5), cipher, backend,
             record_cache_blocks=64,
         )
-        # the shared record store's cache was cleared on the way up, and
-        # the node cache forgot what attach's verification walk touched
+        # the reopened handle's record store forgot what its metadata
+        # scan read, and the node cache what attach's verification
+        # walk touched
         stats = reopened.stats()
         assert stats["record_cache"]["hits"] == 0
         assert stats["pager"]["hits"] == 0
         reopened.records.cipher_counts.reset()
         assert reopened.search(20) == b"x"
         assert reopened.records.cipher_counts.decryptions == 1  # cold read
-
-    def test_reopen_without_sizes_preserves_store_capacity(self, cipher):
-        db = make_db(cipher, record_cache_blocks=12)
-        db.insert(3, b"x")
-        reopened = EncipheredDatabase.reopen(
-            OvalSubstitution(DESIGN, t=5), cipher, db.disk, db.records
-        )
-        assert reopened.cache_config()["record_plaintext_blocks"] == 12
 
     def test_stats_contains_cache_counters(self, cipher):
         db = make_db(cipher, record_cache_blocks=8)

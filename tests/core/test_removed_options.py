@@ -24,8 +24,8 @@ policy, and the process-wide kernel override: ``set_default_kernel`` is
 gone and the ``REPRO_DES_KERNEL`` environment variable is ignored, so
 the platform alone picks the default kernel.  The cluster's process
 executor is gone with its change journals and replica sync: ``create``
-and ``reopen`` reject ``executor=``, ``shard_factories=`` and
-``op_deadline_s=``, ``reopen_from_manifest`` accepts only
+rejects ``executor=``, ``shard_factories=`` and ``op_deadline_s=``,
+``reopen_from_manifest`` rejects the last two and accepts only
 ``executor="serial"`` (anything else raises ``StorageError``), and
 nothing in the package imports ``multiprocessing``.  The in-memory
 ``EncipheredBTree`` and ``BayerMetzgerBTree`` facades are gone with their
@@ -36,6 +36,12 @@ The modelled device latency is gone: ``SimulatedDisk`` and
 ``MemoryBackend`` reject ``latency_s=``, ``FilePlatter`` and
 ``FileBackend`` reject ``fsync_latency_s=``, and no device keeps a
 service-time hook, so a device books only the time it measures.
+There is one way to open a store and one place write-back happens:
+every database and cluster lives on a storage backend and reopens with
+``reopen_from_backend``/``reopen_from_manifest`` (the device-object
+``reopen`` methods and ``shard_parts`` are gone), and only
+``transaction()`` switches the pager to write-back, so ``write_back=``,
+``validate_routing=`` and ``device_name=`` raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -89,24 +95,13 @@ def cipher(i: int = 0) -> RSA:
 BUDGET = {"decoded_node_cache_bytes": 1024}
 READAHEAD = {"readahead_workers": 2}
 DECODED = {"decoded_node_cache_blocks": 64}
-
-
-def _reopen_db(tmp_path, removed=BUDGET):
-    backend = FileBackend(tmp_path / "db", fsync=False)
-    db = EncipheredDatabase.create(sub(), cipher(), backend=backend)
-    db.close()
-    return EncipheredDatabase.reopen(sub(), cipher(), db.disk, db.records, **removed)
+WRITE_BACK = {"write_back": True}
 
 
 def _reopen_db_from_backend(tmp_path, removed=BUDGET):
     backend = FileBackend(tmp_path / "db", fsync=False)
     EncipheredDatabase.create(sub(), cipher(), backend=backend).close()
     return EncipheredDatabase.reopen_from_backend(sub(), cipher(), backend, **removed)
-
-
-def _reopen_cluster(tmp_path, removed=BUDGET):
-    cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
-    return ShardedEncipheredDatabase.reopen(sub, cipher, cluster.shard_parts(), **removed)
 
 
 def _manifest_backend() -> MemoryBackend:
@@ -129,13 +124,6 @@ EXECUTOR_KEYWORDS = {
 }
 
 
-def _reopen_cluster_with(keyword):
-    cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
-    return ShardedEncipheredDatabase.reopen(
-        sub, cipher, cluster.shard_parts(), **{keyword: EXECUTOR_KEYWORDS[keyword]}
-    )
-
-
 def _construct_cluster_with(*removed_args, **removed):
     cluster = ShardedEncipheredDatabase.create(sub, cipher, num_shards=2)
     return ShardedEncipheredDatabase(
@@ -146,12 +134,10 @@ def _construct_cluster_with(*removed_args, **removed):
 #: Every surface that took a removed keyword, called with it.
 REJECTING_CALLS = {
     "db.create": lambda tmp_path: EncipheredDatabase.create(sub(), cipher(), **BUDGET),
-    "db.reopen": _reopen_db,
     "db.reopen_from_backend": _reopen_db_from_backend,
     "cluster.create": lambda tmp_path: ShardedEncipheredDatabase.create(
         sub, cipher, num_shards=2, **BUDGET
     ),
-    "cluster.reopen": _reopen_cluster,
     "cluster.reopen_from_manifest": _reopen_cluster_from_manifest,
     "Pager(decoded_cache_bytes)": lambda tmp_path: Pager(
         SimulatedDisk(block_size=64), decoded_cache_bytes=1024
@@ -162,7 +148,6 @@ REJECTING_CALLS = {
     "db.create(readahead_workers)": lambda tmp_path: EncipheredDatabase.create(
         sub(), cipher(), **READAHEAD
     ),
-    "db.reopen(readahead_workers)": lambda tmp_path: _reopen_db(tmp_path, READAHEAD),
     "db.reopen_from_backend(readahead_workers)": lambda tmp_path: _reopen_db_from_backend(
         tmp_path, READAHEAD
     ),
@@ -172,15 +157,11 @@ REJECTING_CALLS = {
     "db.create(decoded_node_cache_blocks)": lambda tmp_path: EncipheredDatabase.create(
         sub(), cipher(), **DECODED
     ),
-    "db.reopen(decoded_node_cache_blocks)": lambda tmp_path: _reopen_db(tmp_path, DECODED),
     "db.reopen_from_backend(decoded_node_cache_blocks)": lambda tmp_path: (
         _reopen_db_from_backend(tmp_path, DECODED)
     ),
     "cluster.create(decoded_node_cache_blocks)": lambda tmp_path: (
         ShardedEncipheredDatabase.create(sub, cipher, num_shards=2, **DECODED)
-    ),
-    "cluster.reopen(decoded_node_cache_blocks)": lambda tmp_path: _reopen_cluster(
-        tmp_path, DECODED
     ),
     "cluster.reopen_from_manifest(decoded_node_cache_blocks)": lambda tmp_path: (
         _reopen_cluster_from_manifest(tmp_path, DECODED)
@@ -210,16 +191,32 @@ REJECTING_CALLS = {
         )
         for keyword in EXECUTOR_KEYWORDS
     },
-    **{
-        f"cluster.reopen({keyword})": (
-            lambda tmp_path, keyword=keyword: _reopen_cluster_with(keyword)
-        )
-        for keyword in EXECUTOR_KEYWORDS
-    },
     "cluster.reopen_from_manifest(op_deadline_s)": lambda tmp_path: (
-        ShardedEncipheredDatabase.reopen_from_manifest(
-            sub, cipher, _manifest_backend(), op_deadline_s=0.5
-        )
+        _reopen_cluster_from_manifest(tmp_path, {"op_deadline_s": 0.5})
+    ),
+    "cluster.reopen_from_manifest(shard_factories)": lambda tmp_path: (
+        _reopen_cluster_from_manifest(tmp_path, {"shard_factories": (sub, cipher)})
+    ),
+    "db.create(write_back)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher(), **WRITE_BACK
+    ),
+    "db.reopen_from_backend(write_back)": lambda tmp_path: _reopen_db_from_backend(
+        tmp_path, WRITE_BACK
+    ),
+    "cluster.create(write_back)": lambda tmp_path: ShardedEncipheredDatabase.create(
+        sub, cipher, num_shards=2, **WRITE_BACK
+    ),
+    "cluster.reopen_from_manifest(write_back)": lambda tmp_path: (
+        _reopen_cluster_from_manifest(tmp_path, WRITE_BACK)
+    ),
+    "Pager(write_back)": lambda tmp_path: Pager(
+        SimulatedDisk(block_size=64), **WRITE_BACK
+    ),
+    "cluster.reopen_from_manifest(validate_routing)": lambda tmp_path: (
+        _reopen_cluster_from_manifest(tmp_path, {"validate_routing": False})
+    ),
+    "RecordStore(device_name)": lambda tmp_path: RecordStore(
+        b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1", device_name="records"
     ),
     "SimulatedDisk(latency_s)": lambda tmp_path: SimulatedDisk(
         block_size=64, latency_s=0.001
@@ -250,7 +247,7 @@ GONE = {
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
         ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach", "warming",
          "seal_changes", "truncate_journals", "has_unsealed_changes",
-         "collect_delta", "apply_delta")
+         "collect_delta", "apply_delta", "reopen")
         + PREFETCH,
     ),
     "BTree": (
@@ -264,7 +261,7 @@ GONE = {
     "RecordStore": (
         lambda tmp_path: RecordStore(b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1"),
         ("reattach", "_reindex_blocks", "_meta_blocks", "export_state", "from_state",
-         "import_state", "collect_delta", "apply_delta") + PREFETCH,
+         "import_state", "collect_delta", "apply_delta", "reopen") + PREFETCH,
     ),
     "BlockDevice": (
         lambda tmp_path: BlockDevice,
@@ -289,7 +286,8 @@ GONE = {
          "_procs", "_shard_epochs", "_epoch_locks", "_txn_thread",
          "_process_pool", "_process_map", "_use_processes", "_process_bulk_load",
          "_offload_batch", "_install_offload", "_note_writes",
-         "_note_changed_writes", "_note_worker_trouble") + PREFETCH,
+         "_note_changed_writes", "_note_worker_trouble", "reopen",
+         "shard_parts") + PREFETCH,
     ),
     "MemoryBackend": (
         lambda tmp_path: MemoryBackend(), ("save_blob", "load_blob", "latency_s")

@@ -14,7 +14,9 @@ from repro.storage.pager import Pager
 
 def make_pager(capacity=8, write_back=False):
     disk = SimulatedDisk(block_size=64)
-    return Pager(disk, cache_blocks=capacity, write_back=write_back)
+    pager = Pager(disk, cache_blocks=capacity)
+    pager.write_back = write_back  # the mode a transaction raises
+    return pager
 
 
 def seeded(pager, n=4):
