@@ -13,8 +13,6 @@ stored by the backend beside the platters, recording
 * the per-shard key-derivation labels (so the reopen re-derives each
   shard's superblock/data keys from the base secrets exactly as the
   create did),
-* the shared geometry (block size, record size) the record stores and
-  platters were built with,
 * each shard's backend scope name, in shard order.
 
 Like every other at-rest artefact, the manifest is enciphered -- under
@@ -52,8 +50,7 @@ _MANIFEST_LABEL = b"MNFS"
 _TAG_NUM_SHARDS = 1
 _TAG_ROUTER_KIND = 2
 _TAG_BOUNDARY = 3
-_TAG_BLOCK_SIZE = 4
-_TAG_RECORD_SIZE = 5
+# tags 4 and 5 (block and record size) stay unused: older manifests carry them
 _TAG_SUPER_LABEL = 6
 _TAG_DATA_LABEL = 7
 _TAG_SHARD_SCOPE = 8
@@ -76,8 +73,6 @@ class ClusterManifest:
 
     num_shards: int
     router_kind: str
-    block_size: int
-    record_size: int
     shard_scopes: list[str]
     router_boundaries: list[int] = field(default_factory=list)
     super_label: bytes = b"SUPR"
@@ -121,8 +116,6 @@ class ClusterManifest:
         entries: list[tuple[int, bytes]] = [
             (_TAG_NUM_SHARDS, struct.pack("<I", self.num_shards)),
             (_TAG_ROUTER_KIND, self.router_kind.encode("utf-8")),
-            (_TAG_BLOCK_SIZE, struct.pack("<I", self.block_size)),
-            (_TAG_RECORD_SIZE, struct.pack("<I", self.record_size)),
             (_TAG_SUPER_LABEL, self.super_label),
             (_TAG_DATA_LABEL, self.data_label),
         ]
@@ -174,8 +167,6 @@ class ClusterManifest:
             manifest = cls(
                 num_shards=struct.unpack("<I", values[_TAG_NUM_SHARDS])[0],
                 router_kind=values[_TAG_ROUTER_KIND].decode("utf-8"),
-                block_size=struct.unpack("<I", values[_TAG_BLOCK_SIZE])[0],
-                record_size=struct.unpack("<I", values[_TAG_RECORD_SIZE])[0],
                 shard_scopes=scopes,
                 router_boundaries=boundaries,
                 super_label=values[_TAG_SUPER_LABEL],

@@ -162,7 +162,7 @@ class ShardedEncipheredDatabase:
         lives in the scoped child backend ``shard-{i:03d}``, and an
         enciphered :class:`~repro.cluster.manifest.ClusterManifest`
         (shard count, router kind/boundaries, key-derivation labels,
-        geometry, scope names) is saved to the backend, so a later
+        scope names) is saved to the backend, so a later
         :meth:`reopen_from_manifest` needs only the backend and the base
         secrets.  ``None`` places the cluster on a fresh
         :class:`~repro.storage.backend.MemoryBackend`; pass one you hold
@@ -195,8 +195,6 @@ class ShardedEncipheredDatabase:
             num_shards=num_shards,
             router_kind=kind,
             router_boundaries=boundaries,
-            block_size=block_size,
-            record_size=record_size,
             shard_scopes=scopes,
             super_label=_SUPER_LABEL,
             data_label=_DATA_LABEL,
@@ -223,8 +221,9 @@ class ShardedEncipheredDatabase:
         """Rebuild a cluster from its backend and the base secrets alone.
 
         The self-describing reopen: the shard count, router
-        kind/boundaries, key-derivation labels, geometry and per-shard
-        scope names all come from the backend's enciphered manifest --
+        kind/boundaries, key-derivation labels and per-shard scope names
+        all come from the backend's enciphered manifest, and each
+        shard's geometry from its own platter and superblock --
         nothing about the cluster's shape is trusted from the caller, so
         a stale deployment script cannot silently mis-route.  Each
         shard reopens from its scoped backend via
@@ -250,24 +249,25 @@ class ShardedEncipheredDatabase:
         substitutions = [
             substitution_factory(i) for i in range(manifest.num_shards)
         ]
-        shards = [
-            EncipheredDatabase.reopen_from_backend(
-                substitutions[i],
-                pointer_cipher_factory(i),
-                backend.scoped(manifest.shard_scopes[i]),
-                super_key=derive_shard_key(super_key, manifest.super_label, i),
-                data_key=derive_shard_key(data_key, manifest.data_label, i),
-                block_size=manifest.block_size,
-                record_size=manifest.record_size,
-                cache_blocks=cache_blocks,
-                autocommit=autocommit,
-                record_cache_blocks=record_cache_blocks,
-                observability=observability,
-            )
-            for i in range(manifest.num_shards)
-        ]
-        router = manifest.build_router()
-        cls._validate_routing(shards, router)
+        with ExitStack() as opened:  # a failed reopen releases every shard
+            shards = []
+            for i in range(manifest.num_shards):
+                shard = EncipheredDatabase.reopen_from_backend(
+                    substitutions[i],
+                    pointer_cipher_factory(i),
+                    backend.scoped(manifest.shard_scopes[i]),
+                    super_key=derive_shard_key(super_key, manifest.super_label, i),
+                    data_key=derive_shard_key(data_key, manifest.data_label, i),
+                    cache_blocks=cache_blocks,
+                    autocommit=autocommit,
+                    record_cache_blocks=record_cache_blocks,
+                    observability=observability,
+                )
+                opened.callback(shard.close)
+                shards.append(shard)
+            router = manifest.build_router()
+            cls._validate_routing(shards, router)
+            opened.pop_all()
         for shard in shards:
             shard._make_cold()  # recovery/validation walks must not pre-warm
         return cls(shards, router, degraded_reads=degraded_reads)

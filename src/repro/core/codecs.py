@@ -32,13 +32,28 @@ from repro.btree.codec import (
 from repro.btree.node import Node
 from repro.core.packing import PointerPacking
 from repro.counters import ThreadSafeCounters
-from repro.crypto.base import CryptoOpCounts, IntegerCipher
+from repro.crypto.base import CountingCipher, CryptoOpCounts, IntegerCipher
 from repro.crypto.des import DES
 from repro.crypto.pagekey import PageKeyScheme
 from repro.exceptions import CodecError, IntegrityError, SubstitutionError
 from repro.storage.layout import bytes_for_value
 from repro.substitution.base import KeySubstitution
 from repro.substitution.exponentiation import ExponentiationSubstitution
+
+
+def _check_value(*parts: object) -> bytes:
+    """Eight bytes digesting a codec's secrets and layout parameters.
+
+    The superblock records it, so a reopen with another codec, other
+    secrets or another layout fails before anything is decoded.  Each
+    codec feeds it values from its uncounted primitives only, so no
+    cipher or substitution count moves.  The digest is a DES CBC-MAC
+    under a fixed key: it detects a mismatch, and the superblock's own
+    encipherment keeps it secret.
+    """
+    data = repr(parts).encode()
+    data += bytes(-len(data) % 8)
+    return DES(b"CODECCHK").cbc_encrypt_blocks(data, bytes(8))[-8:]
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +90,9 @@ class SubstitutedNodeCodec:
 
     _EXTRA_MODES = ("encrypt", "disguise")
 
+    #: The superblock's codec tag: which layout wrote the node blocks.
+    tag = 1
+
     def __init__(
         self,
         substitution: KeySubstitution,
@@ -106,6 +124,21 @@ class SubstitutedNodeCodec:
         # the unaccompanied pointer's width, appended to internal nodes
         self.extra_bytes = (
             self.key_bytes if extra_pointer_mode == "disguise" else self.cryptogram_bytes
+        )
+
+    def check_value(self) -> bytes:
+        """The superblock's check: the disguise's secrets, the pointer
+        cipher's encryption of a fixed value, and the layout widths."""
+        cipher = self.cipher
+        if isinstance(cipher, CountingCipher):
+            cipher = cipher.inner
+        fixed = self.packing.required_modulus() - 1
+        return _check_value(
+            self.tag, type(self.substitution).__name__,
+            self.substitution.secret_material(),
+            cipher.modulus, cipher.encrypt_int(fixed),
+            self.packing.block_bits, self.packing.pointer_bits,
+            self.extra_pointer_mode, self.key_bytes, self.cryptogram_bytes,
         )
 
     # -- encode ----------------------------------------------------------
@@ -411,6 +444,9 @@ class PageKeyNodeCodec:
     decryption per *distinct* key/pointer access.
     """
 
+    #: The superblock's codec tag (see :class:`SubstitutedNodeCodec`).
+    tag = 2
+
     def __init__(
         self,
         scheme: PageKeyScheme,
@@ -425,6 +461,13 @@ class PageKeyNodeCodec:
         plain = key_bytes + 2 * pointer_bytes
         self.triplet_blocks = (plain + 7) // 8
         self.triplet_cipher_bytes = 8 * self.triplet_blocks
+
+    def check_value(self) -> bytes:
+        """The superblock's check: a page key and the triplet widths."""
+        return _check_value(
+            self.tag, self.scheme.derive_page_key(0).key,
+            self.key_bytes, self.pointer_bytes,
+        )
 
     # -- per-page cipher -----------------------------------------------------
 
@@ -623,6 +666,9 @@ class WholePageNodeCodec:
     stay comparable across layouts.
     """
 
+    #: The superblock's codec tag (see :class:`SubstitutedNodeCodec`).
+    tag = 3
+
     def __init__(
         self,
         scheme: PageKeyScheme,
@@ -635,6 +681,14 @@ class WholePageNodeCodec:
         self.pointer_bytes = pointer_bytes
         self.triplet_counts = TripletOpCounts()
         self.block_counts = CryptoOpCounts()
+
+    def check_value(self) -> bytes:
+        """The superblock's check: a page key, the page cipher's mode and
+        the plain layout's widths."""
+        return _check_value(
+            self.tag, self.scheme.derive_page_key(0).key, self.scheme.mode,
+            self.key_bytes, self.pointer_bytes,
+        )
 
     def encode(self, node: Node) -> bytes:
         plain = self.inner.encode(node)

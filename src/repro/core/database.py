@@ -1,10 +1,10 @@
 """A self-contained enciphered database: superblock + index + records.
 
 A real deployment must survive a restart from the platter alone, so
-**block 0 is a superblock** holding the root id, the minimum degree and
-the key count, enciphered under the file key like any other block (an
-opponent cannot even read the geometry), plus a magic tag that
-authenticates the deciphering key.
+**block 0 is a superblock** that describes its store (see
+:func:`_superblock_head`), enciphered under the superblock key like any
+other block: an opponent cannot even read the geometry, and a magic tag
+authenticates the key.
 
 ``create`` builds a fresh database; ``reopen_from_backend`` reconstructs
 a working handle from the storage backend and the secret material
@@ -95,7 +95,7 @@ report exact totals without a lock on any hot-path increment.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Iterable, Iterator
 
 from repro.btree.codec import NodeCodec
@@ -115,6 +115,24 @@ from repro.storage.rwlock import ReadWriteLock
 from repro.substitution.base import KeySubstitution
 
 _MAGIC = b"HSBT1990"
+_VERSION = 2  # the first format carried none
+
+
+def _superblock_head(codec: NodeCodec, data_key: bytes, record_size: int) -> bytes:
+    """The superblock's first 24 bytes, which a store's secrets and geometry fix.
+
+    Magic 8, version 1, codec tag 1, record size 2, data-key check 4
+    (a fixed block under the record cipher's key) and codec check 8;
+    root id 4, minimum degree 2 and key count 4 follow.  Computed once
+    per handle with uncounted primitives, so no cipher count moves.
+    """
+    return (
+        _MAGIC
+        + bytes((_VERSION, codec.tag))
+        + record_size.to_bytes(2, "big")
+        + DES(data_key).encrypt_block(b"DATA-KEY")[:4]
+        + codec.check_value()
+    )
 
 
 def _counting(pointer_cipher: IntegerCipher) -> CountingCipher:
@@ -138,6 +156,7 @@ class EncipheredDatabase:
         disk: BlockDevice,
         records: RecordStore,
         super_key: bytes,
+        super_head: bytes,
         tree: BTree,
         autocommit: bool = True,
         observability: ObsConfig | None = None,
@@ -146,10 +165,10 @@ class EncipheredDatabase:
         self.pointer_cipher = _counting(pointer_cipher)
         self.disk = disk
         self.records = records
-        self._super_key = super_key
-        #: The superblock's cipher, derived once per handle: every commit
-        #: rewrites the superblock under the write lock.
+        #: The superblock's cipher and head, derived once per handle:
+        #: every commit rewrites the superblock under the write lock.
         self._super = self._super_cipher(super_key)
+        self._super_head = super_head
         self.tree = tree
         #: The observability plane: latency histograms fed by span
         #: tracing behind one switch (see :mod:`repro.obs`).  The
@@ -194,7 +213,7 @@ class EncipheredDatabase:
 
     def _write_superblock(self) -> None:
         payload = (
-            _MAGIC
+            self._super_head
             + self.tree.root_id.to_bytes(4, "big")
             + self.tree.min_degree.to_bytes(2, "big")
             + self.tree.size.to_bytes(4, "big")
@@ -202,7 +221,8 @@ class EncipheredDatabase:
         self.disk.write_block(0, self._super.encrypt(payload))
 
     @classmethod
-    def _read_superblock(cls, disk: BlockDevice, super_key: bytes) -> tuple[int, int, int]:
+    def _read_superblock(cls, disk: BlockDevice, super_key: bytes) -> tuple[bytes, int, int, int]:
+        """``(head, root_id, min_degree, size)``; checks the key and version."""
         try:
             payload = cls._super_cipher(super_key).decrypt(disk.read_block(0))
         except CryptoError as exc:
@@ -210,11 +230,22 @@ class EncipheredDatabase:
             # else (I/O errors, programming errors) must propagate as-is
             raise IntegrityError(f"superblock does not decipher: {exc}") from exc
         if payload[:8] != _MAGIC:
-            raise IntegrityError("superblock magic mismatch: wrong file key?")
-        root_id = int.from_bytes(payload[8:12], "big")
-        min_degree = int.from_bytes(payload[12:14], "big")
-        size = int.from_bytes(payload[14:18], "big")
-        return root_id, min_degree, size
+            raise IntegrityError("superblock magic mismatch: wrong superblock key?")
+        if len(payload) != 34 or payload[8] != _VERSION:
+            raise IntegrityError(f"superblock is not format version {_VERSION}")
+        root_id = int.from_bytes(payload[24:28], "big")
+        min_degree = int.from_bytes(payload[28:30], "big")
+        size = int.from_bytes(payload[30:34], "big")
+        return payload[:24], root_id, min_degree, size
+
+    @staticmethod
+    def _check_head(head: bytes, codec: NodeCodec, data_key: bytes) -> None:
+        """Refuse a codec or data key the superblock's head does not record."""
+        expected = _superblock_head(codec, data_key, int.from_bytes(head[10:12], "big"))
+        for wrong, lo, hi in (("codec", 9, 10), ("data_key", 12, 16),
+                              ("codec secrets or layout", 16, 24)):
+            if head[lo:hi] != expected[lo:hi]:
+                raise IntegrityError(f"superblock check failed: wrong {wrong}")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -260,13 +291,14 @@ class EncipheredDatabase:
         """
         if backend is None:
             backend = MemoryBackend()
+        counting = _counting(pointer_cipher)
+        if codec is None:
+            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
+        head = _superblock_head(codec, data_key, record_size)
         disk = backend.open_device("node", block_size=block_size, create=True)
         reserved = disk.allocate()
         if reserved != 0:
             raise StorageError("superblock must be block 0")
-        counting = _counting(pointer_cipher)
-        if codec is None:
-            codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
         pager = Pager(disk, cache_blocks=cache_blocks)
         tree = BTree(pager=pager, codec=codec, min_degree=min_degree)
         records = RecordStore(data_key, record_size=record_size,
@@ -274,7 +306,7 @@ class EncipheredDatabase:
                               cache_blocks=record_cache_blocks,
                               backend=backend,
                               create=True)
-        db = cls(substitution, counting, disk, records, super_key, tree,
+        db = cls(substitution, counting, disk, records, super_key, head, tree,
                  autocommit=autocommit, observability=observability)
         db.commit()  # superblock + the fresh root reach the platter
         return db
@@ -288,8 +320,6 @@ class EncipheredDatabase:
         *,
         super_key: bytes = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde",
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
-        block_size: int = 512,
-        record_size: int = 120,
         cache_blocks: int = 16,
         autocommit: bool = True,
         record_cache_blocks: int = 0,
@@ -299,41 +329,47 @@ class EncipheredDatabase:
         """Reopen a database from its backend and the secrets alone.
 
         The crash-recovery entry point: opening the node device replays
-        any write-ahead-log frames a crash left logged-but-unapplied,
-        the superblock authenticates ``super_key``, the record store
-        rebuilds its slot metadata by scanning (the platter carries no
-        metadata records), and the index is verified from the recovered
-        superblock.  Geometry (``block_size``/``record_size``) must
-        match creation -- the cluster manifest records it; standalone
-        callers supply it.  ``codec`` must be the layout the database
-        was created with.
+        any write-ahead-log frames a crash left logged-but-unapplied;
+        the superblock authenticates ``super_key``, the codec and
+        ``data_key`` -- a wrong one raises :class:`IntegrityError` before
+        any record block is deciphered -- and gives ``record_size`` (the
+        device gives the block size); the record store rebuilds its slot
+        metadata by scanning (the platter carries no metadata records),
+        and the index is verified from the recovered superblock.
+        ``codec`` must be the layout the database was created with (a
+        page-key codec carries the file key, a secret).
 
         Every cache starts cold, as after a process restart; the
         capacities are this call's ``cache_blocks`` and
-        ``record_cache_blocks``.  The handle owns its record store: two
-        handles on one in-memory backend share the devices, not the
-        slot metadata.
+        ``record_cache_blocks``.  A device has one live handle: close
+        the one that wrote the store first.  A failed reopen releases
+        the devices it opened.
         """
-        disk = backend.open_device("node", block_size=block_size, create=False)
-        # a wrong super_key fails here, before the scan deciphers every record block
-        root_id, min_degree, size = cls._read_superblock(disk, super_key)
-        records = RecordStore(data_key, record_size=record_size,
-                              block_size=block_size,
-                              cache_blocks=record_cache_blocks,
-                              backend=backend, create=False)
-        records.recover_metadata()
         counting = _counting(pointer_cipher)
         if codec is None:
             codec = SubstitutedNodeCodec(substitution, counting, PointerPacking())
-        pager = Pager(disk, cache_blocks=cache_blocks)
-        tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
-        if tree.size != size:
-            raise IntegrityError(
-                f"superblock records {size} keys, tree holds {tree.size}"
-            )
-        db = cls(substitution, counting, disk, records, super_key, tree,
-                 autocommit=autocommit, observability=observability)
-        db._make_cold()  # attach's verification walk must not pre-warm
+        with ExitStack() as opened:
+            disk = backend.open_device("node", create=False)
+            opened.callback(disk.close)
+            head, root_id, min_degree, size = cls._read_superblock(disk, super_key)
+            cls._check_head(head, codec, data_key)
+            records = RecordStore(data_key,
+                                  record_size=int.from_bytes(head[10:12], "big"),
+                                  block_size=disk.block_size,
+                                  cache_blocks=record_cache_blocks,
+                                  backend=backend, create=False)
+            opened.callback(records.disk.close)
+            records.recover_metadata()
+            pager = Pager(disk, cache_blocks=cache_blocks)
+            tree = BTree.attach(pager, codec, root_id, min_degree=min_degree)
+            if tree.size != size:
+                raise IntegrityError(
+                    f"superblock records {size} keys, tree holds {tree.size}"
+                )
+            db = cls(substitution, counting, disk, records, super_key, head, tree,
+                     autocommit=autocommit, observability=observability)
+            db._make_cold()  # attach's verification walk must not pre-warm
+            opened.pop_all()
         return db
 
     # -- commit machinery ------------------------------------------------
@@ -649,7 +685,7 @@ class EncipheredDatabase:
     def close(self) -> None:
         """Commit pending work; release both devices' OS resources.
 
-        For in-memory backends only the commit remains.  Do not call
+        Either backend may then open the devices again.  Do not call
         inside a :meth:`transaction` scope.
 
         Idempotent: a second call returns immediately.  Hardened for

@@ -7,8 +7,8 @@ instant in-memory device or on durable :class:`~repro.storage.platter.
 FilePlatter` files:
 
 * :class:`MemoryBackend` -- devices are :class:`SimulatedDisk`\\ s held
-  in a registry (so a same-process "reopen" finds them again) and the
-  manifest is a held byte string.
+  in a registry (so a same-process "reopen" opens a fresh handle over
+  the same blocks) and the manifest is a held byte string.
 * :class:`FileBackend` -- a directory; each device is a
   ``<name>.platter`` file (plus its ``.wal`` sidecar), the manifest is
   an atomically-replaced ``MANIFEST`` file, and :meth:`scoped` returns
@@ -58,7 +58,7 @@ class StorageBackend(ABC):
         self,
         name: str,
         *,
-        block_size: int = 4096,
+        block_size: int | None = None,
         transform: BlockTransform | None = None,
         create: bool | None = None,
     ) -> BlockDevice:
@@ -66,7 +66,10 @@ class StorageBackend(ABC):
 
         ``create`` follows :class:`~repro.storage.platter.FilePlatter`:
         ``True`` demands a fresh device, ``False`` demands an existing
-        one, ``None`` takes whichever applies.
+        one, ``None`` takes whichever applies.  ``block_size`` sizes a
+        new device (default 4096); an existing one opens at its stored
+        size, and a size given for it must match.  A device another
+        live handle holds is refused.
         """
 
     @abstractmethod
@@ -92,6 +95,7 @@ class MemoryBackend(StorageBackend):
     durable = False
 
     def __init__(self) -> None:
+        #: name -> the device's latest handle; reopening copies its blocks
         self._devices: dict[str, SimulatedDisk] = {}
         self._scopes: dict[str, MemoryBackend] = {}
         self._manifest: bytes | None = None
@@ -100,7 +104,7 @@ class MemoryBackend(StorageBackend):
         self,
         name: str,
         *,
-        block_size: int = 4096,
+        block_size: int | None = None,
         transform: BlockTransform | None = None,
         create: bool | None = None,
     ) -> BlockDevice:
@@ -110,18 +114,16 @@ class MemoryBackend(StorageBackend):
             raise StorageError(f"device already exists: {name}")
         if create is False and existing is None:
             raise StorageError(f"device not found: {name}")
-        if existing is not None:
-            if existing.block_size != block_size:
-                raise StorageError(
-                    f"device {name} holds {existing.block_size}-byte blocks, "
-                    f"not {block_size}"
-                )
-            if transform is not None:
-                # a reopen brings its own (key-identical) transform; adopt
-                # it so cipher counters land on the new handle's meters
-                existing.transform = transform
-            return existing
-        device = SimulatedDisk(block_size=block_size, transform=transform)
+        if existing is None:
+            device = SimulatedDisk(block_size or 4096, transform)
+        elif not existing.closed:
+            raise StorageError(f"device {name} is open in another handle; close it first")
+        elif block_size not in (None, existing.block_size):
+            raise StorageError(
+                f"device {name} holds {existing.block_size}-byte blocks, not {block_size}"
+            )
+        else:
+            device = SimulatedDisk(existing.block_size, transform, list(existing._blocks))
         self._devices[name] = device
         return device
 
@@ -177,7 +179,7 @@ class FileBackend(StorageBackend):
         self,
         name: str,
         *,
-        block_size: int = 4096,
+        block_size: int | None = None,
         transform: BlockTransform | None = None,
         create: bool | None = None,
     ) -> BlockDevice:

@@ -50,18 +50,25 @@ class SimulatedDisk(BlockDevice):
         Optional encipherment module applied at the I/O boundary.  When a
         transform expands data (padding), the *expanded* form must fit the
         block, exactly as it would on hardware.
-
-    ``close()`` is a no-op: a :class:`~repro.storage.backend.
-    MemoryBackend` hands the same device back when it is reopened by name.
+    blocks:
+        At-rest bytes to start from: a :class:`~repro.storage.backend.
+        MemoryBackend` reopens a device from its closed handle's blocks.
     """
 
     def __init__(
         self,
         block_size: int = 4096,
         transform: BlockTransform | None = None,
+        blocks: list[bytes | None] | None = None,
     ) -> None:
         super().__init__(block_size, transform)
-        self._blocks: list[bytes | None] = []
+        self._blocks = [] if blocks is None else blocks
+        self._count = len(self._blocks)
+        self.closed = False
+
+    def close(self) -> None:
+        """Release the device, so its backend may open it again."""
+        self.closed = True
 
     def _at_rest(self, block_id: int) -> bytes | None:
         return self._blocks[block_id]

@@ -94,6 +94,7 @@ group-commit tests do to start a reader mid-sync.
 
 from __future__ import annotations
 
+import fcntl
 import os
 import struct
 import zlib
@@ -162,8 +163,9 @@ class FilePlatter(BlockDevice):
         The main platter file.  The WAL lives beside it at
         ``<path>.wal``.
     block_size:
-        Block capacity in bytes.  On open of an existing platter this
-        must match the header (or be left at the default to adopt it).
+        Block capacity in bytes of a new platter (default 4096).  An
+        existing platter opens at the size its header records; a size
+        given for it must match.
     transform:
         Optional on-the-fly encipherment module; what reaches the file
         is its output.
@@ -190,12 +192,14 @@ class FilePlatter(BlockDevice):
     own writes) and otherwise hit the file; there is deliberately *no*
     device-level read cache -- the caches above (pager, record store)
     already serve hot reads, so a cold open here is honestly cold.
+    The open holds an exclusive ``flock`` on the file until the handle
+    closes (or is abandoned), so a file has one live handle.
     """
 
     def __init__(
         self,
         path,
-        block_size: int = 4096,
+        block_size: int | None = None,
         transform: BlockTransform | None = None,
         *,
         create: bool | None = None,
@@ -222,28 +226,35 @@ class FilePlatter(BlockDevice):
         self._repair: dict[int, tuple[int, int]] = {}
         self._durability = {field: 0 for field in DURABILITY_FIELDS}
 
-        if exists:
-            self._fh = open(self.path, "r+b", buffering=0)
-            counter, count, disk_block_size = self._read_header()
-            if block_size not in (4096, disk_block_size):
-                raise StorageError(
-                    f"platter {self.path} holds {disk_block_size}-byte blocks, "
-                    f"not {block_size}"
-                )
-            super().__init__(disk_block_size, transform)
-            self._durable_counter = counter
-            self._durable_count = count
-            self._count = count
-            self._open_wal(create=not os.path.exists(self.wal_path))
-            self._recover()
-        else:
-            super().__init__(block_size, transform)
-            self._fh = open(self.path, "x+b", buffering=0)
-            self._durable_counter = 0
-            self._durable_count = 0
-            self._write_header_slot(0, 0)
-            self._fsync_main()
-            self._open_wal(create=True)
+        if not exists:
+            super().__init__(block_size or 4096, transform)  # validates the size
+        self._fh = open(self.path, "r+b" if exists else "x+b", buffering=0)
+        try:
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if exists:
+                counter, count, disk_block_size = self._read_header()
+                if block_size not in (None, disk_block_size):
+                    raise StorageError(
+                        f"platter {self.path} holds {disk_block_size}-byte blocks, "
+                        f"not {block_size}"
+                    )
+                super().__init__(disk_block_size, transform)
+                self._durable_counter = counter
+                self._durable_count = count
+                self._count = count
+                self._open_wal(create=not os.path.exists(self.wal_path))
+                self._recover()
+            else:
+                self._durable_counter = 0
+                self._durable_count = 0
+                self._write_header_slot(0, 0)
+                self._fsync_main()
+                self._open_wal(create=True)
+        except BaseException as exc:
+            self._fh.close()  # releases the lock
+            if isinstance(exc, BlockingIOError):  # the lock is held
+                raise StorageError(f"platter {self.path} is open in another handle") from None
+            raise
 
     # -- header ----------------------------------------------------------
 

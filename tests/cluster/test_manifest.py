@@ -3,13 +3,16 @@
 Extends the crash matrix to the cluster layer: a cluster created on
 durable backends, killed mid-commit on one shard (after its WAL seal),
 reopens from the directory and the base secrets *alone* -- shard
-count, router, geometry and key-derivation labels all come from the
-manifest -- and recovers every committed row.
+count, router and key-derivation labels all come from the manifest,
+each shard's geometry from its own platter and superblock -- and
+recovers every committed row.
 """
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 
@@ -67,16 +70,14 @@ class TestManifestFormat:
 
     def test_plain_roundtrip(self):
         m = ClusterManifest(
-            num_shards=3, router_kind="range", block_size=512,
-            record_size=120, shard_scopes=["a", "b", "c"],
+            num_shards=3, router_kind="range", shard_scopes=["a", "b", "c"],
             router_boundaries=[61, 122],
         )
         assert self.roundtrip(m) == m
 
     def test_hash_router_roundtrip(self):
         m = ClusterManifest(
-            num_shards=2, router_kind="hash", block_size=4096,
-            record_size=64, shard_scopes=["s0", "s1"],
+            num_shards=2, router_kind="hash", shard_scopes=["s0", "s1"],
         )
         back = self.roundtrip(m)
         assert back == m
@@ -84,8 +85,7 @@ class TestManifestFormat:
 
     def test_enciphered_roundtrip_and_wrong_key(self):
         m = ClusterManifest(
-            num_shards=2, router_kind="hash", block_size=512,
-            record_size=120, shard_scopes=["s0", "s1"],
+            num_shards=2, router_kind="hash", shard_scopes=["s0", "s1"],
         )
         blob = m.encipher(b"\x01" * 8)
         assert blob[:8] != b"HSMF1990"  # actually enciphered
@@ -97,8 +97,7 @@ class TestManifestFormat:
         kind, bounds = ClusterManifest.describe_router(RangeRouter([10, 20]))
         assert (kind, bounds) == ("range", [10, 20])  # 3 shards
         m = ClusterManifest(
-            num_shards=3, router_kind=kind, router_boundaries=bounds,
-            block_size=512, record_size=120, shard_scopes=["a", "b", "c"],
+            num_shards=3, router_kind=kind, router_boundaries=bounds, shard_scopes=["a", "b", "c"],
         )
         rebuilt = m.build_router()
         assert isinstance(rebuilt, RangeRouter)
@@ -106,8 +105,7 @@ class TestManifestFormat:
 
     def test_corruption_detected(self):
         m = ClusterManifest(
-            num_shards=2, router_kind="hash", block_size=512,
-            record_size=120, shard_scopes=["a", "b"],
+            num_shards=2, router_kind="hash", shard_scopes=["a", "b"],
         )
         raw = bytearray(m.to_bytes())
         raw[10] ^= 0xFF
@@ -118,11 +116,26 @@ class TestManifestFormat:
 
     def test_shard_scope_count_must_match(self):
         m = ClusterManifest(
-            num_shards=3, router_kind="hash", block_size=512,
-            record_size=120, shard_scopes=["a", "b"],
+            num_shards=3, router_kind="hash", shard_scopes=["a", "b"],
         )
         with pytest.raises(PlatterFormatError, match="scope names"):
             self.roundtrip(m)
+
+    def test_geometry_tags_of_older_manifests_are_skipped(self):
+        """A manifest that still records the block and record sizes
+        (tags 4 and 5) reads as before: each shard describes itself."""
+        entries = [
+            (1, struct.pack("<I", 2)), (2, b"hash"),
+            (4, struct.pack("<I", 512)), (5, struct.pack("<I", 120)),
+            (6, b"SUPR"), (7, b"DATA"), (8, b"a"), (8, b"b"),
+        ]
+        body = b"HSMF1990" + struct.pack("<HI", 1, len(entries)) + b"".join(
+            struct.pack("<BI", tag, len(payload)) + payload for tag, payload in entries
+        )
+        raw = body + struct.pack("<I", zlib.crc32(body))
+        assert ClusterManifest.from_bytes(raw) == ClusterManifest(
+            num_shards=2, router_kind="hash", shard_scopes=["a", "b"]
+        )
 
     def test_unrecordable_router_rejected(self):
         class Weird:

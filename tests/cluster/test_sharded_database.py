@@ -69,7 +69,7 @@ def make_single(factories, keypairs, **kwargs):
 
 
 def reopen_cluster(factories, backend, **kwargs):
-    """A second cluster handle rebuilt from the backend's manifest."""
+    """A cluster handle rebuilt from the backend's manifest."""
     sub_factory, cipher_factory = factories
     return ShardedEncipheredDatabase.reopen_from_manifest(
         sub_factory, cipher_factory, backend, **kwargs
@@ -155,6 +155,7 @@ class TestLifecycle:
             backend.load_manifest(), b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"
         )
         backend.save_manifest(manifest.encipher(wrong))
+        db.close()
         with pytest.raises(IntegrityError):
             reopen_cluster(factories, backend, super_key=wrong)
 
@@ -290,6 +291,8 @@ class WorkloadMixin:
         sharded.check_invariants()
 
         sub_factory, _ = factories
+        sharded.close()
+        single.close()
         reopened_sharded = reopen_cluster(factories, cluster_backend)
         reopened_single = EncipheredDatabase.reopen_from_backend(
             sub_factory(0), RSA(keypairs[9]), single_backend
@@ -300,7 +303,6 @@ class WorkloadMixin:
         reopened_sharded.insert(fresh, b"fresh")
         reopened_single.insert(fresh, b"fresh")
         self.assert_parity(reopened_sharded, reopened_single, [*keys, fresh])
-        sharded.close()
         reopened_sharded.close()
 
     def test_bulk_load_parity_and_reopen(self, factories, keypairs):
@@ -316,9 +318,9 @@ class WorkloadMixin:
         self.assert_parity(sharded, single, [k for k, _ in items])
         sharded.check_invariants()
 
+        sharded.close()
         reopened = reopen_cluster(factories, backend)
         self.assert_parity(reopened, single, [k for k, _ in items])
-        sharded.close()
         reopened.close()
 
 

@@ -42,10 +42,21 @@ def db(cipher, backend):
 
 
 def reopen(cipher, backend, **kwargs):
-    """A second handle rebuilt from the backend and the secrets alone."""
+    """A handle rebuilt from the backend and the secrets alone."""
     return EncipheredDatabase.reopen_from_backend(
         OvalSubstitution(DESIGN, t=5), cipher, backend, **kwargs
     )
+
+
+def release(db):
+    """Free the devices with no commit, as a killed process would.
+
+    A device has one live handle, so a reopen needs the first handle's
+    devices released; unlike ``close()`` this cannot commit, so a reopen
+    sees exactly what earlier commits left on the platter.
+    """
+    db.disk.close()
+    db.records.disk.close()
 
 
 class TestLifecycle:
@@ -62,6 +73,7 @@ class TestLifecycle:
         for k in keys:
             db.insert(k, f"r{k}".encode())
 
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 70
         for k in keys[:10]:
@@ -76,8 +88,24 @@ class TestLifecycle:
             db.insert(k, b"x")
         for k in range(0, 30, 2):
             db.delete(k)
+        release(db)
         reopened = reopen(cipher, backend)
         assert [k for k, _ in reopened.range_search(0, 100)] == list(range(30, 60, 2))
+
+    def test_reopened_handle_meters_its_own_deciphers(self, db, cipher, backend):
+        """Each in-memory handle has its own device and transform, so a
+        reopened handle's reads land on its meters only."""
+        db.insert(1, b"x")
+        db.close()
+        reopened = reopen(cipher, backend)
+        assert reopened.records.disk is not db.records.disk
+        assert db.records.disk.transform is db.records._transform  # not adopted
+        old = db.stats()["record_cipher"]["decryptions"]
+        new = reopened.stats()["record_cipher"]["decryptions"]
+        assert reopened.search(1) == b"x"
+        assert reopened.stats()["record_cipher"]["decryptions"] == new + 1
+        assert db.stats()["record_cipher"]["decryptions"] == old
+        reopened.close()
 
 
 class TestConvenienceAPI:
@@ -151,6 +179,7 @@ class TestConvenienceAPI:
 class TestSuperblockSecurity:
     def test_wrong_super_key_rejected(self, db, cipher, backend):
         db.insert(1, b"x")
+        release(db)
         with pytest.raises(IntegrityError):
             reopen(cipher, backend, super_key=b"\x00" * 8)
 
@@ -176,6 +205,7 @@ class TestSuperblockSecurity:
         must always point at the current root."""
         for k in range(120):
             db.insert(k, b"x")
+        release(db)
         reopened = reopen(cipher, backend)
         assert reopened.tree.root_id == db.tree.root_id
         assert len(reopened) == 120
@@ -186,6 +216,7 @@ class TestTransactions:
         with db.transaction():
             for k in range(30):
                 db.insert(k, f"r{k}".encode())
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 30
         assert reopened.search(17) == b"r17"
@@ -218,6 +249,7 @@ class TestTransactions:
         assert db.search(3) == b"base3"
         # the doomed inserts' slots were freed again
         assert db.records.count == records_before
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 10
 
@@ -264,10 +296,13 @@ class TestTransactions:
         db.autocommit = False
         db.insert(1, b"x")
         db.insert(2, b"y")
-        # superblock still describes the empty tree
-        with pytest.raises(IntegrityError):
-            reopen(cipher, backend)
+        # the superblock on the platter still describes the empty tree
+        *_, size = EncipheredDatabase._read_superblock(
+            db.disk, b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"
+        )
+        assert size == 0
         db.commit()
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 2
 
@@ -283,6 +318,7 @@ class TestTransactions:
                 db.insert(k, f"r{k}".encode())
             assert db.tree.pager.dirty_blocks > db.tree.pager.capacity
         assert db.tree.pager.dirty_blocks == 0
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 50
         assert reopened.search(49) == b"r49"
@@ -350,6 +386,7 @@ class TestBulkLoad:
         for k in keys:
             inserted.insert(k, f"r{k}".encode())
         assert db.range_search(0, DESIGN.v) == inserted.range_search(0, DESIGN.v)
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 90
 
@@ -393,6 +430,7 @@ class TestBugfixRegressions:
         # split the tallies and halved what the caller's handle reports
         assert counting.counts.encryptions > 0
         assert counting.counts.decryptions > 0
+        release(db)
         reopened = reopen(counting, backend)
         assert reopened.pointer_cipher is counting
 
@@ -411,6 +449,7 @@ class TestBugfixRegressions:
         monkeypatch.undo()
         # the tree lost the key; the superblock must agree with it, or
         # the database can never be reopened (the slot merely leaks)
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 4
         with pytest.raises(KeyNotFoundError):
@@ -453,6 +492,7 @@ class TestBugfixRegressions:
             EncipheredDatabase._read_superblock(ExplodingDisk(), b"\x00" * 8)
         # while genuine decipherment failures still map to IntegrityError
         db.disk._blocks[0] = bytes(len(db.disk._blocks[0]))
+        release(db)
         with pytest.raises(IntegrityError):
             reopen(cipher, backend)
 
@@ -472,6 +512,7 @@ class TestBugfixRegressions:
         assert len(db) == 1
         assert db.search(1) == b"pre-txn"
         db.commit()
+        release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 1
         assert reopened.search(1) == b"pre-txn"

@@ -280,26 +280,23 @@ class TestCipherParity:
         assert observations[0] == observations[1]
 
 
-class TestReaderReopen:
-    def test_reopen_sees_another_handles_commit(self, tmp_path):
-        """A reader catches up with a writer by reopening: cold caches."""
+class TestOneLiveHandle:
+    def test_second_open_refused_until_close(self, tmp_path):
+        """A platter has one live handle: a reopen while the writer is
+        live is refused and leaves the writer working; after close() a
+        reopen sees every commit."""
         writer = make_db(backend_at(tmp_path))
         for k in range(0, 60, 2):
             writer.insert(k, f"v{k}".encode())
-        writer.commit()
-
-        reader = reopen_db(backend_at(tmp_path), record_cache_blocks=16)
-        assert reader.search(10) == b"v10"  # warm the caches
-
+        with pytest.raises(StorageError, match="open in another handle"):
+            reopen_db(backend_at(tmp_path))
         writer.insert(61, b"fresh")
-        writer.delete(10)
-        writer.insert(10, b"v10-new")
-        writer.commit()
+        writer.close()
 
         reader = reopen_db(backend_at(tmp_path), record_cache_blocks=16)
         assert reader.search(61) == b"fresh"
-        assert reader.search(10) == b"v10-new"
-        assert reader.tree.size == writer.tree.size
+        assert reader.tree.size == writer.tree.size == 31
+        reader.close()
 
 
 class TestClosedHandle:

@@ -101,11 +101,11 @@ class TestPinnedPlatter:
 
     EXPECTED = {
         True: {
-            "node": ("58f43f4619276f19", 41, 41, 41, 8797),
+            "node": ("ac42e77eee1edaf4", 41, 41, 41, 9453),
             "records": ("29546da74762bb8b", 40, 40, 40, 15936),
         },
         False: {
-            "node": ("58f43f4619276f19", 3, 3, 3, 1323),
+            "node": ("ac42e77eee1edaf4", 3, 3, 3, 1371),
             "records": ("29546da74762bb8b", 2, 2, 2, 7444),
         },
     }

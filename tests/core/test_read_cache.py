@@ -227,6 +227,7 @@ class TestInvalidation:
         assert len(db) == 1
         db.tree.check_invariants()
         # the platter is coherent: a fresh handle agrees
+        db.close()
         reopened = EncipheredDatabase.reopen_from_backend(
             OvalSubstitution(DESIGN, t=5), cipher, backend
         )
@@ -259,6 +260,7 @@ class TestInvalidation:
             db.insert(k, b"x")
         db.range_search(0, 50)  # warm
         assert len(db.records.cache) > 0
+        db.close()
         reopened = EncipheredDatabase.reopen_from_backend(
             OvalSubstitution(DESIGN, t=5), cipher, backend,
             record_cache_blocks=64,

@@ -42,6 +42,10 @@ every database and cluster lives on a storage backend and reopens with
 ``reopen`` methods and ``shard_parts`` are gone), and only
 ``transaction()`` switches the pager to write-back, so ``write_back=``,
 ``validate_routing=`` and ``device_name=`` raise ``TypeError``.
+A store describes its own geometry -- the platter header records the
+block size, the superblock the record size -- so ``reopen_from_backend``
+rejects ``block_size=`` and ``record_size=``, and ``ClusterManifest``
+records neither.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import repro.obs
 import repro.obs.metrics
 import repro.storage
 
+from repro.cluster.manifest import ClusterManifest
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.core.database import EncipheredDatabase
 from repro.core.records import RecordStore
@@ -211,6 +216,16 @@ REJECTING_CALLS = {
     ),
     "Pager(write_back)": lambda tmp_path: Pager(
         SimulatedDisk(block_size=64), **WRITE_BACK
+    ),
+    "db.reopen_from_backend(block_size)": lambda tmp_path: _reopen_db_from_backend(
+        tmp_path, {"block_size": 512}
+    ),
+    "db.reopen_from_backend(record_size)": lambda tmp_path: _reopen_db_from_backend(
+        tmp_path, {"record_size": 120}
+    ),
+    "ClusterManifest(block_size, record_size)": lambda tmp_path: ClusterManifest(
+        num_shards=1, router_kind="hash", shard_scopes=["a"],
+        block_size=512, record_size=120,
     ),
     "cluster.reopen_from_manifest(validate_routing)": lambda tmp_path: (
         _reopen_cluster_from_manifest(tmp_path, {"validate_routing": False})

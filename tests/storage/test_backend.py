@@ -11,15 +11,49 @@ from repro.storage.backend import FileBackend, MemoryBackend
 from repro.storage.platter import FilePlatter
 
 
+@pytest.fixture(params=["memory", "file"])
+def any_backend(request, tmp_path):
+    if request.param == "memory":
+        return MemoryBackend()
+    return FileBackend(tmp_path / "db", fsync=False)
+
+
+class TestOpenRules:
+    """One block-size rule and one live handle, on every backend."""
+
+    def test_existing_device_opens_at_its_stored_size(self, any_backend):
+        any_backend.open_device("node", block_size=512).close()
+        dev = any_backend.open_device("node", create=False)
+        assert dev.block_size == 512
+        dev.close()
+        with pytest.raises(StorageError, match="512-byte blocks"):
+            any_backend.open_device("node", block_size=4096)
+
+    def test_second_live_open_refused_until_close(self, any_backend):
+        dev = any_backend.open_device("node", block_size=64)
+        dev.write_block(dev.allocate(), b"kept")
+        with pytest.raises(StorageError, match="open in another handle"):
+            any_backend.open_device("node")
+        dev.close()
+        dev.close()  # idempotent: releases once
+        again = any_backend.open_device("node")
+        assert again.read_block(0) == b"kept"
+        with pytest.raises(StorageError, match="open in another handle"):
+            any_backend.open_device("node")
+        again.close()
+
+
 class TestMemoryBackend:
-    def test_reopen_by_name_finds_the_same_device(self):
+    def test_reopen_by_name_finds_the_same_blocks(self):
         backend = MemoryBackend()
         dev = backend.open_device("node", block_size=64)
         b = dev.allocate()
         dev.write_block(b, b"kept")
+        dev.close()
         again = backend.open_device("node", block_size=64, create=False)
-        assert again is dev
+        assert again is not dev  # a fresh handle, with its own statistics
         assert again.read_block(b) == b"kept"
+        assert (again.num_blocks, again.stats.reads) == (1, 1)
 
     def test_create_flags(self):
         backend = MemoryBackend()
@@ -31,24 +65,9 @@ class TestMemoryBackend:
 
     def test_block_size_mismatch_rejected(self):
         backend = MemoryBackend()
-        backend.open_device("node", block_size=64)
+        backend.open_device("node", block_size=64).close()
         with pytest.raises(StorageError, match="64-byte blocks"):
             backend.open_device("node", block_size=128)
-
-    def test_reopen_adopts_the_new_transform(self):
-        class Marker:
-            def on_write(self, block_id, data):
-                return data
-
-            def on_read(self, block_id, data):
-                return data
-
-        backend = MemoryBackend()
-        dev = backend.open_device("node")
-        fresh = Marker()
-        again = backend.open_device("node", transform=fresh)
-        assert again is dev
-        assert dev.transform is fresh
 
     def test_scoped_is_stable_and_isolated(self):
         backend = MemoryBackend()

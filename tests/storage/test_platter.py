@@ -72,10 +72,12 @@ class TestFormat:
 
     def test_block_size_adopted_from_header(self, tmp_path):
         make(tmp_path, block_size=256).close()
-        q = FilePlatter(tmp_path / "disk.platter", fsync=False)  # default 4096
+        q = FilePlatter(tmp_path / "disk.platter", fsync=False)  # no size given
         assert q.block_size == 256
-        with pytest.raises(StorageError, match="256-byte blocks"):
-            FilePlatter(tmp_path / "disk.platter", block_size=128, fsync=False)
+        q.close()
+        for wrong in (128, 4096):
+            with pytest.raises(StorageError, match="256-byte blocks"):
+                FilePlatter(tmp_path / "disk.platter", block_size=wrong, fsync=False)
 
     def test_create_flags(self, tmp_path):
         make(tmp_path, create=True).close()
@@ -92,6 +94,7 @@ class TestFormat:
         p.close()
         q = make(tmp_path, create=False, transform=XorTransform())
         assert q.read_block(b) == b"secret"
+        q.close()
         bare = make(tmp_path, name="disk", create=False)
         assert bare.read_block(b) == bytes(c ^ 0x5A for c in b"secret")
 
