@@ -1,9 +1,11 @@
 """Disk-based B-Tree with pluggable node codecs.
 
 The structural algorithms are the classical ones (Bayer & McCreight 1972;
-minimum-degree formulation): preemptive-split insertion, the full
-borrow/merge deletion, point search and range search.  All node access
-goes through the codec's lazy :class:`~repro.btree.codec.NodeView`, so
+minimum-degree formulation), reorganising bottom-up: a write descends
+once, edits the leaf, then splits, borrows or merges back up its path
+only where a node overflows or underflows.  A duplicate insert or an
+absent delete raises before anything is edited.  All node access goes
+through the codec's lazy :class:`~repro.btree.codec.NodeView`, so
 whatever cryptography the codec imposes is paid exactly where the paper
 says it is paid:
 
@@ -11,12 +13,12 @@ says it is paid:
   tree pointer via ``child_at`` per node, for searches and for inserts
   and deletes alike; occupancy checks read only ``num_keys``;
 * *mutation* (leaf updates, splits, borrows, merges) takes only the nodes
-  it rewrites through ``edit`` and re-encodes them via ``encode``.  An
-  edit leaves pointers in whatever form the codec chooses: under the
-  paper's layout they stay sealed, so ``encode`` decrypts and
-  re-encrypts only the triplets the write creates, changes or moves to
-  another block (codecs with keys inside the cipher, or no cipher, hand
-  over plain ints).
+  it rewrites through ``edit``, once each, and writes each block once
+  when the operation is done.  An edit leaves pointers in whatever form
+  the codec chooses: under the paper's layout they stay sealed, so
+  ``encode`` decrypts and re-encrypts only the triplets the write
+  creates, changes or moves to another block (codecs with keys inside
+  the cipher, or no cipher, hand over plain ints).
 
 Every descent runs a node visit's binary search as one call to the
 view's ``locate``, which returns the lower-bound index, the key found
@@ -47,6 +49,9 @@ from repro.counters import ThreadSafeCounters
 from repro.exceptions import BTreeError, DuplicateKeyError, KeyNotFoundError
 from repro.storage.pager import Pager
 
+#: A write's descent: ``(view, index)`` per visited node, root first.
+Path = list[tuple[NodeView, int]]
+
 
 class TreeCounters(ThreadSafeCounters):
     """Structural operation counts (cryptographic counts live in codecs).
@@ -76,9 +81,6 @@ class BTree:
             raise BTreeError(f"minimum degree must be >= 2, got {self.min_degree}")
         self.size = 0
         self._free: list[int] = []
-        #: Set by every node write; a caller clears it to learn whether
-        #: an operation that raised had written anything before it did.
-        self.wrote_node = False
         root = Node(node_id=self._allocate(), is_leaf=True)
         self.root_id = root.node_id
         self._write(root)
@@ -104,7 +106,6 @@ class BTree:
         tree.min_degree = min_degree
         tree.counters = TreeCounters()
         tree._free = []
-        tree.wrote_node = False
         tree.root_id = root_id
         tree.size = 0
         tree.size = sum(1 for _ in tree.items())
@@ -139,7 +140,6 @@ class BTree:
         return self._view(node_id).to_node()
 
     def _write(self, node: Node) -> None:
-        self.wrote_node = True
         self.pager.write(node.node_id, self.codec.encode(node))
 
     # -- search ----------------------------------------------------------
@@ -376,206 +376,187 @@ class BTree:
             groups[-1] = merged[split + 1 :]
         return groups, separators
 
-    # -- insertion -------------------------------------------------------
+    # -- mutation --------------------------------------------------------
 
-    def insert(self, key: int, value: int) -> None:
-        """Insert ``key`` with data pointer ``value``.
+    def _descend(self, key: int) -> tuple[Path, bool]:
+        """One descent for ``key``: its :data:`Path`, and whether it found ``key``.
 
-        Raises :class:`DuplicateKeyError` if the key is present.
+        Each index is ``key``'s lower bound in its node: the child taken
+        below, or ``key``'s slot in the last node, which holds ``key``
+        or is a leaf.  The views live only as long as the operation.
         """
-        root = self._view(self.root_id)
-        if root.num_keys == self.max_keys:
-            new_root = Node(
-                node_id=self._allocate(), is_leaf=False, children=[root.node_id]
-            )
-            self._split_child(new_root, 0, root)
-            self.root_id = new_root.node_id
-            root = self._view(self.root_id)
-        self._insert_nonfull(root, key, value)
-        self.size += 1
-
-    def _insert_nonfull(self, view: NodeView, key: int, value: int) -> None:
+        path: Path = []
+        view = self._view(self.root_id)
         while True:
             idx, present = self._find(view, key)
-            if present:
-                raise DuplicateKeyError(key)
-            if view.is_leaf:
-                node = view.edit()
-                node.keys.insert(idx, key)
-                node.values.insert(idx, value)
-                self._write(node)
-                return
-            child = self._view(view.child_at(idx))
-            if child.num_keys == self.max_keys:
-                parent = view.edit()
-                sibling_id = self._split_child(parent, idx, child)
-                separator = parent.keys[idx]
-                if key == separator:
-                    raise DuplicateKeyError(key)
-                child = self._view(sibling_id if key > separator else child.node_id)
-            view = child
+            path.append((view, idx))
+            if present or view.is_leaf:
+                return path, present
+            view = self._view(view.child_at(idx))
 
-    def _split_child(self, parent: Node, idx: int, child_view: NodeView) -> int:
-        """Split a full child around its median; returns the new sibling's id.
+    def insertion_path(self, key: int) -> Path:
+        """The descent :meth:`insert_along` takes; nothing is written.
 
-        The sibling occupies a fresh block -- the event §3 worries about,
-        since under per-page keys every migrated triplet must be
-        re-enciphered under the new block's key.
+        Raises :class:`DuplicateKeyError` if ``key`` is present, so a
+        caller can check a key and allocate its value's storage with one
+        descent.
+        """
+        path, present = self._descend(key)
+        if present:
+            raise DuplicateKeyError(key)
+        return path
+
+    def insert(self, key: int, value: int) -> None:
+        """Insert ``key`` with data pointer ``value``; see :meth:`insertion_path`."""
+        self.insert_along(self.insertion_path(key), key, value)
+
+    def insert_along(self, path: Path, key: int, value: int) -> None:
+        """Finish an insert from its :meth:`insertion_path` (consumed).
+
+        The leaf takes the pair; then, while a node holds ``2t`` keys,
+        it splits: ``t - 1`` keys stay, the median moves up into the
+        parent and ``t`` keys go to a fresh sibling -- the event §3
+        worries about, since under per-page keys every migrated triplet
+        must be re-enciphered under the new block's key.  The root grows
+        a level only when it splits itself.
         """
         t = self.min_degree
-        child = child_view.edit()
-        sibling = Node(node_id=self._allocate(), is_leaf=child.is_leaf)
-        sibling.keys = child.keys[t:]
-        sibling.values = child.values[t:]
-        if not child.is_leaf:
-            sibling.children = child.children[t:]
-            child.children = child.children[:t]
-        median_key = child.keys[t - 1]
-        median_value = child.values[t - 1]
-        child.keys = child.keys[: t - 1]
-        child.values = child.values[: t - 1]
-        parent.keys.insert(idx, median_key)
-        parent.values.insert(idx, median_value)
-        parent.children.insert(idx + 1, sibling.node_id)
-        self.counters.bump("splits")
-        self._write(child)
-        self._write(sibling)
-        self._write(parent)
-        return sibling.node_id
-
-    # -- deletion --------------------------------------------------------
+        view, idx = path.pop()
+        node = view.edit()
+        node.keys.insert(idx, key)
+        node.values.insert(idx, value)
+        edits = {node.node_id: node}
+        root_id = self.root_id
+        while node.num_keys > self.max_keys:
+            sibling = Node(
+                node_id=self._allocate(),
+                is_leaf=node.is_leaf,
+                keys=node.keys[t:],
+                values=node.values[t:],
+                children=node.children[t:],
+            )
+            median = node.keys[t - 1], node.values[t - 1]
+            del node.keys[t - 1 :], node.values[t - 1 :], node.children[t:]
+            edits[sibling.node_id] = sibling
+            self.counters.bump("splits")
+            if path:
+                view, idx = path.pop()
+                parent = view.edit()
+            else:
+                parent = Node(node_id=self._allocate(), is_leaf=False, children=[node.node_id])
+                root_id, idx = parent.node_id, 0
+            parent.keys.insert(idx, median[0])
+            parent.values.insert(idx, median[1])
+            parent.children.insert(idx + 1, sibling.node_id)
+            edits[parent.node_id] = parent
+            node = parent
+        self._write_edits(edits)
+        self.root_id = root_id
+        self.size += 1
 
     def delete(self, key: int) -> int:
         """Remove ``key`` and return its data pointer, in one descent.
 
-        Raises :class:`KeyNotFoundError` when absent, found out at a leaf
-        after the descent's borrows and merges: they keep every key, and
-        a root they empty collapses however the descent ends.
+        Raises :class:`KeyNotFoundError` when absent, before anything is
+        written.  An internal key gives way to its predecessor, the last
+        pair of its left subtree's rightmost leaf.  Then, while a node
+        holds fewer than ``t - 1`` keys, it borrows from a sibling that
+        can spare one (the left first) and stops, or else merges with a
+        sibling and passes the shortfall to its parent.  A root emptied
+        by a merge collapses onto the merged node.
         """
-        try:
-            value = self._delete_from(self._view(self.root_id), key)
-        finally:
-            root = self._view(self.root_id)
-            if root.num_keys == 0 and not root.is_leaf:
-                old_root_id = self.root_id
-                self.root_id = root.child_at(0)
-                self._release(old_root_id)
+        path, present = self._descend(key)
+        if not present:
+            raise KeyNotFoundError(key)
+        view, idx = path[-1]
+        value = view.value_at(idx)
+        edits: dict[int, Node] = {}
+        if not view.is_leaf:
+            leaf = self._view(view.child_at(idx))
+            while not leaf.is_leaf:
+                path.append((leaf, leaf.num_keys))
+                leaf = self._view(leaf.child_at(leaf.num_keys))
+            last = leaf.num_keys - 1
+            path.append((leaf, last))
+            holder = self._edit(edits, view)
+            holder.keys[idx], holder.values[idx] = leaf.key_at(last), leaf.value_at(last)
+        view, idx = path.pop()
+        node = self._edit(edits, view)
+        del node.keys[idx], node.values[idx]
+        survivor = node
+        while path and node.num_keys < self.min_keys:
+            view, idx = path.pop()
+            parent = self._edit(edits, view)
+            left = self._view(view.child_at(idx - 1)) if idx > 0 else None
+            if left is not None and left.num_keys > self.min_keys:
+                # rotate right: separator moves down, sibling max moves up
+                sibling = self._edit(edits, left)
+                node.keys.insert(0, parent.keys[idx - 1])
+                node.values.insert(0, parent.values[idx - 1])
+                parent.keys[idx - 1] = sibling.keys.pop()
+                parent.values[idx - 1] = sibling.values.pop()
+                if not node.is_leaf:
+                    node.children.insert(0, sibling.children.pop())
+                self.counters.bump("borrows")
+                break
+            right = self._view(view.child_at(idx + 1)) if idx < parent.num_keys else None
+            if right is not None and right.num_keys > self.min_keys:
+                # rotate left: separator moves down, sibling min moves up
+                sibling = self._edit(edits, right)
+                node.keys.append(parent.keys[idx])
+                node.values.append(parent.values[idx])
+                parent.keys[idx] = sibling.keys.pop(0)
+                parent.values[idx] = sibling.values.pop(0)
+                if not node.is_leaf:
+                    node.children.append(sibling.children.pop(0))
+                self.counters.bump("borrows")
+                break
+            if left is not None:
+                survivor = self._merge(edits, parent, idx - 1, self._edit(edits, left), node)
+            else:
+                assert right is not None  # a non-root node has a sibling
+                survivor = self._merge(edits, parent, idx, node, self._edit(edits, right))
+            node = parent
+        collapsed = not node.keys and not node.is_leaf  # only the root gets here
+        if collapsed:
+            del edits[node.node_id]
+        self._write_edits(edits)
+        if collapsed:
+            self.root_id = survivor.node_id
+            self._release(node.node_id)
         self.size -= 1
         return value
 
-    def _delete_from(self, view: NodeView, key: int) -> int:
-        idx, present = self._find(view, key)
-        if not present:
-            if view.is_leaf:
-                raise KeyNotFoundError(key)
-            return self._delete_from(self._ensure_child_capacity(view, idx), key)
-        if not view.is_leaf:
-            return self._delete_internal(view, idx, key)
-        value = view.value_at(idx)
-        node = view.edit()
-        del node.keys[idx], node.values[idx]
-        self._write(node)
-        return value
-
-    def _delete_internal(self, view: NodeView, idx: int, key: int) -> int:
-        """Delete ``key == view.key_at(idx)`` from an internal node (CLRS)."""
-        t = self.min_degree
-        left = self._view(view.child_at(idx))
-        value = view.value_at(idx)  # the triplet child_at just decrypted
-        if left.num_keys >= t:
-            self._replace_and_descend(view, idx, left, self._max_pair(left))
-            return value
-        right = self._view(view.child_at(idx + 1))
-        if right.num_keys >= t:
-            self._replace_and_descend(view, idx, right, self._min_pair(right))
-            return value
-        self._merge_children(view, idx, left, right)
-        self._delete_from(self._view(left.node_id), key)
-        return value
-
-    def _replace_and_descend(
-        self, view: NodeView, idx: int, child: NodeView, pair: tuple[int, int]
-    ) -> None:
-        """Overwrite separator ``idx`` with ``pair``, then delete it below."""
-        node = view.edit()
-        node.keys[idx], node.values[idx] = pair
-        self._write(node)
-        self._delete_from(child, pair[0])
-
-    def _max_pair(self, view: NodeView) -> tuple[int, int]:
-        while not view.is_leaf:
-            view = self._view(view.child_at(view.num_keys))
-        last = view.num_keys - 1
-        return view.key_at(last), view.value_at(last)
-
-    def _min_pair(self, view: NodeView) -> tuple[int, int]:
-        while not view.is_leaf:
-            view = self._view(view.child_at(0))
-        return view.key_at(0), view.value_at(0)
-
-    def _merge_children(
-        self, parent_view: NodeView, idx: int, left_view: NodeView, right_view: NodeView
-    ) -> None:
-        """Fold separator ``idx`` and the right sibling into the left child."""
-        parent, left, right = parent_view.edit(), left_view.edit(), right_view.edit()
+    def _merge(
+        self, edits: dict[int, Node], parent: Node, idx: int, left: Node, right: Node
+    ) -> Node:
+        """Fold separator ``idx`` and ``right`` into ``left``; free ``right``."""
         left.keys.append(parent.keys.pop(idx))
         left.values.append(parent.values.pop(idx))
         left.keys.extend(right.keys)
         left.values.extend(right.values)
         left.children.extend(right.children)
-        parent.children.pop(idx + 1)
+        del parent.children[idx + 1]
         self.counters.bump("merges")
-        self._write(left)
-        self._write(parent)
+        edits.pop(right.node_id, None)
         self._release(right.node_id)
+        return left
 
-    def _ensure_child_capacity(self, view: NodeView, idx: int) -> NodeView:
-        """Guarantee child ``idx`` has at least ``t`` keys; return its view.
+    @staticmethod
+    def _edit(edits: dict[int, Node], view: NodeView) -> Node:
+        """The operation's one editable copy of ``view``'s node."""
+        node = edits.get(view.node_id)
+        if node is None:
+            node = edits[view.node_id] = view.edit()
+        return node
 
-        Borrows from a rich sibling or merges with a poor one, and
-        returns a view of the child to descend into (the left sibling
-        after merging into it).  An untouched child is not read twice.
-        """
-        t = self.min_degree
-        child = self._view(view.child_at(idx))
-        if child.num_keys >= t:
-            return child
-        left = self._view(view.child_at(idx - 1)) if idx > 0 else None
-        if left is not None and left.num_keys >= t:
-            # rotate right: separator moves down, sibling max moves up
-            parent, kid, sibling = view.edit(), child.edit(), left.edit()
-            kid.keys.insert(0, parent.keys[idx - 1])
-            kid.values.insert(0, parent.values[idx - 1])
-            parent.keys[idx - 1] = sibling.keys.pop()
-            parent.values[idx - 1] = sibling.values.pop()
-            if not kid.is_leaf:
-                kid.children.insert(0, sibling.children.pop())
-            self._write_borrow(sibling, kid, parent)
-            return self._view(kid.node_id)
-        right = self._view(view.child_at(idx + 1)) if idx < view.num_keys else None
-        if right is not None and right.num_keys >= t:
-            # rotate left: separator moves down, sibling min moves up
-            parent, kid, sibling = view.edit(), child.edit(), right.edit()
-            kid.keys.append(parent.keys[idx])
-            kid.values.append(parent.values[idx])
-            parent.keys[idx] = sibling.keys.pop(0)
-            parent.values[idx] = sibling.values.pop(0)
-            if not kid.is_leaf:
-                kid.children.append(sibling.children.pop(0))
-            self._write_borrow(sibling, kid, parent)
-            return self._view(kid.node_id)
-        if left is not None:
-            self._merge_children(view, idx - 1, left, child)
-            return self._view(left.node_id)
-        assert right is not None  # a non-root node has a sibling
-        self._merge_children(view, idx, child, right)
-        return self._view(child.node_id)
-
-    def _write_borrow(self, sibling: Node, child: Node, parent: Node) -> None:
-        self.counters.bump("borrows")
-        self._write(sibling)
-        self._write(child)
-        self._write(parent)
+    def _write_edits(self, edits: dict[int, Node]) -> None:
+        """Encode every node an operation edited, then write each block once
+        (so a node that fails to encode leaves every block as it was)."""
+        encode = self.codec.encode
+        blocks = [(node_id, encode(node)) for node_id, node in edits.items()]
+        for node_id, data in blocks:
+            self.pager.write(node_id, data)
 
     # -- structure inspection ----------------------------------------------
 

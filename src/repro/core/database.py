@@ -523,9 +523,11 @@ class EncipheredDatabase:
     def insert(self, key: int, record: bytes) -> None:
         with self.obs.trace("db.put"):
             with self.lock.write_locked():
+                # a present key raises here, before its record is stored
+                path = self.tree.insertion_path(key)
                 record_id = self.records.put(record)
                 try:
-                    self.tree.insert(key, record_id)
+                    self.tree.insert_along(path, key, record_id)
                 except Exception:
                     self.records.delete(record_id)
                     raise
@@ -556,24 +558,13 @@ class EncipheredDatabase:
     def delete(self, key: int) -> None:
         """Remove ``key`` and free its record slot, in one tree descent.
 
-        A delete that raises books the mutation only if its descent
-        wrote a node or moved the root or size: the descent for an
-        absent key may rebalance before it raises, and the superblock
-        must follow the tree, but one that reshaped nothing commits
-        nothing.  A transaction defers the slot free to its commit, so
-        a rollback still finds the record's bytes.
+        An absent key raises before anything is written, so it commits
+        nothing.  A transaction defers the slot free to its commit, so a
+        rollback still finds the record's bytes.
         """
         with self.obs.trace("db.delete"):
             with self.lock.write_locked():
-                tree = self.tree
-                root_id, size = tree.root_id, tree.size
-                tree.wrote_node = False
-                try:
-                    record_id = tree.delete(key)
-                except BaseException:
-                    if tree.wrote_node or (tree.root_id, tree.size) != (root_id, size):
-                        self._after_mutation()
-                    raise
+                record_id = self.tree.delete(key)
                 try:
                     if self._in_txn:
                         self._txn_record_deletes.append(record_id)

@@ -145,9 +145,10 @@ class MultilevelEncipheredBTree:
     # -- level-aware operations ----------------------------------------------
 
     def insert(self, key: int, record: bytes, level: int = 0) -> None:
+        path = self.tree.insertion_path(key)
         record_id = self.records.put(record, level)
         try:
-            self.tree.insert(key, record_id)
+            self.tree.insert_along(path, key, record_id)
         except Exception:
             self.records.delete(record_id)
             raise

@@ -78,7 +78,8 @@ class PlainBTreeSystem:
     # -- DBMS API --------------------------------------------------------
 
     def insert(self, key: int, record: bytes) -> None:
-        self.tree.insert(key, self._store_record(record))
+        path = self.tree.insertion_path(key)
+        self.tree.insert_along(path, key, self._store_record(record))
 
     def search(self, key: int) -> bytes:
         return self._fetch_record(self.tree.search(key))

@@ -102,6 +102,10 @@ class LRUCache:
         should :meth:`enforce_capacity` afterwards.
     name:
         Label for diagnostics and ``repr``.
+    counted:
+        ``False`` leaves :attr:`stats` ``None`` and books nothing, for
+        an owner that keeps its own tallies (the pager's hits and misses
+        live in its :class:`~repro.storage.pager.PagerStats`).
     """
 
     def __init__(
@@ -110,11 +114,12 @@ class LRUCache:
         on_evict: Callable[[Hashable, object], None] | None = None,
         may_evict: Callable[[Hashable], bool] | None = None,
         name: str = "lru",
+        counted: bool = True,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.name = name
-        self.stats = CacheStats()
+        self.stats = CacheStats() if counted else None
         self._capacity = capacity
         self._on_evict = on_evict
         self._may_evict = may_evict
@@ -146,11 +151,14 @@ class LRUCache:
         """Return the cached value (now most-recently-used) or ``default``."""
         with self._lock:
             value = self._entries.get(key, _ABSENT)
+            stats = self.stats
             if value is _ABSENT:
-                self.stats.misses += 1
+                if stats is not None:
+                    stats.misses += 1
                 return default
             self._entries.move_to_end(key)
-            self.stats.hits += 1
+            if stats is not None:
+                stats.hits += 1
             return value
 
     def touch(self, key: Hashable, default: object = None) -> object:
@@ -177,7 +185,8 @@ class LRUCache:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self.stats.insertions += 1
+            if self.stats is not None:
+                self.stats.insertions += 1
             self._evict_over_capacity()
 
     def enforce_capacity(self) -> None:
@@ -196,14 +205,16 @@ class LRUCache:
         with self._lock:
             if self._entries.pop(key, _ABSENT) is _ABSENT:
                 return False
-            self.stats.invalidations += 1
+            if self.stats is not None:
+                self.stats.invalidations += 1
             return True
 
     def clear(self) -> int:
         """Drop everything (protected entries too); returns the number dropped."""
         with self._lock:
             dropped = len(self._entries)
-            self.stats.invalidations += dropped
+            if self.stats is not None:
+                self.stats.invalidations += dropped
             self._entries.clear()
             return dropped
 
@@ -223,10 +234,8 @@ class LRUCache:
             return list(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (
-            f"<LRUCache {self.name!r} {len(self)}/{self._capacity} entries, "
-            f"hit_rate={self.stats.hit_rate:.2f}>"
-        )
+        rate = "uncounted" if self.stats is None else f"{self.stats.hit_rate:.2f}"
+        return f"<LRUCache {self.name!r} {len(self)}/{self._capacity} entries, hit_rate={rate}>"
 
     # -- internals -------------------------------------------------------
 
@@ -241,6 +250,7 @@ class LRUCache:
             if victim is _ABSENT:
                 return  # everything is protected; bound restored later
             value = self._entries.pop(victim)
-            self.stats.evictions += 1
+            if self.stats is not None:
+                self.stats.evictions += 1
             if self._on_evict is not None:
                 self._on_evict(victim, value)

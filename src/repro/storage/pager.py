@@ -137,6 +137,7 @@ class Pager:
             # dirty before retain_dirty was raised, not just later writes
             may_evict=lambda b: not (self.retain_dirty and b in self._dirty),
             name="pager-raw",
+            counted=False,  # PagerStats is the pager's one tally
         )
         self._dirty: set[int] = set()
         # Concurrent readers admitted by the database's reader--writer

@@ -98,26 +98,34 @@ class TestDelete:
 
     @pytest.mark.parametrize(
         "inserted, deleted",
-        [((10, 20, 30, 40), (40,)), (range(0, 90, 10), ())],
+        [((10, 20, 30, 40), (40,)), (range(0, 100, 10), (90, 80))],
         ids=["height-2", "height-3"],
     )
-    def test_missing_key_delete_collapses_an_emptied_root(self, inserted, deleted):
-        """The root holds one key over two minimal children, so the
-        descent for an absent key merges them into the root first; the
-        key turns out missing only at a leaf, and the emptied root must
-        collapse all the same."""
+    def test_missing_key_delete_changes_nothing(self, inserted, deleted):
+        """The root holds one key over two minimal children, and so does
+        every node on the path to 15.  The descent finds 15 missing
+        before it edits anything: no merge, no block written, and the
+        height and every block stay as they were."""
         tree = make_tree(min_degree=2)
         for k in inserted:
             tree.insert(k, k)
         for k in deleted:
             tree.delete(k)
+        root = tree._node(tree.root_id)
+        assert len(root.keys) == 1
+        assert all(len(tree._node(c).keys) == 1 for c in root.children)
         size, items, height = tree.size, [*tree.items()], tree.height()
+        blocks = {i: tree.pager.read(i) for i in tree.node_ids()}
+        writes = tree.pager.stats.write_requests
+        reshaped = tree.counters.merges + tree.counters.borrows
         with pytest.raises(KeyNotFoundError):
             tree.delete(15)
         assert tree.size == size
         assert [*tree.items()] == items
-        assert tree.height() == height - 1
-        assert tree._node(tree.root_id).keys
+        assert tree.height() == height
+        assert {i: tree.pager.read(i) for i in tree.node_ids()} == blocks
+        assert tree.pager.stats.write_requests == writes
+        assert tree.counters.merges + tree.counters.borrows == reshaped
         tree.check_invariants()
 
     def test_invariants_reject_an_empty_internal_root(self):

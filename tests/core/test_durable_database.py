@@ -18,7 +18,7 @@ import pytest
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
-from repro.exceptions import KeyNotFoundError, StorageError
+from repro.exceptions import DuplicateKeyError, KeyNotFoundError, StorageError
 from repro.storage.backend import FileBackend, MemoryBackend
 from repro.substitution.oval import OvalSubstitution
 
@@ -106,8 +106,9 @@ class TestDurableLifecycle:
         assert set(mem.stats()["durability"]["node"]) == set(durability["node"])
 
 
-class TestFailedDelete:
-    """An absent-key delete commits only what its descent reshaped."""
+class TestFailedMutation:
+    """A duplicate insert or an absent-key delete raises before its
+    descent edits anything: no byte, device count or commit moves."""
 
     @staticmethod
     def at_rest(tmp_path) -> dict[str, bytes]:
@@ -118,50 +119,52 @@ class TestFailedDelete:
     def device_counts(db) -> dict[str, int]:
         counts = {}
         for name, device in (("node", db.disk), ("records", db.records.disk)):
+            durability = device.durability_snapshot()
             counts[f"{name}.writes"] = device.stats.writes
-            counts[f"{name}.syncs"] = device.durability_snapshot()["syncs"]
+            counts[f"{name}.syncs"] = durability["syncs"]
+            counts[f"{name}.header_flips"] = durability["header_flips"]
         return counts
 
-    def test_delete_that_reshapes_nothing_writes_nothing(self, tmp_path):
+    def assert_untouched(self, tmp_path, db, mutation, error):
+        files, counts = self.at_rest(tmp_path), self.device_counts(db)
+        with pytest.raises(error):
+            mutation()
+        assert self.at_rest(tmp_path) == files
+        assert self.device_counts(db) == counts
+        assert not db.has_uncommitted_changes
+
+    def test_failed_mutations_write_nothing(self, tmp_path):
         db = make_db(backend_at(tmp_path), min_degree=4)
         keys = random.Random(30).sample(range(DESIGN.v), 150)
         for k in keys:
             db.insert(k, f"rec-{k}".encode())
-        tree = db.tree
-        assert tree.height() >= 3
-        checked = 0
+        assert db.tree.height() >= 3
+        for k in keys[::5]:
+            self.assert_untouched(
+                tmp_path, db, lambda: db.insert(k, b"again"), DuplicateKeyError
+            )
         for k in sorted(set(range(DESIGN.v)) - set(keys)):
-            reshaped = tree.counters.merges + tree.counters.borrows
-            files, counts = self.at_rest(tmp_path), self.device_counts(db)
-            with pytest.raises(KeyNotFoundError):
-                db.delete(k)
-            if tree.counters.merges + tree.counters.borrows != reshaped:
-                continue  # a rebalancing descent commits what it wrote
-            checked += 1
-            assert self.at_rest(tmp_path) == files
-            assert self.device_counts(db) == counts
-            assert not db.has_uncommitted_changes
-        assert checked >= 10
+            self.assert_untouched(tmp_path, db, lambda: db.delete(k), KeyNotFoundError)
         db.close()
         db2 = reopen_db(backend_at(tmp_path))
         assert sorted(k for k, _ in db2.items()) == sorted(keys)
+        assert db2.search(keys[0]) == f"rec-{keys[0]}".encode()
 
-    def test_delete_that_rebalances_still_commits(self, tmp_path):
+    def test_missing_key_delete_never_commits(self, tmp_path):
+        # t=2 keeps many minimal nodes on every path: the descents a
+        # top-down delete would rebalance on its way to a missing key
         db = make_db(backend_at(tmp_path), min_degree=2)
         keys = random.Random(31).sample(range(DESIGN.v), 60)
         for k in keys:
             db.insert(k, b"x")
         tree = db.tree
         syncs = db.disk.durability_snapshot()["syncs"]
+        reshaped = tree.counters.merges + tree.counters.borrows
         for k in sorted(set(range(DESIGN.v)) - set(keys)):
-            reshaped = tree.counters.merges + tree.counters.borrows
             with pytest.raises(KeyNotFoundError):
                 db.delete(k)
-            if tree.counters.merges + tree.counters.borrows != reshaped:
-                break
-        else:
-            pytest.fail("no absent-key delete rebalanced")
-        assert db.disk.durability_snapshot()["syncs"] == syncs + 1
+        assert tree.counters.merges + tree.counters.borrows == reshaped
+        assert db.disk.durability_snapshot()["syncs"] == syncs
         assert not db.has_uncommitted_changes
         tree.check_invariants()
         db.close()

@@ -224,27 +224,29 @@ class TestWritePathCosts:
             assert counts.encryptions - encryptions == 0
         assert checked >= 30
 
-    def test_root_collapse_check_costs_at_most_one_decryption(self):
+    def test_root_collapse_costs_no_cipher_operation(self):
+        """The root a merge empties hands over to the merged node, whose
+        id the delete already holds: once the edits are written, the
+        collapse decrypts and encrypts nothing."""
         hs = hardjono_seberry(min_degree=2)
         tree, counts = hs.tree, hs.pointer_cipher.counts
         keys = random.Random(11).sample(range(DESIGN.v), 60)
         for k in keys:
             tree.insert(k, k)
         marks = []
-        descend = tree._delete_from
+        write_edits = tree._write_edits
 
         def spy(*args):
-            descend(*args)
-            marks.append(counts.snapshot())  # the outermost call returns last
+            write_edits(*args)
+            marks.append(counts.snapshot())  # the delete's edits are all written
 
-        tree._delete_from = spy
+        tree._write_edits = spy
         collapses = 0
         for k in keys:
             root_id = tree.root_id
             tree.delete(k)
             collapses += tree.root_id != root_id
             check = counts.snapshot()
-            assert check["decryptions"] - marks[-1]["decryptions"] <= 1
-            assert check["encryptions"] == marks[-1]["encryptions"]
+            assert check == marks[-1]
         assert collapses > 0
 

@@ -86,6 +86,18 @@ class TestCaching:
         pager.read(b)
         assert pager.stats.hit_rate == 1.0
 
+    def test_raw_cache_keeps_no_second_tally(self):
+        # PagerStats is the pager's one tally: fills, evictions,
+        # invalidations and clears book nothing in the raw cache
+        pager = make_pager(2)
+        assert pager._raw.stats is None
+        blocks = [pager.allocate() for _ in range(3)]
+        for b in blocks:
+            pager.write(b, bytes([b]))
+        pager.invalidate(blocks[1])
+        pager.clear_cache()
+        assert [pager.read(b) for b in blocks] == [bytes([b]) for b in blocks]
+        assert pager.stats.misses == 3
 
     def test_concurrent_reads_book_every_hit_and_miss(self):
         """Hits take no pager mutex; the per-thread stats must still
