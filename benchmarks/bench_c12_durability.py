@@ -5,10 +5,11 @@ self-describing platter file per device, a sidecar write-ahead log, and
 an enciphered cluster manifest.  This experiment prices that durability
 and verifies the recovery story end to end:
 
-1. **Write-through cost.**  One deterministic workload (bulk insert,
-   deletes, range reads, commit) on three backends -- in-memory,
-   platter files without fsync, platter files with fsync -- reporting
-   wall-clock, WAL traffic and header flips.  The acceptance check:
+1. **Durable-write cost.**  One deterministic workload (one
+   transaction of inserts and deletes, then searches, range reads and a
+   commit) on three backends -- in-memory, platter files without fsync,
+   platter files with fsync -- reporting wall-clock, WAL traffic and
+   header flips.  The acceptance check:
    cipher-operation counts are *identical* across all arms (the device
    must not perturb the paper's cost model).
 2. **Cold open.**  Close the durable database and reopen it from the
@@ -82,11 +83,11 @@ def _keys():
 def _workload(db, keys) -> list:
     """Deterministic mixed workload; returns every observable result."""
     observed = []
-    for k in keys:
-        db.insert(k, f"rec-{k}".encode())
-    for k in keys[::9]:
-        db.delete(k)
-    db.commit()
+    with db.transaction():
+        for k in keys:
+            db.insert(k, f"rec-{k}".encode())
+        for k in keys[::9]:
+            db.delete(k)
     live = [k for i, k in enumerate(keys) if i % 9]
     for k in live[:40]:
         observed.append(db.search(k))
@@ -101,7 +102,7 @@ def _cipher_totals(db) -> tuple:
     return (s["substitution"], s["pointer_cipher"], s["record_cipher"])
 
 
-# -- part 1 + 2: write-through cost, then cold open ------------------------
+# -- part 1 + 2: durable-write cost, then cold open ------------------------
 
 
 ARMS = {
@@ -118,7 +119,7 @@ def _run_arm(backend, keys):
     """
     sub, rsa = _single_parts()
     start = time.perf_counter()
-    db = EncipheredDatabase.create(sub, rsa, backend=backend, autocommit=False)
+    db = EncipheredDatabase.create(sub, rsa, backend=backend)
     observed = {"": _workload(db, keys)}
     elapsed = time.perf_counter() - start
     ciphers = _cipher_totals(db)
@@ -204,8 +205,14 @@ def _make_cluster(backend):
         num_shards=NUM_SHARDS,
         router="range",
         backend=backend,
-        autocommit=False,
     )
+
+
+def _insert_batch(cluster, keys, tag):
+    """One cluster transaction inserting ``tag-<key>`` for every key."""
+    with cluster.transaction():
+        for k in keys:
+            cluster.insert(k, f"{tag}-{k}".encode())
 
 
 def _crash_recovery(keys):
@@ -215,13 +222,9 @@ def _crash_recovery(keys):
     root = tempfile.mkdtemp(prefix="c12-crash-")
     crashed_dir = os.path.join(root, "cluster")
     db = _make_cluster(FileBackend(crashed_dir, fsync=False))
-    for k in committed:
-        db.insert(k, f"rec-{k}".encode())
-    db.commit()
+    _insert_batch(db, committed, "rec")
     victim_idx = db.router.shard_for(late[0])
     batch = [k for k in late if db.router.shard_for(k) == victim_idx]
-    for k in batch:
-        db.insert(k, f"late-{k}".encode())
 
     def bomb(point):
         if point == "wal:appended":
@@ -229,7 +232,7 @@ def _crash_recovery(keys):
 
     db.shards[victim_idx].disk.fault_hook = bomb
     try:
-        db.commit()
+        _insert_batch(db, batch, "late")
         raise AssertionError("fault hook never fired")
     except _Kill:
         pass
@@ -249,12 +252,8 @@ def _crash_recovery(keys):
     )
 
     control = _make_cluster(MemoryBackend())
-    for k in committed:
-        control.insert(k, f"rec-{k}".encode())
-    control.commit()
-    for k in batch:
-        control.insert(k, f"late-{k}".encode())
-    control.commit()
+    _insert_batch(control, committed, "rec")
+    _insert_batch(control, batch, "late")
 
     identical = all(
         mine.disk.raw_blocks() == theirs.disk.raw_blocks()

@@ -1,12 +1,12 @@
 """C15 -- overlapped I/O: concurrent commits share WAL rounds.
 
 8 committers on a ``FileBackend`` doing real fsyncs to the test's
-temporary directory: a commit stages under the write lock and syncs
-under the read lock, so concurrent commits share WAL rounds -- one
-frame, one data fsync, one header flip per round -- instead of paying
-the full fsync set each.  The control is the same 8 committers on the
-same code, serialised by a benchmark-side mutex around each
-insert+commit pair.  Acceptance, in order: the concurrent arm makes at
+temporary directory, each running one-insert transactions: a
+transaction's commit stages under the write lock and syncs under the
+read lock, so concurrent commits share WAL rounds -- one frame, one
+data fsync, one header flip per round -- instead of paying the full
+fsync set each.  The control is the same 8 committers on the same code,
+serialised by a benchmark-side mutex around each transaction.  Acceptance, in order: the concurrent arm makes at
 most ``MAX_FSYNC_SHARE`` of the control's fsyncs (the count does not
 depend on how fast this host's fsync is), reaches >=
 ``C15_COMMIT_FLOOR``x commits/s over the control, and every committed
@@ -55,17 +55,16 @@ def _commit_backend(tmp_path, name):
 
 
 def _commit_arm(tmp_path, name, serialise):
-    """COMMITTERS threads, COMMITS_EACH insert+commit pairs each.
+    """COMMITTERS threads, COMMITS_EACH one-insert transactions each.
 
-    ``serialise`` wraps every insert+commit pair in one benchmark-side
-    mutex, so each commit pays its own WAL round: the control.
+    ``serialise`` wraps every transaction in one benchmark-side mutex,
+    so each commit pays its own WAL round: the control.
     """
     db = EncipheredDatabase.create(
         OvalSubstitution(DESIGN, t=5),
         RSA(KEYPAIR),
         backend=_commit_backend(tmp_path, name),
         block_size=512,
-        autocommit=False,
     )
     keys = _keys()
     barrier = threading.Barrier(COMMITTERS)
@@ -77,9 +76,8 @@ def _commit_arm(tmp_path, name, serialise):
             barrier.wait()
             for i in range(COMMITS_EACH):
                 k = keys[tid * COMMITS_EACH + i]
-                with mutex:
+                with mutex, db.transaction():
                     db.insert(k, f"c{tid}-{i}".encode())
-                    db.commit()
         except BaseException as exc:  # pragma: no cover - diagnostic
             errors.append(exc)
 

@@ -1,12 +1,13 @@
 """C7 -- write amplification: write-through vs write-back vs bulk-load.
 
-The default write-through pager charges every node rewrite (and every
-superblock re-encipherment) a disk write, exactly as the paper's
-per-operation cost model requires.  This bench quantifies what the
-write-back/commit layer buys an ingest workload on top of that model:
-identical inserts run (a) autocommitted through the write-through pager,
-(b) inside one transaction, where the pager runs write-back, and (c) through the
-bottom-up bulk loader.  Disk-block writes, overwrites, pointer-cipher
+An insert outside a transaction scope commits by itself, so every node
+it rewrites (and the superblock it re-enciphers) costs one disk write,
+exactly as the paper's per-operation cost model requires.  This bench
+quantifies what batching buys an ingest workload on top of that model:
+identical inserts run (a) one per transaction (the "write-through" arm:
+each insert's writes reach the disk at its own commit), (b) inside one
+transaction, whose commit flushes each dirty node once, and (c) through
+the bottom-up bulk loader.  Disk-block writes, overwrites, pointer-cipher
 operations and wall-clock throughput are reported for each.
 
 A record-rewrite arm prices the record store's side of a write: after
@@ -20,8 +21,8 @@ store that re-enciphers each written block whole.
 Claims asserted:
 
 * batching reduces node-disk writes per insert by at least 2x;
-* write-back changes *only* I/O counts -- pointer decryptions are
-  identical to write-through, so C1/C3 remain faithful in default mode;
+* batching changes *only* I/O counts -- pointer decryptions are
+  identical to one insert per transaction, so C1/C3 remain faithful;
 * a record write enciphers fewer than the 62 DES blocks of a whole
   512-byte block on average, and leaves exactly the whole-block
   writer's platter bytes.

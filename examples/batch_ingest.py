@@ -6,9 +6,11 @@ superblock update a re-encipherment -- faithful, but punishing for bulk
 ingest.  This example loads the same records three ways and prints what
 each pays:
 
-1. autocommit through the write-through pager (the paper's mode);
-2. one transaction -- the pager runs write-back inside it, so dirty
-   nodes and the superblock reach the disk once, at commit;
+1. one insert per transaction (the paper's mode): each insert outside
+   a scope commits by itself, paying its node writes and a superblock
+   rewrite;
+2. one transaction around all of them -- the pager holds the dirty
+   nodes, so they and the superblock reach the disk once, at commit;
 3. ``bulk_load`` -- the tree is built bottom-up, each node enciphered
    and written exactly once.
 
@@ -53,18 +55,18 @@ def main() -> None:
     keys = random.Random(7).sample(range(DESIGN.v), NUM_RECORDS)
     records = [(k, f"record #{k}".encode()) for k in keys]
 
-    # 1. the paper's mode: every insert pays its writes immediately
+    # 1. the paper's mode: every insert commits its own writes
     db1 = new_db()
     for k, rec in records:
         db1.insert(k, rec)
-    report("write-through", db1)
+    report("one txn per insert", db1)
 
     # 2. one transaction: same inserts, one flush at commit
     db2 = new_db()
     with db2.transaction():
         for k, rec in records:
             db2.insert(k, rec)
-    report("write-back + txn", db2)
+    report("one txn for all", db2)
 
     # 3. bottom-up build: every node block written once
     db3 = new_db()

@@ -143,7 +143,6 @@ class ShardedEncipheredDatabase:
         data_key: bytes = _DEFAULT_DATA_KEY,
         record_size: int = 120,
         cache_blocks: int = 16,
-        autocommit: bool = True,
         record_cache_blocks: int = 0,
         degraded_reads: bool = False,
         backend: StorageBackend | None = None,
@@ -182,7 +181,6 @@ class ShardedEncipheredDatabase:
                 data_key=derive_shard_key(data_key, _DATA_LABEL, i),
                 record_size=record_size,
                 cache_blocks=cache_blocks,
-                autocommit=autocommit,
                 record_cache_blocks=record_cache_blocks,
                 backend=backend.scoped(scopes[i]),
                 observability=observability,
@@ -212,7 +210,6 @@ class ShardedEncipheredDatabase:
         super_key: bytes = _DEFAULT_SUPER_KEY,
         data_key: bytes = _DEFAULT_DATA_KEY,
         cache_blocks: int = 16,
-        autocommit: bool = True,
         record_cache_blocks: int = 0,
         executor: str = "serial",
         degraded_reads: bool = False,
@@ -259,7 +256,6 @@ class ShardedEncipheredDatabase:
                     super_key=derive_shard_key(super_key, manifest.super_label, i),
                     data_key=derive_shard_key(data_key, manifest.data_label, i),
                     cache_blocks=cache_blocks,
-                    autocommit=autocommit,
                     record_cache_blocks=record_cache_blocks,
                     observability=observability,
                 )
@@ -367,9 +363,8 @@ class ShardedEncipheredDatabase:
         """Commit every shard and release its devices.
 
         On durable backends this closes every shard's platter files
-        (after their final sync); on in-memory devices the close is a
-        no-op and the cluster object remains usable, which existing
-        callers rely on.
+        (after their final sync).  On either backend a closed device
+        refuses I/O, so the closed cluster no longer serves reads.
 
         Idempotent, and hardened against a degraded cluster: a second
         call is a no-op, quarantined shards are skipped (their device

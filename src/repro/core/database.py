@@ -32,24 +32,27 @@ keeps its own ``triplet_counts``/``block_counts``).
 Commits and transactions
 ------------------------
 
-By default the database *autocommits*: every ``insert``/``delete``
-re-enciphers the superblock and the write-through pager pushes each
-dirty node block to disk immediately.  That is the mode the paper's
-experiments must use -- C1/C3 charge every node rewrite its disk write,
-and the per-operation cipher counts assume no batching.
+Every mutation runs inside a transaction.  ``insert``/``delete``/
+``bulk_load`` called outside a scope the caller owns open a
+one-operation transaction of their own, exactly as ``put_many``/
+``delete_many`` open one for their batch: the pager holds the
+operation's node writes dirty, a raise rolls them back, and a success
+commits -- one superblock rewrite and one flush of each dirty node, so
+each node rewrite still costs the paper's one disk write and the
+per-operation cipher counts assume no batching (C1/C3).
 
 For ingest-style workloads the hot path can amortise that cost:
 
 * :meth:`EncipheredDatabase.transaction` -- the one place the pager
   runs write-back -- defers the superblock rewrite and every dirty node
-  block to a single :meth:`commit` at scope exit, so repeated rewrites
-  of a hot block coalesce, and rolls the index back (discarding the
-  dirty pages) if the block raises;
+  block to a single commit at scope exit, so repeated rewrites of a hot
+  block coalesce, and rolls the index back (discarding the dirty pages)
+  if the block raises;
 * :meth:`EncipheredDatabase.bulk_load` builds the index bottom-up,
   writing and enciphering each node exactly once.
 
 Deferral always happens *below* the node codec: pointer-cipher and
-substitution counts are identical across modes, only disk-write counts
+substitution counts are identical across scopes, only disk-write counts
 change (benchmark C7 reports both).
 
 Read-path caches
@@ -82,11 +85,11 @@ Concurrency
 Every public operation runs under a per-database
 :class:`~repro.storage.rwlock.ReadWriteLock` (exposed as ``db.lock``):
 queries (``search``/``get``/``range_search``/``items``/``len``) share the
-read side, mutations hold the write side exclusively, a :meth:`commit`
-stages under the write side and syncs the devices under the read side,
-and a :meth:`transaction` scope holds the write side end to end.  Combined with
-the internally locked pager, caches and disks, interleaved reader threads
-can never observe a torn superblock or a half-flushed node.  Operation
+read side, and a transaction -- one operation's or a caller's scope --
+holds the write side until its commit is staged, then syncs the devices
+under the read side.  Combined with the internally locked pager, caches
+and disks, interleaved reader threads can never observe a torn
+superblock or a half-flushed node.  Operation
 *counters* (tree comparisons, substitution tallies, cipher operations)
 accumulate per-thread and merge on read
 (:class:`~repro.counters.ThreadSafeCounters`), so concurrent workloads
@@ -95,7 +98,7 @@ report exact totals without a lock on any hot-path increment.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, nullcontext
 from typing import Iterable, Iterator
 
 from repro.btree.codec import NodeCodec
@@ -113,6 +116,9 @@ from repro.storage.device import BlockDevice
 from repro.storage.pager import Pager
 from repro.storage.rwlock import ReadWriteLock
 from repro.substitution.base import KeySubstitution
+
+#: A mutation inside its thread's own transaction joins that scope.
+_JOIN = nullcontext()
 
 _MAGIC = b"HSBT1990"
 _VERSION = 2  # the first format carried none
@@ -158,7 +164,6 @@ class EncipheredDatabase:
         super_key: bytes,
         super_head: bytes,
         tree: BTree,
-        autocommit: bool = True,
         observability: ObsConfig | None = None,
     ) -> None:
         self.substitution = substitution
@@ -180,24 +185,22 @@ class EncipheredDatabase:
         tree.pager.tracer = tracer
         disk.tracer = tracer
         records.attach_tracer(tracer)
-        #: When ``True`` (default) every mutation ends with a
-        #: :meth:`commit`; when ``False`` the caller owns the commit
-        #: points.  :meth:`transaction` toggles this per scope.
-        self.autocommit = autocommit
         #: Reader--writer lock guarding every public operation; exposed so
         #: callers can pin a consistent multi-operation view (e.g. a
         #: verifying reopen) to the read side.
         self.lock = ReadWriteLock()
-        #: True while the in-memory state is ahead of the last commit
-        #: point: with ``autocommit=False`` a write-through mutation
-        #: updates node blocks on the platter but not the superblock, so
-        #: the platter alone is not a faithful snapshot until commit.
-        #: :meth:`commit` and :meth:`close` consult it.
+        #: True while the in-memory state is ahead of the last durable
+        #: commit point: a mutation inside a transaction whose commit is
+        #: not staged yet, or a commit whose staging or sync failed.
+        #: :meth:`close` commits again while it is set.
         self.has_uncommitted_changes = False
         self._in_txn = False
         self._txn_record_puts: list[int] = []
         self._txn_record_deletes: list[int] = []
-        self._txn_snapshot: tuple[int, int, list[int]] | None = None
+        #: The rollback point: tree state, the flag above and how many
+        #: deferred frees were queued, taken at scope entry and at
+        #: every staged commit inside the scope.
+        self._txn_snapshot: tuple[tuple[int, int, list[int]], bool, int] | None = None
         # close() is idempotent: the flag flips before any teardown, so
         # a second close (context-manager exit after an explicit close,
         # cluster close after a per-shard close) is a clean no-op
@@ -261,7 +264,6 @@ class EncipheredDatabase:
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
         record_size: int = 120,
         cache_blocks: int = 16,
-        autocommit: bool = True,
         record_cache_blocks: int = 0,
         backend: StorageBackend | None = None,
         observability: ObsConfig | None = None,
@@ -286,8 +288,7 @@ class EncipheredDatabase:
         superblock (the authority a reopen trusts) is the commit point:
         a crash between the two syncs merely leaks record slots that no
         committed index entry references.  The syncs run under the read
-        lock, so concurrent explicit commits share WAL frames (see
-        :meth:`commit`).
+        lock, so concurrent commits share WAL frames (see :meth:`commit`).
         """
         if backend is None:
             backend = MemoryBackend()
@@ -307,7 +308,7 @@ class EncipheredDatabase:
                               backend=backend,
                               create=True)
         db = cls(substitution, counting, disk, records, super_key, head, tree,
-                 autocommit=autocommit, observability=observability)
+                 observability=observability)
         db.commit()  # superblock + the fresh root reach the platter
         return db
 
@@ -321,7 +322,6 @@ class EncipheredDatabase:
         super_key: bytes = b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde",
         data_key: bytes = b"\x13\x34\x57\x79\x9b\xbc\xdf\xf1",
         cache_blocks: int = 16,
-        autocommit: bool = True,
         record_cache_blocks: int = 0,
         observability: ObsConfig | None = None,
         codec: NodeCodec | None = None,
@@ -367,7 +367,7 @@ class EncipheredDatabase:
                     f"superblock records {size} keys, tree holds {tree.size}"
                 )
             db = cls(substitution, counting, disk, records, super_key, head, tree,
-                     autocommit=autocommit, observability=observability)
+                     observability=observability)
             db._make_cold()  # attach's verification walk must not pre-warm
             opened.pop_all()
         return db
@@ -377,44 +377,49 @@ class EncipheredDatabase:
     def commit(self) -> None:
         """Make every pending change durable.
 
-        Two steps.  *Staging*, under the write lock: apply deferred
-        record-slot frees, re-encipher the superblock and flush dirty
-        node pages.  *Sync*, under the read lock: on a durable backend
-        both devices sync, records first -- the node sync carries the
-        authoritative superblock, so it is the commit point, and a crash
-        between the syncs leaves only unreferenced (leaked) record
-        slots, never a superblock pointing at missing data.  Inside a
-        :meth:`transaction` this establishes a new rollback point.
+        Two steps.  *Staging*, under the write lock: re-encipher the
+        superblock, flush dirty node pages and apply deferred
+        record-slot frees.  *Sync*, under the read lock: on a durable
+        backend both devices sync, records first -- the node sync
+        carries the authoritative superblock, so it is the commit
+        point, and a crash between the syncs leaves only unreferenced
+        (leaked) record slots, never a superblock pointing at missing
+        data.
 
-        A caller that already holds the write lock (autocommit inside a
-        mutation, a transaction scope) simply re-enters for the sync, so
-        its commit stays one exclusive step.  Concurrent explicit
-        committers coalesce for free: each device holds its own lock for
+        Every transaction ends in these two steps, a mutation's own
+        one-operation transaction included, so concurrent committers
+        share WAL frames for free: each device holds its own lock for
         the whole WAL protocol and clears its pending set only at the
         end, so one sync packs everything staged so far and a committer
-        whose writes it covered finds nothing left to flush.  The tree
-        cannot change under the read lock; if a write-through mutation
-        under ``autocommit=False`` slipped in between the two steps, the
-        superblock is re-staged first, so no WAL frame ever seals node
-        blocks without the superblock that describes them.  A failed
-        sync leaves ``has_uncommitted_changes`` set, so :meth:`close`
-        retries it.
+        whose writes it covered finds nothing left to flush.  Node
+        blocks reach the device only in a staging, with the superblock
+        that describes them.  Readers may see a staged write before its
+        sync returns; the committing call returns only after the sync.
+        Inside a :meth:`transaction` the owner holds the write lock, so
+        this syncs before the scope goes on and sets a new rollback
+        point.  A failed staging or sync leaves
+        ``has_uncommitted_changes`` set, so :meth:`close` retries it.
         """
         with self.obs.trace("db.commit"):
             with self.lock.write_locked():
-                self._free_record_slots(self._txn_record_deletes)
-                self._txn_record_puts = []
-                self._write_superblock()
-                self.tree.pager.flush()
-                self.has_uncommitted_changes = False
-                if self._in_txn:
-                    self._txn_snapshot = self.tree.snapshot_state()
+                self._stage()
             with self.lock.read_locked():
-                if self.has_uncommitted_changes:
-                    self._write_superblock()
-                    self.tree.pager.flush()
-                    self.has_uncommitted_changes = False
                 self.sync_devices()
+
+    def _stage(self) -> None:
+        """The staging step of :meth:`commit`; the caller holds the write lock.
+
+        Inside a transaction the flushed tree becomes the rollback point
+        before the deferred frees run, so a rollback never returns to
+        metadata older than node pages already on the device.
+        """
+        self._txn_record_puts = []
+        self._write_superblock()
+        self.tree.pager.flush()
+        if self._in_txn:
+            self._txn_snapshot = (self.tree.snapshot_state(), False, 0)
+        self._free_record_slots(self._txn_record_deletes)
+        self.has_uncommitted_changes = False
 
     def _free_record_slots(self, record_ids: list[int]) -> None:
         """Free the listed record slots in order, emptying the list.
@@ -452,8 +457,8 @@ class EncipheredDatabase:
         Only meaningful inside a :meth:`transaction`, where uncommitted
         node pages are still held dirty in the pager: they are dropped
         unwritten, the tree metadata reverts to its snapshot, record
-        slots filled since the commit point are freed and deferred frees
-        are forgotten.
+        slots filled since the commit point are freed and the slot
+        frees deferred since then are forgotten.
         """
         with self.lock.write_locked():
             # checked under the lock: a foreign thread reaching here after
@@ -461,12 +466,12 @@ class EncipheredDatabase:
             # rollback against a stale (or None) snapshot
             if self._txn_snapshot is None:
                 raise StorageError("rollback outside a transaction")
+            state, uncommitted, deferred = self._txn_snapshot
             self.tree.pager.discard_dirty()
-            self.tree.restore_state(self._txn_snapshot)
+            self.tree.restore_state(state)
             self._free_record_slots(self._txn_record_puts)
-            self._txn_record_deletes = []
-            self.has_uncommitted_changes = False  # back at the commit point
-            self._txn_snapshot = self.tree.snapshot_state()
+            del self._txn_record_deletes[deferred:]
+            self.has_uncommitted_changes = uncommitted
 
     @contextmanager
     def transaction(self) -> Iterator["EncipheredDatabase"]:
@@ -483,10 +488,13 @@ class EncipheredDatabase:
         the simulated disk (never referenced again) -- space, not
         correctness.  Transactions do not nest.
 
-        The write lock is held for the whole scope: a transaction is one
-        logical write, so readers wait for its commit (or rollback) and
-        can never see its intermediate states.
+        The write lock is held until the commit is staged: a transaction
+        is one logical write, so readers never see its intermediate
+        states.  The sync runs under the read lock (see :meth:`commit`),
+        so readers may see the staged scope before its sync returns; the
+        scope exits only after the sync.
         """
+        span = self.obs.trace("db.commit")
         with self.lock.write_locked():
             if self._in_txn:
                 raise StorageError("transactions do not nest")
@@ -497,43 +505,52 @@ class EncipheredDatabase:
             pager.flush()
             pager.write_back = pager.retain_dirty = True
             self._in_txn = True
-            self._txn_snapshot = self.tree.snapshot_state()
-            self._txn_record_puts = []
-            self._txn_record_deletes = []
+            self._txn_snapshot = (self.tree.snapshot_state(),
+                                  self.has_uncommitted_changes,
+                                  len(self._txn_record_deletes))
             try:
                 yield self
             except BaseException:
                 self.rollback()
                 raise
             else:
-                self.commit()
+                span.__enter__()
+                self._in_txn = False  # the scope's end sets no rollback point
+                self._stage()
             finally:
                 self._in_txn = False
                 self._txn_snapshot = None
                 pager.write_back = pager.retain_dirty = False
                 pager.flush()  # restoring write-through must not strand dirt
+        with self.lock.read_locked():
+            self.sync_devices()
+        span.__exit__(None, None, None)
 
-    def _after_mutation(self) -> None:
-        self.has_uncommitted_changes = True
-        if self.autocommit and not self._in_txn:
-            self.commit()
+    def _scope(self):
+        """The transaction a mutation runs in.
 
-    # -- record operations (superblock kept current) -----------------------
+        The calling thread's own open scope, which the mutation joins,
+        or else a fresh one-operation :meth:`transaction`.  A foreign
+        thread observing ``_in_txn`` is merely racing someone else's
+        scope, and must open its own transaction (blocking on the write
+        lock) to keep its all-or-nothing guarantee.  While a transaction
+        is open its owner holds the write lock exclusively, so "this
+        thread holds a side of the lock" identifies the owner exactly.
+        """
+        if self._in_txn and self.lock.held_by_current_thread():
+            return _JOIN
+        return self.transaction()
+
+    # -- record operations -------------------------------------------------
 
     def insert(self, key: int, record: bytes) -> None:
-        with self.obs.trace("db.put"):
-            with self.lock.write_locked():
-                # a present key raises here, before its record is stored
-                path = self.tree.insertion_path(key)
-                record_id = self.records.put(record)
-                try:
-                    self.tree.insert_along(path, key, record_id)
-                except Exception:
-                    self.records.delete(record_id)
-                    raise
-                if self._in_txn:
-                    self._txn_record_puts.append(record_id)
-                self._after_mutation()
+        with self.obs.trace("db.put"), self._scope():
+            # a present key raises here, before its record is stored
+            path = self.tree.insertion_path(key)
+            record_id = self.records.put(record)
+            self._txn_record_puts.append(record_id)
+            self.tree.insert_along(path, key, record_id)
+            self.has_uncommitted_changes = True
 
     def search(self, key: int) -> bytes:
         with self.obs.trace("db.get"):
@@ -559,19 +576,12 @@ class EncipheredDatabase:
         """Remove ``key`` and free its record slot, in one tree descent.
 
         An absent key raises before anything is written, so it commits
-        nothing.  A transaction defers the slot free to its commit, so a
-        rollback still finds the record's bytes.
+        nothing.  The slot free is deferred to the commit, so a rollback
+        still finds the record's bytes.
         """
-        with self.obs.trace("db.delete"):
-            with self.lock.write_locked():
-                record_id = self.tree.delete(key)
-                try:
-                    if self._in_txn:
-                        self._txn_record_deletes.append(record_id)
-                    else:
-                        self.records.delete(record_id)  # a failed free leaks the slot
-                finally:
-                    self._after_mutation()
+        with self.obs.trace("db.delete"), self._scope():
+            self._txn_record_deletes.append(self.tree.delete(key))
+            self.has_uncommitted_changes = True
 
     def bulk_load(self, items: Iterable[tuple[int, bytes]]) -> None:
         """Ingest ``(key, record)`` pairs via the bottom-up tree build.
@@ -579,59 +589,33 @@ class EncipheredDatabase:
         Orders of magnitude fewer cipher operations and disk writes than
         per-key insertion: each node is enciphered and written once, and
         so is each record block (:meth:`RecordStore.put_many`).  Requires
-        an empty database.  On failure the stored records are freed
-        again and the empty database stays usable.
+        an empty database.  On failure the transaction rolls back: the
+        stored records are freed again and the empty database stays
+        usable.
         """
-        with self.obs.trace("db.bulk_load"):
-            with self.lock.write_locked():
-                items = list(items)
-                record_ids = self.records.put_many(record for _, record in items)
-                pairs = [(key, rid) for (key, _), rid in zip(items, record_ids)]
-                try:
-                    self.tree.bulk_load(pairs)
-                except Exception:
-                    for _, record_id in pairs:
-                        self.records.delete(record_id)
-                    raise
-                if self._in_txn:
-                    self._txn_record_puts.extend(record_id for _, record_id in pairs)
-                self._after_mutation()
-
-    def _in_txn_owner(self) -> bool:
-        """True iff the *calling thread* owns an open transaction scope.
-
-        A batch may only join an enclosing transaction it actually owns:
-        a foreign thread observing ``_in_txn`` is merely racing someone
-        else's scope, and must open its own transaction (blocking on the
-        write lock) to keep its all-or-nothing guarantee.  While a
-        transaction is open its owner holds the write lock exclusively,
-        so "this thread holds a side of the lock" identifies the owner
-        exactly.
-        """
-        return self._in_txn and self.lock.held_by_current_thread()
+        with self.obs.trace("db.bulk_load"), self._scope():
+            items = list(items)
+            record_ids = self.records.put_many(record for _, record in items)
+            self._txn_record_puts.extend(record_ids)
+            self.tree.bulk_load([(key, rid) for (key, _), rid in zip(items, record_ids)])
+            self.has_uncommitted_changes = True
 
     def put_many(self, items: Iterable[tuple[int, bytes]]) -> int:
         """Insert a batch of ``(key, record)`` pairs as one atomic unit.
 
         One write-lock acquisition and one commit for the whole batch --
         the superblock is re-enciphered once instead of once per key, so
-        a burst of k writes costs one commit's worth of overhead.  Runs
-        inside :meth:`transaction` semantics: a failure (duplicate key,
-        oversized record) rolls the whole batch back.
-        Called inside an enclosing transaction, the batch simply joins
-        it -- the outer scope owns atomicity and the commit point.
+        a burst of k writes costs one commit's worth of overhead.  A
+        failure (duplicate key, oversized record) rolls the whole batch
+        back.  Called inside an enclosing transaction, the batch simply
+        joins it -- the outer scope owns atomicity and the commit point.
         Returns the number of pairs inserted.
         """
         pairs = list(items)
-        with self.obs.trace("db.put_many"):
-            if self._in_txn_owner():
-                for key, record in pairs:
-                    self.insert(key, record)
-                return len(pairs)
-            with self.transaction():
-                for key, record in pairs:
-                    self.insert(key, record)
-            return len(pairs)
+        with self.obs.trace("db.put_many"), self._scope():
+            for key, record in pairs:
+                self.insert(key, record)
+        return len(pairs)
 
     def delete_many(self, keys: Iterable[int]) -> int:
         """Delete a batch of keys as one atomic unit (see :meth:`put_many`).
@@ -640,15 +624,10 @@ class EncipheredDatabase:
         the whole batch.  Returns the number of keys deleted.
         """
         key_list = list(keys)
-        with self.obs.trace("db.delete_many"):
-            if self._in_txn_owner():
-                for key in key_list:
-                    self.delete(key)
-                return len(key_list)
-            with self.transaction():
-                for key in key_list:
-                    self.delete(key)
-            return len(key_list)
+        with self.obs.trace("db.delete_many"), self._scope():
+            for key in key_list:
+                self.delete(key)
+        return len(key_list)
 
     def range_search(self, lo: int, hi: int) -> list[tuple[int, bytes]]:
         with self.obs.trace("db.range_search"):

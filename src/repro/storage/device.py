@@ -183,6 +183,9 @@ class BlockDevice(ABC):
         self.stats = DiskStats()
         self._lock = threading.RLock()
         self._count = 0
+        #: Set by :meth:`close`; I/O on a closed device raises
+        #: :class:`~repro.exceptions.StorageError`.
+        self.closed = False
         #: Span tracer for durable-path instrumentation (WAL append,
         #: fsync, header flip).  Defaults to the shared disabled tracer;
         #: the owning database replaces it with its own.
@@ -296,6 +299,7 @@ class BlockDevice(ABC):
         """At-rest bytes of an in-range id, or ``None`` if never written.
 
         Called under ``_lock``, like :meth:`_stage` and :meth:`_grow`.
+        Both raise through :meth:`_check_open` once the device is closed.
         """
 
     @abstractmethod
@@ -315,6 +319,10 @@ class BlockDevice(ABC):
         return a value unequal to any bytes, so the write lands and heals.
         """
         return self._at_rest(block_id)
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise StorageError(f"{type(self).__name__}: I/O on a closed device")
 
     # -- allocation ------------------------------------------------------
 
@@ -627,7 +635,12 @@ class BlockDevice(ABC):
         return 0
 
     def close(self) -> None:
-        """Release any operating-system resources (default: none held)."""
+        """Mark the device closed, so its backend may open it again.
+
+        Any later read or write raises.  A durable device first syncs
+        and releases its operating-system resources.
+        """
+        self.closed = True
 
     def durability_snapshot(self) -> dict[str, int]:
         """Durability counters in the one shared, mergeable shape."""

@@ -64,16 +64,13 @@ class SimulatedDisk(BlockDevice):
         super().__init__(block_size, transform)
         self._blocks = [] if blocks is None else blocks
         self._count = len(self._blocks)
-        self.closed = False
-
-    def close(self) -> None:
-        """Release the device, so its backend may open it again."""
-        self.closed = True
 
     def _at_rest(self, block_id: int) -> bytes | None:
+        self._check_open()
         return self._blocks[block_id]
 
     def _stage(self, block_id: int, stored: bytes | None) -> None:
+        self._check_open()
         self._blocks[block_id] = stored
 
     def _grow(self, num_blocks: int) -> None:

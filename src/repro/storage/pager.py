@@ -18,11 +18,13 @@ model, where every node *visit* pays its decryptions.
 Two write policies are offered:
 
 * **write-through** (the default): every :meth:`Pager.write` goes straight
-  to the disk.  This is the mode the paper's experiments (C1/C3 and the
-  E-series) must run in -- each node rewrite is a disk write, so the
-  reported I/O counts match the paper's per-operation cost model exactly.
-* **write-back** (:attr:`Pager.write_back` raised, which only a
-  database transaction does): writes only mark the cached copy dirty;
+  to the disk -- each node rewrite is a disk write, so a bare
+  :class:`~repro.btree.tree.BTree` (the E-series figures, the plain and
+  multilevel stores) reports I/O counts on the paper's per-operation
+  cost model exactly.
+* **write-back** (:attr:`Pager.write_back` raised, which a database
+  transaction does for every mutation, a one-operation transaction
+  included): writes only mark the cached copy dirty;
   bytes reach the disk when the block is evicted (evict-writes-dirty,
   via the raw cache's eviction callback), on :meth:`Pager.flush`, or
   never if :meth:`Pager.discard_dirty` drops them first.  Repeated

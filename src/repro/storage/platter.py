@@ -219,7 +219,6 @@ class FilePlatter(BlockDevice):
         if create is False and not exists:
             raise StorageError(f"platter not found: {self.path}")
 
-        self._closed = False
         self._pending: dict[int, bytes | None] = {}
         #: block id -> (absolute WAL payload offset, payload length):
         #: the newest WAL copy of the block, for CRC-failure repair.
@@ -477,10 +476,6 @@ class FilePlatter(BlockDevice):
 
     # -- the at-rest primitives (see BlockDevice) ------------------------
 
-    def _check_open(self) -> None:
-        if self._closed:
-            raise StorageError(f"{self.path}: I/O on a closed platter")
-
     def _at_rest(self, block_id: int) -> bytes | None:
         """Current at-rest bytes: pending overlay first, then the file."""
         self._check_open()
@@ -639,7 +634,7 @@ class FilePlatter(BlockDevice):
         no descriptor leaks into the crash-recovery path.
         """
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
         try:
             # outside _lock: a second close racing in simply finds nothing
@@ -647,17 +642,17 @@ class FilePlatter(BlockDevice):
             self.sync()
         finally:
             with self._lock:
-                if not self._closed:
-                    self._closed = True
+                if not self.closed:
+                    self.closed = True
                     self._fh.close()
                     self._wal.close()
 
     def abandon(self) -> None:
         """Drop the handles with *no* sync -- the crash-test kill switch."""
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
+            self.closed = True
             self._fh.close()
             self._wal.close()
 

@@ -1,15 +1,17 @@
 """The superblock is a durable cluster's only commit point.
 
-A shard on durable devices syncs at ``commit()`` and nowhere else: with
-``autocommit=False`` a run of cluster writes reaches the WAL only when
-the caller commits.  A process that dies mid-batch therefore leaves
-every shard at its last commit, and the manifest-driven reopen lands
-there exactly, as a single database does.
+A shard on durable devices syncs at a commit and nowhere else: inside a
+transaction a run of cluster writes reaches the WAL only when the scope
+commits.  A process that dies before a batch's commit point therefore
+leaves every shard at its last commit, and the manifest-driven reopen
+lands there exactly, as a single database does.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from repro.cluster.sharded import ShardedEncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
@@ -43,12 +45,10 @@ def committed_cluster(tmp_path):
         cipher_factory,
         num_shards=NUM_SHARDS,
         min_degree=2,
-        autocommit=False,
         backend=backend_at(tmp_path),
     )
     committed = {k: f"c{k}".encode() for k in keys[:30]}
     cluster.put_many(committed.items())
-    cluster.commit()
     assert cluster.range_search(0, DESIGN.v) == sorted(committed.items())
     return cluster, committed, keys[30:]
 
@@ -68,14 +68,18 @@ def crash(cluster) -> None:
         shard.records.disk.abandon()
 
 
+class Kill(Exception):
+    pass
+
+
 def test_uncommitted_writes_do_not_sync(tmp_path):
     cluster, committed, fresh = committed_cluster(tmp_path)
     try:
         before = device_syncs(cluster)
-        for k in fresh[:20]:
-            cluster.insert(k, f"u{k}".encode())
-        assert device_syncs(cluster) == before
-        cluster.commit()
+        with cluster.transaction():
+            for k in fresh[:20]:
+                cluster.insert(k, f"u{k}".encode())
+            assert device_syncs(cluster) == before
         # one sync per device of every shard the batch touched
         assert 0 < device_syncs(cluster) - before <= 2 * NUM_SHARDS
     finally:
@@ -84,9 +88,18 @@ def test_uncommitted_writes_do_not_sync(tmp_path):
 
 def test_crash_mid_batch_reopens_at_the_last_commit(tmp_path):
     cluster, committed, fresh = committed_cluster(tmp_path)
-    for k in fresh[:20]:
-        cluster.insert(k, f"u{k}".encode())
-    cluster.delete(next(iter(committed)))
+
+    def bomb(point):
+        if point == "sync:start":
+            raise Kill
+
+    for shard in cluster.shards:  # records sync first: nothing lands
+        shard.records.disk.fault_hook = bomb
+    with pytest.raises(Kill):
+        with cluster.transaction():
+            for k in fresh[:20]:
+                cluster.insert(k, f"u{k}".encode())
+            cluster.delete(next(iter(committed)))
     crash(cluster)
 
     reopened = ShardedEncipheredDatabase.reopen_from_manifest(
@@ -101,16 +114,15 @@ def test_crash_mid_batch_reopens_at_the_last_commit(tmp_path):
 
 
 def test_autocommit_batches_survive_a_crash(tmp_path):
-    """With ``autocommit=True`` a ``bulk_load``, ``put_many`` or
-    ``delete_many`` has returned only once its shards are durable, so a
-    crash right after it must not lose the batch."""
+    """A ``bulk_load``, ``put_many`` or ``delete_many`` outside a
+    transaction commits itself and returns only once its shards are
+    durable, so a crash right after it must not lose the batch."""
     keys = random.Random(0xC02).sample(range(DESIGN.v), 60)
     cluster = ShardedEncipheredDatabase.create(
         sub_factory,
         cipher_factory,
         num_shards=NUM_SHARDS,
         min_degree=2,
-        autocommit=True,
         backend=backend_at(tmp_path),
     )
     expected = {k: f"b{k}".encode() for k in keys[:30]}

@@ -234,14 +234,12 @@ class TestReads:
             cluster.close()
 
     @pytest.mark.parametrize("router", ["hash", "range"])
-    @pytest.mark.parametrize("autocommit", [True, False], ids=["autocommit", "manual"])
-    def test_transaction_reads_see_uncommitted_writes(self, router, autocommit):
-        """The scopes run write-back whatever the commit mode outside
-        them: autocommit, or manual commits that leave the bulk load's
-        superblock behind until the first scope commits."""
+    def test_transaction_reads_see_uncommitted_writes(self, router):
+        """Reads inside a scope, fan-outs included, see its uncommitted
+        writes; a rolled-back write is gone afterwards."""
         sample = random.Random(0xE6).sample(range(DESIGN.v), 30)
         absent = [k for k in range(DESIGN.v) if k not in set(sample)]
-        cluster = make_cluster(router=router, autocommit=autocommit)
+        cluster = make_cluster(router=router)
         try:
             cluster.bulk_load(records_for(sample).items())
             with cluster.transaction():
@@ -282,18 +280,18 @@ class TestReads:
         finally:
             cluster.close()
 
-    def test_write_through_uncommitted_reads(self):
-        """autocommit=False with the write-through pager leaves the
-        superblock stale until commit; reads still see every write."""
+    def test_transaction_uncommitted_reads(self):
+        """A cluster transaction leaves every superblock stale until the
+        scope commits; reads still see every write."""
         sample = random.Random(0xF0).sample(range(DESIGN.v), 24)
-        cluster = make_cluster(autocommit=False)
+        cluster = make_cluster()
         try:
-            for k in sample:
-                cluster.insert(k, f"rec{k}".encode())
-            assert any(s.has_uncommitted_changes for s in cluster.shards)
-            result = cluster.range_search(0, DESIGN.v)
-            assert len(result) == len(sample)
-            cluster.commit()
+            with cluster.transaction():
+                for k in sample:
+                    cluster.insert(k, f"rec{k}".encode())
+                assert any(s.has_uncommitted_changes for s in cluster.shards)
+                result = cluster.range_search(0, DESIGN.v)
+                assert len(result) == len(sample)
             assert not any(s.has_uncommitted_changes for s in cluster.shards)
             assert cluster.range_search(0, DESIGN.v) == result
         finally:
@@ -450,10 +448,11 @@ class TestLifecycle:
         cluster.close()
         assert cluster.stats().aggregate["pointer_cipher"] == before
 
-    def test_memory_cluster_serves_after_close(self):
+    def test_memory_cluster_refuses_io_after_close(self):
+        # a closed in-memory device refuses I/O, as a closed platter does
         sample = random.Random(0xE9).sample(range(DESIGN.v), 24)
         cluster = make_cluster()
         cluster.bulk_load(records_for(sample).items())
-        expected = cluster.range_search(0, DESIGN.v)
         cluster.close()
-        assert cluster.range_search(0, DESIGN.v) == expected
+        with pytest.raises(StorageError, match="I/O on a closed device"):
+            cluster.range_search(0, DESIGN.v)

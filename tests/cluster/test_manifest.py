@@ -198,12 +198,9 @@ class TestManifestReopen:
             reopen_cluster(FileBackend(tmp_path / "empty", fsync=False))
 
     def test_kill_one_shard_mid_commit_then_manifest_recovery(self, tmp_path):
-        db = make_cluster(backend_at(tmp_path), autocommit=False)
+        db = make_cluster(backend_at(tmp_path))
         keys = self.seed(db)
         extra = [k for k in range(DESIGN.v) if k not in keys][:15]
-        for k in extra:
-            db.insert(k, f"late-{k}".encode())
-
         victim = db.shards[db.router.shard_for(extra[0])]
 
         def bomb(point):
@@ -212,7 +209,9 @@ class TestManifestReopen:
 
         victim.disk.fault_hook = bomb
         with pytest.raises(Kill):
-            db.commit()
+            with db.transaction():
+                for k in extra:
+                    db.insert(k, f"late-{k}".encode())
         for shard in db.shards:  # the process dies: no sync, no close
             shard.disk.abandon()
             shard.records.disk.abandon()
@@ -236,28 +235,28 @@ class TestManifestReopen:
         """Acceptance: kill mid-commit, reopen via the manifest alone,
         compare every shard's at-rest bytes against an in-memory
         control cluster that committed the same operations cleanly."""
-        db = make_cluster(backend_at(tmp_path), autocommit=False)
+        db = make_cluster(backend_at(tmp_path))
         keys = self.seed(db)
         extra = [k for k in range(DESIGN.v) if k not in keys][:15]
         victim_idx = db.router.shard_for(extra[0])
         batch = [k for k in extra if db.router.shard_for(k) == victim_idx]
-        for k in batch:
-            db.insert(k, f"late-{k}".encode())
         db.shards[victim_idx].disk.fault_hook = (
             lambda p: (_ for _ in ()).throw(Kill) if p == "wal:appended" else None
         )
         with pytest.raises(Kill):
-            db.commit()
+            with db.transaction():
+                for k in batch:
+                    db.insert(k, f"late-{k}".encode())
         for shard in db.shards:
             shard.disk.abandon()
             shard.records.disk.abandon()
         recovered = reopen_cluster(backend_at(tmp_path))
 
-        control = make_cluster(MemoryBackend(), autocommit=False)
+        control = make_cluster(MemoryBackend())
         self.seed(control)
-        for k in batch:
-            control.insert(k, f"late-{k}".encode())
-        control.commit()
+        with control.transaction():
+            for k in batch:
+                control.insert(k, f"late-{k}".encode())
 
         for mine, theirs in zip(recovered.shards, control.shards):
             assert mine.disk.raw_blocks() == theirs.disk.raw_blocks()

@@ -191,7 +191,7 @@ class TestSuperblockSecurity:
 
     def test_commits_derive_no_key_schedules(self, db):
         """The superblock cipher is derived once per handle, not per
-        commit: autocommit writes (each rewriting the superblock) leave
+        commit: single-operation writes (each rewriting the superblock) leave
         the process-wide schedule count where it was."""
         db.insert(0, b"warm")
         before = schedule_derivations()
@@ -276,6 +276,29 @@ class TestTransactions:
         with pytest.raises(KeyNotFoundError):
             db.search(2)
 
+    def test_failed_commit_inside_transaction_rolls_back_coherently(
+        self, db, monkeypatch
+    ):
+        # the commit flushes its node pages, then a deferred slot free
+        # fails and the scope rolls back: the rollback must not pair
+        # older tree metadata with the pages already on the device
+        for k in range(0, 60, 2):
+            db.insert(k, b"x")
+
+        def boom(record_id):
+            raise StorageError("slot free failed")
+
+        with pytest.raises(StorageError):
+            with db.transaction():
+                for k in range(1, 40, 2):
+                    db.insert(k, b"y")
+                db.delete(0)
+                monkeypatch.setattr(db.records, "delete", boom)
+                db.commit()
+        monkeypatch.undo()
+        db.tree.check_invariants()
+        assert len(db) == len(list(db.items()))
+
     def test_transactions_do_not_nest(self, db):
         with db.transaction():
             with pytest.raises(StorageError):
@@ -292,16 +315,15 @@ class TestTransactions:
         assert pager.retain_dirty is False
         assert pager.dirty_blocks == 0
 
-    def test_manual_commit_without_autocommit(self, db, cipher, backend):
-        db.autocommit = False
-        db.insert(1, b"x")
-        db.insert(2, b"y")
-        # the superblock on the platter still describes the empty tree
-        *_, size = EncipheredDatabase._read_superblock(
-            db.disk, b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"
-        )
-        assert size == 0
-        db.commit()
+    def test_superblock_moves_only_at_commit(self, db, cipher, backend):
+        with db.transaction():
+            db.insert(1, b"x")
+            db.insert(2, b"y")
+            # the superblock on the platter still describes the empty tree
+            *_, size = EncipheredDatabase._read_superblock(
+                db.disk, b"\x5b\xad\xc0\xde\x5b\xad\xc0\xde"
+            )
+            assert size == 0
         release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 2
@@ -445,13 +467,17 @@ class TestBugfixRegressions:
 
         monkeypatch.setattr(db.records, "delete", boom)
         with pytest.raises(StorageError):
-            db.delete(2)
+            db.delete(2)  # the commit's deferred slot free fails
         monkeypatch.undo()
-        # the tree lost the key; the superblock must agree with it, or
-        # the database can never be reopened (the slot merely leaks)
-        release(db)
+        # the delete stays applied and its commit stays pending; close()
+        # commits again, so the superblock agrees with the tree and the
+        # slot is freed after all
+        assert len(db) == 4 and 2 not in db
+        assert db.has_uncommitted_changes
+        db.close()
         reopened = reopen(cipher, backend)
         assert len(reopened) == 4
+        assert reopened.records.count == 4
         with pytest.raises(KeyNotFoundError):
             reopened.search(2)
 
@@ -496,25 +522,34 @@ class TestBugfixRegressions:
         with pytest.raises(IntegrityError):
             reopen(cipher, backend)
 
-    def test_rollback_preserves_pretransaction_uncommitted_writes(self, cipher, backend):
-        """Writes made *before* the scope are not the scope's to undo:
-        its rollback returns to the state it entered, uncommitted
-        pre-scope writes included."""
-        db = EncipheredDatabase.create(
-            OvalSubstitution(DESIGN, t=5), cipher,
-            autocommit=False, backend=backend,
-        )
+    def test_rollback_preserves_pretransaction_uncommitted_writes(
+        self, db, cipher, backend, monkeypatch
+    ):
+        """Changes made *before* the scope are not the scope's to undo:
+        its rollback returns to the state it entered, a delete whose
+        commit failed -- its slot free still pending -- included."""
         db.insert(1, b"pre-txn")
+        db.insert(2, b"deleted")
+
+        def boom(record_id):
+            raise StorageError("slot free failed")
+
+        monkeypatch.setattr(db.records, "delete", boom)
+        with pytest.raises(StorageError):
+            db.delete(2)
+        monkeypatch.undo()
         with pytest.raises(RuntimeError):
             with db.transaction():
-                db.insert(2, b"doomed")
+                db.insert(3, b"doomed")
                 raise RuntimeError("abort")
         assert len(db) == 1
         assert db.search(1) == b"pre-txn"
-        db.commit()
+        assert db.has_uncommitted_changes
+        db.commit()  # frees the pending slot
         release(db)
         reopened = reopen(cipher, backend)
         assert len(reopened) == 1
+        assert reopened.records.count == 1
         assert reopened.search(1) == b"pre-txn"
 
     def test_bulk_load_frees_records_when_put_fails_midway(self, cipher):

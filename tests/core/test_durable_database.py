@@ -171,19 +171,77 @@ class TestFailedMutation:
         db2 = reopen_db(backend_at(tmp_path))
         assert sorted(k for k, _ in db2.items()) == sorted(keys)
 
+    def test_node_write_failing_mid_split_rolls_the_insert_back(
+        self, tmp_path, monkeypatch
+    ):
+        # t=2 splits often; the first insert below that splits a node
+        # fails on its second node write.  It must leave no trace the
+        # next commit could make durable: nothing reaches the node
+        # device, and the record slot it filled is freed again (two
+        # record writes, staged and never synced)
+        db = make_db(backend_at(tmp_path), min_degree=2)
+        keys = random.Random(33).sample(range(DESIGN.v), 60)
+        live = keys[:40]
+        for k in live:
+            db.insert(k, f"rec-{k}".encode())
+        pager = db.tree.pager
+        write = pager.write
+        writes = []
+
+        def second_write_fails(block_id, data):
+            writes.append(block_id)
+            if len(writes) == 2:
+                raise OSError("node write failed")
+            write(block_id, data)
+
+        monkeypatch.setattr(pager, "write", second_write_fails)
+        for failed in keys[40:]:
+            writes.clear()
+            files, counts = self.at_rest(tmp_path), self.device_counts(db)
+            records, size = db.records.count, len(db)
+            try:
+                db.insert(failed, f"rec-{failed}".encode())
+            except OSError:
+                break
+            live.append(failed)
+        else:
+            pytest.fail("no insert split a node")
+        assert self.at_rest(tmp_path) == files
+        counts["records.writes"] += 2
+        assert self.device_counts(db) == counts
+        assert (db.records.count, len(db)) == (records, size)
+        assert not db.has_uncommitted_changes
+        monkeypatch.undo()
+
+        extra = next(k for k in keys[40:] if k not in live and k != failed)
+        db.insert(extra, f"rec-{extra}".encode())
+        live.append(extra)
+        db.close()
+        db2 = reopen_db(backend_at(tmp_path))
+        db2.tree.check_invariants()
+        assert len(db2) == len(live)
+        for k in live:
+            assert db2.search(k) == f"rec-{k}".encode()
+        assert failed not in db2
+        db2.close()
+
 
 class TestCrashRecovery:
     def workload(self, db):
-        for k in range(0, 120, 3):
-            db.insert(k, f"base-{k}".encode())
-        db.commit()
+        with db.transaction():
+            for k in range(0, 120, 3):
+                db.insert(k, f"base-{k}".encode())
+
+    @staticmethod
+    def late_batch(db, keys):
+        with db.transaction():
+            for k in keys:
+                db.insert(k, f"late-{k}".encode())
 
     def test_kill_after_wal_seal_recovers_committed_batch(self, tmp_path):
         backend = backend_at(tmp_path)
-        db = make_db(backend, autocommit=False)
+        db = make_db(backend)
         self.workload(db)
-        for k in range(1, 60, 3):
-            db.insert(k, f"late-{k}".encode())
 
         def bomb(point):
             if point == "wal:appended":
@@ -191,7 +249,7 @@ class TestCrashRecovery:
 
         db.disk.fault_hook = bomb  # node device: the commit point
         with pytest.raises(Kill):
-            db.commit()
+            self.late_batch(db, range(1, 60, 3))
         db.disk.abandon()
         db.records.disk.abandon()
 
@@ -205,10 +263,8 @@ class TestCrashRecovery:
 
     def test_kill_before_wal_seal_loses_only_the_uncommitted(self, tmp_path):
         backend = backend_at(tmp_path)
-        db = make_db(backend, autocommit=False)
+        db = make_db(backend)
         self.workload(db)
-        for k in range(1, 60, 3):
-            db.insert(k, f"late-{k}".encode())
 
         def bomb(point):
             if point == "sync:start":
@@ -216,7 +272,7 @@ class TestCrashRecovery:
 
         db.records.disk.fault_hook = bomb  # records sync first: nothing lands
         with pytest.raises(Kill):
-            db.commit()
+            self.late_batch(db, range(1, 60, 3))
         db.disk.abandon()
         db.records.disk.abandon()
 
@@ -231,23 +287,19 @@ class TestCrashRecovery:
         """The acceptance check: crash + recovery vs a control that
         committed the same batches cleanly -- same at-rest bytes."""
         crashed = backend_at(tmp_path)
-        db = make_db(crashed, autocommit=False)
+        db = make_db(crashed)
         self.workload(db)
-        for k in range(1, 30, 3):
-            db.insert(k, f"late-{k}".encode())
         db.disk.fault_hook = lambda p: (_ for _ in ()).throw(Kill) \
             if p == "wal:appended" else None
         with pytest.raises(Kill):
-            db.commit()
+            self.late_batch(db, range(1, 30, 3))
         db.disk.abandon()
         db.records.disk.abandon()
         recovered = reopen_db(backend_at(tmp_path))
 
-        control = make_db(MemoryBackend(), autocommit=False)
+        control = make_db(MemoryBackend())
         self.workload(control)
-        for k in range(1, 30, 3):
-            control.insert(k, f"late-{k}".encode())
-        control.commit()
+        self.late_batch(control, range(1, 30, 3))
 
         assert recovered.disk.raw_blocks() == control.disk.raw_blocks()
         assert (recovered.records.disk.raw_blocks()
@@ -307,5 +359,5 @@ class TestClosedHandle:
         db = make_db(backend_at(tmp_path))
         db.insert(7, b"seven")
         db.close()
-        with pytest.raises(StorageError, match="closed platter"):
+        with pytest.raises(StorageError, match="I/O on a closed device"):
             db.get(7)

@@ -1,13 +1,14 @@
 """Concurrent commits at the database layer.
 
-A commit stages under the write lock and syncs under the read lock, so
-concurrent explicit committers share WAL frames with no extra
-machinery.  This suite pins the single-threaded platter bytes and
+Every mutation runs in a transaction -- its own one-operation one, or a
+caller's scope -- whose commit stages under the write lock and syncs
+under the read lock, so concurrent committers share WAL frames with no
+extra machinery.  This suite pins the single-threaded platter bytes and
 durability counters, proves concurrent committers all reach durability,
-keeps a transaction's commit inline, and covers the stale-superblock
-regression: an uncommitted write-through mutation that lands between
-one committer's staging and its sync must never be sealed without the
-superblock that describes it.
+lets readers run while a mutation syncs, keeps a commit inside a
+transaction inline, and covers the stale-superblock regression: a
+mutation that lands between one committer's staging and its sync must
+never be sealed without the superblock that describes it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
 from repro.core.database import EncipheredDatabase
 from repro.crypto.rsa import RSA, generate_rsa_keypair
 from repro.designs.difference_sets import planar_difference_set
+from repro.exceptions import DuplicateKeyError
 from repro.storage.backend import FileBackend
 from repro.storage.platter import FilePlatter
 
@@ -58,15 +60,19 @@ def platter_digest(device):
     return h.hexdigest()[:16]
 
 
-def pinned_outcome(tmp_path, autocommit):
+def pinned_outcome(tmp_path, batched):
     """Per device (at-rest digest, syncs, WAL frames, header flips, WAL
-    bytes) after a fixed insert/delete workload with two commits."""
-    db = make_db(backend_at(tmp_path), autocommit=autocommit)
-    for k in range(0, 90, 3):
-        db.insert(k, f"rec-{k}".encode())
+    bytes) after a fixed insert/delete workload with two commits; each
+    phase commits per operation, or once when ``batched`` in one
+    transaction."""
+    db = make_db(backend_at(tmp_path))
+    with db.transaction() if batched else nullcontext():
+        for k in range(0, 90, 3):
+            db.insert(k, f"rec-{k}".encode())
     db.commit()
-    for k in range(0, 90, 9):
-        db.delete(k)
+    with db.transaction() if batched else nullcontext():
+        for k in range(0, 90, 9):
+            db.delete(k)
     db.commit()
     outcome = {}
     for name, device in (("node", db.disk), ("records", db.records.disk)):
@@ -84,7 +90,7 @@ def pinned_outcome(tmp_path, autocommit):
 
 class TestDefaults:
     def test_stats_surface(self, tmp_path):
-        db = make_db(backend_at(tmp_path), autocommit=False)
+        db = make_db(backend_at(tmp_path))
         db.insert(1, b"x")
         db.commit()
         durability = db.stats()["durability"]
@@ -100,29 +106,29 @@ class TestPinnedPlatter:
     frames, header flips, WAL bytes)."""
 
     EXPECTED = {
-        True: {
+        False: {
             "node": ("508ebb04506b4e90", 41, 41, 41, 9453),
             "records": ("29546da74762bb8b", 40, 40, 40, 15936),
         },
-        False: {
+        True: {
             "node": ("508ebb04506b4e90", 3, 3, 3, 1371),
             "records": ("29546da74762bb8b", 2, 2, 2, 7444),
         },
     }
 
-    @pytest.mark.parametrize("autocommit", [True, False])
-    def test_bytes_and_counters_pinned(self, tmp_path, autocommit):
-        assert pinned_outcome(tmp_path, autocommit) == self.EXPECTED[autocommit]
+    @pytest.mark.parametrize("batched", [False, True], ids=["autocommit", "transaction"])
+    def test_bytes_and_counters_pinned(self, tmp_path, batched):
+        assert pinned_outcome(tmp_path, batched) == self.EXPECTED[batched]
 
     def test_group_commit_env_flag_is_inert(self, tmp_path, monkeypatch):
         # the old opt-in switch must not select any other protocol
         monkeypatch.setenv("REPRO_GROUP_COMMIT", "1")
-        assert pinned_outcome(tmp_path, False) == self.EXPECTED[False]
+        assert pinned_outcome(tmp_path, True) == self.EXPECTED[True]
 
 
 class TestConcurrentCommitters:
     def test_all_committers_durable_after_reopen(self, tmp_path):
-        db = make_db(backend_at(tmp_path), autocommit=False)
+        db = make_db(backend_at(tmp_path))
         before = db.stats()["durability"]["node"]
         barrier = threading.Barrier(8)
         errors = []
@@ -131,7 +137,6 @@ class TestConcurrentCommitters:
             try:
                 barrier.wait()
                 db.insert(i, f"thread-{i}".encode())
-                db.commit()
             except BaseException as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -153,19 +158,14 @@ class TestConcurrentCommitters:
 
 
     def test_follower_sync_finds_nothing_pending(self, tmp_path):
-        # B stages after A and syncs only once A's sync is done: A's one
-        # frame per device carries both commits, and B's sync is free
-        db = make_db(backend_at(tmp_path), autocommit=False)
-        db.insert(1, b"a")
+        # B's insert stages after A's and syncs only once A's sync is
+        # done: A's one frame per device carries both, and B's is free
+        db = make_db(backend_at(tmp_path))
         committer = threading.current_thread()
         real_read_locked = db.lock.read_locked
         b_staged = threading.Event()
         a_synced = threading.Event()
         intercepted = set()
-
-        def commit_b():
-            db.insert(2, b"b")
-            db.commit()
 
         @contextmanager
         def read_locked():
@@ -173,7 +173,7 @@ class TestConcurrentCommitters:
             first = me not in intercepted
             intercepted.add(me)
             if first and me is committer:
-                b = threading.Thread(target=commit_b)
+                b = threading.Thread(target=db.insert, args=(2, b"b"))
                 b.start()
                 assert b_staged.wait(5)
                 with real_read_locked():
@@ -193,7 +193,7 @@ class TestConcurrentCommitters:
             for name, dev in (("node", db.disk), ("records", db.records.disk))
         }
         db.lock.read_locked = read_locked
-        db.commit()
+        db.insert(1, b"a")
         assert a_synced.is_set()
         for name, dev in (("node", db.disk), ("records", db.records.disk)):
             assert dev.durability_snapshot()["wal_frames"] == before[name] + 1
@@ -206,14 +206,13 @@ class TestConcurrentCommitters:
 
 
 class TestReadersDuringSync:
-    def test_reader_runs_while_commit_syncs(self, tmp_path):
-        # the sync holds only the read side, so a query started while
-        # the node device is mid-sync completes and sees the staged tree
-        db = make_db(backend_at(tmp_path), autocommit=False)
+    def test_reader_runs_while_an_insert_syncs(self, tmp_path):
+        # a mutation's own transaction syncs under the read side only,
+        # so a query started while the node device is mid-sync completes
+        # and sees the staged insert; the insert returns after its sync
+        db = make_db(backend_at(tmp_path))
         for k in range(20):
             db.insert(k, b"r%d" % k)
-        db.commit()
-        db.insert(100, b"late")
         seen = {}
 
         def hook(point):
@@ -227,9 +226,10 @@ class TestReadersDuringSync:
             seen["blocked"] = reader.is_alive()
 
         db.disk.fault_hook = hook
-        db.commit()
+        db.insert(100, b"late")
         assert seen == {"record": b"r5", "size": 21, "late": True,
                         "blocked": False}
+        assert db.disk.sync() == db.records.disk.sync() == 0  # already durable
         db.close()
 
 
@@ -237,7 +237,7 @@ class TestTransactionsStaySerial:
     def test_commit_inside_transaction_syncs_inline(self, tmp_path):
         # the transaction owner holds the write lock, so its commit
         # re-enters the read side and syncs before the scope goes on
-        db = make_db(backend_at(tmp_path), autocommit=False)
+        db = make_db(backend_at(tmp_path))
         before = db.stats()["durability"]["node"]["syncs"]
         with db.transaction():
             db.insert(3, b"t")
@@ -250,14 +250,13 @@ class TestTransactionsStaySerial:
 
 
 class TestStaleSuperblock:
-    def test_uncommitted_write_between_stage_and_sync(self, tmp_path):
-        # thread B's autocommit=False insert lands after A's staging and
-        # before A's sync; A's sync must not seal B's node blocks without
-        # a superblock that counts B's key, or reopen fails with
+    def test_mutation_between_stage_and_sync(self, tmp_path):
+        # thread B's insert lands after A's insert staged and before A's
+        # sync; whichever sync seals B's node blocks must carry a
+        # superblock that counts B's key, or reopen fails with
         # "superblock records 1 keys, tree holds 2"
         backend = backend_at(tmp_path)
-        db = make_db(backend, autocommit=False)
-        db.insert(1, b"committed")
+        db = make_db(backend)
         committer = threading.current_thread()
         real_read_locked = db.lock.read_locked
         fired = []
@@ -266,35 +265,33 @@ class TestStaleSuperblock:
         def read_locked():
             if not fired and threading.current_thread() is committer:
                 fired.append(True)
-                b = threading.Thread(target=db.insert, args=(2, b"uncommitted"))
+                b = threading.Thread(target=db.insert, args=(2, b"intervening"))
                 b.start()
                 b.join()
             with real_read_locked():
                 yield
 
         db.lock.read_locked = read_locked
-        db.commit()
+        db.insert(1, b"first")
         assert fired
         db.disk.abandon()
         db.records.disk.abandon()
 
         db2 = reopen_db(backend_at(tmp_path))
         assert len(db2) == 2
-        assert db2.search(1) == b"committed"
-        assert db2.search(2) == b"uncommitted"
+        assert db2.search(1) == b"first"
+        assert db2.search(2) == b"intervening"
         db2.close()
 
     @pytest.mark.parametrize("mutation", ["insert", "delete", "insert_and_delete"])
     def test_intervening_mutation_sealed_with_its_superblock(
         self, tmp_path, mutation
     ):
-        # whatever write-through change slips in between the two steps,
-        # the frame that seals it carries a superblock describing it
-        db = make_db(backend_at(tmp_path), autocommit=False)
+        # whatever change slips in between an insert's staging and its
+        # sync, the frame that seals it carries a superblock describing it
+        db = make_db(backend_at(tmp_path))
         for k in (1, 2, 3):
             db.insert(k, b"base-%d" % k)
-        db.commit()
-        db.insert(10, b"staged")
 
         def intervene():
             if mutation in ("insert", "insert_and_delete"):
@@ -317,7 +314,7 @@ class TestStaleSuperblock:
                 yield
 
         db.lock.read_locked = read_locked
-        db.commit()
+        db.insert(10, b"staged")
         assert fired
         assert not db.has_uncommitted_changes
         expected = dict(db.items())
@@ -340,28 +337,20 @@ CRASH_POINTS = ["sync:start", "wal:appended", "apply:block", "apply:done",
                 "header:flipped"]
 
 
-class TestCrashDuringSharedSync:
-    """Four threads stage inserts, then one commit's sync is killed at
-    each protocol point of each device.  The node device's WAL frame is
-    the commit point: once it is sealed every staged key survives,
-    before it none does, and reopen always finds a superblock that
-    agrees with the tree."""
+class TestCrashDuringCommitSync:
+    """A transaction stages four inserts, then its commit's sync is
+    killed at each protocol point of each device.  The node device's
+    WAL frame is the commit point: once it is sealed every staged key
+    survives, before it none does, and reopen always finds a superblock
+    that agrees with the tree."""
 
     @pytest.mark.parametrize("point", CRASH_POINTS)
     @pytest.mark.parametrize("device", ["records", "node"])
     def test_kill_recovers_all_or_none(self, tmp_path, device, point):
-        db = make_db(backend_at(tmp_path), autocommit=False)
-        for k in range(0, 60, 3):
-            db.insert(k, b"base-%d" % k)
-        db.commit()
-        stagers = [
-            threading.Thread(target=db.insert, args=(k, b"late-%d" % k))
-            for k in (1, 4, 7, 10)
-        ]
-        for t in stagers:
-            t.start()
-        for t in stagers:
-            t.join()
+        db = make_db(backend_at(tmp_path))
+        with db.transaction():
+            for k in range(0, 60, 3):
+                db.insert(k, b"base-%d" % k)
 
         def bomb(p):
             if p == point:
@@ -370,7 +359,9 @@ class TestCrashDuringSharedSync:
         target = db.disk if device == "node" else db.records.disk
         target.fault_hook = bomb
         with pytest.raises(Kill):
-            db.commit()
+            with db.transaction():
+                for k in (1, 4, 7, 10):
+                    db.insert(k, b"late-%d" % k)
         db.disk.abandon()
         db.records.disk.abandon()
 
@@ -395,13 +386,16 @@ class TestSyncFailure:
         device.fault_hook = bomb
 
     def test_failed_sync_keeps_changes_uncommitted(self, tmp_path):
-        # a commit whose sync fails is not durable: the flag stays set,
-        # so close() retries the commit
-        db = make_db(backend_at(tmp_path), autocommit=False)
-        db.insert(1, b"x")
+        # an insert whose sync fails is staged but not durable: the flag
+        # stays set -- a later failed mutation's rollback keeps it -- so
+        # close() retries the commit
+        db = make_db(backend_at(tmp_path))
         self.arm_once(db.disk)
         with pytest.raises(Kill):
-            db.commit()
+            db.insert(1, b"x")
+        assert db.has_uncommitted_changes
+        with pytest.raises(DuplicateKeyError):
+            db.insert(1, b"again")
         assert db.has_uncommitted_changes
         db.close()
         db2 = reopen_db(backend_at(tmp_path))
@@ -409,16 +403,14 @@ class TestSyncFailure:
         db2.close()
 
     def test_failed_sync_releases_the_lock(self, tmp_path):
-        db = make_db(backend_at(tmp_path), autocommit=False)
-        db.insert(1, b"x")
+        db = make_db(backend_at(tmp_path))
         self.arm_once(db.records.disk)
         with pytest.raises(Kill):
-            db.commit()
+            db.insert(1, b"x")
         writer = threading.Thread(target=db.insert, args=(2, b"y"))
         writer.start()
         writer.join(5)
         assert not writer.is_alive()
-        db.commit()
         db.disk.abandon()
         db.records.disk.abandon()
         db2 = reopen_db(backend_at(tmp_path))

@@ -45,7 +45,10 @@ every database and cluster lives on a storage backend and reopens with
 A store describes its own geometry -- the platter header records the
 block size, the superblock the record size -- so ``reopen_from_backend``
 rejects ``block_size=`` and ``record_size=``, and ``ClusterManifest``
-records neither.
+records neither.  There is one mutation path: every write runs in a
+transaction, its own or the caller's, so ``autocommit=`` is rejected by
+every create and reopen entry point and a database has no
+``autocommit`` attribute.
 """
 
 from __future__ import annotations
@@ -101,6 +104,7 @@ BUDGET = {"decoded_node_cache_bytes": 1024}
 READAHEAD = {"readahead_workers": 2}
 DECODED = {"decoded_node_cache_blocks": 64}
 WRITE_BACK = {"write_back": True}
+MANUAL_COMMIT = {"autocommit": False}
 
 
 def _reopen_db_from_backend(tmp_path, removed=BUDGET):
@@ -214,6 +218,18 @@ REJECTING_CALLS = {
     "cluster.reopen_from_manifest(write_back)": lambda tmp_path: (
         _reopen_cluster_from_manifest(tmp_path, WRITE_BACK)
     ),
+    "db.create(autocommit)": lambda tmp_path: EncipheredDatabase.create(
+        sub(), cipher(), **MANUAL_COMMIT
+    ),
+    "db.reopen_from_backend(autocommit)": lambda tmp_path: _reopen_db_from_backend(
+        tmp_path, MANUAL_COMMIT
+    ),
+    "cluster.create(autocommit)": lambda tmp_path: ShardedEncipheredDatabase.create(
+        sub, cipher, num_shards=2, **MANUAL_COMMIT
+    ),
+    "cluster.reopen_from_manifest(autocommit)": lambda tmp_path: (
+        _reopen_cluster_from_manifest(tmp_path, MANUAL_COMMIT)
+    ),
     "Pager(write_back)": lambda tmp_path: Pager(
         SimulatedDisk(block_size=64), **WRITE_BACK
     ),
@@ -262,7 +278,7 @@ GONE = {
         lambda tmp_path: EncipheredDatabase.create(sub(), cipher()),
         ("save_heat", "load_heat", "_backend", "_warm_thread", "reattach", "warming",
          "seal_changes", "truncate_journals", "has_unsealed_changes",
-         "collect_delta", "apply_delta", "reopen")
+         "collect_delta", "apply_delta", "reopen", "autocommit", "_after_mutation")
         + PREFETCH,
     ),
     "BTree": (

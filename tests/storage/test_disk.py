@@ -411,11 +411,24 @@ class TestOneContract:
     @pytest.mark.parametrize("backend", [SimulatedDisk, FilePlatter])
     def test_backends_leave_the_contract_to_the_base(self, backend):
         shared = (
-            "allocate", "num_blocks", "_check_id", "_store", "_fetch",
-            "_fetch_many", "_store_many", "export_state", "patch_state",
-            "raw_block", "raw_blocks",
+            "allocate", "num_blocks", "_check_id", "_check_open", "_store",
+            "_fetch", "_fetch_many", "_store_many", "export_state",
+            "patch_state", "raw_block", "raw_blocks",
         )
         assert [name for name in shared if name in vars(backend)] == []
+
+    def test_closed_device_refuses_io(self, device):
+        disk = device(block_size=64)
+        b = disk.allocate()
+        disk.write_block(b, b"kept")
+        disk.close()
+        assert disk.closed
+        for io in (lambda: disk.read_block(b), lambda: disk.read_many([b]),
+                   lambda: disk.write_block(b, b"late"),
+                   lambda: disk.write_many([(b, b"late")])):
+            with pytest.raises(StorageError, match="I/O on a closed device"):
+                io()
+        disk.close()  # a second close is a no-op
 
 
 class TestConcurrency:
